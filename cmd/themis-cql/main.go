@@ -341,6 +341,10 @@ func runNetworked(addrList, queryText string, dataset, fragments int, placement 
 			fmt.Printf("node %-8s dropped in transit: %d tuples, %.4f SIC mass (routing failures during churn)\n",
 				ns.Node, ns.DroppedTuples, ns.DroppedSIC)
 		}
+		if ns.DroppedCtrl > 0 {
+			fmt.Printf("node %-8s dropped %d control frames (full controller queue): result SIC above reads low\n",
+				ns.Node, ns.DroppedCtrl)
+		}
 	}
 }
 

@@ -28,23 +28,26 @@ import (
 // Implementations are not safe for concurrent use — each fragment executor
 // owns its operators and drives them from a single goroutine.
 //
-// Ownership contract (DESIGN.md §9): Push must copy anything it retains
-// beyond the current tick — the input slice and the tuples' V payloads
-// may alias pooled storage that is recycled when the tick ends. Emitted
-// slices are valid only for the duration of the emit call; they alias
-// operator-owned scratch arenas that are overwritten on the operator's
-// next Tick, so a consumer that retains emitted tuples (or their
-// payloads) past the tick must copy them.
+// Ownership contract (DESIGN.md §9): a pushed slice, and the V payloads
+// its tuples alias, stay valid until the receiving operator's next Tick
+// returns — pushes borrow pooled batch storage the node recycles when the
+// tick ends, or an upstream operator's emission. An operator may hold the
+// slice until then without copying (the pass-through operators do) but
+// must copy anything it retains beyond its Tick. Symmetrically an
+// emission must stay valid, unmodified, until the fragment tick ends: it
+// aliases an operator-owned arena that is overwritten on the operator's
+// next Tick, or forwards a borrowed push. A consumer outside the fragment
+// (the sink) must copy what it keeps before the emit call returns.
 type Operator interface {
 	// Name identifies the operator kind for diagnostics and plans.
 	Name() string
 	// InPorts reports how many input ports the operator has.
 	InPorts() int
-	// Push buffers input tuples on the given port. The slice is only
-	// valid during the call: implementations copy what they keep.
+	// Push delivers input tuples on the given port. The slice is borrowed
+	// until the operator's next Tick returns.
 	Push(port int, in []stream.Tuple)
 	// Tick advances to logical time now, emitting zero or more derived
-	// batches. Emitted slices are valid only during the emit call.
+	// batches. Emitted slices stay valid until the fragment tick ends.
 	Tick(now stream.Time, emit func(out []stream.Tuple))
 }
 
@@ -101,25 +104,62 @@ func (a *arena) one(ts stream.Time, sicVal float64, values ...float64) []stream.
 	return a.since(m)
 }
 
-// passThrough is the base for stateless single-input operators that
-// process each pushed batch atomically at the next tick. take drains the
-// pending buffer but keeps its storage: the drained view is consumed
-// within the same tick (emissions are copied by whoever retains them),
-// so the buffer is safely overwritten by the next tick's pushes.
+// passThrough is the base for stateless operators that process what was
+// pushed since their last tick. Pushes are held, not copied: a pushed
+// slice is borrowed until the operator's Tick returns (see Operator), and
+// every pass-through forwards or consumes its input within that Tick.
 type passThrough struct {
-	pending []stream.Tuple
+	// held are the slices pushed since the last Tick, in push order.
+	held [][]stream.Tuple
+	// joined is take's concatenation buffer, reused across ticks.
+	joined []stream.Tuple
 }
 
 func (p *passThrough) InPorts() int { return 1 }
 
 func (p *passThrough) Push(port int, in []stream.Tuple) {
-	p.pending = append(p.pending, in...)
+	if len(in) > 0 {
+		p.held = append(p.held, in)
+	}
 }
 
+// drop forgets the held slices, keeping the list's storage.
+func (p *passThrough) drop() {
+	clear(p.held)
+	p.held = p.held[:0]
+}
+
+// gather returns the held input as one slice without draining it: a
+// single push is returned as it came, several are concatenated into
+// joined. The result is valid until the next gather.
+func (p *passThrough) gather() []stream.Tuple {
+	if len(p.held) == 1 {
+		return p.held[0]
+	}
+	p.joined = p.joined[:0]
+	for _, in := range p.held {
+		p.joined = append(p.joined, in...)
+	}
+	return p.joined
+}
+
+// take drains the held input as one slice, for operators that process a
+// tick's input atomically.
 func (p *passThrough) take() []stream.Tuple {
-	out := p.pending
-	p.pending = p.pending[:0]
+	out := p.gather()
+	p.drop()
 	return out
+}
+
+// forward emits every held slice as it came, in push order. Splitting a
+// tick's input over several emissions is invisible to operators, which
+// all treat consecutive pushes as one input; Output, the pass-through
+// that faces the fragment sink, emits once per tick through take.
+func (p *passThrough) forward(emit func([]stream.Tuple)) {
+	for _, in := range p.held {
+		emit(in)
+	}
+	p.drop()
 }
 
 // Receive models a source data receiver (the "Src" / "AllSrcCPU" receivers
@@ -135,17 +175,13 @@ func NewReceive() *Receive { return &Receive{} }
 func (r *Receive) Name() string { return "receive" }
 
 // Tick implements Operator.
-func (r *Receive) Tick(now stream.Time, emit func([]stream.Tuple)) {
-	if out := r.take(); len(out) > 0 {
-		emit(out)
-	}
-}
+func (r *Receive) Tick(now stream.Time, emit func([]stream.Tuple)) { r.forward(emit) }
 
 // Union merges n input streams into one, preserving tuples and SIC. It
 // implements the AllSrc union of Table 1.
 type Union struct {
-	ports   int
-	pending []stream.Tuple
+	passThrough
+	ports int
 }
 
 // NewUnion builds a union of the given number of input ports.
@@ -162,23 +198,13 @@ func (u *Union) Name() string { return "union" }
 // InPorts implements Operator.
 func (u *Union) InPorts() int { return u.ports }
 
-// Push implements Operator.
-func (u *Union) Push(port int, in []stream.Tuple) {
-	u.pending = append(u.pending, in...)
-}
-
 // Tick implements Operator.
-func (u *Union) Tick(now stream.Time, emit func([]stream.Tuple)) {
-	if len(u.pending) > 0 {
-		out := u.pending
-		u.pending = u.pending[:0]
-		emit(out)
-	}
-}
+func (u *Union) Tick(now stream.Time, emit func([]stream.Tuple)) { u.forward(emit) }
 
 // Output marks the root operator that emits the query result stream to
 // the user (§3: "There exists one root operator in the query graph to
-// emit the query result stream"). It forwards tuples unchanged.
+// emit the query result stream"). It forwards tuples unchanged, as one
+// emission per tick.
 type Output struct{ passThrough }
 
 // NewOutput builds an output operator.

@@ -65,12 +65,51 @@ func TestUnionMergesPorts(t *testing.T) {
 	}
 	u.Push(0, tuples(0.1, 1, 1))
 	u.Push(2, tuples(0.2, 1, 2, 3))
+	// Pushes are forwarded as they came, in push order.
 	out := tick(u, 10)
-	if len(out) != 1 || len(out[0]) != 3 {
+	if len(out) != 2 || len(out[0]) != 1 || len(out[1]) != 2 || out[1][1].V[0] != 3 {
 		t.Fatalf("union output: %v", out)
 	}
 	if !almostEq(totalSIC(out), 0.5) {
 		t.Errorf("union SIC: %g", totalSIC(out))
+	}
+	if got := tick(u, 20); got != nil {
+		t.Error("union re-emitted")
+	}
+}
+
+// TestOutputEmitsOncePerTick: the operator facing the fragment sink joins
+// a tick's pushes into one emission (one result batch), borrows a single
+// push without copying, and snapshots held input without draining it.
+func TestOutputEmitsOncePerTick(t *testing.T) {
+	o := NewOutput()
+	one := tuples(0.1, 1, 1, 2)
+	o.Push(0, one)
+	var got []stream.Tuple
+	o.Tick(10, func(b []stream.Tuple) { got = b })
+	if len(got) != 2 || &got[0] != &one[0] {
+		t.Fatalf("single push was not forwarded in place: %v", got)
+	}
+	o.Push(0, tuples(0.1, 11, 1))
+	o.Push(0, tuples(0.2, 12, 2, 3))
+	var enc stream.SnapEncoder
+	enc.Reset()
+	o.SnapshotState(&enc)
+	out := tick(o, 20)
+	if len(out) != 1 || len(out[0]) != 3 || out[0][2].V[0] != 3 {
+		t.Fatalf("output after snapshot: %v", out)
+	}
+	var dec stream.SnapDecoder
+	if err := dec.Init(enc.Seal()); err != nil {
+		t.Fatal(err)
+	}
+	r := NewOutput()
+	if err := r.RestoreState(&dec); err != nil {
+		t.Fatal(err)
+	}
+	r.Push(0, tuples(0.3, 13, 4))
+	if out := tick(r, 20); len(out) != 1 || len(out[0]) != 4 || out[0][0].V[0] != 1 || out[0][3].V[0] != 4 {
+		t.Fatalf("restored output: %v", out)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 //
 // What counts as state: window buffers (tuples waiting for future edges),
 // captured-window stores pairing two-input operators' closed windows, and
-// pass-through pending buffers. What does not: per-tick and per-window
+// pass-through held input. What does not: per-tick and per-window
 // scratch — emission arenas, group-by maps, join hash indexes, top-k
 // rankings — is rebuilt from the window contents on the next tick and is
 // deliberately excluded, which keeps snapshots small and the codec free of
@@ -38,34 +38,24 @@ type Reopener interface {
 	Reopen(now stream.Time)
 }
 
-// --- pass-through base (Receive, Output, Filter, AvgFinalize, CovFinalize) ---
+// --- pass-through base (Receive, Union, Output, Filter, AvgFinalize, CovFinalize) ---
 
-// SnapshotState implements Stateful. The pending buffer is drained within
-// every tick, so between ticks — when checkpoints run — it is empty and
-// this encodes as a zero count; it is snapshot anyway so the contract does
-// not depend on that scheduling detail.
+// SnapshotState implements Stateful. Held input is drained within every
+// tick, so between ticks — when checkpoints run — it is empty and this
+// encodes as a zero count; it is snapshot anyway so the contract does not
+// depend on that scheduling detail.
 func (p *passThrough) SnapshotState(enc *stream.SnapEncoder) {
-	enc.TupleSlice(p.pending)
+	enc.TupleSlice(p.gather())
 }
 
 // RestoreState implements Stateful. Restored tuples own their payload
-// storage, matching the lifetime of pushed tuples (consumed within the
-// tick that delivers them).
+// storage; they are held like one push.
 func (p *passThrough) RestoreState(dec *stream.SnapDecoder) error {
-	p.pending, _ = dec.TupleSlice(p.pending[:0], nil)
-	return dec.Err()
-}
-
-// --- Union ---
-
-// SnapshotState implements Stateful.
-func (u *Union) SnapshotState(enc *stream.SnapEncoder) {
-	enc.TupleSlice(u.pending)
-}
-
-// RestoreState implements Stateful.
-func (u *Union) RestoreState(dec *stream.SnapDecoder) error {
-	u.pending, _ = dec.TupleSlice(u.pending[:0], nil)
+	p.drop()
+	p.joined, _ = dec.TupleSlice(p.joined[:0], nil)
+	if len(p.joined) > 0 {
+		p.held = append(p.held, p.joined)
+	}
 	return dec.Err()
 }
 

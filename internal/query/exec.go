@@ -19,11 +19,13 @@ type FragmentExec struct {
 	plan *FragmentPlan
 	ops  []operator.Operator
 	// emits[i] routes operator i's emissions: intermediate edges push to
-	// downstream operators (which copy what they retain), the output
-	// operator's emissions go to the current Tick sink.
+	// downstream operators (which borrow the slice until their own Tick,
+	// later in this fragment tick), the output operator's emissions go to
+	// the current Tick sink.
 	emits []func([]stream.Tuple)
 	// sink receives the fragment's output emissions during Tick. Emitted
-	// slices alias operator scratch and are valid only during the call.
+	// slices alias operator scratch or borrowed input and are valid only
+	// during the call.
 	sink func([]stream.Tuple)
 }
 
@@ -47,8 +49,9 @@ func NewFragmentExec(p *FragmentPlan) *FragmentExec {
 				}
 				return
 			}
-			// Operators copy pushed input they retain (the Push
-			// contract), so fan-out hands every consumer the same slice.
+			// Operators never modify pushed input and copy what they
+			// retain past their Tick (the Push contract), so fan-out
+			// hands every consumer the same slice.
 			for _, edge := range outs {
 				e.ops[edge.To].Push(edge.Port, batch)
 			}
@@ -62,7 +65,8 @@ func (e *FragmentExec) Plan() *FragmentPlan { return e.plan }
 
 // Push delivers input tuples to a fragment entry port. Unknown ports are
 // dropped — a shed upstream fragment may leave stale routes. The slice is
-// only borrowed: operators copy what they retain past the tick.
+// borrowed until the next Tick returns: the caller must leave it alone
+// until then, and operators copy what they retain past the tick.
 func (e *FragmentExec) Push(port int, in []stream.Tuple) {
 	ent, ok := e.plan.Entries[port]
 	if !ok {
@@ -151,9 +155,9 @@ func (e *FragmentExec) Reopen(now stream.Time) {
 
 // Tick advances every operator one step in topological order, routing
 // intermediate emissions, and passes each batch emitted by the fragment's
-// output operator to sink. Emitted slices alias operator-owned scratch:
-// they are valid only during the sink call and must be copied by anyone
-// retaining them.
+// output operator to sink. Emitted slices alias operator-owned scratch
+// or input borrowed by Push: they are valid only during the sink call and
+// must be copied by anyone retaining them.
 func (e *FragmentExec) Tick(now stream.Time, sink func(out []stream.Tuple)) {
 	e.sink = sink
 	for i, op := range e.ops {

@@ -30,7 +30,8 @@ type Batch struct {
 	// BALANCE-SIC shedder reads without touching tuple payloads.
 	SIC float64
 	// Tuples holds the batch payload. Tuple V slices alias a single
-	// backing array owned by the batch (see NewBatch).
+	// backing array owned by the batch (see NewBatch); a pooled batch's
+	// holder fills the payload through them and never re-points them.
 	Tuples []Tuple
 
 	// pool, slab, view and released implement the pooled batch lifecycle
@@ -40,6 +41,11 @@ type Batch struct {
 	slab     []float64
 	view     bool
 	released bool
+	// arity and wired cache the V wiring across recycles: the first wired
+	// tuples of the full-capacity tuple slice already point at their
+	// arity-wide rows of slab, so a re-draw at the same arity only zeroes.
+	// Holders write through a pooled tuple's V, never re-point it.
+	arity, wired int
 	// parent and refs implement retained views (Pool.ViewRetained): a
 	// batch's storage recycles only when its reference count — one for the
 	// owner plus one per retained view — drops to zero, and a retained
@@ -68,7 +74,7 @@ func (b *Batch) RecomputeSIC() {
 // performs exactly two allocations regardless of n. Tuples are zeroed;
 // the caller fills timestamps, SIC values and payloads.
 func NewBatch(query QueryID, frag FragID, src SourceID, ts Time, n, arity int) *Batch {
-	b := &Batch{Query: query, Frag: frag, Source: src, TS: ts} //themis:coldalloc pool-miss slow path: Pool.take calls this only when the free list is empty, and recycling amortises both allocs to zero in steady state.
+	b := &Batch{Query: query, Frag: frag, Source: src, TS: ts} //themis:coldalloc unpooled slow path: hot callers reach it only without a pool (Source.Emit) or for ragged arities (Node.emitFragment); steady-state batches come from Pool.Get.
 	b.Tuples = make([]Tuple, n)
 	if arity > 0 {
 		backing := make([]float64, n*arity)

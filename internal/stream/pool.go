@@ -11,14 +11,17 @@ import (
 // every 250 ms on every node over every hosted query (§6); without
 // allocation discipline each tick churns fresh batches, tuple slices and
 // payload arrays that immediately become garbage. The pool replaces that
-// churn with size-classed free lists: sources, operator emissions and the
-// wire decoder draw batches from a pool, and whoever consumes a batch
-// releases it back once nothing aliases its storage any more.
+// churn with size-classed free lists of whole batches: sources, operator
+// emissions and the wire decoder draw batches from a pool, and whoever
+// consumes a batch releases it back once nothing aliases its storage any
+// more. A batch recycles as one unit — header, tuple slice and payload
+// slab stay attached — so a draw is one pop and a release one push.
 //
 // Ownership rules (see DESIGN.md §9 for the full memory model):
 //
 //   - A pooled batch owns its Tuples slice and the payload slab its
-//     tuples' V slices alias. Release returns all three to the pool.
+//     tuples' V slices alias. Release returns the batch, storage
+//     attached, to the pool.
 //   - Exactly one owner releases a batch, after the last use. Aliasing a
 //     batch's tuples or payloads is legal only until the owning driver
 //     releases it (in practice: until the end of the node tick that
@@ -38,16 +41,17 @@ import (
 // than crashing. Live() exposes the outstanding-batch count so tests can
 // assert leak-freedom.
 type Pool struct {
-	mu      sync.Mutex
-	headers []*Batch
-	tuples  [numClasses][][]Tuple
-	slabs   [numClasses][][]float64
-	live    atomic.Int64
+	mu sync.Mutex
+	// free[c] holds recycled batches whose tuple slice has capacity
+	// classSizes[c]; views holds recycled header-only batches.
+	free  [numClasses][]*Batch
+	views []*Batch
+	live  atomic.Int64
 }
 
-// classSizes are the free-list capacity classes, shared by tuple slices
-// (tuples per batch) and payload slabs (floats per batch). Requests are
-// rounded up to the next class; oversize requests are served by plain
+// classSizes are the free-list capacity classes: a batch is filed by its
+// tuple capacity, and its payload slab is sized to a class too. Requests
+// are rounded up to the next class; oversize requests are served by plain
 // allocation and dropped on release.
 var classSizes = [...]int{16, 64, 256, 1024, 4096, 16384, 65536}
 
@@ -71,37 +75,57 @@ func NewPool() *Pool { return &Pool{} }
 // released — the leak detector tests assert against.
 func (p *Pool) Live() int64 { return p.live.Load() }
 
+// pop takes the most recently recycled batch off a free list, or returns
+// nil when the list is empty.
+func (p *Pool) pop(list *[]*Batch) (b *Batch) {
+	p.mu.Lock()
+	if k := len(*list); k > 0 {
+		b = (*list)[k-1]
+		(*list)[k-1] = nil
+		*list = (*list)[:k-1]
+	}
+	p.mu.Unlock()
+	return b
+}
+
+// push files a recycled batch on a free list.
+func (p *Pool) push(list *[]*Batch, b *Batch) {
+	p.mu.Lock()
+	*list = append(*list, b)
+	p.mu.Unlock()
+}
+
 // Get returns a batch of n tuples with arity payload fields each, drawn
 // from the free lists when possible. Tuples are zeroed and their V slices
-// re-pointed into a zeroed payload slab, so a recycled batch can never
-// leak another query's payload values. The caller owns the batch and must
-// Release it exactly once.
+// pointed into a zeroed payload slab, so a recycled batch can never leak
+// another query's payload values. A recycled batch whose slab is too
+// small for this arity grows it once and keeps the larger slab. The
+// caller owns the batch and must Release it exactly once.
 func (p *Pool) Get(query QueryID, frag FragID, src SourceID, ts Time, n, arity int) *Batch {
-	b, tuples, slab := p.take(n, n*arity)
-	if tuples == nil {
-		tuples = make([]Tuple, n, classCap(n))
+	var b *Batch
+	if c := classOf(n); c >= 0 {
+		b = p.pop(&p.free[c])
 	}
-	tuples = tuples[:n]
-	if arity > 0 && slab == nil {
-		slab = make([]float64, n*arity, classCap(n*arity))
+	if b == nil {
+		b = &Batch{Tuples: make([]Tuple, 0, classCap(n))}
 	}
-	if arity > 0 {
-		slab = slab[:n*arity]
-		for i := range slab {
-			slab[i] = 0
-		}
-	} else {
-		slab = nil
+	if cap(b.slab) < n*arity {
+		b.slab = make([]float64, 0, classCap(n*arity))
+		b.wired = 0
 	}
-	for i := range tuples {
-		tuples[i].TS = 0
-		tuples[i].SIC = 0
-		if arity > 0 {
-			tuples[i].V = slab[i*arity : (i+1)*arity : (i+1)*arity]
-		} else {
-			tuples[i].V = nil
-		}
+	slab := b.slab[:n*arity]
+	clear(slab)
+	tuples := b.Tuples[:n]
+	if arity != b.arity {
+		b.arity, b.wired = arity, 0
 	}
+	for i := range tuples[:min(n, b.wired)] {
+		tuples[i].TS, tuples[i].SIC = 0, 0
+	}
+	for i := b.wired; i < n; i++ {
+		tuples[i] = Tuple{V: slab[i*arity : (i+1)*arity : (i+1)*arity]}
+	}
+	b.wired = max(b.wired, n)
 	b.Query, b.Frag, b.Port, b.Source, b.TS, b.SIC = query, frag, 0, src, ts, 0
 	b.Tuples, b.slab = tuples, slab
 	b.pool, b.view, b.released, b.parent = p, false, false, nil
@@ -115,9 +139,12 @@ func (p *Pool) Get(query QueryID, frag FragID, src SourceID, ts Time, n, arity i
 // payload). Releasing a view recycles only the header; the owner of the
 // aliased storage must outlive every view.
 func (p *Pool) GetView(query QueryID, frag FragID, src SourceID, ts Time, tuples []Tuple) *Batch {
-	b, _, _ := p.take(-1, -1)
+	b := p.pop(&p.views)
+	if b == nil {
+		b = &Batch{}
+	}
 	b.Query, b.Frag, b.Port, b.Source, b.TS, b.SIC = query, frag, 0, src, ts, 0
-	b.Tuples, b.slab = tuples, nil
+	b.Tuples = tuples
 	b.pool, b.view, b.released, b.parent = p, true, false, nil
 	b.refs.Store(1)
 	p.live.Add(1)
@@ -142,46 +169,12 @@ func (p *Pool) ViewRetained(parent *Batch, query QueryID, frag FragID, src Sourc
 }
 
 // classCap rounds a capacity request up to its class size, so released
-// slices always land back in a class list.
+// batches always land back in a class list.
 func classCap(n int) int {
 	if c := classOf(n); c >= 0 {
 		return classSizes[c]
 	}
 	return n
-}
-
-// take pops a header plus (for non-negative sizes) a tuple slice and
-// payload slab from the free lists under one lock acquisition.
-func (p *Pool) take(nTuples, nVals int) (b *Batch, tuples []Tuple, slab []float64) {
-	p.mu.Lock()
-	if k := len(p.headers); k > 0 {
-		b = p.headers[k-1]
-		p.headers[k-1] = nil
-		p.headers = p.headers[:k-1]
-	}
-	if nTuples >= 0 {
-		if c := classOf(nTuples); c >= 0 {
-			if k := len(p.tuples[c]); k > 0 {
-				tuples = p.tuples[c][k-1]
-				p.tuples[c][k-1] = nil
-				p.tuples[c] = p.tuples[c][:k-1]
-			}
-		}
-	}
-	if nVals > 0 {
-		if c := classOf(nVals); c >= 0 {
-			if k := len(p.slabs[c]); k > 0 {
-				slab = p.slabs[c][k-1]
-				p.slabs[c][k-1] = nil
-				p.slabs[c] = p.slabs[c][:k-1]
-			}
-		}
-	}
-	p.mu.Unlock()
-	if b == nil {
-		b = &Batch{}
-	}
-	return b, tuples, slab
 }
 
 // Release drops the owner's reference on a pooled batch. It is a no-op
@@ -214,34 +207,25 @@ func (b *Batch) decref() {
 	b.recycle()
 }
 
-// recycle returns the batch's storage to its pool and drops the reference
-// it held on its parent, if any. Called exactly once per pool draw, by
-// the goroutine whose release dropped the count to zero.
+// recycle files the batch, storage attached, on its pool's free list and
+// drops the reference it held on its parent, if any. The handle's Tuples
+// are truncated (nil for a view), so a use after release fails loudly.
+// Called exactly once per pool draw, by the goroutine whose release
+// dropped the count to zero.
 func (b *Batch) recycle() {
 	p := b.pool
 	parent := b.parent
 	b.parent = nil
-	tuples, slab, view := b.Tuples, b.slab, b.view
-	b.Tuples, b.slab = nil, nil
-	p.mu.Lock()
-	p.headers = append(p.headers, b)
-	if !view {
-		if tuples != nil {
-			if c := classOf(cap(tuples)); c >= 0 && cap(tuples) == classSizes[c] {
-				full := tuples[:cap(tuples)]
-				for i := range full {
-					full[i].V = nil // drop payload refs so slabs are not pinned
-				}
-				p.tuples[c] = append(p.tuples[c], tuples[:0])
-			}
-		}
-		if slab != nil {
-			if c := classOf(cap(slab)); c >= 0 && cap(slab) == classSizes[c] {
-				p.slabs[c] = append(p.slabs[c], slab[:0])
-			}
+	if b.view {
+		b.Tuples = nil
+		p.push(&p.views, b)
+	} else {
+		b.Tuples, b.slab = b.Tuples[:0], b.slab[:0]
+		// An oversize batch has no class: the garbage collector takes it.
+		if c := classOf(cap(b.Tuples)); c >= 0 && cap(b.Tuples) == classSizes[c] {
+			p.push(&p.free[c], b)
 		}
 	}
-	p.mu.Unlock()
 	p.live.Add(-1)
 	if parent != nil {
 		parent.decref()

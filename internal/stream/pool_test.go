@@ -227,10 +227,10 @@ func TestPoolRetainedViewChains(t *testing.T) {
 	leaf := p.ViewRetained(mid, 3, 0, 0, 0, mid.Tuples[:3])
 	root.Release()
 	mid.Release()
-	// root's handle fields are cleared only at recycle time, so a nil
-	// Tuples here would mean the chain failed to keep root alive.
-	if root.Tuples == nil {
-		t.Fatal("root recycled while a transitive view is live")
+	// A handle recycles (and leaves the live count) only when its last
+	// reference drops: leaf holds mid, mid holds root.
+	if p.Live() != 3 || len(root.Tuples) != 8 || freeBatches(p) != 0 {
+		t.Fatalf("chain recycled while a transitive view is live: live %d, root len %d", p.Live(), len(root.Tuples))
 	}
 	if leaf.Tuples[0].V[0] != 10 {
 		t.Fatal("leaf lost payload while retained")
@@ -238,6 +238,73 @@ func TestPoolRetainedViewChains(t *testing.T) {
 	leaf.Release()
 	if p.Live() != 0 {
 		t.Fatalf("live after chain release: %d", p.Live())
+	}
+	if freeBatches(p) != 1 || len(p.views) != 2 {
+		t.Fatalf("chain recycled %d batches and %d views, want 1 and 2", freeBatches(p), len(p.views))
+	}
+}
+
+// freeBatches counts the whole batches on the pool's free lists.
+func freeBatches(p *Pool) int {
+	n := 0
+	for c := range p.free {
+		n += len(p.free[c])
+	}
+	return n
+}
+
+// checkWiring asserts the batch has n zeroed tuples whose V slices are
+// arity wide, zeroed, capped, and tile the batch's slab without overlap.
+func checkWiring(t *testing.T, b *Batch, n, arity int) {
+	t.Helper()
+	if b.Len() != n || len(b.slab) != n*arity {
+		t.Fatalf("len %d slab %d, want %d and %d", b.Len(), len(b.slab), n, n*arity)
+	}
+	for i := range b.Tuples {
+		tp := &b.Tuples[i]
+		if tp.TS != 0 || tp.SIC != 0 || len(tp.V) != arity || cap(tp.V) != arity {
+			t.Fatalf("tuple %d of %d at arity %d: %+v (cap %d)", i, n, arity, tp, cap(tp.V))
+		}
+		if arity == 0 {
+			continue
+		}
+		if &tp.V[0] != &b.slab[i*arity] {
+			t.Fatalf("tuple %d of %d at arity %d does not own row %d of the slab", i, n, arity, i)
+		}
+		for j, v := range tp.V {
+			if v != 0 {
+				t.Fatalf("tuple %d V[%d] = %g, want 0", i, j, v)
+			}
+		}
+	}
+}
+
+// TestPoolRedrawRewires: a batch recycles as one unit and keeps its
+// wiring, so re-drawing it at a different length or arity — longer,
+// shorter, wider, narrower, payload-free, past its slab — must hand out
+// exactly what a fresh batch would.
+func TestPoolRedrawRewires(t *testing.T) {
+	p := NewPool()
+	shapes := []struct{ n, arity int }{
+		{10, 2}, {16, 2}, {4, 2}, {12, 3}, {12, 1}, {16, 0}, {9, 1}, {16, 40}, {16, 2}, {1, 2},
+	}
+	var first *Batch
+	for _, sh := range shapes {
+		b := p.Get(1, 0, 0, 0, sh.n, sh.arity)
+		if first == nil {
+			first = b
+		} else if b != first {
+			t.Fatalf("shape %+v drew a fresh batch: the class-16 batch was not recycled as a unit", sh)
+		}
+		checkWiring(t, b, sh.n, sh.arity)
+		fillSentinel(b, 100)
+		b.Release()
+		if len(b.Tuples) != 0 {
+			t.Fatal("released handle still exposes its tuples")
+		}
+	}
+	if freeBatches(p) != 1 || p.Live() != 0 {
+		t.Fatalf("free %d live %d", freeBatches(p), p.Live())
 	}
 }
 
@@ -303,6 +370,11 @@ func TestPoolConcurrentRetainedViewRelease(t *testing.T) {
 		if p.Live() != 0 {
 			t.Fatalf("round %d: live %d", round, p.Live())
 		}
+		// Recycled exactly once: one parent on the free lists however the
+		// releases raced, so the next round draws it again.
+		if freeBatches(p) != 1 || len(p.views) != fan {
+			t.Fatalf("round %d: %d batches and %d views on the free lists, want 1 and %d", round, freeBatches(p), len(p.views), fan)
+		}
 	}
 }
 
@@ -313,8 +385,22 @@ func TestPoolOversizeRequestsStillWork(t *testing.T) {
 	if b.Len() != huge {
 		t.Fatalf("len %d", b.Len())
 	}
-	b.Release() // storage dropped (no class), header recycled, no panic
-	if p.Live() != 0 {
-		t.Fatalf("live: %d", p.Live())
+	fillSentinel(b, 1)
+	b.Release() // no class: the garbage collector takes it, nothing is filed
+	if p.Live() != 0 || freeBatches(p) != 0 {
+		t.Fatalf("live %d, free %d after an oversize release", p.Live(), freeBatches(p))
 	}
+	// A payload too wide for any class rides a classed batch all the same.
+	wide := p.Get(1, 0, 0, 0, 2, huge)
+	checkWiring(t, wide, 2, huge)
+	wide.Release()
+	if freeBatches(p) != 1 {
+		t.Fatalf("free %d after releasing a classed batch", freeBatches(p))
+	}
+	again := p.Get(1, 0, 0, 0, huge, 1)
+	if again == b {
+		t.Fatal("oversize batch came back from the pool")
+	}
+	checkWiring(t, again, huge, 1)
+	again.Release()
 }

@@ -1,6 +1,9 @@
 package stream
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // WindowKind selects between time-based and count-based windows.
 type WindowKind int
@@ -75,30 +78,39 @@ func (w WindowSpec) String() string {
 // [e-Range, e) closes at every e that is a multiple of Slide. Count
 // windows close every Slide tuples and cover the last Range tuples.
 //
-// Time-window extraction scans the whole buffer rather than assuming
-// global timestamp order: batches from different sources interleave
-// within a tick, so the buffer is only approximately sorted. The engine
-// guarantees that all tuples with TS < e are pushed before Tick(e) is
-// called, which makes the scan exact.
+// Time windows do not assume global timestamp order: batches from
+// different sources interleave within a tick, so the buffer is only
+// approximately sorted. The engine guarantees that all tuples with
+// TS < e are pushed before Tick(e) is called. The buffer tracks the
+// bounds of its timestamps, so the common case — the closing window
+// covers everything buffered, as every in-order tumbling window does — is
+// emitted in place and retired by truncation; only a window that covers
+// part of the buffer (sliding, out-of-order or late tuples) is collected
+// by a scan and retired by compaction.
 //
-// The buffer owns its tuples' payloads: Push deep-copies every V into a
+// The buffer owns its tuples' payloads: Push copies every V into a
 // window-owned arena. Input tuples may therefore alias pooled batch
 // storage that is recycled at the end of the tick — window contents
-// survive the batch that delivered them (DESIGN.md §9). The arena is
-// double-buffered: retiring tuples compacts surviving payloads into the
-// spare arena and swaps, so steady-state windows never allocate.
+// survive the batch that delivered them (DESIGN.md §9). Partial retires
+// compact surviving payloads into the spare arena and swap, so
+// steady-state windows never allocate.
 type WindowBuffer struct {
 	spec WindowSpec
 	buf  []Tuple
 	// vals is the payload arena every buffered tuple's V aliases; spare
-	// is the compaction target swapped in when tuples retire.
+	// is the compaction target swapped in when part of the buffer retires.
 	vals  []float64
 	spare []float64
 	// nextEdge is the next emission boundary: a timestamp for time
 	// windows, a cumulative tuple count for count windows.
 	nextEdge int64
-	seen     int64   // total tuples pushed (count windows)
-	scratch  []Tuple // reused emission buffer for time windows
+	seen     int64 // total tuples pushed (count windows)
+	// minTS and maxTS are the least and greatest buffered timestamp,
+	// meaningful while buf is non-empty and read by time windows only.
+	// They are derived from buf: Push and retireBelow maintain them and
+	// Restore rebuilds them.
+	minTS, maxTS int64
+	scratch      []Tuple // emission buffer of the scan path
 }
 
 // NewWindowBuffer builds a buffer for the given spec. It panics on an
@@ -117,26 +129,47 @@ func (wb *WindowBuffer) Spec() WindowSpec { return wb.spec }
 func (wb *WindowBuffer) Len() int { return len(wb.buf) }
 
 // Push appends input tuples to the buffer, copying their payloads into
-// the window-owned arena. Tuples must arrive in timestamp order for time
-// windows. The input tuples (and whatever their V slices alias) may be
-// recycled freely once Push returns.
+// the window-owned arena: one bulk copy of the tuples, then one pass that
+// re-points each V at its copy. Tuples must arrive in timestamp order for
+// time windows. The input tuples (and whatever their V slices alias) may
+// be recycled freely once Push returns.
 func (wb *WindowBuffer) Push(in []Tuple) {
-	for i := range in {
-		t := in[i]
-		if len(t.V) > 0 {
-			off := len(wb.vals)
-			wb.vals = append(wb.vals, t.V...)
-			t.V = wb.vals[off:len(wb.vals):len(wb.vals)]
-		}
-		wb.buf = append(wb.buf, t)
+	if len(in) == 0 {
+		return
 	}
+	if len(wb.buf) == 0 {
+		wb.minTS, wb.maxTS = math.MaxInt64, math.MinInt64
+	}
+	base := len(wb.buf)
+	wb.buf = append(wb.buf, in...)
+	added := wb.buf[base:]
+	vals, lo, hi := wb.vals, wb.minTS, wb.maxTS
+	for i := range added {
+		t := &added[i]
+		if n := len(t.V); n > 0 {
+			off := len(vals)
+			if off+n > cap(vals) {
+				// Make room for the rest of the batch at this width, at
+				// least doubling. Rows handed out before the move keep the
+				// old array alive until their tuples retire.
+				grown := make([]float64, off, max(off+(len(added)-i)*n, 2*cap(vals)))
+				copy(grown, vals)
+				vals = grown
+			}
+			row := vals[off : off+n : off+n]
+			for j, v := range t.V {
+				row[j] = v
+			}
+			vals, t.V = vals[:off+n], row
+		}
+		lo, hi = min(lo, int64(t.TS)), max(hi, int64(t.TS))
+	}
+	wb.vals, wb.minTS, wb.maxTS = vals, lo, hi
 	wb.seen += int64(len(in))
 }
 
 // compact copies the surviving tuples' payloads into the spare arena and
-// swaps arenas, releasing the retired prefix's storage for reuse. Growing
-// appends relocate the arena, but stale V slices keep the old array alive
-// until their tuples retire, so views held across a grow stay valid.
+// swaps arenas, releasing the retired tuples' storage for reuse.
 func (wb *WindowBuffer) compact(kept []Tuple) {
 	wb.spare = wb.spare[:0]
 	for i := range kept {
@@ -148,6 +181,34 @@ func (wb *WindowBuffer) compact(kept []Tuple) {
 	}
 	wb.buf = kept
 	wb.vals, wb.spare = wb.spare, wb.vals
+}
+
+// truncate retires everything buffered at once: no survivor to compact.
+func (wb *WindowBuffer) truncate() {
+	wb.buf, wb.vals = wb.buf[:0], wb.vals[:0]
+}
+
+// retireBelow drops the tuples with TS < ts, which no future window can
+// cover. The bounds decide the two cheap cases — nothing retires, or the
+// whole buffer does — and only a partial retire scans and compacts.
+func (wb *WindowBuffer) retireBelow(ts int64) {
+	switch {
+	case len(wb.buf) == 0 || wb.minTS >= ts:
+		return
+	case wb.maxTS < ts:
+		wb.truncate()
+		return
+	}
+	kept := wb.buf[:0]
+	lo := int64(math.MaxInt64)
+	for i := range wb.buf {
+		if t := int64(wb.buf[i].TS); t >= ts {
+			kept = append(kept, wb.buf[i])
+			lo = min(lo, t)
+		}
+	}
+	wb.minTS = lo
+	wb.compact(kept)
 }
 
 // FastForward advances the next emission boundary past now without
@@ -203,6 +264,11 @@ func (wb *WindowBuffer) Restore(dec *SnapDecoder) error {
 	}
 	wb.buf, wb.vals = buf, vals
 	wb.nextEdge, wb.seen = nextEdge, seen
+	wb.minTS, wb.maxTS = math.MaxInt64, math.MinInt64
+	for i := range buf {
+		ts := int64(buf[i].TS)
+		wb.minTS, wb.maxTS = min(wb.minTS, ts), max(wb.maxTS, ts)
+	}
 	return nil
 }
 
@@ -224,8 +290,9 @@ func (wb *WindowBuffer) Reopen(now Time) {
 }
 
 // Tick advances the buffer to logical time now and invokes emit once per
-// closed window with that window's contents. The emitted slice aliases the
-// internal buffer and is only valid during the call.
+// closed window with that window's contents. The emitted slice may be the
+// live buffer itself: it is valid only during the call, and emit must not
+// modify it or push into the buffer.
 //
 // For tumbling windows each tuple appears in exactly one emission; for
 // sliding windows a tuple appears in every window that covers it, and the
@@ -238,31 +305,24 @@ func (wb *WindowBuffer) Tick(now Time, emit func(win []Tuple, closeAt Time)) {
 		for wb.nextEdge <= int64(now) {
 			edge := wb.nextEdge
 			start := edge - wb.spec.Range
-			// Collect tuples with start <= TS < edge.
-			wb.scratch = wb.scratch[:0]
-			for i := range wb.buf {
-				ts := int64(wb.buf[i].TS)
-				if ts >= start && ts < edge {
-					wb.scratch = append(wb.scratch, wb.buf[i])
+			// The window holds the tuples with start <= TS < edge.
+			switch {
+			case len(wb.buf) == 0 || wb.maxTS < start || wb.minTS >= edge:
+				emit(nil, Time(edge))
+			case wb.minTS >= start && wb.maxTS < edge:
+				emit(wb.buf, Time(edge))
+			default:
+				wb.scratch = wb.scratch[:0]
+				for i := range wb.buf {
+					if ts := int64(wb.buf[i].TS); ts >= start && ts < edge {
+						wb.scratch = append(wb.scratch, wb.buf[i])
+					}
 				}
+				emit(wb.scratch, Time(edge))
 			}
-			emit(wb.scratch, Time(edge))
-			// Retire tuples that can no longer appear in any future
-			// window: TS < edge+Slide-Range. Retiring compacts the payload
-			// arena so the freed prefix is reused.
-			retire := edge + wb.spec.Slide - wb.spec.Range
-			n := len(wb.buf)
-			kept := wb.buf[:0]
-			for i := range wb.buf {
-				if int64(wb.buf[i].TS) >= retire {
-					kept = append(kept, wb.buf[i])
-				}
-			}
-			if len(kept) != n {
-				wb.compact(kept)
-			} else {
-				wb.buf = kept
-			}
+			// Tuples below the next window's start can no longer appear
+			// in any window.
+			wb.retireBelow(start + wb.spec.Slide)
 			wb.nextEdge += wb.spec.Slide
 		}
 	case CountWindow:
@@ -277,10 +337,9 @@ func (wb *WindowBuffer) Tick(now Time, emit func(win []Tuple, closeAt Time)) {
 			}
 			emit(wb.buf[lo:hi], wb.buf[hi-1].TS)
 			retire := hi - int(wb.spec.Range) + int(wb.spec.Slide)
-			if retire > 0 {
-				if retire > len(wb.buf) {
-					retire = len(wb.buf)
-				}
+			if retire >= n {
+				wb.truncate()
+			} else if retire > 0 {
 				wb.compact(append(wb.buf[:0], wb.buf[retire:]...))
 			}
 			wb.nextEdge += wb.spec.Slide

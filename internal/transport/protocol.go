@@ -323,6 +323,11 @@ type StatsMsg struct {
 	// measurement) without instrumenting hosts externally.
 	Ticks     int64 `json:"ticks"`
 	TickNanos int64 `json:"tick_nanos"`
+	// DroppedCtrl counts control frames (result and accepted-SIC reports,
+	// heartbeats, checkpoints) the node dropped because its controller
+	// send queue was full: the queries' result SIC reads low by that
+	// much. Omitted when zero, so frames of healthy runs are unchanged.
+	DroppedCtrl int64 `json:"dropped_ctrl_frames,omitempty"`
 }
 
 // Write-path timing defaults. Every frame write — control and batch —

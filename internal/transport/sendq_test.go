@@ -1,9 +1,12 @@
 package transport
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -275,6 +278,46 @@ func TestPeerQueueBackpressure(t *testing.T) {
 	}
 	if big.push(make([]byte, 2), 1, 0) {
 		t.Fatal("push beyond maxQueueBytes accepted: queue is unbounded")
+	}
+}
+
+// TestCtrlQueueOverflowCounted: control frames refused by a full
+// controller queue are counted, the first refusal of a run is logged
+// exactly once, and the count travels in the stats frame only when
+// nonzero (frames of healthy runs stay byte-identical).
+func TestCtrlQueueOverflowCounted(t *testing.T) {
+	s, err := NewNodeServer(NodeServerConfig{Name: "n", Addr: "127.0.0.1:0", CapacityPerSec: 1000, Quiet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var logged []string
+	s.logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	const extra = 3
+	for i := 0; i < maxQueueFrames+extra; i++ {
+		s.queueCtrl(&Envelope{Kind: KindReport, Report: &ReportMsg{Query: stream.QueryID(i), Accepted: 0.5}})
+	}
+	if got := s.ctrlDropped.Load(); got != extra {
+		t.Fatalf("dropped %d control frames, want %d", got, extra)
+	}
+	if len(logged) != 1 || !strings.Contains(logged[0], "control queue full") {
+		t.Fatalf("overflow logged %d times, want once: %q", len(logged), logged)
+	}
+	// The flush empties the queue; later frames fit again and the count
+	// keeps its total.
+	s.flushCtrl()
+	s.queueCtrl(&Envelope{Kind: KindHeartbeat})
+	if got := s.ctrlDropped.Load(); got != extra {
+		t.Fatalf("dropped count moved to %d after the queue drained", got)
+	}
+	healthy, _ := json.Marshal(&StatsMsg{Node: "n"})
+	if strings.Contains(string(healthy), "dropped_ctrl_frames") {
+		t.Fatalf("zero count changes the stats frame: %s", healthy)
+	}
+	lossy, _ := json.Marshal(&StatsMsg{Node: "n", DroppedCtrl: s.ctrlDropped.Load()})
+	var back StatsMsg
+	if err := json.Unmarshal(lossy, &back); err != nil || back.DroppedCtrl != extra {
+		t.Fatalf("stats frame round trip: %v, %+v", err, back)
 	}
 }
 

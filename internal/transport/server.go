@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -78,6 +79,9 @@ type NodeServer struct {
 	// batches.
 	wbufs bufPool
 	ctrlQ peerQueue
+	// ctrlDropped counts control frames refused by a full ctrlQ: reports
+	// the controller never saw, so the result SIC it shows reads low.
+	ctrlDropped atomic.Int64
 
 	wtimeout time.Duration // per-write deadline on every outbound conn
 	dialCool time.Duration // negative-cache window after a dial/write timeout
@@ -702,6 +706,7 @@ func (s *NodeServer) handleStop(out *conn) {
 		Subscriptions:   sz.Subscriptions,
 		Ticks:           ticks,
 		TickNanos:       tickNanos,
+		DroppedCtrl:     s.ctrlDropped.Load(),
 	}})
 	s.Close()
 }
@@ -905,7 +910,10 @@ func (s *NodeServer) recycleFrames(q *peerQueue, frames []qframe) {
 
 // queueCtrl encodes one control envelope and appends it to the
 // controller send queue; overflow drops the frame (the controller's
-// report stream is advisory — heartbeats resume next tick).
+// report stream is advisory — heartbeats resume next tick). Drops are
+// counted into the node's final stats and the first one of a run is
+// logged: a node hosting more queries than the queue holds reports per
+// tick would otherwise show result SIC near zero with no trace.
 func (s *NodeServer) queueCtrl(e *Envelope) {
 	p, err := json.Marshal(e)
 	if err != nil {
@@ -914,6 +922,9 @@ func (s *NodeServer) queueCtrl(e *Envelope) {
 	buf := appendFrame(s.wbufs.get(), frameJSON, p)
 	if !s.ctrlQ.push(buf, 0, 0) {
 		s.wbufs.put(buf)
+		if s.ctrlDropped.Add(1) == 1 {
+			s.logf("themis-node %s: control queue full (%d frames per tick): dropping reports, result SIC will read low", s.Name, maxQueueFrames)
+		}
 	}
 }
 

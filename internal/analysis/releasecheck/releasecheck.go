@@ -1,11 +1,11 @@
 // Package releasecheck defines an analyzer enforcing the pooled-batch
 // lifecycle contract from PR 5 (DESIGN.md §9, §11): every *stream.Batch
-// acquired from Pool.Get / Pool.GetView / Pool.ViewRetained must, on
-// every control-flow path, be released, handed off to a sink (passed to
-// a call, stored, returned, or sent), or carry an explicit ownership
-// transfer annotation (//themis:owns <why>); and no acquired batch may
-// be used — or re-released — after a Release call that dominates the
-// use.
+// acquired from Pool.Get / Pool.GetView / Pool.GetHeader /
+// Pool.ViewRetained must, on every control-flow path, be released,
+// handed off to a sink (passed to a call, stored, returned, or sent), or
+// carry an explicit ownership transfer annotation (//themis:owns <why>);
+// and no acquired batch may be used — or re-released — after a Release
+// call that dominates the use.
 //
 // The analysis is intraprocedural and deliberately conservative in both
 // directions that matter: any escape of the batch value (call argument,
@@ -49,7 +49,7 @@ acquisition line transfers ownership out of the analysis.`,
 var PoolPackages = "repro/internal/stream"
 
 // acquireMethods on *Pool return a batch the caller owns.
-var acquireMethods = map[string]bool{"Get": true, "GetView": true, "ViewRetained": true}
+var acquireMethods = map[string]bool{"Get": true, "GetView": true, "GetHeader": true, "ViewRetained": true}
 
 func init() {
 	Analyzer.Flags.StringVar(&PoolPackages, "poolpkgs", PoolPackages, "comma-separated import paths defining the batch Pool type")

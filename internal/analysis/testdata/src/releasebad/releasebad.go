@@ -36,6 +36,17 @@ func discarded(p *stream.Pool) {
 	_ = p.Get(1, 2, 3, 0, 4, 2) // want `acquired and discarded`
 }
 
+// Header-only batches are pool draws like any other: a header that is
+// neither released nor handed on leaks its Live count.
+
+func headerLeak(p *stream.Pool, shed bool) {
+	h := p.GetHeader(1, 2, 3, 0, 80, 100, 1e-4) // want `pooled batch h may leak`
+	if shed {
+		return
+	}
+	h.Release()
+}
+
 // Snapshot-buffer ownership (PR 8): encoding a batch's tuples into a
 // snapshot copies them — the encoder never retains the batch — so
 // encode-then-Release is the sanctioned checkpoint idiom, while feeding
@@ -81,6 +92,16 @@ func branchHandoff(p *stream.Pool, keep bool) {
 func returned(p *stream.Pool) *stream.Batch {
 	b := p.ViewRetained(nil, 1, 2, 3, 0, nil)
 	return b
+}
+
+// The header-first settle idiom: a kept header is traded for the batch
+// it stood for, which is handed on, and the header is released.
+func headerSettled(p *stream.Pool, ib []*stream.Batch) {
+	h := p.GetHeader(1, 2, 3, 0, 80, 100, 1e-4)
+	n, _, _ := h.Pending()
+	b := p.Get(h.Query, h.Frag, h.Source, h.TS, n, 1)
+	ib[0] = b
+	h.Release()
 }
 
 func annotatedTransfer(p *stream.Pool) {

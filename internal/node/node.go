@@ -13,12 +13,14 @@
 // and drain their outboxes afterwards in a deterministic order.
 //
 // Memory model (DESIGN.md §9): the node owns every batch in its input
-// buffer. Sources draw batches from the node's stream.Pool, remote
-// batches arrive via Enqueue already pool-backed, and at the end of each
-// tick — after the hosted fragments have consumed the kept batches and
-// copied what they retain — the node releases every input batch, shed or
-// kept, back to the pool. Fragment emissions are copied into fresh
-// pooled batches whose ownership passes to the driver with the outbox.
+// buffer. A local source batch enters the buffer as a header-only pool
+// draw and becomes a real pooled batch only if the shedder keeps it;
+// remote batches arrive via Enqueue already pool-backed; and at the end
+// of each tick — after the hosted fragments have consumed the kept
+// batches and copied what they retain — the node releases every input
+// batch, shed or kept, back to the pool. Fragment emissions are copied
+// into fresh pooled batches whose ownership passes to the driver with
+// the outbox.
 package node
 
 import (
@@ -183,7 +185,7 @@ type Node struct {
 	fragOrder []fragKey
 	srcs      []*sources.Source
 	rateEst   map[stream.SourceID]*sic.RateEstimator
-	srcQuery  map[stream.SourceID]fragKey
+	srcByID   map[stream.SourceID]*sources.Source
 
 	// shared indexes executing instances by share key; subOf maps a
 	// subscriber's fragment key to the primary instance it rides on.
@@ -202,8 +204,11 @@ type Node struct {
 	ib       []*stream.Batch
 	ibTuples int
 
-	// knownSIC holds the latest coordinator updates per hosted query.
-	knownSIC map[stream.QueryID]float64
+	// knownSIC holds the latest coordinator updates per hosted query;
+	// resultSIC is the ResultSIC method value handed to the shedder, bound
+	// once so a shedding round does not allocate it.
+	knownSIC  map[stream.QueryID]float64
+	resultSIC core.ResultSICFunc
 
 	// accts and acctIdx are the flat per-query accounting: accts is
 	// sorted by query id (so outbox deltas emit in deterministic order
@@ -237,10 +242,6 @@ type Node struct {
 	// time, used to stamp emissions and fast-forward mid-run deploys.
 	now stream.Time
 
-	// emitFrom is the start of the span currently emitting sources; it
-	// parameterises the Accept sink without a per-tick closure.
-	emitFrom stream.Time
-
 	stats Stats
 }
 
@@ -269,7 +270,7 @@ func New(id stream.NodeID, cfg Config, shedder core.Shedder) *Node {
 	if pool == nil {
 		pool = stream.NewPool()
 	}
-	return &Node{
+	n := &Node{
 		id:       id,
 		cfg:      cfg,
 		shedder:  shedder,
@@ -278,7 +279,7 @@ func New(id stream.NodeID, cfg Config, shedder core.Shedder) *Node {
 		pool:     pool,
 		frags:    make(map[fragKey]*fragInstance),
 		rateEst:  make(map[stream.SourceID]*sic.RateEstimator),
-		srcQuery: make(map[stream.SourceID]fragKey),
+		srcByID:  make(map[stream.SourceID]*sources.Source),
 		shared:   make(map[string]fragKey),
 		subOf:    make(map[fragKey]fragKey),
 		hostedQ:  make(map[stream.QueryID]int),
@@ -287,6 +288,8 @@ func New(id stream.NodeID, cfg Config, shedder core.Shedder) *Node {
 		out:      &Outbox{},
 		spare:    &Outbox{},
 	}
+	n.resultSIC = n.ResultSIC
+	return n
 }
 
 // TakeOutbox returns the effects accumulated by ticks since the last
@@ -511,7 +514,7 @@ func (n *Node) RemoveFragment(q stream.QueryID, f stream.FragID) {
 	for _, src := range n.srcs {
 		if src.Query == q && src.Frag == f {
 			delete(n.rateEst, src.ID)
-			delete(n.srcQuery, src.ID)
+			delete(n.srcByID, src.ID)
 			continue
 		}
 		kept = append(kept, src)
@@ -595,7 +598,6 @@ func (n *Node) promote(key fragKey, inst *fragInstance) {
 	for _, src := range n.srcs {
 		if src.Query == key.q && src.Frag == key.f {
 			src.Query, src.Frag = newKey.q, newKey.f
-			n.srcQuery[src.ID] = newKey
 		}
 	}
 	for _, b := range n.ib {
@@ -668,7 +670,7 @@ func (n *Node) StateSize() StateSize {
 		Fragments:       len(n.frags),
 		Sources:         len(n.srcs),
 		RateEstimators:  len(n.rateEst),
-		SourceQueries:   len(n.srcQuery),
+		SourceQueries:   len(n.srcByID),
 		KnownSIC:        len(n.knownSIC),
 		BufferedBatches: len(n.ib),
 		SharedInstances: len(n.shared),
@@ -720,7 +722,7 @@ func (n *Node) AttachSource(src *sources.Source) {
 	}
 	n.srcs = append(n.srcs, src)
 	n.rateEst[src.ID] = sic.NewRateEstimator(n.cfg.STW, n.cfg.Interval)
-	n.srcQuery[src.ID] = key
+	n.srcByID[src.ID] = src
 }
 
 // SetResultSIC ingests a coordinator update for a hosted query
@@ -780,6 +782,8 @@ func (n *Node) splitOversized(maxLen int) {
 	if !needSplit {
 		return
 	}
+	// Sub-batches are views of real tuples.
+	n.settleHeaders(nil)
 	out := n.splitScratch[:0]
 	for _, b := range n.ib {
 		if b.Len() <= maxLen {
@@ -803,27 +807,49 @@ func (n *Node) splitOversized(maxLen int) {
 	n.ib = out
 }
 
-// Accept implements sources.Sink: it stamps Eq. (1) SIC values onto a
-// freshly emitted source batch — using the online per-source rate
-// estimate over the STW — and enqueues it. It is exported only to
-// satisfy the interface; drivers never call it.
-func (n *Node) Accept(src *sources.Source, b *stream.Batch) {
-	est := n.rateEst[src.ID]
-	est.Observe(b.TS, b.Len())
-	per := sic.SourceTupleSIC(est.PerSTW(b.TS), n.frags[n.srcQuery[src.ID]].numSources)
-	for i := range b.Tuples {
-		b.Tuples[i].SIC = per
+// emitSources plans the node's sources over [from, to) and enqueues one
+// header-only batch per planned source batch. The header carries what
+// the shedder reads — query, tuple count and the Eq. (1) SIC the batch
+// will hold, from the online per-source rate estimate over the STW — so
+// no tuple is generated before Select has decided which batches survive.
+func (n *Node) emitSources(from, to stream.Time) {
+	for _, src := range n.srcs {
+		est := n.rateEst[src.ID]
+		numSources := n.frags[fragKey{src.Query, src.Frag}].numSources
+		for _, p := range src.Plan(from, to) {
+			est.Observe(p.B0, p.N)
+			per := sic.SourceTupleSIC(est.PerSTW(p.B0), numSources)
+			h := n.pool.GetHeader(src.Query, src.Frag, src.ID, p.B0, p.B1, p.N, per)
+			h.Port = src.Port
+			n.Enqueue(h, from)
+		}
 	}
-	b.RecomputeSIC()
-	n.Enqueue(b, n.emitFrom)
 }
 
-// emitSources runs the node's sources for [from, to), stamping SIC per
-// Eq. (1) via Accept.
-func (n *Node) emitSources(from, to stream.Time) {
-	n.emitFrom = from
-	for _, src := range n.srcs {
-		src.Emit(from, to, n.pool, n)
+// settleHeaders resolves every header-only batch in the input buffer, in
+// arrival order so each generator sees its batches in plan order. A kept
+// header — mark[i] set, or every header when mark is nil — is replaced
+// by the materialised batch it stood for (one pool draw, one pass writing
+// timestamps, SIC and payloads); a shed one costs its generator one Skip
+// and stays in the buffer, to be released with the rest at the end of the
+// tick.
+func (n *Node) settleHeaders(mark []bool) {
+	for i, h := range n.ib {
+		cnt, end, per := h.Pending()
+		if cnt == 0 {
+			continue
+		}
+		src := n.srcByID[h.Source]
+		p := sources.Plan{B0: h.TS, B1: end, N: cnt}
+		if mark != nil && !mark[i] {
+			src.Skip(p)
+			continue
+		}
+		b := n.pool.Get(h.Query, h.Frag, h.Source, h.TS, cnt, src.Arity)
+		b.Port, b.SIC = h.Port, h.SIC
+		src.Fill(p, per, b.Tuples)
+		n.ib[i] = b
+		h.Release()
 	}
 }
 
@@ -993,16 +1019,19 @@ func (n *Node) TickSpan(from, to stream.Time) {
 		n.stats.ShedInvocations++
 		//themis:wallclock SelectNanos is a profiling counter (shedder CPU cost, §7.5); it never feeds back into results.
 		start := time.Now()
-		keepIdx := n.shedder.Select(n.ib, capacity, n.ResultSIC)
+		keepIdx := n.shedder.Select(n.ib, capacity, n.resultSIC)
 		//themis:wallclock paired with the time.Now above; stats-only.
 		n.stats.SelectNanos += time.Since(start).Nanoseconds()
 		if cap(n.keepMark) < len(n.ib) {
 			n.keepMark = make([]bool, len(n.ib))
 		}
 		mark := n.keepMark[:len(n.ib)]
-		kept = n.keptBuf[:0]
 		for _, i := range keepIdx {
 			mark[i] = true
+		}
+		n.settleHeaders(mark)
+		kept = n.keptBuf[:0]
+		for _, i := range keepIdx {
 			kept = append(kept, n.ib[i])
 		}
 		for i, b := range n.ib {
@@ -1015,6 +1044,8 @@ func (n *Node) TickSpan(from, to stream.Time) {
 			mark[i] = false
 		}
 		n.keptBuf = kept
+	} else {
+		n.settleHeaders(nil)
 	}
 
 	// Report accepted-SIC deltas to coordinators: fresh credit for source

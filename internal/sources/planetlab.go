@@ -94,28 +94,52 @@ func (t *Trace) MemFree(ts stream.Time) float64 {
 	return t.memFree
 }
 
+// traceGen adapts a Trace to the ValueGen interface, carrying one of its
+// series in one of the evaluation's payload shapes. A trace moves once per
+// stepEvery, so filling a batch steps it only for the tuples that cross a
+// step boundary, and skipping a batch steps it to the first and the last
+// timestamp: the AR(1) state after a batch depends only on where the
+// batch started and ended, never on how many tuples lay between.
+type traceGen struct {
+	t    *Trace
+	pair bool // payload is (id, value) rather than (value)
+	mem  bool // value is free memory rather than CPU
+}
+
 // CPUGen returns a ValueGen producing (id, cpu) pairs for the AllSrcCPU
 // stream of the TOP-5 query (Table 1).
-func (t *Trace) CPUGen() ValueGen {
-	return GenFunc(func(ts stream.Time, v []float64) {
-		v[0] = t.NodeID
-		v[1] = t.CPU(ts)
-	})
-}
+func (t *Trace) CPUGen() ValueGen { return &traceGen{t: t, pair: true} }
 
 // MemGen returns a ValueGen producing (id, free) pairs for the AllSrcMem
 // stream of the TOP-5 query (Table 1).
-func (t *Trace) MemGen() ValueGen {
-	return GenFunc(func(ts stream.Time, v []float64) {
-		v[0] = t.NodeID
-		v[1] = t.MemFree(ts)
-	})
-}
+func (t *Trace) MemGen() ValueGen { return &traceGen{t: t, pair: true, mem: true} }
 
 // ScalarGen returns a single-field ValueGen carrying the CPU series, used
 // when the aggregate workload runs over the planetlab dataset.
-func (t *Trace) ScalarGen() ValueGen {
-	return GenFunc(func(ts stream.Time, v []float64) {
-		v[0] = t.CPU(ts)
-	})
+func (t *Trace) ScalarGen() ValueGen { return &traceGen{t: t} }
+
+// FillBatch implements ValueGen.
+func (g *traceGen) FillBatch(tuples []stream.Tuple) {
+	t := g.t
+	for i := range tuples {
+		if ts := tuples[i].TS; t.lastStep < 0 || ts.Sub(t.lastStep) >= t.stepEvery {
+			t.step(ts)
+		}
+		val := t.cpu
+		if g.mem {
+			val = t.memFree
+		}
+		if v := tuples[i].V; g.pair {
+			v[0], v[1] = t.NodeID, val
+		} else {
+			v[0] = val
+		}
+	}
+}
+
+// Skip implements ValueGen. The first call anchors a trace that has never
+// stepped (exactly as the first fill would), the second advances it.
+func (g *traceGen) Skip(first, last stream.Time, _ int) {
+	g.t.step(first)
+	g.t.step(last)
 }

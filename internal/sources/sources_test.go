@@ -113,10 +113,10 @@ func TestDatasetMeans(t *testing.T) {
 		gen := NewValueGen(d, rand.New(rand.NewSource(3)))
 		var sum float64
 		const n = 20000
-		v := make([]float64, 1)
-		for i := 0; i < n; i++ {
-			gen.Fill(stream.Time(i), v)
-			sum += v[0]
+		b := stream.NewBatch(0, 0, 0, 0, n, 1)
+		gen.FillBatch(b.Tuples)
+		for i := range b.Tuples {
+			sum += b.Tuples[i].V[0]
 		}
 		mean := sum / n
 		if math.Abs(mean-50) > 3 {
@@ -171,20 +171,24 @@ func TestTraceRanges(t *testing.T) {
 
 func TestTraceGens(t *testing.T) {
 	tr := NewTrace(rand.New(rand.NewSource(8)), 5)
-	v := make([]float64, 2)
-	tr.CPUGen().Fill(100, v)
+	one := func(gen ValueGen, ts stream.Time, arity int) []float64 {
+		b := stream.NewBatch(0, 0, 0, ts, 1, arity)
+		b.Tuples[0].TS = ts
+		gen.FillBatch(b.Tuples)
+		return b.Tuples[0].V
+	}
+	v := one(tr.CPUGen(), 100, 2)
 	if v[0] != 5 {
 		t.Errorf("CPUGen id: %g, want 5", v[0])
 	}
 	if v[1] < 0 || v[1] > 100 {
 		t.Errorf("CPUGen cpu out of range: %g", v[1])
 	}
-	tr.MemGen().Fill(200, v)
+	v = one(tr.MemGen(), 200, 2)
 	if v[0] != 5 || v[1] < 0 {
 		t.Errorf("MemGen: %v", v)
 	}
-	s := make([]float64, 1)
-	tr.ScalarGen().Fill(300, s)
+	s := one(tr.ScalarGen(), 300, 1)
 	if s[0] < 0 || s[0] > 100 {
 		t.Errorf("ScalarGen: %g", s[0])
 	}

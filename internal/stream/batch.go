@@ -54,10 +54,24 @@ type Batch struct {
 	// goroutines during the engine's parallel compute phase.
 	parent *Batch
 	refs   atomic.Int32
+	// pending, pendEnd and pendSIC describe the tuples a header-only
+	// batch (Pool.GetHeader) stands for; pending is zero for every batch
+	// that has tuples.
+	pending int
+	pendEnd Time
+	pendSIC float64
 }
 
-// Len reports the number of tuples in the batch.
-func (b *Batch) Len() int { return len(b.Tuples) }
+// Len reports the number of tuples in the batch — for a header-only
+// batch, the number it stands for.
+func (b *Batch) Len() int { return len(b.Tuples) + b.pending }
+
+// Pending describes a header-only batch: it stands for n tuples that do
+// not exist yet, spread evenly across [b.TS, end), each carrying tupleSIC.
+// n is zero for a batch that has its tuples.
+func (b *Batch) Pending() (n int, end Time, tupleSIC float64) {
+	return b.pending, b.pendEnd, b.pendSIC
+}
 
 // RecomputeSIC recomputes the header SIC from the tuples. Operators call
 // it after assigning per-tuple SIC values.

@@ -29,6 +29,8 @@ import (
 //   - View batches (GetView) alias another batch's tuples; releasing a
 //     view returns only the header. The viewed parent must be released
 //     after all its views.
+//   - Header-only batches (GetHeader) are views of nothing: they stand
+//     for tuples nobody has generated yet and own no storage.
 //   - Retained views (ViewRetained) relax that ordering: they hold a
 //     reference on the parent, whose storage recycles only when the owner
 //     AND every retained view have released. This is what lets one shared
@@ -151,6 +153,24 @@ func (p *Pool) GetView(query QueryID, frag FragID, src SourceID, ts Time, tuples
 	return b
 }
 
+// GetHeader returns a header-only batch: no tuples, but a header that
+// reads as if it held n tuples spread evenly across [ts, end), each
+// carrying tupleSIC — Len is n and SIC is the sum RecomputeSIC would
+// produce over them. It lets a shedder that decides from headers alone
+// (§6) run before the tuples are generated: whoever keeps the batch
+// draws a real one from Pending's description and releases the header;
+// a shed header is released having cost no tuple storage at all.
+func (p *Pool) GetHeader(query QueryID, frag FragID, src SourceID, ts, end Time, n int, tupleSIC float64) *Batch {
+	b := p.GetView(query, frag, src, ts, nil)
+	b.pending, b.pendEnd, b.pendSIC = n, end, tupleSIC
+	sum := 0.0
+	for ; n > 0; n-- {
+		sum += tupleSIC
+	}
+	b.SIC = sum
+	return b
+}
+
 // ViewRetained returns a view like GetView that additionally holds a
 // reference on parent: parent's storage recycles only after the owner and
 // every retained view have released, in any order, from any goroutine.
@@ -217,7 +237,7 @@ func (b *Batch) recycle() {
 	parent := b.parent
 	b.parent = nil
 	if b.view {
-		b.Tuples = nil
+		b.Tuples, b.pending = nil, 0
 		p.push(&p.views, b)
 	} else {
 		b.Tuples, b.slab = b.Tuples[:0], b.slab[:0]

@@ -121,6 +121,48 @@ func TestPoolViewReleaseKeepsParentStorage(t *testing.T) {
 	}
 }
 
+// TestPoolHeaderStandsForItsTuples pins the header-only batch: it reads
+// as the batch it stands for (Len, SIC) while holding no tuples, counts
+// as one live draw, and its recycled header comes back as a plain view.
+func TestPoolHeaderStandsForItsTuples(t *testing.T) {
+	p := NewPool()
+	h := p.GetHeader(4, 1, 9, 1000, 1083, 100, 1e-4)
+	real := p.Get(4, 1, 9, 1000, 100, 1)
+	for i := range real.Tuples {
+		real.Tuples[i].SIC = 1e-4
+	}
+	real.RecomputeSIC()
+	if h.Len() != 100 || h.Tuples != nil || h.SIC != real.SIC || h.Source != 9 || h.TS != 1000 {
+		t.Fatalf("header reads len %d tuples %v SIC %v (want %v) source %d ts %d",
+			h.Len(), h.Tuples, h.SIC, real.SIC, h.Source, h.TS)
+	}
+	if n, end, per := h.Pending(); n != 100 || end != 1083 || per != 1e-4 {
+		t.Fatalf("pending (%d, %d, %v)", n, end, per)
+	}
+	if n, _, _ := real.Pending(); n != 0 {
+		t.Fatalf("a batch with tuples reports %d pending", n)
+	}
+	if p.Live() != 2 {
+		t.Fatalf("live %d, want 2", p.Live())
+	}
+	h.Release()
+	real.Release()
+	if p.Live() != 0 {
+		t.Fatalf("live after release: %d", p.Live())
+	}
+	v := p.GetView(1, 0, 0, 0, nil) // the recycled header
+	if n, _, _ := v.Pending(); v != h || n != 0 || v.Len() != 0 {
+		t.Fatalf("recycled header still pending: same=%v pending=%d len=%d", v == h, n, v.Len())
+	}
+	v.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("double release of a header did not panic")
+		}
+	}()
+	v.Release()
+}
+
 // TestPoolLiveAccountingProperty drives a random get/release schedule and
 // checks the leak detector tracks outstanding batches exactly, recycled
 // batches come back re-initialised, and nothing panics.

@@ -185,15 +185,21 @@ func TestCoalescedFlush(t *testing.T) {
 // network, and the address must be probed again once the window
 // expires.
 func TestDialCooldown(t *testing.T) {
+	const cool = 400 * time.Millisecond
+	s := queuedServer(t, "", 0, cool)
+	// The dead address is chosen only after the sender holds its own
+	// listening port, and nothing in this test listens again: a port
+	// freed before the sender started could be handed straight back to
+	// the sender's ":0" listen, and the dial would then succeed.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadAddr := ln.Addr().String()
 	ln.Close()
-
-	const cool = 400 * time.Millisecond
-	s := queuedServer(t, deadAddr, 0, cool)
+	s.mu.Lock()
+	s.peers[peerKey{1, 2}] = deadAddr
+	s.mu.Unlock()
 
 	s.RouteDownstream(0, queryBatch(1, 4))
 	s.flushPeers() // dial fails, drops the frame, opens the window

@@ -84,7 +84,9 @@ func TestNonLeafDedupBeatsLeafOnly(t *testing.T) {
 // extrapolation of 48 unshared ones by at least 3x. The committed
 // record (BENCH_queries.json) measured 12.7x at this pair and 50.9x at
 // the full 4,800-query point; the CI floor is lower because wall-clock
-// tick costs on a loaded runner are noisy.
+// tick costs on a loaded runner are noisy. Interference from the host
+// only ever slows a run, so each side is measured up to three times and
+// the fastest run of each side is compared.
 func TestNetQueryBenchMarginalFloor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock loopback federation")
@@ -93,21 +95,36 @@ func TestNetQueryBenchMarginalFloor(t *testing.T) {
 		t.Skip("wall-clock budget is not meaningful under the race detector")
 	}
 	const d = 4 * time.Second
-	off, err := experiments.NetBenchPoint(48, federation.SharingOff, d)
-	if err != nil {
-		t.Fatal(err)
+	var off, full float64 // fastest marginal seen per side, ns per query-tick
+	for try := 1; try <= 3; try++ {
+		o, err := experiments.NetBenchPoint(48, federation.SharingOff, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := experiments.NetBenchPoint(480, federation.SharingFull, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.SharedInstances == 0 || f.Subscriptions == 0 {
+			t.Fatalf("networked full sharing deduplicated nothing: %+v", f)
+		}
+		if o.MarginalNs <= 0 || f.MarginalNs <= 0 {
+			t.Fatalf("a run measured no ticks: unshared %+v, shared %+v", o, f)
+		}
+		t.Logf("try %d: unshared %.0f ns/q, shared %.0f ns/q (%.1fx)",
+			try, o.MarginalNs, f.MarginalNs, o.MarginalNs/f.MarginalNs)
+		if try == 1 || o.MarginalNs < off {
+			off = o.MarginalNs
+		}
+		if try == 1 || f.MarginalNs < full {
+			full = f.MarginalNs
+		}
+		if off/full >= 3 {
+			return
+		}
 	}
-	full, err := experiments.NetBenchPoint(480, federation.SharingFull, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.SharedInstances == 0 || full.Subscriptions == 0 {
-		t.Fatalf("networked full sharing deduplicated nothing: %+v", full)
-	}
-	if full.MarginalNs <= 0 || off.MarginalNs/full.MarginalNs < 3 {
-		t.Fatalf("networked marginal: unshared %.0f ns/q vs shared %.0f ns/q (%.1fx), want >= 3x",
-			off.MarginalNs, full.MarginalNs, off.MarginalNs/full.MarginalNs)
-	}
+	t.Fatalf("networked marginal: fastest unshared %.0f ns/q vs fastest shared %.0f ns/q (%.1fx), want >= 3x",
+		off, full, off/full)
 }
 
 // TestSubmitCacheSpeedup is the CI smoke threshold for the submission

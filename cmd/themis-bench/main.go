@@ -3,9 +3,14 @@
 //
 // Usage:
 //
-//	themis-bench [-scale quick|paper] [-seed N] [-run all|table1|fig6|
-//	              fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|sec75|
-//	              sec76|stw|dynamic|ablation]
+//	themis-bench [-scale quick|paper] [-seed N] [-csv DIR] [-run all|
+//	              table1|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|
+//	              fig14|sec75|sec76|stw|dynamic|ablation]
+//	themis-bench -stepbench FILE | -allocbench FILE | -churnbench FILE |
+//	              -querybench FILE [-net]
+//
+// Each -*bench flag runs that one measurement instead of the
+// experiments, prints its table and writes the JSON record to FILE.
 //
 // The quick scale (default) shrinks durations and source rates so the
 // whole suite finishes in well under a minute; the paper scale runs the
@@ -36,85 +41,34 @@ func main() {
 	allocBench := flag.String("allocbench", "", "measure per-step allocations on the pooled data path and write the JSON comparison to this file")
 	queryBench := flag.String("querybench", "", "measure marginal per-query cost across sharing modes and write the JSON result to this file")
 	netBench := flag.Bool("net", false, "with -querybench: also sweep a loopback networked federation (slower; adds the distributed share-index rows)")
-	wireBench := flag.String("wirebench", "", "measure node→node wire throughput (per-batch flush vs coalesced vectored writes) and write the JSON result to this file")
 	flag.Parse()
 
-	if *wireBench != "" {
-		r, err := experiments.WireBench(600)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "themis-bench: wirebench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(r.Render())
-		buf, err := json.MarshalIndent(r, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*wireBench, append(buf, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "themis-bench: wirebench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *queryBench != "" {
+	switch {
+	case *queryBench != "":
 		r := experiments.QueryBench(60)
 		if *netBench {
 			net, err := experiments.QueryBenchNet(6)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "themis-bench: querybench -net: %v\n", err)
-				os.Exit(1)
+				fatal("querybench -net", err)
 			}
 			r.Net = net
 		}
-		fmt.Println(r.Render())
-		buf, err := json.MarshalIndent(r, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*queryBench, append(buf, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "themis-bench: querybench: %v\n", err)
-			os.Exit(1)
-		}
+		writeJSON("querybench", *queryBench, r)
 		return
-	}
-
-	if *allocBench != "" {
-		r := experiments.AllocBench(400)
-		fmt.Println(r.Render())
-		buf, err := json.MarshalIndent(r, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*allocBench, append(buf, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "themis-bench: allocbench: %v\n", err)
-			os.Exit(1)
-		}
+	case *allocBench != "":
+		writeJSON("allocbench", *allocBench, experiments.AllocBench(400))
 		return
-	}
-
-	if *churnBench != "" {
+	case *churnBench != "":
 		r, err := experiments.ChurnRecovery([]stream.Duration{
 			1 * stream.Second, 2 * stream.Second, 5 * stream.Second,
 			10 * stream.Second, 20 * stream.Second,
 		}, *seed)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "themis-bench: churnbench: %v\n", err)
-			os.Exit(1)
+			fatal("churnbench", err)
 		}
-		fmt.Println(r.Render())
-		buf, err := json.MarshalIndent(r, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*churnBench, append(buf, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "themis-bench: churnbench: %v\n", err)
-			os.Exit(1)
-		}
+		writeJSON("churnbench", *churnBench, r)
 		return
-	}
-
-	if *stepBench != "" {
+	case *stepBench != "":
 		workers := []int{1, 2, 4, 8}
 		for _, w := range workers {
 			if w > runtime.NumCPU() {
@@ -123,16 +77,7 @@ func main() {
 				break
 			}
 		}
-		r := experiments.StepBench(workers, 200)
-		fmt.Println(r.Render())
-		buf, err := json.MarshalIndent(r, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*stepBench, append(buf, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "themis-bench: stepbench: %v\n", err)
-			os.Exit(1)
-		}
+		writeJSON("stepbench", *stepBench, experiments.StepBench(workers, 200))
 		return
 	}
 
@@ -262,6 +207,25 @@ func main() {
 
 // renderer is anything that prints itself as a text table.
 type renderer interface{ Render() string }
+
+// fatal reports a failed -*bench measurement and exits.
+func fatal(bench string, err error) {
+	fmt.Fprintf(os.Stderr, "themis-bench: %s: %v\n", bench, err)
+	os.Exit(1)
+}
+
+// writeJSON finishes a -*bench run: print the result's table, then write
+// its indented JSON record to path.
+func writeJSON(bench, path string, r renderer) {
+	fmt.Println(r.Render())
+	buf, err := json.MarshalIndent(r, "", "  ")
+	if err == nil {
+		err = os.WriteFile(path, append(buf, '\n'), 0o644)
+	}
+	if err != nil {
+		fatal(bench, err)
+	}
+}
 
 // asRenderers adapts a CorrResult slice.
 func asRenderers(rs []*experiments.CorrResult) []renderer {

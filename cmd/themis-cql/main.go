@@ -249,7 +249,7 @@ func runNetworked(addrList, queryText string, dataset, fragments int, placement 
 	if err != nil {
 		fail(2, err)
 	}
-	q, err := ctrl.DeployCQL(queryText, fragments, dataset, rate, batchesPerSec, place)
+	q, err := ctrl.Submit(queryText, fragments, dataset, rate, batchesPerSec, place)
 	if err != nil {
 		fail(2, err)
 	}

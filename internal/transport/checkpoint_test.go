@@ -54,7 +54,7 @@ func TestCheckpointedRecoveryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := ctrl.DeployCQL(cqlText, frags, dataset, rate, batches, placement)
+	q, err := ctrl.Submit(cqlText, frags, dataset, rate, batches, placement)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func TestChurnRecoveryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := ctrl.DeployCQL(cqlText, frags, dataset, rate, batches, placement)
+	q, err := ctrl.Submit(cqlText, frags, dataset, rate, batches, placement)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,10 +371,7 @@ func startedServer(t *testing.T) *NodeServer {
 	}
 	t.Cleanup(func() { srv.Close() })
 	_, c := dialRaw(t, srv.Addr())
-	if err := c.send(&Envelope{Kind: KindDeploy, Deploy: &Deploy{
-		Workload: "AVG", Fragments: 1, Dataset: 1, Rate: 50, Batches: 4,
-		STWMs: 2000, IntervalMs: 50,
-	}}); err != nil {
+	if err := c.send(&Envelope{Kind: KindDeploy, Deploy: validDeploy(0)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.send(&Envelope{Kind: KindStart, Start: &Start{IntervalMs: 50, STWMs: 2000}}); err != nil {
@@ -427,10 +424,7 @@ func TestStopRacesRedeploy(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			cD.send(&Envelope{Kind: KindDeploy, Deploy: &Deploy{
-				Query: 7, Frag: 0, Workload: "AVG", Fragments: 1, Dataset: 1,
-				Rate: 50, Batches: 4, STWMs: 2000, IntervalMs: 50,
-			}})
+			cD.send(&Envelope{Kind: KindDeploy, Deploy: validDeploy(7)})
 			cD.send(&Envelope{Kind: KindStart, Start: &Start{IntervalMs: 50, STWMs: 2000}})
 			cD.send(&Envelope{Kind: KindRewire, Rewire: &Rewire{Query: 7, Peers: map[stream.FragID]string{}}})
 		}()
@@ -489,7 +483,7 @@ func TestHeartbeatDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctrl.CloseAll()
-	if _, err := ctrl.Deploy("AVG", 1, 1, 50, 4, []int{0}); err != nil {
+	if _, err := ctrl.Submit(avgCQL, 1, 1, 50, 4, []int{0}); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()

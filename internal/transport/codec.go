@@ -38,7 +38,7 @@ const batchWireHeaderLen = 36
 // appendWireBatch appends the binary encoding of b to dst and returns the
 // extended slice. Layout (little-endian): the fixed header above, then n
 // tuple timestamps (int64), n tuple SIC values (float64 bits), and
-// n×arity payload values (float64 bits), column-wise like BatchMsg.
+// n×arity payload values (float64 bits), column-wise.
 func appendWireBatch(dst []byte, b *stream.Batch) []byte {
 	arity := 0
 	if len(b.Tuples) > 0 {
@@ -157,8 +157,8 @@ func (fr *frameReader) next() (*Envelope, *stream.Batch, error) {
 		return nil, nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", size)
 	}
 	if cap(fr.buf) > maxWireScratch && int(size) <= maxWireScratch {
-		// Mirror of the write-side scratch shrink: one pathological frame
-		// must not pin its high-water mark on this reader forever.
+		// One pathological frame must not pin its high-water mark on
+		// this reader forever (bufPool.put is the write-side mirror).
 		fr.buf = nil
 	}
 	if cap(fr.buf) < int(size) {

@@ -208,14 +208,12 @@ type ControllerConfig struct {
 	DisableRecovery bool
 	// Sharing selects the multi-query sharing mode applied across the
 	// networked federation, mirroring federation.EngineConfig.Sharing:
-	// off (default — deploys are byte-for-byte the legacy ones), keyed
-	// (same-shape CQL submissions draw identical source streams, enabling
-	// cross-query checkpoint compatibility), full (same-shape fragments
-	// placed on the same host collapse onto one executing instance with
-	// refcounted fan-out views), or scaled (full, plus instances shared
-	// across rates with the SIC mass converted at the fan-out point).
-	// Sharing applies to CQL submissions; named-workload deploys stay on
-	// the legacy path.
+	// off (default), keyed (same-shape submissions draw identical source
+	// streams, enabling cross-query checkpoint compatibility), full
+	// (same-shape fragments placed on the same host collapse onto one
+	// executing instance with refcounted fan-out views), or scaled (full,
+	// plus instances shared across rates with the SIC mass converted at
+	// the fan-out point).
 	Sharing federation.Sharing
 	// Checkpoint is the operator-state checkpoint cadence: every
 	// Checkpoint of wall clock each host snapshots its fragments and
@@ -455,25 +453,6 @@ func (c *Controller) checkPlacement(fragments int, placement []int) error {
 	return nil
 }
 
-// Deploy places a named workload query across the node indices in
-// placement (one fragment per node, fragment i on placement[i]) and
-// returns its query id.
-func (c *Controller) Deploy(workload string, fragments, dataset int, rate, batchesPerSec float64, placement []int) (stream.QueryID, error) {
-	return c.deploy(Deploy{
-		Workload: workload, Fragments: fragments, Dataset: dataset,
-		Rate: rate, Batches: batchesPerSec,
-	}, fragments, placement, nil, "")
-}
-
-// DeployCQL parses and plans a CQL statement, partitions it into the
-// given number of fragments, and places the fragments across the node
-// indices in placement. The statement text travels on the wire; every
-// host node re-plans it deterministically. It is Submit with an
-// explicit placement.
-func (c *Controller) DeployCQL(cqlText string, fragments, dataset int, rate, batchesPerSec float64, placement []int) (stream.QueryID, error) {
-	return c.Submit(cqlText, fragments, dataset, rate, batchesPerSec, placement)
-}
-
 // Submit makes a query a first-class runtime citizen: it plans the CQL
 // statement, places its fragments (explicitly, or with the configured
 // placement strategy over the live membership when placement is nil)
@@ -503,9 +482,9 @@ func (c *Controller) Submit(cqlText string, fragments, dataset int, rate, batche
 		}
 	}
 	return c.deploy(Deploy{
-		CQL: cqlText, Workload: plan.Type, Fragments: plan.NumFragments(), Dataset: dataset,
+		CQL: cqlText, Fragments: plan.NumFragments(), Dataset: dataset,
 		Rate: rate, Batches: batchesPerSec,
-	}, plan.NumFragments(), placement, plan, shape)
+	}, placement, plan, shape)
 }
 
 // Retract tears a running query down mid-run: its hosts drop the
@@ -569,57 +548,47 @@ func (c *Controller) Retract(q stream.QueryID) error {
 }
 
 // deploy registers a query's controller-side records and sends one
-// Deploy per fragment. plan and shape are non-nil/non-empty for CQL
-// submissions; with sharing enabled they drive the keyed source seeds
-// and the share-index decisions — attach-vs-host is settled here, under
-// the mirror, and travels to the host as an opaque ShareKey.
-func (c *Controller) deploy(d Deploy, fragments int, placement []int, plan *query.Plan, shape string) (stream.QueryID, error) {
-	if err := c.checkPlacement(fragments, placement); err != nil {
+// Deploy per fragment. With sharing enabled the plan and its shape drive
+// the keyed source seeds and the share-index decisions — attach-vs-host
+// is settled here, under the mirror, and travels to the host as an
+// opaque ShareKey.
+func (c *Controller) deploy(d Deploy, placement []int, plan *query.Plan, shape string) (stream.QueryID, error) {
+	if err := c.checkPlacement(d.Fragments, placement); err != nil {
 		return 0, err
 	}
 	c.mu.Lock()
 	q := c.nextQ
 	c.nextQ++
 	c.seed++
-	seed := c.seed
 	c.coords[q] = coordinator.New(q, coordinator.RootMeasured, c.stw, c.ival)
 	c.accs[q] = sic.NewAccumulator(c.stw, c.ival)
 	c.sums[q] = &sampleStats{}
-	peers := make(map[stream.FragID]string, fragments)
+	peers := make(map[stream.FragID]string, len(placement))
 	for f, ni := range placement {
 		peers[stream.FragID(f)] = c.addrs[ni]
 	}
 	c.hosts[q] = append([]int(nil), placement...)
-	c.deps[q] = &deployRecord{base: d, seed: seed}
+	c.deps[q] = &deployRecord{base: d, seed: c.seed}
 	c.qEpochs[q] = time.Now()
-	var qs *queryShare
-	if c.sharing != federation.SharingOff && shape != "" && plan != nil {
-		qs = &queryShare{
+	epoch := int64(0)
+	if c.sharing != federation.SharingOff {
+		c.qShare[q] = &queryShare{
 			shape:    shape,
 			rate:     d.Rate,
 			subKeys:  cql.SubtreeKeys(plan, shape),
 			downs:    append([]int(nil), plan.Downstream...),
-			keys:     make([]string, fragments),
-			attached: make([]bool, fragments),
-			emits:    make([]bool, fragments),
+			keys:     make([]string, len(placement)),
+			attached: make([]bool, len(placement)),
+			emits:    make([]bool, len(placement)),
 		}
-		c.qShare[q] = qs
+		if c.running.Load() {
+			c.shareEpoch++
+			epoch = c.shareEpoch
+		}
 	}
-	epoch := int64(0)
-	if qs != nil && c.running.Load() {
-		c.shareEpoch++
-		epoch = c.shareEpoch
-	}
-	outs := make([]Deploy, fragments)
+	outs := make([]Deploy, len(placement))
 	for f, ni := range placement {
-		df := fragDeploy(d, q, stream.FragID(f), peers, seed, c.stw, c.ival, c.ckptMs())
-		if qs != nil {
-			df.SourceSeed = keyedSourceSeed(qs.shape, qs.rate, c.sharing == federation.SharingScaled, stream.FragID(f))
-			if c.sharing >= federation.SharingFull {
-				c.applyShareLocked(qs, q, f, ni, epoch, &df)
-			}
-		}
-		outs[f] = df
+		outs[f] = c.fragDeployLocked(q, f, ni, peers, epoch)
 	}
 	conns := append([]*conn(nil), c.nodes...)
 	c.mu.Unlock()
@@ -630,6 +599,36 @@ func (c *Controller) deploy(d Deploy, fragments int, placement []int, plan *quer
 		}
 	}
 	return q, nil
+}
+
+// fragDeployLocked builds the Deploy frame that puts fragment f of query
+// q on node ni: the query's recorded descriptor specialised for the
+// fragment, the keyed source seed when the query shares, and the
+// attach-vs-host decision against the mirror. The initial deploy and
+// every recovery re-deploy build their frames here and nowhere else, so
+// a re-placed fragment is described to its new host by the same rules
+// that described it to the old one. Per-query source seeds and source
+// ids are pure functions of (query, fragment): a re-deploy reconstructs
+// the displaced fragment's sources exactly. Callers hold c.mu and build
+// a query's frames in ascending fragment order (see applyShareLocked).
+func (c *Controller) fragDeployLocked(q stream.QueryID, f, ni int, peers map[stream.FragID]string, epoch int64) Deploy {
+	rec := c.deps[q]
+	d := rec.base
+	d.Query = q
+	d.Frag = stream.FragID(f)
+	d.Peers = peers
+	d.SourceSeed = rec.seed + int64(f)
+	d.FirstSourceID = stream.SourceID(int(q)*1000 + 100*f)
+	d.STWMs = int64(c.stw)
+	d.IntervalMs = int64(c.ival)
+	d.CheckpointMs = c.ckptMs()
+	if qs := c.qShare[q]; qs != nil {
+		d.SourceSeed = keyedSourceSeed(qs.shape, qs.rate, c.sharing == federation.SharingScaled, d.Frag)
+		if c.sharing >= federation.SharingFull {
+			c.applyShareLocked(qs, q, f, ni, epoch, &d)
+		}
+	}
+	return d
 }
 
 // shareKeyFor mints a fragment's full share key: the structural subtree
@@ -647,8 +646,7 @@ func (c *Controller) shareKeyFor(qs *queryShare, f int, epoch int64) string {
 // identity instead of its submission order: same-shape (and, except
 // under scaled sharing, same-rate) queries draw identical streams, which
 // is what makes one query's execution — and its checkpoints — valid for
-// another. Named-workload deploys and SharingOff keep the legacy
-// per-query seeds.
+// another. SharingOff keeps the per-query seeds.
 func keyedSourceSeed(shape string, rate float64, scaled bool, f stream.FragID) int64 {
 	h := fnv.New64a()
 	io.WriteString(h, shape)
@@ -665,9 +663,13 @@ func keyedSourceSeed(shape string, rate float64, scaled bool, f stream.FragID) i
 // deploy finding an existing group attaches instead — riding the
 // instance with an emit bit per the invariant (emit iff the query's own
 // downstream fragment executes privately) and, under scaled sharing,
-// the Eq. (1) conversion factor primaryRate/riderRate. deploy processes
-// fragments in ascending order and Downstream[f] < f, so the downstream
-// attach decision this reads is always already made. Callers hold c.mu.
+// the Eq. (1) conversion factor primaryRate/riderRate. Deploy and
+// recovery both process a query's fragments in ascending order and
+// Downstream[f] < f, so the downstream attach decision this reads is
+// always already made. On recovery the key carries the recovery epoch:
+// co-displaced same-shape members that land together re-share (the
+// lowest-numbered query recovers first and becomes the new target),
+// everyone else re-deploys privately. Callers hold c.mu.
 func (c *Controller) applyShareLocked(qs *queryShare, q stream.QueryID, f, ni int, epoch int64, df *Deploy) {
 	key := c.shareKeyFor(qs, f, epoch)
 	idx := c.shareIdx[ni]
@@ -680,6 +682,7 @@ func (c *Controller) applyShareLocked(qs *queryShare, q stream.QueryID, f, ni in
 	g := idx[key]
 	if g == nil || len(g.members) == 0 {
 		idx[key] = &shareGroup{members: []stream.QueryID{q}}
+		qs.attached[f] = false
 		qs.emits[f] = true // executes privately; kept coherent for sweeps
 		return
 	}
@@ -784,10 +787,10 @@ func (c *Controller) sendEmitFlips(flips []emitFlip) {
 
 // compatCkptKey is the shape-compatibility identity of a fragment's
 // checkpointed state: the share key without its epoch pin, empty when
-// the query has no shape or sharing is off. Mirrors the virtual-time
-// engine's compat keys (federation/checkpoint.go).
+// sharing is off (the query then has no share facts). Mirrors the
+// virtual-time engine's compat keys (federation/checkpoint.go).
 func (c *Controller) compatCkptKey(qs *queryShare, f int) string {
-	if qs == nil || qs.shape == "" || c.sharing == federation.SharingOff {
+	if qs == nil {
 		return ""
 	}
 	key := qs.shape + "|f" + strconv.Itoa(f)
@@ -795,23 +798,6 @@ func (c *Controller) compatCkptKey(qs *queryShare, f int) string {
 		key += "|r" + strconv.FormatFloat(qs.rate, 'g', -1, 64)
 	}
 	return key
-}
-
-// fragDeploy specialises a query's shared deploy descriptor for one
-// fragment. Source seeds and ids are pure functions of (query, fragment)
-// so a recovery re-deploy reconstructs the displaced fragment's sources
-// exactly as the original deploy did.
-func fragDeploy(d Deploy, q stream.QueryID, f stream.FragID, peers map[stream.FragID]string,
-	seed int64, stw, ival stream.Duration, ckptMs int64) Deploy {
-	d.Query = q
-	d.Frag = f
-	d.Peers = peers
-	d.SourceSeed = seed + int64(f)
-	d.FirstSourceID = stream.SourceID(int(q)*1000 + 100*int(f))
-	d.STWMs = int64(stw)
-	d.IntervalMs = int64(ival)
-	d.CheckpointMs = ckptMs
-	return d
 }
 
 // ckptMs is the checkpoint cadence in wall-clock milliseconds (zero when
@@ -1121,8 +1107,7 @@ func (c *Controller) handleFailure(f nodeFailure) error {
 func (c *Controller) replaceFragments(q stream.QueryID, deadIdx int, repoch int64) (restored bool, err error) {
 	c.mu.Lock()
 	placement := c.hosts[q]
-	rec := c.deps[q]
-	if rec == nil {
+	if c.deps[q] == nil {
 		// The query was retracted between failure detection and this
 		// re-placement — nothing left to recover. Not an error: retract
 		// racing recovery is a legal interleaving and whichever side
@@ -1169,52 +1154,13 @@ func (c *Controller) replaceFragments(q stream.QueryID, deadIdx int, repoch int6
 	for f, ni := range placement {
 		peers[stream.FragID(f)] = c.addrs[ni]
 	}
-	// Share-aware re-placement: each displaced fragment is re-keyed under
-	// the recovery epoch and settled against the mirror on its new host —
-	// co-displaced same-shape members that land together re-share (the
-	// lowest-numbered query recovers first and becomes the new target),
-	// everyone else re-deploys privately. Displaced fragments come out of
-	// the placement scan ascending, so a fragment's downstream attach
-	// state is settled before its own emit bit is derived.
+	// Displaced fragments come out of the placement scan ascending, as
+	// fragDeployLocked requires.
+	frames := make([]Deploy, len(displaced))
+	for i, f := range displaced {
+		frames[i] = c.fragDeployLocked(q, f, picks[i], peers, repoch)
+	}
 	qs := c.qShare[q]
-	type shareDecision struct {
-		key    string
-		attach bool
-		emit   bool
-		scale  float64
-	}
-	decisions := make([]shareDecision, len(displaced))
-	if qs != nil && c.sharing >= federation.SharingFull {
-		for i, f := range displaced {
-			ni := picks[i]
-			key := c.shareKeyFor(qs, f, repoch)
-			idx := c.shareIdx[ni]
-			if idx == nil {
-				idx = make(map[string]*shareGroup)
-				c.shareIdx[ni] = idx
-			}
-			qs.keys[f] = key
-			dec := shareDecision{key: key}
-			if g := idx[key]; g != nil && len(g.members) > 0 {
-				dec.attach = true
-				qs.attached[f] = true
-				down := qs.downs[f]
-				dec.emit = down < 0 || !qs.attached[down]
-				qs.emits[f] = dec.emit
-				if c.sharing == federation.SharingScaled && qs.rate > 0 {
-					if pqs := c.qShare[g.members[0]]; pqs != nil && pqs.rate > 0 {
-						dec.scale = pqs.rate / qs.rate
-					}
-				}
-				g.members = append(g.members, q)
-			} else {
-				idx[key] = &shareGroup{members: []stream.QueryID{q}}
-				qs.attached[f] = false
-				qs.emits[f] = true
-			}
-			decisions[i] = dec
-		}
-	}
 	// With checkpointing on and a blob banked for every displaced
 	// fragment, recovery restores warm state: the blobs ship to the new
 	// hosts after their deploys below, and the query's SIC accounting
@@ -1229,7 +1175,7 @@ func (c *Controller) replaceFragments(q stream.QueryID, deadIdx int, repoch int6
 	restoring := c.ckpt > 0
 	blobs := make([][]byte, len(displaced))
 	for i, f := range displaced {
-		if decisions[i].attach {
+		if qs != nil && qs.attached[f] {
 			continue
 		}
 		blob, ok := c.ckpts[peerKey{q, stream.FragID(f)}]
@@ -1256,7 +1202,6 @@ func (c *Controller) replaceFragments(q stream.QueryID, deadIdx int, repoch int6
 			c.sums[q] = &sampleStats{}
 		}
 	}
-	base, seed := rec.base, rec.seed
 	conns := append([]*conn(nil), c.nodes...)
 	dead := append([]bool(nil), c.dead...)
 	addrs := append([]string(nil), c.addrs...)
@@ -1266,16 +1211,7 @@ func (c *Controller) replaceFragments(q stream.QueryID, deadIdx int, repoch int6
 	// idle spare begins ticking here; handleStart is idempotent on nodes
 	// already running.
 	for i, f := range displaced {
-		d := fragDeploy(base, q, stream.FragID(f), peers, seed, c.stw, c.ival, c.ckptMs())
-		if qs != nil {
-			d.SourceSeed = keyedSourceSeed(qs.shape, qs.rate, c.sharing == federation.SharingScaled, stream.FragID(f))
-			d.ShareKey = decisions[i].key
-			if decisions[i].attach {
-				d.ShareEmit = decisions[i].emit
-				d.ShareScale = decisions[i].scale
-			}
-		}
-		if err := conns[picks[i]].send(&Envelope{Kind: KindDeploy, Deploy: &d}); err != nil {
+		if err := conns[picks[i]].send(&Envelope{Kind: KindDeploy, Deploy: &frames[i]}); err != nil {
 			return false, fmt.Errorf("transport: re-deploy fragment %d on %s: %w", f, addrs[picks[i]], err)
 		}
 		conns[picks[i]].send(&Envelope{Kind: KindStart, Start: &Start{

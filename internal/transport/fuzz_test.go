@@ -3,8 +3,11 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/stream"
 )
@@ -89,6 +92,135 @@ func FuzzWireCodec(f *testing.F) {
 			if e == nil && fb == nil {
 				t.Fatal("frame reader returned neither envelope nor batch without error")
 			}
+		}
+	})
+}
+
+// deployFrame renders a deploy control frame as the raw JSON a peer
+// would put on the wire, so hostile field values reach the host exactly
+// as written.
+func deployFrame(q, frag, fragments int, cqlText string) string {
+	return fmt.Sprintf(`{"kind":"deploy","deploy":{"query":%d,"frag":%d,"cql":%q,"fragments":%d,`+
+		`"dataset":1,"rate":50,"batches_per_sec":4,"stw_ms":2000,"interval_ms":50}}`, q, frag, cqlText, fragments)
+}
+
+// hostileFrames are control-frame payloads no correct controller or peer
+// sends. A host must ignore or reject each and keep serving. The start
+// row comes last: it is the one frame that legitimately changes the
+// server's state (a payload-less start begins ticking on the defaults).
+var hostileFrames = []struct{ name, payload string }{
+	{"json batch", `{"kind":"batch","batch":{"arity":1,"tss":[1],"sics":[],"vals":[]}}`},
+	{"frag -1", deployFrame(900, -1, 1, avgCQL)},
+	{"frag beyond plan", deployFrame(901, 3, 2, avgAllCQL)},
+	{"fragments 0", deployFrame(902, 0, 0, avgCQL)},
+	{"fragments 1<<30", deployFrame(903, 0, 1<<30, avgAllCQL)},
+	{"empty cql", deployFrame(904, 0, 1, "")},
+	{"malformed cql", deployFrame(905, 0, 1, "Select Bogus(")},
+	{"unknown kind", `{"kind":"nope","deploy":{"frag":-1}}`},
+	{"no kind", `{}`},
+	{"null", `null`},
+	{"nil hello", `{"kind":"hello"}`},
+	{"nil deploy", `{"kind":"deploy"}`},
+	{"nil sic", `{"kind":"sic"}`},
+	{"nil report", `{"kind":"report"}`},
+	{"nil stats", `{"kind":"stats"}`},
+	{"nil rewire", `{"kind":"rewire"}`},
+	{"nil heartbeat", `{"kind":"heartbeat"}`},
+	{"nil retract", `{"kind":"retract"}`},
+	{"nil checkpoint", `{"kind":"checkpoint"}`},
+	{"nil restore", `{"kind":"restore_state"}`},
+	{"nil share emit", `{"kind":"share_emit"}`},
+	{"nil start", `{"kind":"start"}`},
+}
+
+// validDeploy is the single-fragment deploy frame Submit would send for
+// query q.
+func validDeploy(q stream.QueryID) *Deploy {
+	return &Deploy{Query: q, CQL: avgCQL, Fragments: 1, Dataset: 1, Rate: 50, Batches: 4, STWMs: 2000, IntervalMs: 50}
+}
+
+// hosts reports whether the server runs a fragment of query q.
+func hosts(s *NodeServer, q stream.QueryID) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	found := false
+	if s.nd != nil {
+		s.nd.ForEachFragment(func(fq stream.QueryID, _ stream.FragID) { found = found || fq == q })
+	}
+	return found
+}
+
+// TestHostSurvivesHostileFrames writes each hostile frame to a live
+// server over a real loopback connection, followed on the same
+// connection by a deploy of the shape Submit sends. Frames on one
+// connection are handled in order, so once the deploy's query is hosted
+// the hostile frame has been fully processed: the server is up, the
+// connection survived, and the batch pool is where it was.
+func TestHostSurvivesHostileFrames(t *testing.T) {
+	srv, err := NewNodeServer(NodeServerConfig{Name: "s", Addr: "127.0.0.1:0", CapacityPerSec: 10_000, Quiet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	live := srv.pool.Live()
+	for i, h := range hostileFrames {
+		nc, c := dialRaw(t, srv.Addr())
+		if _, err := nc.Write(appendFrame(nil, frameJSON, []byte(h.payload))); err != nil {
+			t.Fatalf("%s: %v", h.name, err)
+		}
+		q := stream.QueryID(i)
+		if err := c.send(&Envelope{Kind: KindDeploy, Deploy: validDeploy(q)}); err != nil {
+			t.Fatalf("%s: deploy after hostile frame: %v", h.name, err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); !hosts(srv, q); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: a valid deploy after the hostile frame never landed", h.name)
+			}
+		}
+		if hosts(srv, stream.QueryID(900+i)) {
+			t.Errorf("%s: the hostile deploy was hosted", h.name)
+		}
+		if got := srv.pool.Live(); got != live {
+			t.Errorf("%s: pool live moved %d -> %d", h.name, live, got)
+		}
+	}
+}
+
+// FuzzHostFrame drives arbitrary JSON control frames through the
+// dispatch serveConn runs — against an empty server, and again after a
+// valid deploy so rewire, retract, share-emit and restore frames meet
+// real state. Nothing a peer can put in a frame may panic the host or
+// leak a pooled batch. Start and stop are skipped: they spawn the tick
+// loop and tear the server down, which the lifecycle tests cover.
+func FuzzHostFrame(f *testing.F) {
+	for _, h := range hostileFrames {
+		f.Add([]byte(h.payload))
+	}
+	f.Add([]byte(deployFrame(1, 1, 3, avgAllCQL)))
+	f.Add([]byte(`{"kind":"deploy","deploy":{"query":2,"cql":"Select Avg(t.v) From Src[Range 1 sec]","fragments":1,` +
+		`"dataset":4,"rate":1e308,"batches_per_sec":-1,"share_key":"k","share_scale":-2,"peers":{"0":"x"}}}`))
+	f.Add([]byte(`{"kind":"restore_state","restore":{"query":7,"frag":0,"state":"AAEC"}}`))
+	f.Add([]byte(`{"kind":"rewire","rewire":{"query":7,"peers":{"-3":"127.0.0.1:1"}}}`))
+	f.Add([]byte(`{"kind":"share_emit","share_emit":{"query":7,"frag":0,"emit":true}}`))
+	f.Add([]byte(`{"kind":"sic","sic":{"query":7,"value":-1e300}}`))
+
+	f.Fuzz(func(t *testing.T, p []byte) {
+		var e Envelope
+		if json.Unmarshal(p, &e) != nil || e.Kind == KindStart || e.Kind == KindStop {
+			return
+		}
+		s, err := NewNodeServer(NodeServerConfig{Name: "fuzz", Addr: "127.0.0.1:0", CapacityPerSec: 1000, Quiet: true})
+		if err != nil {
+			t.Skip(err)
+		}
+		defer s.Close()
+		s.handle(&e, nil)
+		if err := s.handleDeploy(validDeploy(7)); err != nil {
+			t.Fatalf("valid deploy rejected after the fuzzed frame: %v", err)
+		}
+		s.handle(&e, nil)
+		if live := s.pool.Live(); live != 0 {
+			t.Fatalf("pool holds %d live batches after control frames only", live)
 		}
 	})
 }

@@ -12,6 +12,12 @@ import (
 	"repro/internal/stream"
 )
 
+// Table 1 statements the networked tests deploy.
+const (
+	avgCQL    = "Select Avg(t.v) From Src[Range 1 sec]"
+	avgAllCQL = "Select Avg(t.v) From AllSrc[Range 1 sec]"
+)
+
 // startNodes spins up n loopback node servers and returns their
 // addresses plus a closer.
 func startNodes(t *testing.T, n int, capacity float64) ([]string, []*NodeServer) {
@@ -70,7 +76,7 @@ func TestDistributedCQLEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := ctrl.DeployCQL(cqlText, frags, dataset, rate, batches, placement)
+	q, err := ctrl.Submit(cqlText, frags, dataset, rate, batches, placement)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +156,7 @@ func TestStopWaitsForStats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ctrl.Deploy("AVG-all", 2, 1, 60, 4, []int{0, 1}); err != nil {
+		if _, err := ctrl.Submit(avgAllCQL, 2, 1, 60, 4, []int{0, 1}); err != nil {
 			t.Fatal(err)
 		}
 		start := time.Now()
@@ -194,7 +200,7 @@ func TestRunSurfacesNodeFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctrl.CloseAll()
-	if _, err := ctrl.Deploy("AVG-all", 2, 1, 60, 4, []int{0, 1}); err != nil {
+	if _, err := ctrl.Submit(avgAllCQL, 2, 1, 60, 4, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -216,23 +222,26 @@ func TestRunSurfacesNodeFailure(t *testing.T) {
 	}
 }
 
-// TestDeployCQLValidation exercises controller-side placement and
+// TestSubmitValidation exercises controller-side placement and
 // statement checks.
-func TestDeployCQLValidation(t *testing.T) {
+func TestSubmitValidation(t *testing.T) {
 	addrs, _ := startNodes(t, 2, 1000)
 	ctrl, err := NewController(ControllerConfig{Seed: 1}, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ctrl.CloseAll()
-	if _, err := ctrl.DeployCQL("Select Nope(", 1, 0, 10, 1, []int{0}); err == nil {
+	if _, err := ctrl.Submit("Select Nope(", 1, 0, 10, 1, []int{0}); err == nil {
 		t.Error("malformed CQL accepted")
 	}
-	if _, err := ctrl.DeployCQL("Select Avg(t.v) From Src[Range 1 sec]", 2, 0, 10, 1, []int{0, 0}); err == nil {
+	if _, err := ctrl.Submit(avgCQL, 2, 0, 10, 1, []int{0, 0}); err == nil {
 		t.Error("duplicate placement accepted")
 	}
-	if _, err := ctrl.DeployCQL("Select Avg(t.v) From Src[Range 1 sec]", 2, 0, 10, 1, []int{0, 7}); err == nil {
+	if _, err := ctrl.Submit(avgCQL, 2, 0, 10, 1, []int{0, 7}); err == nil {
 		t.Error("out-of-range placement accepted")
+	}
+	if _, err := ctrl.Submit(avgAllCQL, 2, 0, 10, 1, []int{0}); err == nil {
+		t.Error("placement length mismatch accepted")
 	}
 	if _, err := ctrl.AutoPlace(3); err == nil {
 		t.Error("AutoPlace over-subscribed 2 nodes with 3 fragments")

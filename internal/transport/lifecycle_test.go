@@ -50,11 +50,11 @@ func TestLiveQueryChurnEndToEnd(t *testing.T) {
 	}
 	defer ctrl.CloseAll()
 
-	qA, err := ctrl.DeployCQL(cqlText, frags, dataset, rate, batches, []int{0, 1})
+	qA, err := ctrl.Submit(cqlText, frags, dataset, rate, batches, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	qB, err := ctrl.DeployCQL(cqlText, frags, dataset, rate, batches, []int{2, 3})
+	qB, err := ctrl.Submit(cqlText, frags, dataset, rate, batches, []int{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestSubmitAfterNodeFailure(t *testing.T) {
 	}
 	defer ctrl.CloseAll()
 
-	qA, err := ctrl.DeployCQL(cqlText, 2, 1, 20, 4, []int{0, 1})
+	qA, err := ctrl.Submit(cqlText, 2, 1, 20, 4, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestRetractRacesRecovery(t *testing.T) {
 	}
 	defer ctrl.CloseAll()
 
-	qA, err := ctrl.DeployCQL(cqlText, 2, 1, 20, 4, []int{0, 1})
+	qA, err := ctrl.Submit(cqlText, 2, 1, 20, 4, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -32,7 +31,6 @@ type Envelope struct {
 	Hello   *Hello     `json:"hello,omitempty"`
 	Deploy  *Deploy    `json:"deploy,omitempty"`
 	Start   *Start     `json:"start,omitempty"`
-	Batch   *BatchMsg  `json:"batch,omitempty"`
 	SIC     *SICMsg    `json:"sic,omitempty"`
 	Report  *ReportMsg `json:"report,omitempty"`
 	Stats   *StatsMsg  `json:"stats,omitempty"`
@@ -50,7 +48,6 @@ const (
 	KindHello  = "hello"
 	KindDeploy = "deploy"
 	KindStart  = "start"
-	KindBatch  = "batch"
 	KindSIC    = "sic"
 	KindReport = "report"
 	KindStats  = "stats"
@@ -86,21 +83,17 @@ type Hello struct {
 }
 
 // Deploy instructs a node to host one fragment of a query. Plans cannot
-// travel as code, so the query is named: either CQL carries the statement
-// text, re-parsed and re-planned identically on every host node, or
-// Workload names a Table 1 builder. Fragments + Dataset complete the
-// reconstruction.
+// travel as code, so the query travels as its CQL statement text, which
+// every host node re-parses and re-plans identically; Fragments + Dataset
+// complete the reconstruction. A host rejects a deploy without CQL text.
 type Deploy struct {
-	Query stream.QueryID `json:"query"`
-	Frag  stream.FragID  `json:"frag"`
-	// CQL is the statement text of an ad-hoc query; when set it takes
-	// precedence over Workload.
-	CQL       string  `json:"cql,omitempty"`
-	Workload  string  `json:"workload"` // AVG-all | TOP-5 | COV | AVG | MAX | COUNT
-	Fragments int     `json:"fragments"`
-	Dataset   int     `json:"dataset"`
-	Rate      float64 `json:"rate"`
-	Batches   float64 `json:"batches_per_sec"`
+	Query     stream.QueryID `json:"query"`
+	Frag      stream.FragID  `json:"frag"`
+	CQL       string         `json:"cql,omitempty"`
+	Fragments int            `json:"fragments"`
+	Dataset   int            `json:"dataset"`
+	Rate      float64        `json:"rate"`
+	Batches   float64        `json:"batches_per_sec"`
 	// Peers maps every fragment of the query to the address of its host
 	// node, so derived batches can be routed directly site-to-site.
 	Peers map[stream.FragID]string `json:"peers"`
@@ -122,7 +115,7 @@ type Deploy struct {
 	// ShareKey is the controller-computed structural identity of this
 	// fragment under multi-query sharing: the plan-subtree key plus
 	// fragment index, rate pin (exact modes) and epoch pin. Empty when
-	// sharing is off — then the deploy is byte-for-byte the legacy one.
+	// sharing is off.
 	// A host receiving a non-empty key attaches the fragment to an
 	// already-hosted instance under the same key when one exists (no
 	// executor, no sources — refcounted fan-out views instead), and
@@ -163,55 +156,6 @@ type Start struct {
 	// restored snapshot's window edges sit a whole run-offset ahead of
 	// the local clock and the fragment stalls until it catches up.
 	RunOffsetMs int64 `json:"run_offset_ms,omitempty"`
-}
-
-// BatchMsg carries one tuple batch between nodes. Tuples are flattened
-// column-wise to keep the JSON compact.
-type BatchMsg struct {
-	Query stream.QueryID `json:"query"`
-	Frag  stream.FragID  `json:"frag"`
-	Port  int            `json:"port"`
-	TS    stream.Time    `json:"ts"`
-	SIC   float64        `json:"sic"`
-	Arity int            `json:"arity"`
-	TSs   []stream.Time  `json:"tss"`
-	SICs  []float64      `json:"sics"`
-	Vals  []float64      `json:"vals"` // len = Arity × len(TSs)
-}
-
-// ToBatch reconstructs a stream batch (derived: Source -1).
-func (m *BatchMsg) ToBatch() *stream.Batch {
-	n := len(m.TSs)
-	b := stream.NewBatch(m.Query, m.Frag, -1, m.TS, n, m.Arity)
-	b.Port = m.Port
-	for i := 0; i < n; i++ {
-		b.Tuples[i].TS = m.TSs[i]
-		b.Tuples[i].SIC = m.SICs[i]
-		copy(b.Tuples[i].V, m.Vals[i*m.Arity:(i+1)*m.Arity])
-	}
-	b.SIC = m.SIC
-	return b
-}
-
-// FromBatch flattens a batch for the wire.
-func FromBatch(b *stream.Batch) *BatchMsg {
-	arity := 0
-	if len(b.Tuples) > 0 {
-		arity = len(b.Tuples[0].V)
-	}
-	m := &BatchMsg{
-		Query: b.Query, Frag: b.Frag, Port: b.Port, TS: b.TS, SIC: b.SIC,
-		Arity: arity,
-		TSs:   make([]stream.Time, len(b.Tuples)),
-		SICs:  make([]float64, len(b.Tuples)),
-		Vals:  make([]float64, len(b.Tuples)*arity),
-	}
-	for i := range b.Tuples {
-		m.TSs[i] = b.Tuples[i].TS
-		m.SICs[i] = b.Tuples[i].SIC
-		copy(m.Vals[i*arity:(i+1)*arity], b.Tuples[i].V)
-	}
-	return m
 }
 
 // Rewire replaces a host's fragment→address routing table for one query
@@ -342,18 +286,12 @@ const (
 	defaultDialCooldown = 1 * time.Second
 )
 
-// conn wraps a TCP connection with synchronised frame writing: JSON
-// frames for control envelopes, binary frames for batches. The scratch
-// buffer makes a steady-state batch send allocation-free.
+// conn wraps a TCP connection with synchronised frame writing. Every
+// write — control envelopes and encoded batches alike — goes out through
+// writeFrames.
 type conn struct {
-	mu  sync.Mutex
-	c   net.Conn
-	w   *bufio.Writer
-	buf []byte
-	// hdr is the frame-header scratch: a stack array's slice would
-	// escape through the writer's interface call and cost one heap
-	// allocation per frame. Guarded by mu like buf.
-	hdr [frameHeaderLen]byte
+	mu sync.Mutex
+	c  net.Conn
 	// wt bounds every frame write; a deadline expiry surfaces as a
 	// net.Error with Timeout() true and feeds the evict/redial/dropped
 	// accounting paths. Zero disables deadlines (tests only).
@@ -365,36 +303,13 @@ func newConn(c net.Conn) *conn {
 }
 
 func newConnTimeout(c net.Conn, wt time.Duration) *conn {
-	return &conn{c: c, w: bufio.NewWriter(c), wt: wt}
-}
-
-// writeFrameLocked writes one frame and flushes, under a fresh write
-// deadline. Callers hold c.mu.
-func (c *conn) writeFrameLocked(kind byte, payload []byte) error {
-	if c.wt > 0 {
-		c.c.SetWriteDeadline(time.Now().Add(c.wt))
-	}
-	c.hdr[0] = kind
-	binary.BigEndian.PutUint32(c.hdr[1:], uint32(len(payload)))
-	if _, err := c.w.Write(c.hdr[:]); err != nil {
-		return err
-	}
-	if _, err := c.w.Write(payload); err != nil {
-		return err
-	}
-	return c.w.Flush()
+	return &conn{c: c, wt: wt}
 }
 
 // send writes one control envelope as a JSON frame; safe for concurrent
 // use.
 func (c *conn) send(e *Envelope) error {
-	p, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.writeFrameLocked(frameJSON, p)
+	return c.sendMany([]*Envelope{e})
 }
 
 // sendMany writes several control envelopes as back-to-back JSON frames
@@ -416,34 +331,13 @@ func (c *conn) sendMany(es []*Envelope) error {
 	return c.writeFrames(&bufs)
 }
 
-// sendBatch writes one tuple batch as a binary frame; safe for
-// concurrent use. It is the per-batch-flush legacy path, kept for the
-// wire benchmark baseline and debug tooling — the transport's tick
-// drain goes through the per-peer queues and writeFrames instead.
-func (c *conn) sendBatch(b *stream.Batch) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.buf = appendWireBatch(c.buf[:0], b)
-	err := c.writeFrameLocked(frameBatch, c.buf)
-	if cap(c.buf) > maxWireScratch {
-		// One pathological batch must not pin its high-water mark on
-		// this conn for the rest of its life.
-		c.buf = nil
-	}
-	return err
-}
-
 // writeFrames writes pre-encoded frames back-to-back with one vectored
 // write (writev on TCP) under a single write deadline; safe for
-// concurrent use with send/sendBatch. The buffers are consumed in
-// place — bufs is a pointer so the steady-state flush does not box a
-// fresh slice header per call.
+// concurrent use. The buffers are consumed in place — bufs is a pointer
+// so the steady-state flush does not box a fresh slice header per call.
 func (c *conn) writeFrames(bufs *net.Buffers) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.w.Flush(); err != nil {
-		return err
-	}
 	if c.wt > 0 {
 		c.c.SetWriteDeadline(time.Now().Add(c.wt))
 	}

@@ -28,8 +28,8 @@ import (
 const (
 	// maxWireScratch caps retained write- and read-side scratch buffers.
 	// One pathological batch must not pin its high-water mark on every
-	// conn and free list forever: oversized buffers are used once and
-	// dropped back to the allocator.
+	// frame reader and free list forever: oversized buffers are used
+	// once and dropped back to the allocator.
 	maxWireScratch = 64 << 10
 
 	// maxQueueFrames / maxQueueBytes bound one peer's pending frames.
@@ -110,7 +110,7 @@ type peerQueue struct {
 	vec  net.Buffers
 	view net.Buffers
 	// flushes counts vectored writes issued for this queue — the
-	// coalescing tests and the wire benchmark read it.
+	// coalescing tests read it.
 	flushes atomic.Int64
 }
 

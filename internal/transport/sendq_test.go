@@ -326,24 +326,3 @@ func TestCtrlQueueOverflowCounted(t *testing.T) {
 		t.Fatalf("stats frame round trip: %v, %+v", err, back)
 	}
 }
-
-// TestConnScratchShrinks: one pathological batch must not pin its
-// high-water mark on the conn scratch buffer forever.
-func TestConnScratchShrinks(t *testing.T) {
-	peer := newFakePeer(t, "127.0.0.1:0")
-	c, err := dial(peer.ln.Addr().String(), "test", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	huge := queryBatch(1, (maxWireScratch/8)+4096) // encodes well past the scratch cap
-	if err := c.sendBatch(huge); err != nil {
-		t.Fatal(err)
-	}
-	c.mu.Lock()
-	capAfter := cap(c.buf)
-	c.mu.Unlock()
-	if capAfter > maxWireScratch {
-		t.Fatalf("conn scratch retains %d bytes after an oversized send, cap is %d", capAfter, maxWireScratch)
-	}
-}

@@ -243,43 +243,48 @@ func (s *NodeServer) serveConn(nc net.Conn) {
 			s.enqueue(b)
 			continue
 		}
-		switch e.Kind {
-		case KindHello:
-			// Connections are identified per message; nothing to do.
-		case KindDeploy:
-			if err := s.handleDeploy(e.Deploy); err != nil {
-				s.logf("themis-node %s: deploy: %v", s.Name, err)
-			}
-		case KindStart:
-			s.handleStart(e.Start, out)
-		case KindBatch:
-			// JSON-framed batch: kept for debug tooling parity. A missing
-			// payload is a malformed frame, not a crash.
-			if e.Batch != nil {
-				s.enqueue(e.Batch.ToBatch())
-			}
-		case KindSIC:
-			if e.SIC == nil {
-				continue
-			}
-			s.mu.Lock()
-			if s.nd != nil {
-				s.nd.SetResultSIC(e.SIC.Query, e.SIC.Value)
-			}
-			s.mu.Unlock()
-		case KindRewire:
-			s.handleRewire(e.Rewire)
-		case KindRetract:
-			s.handleRetract(e.Retract)
-		case KindShareEmit:
-			s.handleShareEmit(e.ShareEmit)
-		case KindRestoreState:
-			s.handleRestore(e.Restore)
-		case KindStop:
-			s.handleStop(out)
+		if s.handle(e, out) {
 			return
 		}
 	}
+}
+
+// handle dispatches one control envelope and reports whether it was the
+// stop that ends the connection. Every byte of e comes from a peer: a
+// missing payload or an unknown kind is a malformed frame to ignore, and
+// a rejected deploy is logged — neither may take the node down.
+func (s *NodeServer) handle(e *Envelope, out *conn) (stopped bool) {
+	switch e.Kind {
+	case KindHello:
+		// Connections are identified per message; nothing to do.
+	case KindDeploy:
+		if err := s.handleDeploy(e.Deploy); err != nil {
+			s.logf("themis-node %s: deploy: %v", s.Name, err)
+		}
+	case KindStart:
+		s.handleStart(e.Start, out)
+	case KindSIC:
+		if e.SIC == nil {
+			break
+		}
+		s.mu.Lock()
+		if s.nd != nil {
+			s.nd.SetResultSIC(e.SIC.Query, e.SIC.Value)
+		}
+		s.mu.Unlock()
+	case KindRewire:
+		s.handleRewire(e.Rewire)
+	case KindRetract:
+		s.handleRetract(e.Retract)
+	case KindShareEmit:
+		s.handleShareEmit(e.ShareEmit)
+	case KindRestoreState:
+		s.handleRestore(e.Restore)
+	case KindStop:
+		s.handleStop(out)
+		return true
+	}
+	return false
 }
 
 func (s *NodeServer) enqueue(b *stream.Batch) {
@@ -294,41 +299,36 @@ func (s *NodeServer) enqueue(b *stream.Batch) {
 	b.Release()
 }
 
-// buildPlan reconstructs a query plan from its wire descriptor: CQL text
-// is re-parsed and re-planned (deterministically, so every host node
-// derives the same fragment layout), named workloads go through the
-// Table 1 builders. CQL planning goes through the server's plan cache:
-// under multi-query sharing the same statement shape arrives once per
-// subscriber, and only the first pays the parse.
-func (s *NodeServer) buildPlan(d *Deploy) (*query.Plan, error) {
-	ds := sources.Dataset(d.Dataset)
-	if d.CQL != "" {
-		plan, _, err := s.plans.PlanDistributed(d.CQL, cql.DefaultCatalog(ds), ds.String(), d.Fragments)
-		return plan, err
-	}
-	switch d.Workload {
-	case "AVG-all":
-		return query.NewAvgAll(d.Fragments, ds), nil
-	case "TOP-5":
-		return query.NewTop5(d.Fragments, ds), nil
-	case "COV":
-		return query.NewCov(d.Fragments, ds), nil
-	case "AVG":
-		return query.NewAggregate(0, ds), nil // operator.AggAvg
-	default:
-		return nil, fmt.Errorf("unknown workload %q", d.Workload)
-	}
-}
+// maxDeployFragments bounds the fragment count a deploy frame may name:
+// the planner allocates per fragment, and fragments of one query sit on
+// distinct nodes, so anything beyond a large federation's size is a
+// corrupt or hostile frame.
+const maxDeployFragments = 1024
 
+// handleDeploy hosts one fragment of a query. The travelling CQL text is
+// re-parsed and re-planned (deterministically, so every host node derives
+// the same fragment layout) through the server's plan cache: under
+// multi-query sharing the same statement shape arrives once per
+// subscriber, and only the first pays the parse.
 func (s *NodeServer) handleDeploy(d *Deploy) error {
 	if d == nil {
 		return errors.New("empty deploy")
 	}
-	plan, err := s.buildPlan(d)
+	if d.CQL == "" {
+		return errors.New("deploy carries no CQL text")
+	}
+	if d.Fragments < 1 || d.Fragments > maxDeployFragments {
+		return fmt.Errorf("fragment count %d outside [1, %d]", d.Fragments, maxDeployFragments)
+	}
+	if !(d.Rate > 0 && d.Batches > 0) {
+		return fmt.Errorf("source rate %g tuples/s in %g batches/s: both must be positive", d.Rate, d.Batches)
+	}
+	ds := sources.Dataset(d.Dataset)
+	plan, _, err := s.plans.PlanDistributed(d.CQL, cql.DefaultCatalog(ds), ds.String(), d.Fragments)
 	if err != nil {
 		return err
 	}
-	if int(d.Frag) >= plan.NumFragments() {
+	if d.Frag < 0 || int(d.Frag) >= plan.NumFragments() {
 		return fmt.Errorf("fragment %d out of range", d.Frag)
 	}
 	s.mu.Lock()
@@ -830,7 +830,7 @@ func (s *NodeServer) queueFor(addr string) *peerQueue {
 // flushPeers writes every non-empty send queue — one vectored write per
 // destination — in deterministic address order, then flushes the
 // controller queue. Called once per tick by the tick loop (and directly
-// by tests and the wire benchmark).
+// by tests).
 func (s *NodeServer) flushPeers() {
 	s.outMu.Lock()
 	s.flushAddrs = s.flushAddrs[:0]

@@ -4,64 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cql"
 	"repro/internal/stream"
 )
-
-func TestBatchMsgRoundTrip(t *testing.T) {
-	b := stream.NewBatch(3, 1, -1, 500, 2, 2)
-	b.Port = 4
-	b.Tuples[0] = stream.Tuple{TS: 500, SIC: 0.1, V: b.Tuples[0].V}
-	b.Tuples[0].V[0], b.Tuples[0].V[1] = 7, 8
-	b.Tuples[1] = stream.Tuple{TS: 510, SIC: 0.2, V: b.Tuples[1].V}
-	b.Tuples[1].V[0], b.Tuples[1].V[1] = 9, 10
-	b.RecomputeSIC()
-
-	m := FromBatch(b)
-	got := m.ToBatch()
-	if got.Query != 3 || got.Frag != 1 || got.Port != 4 || got.TS != 500 {
-		t.Errorf("header: %+v", got)
-	}
-	if got.Source != -1 {
-		t.Errorf("derived source: %d", got.Source)
-	}
-	if got.Len() != 2 || got.Tuples[1].V[1] != 10 || got.Tuples[0].SIC != 0.1 {
-		t.Errorf("tuples: %+v", got.Tuples)
-	}
-	if got.SIC != b.SIC {
-		t.Errorf("SIC header: %g vs %g", got.SIC, b.SIC)
-	}
-}
-
-func TestBuildPlanNames(t *testing.T) {
-	s := &NodeServer{plans: cql.NewPlanCache()}
-	for _, w := range []string{"AVG-all", "TOP-5", "COV", "AVG"} {
-		frags := 2
-		if w == "AVG" {
-			// Single-fragment only; 2 fragments is still built with 1.
-			frags = 1
-		}
-		p, err := s.buildPlan(&Deploy{Workload: w, Fragments: frags})
-		if err != nil || p == nil {
-			t.Errorf("%s: %v", w, err)
-		}
-	}
-	if _, err := s.buildPlan(&Deploy{Workload: "nope", Fragments: 1}); err == nil {
-		t.Error("unknown workload accepted")
-	}
-	// CQL text takes precedence over the workload name and partitions
-	// into the requested fragment count.
-	p, err := s.buildPlan(&Deploy{CQL: "Select Avg(t.v) From Src[Range 1 sec]", Fragments: 3, Dataset: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NumFragments() != 3 {
-		t.Errorf("CQL deploy built %d fragments, want 3", p.NumFragments())
-	}
-	if _, err := s.buildPlan(&Deploy{CQL: "Select Bogus(", Fragments: 1}); err == nil {
-		t.Error("malformed CQL accepted")
-	}
-}
 
 // TestNetworkedFederationEndToEnd spins up two node servers and a
 // controller on localhost, runs a short overloaded deployment over real
@@ -100,16 +44,8 @@ func TestNetworkedFederationEndToEnd(t *testing.T) {
 	// Two local queries plus one spanning both nodes; demand ~2,400
 	// tuples/sec per node against 800 of capacity.
 	ids := make([]stream.QueryID, 0, 3)
-	for _, d := range []struct {
-		workload  string
-		frags     int
-		placement []int
-	}{
-		{"AVG-all", 1, []int{0}},
-		{"AVG-all", 1, []int{1}},
-		{"AVG-all", 2, []int{0, 1}},
-	} {
-		id, err := ctrl.Deploy(d.workload, d.frags, 1 /* uniform */, 120, 4, d.placement)
+	for _, placement := range [][]int{{0}, {1}, {0, 1}} {
+		id, err := ctrl.Submit(avgAllCQL, len(placement), 1 /* uniform */, 120, 4, placement)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,15 +77,5 @@ func TestNetworkedFederationEndToEnd(t *testing.T) {
 	}
 	if len(res.Nodes) != 2 {
 		t.Errorf("stats from %d nodes", len(res.Nodes))
-	}
-}
-
-func TestDeployValidation(t *testing.T) {
-	c, err := NewController(ControllerConfig{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Deploy("AVG-all", 2, 0, 10, 1, []int{0}); err == nil {
-		t.Error("placement length mismatch accepted")
 	}
 }

@@ -37,11 +37,6 @@ func randomBatch(rng *rand.Rand, n, arity int) *stream.Batch {
 		}
 	}
 	b.RecomputeSIC()
-	if math.IsInf(b.SIC, 0) {
-		// Summing extreme tuple SICs can overflow; JSON has no Inf and
-		// real SIC headers are finite sums.
-		b.SIC = math.MaxFloat64
-	}
 	return b
 }
 
@@ -77,10 +72,9 @@ func batchesEqualBits(t *testing.T, tag string, a, b *stream.Batch) {
 }
 
 // TestWireRoundTripProperty drives random batches — seeded with the
-// float values that defeat naive formatters — through both codecs: the
-// binary frame encoding and the JSON BatchMsg envelope. Every float64
-// and every stream.Time must survive bit-exactly; zero values must not
-// vanish.
+// float values that defeat naive formatters — through the binary frame
+// encoding. Every float64 and every stream.Time must survive
+// bit-exactly; zero values must not vanish.
 func TestWireRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
@@ -91,24 +85,12 @@ func TestWireRoundTripProperty(t *testing.T) {
 		}
 		orig := randomBatch(rng, n, arity)
 
-		// Binary codec.
 		p := appendWireBatch(nil, orig)
 		got, err := decodeWireBatch(p, nil)
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
 		batchesEqualBits(t, "binary", orig, got)
-
-		// JSON envelope codec.
-		j, err := json.Marshal(&Envelope{Kind: KindBatch, Batch: FromBatch(orig)})
-		if err != nil {
-			t.Fatalf("trial %d: json: %v", trial, err)
-		}
-		var e Envelope
-		if err := json.Unmarshal(j, &e); err != nil {
-			t.Fatalf("trial %d: unjson: %v", trial, err)
-		}
-		batchesEqualBits(t, "json", orig, e.Batch.ToBatch())
 	}
 }
 
@@ -189,31 +171,37 @@ func TestFrameReaderMixedStream(t *testing.T) {
 	}
 }
 
-// BenchmarkWireBatch compares encode+decode cost of the two batch
-// codecs on a representative 64-tuple, arity-2 batch (the §7 evaluation
-// ships batches of tens of tuples several times a second per source).
+// TestFrameReaderScratchShrinks: one pathological frame must not pin its
+// high-water mark on the reader's payload buffer — the next ordinary
+// frame drops the scratch back under maxWireScratch.
+func TestFrameReaderScratchShrinks(t *testing.T) {
+	huge := randomBatch(rand.New(rand.NewSource(5)), maxWireScratch/8, 1) // payload well past the cap
+	small := randomBatch(rand.New(rand.NewSource(6)), 4, 1)
+	wire := appendBatchFrame(appendBatchFrame(nil, huge), small)
+	fr := newFrameReader(bytes.NewReader(wire))
+	if _, b, err := fr.next(); err != nil || b.Len() != huge.Len() {
+		t.Fatalf("oversized frame: %v %v", b, err)
+	}
+	if cap(fr.buf) <= maxWireScratch {
+		t.Fatalf("oversized frame fit the scratch cap (%d bytes): test shape is wrong", cap(fr.buf))
+	}
+	_, b, err := fr.next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchesEqualBits(t, "after-shrink", small, b)
+	if cap(fr.buf) > maxWireScratch {
+		t.Fatalf("reader scratch retains %d bytes after an oversized frame, cap is %d", cap(fr.buf), maxWireScratch)
+	}
+}
+
+// BenchmarkWireBatch measures encode+decode cost of the binary batch
+// codec, plain and pooled, on a representative 64-tuple, arity-2 batch
+// (the §7 evaluation ships batches of tens of tuples several times a
+// second per source).
 func BenchmarkWireBatch(b *testing.B) {
 	batch := randomBatch(rand.New(rand.NewSource(3)), 64, 2)
 
-	b.Run("json", func(b *testing.B) {
-		b.ReportAllocs()
-		var total int64
-		for i := 0; i < b.N; i++ {
-			p, err := json.Marshal(&Envelope{Kind: KindBatch, Batch: FromBatch(batch)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += int64(len(p))
-			var e Envelope
-			if err := json.Unmarshal(p, &e); err != nil {
-				b.Fatal(err)
-			}
-			if e.Batch.ToBatch().Len() != batch.Len() {
-				b.Fatal("length mismatch")
-			}
-		}
-		b.ReportMetric(float64(total)/float64(b.N), "wire-bytes/op")
-	})
 	b.Run("binary", func(b *testing.B) {
 		b.ReportAllocs()
 		var buf []byte

@@ -1,23 +1,101 @@
 // Allocation regression tests for the pooled data path: the steady-state
-// virtual-time tick must not touch the allocator at all, and the
-// overloaded step benchmark deployment must stay within a committed
-// budget (its residue is amortised buffer growth, not per-tick churn).
-// The CI benchmark-smoke stage runs these alongside the -benchmem
-// benchmarks; see BENCH_alloc.json for the recorded before/after.
+// virtual-time tick must not touch the allocator at all — plain, with
+// checkpoints every tick, and with 480 monitors sharing 24 fragment
+// instances — and the overloaded 24-node/48-query deployment must stay
+// within a committed budget (its residue is amortised buffer growth,
+// not per-tick churn). These are counts, not timings: what a step costs
+// is measured by `sh bench/run.sh`.
 package themis_test
 
 import (
 	"testing"
 
-	"repro/internal/experiments"
+	"repro/internal/federation"
+	"repro/internal/query"
+	"repro/internal/sources"
+	"repro/internal/stream"
 )
+
+// steadyEngine builds the small underloaded federation the
+// zero-allocation gates measure: tree and chain multi-fragment queries
+// plus a single-fragment aggregate across four nodes with capacity far
+// above load, so the shedder never runs. checkpoint > 0 snapshots
+// operator state at that cadence.
+func steadyEngine(checkpoint stream.Duration) *federation.Engine {
+	cfg := federation.Defaults()
+	cfg.Workers = 1
+	cfg.Seed = 3
+	cfg.Checkpoint = checkpoint
+	e := federation.NewEngine(cfg)
+	e.AddNodes(4, 1e6)
+	for _, d := range []struct {
+		plan      *query.Plan
+		placement []stream.NodeID
+	}{
+		{query.NewAvgAll(2, sources.Uniform), []stream.NodeID{0, 1}},
+		{query.NewAggregate(0, sources.Gaussian), []stream.NodeID{2}},
+		{query.NewCov(2, sources.Exponential), []stream.NodeID{3, 0}},
+	} {
+		if _, err := e.DeployQuery(d.plan, d.placement, 0); err != nil {
+			panic(err)
+		}
+	}
+	return e
+}
+
+// overloadedEngine builds the constantly shedding deployment: a 24-node
+// Emulab-style federation running 48 mixed complex queries of 1-3
+// fragments over PlanetLab traces, sequential compute phase.
+func overloadedEngine() *federation.Engine {
+	const nodes, queries = 24, 48
+	cfg := federation.Defaults()
+	cfg.Workers = 1
+	cfg.Seed = 7
+	e := federation.Emulab(cfg, nodes, 2000)
+	next := 0
+	for i := 0; i < queries; i++ {
+		k := 1 + i%3
+		plan := query.MixedComplex(i, k, sources.PlanetLab)
+		if _, err := e.DeployQuery(plan, federation.RoundRobinPlacement(&next, nodes, k), 0); err != nil {
+			panic(err)
+		}
+	}
+	return e
+}
+
+// sharedMonitorsEngine submits n single-fragment CQL monitors of four
+// shapes round-robin across 24 underloaded nodes with full sharing, so
+// queries agreeing mod 24 collapse onto one executing instance.
+func sharedMonitorsEngine(n int) *federation.Engine {
+	const nodes = 24
+	shapes := []string{
+		"Select Avg(t.v) From Src [Range 2 sec Slide 500 ms]",
+		"Select Count(t.v) From Src [Range 2 sec Slide 500 ms]",
+		"Select Max(t.v) From Src [Range 1 sec]",
+		"Select Avg(t.v) From Src [Rows 200]",
+	}
+	cfg := federation.Defaults()
+	cfg.Workers = 1
+	cfg.Seed = 11
+	cfg.Sharing = federation.SharingFull
+	cfg.SourceRate = 100
+	e := federation.NewEngine(cfg)
+	e.AddNodes(nodes, 1e9)
+	for i := 0; i < n; i++ {
+		if _, err := e.SubmitCQL(shapes[i%len(shapes)], 1, int(sources.Uniform), 0,
+			[]stream.NodeID{stream.NodeID(i % nodes)}); err != nil {
+			panic(err)
+		}
+	}
+	return e
+}
 
 // TestSteadyStateZeroAlloc is the tentpole acceptance gate: once the
 // pool is warm, a virtual-time Engine.Step performs zero heap
 // allocations — batches cycle through stream.Pool, per-tick accounting
 // is flat, and every emission lands in reused storage.
 func TestSteadyStateZeroAlloc(t *testing.T) {
-	e := experiments.SteadyStateEngine()
+	e := steadyEngine(0)
 	for i := 0; i < 400; i++ { // warm: pool, arenas, window caps stabilise
 		e.Step()
 	}
@@ -33,7 +111,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 // per-operator Snapshot implementations write into them without
 // spilling per-tick scratch to the heap.
 func TestCheckpointSteadyStateZeroAlloc(t *testing.T) {
-	e := experiments.SteadyStateCheckpointEngine()
+	e := steadyEngine(federation.Defaults().Interval)
 	for i := 0; i < 400; i++ {
 		e.Step()
 	}
@@ -46,7 +124,7 @@ func TestCheckpointSteadyStateZeroAlloc(t *testing.T) {
 // over a long run: a missing Release anywhere in the engine/node/outbox
 // chain would grow it linearly with ticks.
 func TestSteadyStateNoBatchLeak(t *testing.T) {
-	e := experiments.SteadyStateEngine()
+	e := steadyEngine(0)
 	for i := 0; i < 200; i++ {
 		e.Step()
 	}
@@ -61,21 +139,45 @@ func TestSteadyStateNoBatchLeak(t *testing.T) {
 	}
 }
 
-// TestStepBenchAllocBudget is the CI smoke threshold for the overloaded
-// 24-node/48-query benchmark deployment (constant shedding, PlanetLab
-// traces): steady-state allocations per step must stay under budget.
-// The pre-pool baseline was ~5200 allocs/step; the committed budget
-// leaves room only for rare amortised buffer growth.
-func TestStepBenchAllocBudget(t *testing.T) {
+// TestOverloadedStepAllocBudget bounds the overloaded 24-node/48-query
+// deployment (constant shedding, PlanetLab traces): steady-state
+// allocations per step must stay under budget. The pre-pool baseline
+// was ~5200 allocs/step; the committed budget leaves room only for rare
+// amortised buffer growth.
+func TestOverloadedStepAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-scale deployment")
 	}
 	const budget = 64.0
-	e := experiments.NewStepBenchEngine(1)
-	for i := 0; i < 300; i++ {
+	e := overloadedEngine()
+	for i := 0; i < 340; i++ {
 		e.Step()
 	}
 	if avg := testing.AllocsPerRun(200, func() { e.Step() }); avg > budget {
 		t.Fatalf("overloaded Engine.Step allocates %.1f objects/step, budget %.0f", avg, budget)
+	}
+}
+
+// TestSharedSteadyStateZeroAlloc extends the zero-alloc gate to the
+// shared data path: 480 monitors riding 24 deduplicated fragment
+// instances must still tick without touching the allocator — fan-out
+// views, refcounted releases and per-subscriber SIC accounting all cycle
+// through pooled storage.
+func TestSharedSteadyStateZeroAlloc(t *testing.T) {
+	e := sharedMonitorsEngine(480)
+	instances, subs := 0, 0
+	for ni := 0; ni < e.NumNodes(); ni++ {
+		ss := e.Node(stream.NodeID(ni)).StateSize()
+		instances += ss.SharedInstances
+		subs += ss.Subscriptions
+	}
+	if instances != 24 || subs != 480-24 {
+		t.Fatalf("480 monitors: %d instances, %d subscriptions; want 24 and 456", instances, subs)
+	}
+	for i := 0; i < 200; i++ { // warm: pool, windows, fan-out views stabilise
+		e.Step()
+	}
+	if avg := testing.AllocsPerRun(200, func() { e.Step() }); avg != 0 {
+		t.Fatalf("shared steady-state Engine.Step allocates %.2f objects/step, want 0", avg)
 	}
 }

@@ -8,7 +8,6 @@
 package themis_test
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -117,25 +116,6 @@ func BenchmarkDynamicWorkload(b *testing.B) {
 		if _, err := experiments.DynamicWorkload(benchScale, 1); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkStepParallel measures the two-phase tick pipeline across
-// compute-phase worker counts on a 24-node deployment running 48 mixed
-// complex queries (1-3 fragments each). Every worker count computes
-// bit-identical results (federation.TestDeterministicAcrossWorkerCounts);
-// the benchmark isolates the wall-clock effect of parallelising node
-// ticks. Speedup requires cores: under GOMAXPROCS=1 all rows converge.
-// See BENCH_step.json for the recorded trajectory.
-func BenchmarkStepParallel(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			e := experiments.NewStepBenchEngine(w)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Step()
-			}
-		})
 	}
 }
 

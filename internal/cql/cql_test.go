@@ -98,28 +98,31 @@ func TestParseWindowVariants(t *testing.T) {
 	}
 }
 
+// parseErrorCases are statements the parser must reject, with the
+// fragment the error must mention.
+var parseErrorCases = []struct {
+	src  string
+	frag string // expected error substring
+}{
+	{"", "expected \"select\""},
+	{"Select", "aggregate function"},
+	{"Select Avg", "("},
+	{"Select Avg(t.v)", "from"},
+	{"Select Avg(t.v) from", "stream name"},
+	{"Select Avg(t.v) from Src[Range]", "duration value"},
+	{"Select Avg(t.v) from Src[Range 1]", "time unit"},
+	{"Select Avg(t.v) from Src[Range 0 sec]", "positive"},
+	{"Select Avg(t.v) from Src[Wat 1 sec]", "Range or Rows"},
+	{"Select Avg(t.v) from Src extra", "trailing"},
+	{"Select Top0(x.id) from A, B", "bad top-k"},
+	{"Select Avg(t.v) from Src where t.v > a.b and", "'='"},
+	{"Select Avg(t.v) from Src having t.v ! 5", "unexpected character"},
+	{"Select Avg(t.v) from Src where t.v = 1 and", "field reference"},
+	{"Select Avg(t.v) from Src where t.v >= a.b", "'='"},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		src  string
-		frag string // expected error substring
-	}{
-		{"", "expected \"select\""},
-		{"Select", "aggregate function"},
-		{"Select Avg", "("},
-		{"Select Avg(t.v)", "from"},
-		{"Select Avg(t.v) from", "stream name"},
-		{"Select Avg(t.v) from Src[Range]", "duration value"},
-		{"Select Avg(t.v) from Src[Range 1]", "time unit"},
-		{"Select Avg(t.v) from Src[Range 0 sec]", "positive"},
-		{"Select Avg(t.v) from Src[Wat 1 sec]", "Range or Rows"},
-		{"Select Avg(t.v) from Src extra", "trailing"},
-		{"Select Top0(x.id) from A, B", "bad top-k"},
-		{"Select Avg(t.v) from Src where t.v > a.b and", "'='"},
-		{"Select Avg(t.v) from Src having t.v ! 5", "unexpected character"},
-		{"Select Avg(t.v) from Src where t.v = 1 and", "field reference"},
-		{"Select Avg(t.v) from Src where t.v >= a.b", "'='"},
-	}
-	for _, c := range cases {
+	for _, c := range parseErrorCases {
 		_, err := Parse(c.src)
 		if err == nil {
 			t.Errorf("%q: no error", c.src)
@@ -184,19 +187,21 @@ func TestPlanShapes(t *testing.T) {
 	}
 }
 
+// planErrorCases parse (or not) but must never plan.
+var planErrorCases = []string{
+	"Select Avg(t.v) from Nope[Range 1 sec]",                                            // unknown stream
+	"Select Avg(t.nope) from Src[Range 1 sec]",                                          // unknown field
+	"Select Avg(t.v) from Src[Range 1 sec], AllSrc[Range 1 sec]",                        // two streams for scalar agg
+	"Select Cov(SrcCPU1.value, AllSrc.v) from SrcCPU1, AllSrc",                          // multi-source cov input
+	"Select Top5(AllSrcCPU.id) From AllSrcCPU, AllSrcMem",                               // top-k without join
+	"Select Median(t.v) from Src",                                                       // unsupported aggregate
+	"Select Avg(t.v) from Src where t.v >= 5",                                           // WHERE on single stream
+	"Select Top5(Wrong.id) From AllSrcCPU, AllSrcMem Where AllSrcCPU.id = AllSrcMem.id", // bad key stream
+}
+
 func TestPlanErrors(t *testing.T) {
 	cat := DefaultCatalog(sources.Gaussian)
-	cases := []string{
-		"Select Avg(t.v) from Nope[Range 1 sec]",                                            // unknown stream
-		"Select Avg(t.nope) from Src[Range 1 sec]",                                          // unknown field
-		"Select Avg(t.v) from Src[Range 1 sec], AllSrc[Range 1 sec]",                        // two streams for scalar agg
-		"Select Cov(SrcCPU1.value, AllSrc.v) from SrcCPU1, AllSrc",                          // multi-source cov input
-		"Select Top5(AllSrcCPU.id) From AllSrcCPU, AllSrcMem",                               // top-k without join
-		"Select Median(t.v) from Src",                                                       // unsupported aggregate
-		"Select Avg(t.v) from Src where t.v >= 5",                                           // WHERE on single stream
-		"Select Top5(Wrong.id) From AllSrcCPU, AllSrcMem Where AllSrcCPU.id = AllSrcMem.id", // bad key stream
-	}
-	for _, q := range cases {
+	for _, q := range planErrorCases {
 		st, err := Parse(q)
 		if err != nil {
 			continue // parse-level rejection is fine too

@@ -17,7 +17,6 @@ package cql
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // tokenKind classifies lexer output.
@@ -54,9 +53,9 @@ type lexer struct {
 func lex(src string) ([]token, error) {
 	l := &lexer{src: src}
 	for l.pos < len(l.src) {
-		c := rune(l.src[l.pos])
+		c := l.src[l.pos]
 		switch {
-		case unicode.IsSpace(c):
+		case isSpace(c):
 			l.pos++
 		case c == ',':
 			l.emit(tokComma, ",")
@@ -77,20 +76,20 @@ func lex(src string) ([]token, error) {
 				l.pos++
 			}
 			l.toks = append(l.toks, token{tokOp, l.src[start:l.pos], start})
-		case unicode.IsDigit(c):
+		case isDigit(c):
 			start := l.pos
-			for l.pos < len(l.src) && (unicode.IsDigit(rune(l.src[l.pos])) || l.src[l.pos] == '.' || l.src[l.pos] == ',' && l.isDigitGroup()) {
+			for l.pos < len(l.src) && (isDigit(l.src[l.pos]) || l.src[l.pos] == '.' || l.src[l.pos] == ',' && l.isDigitGroup()) {
 				l.pos++
 			}
 			l.toks = append(l.toks, token{tokNumber, strings.ReplaceAll(l.src[start:l.pos], ",", ""), start})
-		case unicode.IsLetter(c) || c == '_':
+		case isLetter(c):
 			start := l.pos
-			for l.pos < len(l.src) && (unicode.IsLetter(rune(l.src[l.pos])) || unicode.IsDigit(rune(l.src[l.pos])) || l.src[l.pos] == '_') {
+			for l.pos < len(l.src) && (isLetter(l.src[l.pos]) || isDigit(l.src[l.pos])) {
 				l.pos++
 			}
 			l.toks = append(l.toks, token{tokIdent, l.src[start:l.pos], start})
 		default:
-			return nil, fmt.Errorf("cql: unexpected character %q at offset %d", c, l.pos)
+			return nil, fmt.Errorf("cql: unexpected character %q at offset %d", rune(c), l.pos)
 		}
 	}
 	l.toks = append(l.toks, token{tokEOF, "", len(l.src)})
@@ -101,8 +100,15 @@ func lex(src string) ([]token, error) {
 // a digit-grouped literal like 100,000 (Table 1 writes thresholds this
 // way).
 func (l *lexer) isDigitGroup() bool {
-	return l.pos+1 < len(l.src) && unicode.IsDigit(rune(l.src[l.pos+1]))
+	return l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])
 }
+
+// The language is ASCII: the lexer walks bytes, so classifying a byte
+// >= 0x80 through package unicode would read it as the Latin-1 rune of
+// the same value and let half a UTF-8 sequence into an identifier.
+func isSpace(c byte) bool  { return c == ' ' || '\t' <= c && c <= '\r' }
+func isDigit(c byte) bool  { return '0' <= c && c <= '9' }
+func isLetter(c byte) bool { return 'a' <= c|0x20 && c|0x20 <= 'z' || c == '_' }
 
 func (l *lexer) emit(k tokenKind, text string) {
 	l.toks = append(l.toks, token{k, text, l.pos})

@@ -26,39 +26,43 @@ var table1Statements = []string{
 	"Select Count(t.v) From Src[Range 1 sec] Having t.v < 12.75",
 }
 
-// TestStringParseFixedPoint checks that parse → String → parse is a fixed
-// point: the re-parsed statement is structurally identical and its
-// rendering is stable (String(parse(String(st))) == String(st)).
-func TestStringParseFixedPoint(t *testing.T) {
-	check := func(t *testing.T, src string) {
-		t.Helper()
-		st1, err := Parse(src)
-		if err != nil {
-			t.Fatalf("parse %q: %v", src, err)
-		}
-		canon := st1.String()
-		st2, err := Parse(canon)
-		if err != nil {
-			t.Fatalf("canonical form %q of %q does not re-parse: %v", canon, src, err)
-		}
-		if !reflect.DeepEqual(st1, st2) {
-			t.Fatalf("re-parse of %q changed the statement:\n  canon: %s\n  st1: %+v\n  st2: %+v", src, canon, st1, st2)
-		}
-		if again := st2.String(); again != canon {
-			t.Fatalf("String not a fixed point for %q: %q then %q", src, canon, again)
-		}
-		if sh1, sh2 := st1.Shape(), st2.Shape(); sh1 != sh2 {
-			t.Fatalf("Shape unstable across re-parse of %q: %q vs %q", src, sh1, sh2)
-		}
+// checkFixedPoint asserts that parse → String → parse is a fixed point
+// for a statement that parses: the re-parsed statement is structurally
+// identical and its rendering and shape are stable.
+func checkFixedPoint(t testing.TB, src string) {
+	t.Helper()
+	st1, err := Parse(src)
+	if err != nil {
+		t.Fatalf("parse %q: %v", src, err)
 	}
+	canon := st1.String()
+	st2, err := Parse(canon)
+	if err != nil {
+		t.Fatalf("canonical form %q of %q does not re-parse: %v", canon, src, err)
+	}
+	if !reflect.DeepEqual(st1, st2) {
+		t.Fatalf("re-parse of %q changed the statement:\n  canon: %s\n  st1: %+v\n  st2: %+v", src, canon, st1, st2)
+	}
+	if again := st2.String(); again != canon {
+		t.Fatalf("String not a fixed point for %q: %q then %q", src, canon, again)
+	}
+	if sh1, sh2 := st1.Shape(), st2.Shape(); sh1 != sh2 {
+		t.Fatalf("Shape unstable across re-parse of %q: %q vs %q", src, sh1, sh2)
+	}
+}
+
+// TestStringParseFixedPoint checks the fixed point
+// (String(parse(String(st))) == String(st)) on Table 1 and on randomly
+// assembled statements.
+func TestStringParseFixedPoint(t *testing.T) {
 	for _, src := range table1Statements {
-		check(t, src)
+		checkFixedPoint(t, src)
 	}
 
 	// Property test over randomly assembled statements.
 	rng := rand.New(rand.NewSource(61))
 	for i := 0; i < 500; i++ {
-		check(t, randomStatement(rng))
+		checkFixedPoint(t, randomStatement(rng))
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 
 	"repro/internal/federation"
@@ -32,29 +31,25 @@ import (
 
 // ChurnRow is one STW configuration's recovery measurement.
 type ChurnRow struct {
-	STWMs int64 `json:"stw_ms"`
+	STWMs int64
 	// Checkpoint reports whether operator-state checkpointing was on for
 	// this run: the engine snapshots every fragment's windows each tick
 	// and restores the displaced fragment from the newest snapshot, so
 	// recovery skips the STW refill entirely (PR 8).
-	Checkpoint bool `json:"checkpoint"`
+	Checkpoint bool
 	// KillTick is the engine tick at which the host died.
-	KillTick int64 `json:"kill_tick"`
+	KillTick int64
 	// PreKillSIC is the query's sliding SIC just before the failure.
-	PreKillSIC float64 `json:"pre_kill_sic"`
+	PreKillSIC float64
 	// DipSIC is the sliding SIC right after the recovery epoch reset.
-	DipSIC float64 `json:"dip_sic"`
+	DipSIC float64
 	// RecoveryTicks counts ticks from the kill until the sliding SIC
 	// regained 90% of its pre-kill level (-1: never within the run).
-	RecoveryTicks int64 `json:"recovery_ticks"`
-	// RecoveryMs is RecoveryTicks in virtual milliseconds.
-	RecoveryMs int64 `json:"recovery_ms"`
+	RecoveryTicks int64
 	// FullRecoveryTicks counts ticks from the kill until the sliding SIC
 	// settled back to 99% of its pre-kill level (-1: never within the
 	// horizon).
-	FullRecoveryTicks int64 `json:"full_recovery_ticks"`
-	// FullRecoveryMs is FullRecoveryTicks in virtual milliseconds.
-	FullRecoveryMs int64 `json:"full_recovery_ms"`
+	FullRecoveryTicks int64
 	// SettledTicks counts ticks from the kill until the sliding SIC
 	// reaches a plateau — stays within 0.5% absolute for the following
 	// two result slides (-1: never within the horizon). This is the
@@ -65,24 +60,20 @@ type ChurnRow struct {
 	// to the dead host — lost in transit, unrecoverable by any snapshot —
 	// retire from the sliding window one STW later, which is what
 	// FullRecoveryTicks then measures.
-	SettledTicks int64 `json:"settled_ticks"`
-	// SettledMs is SettledTicks in virtual milliseconds.
-	SettledMs int64 `json:"settled_ms"`
+	SettledTicks int64
 	// RecoveredSIC is the settled sliding SIC after recovery: the value
 	// at the 99% crossing, or at the measurement horizon if the query
 	// never settled. Unlike the quantised threshold-crossing value, this
 	// is the level the query actually recovers to.
-	RecoveredSIC float64 `json:"recovered_sic"`
+	RecoveredSIC float64
 }
 
 // ChurnResult records the recovery-time experiment.
 type ChurnResult struct {
-	Nodes      int        `json:"nodes"`
-	Fragments  int        `json:"fragments"`
-	IntervalMs int64      `json:"interval_ms"`
-	GOMAXPROCS int        `json:"gomaxprocs"`
-	NumCPU     int        `json:"num_cpu"`
-	Rows       []ChurnRow `json:"rows"`
+	Nodes      int
+	Fragments  int
+	IntervalMs int64
+	Rows       []ChurnRow
 }
 
 // ChurnRecovery kills the root fragment's host of a 3-fragment AVG-all
@@ -97,8 +88,7 @@ func ChurnRecovery(stws []stream.Duration, seed int64) (*ChurnResult, error) {
 		frags    = 3
 		interval = 100 * stream.Millisecond
 	)
-	res := &ChurnResult{Nodes: nodes, Fragments: frags, IntervalMs: int64(interval),
-		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
+	res := &ChurnResult{Nodes: nodes, Fragments: frags, IntervalMs: int64(interval)}
 	for _, stw := range stws {
 		for _, ckpt := range []bool{false, true} {
 			row, err := churnRun(stw, interval, seed, nodes, frags, ckpt)
@@ -120,7 +110,7 @@ func churnRun(stw, interval stream.Duration, seed int64, nodes, frags int, check
 	cfg.Seed = seed
 	if checkpoint {
 		// Checkpoint every tick: the restore is then at most one tick
-		// stale, the cadence the BENCH acceptance bound assumes.
+		// stale.
 		cfg.Checkpoint = interval
 	}
 	// Kill once the window has long filled: three STWs in.
@@ -155,11 +145,9 @@ func churnRun(stw, interval stream.Duration, seed int64, nodes, frags int, check
 		ticks := int64(i) + 1 // series[0] is one tick after the kill
 		if row.RecoveryTicks < 0 && s >= threshold {
 			row.RecoveryTicks = ticks
-			row.RecoveryMs = ticks * int64(interval)
 		}
 		if row.FullRecoveryTicks < 0 && s >= full {
 			row.FullRecoveryTicks = ticks
-			row.FullRecoveryMs = ticks * int64(interval)
 		}
 		if row.SettledTicks < 0 && i+2*slideTicks < len(series) {
 			flat := true
@@ -171,7 +159,6 @@ func churnRun(stw, interval stream.Duration, seed int64, nodes, frags int, check
 			}
 			if flat {
 				row.SettledTicks = ticks
-				row.SettledMs = ticks * int64(interval)
 				row.RecoveredSIC = s
 			}
 		}
@@ -187,11 +174,11 @@ func (r *ChurnResult) Render() string {
 	header := []string{"stw", "ckpt", "pre-kill SIC", "dip SIC", "90% recovery", "settled", "full (99%)", "recovered SIC"}
 	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
-		span := func(ticks, ms int64) string {
+		span := func(ticks int64) string {
 			if ticks < 0 {
 				return "never"
 			}
-			return fmt.Sprintf("%.1fs (%d ticks)", float64(ms)/1000, ticks)
+			return fmt.Sprintf("%.1fs (%d ticks)", float64(ticks*r.IntervalMs)/1000, ticks)
 		}
 		ckpt := "off"
 		if row.Checkpoint {
@@ -200,9 +187,7 @@ func (r *ChurnResult) Render() string {
 		rows = append(rows, []string{
 			fmt.Sprintf("%.0fs", float64(row.STWMs)/1000), ckpt,
 			f4(row.PreKillSIC), f4(row.DipSIC),
-			span(row.RecoveryTicks, row.RecoveryMs),
-			span(row.SettledTicks, row.SettledMs),
-			span(row.FullRecoveryTicks, row.FullRecoveryMs),
+			span(row.RecoveryTicks), span(row.SettledTicks), span(row.FullRecoveryTicks),
 			f4(row.RecoveredSIC),
 		})
 	}

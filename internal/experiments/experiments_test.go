@@ -295,8 +295,8 @@ func TestChurnRecoveryExperiment(t *testing.T) {
 	}
 	// Rows alternate off/on per STW. Window refill dominates the legacy
 	// recovery: a 2 s STW must take longer than 1 s.
-	if res.Rows[2].RecoveryMs <= res.Rows[0].RecoveryMs {
-		t.Errorf("recovery %d ms (2s STW) not above %d ms (1s STW)", res.Rows[2].RecoveryMs, res.Rows[0].RecoveryMs)
+	if res.Rows[2].RecoveryTicks <= res.Rows[0].RecoveryTicks {
+		t.Errorf("recovery %d ticks (2s STW) not above %d ticks (1s STW)", res.Rows[2].RecoveryTicks, res.Rows[0].RecoveryTicks)
 	}
 }
 

@@ -123,3 +123,18 @@ func (r *Sec76Result) CSV(w *CSVWriter, name string) error {
 		{"coordinator_traffic_bytes", fmt.Sprint(r.CoordinatorTraffic)},
 	})
 }
+
+// CSV writes the node-churn recovery sweep, spans in ticks (-1: never).
+func (r *ChurnResult) CSV(w *CSVWriter, name string) error {
+	rows := make([][]string, 0, len(r.Rows))
+	for _, row := range r.Rows {
+		rows = append(rows, []string{
+			fmt.Sprint(row.STWMs), fmt.Sprint(row.Checkpoint),
+			f4(row.PreKillSIC), f4(row.DipSIC),
+			fmt.Sprint(row.RecoveryTicks), fmt.Sprint(row.SettledTicks), fmt.Sprint(row.FullRecoveryTicks),
+			f4(row.RecoveredSIC),
+		})
+	}
+	return w.write(name, []string{"stw_ms", "checkpoint", "pre_kill_sic", "dip_sic",
+		"recovery_ticks", "settled_ticks", "full_recovery_ticks", "recovered_sic"}, rows)
+}

@@ -71,11 +71,20 @@ func TestCSVExport(t *testing.T) {
 	if err := s76.CSV(w, "sec76"); err != nil {
 		t.Fatal(err)
 	}
+	ch := &ChurnResult{IntervalMs: 100, Rows: []ChurnRow{{STWMs: 5000, Checkpoint: true, PreKillSIC: 1, DipSIC: 1,
+		RecoveryTicks: 1, SettledTicks: 10, FullRecoveryTicks: -1, RecoveredSIC: 0.8667}}}
+	if err := ch.CSV(w, "churn"); err != nil {
+		t.Fatal(err)
+	}
+	data, _ = os.ReadFile(filepath.Join(dir, "churn.csv"))
+	if !strings.Contains(string(data), "5000,true,1.0000,1.0000,1,10,-1,0.8667") {
+		t.Errorf("churn csv: %q", string(data))
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 7 {
-		t.Errorf("csv files: %d, want 7", len(entries))
+	if len(entries) != 8 {
+		t.Errorf("csv files: %d, want 8", len(entries))
 	}
 }

@@ -17,7 +17,7 @@ import (
 // epoch resets are skipped: the query's surviving engine-side accumulator
 // stays valid, and the SIC dip is only the mass lost since the last
 // checkpoint plus in-transit drops — settled recovery within ~2 slides
-// regardless of STW length (BENCH_churn.json).
+// regardless of STW length (themis-bench -run churn).
 //
 // Checkpoint ticks stay inside the steady-state zero-allocation budget:
 // the slot list, the encoder buffer and each record's byte buffer are

@@ -179,6 +179,47 @@ func TestSharingNonLeafDedup(t *testing.T) {
 	}
 }
 
+// TestSubmitPlanCacheCounts pins the submit path's plan cache by its
+// counters: N submissions of one statement plan once and hit N-1 times,
+// a different shape misses once more, and a membership epoch (node
+// kill) invalidates, so the next submission of a known statement plans
+// again.
+func TestSubmitPlanCacheCounts(t *testing.T) {
+	cfg := Defaults()
+	cfg.SourceRate = 20
+	cfg.Seed = 42
+	cfg.Sharing = SharingFull
+	e := NewEngine(cfg)
+	e.AddNodes(4, 1e8)
+	submit := func(text string, i int) {
+		t.Helper()
+		if _, err := e.SubmitCQL(text, 1, 1, 0, []stream.NodeID{stream.NodeID(i % 3)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when string, misses, hits uint64) {
+		t.Helper()
+		if got := e.PlanCacheStats(); got.Misses != misses || got.Hits != hits {
+			t.Fatalf("%s: %d misses, %d hits; want %d and %d", when, got.Misses, got.Hits, misses, hits)
+		}
+	}
+	const n = 50
+	for i := 0; i < n; i++ {
+		submit(sharingShapes[0], i)
+	}
+	check("same statement", 1, n-1)
+	submit(sharingShapes[1], 0)
+	check("new shape", 2, n-1)
+	// Same shape, different text: the shape-level cache still hits.
+	submit("Select  Avg(t.v)  From Src[Range 1 sec]", 1)
+	check("same shape, new text", 2, n)
+	e.KillNode(3)
+	submit(sharingShapes[0], 2)
+	check("after KillNode", 3, n)
+	submit(sharingShapes[0], 3)
+	check("re-warmed", 3, n+1)
+}
+
 // TestSharingScaledAcrossRates checks the rate-scaled mode: queries whose
 // shapes differ only in rate collapse onto one instance (SharingFull
 // keeps them apart via its rate pin), and each rider's SIC index lands at

@@ -100,9 +100,19 @@ func FuzzWireCodec(f *testing.F) {
 // would put on the wire, so hostile field values reach the host exactly
 // as written.
 func deployFrame(q, frag, fragments int, cqlText string) string {
-	return fmt.Sprintf(`{"kind":"deploy","deploy":{"query":%d,"frag":%d,"cql":%q,"fragments":%d,`+
-		`"dataset":1,"rate":50,"batches_per_sec":4,"stw_ms":2000,"interval_ms":50}}`, q, frag, cqlText, fragments)
+	return deployFrameAt(q, frag, fragments, cqlText, 50, 4)
 }
+
+// deployFrameAt is deployFrame with the source rate (tuples/s) and
+// batches/s spelled out.
+func deployFrameAt(q, frag, fragments int, cqlText string, rate, batches float64) string {
+	return fmt.Sprintf(`{"kind":"deploy","deploy":{"query":%d,"frag":%d,"cql":%q,"fragments":%d,`+
+		`"dataset":1,"rate":%g,"batches_per_sec":%g,"stw_ms":2000,"interval_ms":50}}`, q, frag, cqlText, fragments, rate, batches)
+}
+
+// hostileQuery is the first query id the hostile deploy rows use; valid
+// deploys in these tests stay below it.
+const hostileQuery = 900
 
 // hostileFrames are control-frame payloads no correct controller or peer
 // sends. A host must ignore or reject each and keep serving. The start
@@ -116,6 +126,9 @@ var hostileFrames = []struct{ name, payload string }{
 	{"fragments 1<<30", deployFrame(903, 0, 1<<30, avgAllCQL)},
 	{"empty cql", deployFrame(904, 0, 1, "")},
 	{"malformed cql", deployFrame(905, 0, 1, "Select Bogus(")},
+	{"rate 1e308", deployFrameAt(906, 0, 1, avgCQL, 1e308, 4)},
+	{"rate just above the bound", deployFrameAt(907, 0, 1, avgCQL, maxDeployRate+1, 4)},
+	{"batches/s above the bound", deployFrameAt(908, 0, 1, avgCQL, 50, 1e8)},
 	{"unknown kind", `{"kind":"nope","deploy":{"frag":-1}}`},
 	{"no kind", `{}`},
 	{"null", `null`},
@@ -139,13 +152,14 @@ func validDeploy(q stream.QueryID) *Deploy {
 	return &Deploy{Query: q, CQL: avgCQL, Fragments: 1, Dataset: 1, Rate: 50, Batches: 4, STWMs: 2000, IntervalMs: 50}
 }
 
-// hosts reports whether the server runs a fragment of query q.
-func hosts(s *NodeServer, q stream.QueryID) bool {
+// hosts reports whether the server runs a fragment of a query with an
+// id in [lo, hi].
+func hosts(s *NodeServer, lo, hi stream.QueryID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	found := false
 	if s.nd != nil {
-		s.nd.ForEachFragment(func(fq stream.QueryID, _ stream.FragID) { found = found || fq == q })
+		s.nd.ForEachFragment(func(q stream.QueryID, _ stream.FragID) { found = found || (lo <= q && q <= hi) })
 	}
 	return found
 }
@@ -172,12 +186,12 @@ func TestHostSurvivesHostileFrames(t *testing.T) {
 		if err := c.send(&Envelope{Kind: KindDeploy, Deploy: validDeploy(q)}); err != nil {
 			t.Fatalf("%s: deploy after hostile frame: %v", h.name, err)
 		}
-		for deadline := time.Now().Add(5 * time.Second); !hosts(srv, q); time.Sleep(time.Millisecond) {
+		for deadline := time.Now().Add(5 * time.Second); !hosts(srv, q, q); time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Fatalf("%s: a valid deploy after the hostile frame never landed", h.name)
 			}
 		}
-		if hosts(srv, stream.QueryID(900+i)) {
+		if hosts(srv, hostileQuery, 1<<30) {
 			t.Errorf("%s: the hostile deploy was hosted", h.name)
 		}
 		if got := srv.pool.Live(); got != live {

@@ -237,29 +237,41 @@ func TestDialCooldown(t *testing.T) {
 // TestSteadyStateSendZeroAlloc gates the pooled write path: once the
 // buffer free list, queue slices and vectored-write scratch are warm,
 // routing a batch and flushing it to a live peer performs zero heap
-// allocations.
+// allocations. testing.AllocsPerRun counts mallocs process-wide, so the
+// receiving end must not allocate either: it reads the socket into one
+// fixed buffer instead of decoding frames, and the measurement starts
+// only after it has accepted the connection.
 func TestSteadyStateSendZeroAlloc(t *testing.T) {
-	peer := newFakePeer(t, "127.0.0.1:0")
-	s := queuedServer(t, peer.ln.Addr().String(), 0, 0)
-	drain := func() {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	accepted := make(chan struct{})
+	go func() {
+		buf := make([]byte, 64<<10)
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		close(accepted)
 		for {
-			select {
-			case <-peer.got:
-			default:
-				return
+			if _, err := nc.Read(buf); err != nil {
+				return // the sender's Close ends the test
 			}
 		}
-	}
+	}()
+	s := queuedServer(t, ln.Addr().String(), 0, 0)
 	b := queryBatch(1, 64)
 	for i := 0; i < 50; i++ { // warm: conn, free list, spare slices, iovec cache
 		s.RouteDownstream(0, b)
 		s.flushPeers()
-		drain()
 	}
+	<-accepted
 	avg := testing.AllocsPerRun(200, func() {
 		s.RouteDownstream(0, b)
 		s.flushPeers()
-		drain()
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state route+flush allocates %.2f objects/op, want 0", avg)

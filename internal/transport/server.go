@@ -299,11 +299,21 @@ func (s *NodeServer) enqueue(b *stream.Batch) {
 	b.Release()
 }
 
-// maxDeployFragments bounds the fragment count a deploy frame may name:
-// the planner allocates per fragment, and fragments of one query sit on
-// distinct nodes, so anything beyond a large federation's size is a
-// corrupt or hostile frame.
-const maxDeployFragments = 1024
+// Bounds on what a deploy frame may ask of a host; anything beyond them
+// is a corrupt or hostile frame, rejected before it costs anything.
+const (
+	// maxDeployFragments bounds the fragment count a frame may name: the
+	// planner allocates per fragment, and fragments of one query sit on
+	// distinct nodes, so this is a large federation's size.
+	maxDeployFragments = 1024
+	// maxDeployRate bounds tuples/s and batches/s per source: a started
+	// node plans rate × interval tuples every tick, so an absurd rate
+	// (1e308 parses as valid JSON) would wedge or overflow the tick.
+	maxDeployRate = 1e7
+	// maxHostedFragments bounds the fragments one host runs or rides,
+	// the per-host state no single frame bounds.
+	maxHostedFragments = 1 << 16
+)
 
 // handleDeploy hosts one fragment of a query. The travelling CQL text is
 // re-parsed and re-planned (deterministically, so every host node derives
@@ -320,8 +330,8 @@ func (s *NodeServer) handleDeploy(d *Deploy) error {
 	if d.Fragments < 1 || d.Fragments > maxDeployFragments {
 		return fmt.Errorf("fragment count %d outside [1, %d]", d.Fragments, maxDeployFragments)
 	}
-	if !(d.Rate > 0 && d.Batches > 0) {
-		return fmt.Errorf("source rate %g tuples/s in %g batches/s: both must be positive", d.Rate, d.Batches)
+	if !(d.Rate > 0 && d.Rate <= maxDeployRate && d.Batches > 0 && d.Batches <= maxDeployRate) {
+		return fmt.Errorf("source rate %g tuples/s in %g batches/s: both must be in (0, %g]", d.Rate, d.Batches, float64(maxDeployRate))
 	}
 	ds := sources.Dataset(d.Dataset)
 	plan, _, err := s.plans.PlanDistributed(d.CQL, cql.DefaultCatalog(ds), ds.String(), d.Fragments)
@@ -335,6 +345,8 @@ func (s *NodeServer) handleDeploy(d *Deploy) error {
 	defer s.mu.Unlock()
 	if s.nd == nil {
 		s.initNode(d.STWMs, d.IntervalMs)
+	} else if ss := s.nd.StateSize(); ss.Fragments+ss.Subscriptions >= maxHostedFragments {
+		return fmt.Errorf("host is at its cap of %d hosted fragments", maxHostedFragments)
 	}
 	if d.CheckpointMs > 0 {
 		s.ckptMs = d.CheckpointMs

@@ -1,6 +1,8 @@
 package federation
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -134,6 +136,50 @@ func TestCheckpointRecoveryBeatsLegacy(t *testing.T) {
 	// slides into a 20 s STW it can only have refilled ~10% of it.
 	if got := legacy.CurrentSIC(q); got > 0.5*pre {
 		t.Errorf("legacy SIC %.4f two slides after the kill — refill finished implausibly fast", got)
+	}
+}
+
+// TestCheckpointVersion1FallsBackToLegacy: a checkpoint bank written by a
+// build with snapshot version 1 (buffered tuples where version 2 holds
+// folded accumulators) must be refused at restore, and the query must then
+// take the empty-window recovery epoch — the same trajectory, bit for bit,
+// as a run that never checkpointed.
+func TestCheckpointVersion1FallsBackToLegacy(t *testing.T) {
+	const (
+		stw      = 5 * stream.Second
+		interval = 100 * stream.Millisecond
+	)
+	killTick := 2 * int64(stw) / int64(interval)
+	old, q := ckptChurnEngine(t, stw, interval, interval, killTick)
+	legacy, _ := ckptChurnEngine(t, stw, interval, 0, killTick)
+	for i := int64(0); i < killTick; i++ {
+		old.Step()
+		legacy.Step()
+	}
+	downgraded := 0
+	for _, rec := range old.ckptRecs {
+		if !rec.valid {
+			continue
+		}
+		body := rec.data[:len(rec.data)-8]
+		body[0] = 1
+		h := fnv.New64a()
+		h.Write(body)
+		rec.data = binary.LittleEndian.AppendUint64(body, h.Sum64())
+		downgraded++
+	}
+	if downgraded == 0 {
+		t.Fatal("no checkpoint record to downgrade")
+	}
+	for i := int64(0); i < 2*int64(stw)/int64(interval); i++ {
+		old.Step()
+		legacy.Step()
+		if a, b := old.CurrentSIC(q), legacy.CurrentSIC(q); a != b {
+			t.Fatalf("t+%d: SIC %v after refusing the version-1 bank, %v on the legacy path", i, a, b)
+		}
+	}
+	if got := old.CurrentSIC(q); got < 0.9 {
+		t.Errorf("SIC %.3f one STW after the fallback, want the refilled window", got)
 	}
 }
 

@@ -213,7 +213,8 @@ type Node struct {
 	// accts and acctIdx are the flat per-query accounting: accts is
 	// sorted by query id (so outbox deltas emit in deterministic order
 	// without a per-tick sort) and acctIdx maps a query to its slot.
-	// Rebuilt on host/remove, zeroed in place every tick.
+	// A query holds a slot while hostedQ counts a reference to it
+	// (addQueryRef/dropQueryRef); slots are zeroed in place every tick.
 	accts   []queryAcct
 	acctIdx map[stream.QueryID]int32
 	// extraAcct picks up batches of queries with no hosted fragment —
@@ -329,27 +330,28 @@ func (n *Node) NoteDropped(tuples int, sicMass float64) {
 // Shedder returns the node's shedding policy.
 func (n *Node) Shedder() core.Shedder { return n.shedder }
 
-// rebuildAccts re-derives the flat accounting table from the hosted
-// fragments and their subscriptions: one slot per distinct query,
-// ascending query id. Cold path — it runs on deploy and teardown, never
-// per tick.
-func (n *Node) rebuildAccts() {
-	n.accts = n.accts[:0]
-	clear(n.acctIdx)
-	add := func(q stream.QueryID) {
-		if _, ok := n.acctIdx[q]; !ok {
-			n.acctIdx[q] = 0 // placeholder; indices assigned after sort
-			n.accts = append(n.accts, queryAcct{q: q})
-		}
+// addQueryRef takes one fragment-or-subscription reference on q. A
+// query's first reference gives it its accounting slot: accts stays
+// sorted by query id, so the slot is inserted in place and only the slots
+// behind it are re-indexed — none at all for a fresh, highest id, which
+// keeps filling a host linear in the number of deploys.
+func (n *Node) addQueryRef(q stream.QueryID) {
+	refs := n.hostedQ[q] + 1
+	n.hostedQ[q] = refs
+	if refs > 1 {
+		return
 	}
-	for _, k := range n.fragOrder {
-		add(k.q)
-		for _, s := range n.frags[k].subs {
-			add(s.q)
-		}
-	}
-	sort.Slice(n.accts, func(i, j int) bool { return n.accts[i].q < n.accts[j].q })
-	for i := range n.accts {
+	i := sort.Search(len(n.accts), func(i int) bool { return n.accts[i].q >= q })
+	n.accts = append(n.accts, queryAcct{})
+	copy(n.accts[i+1:], n.accts[i:])
+	n.accts[i] = queryAcct{q: q}
+	n.reindexAccts(i)
+}
+
+// reindexAccts re-points acctIdx at the slots from i on, after an insert
+// or a removal shifted them.
+func (n *Node) reindexAccts(i int) {
+	for ; i < len(n.accts); i++ {
 		n.acctIdx[n.accts[i].q] = int32(i)
 	}
 }
@@ -375,7 +377,7 @@ func (n *Node) HostFragmentShared(q stream.QueryID, f stream.FragID, exec *query
 	key := fragKey{q, f}
 	if _, dup := n.frags[key]; !dup {
 		n.fragOrder = append(n.fragOrder, key)
-		n.hostedQ[q]++
+		n.addQueryRef(q)
 	}
 	inst := &fragInstance{
 		exec:           exec,
@@ -396,7 +398,6 @@ func (n *Node) HostFragmentShared(q stream.QueryID, f stream.FragID, exec *query
 			n.shared[shareKey] = key
 		}
 	}
-	n.rebuildAccts()
 }
 
 // AttachShared subscribes fragment (q, f) to an existing shared instance
@@ -428,8 +429,7 @@ func (n *Node) AttachShared(shareKey string, q stream.QueryID, f stream.FragID,
 		emit: emit, scale: scale,
 	})
 	n.subOf[fragKey{q, f}] = pk
-	n.hostedQ[q]++
-	n.rebuildAccts()
+	n.addQueryRef(q)
 	return true
 }
 
@@ -489,7 +489,6 @@ func (n *Node) RemoveFragment(q stream.QueryID, f stream.FragID) {
 			}
 		}
 		n.dropQueryRef(q)
-		n.rebuildAccts()
 		return
 	}
 	inst, ok := n.frags[key]
@@ -533,17 +532,22 @@ func (n *Node) RemoveFragment(q stream.QueryID, f stream.FragID) {
 	n.ib = ib
 	n.ibTuples = tuples
 	n.dropQueryRef(q)
-	n.rebuildAccts()
 }
 
 // dropQueryRef releases one fragment-or-subscription reference on q,
-// clearing the query's residual state when the last reference drops.
+// clearing the query's residual state and its accounting slot when the
+// last reference drops.
 func (n *Node) dropQueryRef(q stream.QueryID) {
 	if c := n.hostedQ[q] - 1; c > 0 {
 		n.hostedQ[q] = c
-	} else {
-		delete(n.hostedQ, q)
-		delete(n.knownSIC, q)
+		return
+	}
+	delete(n.hostedQ, q)
+	delete(n.knownSIC, q)
+	if i, ok := n.acctIdx[q]; ok {
+		delete(n.acctIdx, q)
+		n.accts = append(n.accts[:i], n.accts[i+1:]...)
+		n.reindexAccts(int(i))
 	}
 }
 
@@ -586,6 +590,10 @@ func (n *Node) promote(key fragKey, inst *fragInstance) {
 	inst.downstream, inst.downstreamPort = sub.downstream, sub.downstreamPort
 	delete(n.frags, key)
 	n.frags[newKey] = inst
+	// The remaining subscribers ride the instance under its new identity.
+	for _, s := range inst.subs {
+		n.subOf[fragKey{s.q, s.f}] = newKey
+	}
 	for i, k := range n.fragOrder {
 		if k == key {
 			n.fragOrder[i] = newKey
@@ -606,7 +614,6 @@ func (n *Node) promote(key fragKey, inst *fragInstance) {
 		}
 	}
 	n.dropQueryRef(key.q)
-	n.rebuildAccts()
 }
 
 // RemoveQuery undeploys every fragment of a query hosted on this node —

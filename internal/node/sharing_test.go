@@ -154,3 +154,72 @@ func TestSharedSubscriberRemovalLeavesPrimary(t *testing.T) {
 		t.Fatalf("node retains state after full removal: %+v", ss)
 	}
 }
+
+// TestAcctTableTracksHostedQueries: the flat accounting table is
+// maintained in place — a slot inserted on a query's first fragment or
+// subscription, removed with its last — so after any sequence of hosts,
+// attaches, removals and promotions it must be exactly the hosted queries
+// in ascending id order, each indexed at its slot.
+func TestAcctTableTracksHostedQueries(t *testing.T) {
+	n := New(1, Config{}, &core.KeepAll{})
+	plan := query.NewAggregate(operator.AggAvg, sources.Uniform)
+	check := func(step int, what string) {
+		t.Helper()
+		if len(n.accts) != len(n.hostedQ) || len(n.acctIdx) != len(n.hostedQ) {
+			t.Fatalf("step %d %s: %d slots, %d indexed, %d hosted queries", step, what, len(n.accts), len(n.acctIdx), len(n.hostedQ))
+		}
+		for i, a := range n.accts {
+			if i > 0 && n.accts[i-1].q >= a.q {
+				t.Fatalf("step %d %s: slots out of order at %d: %v", step, what, i, n.accts)
+			}
+			if n.hostedQ[a.q] == 0 || n.acctIdx[a.q] != int32(i) {
+				t.Fatalf("step %d %s: slot %d holds q%d (refs %d, indexed at %d)", step, what, i, a.q, n.hostedQ[a.q], n.acctIdx[a.q])
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	keys := []string{"a", "b", "c"}
+	for step := 0; step < 2000; step++ {
+		q, f := stream.QueryID(rng.Intn(40)), stream.FragID(rng.Intn(3))
+		key := keys[rng.Intn(len(keys))]
+		_, hosted := n.frags[fragKey{q, f}]
+		_, riding := n.subOf[fragKey{q, f}]
+		switch op := rng.Intn(4); {
+		case op == 0 && !hosted && !riding:
+			n.HostFragmentShared(q, f, query.NewFragmentExec(plan.Fragments[0]), 1, -1, -1, key)
+			check(step, "host")
+		case op == 1 && !hosted && !riding:
+			n.AttachShared(key, q, f, -1, -1, true, 1)
+			check(step, "attach")
+		case op == 2:
+			n.RemoveFragment(q, f) // detaches, promotes or tears down
+			check(step, "remove fragment")
+		case op == 3 && rng.Intn(4) == 0:
+			n.RemoveQuery(q)
+			check(step, "remove query")
+		}
+	}
+	for q := range n.hostedQ {
+		n.RemoveQuery(q)
+	}
+	check(-1, "drain")
+	if len(n.accts) != 0 {
+		t.Fatalf("%d slots survive an empty node", len(n.accts))
+	}
+}
+
+// TestPromotionRepointsRemainingSubscribers: after a primary departs and
+// its first subscriber takes the instance over, the other subscribers
+// ride the instance under its new identity — detaching one must find it.
+func TestPromotionRepointsRemainingSubscribers(t *testing.T) {
+	n, _ := sharedAggNode(t, 2)
+	n.RemoveFragment(7, 0) // q20 is promoted, q21 keeps riding
+	n.RemoveFragment(21, 0)
+	if ss := n.StateSize(); ss.Fragments != 1 || ss.Subscriptions != 0 {
+		t.Fatalf("state %+v, want the promoted instance alone", ss)
+	}
+	n.RemoveFragment(20, 0)
+	if ss := n.StateSize(); ss != (StateSize{}) {
+		t.Fatalf("state %+v after the last reader left", ss)
+	}
+}

@@ -2,7 +2,10 @@ package node
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -157,6 +160,39 @@ func TestStateRestoreRejectsForeignSnapshot(t *testing.T) {
 	}
 }
 
+// asVersion re-seals a snapshot under another codec version: the version
+// byte is rewritten and the FNV-1a trailer recomputed, so the blob is
+// exactly what a build with that SnapVersion would have sealed.
+func asVersion(sealed []byte, version byte) []byte {
+	body := append([]byte(nil), sealed[:len(sealed)-8]...)
+	body[0] = version
+	h := fnv.New64a()
+	h.Write(body)
+	return binary.LittleEndian.AppendUint64(body, h.Sum64())
+}
+
+// TestStateRestoreRejectsVersion1: folded accumulators replaced buffered
+// tuples in the operator blobs, so a version-1 snapshot (a checkpoint
+// taken by an older build) must be refused by its version byte — named
+// as such, before any operator state is touched — and leave the fragment
+// exactly as it was.
+func TestStateRestoreRejectsVersion1(t *testing.T) {
+	if stream.SnapVersion != 2 {
+		t.Fatalf("SnapVersion = %d: this test pins the 1 -> 2 bump", stream.SnapVersion)
+	}
+	n, frags := buildStateNode(t)
+	for _, fr := range frags {
+		before := snapshotOf(t, n, fr)
+		err := n.RestoreState(fr.Query, fr.Frag, asVersion(before, 1))
+		if err == nil || !strings.Contains(err.Error(), "version 1") {
+			t.Fatalf("q%d/f%d: restore of a version-1 blob: %v, want a version error", fr.Query, fr.Frag, err)
+		}
+		if after := snapshotOf(t, n, fr); !bytes.Equal(before, after) {
+			t.Errorf("q%d/f%d: a refused restore changed the fragment's state", fr.Query, fr.Frag)
+		}
+	}
+}
+
 // FuzzStateCodec is the decode hardening gate (PR 8 satellite): arbitrary
 // bytes fed to RestoreState must error, not panic, and any input that
 // does decode must reach a self-consistent state — its re-snapshot
@@ -172,6 +208,7 @@ func FuzzStateCodec(f *testing.F) {
 		flipped := append([]byte(nil), sealed...)
 		flipped[len(flipped)/3] ^= 0x20
 		f.Add(flipped)
+		f.Add(asVersion(sealed, 1))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{stream.SnapVersion})

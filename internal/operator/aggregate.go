@@ -1,11 +1,15 @@
 package operator
 
 import (
+	"math"
+
 	"repro/internal/sic"
 	"repro/internal/stream"
 )
 
-// windowed is the base for single-input windowed operators. It owns a
+// windowed is the base for single-input windowed operators that need
+// their window's tuples at the edge (the aggregates that do not are built
+// on folding, which falls back to this base). It owns a
 // WindowBuffer and tracks the SIC share each emission consumes: for
 // tumbling windows every buffered tuple belongs to exactly one window;
 // for sliding windows a tuple appears in range/slide windows, so each
@@ -78,8 +82,7 @@ func (k AggKind) String() string {
 // tuple for COUNT (count of an empty set is 0) and nothing for the other
 // aggregates (their value is undefined on an empty window).
 type Agg struct {
-	windowed
-	out   arena
+	folding
 	kind  AggKind
 	field int
 	pred  Predicate // optional HAVING-style per-tuple predicate; may be nil
@@ -87,148 +90,197 @@ type Agg struct {
 
 // NewAgg builds a windowed aggregate over the given field.
 func NewAgg(kind AggKind, spec stream.WindowSpec, field int, pred Predicate) *Agg {
-	return &Agg{windowed: newWindowed(spec), kind: kind, field: field, pred: pred}
+	a := &Agg{kind: kind, field: field, pred: pred}
+	a.init(spec, a)
+	return a
 }
 
 // Name implements Operator.
 func (a *Agg) Name() string { return a.kind.String() }
 
-// Tick implements Operator.
-func (a *Agg) Tick(now stream.Time, emit func([]stream.Tuple)) {
-	a.out.reset()
-	a.win.Tick(now, func(win []stream.Tuple, closeAt stream.Time) {
-		total := a.consumedSIC(win)
-		var sum, max, min float64
-		var n int
-		first := true
-		for i := range win {
-			if a.pred != nil && !a.pred(&win[i]) {
-				continue
-			}
-			v := win[i].V[a.field]
-			sum += v
-			if first || v > max {
-				max = v
-			}
-			if first || v < min {
-				min = v
-			}
-			first = false
-			n++
+func (a *Agg) accumulate(w *openWin, in []stream.Tuple) {
+	st := w.acc
+	for i := range in {
+		if a.pred != nil && !a.pred(&in[i]) {
+			continue
 		}
-		var value float64
-		switch a.kind {
-		case AggAvg:
-			if n == 0 {
-				return // undefined; SIC of the empty window is 0 anyway
-			}
-			value = sum / float64(n)
-		case AggMax:
-			if n == 0 {
-				return
-			}
-			value = max
-		case AggMin:
-			if n == 0 {
-				return
-			}
-			value = min
-		case AggSum:
-			value = sum
-		case AggCount:
-			value = float64(n)
-		}
-		if len(win) == 0 && a.kind != AggCount {
+		st.add(in[i].V[a.field])
+	}
+	w.acc = st
+}
+
+func (a *Agg) finish(w *openWin, edge stream.Time, emit func([]stream.Tuple)) {
+	// COUNT answers even a window no tuple fell in; AVG, MAX and MIN are
+	// undefined when nothing passed the predicate (the SIC of an empty
+	// window is 0 anyway).
+	switch a.kind {
+	case AggCount:
+	case AggSum:
+		if w.n == 0 {
 			return
 		}
-		emit(a.out.one(closeAt, total, value))
-	})
+	default:
+		if w.acc.n == 0 {
+			return
+		}
+	}
+	emit(a.out.one(edge, w.sic, w.acc.value(a.kind)))
+}
+
+func (a *Agg) encode(enc *stream.SnapEncoder, w *openWin) { w.acc.encode(enc) }
+
+func (a *Agg) decode(dec *stream.SnapDecoder, w *openWin) error {
+	w.acc.decode(dec)
+	return dec.Err()
 }
 
 // GroupAgg is a windowed per-key aggregate: it groups window tuples by an
-// integer-valued key field and emits one (key, value) tuple per group.
-// The TOP-5 query uses two of these ("2 averages", Table 1) to average
-// CPU and free memory per node id before the join. Output tuples share
-// the window's consumed SIC per Eq. (3).
+// integer-valued key field and emits one (key, value) tuple per group, in
+// first-seen key order. The TOP-5 query uses two of these ("2 averages",
+// Table 1) to average CPU and free memory per node id before the join.
+// Output tuples share the window's consumed SIC per Eq. (3).
 type GroupAgg struct {
-	windowed
-	out      arena
+	folding
 	kind     AggKind
 	keyField int
 	valField int
-	// groups, accs and order are per-window scratch reused across ticks.
-	groups map[int64]int32
-	accs   []groupAcc
-	order  []int64
-}
-
-// groupAcc accumulates one group's statistics within a window.
-type groupAcc struct {
-	sum, max, min float64
-	n             int
 }
 
 // NewGroupAgg builds a windowed group-by aggregate.
 func NewGroupAgg(kind AggKind, spec stream.WindowSpec, keyField, valField int) *GroupAgg {
-	return &GroupAgg{
-		windowed: newWindowed(spec), kind: kind, keyField: keyField, valField: valField,
-		groups: make(map[int64]int32),
-	}
+	g := &GroupAgg{kind: kind, keyField: keyField, valField: valField}
+	g.init(spec, g)
+	return g
 }
 
 // Name implements Operator.
 func (g *GroupAgg) Name() string { return "group-" + g.kind.String() }
 
-// Tick implements Operator.
-func (g *GroupAgg) Tick(now stream.Time, emit func([]stream.Tuple)) {
-	g.out.reset()
-	g.win.Tick(now, func(win []stream.Tuple, closeAt stream.Time) {
-		if len(win) == 0 {
-			return
+func (g *GroupAgg) accumulate(w *openWin, in []stream.Tuple) {
+	// Neighbours mostly share a key — a source's batch carries one node
+	// id — so the group is looked up once per run of equal keys and
+	// accumulated in registers. NaN equals nothing and is looked up anew.
+	var (
+		a    *acc
+		st   acc
+		last float64
+	)
+	for i := range in {
+		v := in[i].V
+		if k := v[g.keyField]; a == nil || k != last {
+			if a != nil {
+				*a = st
+			}
+			a, last = w.groups.at(groupKey(k)), k
+			st = *a
 		}
-		total := g.consumedSIC(win)
-		clear(g.groups)
-		g.accs = g.accs[:0]
-		g.order = g.order[:0]
-		for i := range win {
-			k := int64(win[i].V[g.keyField])
-			ai, ok := g.groups[k]
-			if !ok {
-				ai = int32(len(g.accs))
-				g.accs = append(g.accs, groupAcc{})
-				g.groups[k] = ai
-				g.order = append(g.order, k)
-			}
-			a := &g.accs[ai]
-			v := win[i].V[g.valField]
-			a.sum += v
-			if a.n == 0 || v > a.max {
-				a.max = v
-			}
-			if a.n == 0 || v < a.min {
-				a.min = v
-			}
-			a.n++
+		st.add(v[g.valField])
+	}
+	if a != nil {
+		*a = st
+	}
+}
+
+func (g *GroupAgg) finish(w *openWin, edge stream.Time, emit func([]stream.Tuple)) {
+	if w.n == 0 {
+		return
+	}
+	per := sic.PropagateSIC(w.sic, len(w.groups.keys))
+	m := g.out.mark()
+	for i, k := range w.groups.keys {
+		g.out.add(stream.Tuple{TS: edge, SIC: per, V: g.out.row(float64(k), w.groups.accs[i].value(g.kind))})
+	}
+	emit(g.out.since(m))
+}
+
+func (g *GroupAgg) encode(enc *stream.SnapEncoder, w *openWin) {
+	enc.U32(uint32(len(w.groups.keys)))
+	for i, k := range w.groups.keys {
+		enc.I64(k)
+		w.groups.accs[i].encode(enc)
+	}
+}
+
+func (g *GroupAgg) decode(dec *stream.SnapDecoder, w *openWin) error {
+	// A group costs its key and the four accumulator fields.
+	for n := dec.Count(40); n > 0 && dec.Err() == nil; n-- {
+		k := dec.I64()
+		if _, dup := w.groups.find(k); dup {
+			return stream.ErrSnapCorrupt
 		}
-		per := sic.PropagateSIC(total, len(g.order))
-		m := g.out.mark()
-		for i, k := range g.order {
-			a := &g.accs[i]
-			var v float64
-			switch g.kind {
-			case AggAvg:
-				v = a.sum / float64(a.n)
-			case AggMax:
-				v = a.max
-			case AggMin:
-				v = a.min
-			case AggSum:
-				v = a.sum
-			case AggCount:
-				v = float64(a.n)
-			}
-			g.out.add(stream.Tuple{TS: closeAt, SIC: per, V: g.out.row(float64(k), v)})
+		w.groups.at(k).decode(dec)
+	}
+	return dec.Err()
+}
+
+// groupKey converts a payload value to a group key. Go leaves int64(v)
+// implementation-defined for NaN, ±Inf and values beyond ±2^63; those all
+// land in one defined group, math.MinInt64, so a corrupt payload can
+// neither split a group by platform nor address the dense index.
+func groupKey(v float64) int64 {
+	if v >= -(1<<63) && v < 1<<63 {
+		return int64(v)
+	}
+	return math.MinInt64
+}
+
+// denseKeys bounds the keys indexed by slice: node ids and the like. A
+// window's index grows to the largest such key it sees (32 KiB at most)
+// and is kept across recycling.
+const denseKeys = 1 << 13
+
+// groupTable holds one window's groups in first-seen order. Small
+// non-negative keys are found through a dense slice, every other key
+// through the map.
+type groupTable struct {
+	keys   []int64
+	accs   []acc           // parallel to keys
+	dense  []int32         // key -> index into accs + 1; 0: absent
+	sparse map[int64]int32 // keys outside [0, denseKeys), same encoding
+}
+
+// at returns key k's accumulator, adding the group on first sight.
+func (t *groupTable) at(k int64) *acc {
+	if ai, ok := t.find(k); ok {
+		return &t.accs[ai]
+	}
+	t.keys = append(t.keys, k)
+	t.accs = append(t.accs, acc{})
+	ai := int32(len(t.accs))
+	if uint64(k) >= denseKeys {
+		if t.sparse == nil {
+			t.sparse = make(map[int64]int32)
 		}
-		emit(g.out.since(m))
-	})
+		t.sparse[k] = ai
+	} else {
+		if int(k) >= len(t.dense) {
+			t.dense = append(t.dense, make([]int32, int(k)+1-len(t.dense))...)
+		}
+		t.dense[k] = ai
+	}
+	return &t.accs[ai-1]
+}
+
+// find reports the index of key k's accumulator.
+func (t *groupTable) find(k int64) (int32, bool) {
+	var ai int32
+	if uint64(k) < denseKeys {
+		if int(k) < len(t.dense) {
+			ai = t.dense[k]
+		}
+	} else {
+		ai = t.sparse[k]
+	}
+	return ai - 1, ai != 0
+}
+
+// reset forgets the groups in O(groups), keeping all storage.
+func (t *groupTable) reset() {
+	for _, k := range t.keys {
+		if uint64(k) < denseKeys {
+			t.dense[k] = 0
+		}
+	}
+	clear(t.sparse)
+	t.keys, t.accs = t.keys[:0], t.accs[:0]
 }

@@ -18,33 +18,39 @@ import (
 // PartialAvg is a windowed operator emitting one (sum, count) partial
 // tuple per window over the given field.
 type PartialAvg struct {
-	windowed
-	out   arena
+	folding
 	field int
 }
 
 // NewPartialAvg builds a partial average over the given field.
 func NewPartialAvg(spec stream.WindowSpec, field int) *PartialAvg {
-	return &PartialAvg{windowed: newWindowed(spec), field: field}
+	p := &PartialAvg{field: field}
+	p.init(spec, p)
+	return p
 }
 
 // Name implements Operator.
 func (p *PartialAvg) Name() string { return "partial-avg" }
 
-// Tick implements Operator.
-func (p *PartialAvg) Tick(now stream.Time, emit func([]stream.Tuple)) {
-	p.out.reset()
-	p.win.Tick(now, func(win []stream.Tuple, closeAt stream.Time) {
-		if len(win) == 0 {
-			return
-		}
-		total := p.consumedSIC(win)
-		var sum float64
-		for i := range win {
-			sum += win[i].V[p.field]
-		}
-		emit(p.out.one(closeAt, total, sum, float64(len(win))))
-	})
+func (p *PartialAvg) accumulate(w *openWin, in []stream.Tuple) {
+	sum := w.acc.sum
+	for i := range in {
+		sum += in[i].V[p.field]
+	}
+	w.acc.sum = sum
+}
+
+func (p *PartialAvg) finish(w *openWin, edge stream.Time, emit func([]stream.Tuple)) {
+	if w.n > 0 {
+		emit(p.out.one(edge, w.sic, w.acc.sum, float64(w.n)))
+	}
+}
+
+func (p *PartialAvg) encode(enc *stream.SnapEncoder, w *openWin) { enc.F64(w.acc.sum) }
+
+func (p *PartialAvg) decode(dec *stream.SnapDecoder, w *openWin) error {
+	w.acc.sum = dec.F64()
+	return dec.Err()
 }
 
 // AvgMerge merges (sum, count) partial tuples arriving within a window —

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -197,6 +198,48 @@ func TestHostSurvivesHostileFrames(t *testing.T) {
 		if got := srv.pool.Live(); got != live {
 			t.Errorf("%s: pool live moved %d -> %d", h.name, live, got)
 		}
+	}
+}
+
+// TestHostRefusesDeployAtFragmentCap fills one host to maxHostedFragments
+// — a few private instances, the rest riders on one shared instance, every
+// one through handleDeploy as a frame would arrive — and checks that the
+// next deploy is refused with the cap error and hosts nothing, and that a
+// retract makes room again. The fill is linear in the number of deploys
+// (a query's accounting slot is inserted in place), so it takes about a
+// second; when every deploy rebuilt the accounting table it took minutes.
+func TestHostRefusesDeployAtFragmentCap(t *testing.T) {
+	s, err := NewNodeServer(NodeServerConfig{Name: "cap", Addr: "127.0.0.1:0", CapacityPerSec: 1000, Quiet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	start := time.Now()
+	for q := stream.QueryID(0); q < maxHostedFragments; q++ {
+		d := validDeploy(q)
+		if q%4096 != 1 {
+			d.ShareKey, d.ShareEmit, d.ShareScale = "shared", true, 1
+		}
+		if err := s.handleDeploy(d); err != nil {
+			t.Fatalf("deploy %d of %d refused: %v", q, maxHostedFragments, err)
+		}
+	}
+	t.Logf("filled %d fragments in %v", maxHostedFragments, time.Since(start))
+	ss := s.nd.StateSize()
+	if ss.Fragments+ss.Subscriptions != maxHostedFragments || ss.Fragments != 17 {
+		t.Fatalf("state %+v, want %d hosted fragments, 17 of them executing", ss, maxHostedFragments)
+	}
+	over := stream.QueryID(maxHostedFragments)
+	err = s.handleDeploy(validDeploy(over))
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("cap of %d hosted fragments", maxHostedFragments)) {
+		t.Fatalf("deploy beyond the cap: %v, want the cap error", err)
+	}
+	if hosts(s, over, over) || s.nd.StateSize() != ss {
+		t.Fatalf("the refused deploy changed the host: %+v", s.nd.StateSize())
+	}
+	s.handleRetract(&Retract{Query: 12345})
+	if err := s.handleDeploy(validDeploy(over)); err != nil {
+		t.Fatalf("deploy after a retract made room: %v", err)
 	}
 }
 

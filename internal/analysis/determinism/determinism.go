@@ -22,8 +22,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
 	Doc: `forbid nondeterminism sources in hot-path packages
 
-In the allowlisted packages (engine, node, operator, sic, core, stream,
-coordinator, cql planning) the analyzer rejects: time.Now/time.Since
+In the allowlisted packages (engine, control plane, node, operator, sic,
+core, stream, coordinator, cql planning) the analyzer rejects: time.Now/time.Since
 (annotate //themis:wallclock for stats-only reads), global math/rand
 calls (seeded rand.New(rand.NewSource(...)) is fine), go statements
 outside the worker pool (annotate //themis:goroutine), and map ranges
@@ -39,6 +39,7 @@ not subsequently sorted (annotate //themis:maporder).`,
 // not.
 var Packages = strings.Join([]string{
 	"repro",
+	"repro/internal/control",
 	"repro/internal/federation",
 	"repro/internal/node",
 	"repro/internal/operator",

@@ -1,0 +1,545 @@
+// Package control is the federation's control plane as a pure,
+// deterministic state machine: no node, no socket, no clock, no
+// goroutine. It owns every decision a runtime makes about where a query
+// runs and what it shares — live membership and the auto-placer over it,
+// placement validation, the re-placement choice after a failure, the
+// plan cache, per-query share facts, the one share-key / compat-key /
+// keyed-seed format, and the share index with attach-vs-host,
+// promote-on-primary-departure, dead-node group clearing and the
+// emit-invariant sweep.
+//
+// Events go in (Join, Fail, Submit, Retract, Replace), each carrying the
+// driver's time pin — the virtual-time engine's tick, the TCP
+// controller's epoch counter — and plain command values come out:
+// per-fragment deploys, promotions, emit flips in ascending (query,
+// fragment) order. federation.Engine applies them to *node.Node
+// directly; transport.Controller turns them into frames under its lock.
+// Because hosts decide attach-vs-host and promotion by the same
+// arrival-order rules, the plane's share index is an exact mirror of
+// every host's; the engine checks that equality on every command it
+// applies. A Plane is not safe for concurrent use.
+package control
+
+import (
+	"errors"
+	"fmt"
+	"sort"
+
+	"repro/internal/cql"
+	"repro/internal/query"
+	"repro/internal/sources"
+	"repro/internal/stream"
+)
+
+// Config parameterises a plane.
+type Config struct {
+	// Placement names the strategy for submissions without an explicit
+	// placement and for re-placement after a failure: "round-robin"
+	// (default), "uniform" or "zipf".
+	Placement string
+	// Seed drives placement randomness and is the base of keyed source
+	// seeds.
+	Seed int64
+	// Sharing selects the multi-query sharing mode.
+	Sharing Sharing
+}
+
+// Query is the plane's record of one live query. Drivers read it; only
+// the plane writes it.
+type Query struct {
+	ID    stream.QueryID
+	Plan  *query.Plan
+	Rate  float64
+	Shape string
+	// Placement maps fragment → node. Replace rewrites displaced entries
+	// in place, so a driver holding the slice sees re-placements.
+	Placement []stream.NodeID
+
+	// keyed reports structural source seeds (sharing on and the query has
+	// a shape); ratePin is the query's rate component of every key.
+	keyed   bool
+	ratePin string
+	// subKeys holds one canonical subtree key per fragment and share the
+	// per-fragment share state; both nil when the query never deduplicates
+	// (no shape, or sharing below SharingFull).
+	subKeys []string
+	share   []fragShare
+}
+
+// fragShare is one fragment's share state: the full key it is indexed
+// under ("" while displaced by a failure), whether it rides a shared
+// instance instead of executing, and the emit bit last commanded while it
+// rides.
+type fragShare struct {
+	key      string
+	attached bool
+	emit     bool
+}
+
+// ShareKey reports the key fragment f is currently indexed under ("" if
+// it does not take part in sharing).
+func (q *Query) ShareKey(f int) string {
+	if q.share == nil {
+		return ""
+	}
+	return q.share[f].key
+}
+
+// Deploy commands one fragment onto a node.
+type Deploy struct {
+	Query stream.QueryID
+	Frag  int
+	Node  stream.NodeID
+	// ShareKey is the fragment's dedup identity ("" = private). Attach
+	// predicts the host's decision: the node already executes an instance
+	// under the key and the fragment rides it — no executor, no sources —
+	// with the given Emit bit and SIC Scale (0 = unscaled).
+	ShareKey string
+	Attach   bool
+	Emit     bool
+	Scale    float64
+	// Seed is a hosting fragment's source seed (an attach has no sources):
+	// structural when Keyed, else the per-query rule
+	// Config.Seed+1+query+fragment. The engine's unkeyed path draws from
+	// its submission-order generator instead, which is what pins the paper
+	// figures.
+	Seed  int64
+	Keyed bool
+}
+
+// Promotion predicts one shared-instance hand-off on Node: the instance
+// OldQ executed at Frag now belongs to NewQ, the next in attach order.
+type Promotion struct {
+	Node       stream.NodeID
+	OldQ, NewQ stream.QueryID
+	Frag       int
+}
+
+// EmitFlip commands one subscription's fan-out emission on or off.
+type EmitFlip struct {
+	Node  stream.NodeID
+	Query stream.QueryID
+	Frag  int
+	Emit  bool
+}
+
+// ErrUnplaceable reports a query with more displaced fragments than
+// surviving nodes not already hosting it. The engine retires the query;
+// the controller aborts the run.
+var ErrUnplaceable = errors.New("control: too few surviving nodes to re-place the query")
+
+// Plane is the control-plane state.
+type Plane struct {
+	cfg   Config
+	alive []bool
+	// placer assigns sites over the live membership in ascending node
+	// order; nil after a membership change until the next Place, so the
+	// round-robin cursor restarts with every epoch.
+	placer *Placer
+
+	// plans memoises cql.PlanDistributed across submissions — with
+	// thousands of structurally similar queries, parsing and planning
+	// dominate submit cost — and is dropped on membership epochs so
+	// nothing planned under the old one is trusted stale. catalogs and
+	// subKeys are pure functions of their keys (dataset; shape, which
+	// determines plan structure — TestShapeImpliesIdenticalPlans) and
+	// survive invalidation.
+	plans    *cql.PlanCache
+	catalogs map[sources.Dataset]*cql.Catalog
+	subKeys  map[string][]string
+	// pinRate and pin memoise the last rate pin rendered: submissions come
+	// in runs of one rate, and formatting a float is a third of a warm
+	// submit's control-plane cost.
+	pinRate float64
+	pin     string
+
+	// queries holds the live queries in ascending id order — the order
+	// ids are assigned in, and the order Fail and Sweep report in.
+	queries []*Query
+	next    stream.QueryID
+	// groups is the share index: per node, share key → group.
+	groups []map[string]*group
+}
+
+// group is one host's shared instance as the plane sees it: the queries
+// under one share key, in attach order. members[0] executes, the rest
+// ride; the host promotes the next in attach order when the executing
+// query departs.
+type group struct{ members []stream.QueryID }
+
+// New returns an empty plane.
+func New(cfg Config) *Plane {
+	return &Plane{
+		cfg:      cfg,
+		plans:    cql.NewPlanCache(),
+		catalogs: make(map[sources.Dataset]*cql.Catalog),
+		subKeys:  make(map[string][]string),
+	}
+}
+
+// --- membership ---
+
+// Join adds a node to the membership and returns its id.
+func (p *Plane) Join() stream.NodeID {
+	p.alive = append(p.alive, true)
+	p.groups = append(p.groups, nil)
+	p.epoch()
+	return stream.NodeID(len(p.alive) - 1)
+}
+
+// epoch marks a membership change.
+func (p *Plane) epoch() {
+	p.placer = nil
+	p.plans.Invalidate()
+}
+
+// Alive reports whether n is a live member.
+func (p *Plane) Alive(n stream.NodeID) bool {
+	return n >= 0 && int(n) < len(p.alive) && p.alive[n]
+}
+
+// live lists the live nodes not in skip, ascending.
+func (p *Plane) live(skip map[stream.NodeID]bool) []stream.NodeID {
+	var out []stream.NodeID
+	for n, ok := range p.alive {
+		if ok && !skip[stream.NodeID(n)] {
+			out = append(out, stream.NodeID(n))
+		}
+	}
+	return out
+}
+
+// Place assigns k fragments to distinct live nodes with the configured
+// strategy.
+func (p *Plane) Place(k int) ([]stream.NodeID, error) {
+	alive := p.live(nil)
+	if len(alive) == 0 {
+		return nil, errors.New("control: no live nodes to place on")
+	}
+	if p.placer == nil {
+		pl, err := NewPlacer(p.cfg.Placement, len(alive), p.cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
+		p.placer = pl
+	}
+	return pick(p.placer, alive, k)
+}
+
+// pick places k fragments with pl and maps its picks onto candidates.
+func pick(pl *Placer, candidates []stream.NodeID, k int) ([]stream.NodeID, error) {
+	ids, err := pl.Place(k)
+	if err != nil {
+		return nil, err
+	}
+	for i, id := range ids {
+		ids[i] = candidates[id]
+	}
+	return ids, nil
+}
+
+// validatePlacement validates an explicit placement: one live, distinct
+// node per fragment (§3: fragments of one query land on distinct sites).
+func (p *Plane) validatePlacement(fragments int, placement []stream.NodeID) error {
+	if len(placement) != fragments {
+		return fmt.Errorf("control: placement has %d entries for %d fragments", len(placement), fragments)
+	}
+	for f, n := range placement {
+		if n < 0 || int(n) >= len(p.alive) {
+			return fmt.Errorf("control: placement names missing node %d (%d joined)", n, len(p.alive))
+		}
+		if !p.alive[n] {
+			return fmt.Errorf("control: placement names dead node %d", n)
+		}
+		for _, earlier := range placement[:f] {
+			if earlier == n {
+				return errors.New("control: fragments of one query must be placed on distinct nodes")
+			}
+		}
+	}
+	return nil
+}
+
+// --- planning ---
+
+// Plan plans a CQL statement through the plan cache and reports the
+// statement's structural shape key. Plans are read-only templates —
+// operators instantiate per deployment — so one plan serves any number
+// of query ids.
+func (p *Plane) Plan(text string, fragments int, ds sources.Dataset) (*query.Plan, string, error) {
+	cat, ok := p.catalogs[ds]
+	if !ok {
+		cat = cql.DefaultCatalog(ds)
+		p.catalogs[ds] = cat
+	}
+	return p.plans.PlanDistributed(text, cat, ds.String(), fragments)
+}
+
+// PlanCacheStats reports the submit-path plan cache counters.
+func (p *Plane) PlanCacheStats() cql.PlanCacheStats { return p.plans.Stats() }
+
+// --- query lifecycle ---
+
+// Query returns a live query's record, or nil.
+func (p *Plane) Query(id stream.QueryID) *Query {
+	if i := p.find(id); i < len(p.queries) && p.queries[i].ID == id {
+		return p.queries[i]
+	}
+	return nil
+}
+
+// find locates id's slot in the ascending live list.
+func (p *Plane) find(id stream.QueryID) int {
+	return sort.Search(len(p.queries), func(i int) bool { return p.queries[i].ID >= id })
+}
+
+// Groups copies out node n's share index — share key → members in
+// attach order — for tests that hold the mirror against the hosts.
+func (p *Plane) Groups(n stream.NodeID) map[string][]stream.QueryID {
+	out := make(map[string][]stream.QueryID, len(p.groups[n]))
+	for key, g := range p.groups[n] {
+		out[key] = g.members
+	}
+	return out
+}
+
+// Submit admits a query: it validates the plan and the placement (nil =
+// the configured strategy over the live membership), assigns the next
+// query id, and settles every fragment's share decision at time pin.
+// shape is the statement's plan-cache shape key; plans deployed without
+// one ("") never share. The commands come in ascending fragment order.
+func (p *Plane) Submit(plan *query.Plan, shape string, rate float64, placement []stream.NodeID, pin int64) (*Query, []Deploy, error) {
+	if err := plan.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if placement == nil {
+		var err error
+		if placement, err = p.Place(plan.NumFragments()); err != nil {
+			return nil, nil, err
+		}
+	} else {
+		if err := p.validatePlacement(plan.NumFragments(), placement); err != nil {
+			return nil, nil, err
+		}
+		placement = append([]stream.NodeID(nil), placement...)
+	}
+	q := &Query{ID: p.next, Plan: plan, Rate: rate, Shape: shape, Placement: placement}
+	p.next++
+	if shape != "" && p.cfg.Sharing != SharingOff {
+		q.keyed = true
+		q.ratePin = p.ratePin(rate)
+		if p.cfg.Sharing >= SharingFull {
+			ks, ok := p.subKeys[shape]
+			if !ok {
+				ks = cql.SubtreeKeys(plan, shape)
+				for f := range ks {
+					ks[f] += fragPin(f)
+				}
+				p.subKeys[shape] = ks
+			}
+			q.subKeys = ks
+			q.share = make([]fragShare, plan.NumFragments())
+		}
+	}
+	p.queries = append(p.queries, q)
+	cmds := make([]Deploy, len(placement))
+	for f, n := range placement {
+		cmds[f] = p.deploy(q, f, n, pin)
+	}
+	return q, cmds, nil
+}
+
+// deploy settles attach-vs-host for fragment f of q on node n against
+// the share index and records the outcome. Every sharing-eligible deploy
+// carries its key: the first under a key on a node hosts and becomes the
+// dedup target, later ones ride it. A rider emits fan-out views only
+// where its private pipeline resumes — the root rider always needs its
+// own result stream, while an interior rider whose downstream fragment
+// also rides must not double-feed it. Fragments are settled in ascending
+// order and plans wire downstream to a lower index, so the downstream
+// decision this reads is already made.
+func (p *Plane) deploy(q *Query, f int, n stream.NodeID, pin int64) Deploy {
+	d := Deploy{Query: q.ID, Frag: f, Node: n, Keyed: q.keyed}
+	if q.share == nil {
+		d.Seed = p.seed(q, f)
+		return d
+	}
+	key := q.shareKey(f, pin)
+	d.ShareKey = key
+	idx := p.groups[n]
+	if idx == nil {
+		idx = make(map[string]*group)
+		p.groups[n] = idx
+	}
+	g := idx[key]
+	if g == nil {
+		idx[key] = &group{members: []stream.QueryID{q.ID}}
+		q.share[f] = fragShare{key: key, emit: true} // executes; emit kept coherent for Sweep
+		d.Seed = p.seed(q, f)
+		return d
+	}
+	g.members = append(g.members, q.ID)
+	down := q.Plan.Downstream[f]
+	d.Attach, d.Emit = true, down < 0 || !q.share[down].attached
+	q.share[f] = fragShare{key: key, attached: true, emit: d.Emit}
+	// Rate-scaled sharing converts the primary's SIC mass into the rider's
+	// normalisation at the fan-out point. Eq. (1) stamps are fractions of
+	// the stamping query's ideal window content (rate × |S| × T); a rider
+	// declaring twice the primary's rate receives half of *its* ideal
+	// content from the shared stream, so its views carry
+	// primaryRate/riderRate of the primary's mass.
+	if p.cfg.Sharing == SharingScaled && q.Rate > 0 {
+		if prim := p.Query(g.members[0]); prim.Rate > 0 {
+			d.Scale = prim.Rate / q.Rate
+		}
+	}
+	return d
+}
+
+// seed is fragment f's source seed: structural for a keyed query, else
+// the per-query rule. An attaching fragment has no sources and gets none.
+func (p *Plane) seed(q *Query, f int) int64 {
+	if q.keyed {
+		return q.structuralSeed(p.cfg.Seed, f)
+	}
+	return p.cfg.Seed + 1 + int64(q.ID) + int64(f)
+}
+
+// Retract removes a live query, mirroring the hosts' teardown: leaving a
+// group as a rider just detaches, leaving it as the executing member
+// promotes the next in attach order (whose fragment flips from riding to
+// executing), and an emptied group disappears with its instance. It
+// returns the placement the retract must reach, the promotions in
+// ascending fragment order, and the emit flips that restore the fan-out
+// invariant over what remains; ok is false for an unknown query.
+func (p *Plane) Retract(id stream.QueryID) (placement []stream.NodeID, promos []Promotion, flips []EmitFlip, ok bool) {
+	q := p.Query(id)
+	if q == nil {
+		return nil, nil, nil, false
+	}
+	for f, fs := range q.share {
+		key := fs.key
+		if key == "" {
+			continue // displaced by a failure: its group died with the node
+		}
+		n := q.Placement[f]
+		g := p.groups[n][key]
+		i := 0
+		for g.members[i] != id {
+			i++
+		}
+		g.members = append(g.members[:i], g.members[i+1:]...)
+		if len(g.members) == 0 {
+			delete(p.groups[n], key)
+			continue
+		}
+		if i == 0 {
+			heir := p.Query(g.members[0])
+			heir.share[f].attached, heir.share[f].emit = false, true
+			promos = append(promos, Promotion{Node: n, OldQ: id, NewQ: heir.ID, Frag: f})
+		}
+	}
+	i := p.find(id)
+	p.queries = append(p.queries[:i], p.queries[i+1:]...)
+	return q.Placement, promos, p.Sweep(), true
+}
+
+// Fail removes node n from the membership and returns the queries with
+// fragments on it, ascending. The dead node's share groups die with it:
+// every member's fragment there is displaced, and Replace re-keys it
+// under the recovery pin — co-displaced same-shape fragments re-share
+// when they land together, and nothing attaches to a warm instance
+// elsewhere. ok is false when n was not a live member.
+func (p *Plane) Fail(n stream.NodeID) (affected []stream.QueryID, ok bool) {
+	if !p.Alive(n) {
+		return nil, false
+	}
+	p.alive[n] = false
+	p.epoch()
+	p.groups[n] = nil
+	for _, q := range p.queries {
+		hit := false
+		for f, at := range q.Placement {
+			if at != n {
+				continue
+			}
+			hit = true
+			if q.share != nil {
+				q.share[f] = fragShare{}
+			}
+		}
+		if hit {
+			affected = append(affected, q.ID)
+		}
+	}
+	return affected, true
+}
+
+// Replace re-places the fragments of query id that sit on dead nodes:
+// the configured strategy picks over the ascending list of live nodes
+// not already hosting the query, seeded from the configured seed and the
+// query id — so the choice depends on nothing but the membership and the
+// query — and each displaced fragment is re-deployed under the recovery
+// pin by the same rules that deployed it. A query retracted since the
+// failure returns no commands (whichever of retract and recovery runs
+// second stands down); ErrUnplaceable leaves the query untouched.
+func (p *Plane) Replace(id stream.QueryID, pin int64) ([]Deploy, error) {
+	q := p.Query(id)
+	if q == nil {
+		return nil, nil
+	}
+	var displaced []int
+	used := make(map[stream.NodeID]bool, len(q.Placement))
+	for f, n := range q.Placement {
+		if p.alive[n] {
+			used[n] = true
+		} else {
+			displaced = append(displaced, f)
+		}
+	}
+	candidates := p.live(used)
+	if len(candidates) < len(displaced) {
+		return nil, fmt.Errorf("query %d: %d fragments displaced, %d candidate survivors: %w",
+			id, len(displaced), len(candidates), ErrUnplaceable)
+	}
+	pl, err := NewPlacer(p.cfg.Placement, len(candidates), p.cfg.Seed+int64(id))
+	if err != nil {
+		return nil, err
+	}
+	picks, err := pick(pl, candidates, len(displaced))
+	if err != nil {
+		return nil, err
+	}
+	cmds := make([]Deploy, len(displaced))
+	for i, f := range displaced {
+		q.Placement[f] = picks[i]
+		cmds[i] = p.deploy(q, f, picks[i], pin)
+	}
+	return cmds, nil
+}
+
+// Sweep re-derives every riding fragment's emit bit — emit iff the
+// query's own downstream fragment executes rather than rides (a shared
+// downstream is fed by its primary's chain, so a view would double-feed
+// it; a private one starves without) — and returns the flips in
+// ascending (query, fragment) order. Retract sweeps itself; drivers call
+// it once after the last Replace of a failure, when re-placement may
+// have turned riders into executors or new primaries into attach
+// targets.
+func (p *Plane) Sweep() []EmitFlip {
+	var flips []EmitFlip
+	for _, q := range p.queries {
+		for f := range q.share {
+			if !q.share[f].attached {
+				continue
+			}
+			down := q.Plan.Downstream[f]
+			want := down < 0 || !q.share[down].attached
+			if want != q.share[f].emit {
+				q.share[f].emit = want
+				flips = append(flips, EmitFlip{Node: q.Placement[f], Query: q.ID, Frag: f, Emit: want})
+			}
+		}
+	}
+	return flips
+}

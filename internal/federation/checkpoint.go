@@ -1,17 +1,13 @@
 package federation
 
-import (
-	"strconv"
-
-	"repro/internal/stream"
-)
+import "repro/internal/stream"
 
 // Virtual-time checkpoint schedule (PR 8). On the configured cadence the
 // engine walks every live fragment at the end of a Step and snapshots its
 // operator state (windows, capture stores, rate estimators) into a
 // per-fragment record. When KillNode re-places a displaced fragment, the
 // newest snapshot — the fragment's own, or a shape-and-rate compatible
-// query's under keyed sharing — is restored into the fresh executor, so
+// query's under keyed sharing (control.Query.CompatKey) — is restored into the fresh executor, so
 // recovery resumes from a warm window instead of refilling it over a full
 // STW. When every displaced fragment of a query restores, the recovery
 // epoch resets are skipped: the query's surviving engine-side accumulator
@@ -48,26 +44,6 @@ type ckptSlot struct {
 	rec *snapshotRec
 }
 
-// compatKey is the shape+rate compatibility identity of a fragment's
-// state: the PR 6 share key without its deploy-tick pin. Under keyed
-// seeding, fragments with equal compat keys observe the same logical
-// stream, so one's snapshot is a valid warm start for the other. Empty
-// when the query has no shape or sharing is off — then only the exact
-// per-fragment record may restore it.
-func (e *Engine) compatKey(rt *queryRT, fi int) string {
-	if rt.shapeKey == "" || e.cfg.Sharing == SharingOff {
-		return ""
-	}
-	key := rt.shapeKey + "|f" + strconv.Itoa(fi)
-	// SharingScaled shares instances across rates, so its state is
-	// compatible across rates too (the restored window holds the
-	// primary's stream either way); every exact mode keeps the rate pin.
-	if e.cfg.Sharing != SharingScaled {
-		key += "|r" + strconv.FormatFloat(rt.rate, 'g', -1, 64)
-	}
-	return key
-}
-
 // rebuildCheckpointSlots re-derives the slot list, the compat index and
 // the record map from the live query set. Cold path: runs only after a
 // deploy or removal dirtied the set, from the next checkpoint tick.
@@ -80,7 +56,7 @@ func (e *Engine) rebuildCheckpointSlots() {
 		if rt == nil || rt.removed {
 			continue
 		}
-		for fi := range rt.plan.Fragments {
+		for fi := range rt.ctl.Plan.Fragments {
 			key := ckptKey{q: qid, fi: fi}
 			live[key] = true
 			rec := e.ckptRecs[key]
@@ -89,7 +65,7 @@ func (e *Engine) rebuildCheckpointSlots() {
 				e.ckptRecs[key] = rec
 			}
 			e.ckptSlots = append(e.ckptSlots, ckptSlot{rt: rt, fi: fi, rec: rec})
-			if ck := e.compatKey(rt, fi); ck != "" {
+			if ck := rt.ctl.CompatKey(fi); ck != "" {
 				// First writer wins: e.order is ascending, so the compat
 				// record belongs to the lowest-numbered live query of the
 				// shape — the shared primary under SharingFull.
@@ -117,9 +93,9 @@ func (e *Engine) checkpointTick() {
 	}
 	for i := range e.ckptSlots {
 		s := &e.ckptSlots[i]
-		nd := e.nodes[s.rt.placement[s.fi]]
+		nd := e.nodes[s.rt.ctl.Placement[s.fi]]
 		e.ckptEnc.Reset()
-		if err := nd.StateSnapshot(s.rt.id, stream.FragID(s.fi), &e.ckptEnc); err != nil {
+		if err := nd.StateSnapshot(s.rt.ctl.ID, stream.FragID(s.fi), &e.ckptEnc); err != nil {
 			// Shared subscribers carry no private state (their primary's
 			// record covers them); anything else unexpected simply leaves
 			// the fragment without a restorable record.
@@ -140,9 +116,9 @@ func (e *Engine) checkpointTick() {
 // state). Restore failures are tolerated: the caller falls back to the
 // legacy empty-window recovery for the whole query.
 func (e *Engine) restoreDisplaced(rt *queryRT, fi int) bool {
-	rec := e.ckptRecs[ckptKey{q: rt.id, fi: fi}]
+	rec := e.ckptRecs[ckptKey{q: rt.ctl.ID, fi: fi}]
 	if rec == nil || !rec.valid {
-		if ck := e.compatKey(rt, fi); ck != "" {
+		if ck := rt.ctl.CompatKey(fi); ck != "" {
 			if cr := e.ckptCompat[ck]; cr != nil && cr.valid {
 				rec = cr
 			}
@@ -151,5 +127,5 @@ func (e *Engine) restoreDisplaced(rt *queryRT, fi int) bool {
 	if rec == nil || !rec.valid {
 		return false
 	}
-	return e.nodes[rt.placement[fi]].RestoreState(rt.id, stream.FragID(fi), rec.data) == nil
+	return e.nodes[rt.ctl.Placement[fi]].RestoreState(rt.ctl.ID, stream.FragID(fi), rec.data) == nil
 }

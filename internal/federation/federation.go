@@ -16,13 +16,11 @@
 package federation
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"runtime"
-	"strconv"
 
+	"repro/internal/control"
 	"repro/internal/coordinator"
 	"repro/internal/core"
 	"repro/internal/cql"
@@ -60,55 +58,16 @@ func (p Policy) String() string {
 }
 
 // Sharing selects how much cross-query work the engine deduplicates for
-// structurally identical CQL submissions (same plan-cache shape key).
-type Sharing int
+// structurally identical CQL submissions. The modes are the control
+// plane's; the names stay here for the drivers that configure an engine.
+type Sharing = control.Sharing
 
 const (
-	// SharingOff is the legacy behaviour: every query is fully private.
-	// Source seeds are drawn from the engine's submission-order RNG, so
-	// even same-shape queries observe unrelated data. The default.
-	SharingOff Sharing = iota
-	// SharingKeyed derives source seeds from the query's structural shape
-	// instead of the submission-order RNG: same-shape queries monitor the
-	// same logical stream (the production semantics — 4,800 dashboards
-	// over one metric feed), but every query still runs its own private
-	// scan, windows and fragments. This is the apples-to-apples baseline
-	// for SharingFull.
-	SharingKeyed
-	// SharingFull adds fragment deduplication on top of keyed seeds: on
-	// each node, fragments whose plan subtrees have the same canonical
-	// shape key (cql.SubtreeKeys — leaves and interior partial-aggregate
-	// fragments alike), the same rate and the same deployment epoch
-	// collapse into one executing instance — one source scan, one window
-	// buffer, one merge — whose output fans out to every subscribing
-	// query as refcounted views, with per-query SIC accounting preserved
-	// at the fan-out point. Results stay bit-identical per query to a
-	// private deployment in underload.
-	SharingFull
-	// SharingScaled widens SharingFull's dedup domain by dropping the
-	// rate from the share key: queries whose shapes differ only in source
-	// rate ride one instance running at the primary's rate, and their SIC
-	// mass is scaled by riderRate/primaryRate at the fan-out point.
-	// Results are approximate for riders whose rate differs from the
-	// primary's (they observe the primary's stream), so this mode is a
-	// deliberate accuracy-for-cost trade and is excluded from the
-	// bit-identity guarantees of SharingFull.
-	SharingScaled
+	SharingOff    = control.SharingOff
+	SharingKeyed  = control.SharingKeyed
+	SharingFull   = control.SharingFull
+	SharingScaled = control.SharingScaled
 )
-
-// String names the sharing mode for reports.
-func (s Sharing) String() string {
-	switch s {
-	case SharingKeyed:
-		return "keyed"
-	case SharingFull:
-		return "full"
-	case SharingScaled:
-		return "scaled"
-	default:
-		return "off"
-	}
-}
 
 // Config parameterises a federated deployment.
 type Config struct {
@@ -172,10 +131,9 @@ type Config struct {
 	// membership, exactly as a controller submit after a detected
 	// failure does) and are deterministic across worker counts.
 	QueryChurn []QueryChurnEvent
-	// Placement names the site-assignment strategy for QueryChurn
-	// submissions without an explicit placement: "round-robin" (default),
-	// "uniform" or "zipf" — the same federation.Placer strategies the
-	// transport controller uses.
+	// Placement names the site-assignment strategy for submissions
+	// without an explicit placement and for re-placement after a kill:
+	// "round-robin" (default), "uniform" or "zipf" (control.Placer).
 	Placement string
 	// Sharing selects the multi-query sharing mode for CQL submissions
 	// (SharingOff preserves the legacy per-query behaviour exactly).
@@ -271,14 +229,16 @@ type sicUpdate struct {
 	v  float64
 }
 
-// queryRT is the engine-side runtime state of one deployed query.
+// queryRT is the engine-side runtime state of one deployed query: the
+// result-SIC bookkeeping. Where the query runs and what it shares is the
+// control plane's record, ctl.
 type queryRT struct {
-	id        stream.QueryID
-	plan      *query.Plan
-	placement []stream.NodeID
-	hosts     []stream.NodeID // distinct hosting nodes
+	// ctl is the plane's record (plan, rate, shape, fragment → node
+	// placement). The plane rewrites ctl.Placement in place when failure
+	// recovery re-places fragments; the pointer outlives the retract so
+	// the frozen statistics keep their plan.
+	ctl       *control.Query
 	resultAcc *sic.Accumulator
-	rate      float64
 	samples   []float64
 	sampleSum float64
 	sampleN   int
@@ -288,29 +248,20 @@ type queryRT struct {
 	// after epoch+Warmup, so a query submitted mid-run warms up on its
 	// own clock instead of polluting its mean with an empty window.
 	epoch stream.Time
-	// shapeKey is the plan cache's structural identity of the query's
-	// statement ("" for plans deployed directly, which never share).
-	// Keyed source seeding and fragment dedup both hang off it.
-	shapeKey string
-	// subKeys holds one canonical subtree shape key per fragment
-	// (cql.SubtreeKeys), the dedup identity for leaf and interior
-	// fragments alike. nil when the query has no shape.
-	subKeys []string
-	// attached marks, per fragment, whether the fragment currently rides
-	// a shared instance as a subscriber instead of executing privately.
-	// Upstream fragments consult it to decide whether their fan-out view
-	// is needed (a shared downstream is already fed by the primary chain).
-	attached []bool
 	// removed freezes the query's statistics after RemoveQuery.
 	removed bool
 }
 
 // Engine is a running federated deployment.
 type Engine struct {
-	cfg     Config
-	rng     *rand.Rand
+	cfg Config
+	rng *rand.Rand
+	// plane decides placement, re-placement and sharing (membership, the
+	// auto-placer, the plan cache, the share index); the engine applies
+	// its commands to nodes and holds it against what the nodes then
+	// report (placeFragment, RemoveQuery).
+	plane   *control.Plane
 	nodes   []*node.Node
-	dead    []bool
 	coords  map[stream.QueryID]*coordinator.Coordinator
 	queries map[stream.QueryID]*queryRT
 	order   []stream.QueryID
@@ -336,10 +287,6 @@ type Engine struct {
 	// query per tick; slices are reused across ticks.
 	accBatch map[stream.QueryID][]float64
 
-	// qcPlacer assigns sites to QueryChurn submissions without an
-	// explicit placement; it is rebuilt over the live membership whenever
-	// membership changes, mirroring the transport controller's placer.
-	qcPlacer *Placer
 	// skippedSubmits and skippedRetracts count scheduled events the
 	// engine could not apply (bad CQL, too few live nodes, unknown
 	// query id) — schedule errors cannot surface from Step, so tests
@@ -347,18 +294,6 @@ type Engine struct {
 	// same mistakes as Submit/Retract errors.
 	skippedSubmits  int
 	skippedRetracts int
-
-	// subKeyMemo memoises cql.SubtreeKeys per shape key: shape determines
-	// plan structure (the dedup-soundness invariant the cql tests pin), so
-	// the per-fragment subtree keys are a pure function of the shape.
-	subKeyMemo map[string][]string
-
-	// planCache memoises cql.PlanDistributed across submissions — with
-	// thousands of structurally similar queries, parsing and planning
-	// dominate submit cost. catalogs memoises DefaultCatalog per dataset
-	// for the same reason.
-	planCache *cql.PlanCache
-	catalogs  map[sources.Dataset]*cql.Catalog
 
 	// Checkpoint schedule state (see checkpoint.go). ckptEvery is the
 	// cadence in ticks (0 = off); ckptSlots is the precomputed per-tick
@@ -373,7 +308,6 @@ type Engine struct {
 	ckptCompat map[string]*snapshotRec
 	ckptEnc    stream.SnapEncoder
 
-	nextQuery  stream.QueryID
 	nextSource stream.SourceID
 }
 
@@ -395,15 +329,13 @@ func NewEngine(cfg Config) *Engine {
 		cfg.BatchesPerSec = 3
 	}
 	e := &Engine{
-		cfg:        cfg,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		pool:       stream.NewPool(),
-		coords:     make(map[stream.QueryID]*coordinator.Coordinator),
-		queries:    make(map[stream.QueryID]*queryRT),
-		accBatch:   make(map[stream.QueryID][]float64),
-		subKeyMemo: make(map[string][]string),
-		planCache:  cql.NewPlanCache(),
-		catalogs:   make(map[sources.Dataset]*cql.Catalog),
+		cfg:      cfg,
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		plane:    control.New(control.Config{Placement: cfg.Placement, Seed: cfg.Seed, Sharing: cfg.Sharing}),
+		pool:     stream.NewPool(),
+		coords:   make(map[stream.QueryID]*coordinator.Coordinator),
+		queries:  make(map[stream.QueryID]*queryRT),
+		accBatch: make(map[stream.QueryID][]float64),
 	}
 	if cfg.Checkpoint > 0 {
 		e.ckptEvery = int64(cfg.Checkpoint / cfg.Interval)
@@ -461,11 +393,7 @@ func (e *Engine) AddNode(capacityPerSec float64) stream.NodeID {
 		Seed:           e.rng.Int63(),
 	}, e.newShedder())
 	e.nodes = append(e.nodes, n)
-	e.dead = append(e.dead, false)
-	e.rebuildQCPlacer()
-	// Membership epoch: artifacts cached under the old membership are
-	// re-derived rather than trusted stale.
-	e.planCache.Invalidate()
+	e.plane.Join()
 	return id
 }
 
@@ -495,56 +423,24 @@ func (e *Engine) DeployQuery(plan *query.Plan, placement []stream.NodeID, rate f
 // deployShaped is DeployQuery carrying the statement's structural shape
 // key, which CQL submissions thread through so keyed seeding and
 // fragment dedup can recognise structurally identical queries. Directly
-// deployed plans have no shape ("") and always run private.
+// deployed plans have no shape ("") and always run private. A nil
+// placement asks the plane for the configured strategy's.
 func (e *Engine) deployShaped(plan *query.Plan, placement []stream.NodeID, rate float64, shapeKey string) (stream.QueryID, error) {
-	if err := plan.Validate(); err != nil {
-		return 0, err
-	}
-	if len(placement) != plan.NumFragments() {
-		return 0, fmt.Errorf("federation: placement has %d entries for %d fragments", len(placement), plan.NumFragments())
-	}
-	seen := make(map[stream.NodeID]bool)
-	for _, nd := range placement {
-		if int(nd) < 0 || int(nd) >= len(e.nodes) {
-			return 0, fmt.Errorf("federation: placement names missing node %d", nd)
-		}
-		if e.dead[nd] {
-			return 0, fmt.Errorf("federation: placement names dead node %d", nd)
-		}
-		if seen[nd] {
-			return 0, fmt.Errorf("federation: fragments of one query must be placed on distinct nodes")
-		}
-		seen[nd] = true
-	}
 	if rate <= 0 {
 		rate = e.cfg.SourceRate
 	}
-
-	q := e.nextQuery
-	e.nextQuery++
+	cq, cmds, err := e.plane.Submit(plan, shapeKey, rate, placement, e.tick)
+	if err != nil {
+		return 0, err
+	}
+	q := cq.ID
 	rt := &queryRT{
-		id:        q,
-		plan:      plan,
-		placement: append([]stream.NodeID(nil), placement...),
+		ctl:       cq,
 		resultAcc: sic.NewAccumulator(e.cfg.STW, e.cfg.Interval),
-		rate:      rate,
 		epoch:     stream.Time(e.tick * int64(e.cfg.Interval)),
-		shapeKey:  shapeKey,
 	}
-	if shapeKey != "" && e.cfg.Sharing >= SharingFull {
-		rt.subKeys = e.subtreeKeys(shapeKey, plan)
-		rt.attached = make([]bool, plan.NumFragments())
-	}
-	hostSeen := make(map[stream.NodeID]bool, len(placement))
-	for _, nd := range placement {
-		if !hostSeen[nd] {
-			hostSeen[nd] = true
-			rt.hosts = append(rt.hosts, nd)
-		}
-	}
-
-	for fi := range plan.Fragments {
-		e.placeFragment(rt, fi, placement[fi])
+	for _, d := range cmds {
+		e.placeFragment(rt, d)
 	}
 
 	e.coords[q] = coordinator.New(q, e.cfg.UpdateMode, e.cfg.STW, e.cfg.Interval)
@@ -571,19 +467,32 @@ func (e *Engine) RemoveQuery(q stream.QueryID) bool {
 		return false
 	}
 	rt.removed = true
-	for fi := range rt.plan.Fragments {
-		e.nodes[rt.placement[fi]].RemoveFragment(q, stream.FragID(fi))
+	placement, promos, flips, _ := e.plane.Retract(q)
+	for fi, nd := range placement {
+		e.nodes[nd].RemoveFragment(q, stream.FragID(fi))
 	}
 	// The departed query may have owned shared instances: each host
 	// promoted them to their first subscriber, and the instances' output
 	// already in transit belongs to the survivor's pipeline. Re-address it,
 	// or the promoted query would lose exactly the in-flight batches — a
 	// divergence from its private (SharingKeyed) execution, which keeps
-	// its own in-flight batches across another query's retract.
-	for fi := range rt.plan.Fragments {
-		for _, p := range e.nodes[rt.placement[fi]].TakePromotions() {
+	// its own in-flight batches across another query's retract. The hosts
+	// must report exactly the hand-offs the plane predicted; on a dead node
+	// (a query retired by KillNode) they are moot.
+	for _, nd := range placement {
+		if !e.plane.Alive(nd) {
+			continue
+		}
+		for _, p := range e.nodes[nd].TakePromotions() {
+			if len(promos) == 0 || promos[0] != (control.Promotion{Node: nd, OldQ: p.OldQ, NewQ: p.NewQ, Frag: int(p.Frag)}) {
+				mirrorFault("node %d handed query %d's fragment %d to query %d, plane predicted %v", nd, p.OldQ, p.Frag, p.NewQ, promos)
+			}
+			promos = promos[1:]
 			e.relabelTransit(p)
 		}
+	}
+	if len(promos) != 0 {
+		mirrorFault("no node performed the predicted hand-offs %v", promos)
 	}
 	delete(e.coords, q)
 	delete(e.accBatch, q)
@@ -594,9 +503,23 @@ func (e *Engine) RemoveQuery(q stream.QueryID) bool {
 	rt.resultFn = nil
 	e.ckptDirty = true
 	// The departing query may have owned shared instances whose
-	// subscribers were just promoted; re-derive their fan-out boundaries.
-	e.fixShareEmits()
+	// subscribers were just promoted; their fan-out boundaries moved.
+	e.applyFlips(flips)
 	return true
+}
+
+// mirrorFault reports a host outcome the control plane did not predict.
+// Hosts and plane decide by the same arrival-order rules, so only a bug
+// in one of them gets here; every sharing test thereby checks the mirror.
+func mirrorFault(format string, args ...any) {
+	panic(fmt.Sprintf("federation: share index diverged from host: "+format, args...))
+}
+
+// applyFlips delivers the plane's emit flips to the hosting nodes.
+func (e *Engine) applyFlips(flips []control.EmitFlip) {
+	for _, f := range flips {
+		e.nodes[f.Node].SetSubEmit(f.Query, stream.FragID(f.Frag), f.Emit)
+	}
 }
 
 // OnResult registers a callback receiving every result batch of a query —
@@ -622,11 +545,11 @@ func (e *Engine) latencyTicks() int64 {
 // live destination is recycled on the spot.
 func (e *Engine) routeDownstream(from stream.NodeID, b *stream.Batch) {
 	rt, ok := e.queries[b.Query]
-	if !ok || rt.removed || int(b.Frag) >= len(rt.placement) {
+	if !ok || rt.removed || int(b.Frag) >= len(rt.ctl.Placement) {
 		b.Release()
 		return
 	}
-	dest := rt.placement[b.Frag]
+	dest := rt.ctl.Placement[b.Frag]
 	delay := int64(1) // local hand-off still waits for the next tick
 	if dest != from {
 		delay = e.latencyTicks()
@@ -678,13 +601,14 @@ func (e *Engine) applyChurn() {
 	}
 }
 
-// KillNode fails a node mid-run, mirroring the transport controller's
-// recovery: every query fragment the node hosted is re-placed on the
-// lowest-numbered surviving nodes not already hosting the query, with a
-// fresh executor and fresh sources. Without checkpointing, operator
-// window state dies with the node, exactly as in a real crash, and the
-// affected queries' SIC accounting resets at this recovery epoch — their
-// statistics describe the post-recovery pipeline. With Config.Checkpoint
+// KillNode fails a node mid-run — the controller's failure recovery in
+// virtual time: every query fragment the node hosted is re-placed by the
+// plane's one rule (the configured strategy over the surviving nodes not
+// already hosting the query, DESIGN.md §7), with a fresh executor and
+// fresh sources. Without checkpointing, operator window state dies with
+// the node, exactly as in a real crash, and the affected queries' SIC
+// accounting resets at this recovery epoch — their statistics describe
+// the post-recovery pipeline. With Config.Checkpoint
 // set, each displaced fragment is restored from the newest compatible
 // snapshot instead; when every displaced fragment of a query restores,
 // the epoch resets are skipped and the query's surviving accumulators
@@ -693,57 +617,26 @@ func (e *Engine) applyChurn() {
 // to the dead node are dropped on delivery and counted against the
 // sender's dropped-SIC stats.
 func (e *Engine) KillNode(id stream.NodeID) {
-	if int(id) < 0 || int(id) >= len(e.nodes) || e.dead[id] {
+	affected, ok := e.plane.Fail(id)
+	if !ok {
 		return
 	}
-	e.dead[id] = true
 	// The dead node never ticks again: recycle whatever sat in its input
 	// buffer so the pool's leak accounting stays exact.
 	e.nodes[id].ReleaseBuffers()
-	e.rebuildQCPlacer()
-	e.planCache.Invalidate()
-	for _, qid := range e.order {
+	for _, qid := range affected {
 		rt := e.queries[qid]
-		if rt.removed {
-			continue
-		}
-		var displaced []int
-		used := make(map[stream.NodeID]bool, len(rt.placement))
-		for fi, nd := range rt.placement {
-			if nd == id {
-				displaced = append(displaced, fi)
-			} else {
-				used[nd] = true
-			}
-		}
-		if len(displaced) == 0 {
-			continue
-		}
-		var candidates []stream.NodeID
-		for ni := range e.nodes {
-			nd := stream.NodeID(ni)
-			if !e.dead[nd] && !used[nd] {
-				candidates = append(candidates, nd)
-			}
-		}
-		if len(candidates) < len(displaced) {
+		cmds, err := e.plane.Replace(qid, e.tick)
+		if err != nil {
 			// Unrecoverable for this query: not enough distinct survivors.
 			// The federation keeps running without it (the TCP controller
 			// aborts here instead — it owes the user an answer).
 			e.RemoveQuery(qid)
 			continue
 		}
-		for i, fi := range displaced {
-			e.nodes[id].RemoveFragment(qid, stream.FragID(fi))
-			e.placeFragment(rt, fi, candidates[i])
-		}
-		rt.hosts = rt.hosts[:0]
-		hostSeen := make(map[stream.NodeID]bool, len(rt.placement))
-		for _, nd := range rt.placement {
-			if !hostSeen[nd] {
-				hostSeen[nd] = true
-				rt.hosts = append(rt.hosts, nd)
-			}
+		for _, d := range cmds {
+			e.nodes[id].RemoveFragment(qid, stream.FragID(d.Frag))
+			e.placeFragment(rt, d)
 		}
 		// With checkpointing on, try to restore every displaced fragment
 		// from its newest compatible snapshot. All-or-nothing per query:
@@ -753,8 +646,8 @@ func (e *Engine) KillNode(id stream.NodeID) {
 		restored := false
 		if e.ckptEvery > 0 {
 			restored = true
-			for _, fi := range displaced {
-				if !e.restoreDisplaced(rt, fi) {
+			for _, d := range cmds {
+				if !e.restoreDisplaced(rt, d.Frag) {
 					restored = false
 					break
 				}
@@ -775,7 +668,7 @@ func (e *Engine) KillNode(id stream.NodeID) {
 	// Re-placement changed which fragments execute privately (a displaced
 	// rider that found no same-tick sharer now runs its own executor and
 	// needs the views its upstream subscriptions previously suppressed).
-	e.fixShareEmits()
+	e.applyFlips(e.plane.Sweep())
 	// Hand-offs on the dead node are moot — its instances are being
 	// re-placed, and batches in transit to it drop on delivery either way.
 	e.nodes[id].TakePromotions()
@@ -799,167 +692,34 @@ func (e *Engine) relabelTransit(p node.Promotion) {
 	}
 }
 
-// placeFragment instantiates fragment fi of rt's plan on the given
-// node: fresh executor, fresh sources (their rate estimators warm-start,
-// as on a newly deployed node). Both the initial deploy and failure
-// recovery go through here, so a re-placed fragment reconstructs the
-// same per-source generator indices — the query-global running count —
-// as the fragment it replaces, even for plans with uneven per-fragment
-// source counts.
-func (e *Engine) placeFragment(rt *queryRT, fi int, nd stream.NodeID) {
-	plan := rt.plan
-	fp := plan.Fragments[fi]
-	host := e.nodes[nd]
-	downstream := stream.FragID(-1)
-	downstreamPort := -1
-	if d := plan.Downstream[fi]; d >= 0 {
-		downstream = stream.FragID(d)
-		downstreamPort = plan.Fragments[d].UpstreamPort
+// placeFragment applies one of the plane's deploy commands: the fragment
+// attaches to, or is hosted on, the commanded node (node.Deploy). Both
+// the initial deploy and failure recovery go through here. Keyed modes
+// seed sources from the query's structural shape, so structurally
+// identical queries observe identical source data (the production
+// semantics — many dashboards over one metric feed) and, crucially,
+// consume nothing from e.rng: a deduplicated deployment (SharingFull)
+// and a private one (SharingKeyed) keep the engine's random state — and
+// therefore everything downstream of it — bit-identical. Unkeyed
+// fragments draw from e.rng in submission order, which is what the paper
+// figures are pinned to.
+func (e *Engine) placeFragment(rt *queryRT, d control.Deploy) {
+	spec := node.FragmentSpec{
+		Query: rt.ctl.ID, Frag: stream.FragID(d.Frag), Plan: rt.ctl.Plan,
+		Rate: rt.ctl.Rate, Batches: e.cfg.BatchesPerSec, Burst: e.cfg.Burst,
+		FirstSource: e.nextSource, Seed: d.Seed,
+		ShareKey: d.ShareKey, Emit: d.Emit, Scale: d.Scale,
 	}
-	// Keyed modes derive source seeds from the query's structural shape
-	// instead of the submission-order RNG: structurally identical queries
-	// then observe identical source data (the production semantics — many
-	// dashboards over one metric feed) and, crucially, consume nothing
-	// from e.rng here, so a deduplicated deployment (SharingFull) and a
-	// private one (SharingKeyed) keep the engine's random state — and
-	// therefore everything downstream of it — bit-identical.
-	keyed := e.cfg.Sharing != SharingOff && rt.shapeKey != ""
-	// Every fragment — leaf scans and interior partial-aggregate merges
-	// alike — deduplicates under its canonical subtree shape key
-	// (cql.SubtreeKeys): given keyed seeds, equal subtree keys + equal
-	// rate ⇒ the same input forever, at every level of the plan. The key
-	// appends the fragment index (interchangeable leaves of one query
-	// must not collapse onto each other — they scan distinct sources) and
-	// pins the deployment tick, so a late arrival never attaches to an
-	// instance with warm window state its private pipeline would not have
-	// had; co-displaced queries re-share at the recovery tick the same
-	// way. SharingScaled drops the rate pin and scales SIC at the fan-out
-	// point instead.
-	shareKey := ""
-	if rt.subKeys != nil && keyed {
-		shareKey = rt.subKeys[fi] + "|f" + strconv.Itoa(fi)
-		if e.cfg.Sharing != SharingScaled {
-			shareKey += "|r" + strconv.FormatFloat(rt.rate, 'g', -1, 64)
-		}
-		shareKey += "|t" + strconv.FormatInt(e.tick, 10)
+	if !d.Keyed {
+		spec.Seeds = e.rng
 	}
-	if shareKey != "" {
-		// A subscriber's fan-out view is only needed where its private
-		// pipeline resumes: the root rider always needs its own result
-		// stream, while an interior rider whose downstream fragment also
-		// rides a shared instance must not double-feed it.
-		emit := true
-		if d := plan.Downstream[fi]; d >= 0 && rt.attached[d] {
-			emit = false
-		}
-		// Rate-scaled sharing converts the primary's SIC mass into the
-		// rider's normalisation at the fan-out point. Eq. (1) stamps are
-		// fractions of the stamping query's ideal window content (rate ×
-		// |S| × T); a rider declaring twice the primary's rate receives
-		// half of *its* ideal content from the shared stream, so its view
-		// headers carry primaryRate/riderRate of the primary's mass. The
-		// per-tuple stamps inside the aliased payload stay the primary's —
-		// the header is the accountable quantity (deliverResult).
-		scale := 1.0
-		if e.cfg.Sharing == SharingScaled && rt.rate > 0 {
-			if pq, ok := host.SharedPrimary(shareKey); ok {
-				if prt := e.queries[pq]; prt != nil && prt.rate > 0 {
-					scale = prt.rate / rt.rate
-				}
-			}
-		}
-		if host.AttachShared(shareKey, rt.id, stream.FragID(fi), downstream, downstreamPort, emit, scale) {
-			rt.placement[fi] = nd
-			rt.attached[fi] = true
-			return
-		}
+	attached := e.nodes[d.Node].Deploy(spec)
+	if attached != d.Attach {
+		mirrorFault("query %d fragment %d on node %d: attached=%v, plane predicted %v", rt.ctl.ID, d.Frag, d.Node, attached, d.Attach)
 	}
-	if rt.attached != nil {
-		rt.attached[fi] = false
+	if !attached {
+		e.nextSource += stream.SourceID(len(rt.ctl.Plan.Fragments[d.Frag].Sources))
 	}
-	host.HostFragmentShared(rt.id, stream.FragID(fi), query.NewFragmentExec(fp), plan.NumSources(), downstream, downstreamPort, shareKey)
-	genIdx := plan.SourceIndexOffset(fi)
-	for si, ss := range fp.Sources {
-		var genSeed, srcSeed int64
-		if keyed {
-			genSeed = e.keyedSeed(rt.shapeKey, fi, si, 'g')
-			srcSeed = e.keyedSeed(rt.shapeKey, fi, si, 's')
-		} else {
-			genSeed = e.rng.Int63()
-			srcSeed = e.rng.Int63()
-		}
-		gen := ss.NewGen(rand.New(rand.NewSource(genSeed)), genIdx+si)
-		src := sources.New(e.nextSource, rt.id, stream.FragID(fi), ss.Port,
-			rt.rate, e.cfg.BatchesPerSec, ss.Arity, gen, srcSeed)
-		src.Burst = e.cfg.Burst
-		e.nextSource++
-		host.AttachSource(src)
-	}
-	rt.placement[fi] = nd
-}
-
-// subtreeKeys memoises cql.SubtreeKeys per shape key. Shape determines
-// plan structure (the dedup-soundness invariant TestShapeImpliesIdenticalPlans
-// pins), so the per-fragment subtree keys are a pure function of the
-// shape and survive plan-cache invalidation.
-func (e *Engine) subtreeKeys(shapeKey string, plan *query.Plan) []string {
-	if ks, ok := e.subKeyMemo[shapeKey]; ok {
-		return ks
-	}
-	ks := cql.SubtreeKeys(plan, shapeKey)
-	e.subKeyMemo[shapeKey] = ks
-	return ks
-}
-
-// fixShareEmits re-establishes the fan-out boundary invariant after an
-// ownership change — a promotion following a shared primary's departure,
-// or a failure re-placement: a query's subscription at fragment u must
-// emit fan-out views exactly when the query executes u's downstream
-// fragment privately (a shared downstream is fed by its own primary's
-// chain, so a view would double-feed it; a private downstream starves
-// without one). The sweep reads the nodes' share indexes directly, so it
-// is correct even when node-side promotions have relabelled instances
-// the engine's placement records still describe by their old owner.
-func (e *Engine) fixShareEmits() {
-	if e.cfg.Sharing < SharingFull {
-		return
-	}
-	for _, qid := range e.order {
-		rt := e.queries[qid]
-		if rt.removed || rt.subKeys == nil {
-			continue
-		}
-		for u := range rt.plan.Fragments {
-			d := rt.plan.Downstream[u]
-			if d < 0 {
-				continue
-			}
-			un := e.nodes[rt.placement[u]]
-			if !un.IsShareSub(qid, stream.FragID(u)) {
-				continue
-			}
-			emit := !e.nodes[rt.placement[d]].IsShareSub(qid, stream.FragID(d))
-			un.SetSubEmit(qid, stream.FragID(u), emit)
-		}
-	}
-}
-
-// keyedSeed hashes (engine seed, shape key, fragment, source, stream tag)
-// into a deterministic source seed — FNV-1a over the identifying facts.
-// Excluding the deployment tick keeps a fragment re-placed after failure
-// on the same logical data stream as the instance it replaces.
-func (e *Engine) keyedSeed(shapeKey string, fi, si int, which byte) int64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(e.cfg.Seed))
-	h.Write(buf[:])
-	h.Write([]byte(shapeKey))
-	binary.LittleEndian.PutUint64(buf[:], uint64(fi))
-	h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(si))
-	h.Write(buf[:])
-	h.Write([]byte{which})
-	return int64(h.Sum64() >> 1) // non-negative, rand.NewSource-friendly
 }
 
 // --- query churn ---
@@ -998,74 +758,17 @@ func (e *Engine) SubmitCQL(cqlText string, fragments, dataset int, rate float64,
 	if fragments < 1 {
 		fragments = 1
 	}
-	ds := sources.Dataset(dataset)
 	// The plan cache short-circuits the whole lex/parse/plan pipeline for
 	// repeated text, and re-planning for merely re-spelled statements.
-	// Plans are read-only templates — operators instantiate per
-	// deployment — so sharing one across query ids changes nothing.
-	plan, shapeKey, err := e.planCache.PlanDistributed(cqlText, e.catalog(ds), ds.String(), fragments)
+	plan, shapeKey, err := e.plane.Plan(cqlText, fragments, sources.Dataset(dataset))
 	if err != nil {
 		return 0, err
-	}
-	if placement == nil {
-		placement, err = e.autoPlace(plan.NumFragments())
-		if err != nil {
-			return 0, err
-		}
 	}
 	return e.deployShaped(plan, placement, rate, shapeKey)
 }
 
-// catalog memoises DefaultCatalog per dataset: catalogs are immutable
-// stream descriptions, and rebuilding one per submission is measurable at
-// thousands of queries.
-func (e *Engine) catalog(d sources.Dataset) *cql.Catalog {
-	if c, ok := e.catalogs[d]; ok {
-		return c
-	}
-	c := cql.DefaultCatalog(d)
-	e.catalogs[d] = c
-	return c
-}
-
 // PlanCacheStats reports the submit-path plan cache counters.
-func (e *Engine) PlanCacheStats() cql.PlanCacheStats { return e.planCache.Stats() }
-
-// autoPlace assigns k fragments to distinct live nodes with the
-// configured placement strategy, mirroring Controller.AutoPlace.
-func (e *Engine) autoPlace(k int) ([]stream.NodeID, error) {
-	var alive []stream.NodeID
-	for ni := range e.nodes {
-		if !e.dead[ni] {
-			alive = append(alive, stream.NodeID(ni))
-		}
-	}
-	if len(alive) == 0 {
-		return nil, fmt.Errorf("federation: no live nodes to place on")
-	}
-	if e.qcPlacer == nil {
-		p, err := NewPlacer(e.cfg.Placement, len(alive), e.cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		e.qcPlacer = p
-	}
-	ids, err := e.qcPlacer.Place(k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]stream.NodeID, len(ids))
-	for i, id := range ids {
-		out[i] = alive[int(id)]
-	}
-	return out, nil
-}
-
-// rebuildQCPlacer re-derives the churn placer over the live membership
-// (strategy and seed preserved, round-robin state restarts), so
-// scheduled submissions never target dead nodes. Lazily re-created on
-// the next autoPlace.
-func (e *Engine) rebuildQCPlacer() { e.qcPlacer = nil }
+func (e *Engine) PlanCacheStats() cql.PlanCacheStats { return e.plane.PlanCacheStats() }
 
 // SkippedSubmits reports how many scheduled QueryChurn submissions
 // could not be applied.
@@ -1076,9 +779,7 @@ func (e *Engine) SkippedSubmits() int { return e.skippedSubmits }
 func (e *Engine) SkippedRetracts() int { return e.skippedRetracts }
 
 // NodeAlive reports whether a node is still part of the membership.
-func (e *Engine) NodeAlive(id stream.NodeID) bool {
-	return int(id) >= 0 && int(id) < len(e.nodes) && !e.dead[id]
-}
+func (e *Engine) NodeAlive(id stream.NodeID) bool { return e.plane.Alive(id) }
 
 // Placement returns a copy of a query's current fragment→node
 // assignment (it changes when failure recovery re-places fragments).
@@ -1087,7 +788,7 @@ func (e *Engine) Placement(q stream.QueryID) []stream.NodeID {
 	if !ok {
 		return nil
 	}
-	return append([]stream.NodeID(nil), rt.placement...)
+	return append([]stream.NodeID(nil), rt.ctl.Placement...)
 }
 
 // CurrentSIC reports a query's sliding measured result SIC at the
@@ -1125,14 +826,14 @@ func (e *Engine) workerCount() int {
 func (e *Engine) computePhase(t stream.Time) {
 	if e.workerCount() <= 1 {
 		for i, n := range e.nodes {
-			if !e.dead[i] {
+			if e.plane.Alive(stream.NodeID(i)) {
 				n.Tick(t)
 			}
 		}
 		return
 	}
 	parallel.ForEach(len(e.nodes), e.workerCount(), func(i int) {
-		if e.dead[i] {
+		if !e.plane.Alive(stream.NodeID(i)) {
 			return
 		}
 		e.nodes[i].Tick(t)
@@ -1146,7 +847,7 @@ func (e *Engine) computePhase(t stream.Time) {
 // parallel compute phase bit-identical to a sequential one.
 func (e *Engine) exchangePhase(now stream.Time) {
 	for i, n := range e.nodes {
-		if e.dead[i] {
+		if !e.plane.Alive(stream.NodeID(i)) {
 			continue
 		}
 		out := n.TakeOutbox()
@@ -1193,8 +894,8 @@ func (e *Engine) Step() {
 	slot := e.tick % int64(len(e.transitRing))
 	due := e.transitRing[slot]
 	for i, d := range due {
-		if e.dead[d.to] {
-			if !e.dead[d.from] {
+		if !e.plane.Alive(d.to) {
+			if e.plane.Alive(d.from) {
 				e.nodes[d.from].NoteDropped(d.b.Len(), d.b.SIC)
 			}
 			d.b.Release()
@@ -1205,7 +906,7 @@ func (e *Engine) Step() {
 	}
 	e.transitRing[slot] = due[:0]
 	for _, u := range e.updateRing[slot] {
-		if e.dead[u.to] {
+		if !e.plane.Alive(u.to) {
 			continue
 		}
 		e.nodes[u.to].SetResultSIC(u.q, u.v)
@@ -1229,10 +930,10 @@ func (e *Engine) Step() {
 			rt := e.queries[qid]
 			v := c.Value(now)
 			slot := (e.tick + delay) % int64(len(e.updateRing))
-			for _, nd := range rt.hosts {
+			for _, nd := range rt.ctl.Placement {
 				e.updateRing[slot] = append(e.updateRing[slot], sicUpdate{to: nd, q: qid, v: v})
 			}
-			c.NoteUpdateSent(len(rt.hosts))
+			c.NoteUpdateSent(len(rt.ctl.Placement))
 		}
 	}
 
@@ -1317,8 +1018,8 @@ func (e *Engine) Results() *Results {
 		perQuery = append(perQuery, mean)
 		res.Queries = append(res.Queries, QueryResult{
 			ID:        qid,
-			Type:      rt.plan.Type,
-			Fragments: rt.plan.NumFragments(),
+			Type:      rt.ctl.Plan.Type,
+			Fragments: rt.ctl.Plan.NumFragments(),
 			MeanSIC:   mean,
 			Samples:   rt.samples,
 		})

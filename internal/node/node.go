@@ -400,6 +400,64 @@ func (n *Node) HostFragmentShared(q stream.QueryID, f stream.FragID, exec *query
 	}
 }
 
+// FragmentSpec describes one fragment deployment: which fragment of which
+// plan, how its sources run, and its sharing terms.
+type FragmentSpec struct {
+	Query stream.QueryID
+	Frag  stream.FragID
+	Plan  *query.Plan
+	// Rate and Batches shape every source of the fragment (tuples/s in
+	// batches/s); Burst optionally modulates the rate. FirstSource is the
+	// id of the fragment's first source, the rest follow consecutively.
+	Rate, Batches float64
+	Burst         *sources.BurstConfig
+	FirstSource   stream.SourceID
+	// Seeds yields, per source in plan order, the generator seed and then
+	// the emission seed. Nil means a fresh generator over Seed, built only
+	// if the fragment hosts — an attach draws nothing.
+	Seeds *rand.Rand
+	Seed  int64
+	// ShareKey, when set, makes the fragment ride the instance this node
+	// already executes under the key, with the given fan-out terms
+	// (AttachShared), or else host as the key's dedup target.
+	ShareKey string
+	Emit     bool
+	Scale    float64
+}
+
+// Deploy instantiates a fragment on this node — the one routine behind
+// an initial deploy and a failure re-deploy, in the virtual-time engine
+// and on a TCP host alike. It reports whether the fragment attached to a
+// shared instance; otherwise the node now hosts a fresh executor and
+// fresh sources (their rate estimators warm-start, as on a newly
+// deployed node). Generator indices are the query-global running source
+// count, so a re-placed fragment reconstructs the identities of the one
+// it replaces even for plans with uneven per-fragment source counts.
+func (n *Node) Deploy(s FragmentSpec) (attached bool) {
+	fp := s.Plan.Fragments[s.Frag]
+	downstream, downstreamPort := stream.FragID(-1), -1
+	if d := s.Plan.Downstream[s.Frag]; d >= 0 {
+		downstream, downstreamPort = stream.FragID(d), s.Plan.Fragments[d].UpstreamPort
+	}
+	if n.AttachShared(s.ShareKey, s.Query, s.Frag, downstream, downstreamPort, s.Emit, s.Scale) {
+		return true
+	}
+	n.HostFragmentShared(s.Query, s.Frag, query.NewFragmentExec(fp), s.Plan.NumSources(), downstream, downstreamPort, s.ShareKey)
+	seeds := s.Seeds
+	if seeds == nil {
+		seeds = rand.New(rand.NewSource(s.Seed))
+	}
+	genIdx := s.Plan.SourceIndexOffset(int(s.Frag))
+	for i, ss := range fp.Sources {
+		gen := ss.NewGen(rand.New(rand.NewSource(seeds.Int63())), genIdx+i)
+		src := sources.New(s.FirstSource+stream.SourceID(i), s.Query, s.Frag, ss.Port,
+			s.Rate, s.Batches, ss.Arity, gen, seeds.Int63())
+		src.Burst = s.Burst
+		n.AttachSource(src)
+	}
+	return false
+}
+
 // AttachShared subscribes fragment (q, f) to an existing shared instance
 // with the given share key, if the node hosts one. The subscriber gets no
 // executor and no sources — when emit is set the shared instance's output

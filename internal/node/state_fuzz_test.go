@@ -40,7 +40,7 @@ func (r *loopbackRouter) RouteDownstream(_ stream.NodeID, b *stream.Batch) {
 	r.batches = append(r.batches, cp)
 }
 func (r *loopbackRouter) DeliverResult(stream.QueryID, stream.Time, []stream.Tuple, float64) {}
-func (r *loopbackRouter) ReportAccepted(stream.QueryID, stream.Time, float64)       {}
+func (r *loopbackRouter) ReportAccepted(stream.QueryID, stream.Time, float64)                {}
 
 // buildStateNode hosts every fragment of a workload mix covering all
 // operator kinds — partial/merge/finalize AVG, COV with window pairing,

@@ -498,3 +498,90 @@ func TestHeartbeatDetection(t *testing.T) {
 		t.Errorf("detection took %v, want well under the run deadline", elapsed)
 	}
 }
+
+// TestReplacementMatchesEngine: both drivers hand the re-placement choice
+// to the control plane, so for the same membership, placements and kill
+// the engine and the controller must move the displaced fragments to the
+// same hosts under every strategy — however many deploys the controller
+// served before (its post-failure placer used to be seeded with a counter
+// bumped on every deploy). No Run, no clock: the failure is injected
+// straight into handleFailure and the deploy frames land on idle hosts.
+func TestReplacementMatchesEngine(t *testing.T) {
+	const cqlText = "Select Avg(t.v) From AllSrc[Range 1 sec]"
+	placements := [][]int{{1, 2, 3}, {4, 1}, {1}, {0, 5}}
+	for _, strategy := range []string{"round-robin", "uniform", "zipf"} {
+		for _, warmups := range []int{0, 3} {
+			addrs, _ := startNodes(t, 8, 50_000)
+			ctrl, err := NewController(ControllerConfig{Seed: 11, Placement: strategy}, addrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := federation.Defaults()
+			cfg.Seed = 11
+			cfg.Placement = strategy
+			e := federation.NewEngine(cfg)
+			e.AddNodes(8, 50_000)
+			// Earlier traffic: same query ids on both sides, auto-placed on the
+			// controller so its placer state and deploy count advance.
+			for i := 0; i < warmups; i++ {
+				at, err := ctrl.AutoPlace(2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				q, err := ctrl.Submit(cqlText, 2, 1, 20, 4, at)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ctrl.Retract(q); err != nil {
+					t.Fatal(err)
+				}
+				eq, err := e.SubmitCQL(cqlText, 2, 1, 20, nil)
+				if err != nil || eq != q {
+					t.Fatalf("warm-up ids diverged: engine %d (%v), controller %d", eq, err, q)
+				}
+				e.RemoveQuery(eq)
+			}
+			var qs []stream.QueryID
+			for _, at := range placements {
+				q, err := ctrl.Submit(cqlText, len(at), 1, 20, 4, at)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eat := make([]stream.NodeID, len(at))
+				for i, n := range at {
+					eat[i] = stream.NodeID(n)
+				}
+				if eq, err := e.SubmitCQL(cqlText, len(at), 1, 20, eat); err != nil || eq != q {
+					t.Fatalf("query ids diverged: engine %d (%v), controller %d", eq, err, q)
+				}
+				qs = append(qs, q)
+			}
+			if err := ctrl.handleFailure(nodeFailure{1, errMissedHeartbeat}); err != nil {
+				t.Fatalf("%s: recovery failed: %v", strategy, err)
+			}
+			e.KillNode(1)
+			for i, q := range qs {
+				ctrl.mu.Lock()
+				got := append([]stream.NodeID(nil), ctrl.plane.Query(q).Placement...)
+				ctrl.mu.Unlock()
+				want := e.Placement(q)
+				if len(got) != len(want) {
+					t.Fatalf("%s: query %d placement %v vs engine %v", strategy, q, got, want)
+				}
+				for f := range got {
+					if got[f] != want[f] {
+						t.Errorf("%s, %d warm-ups: query %d re-placed to %v by the controller, %v by the engine", strategy, warmups, q, got, want)
+						break
+					}
+					if got[f] == 1 {
+						t.Errorf("%s: query %d fragment %d left on the dead node", strategy, q, f)
+					}
+				}
+				if i == 3 && (got[0] != 0 || got[1] != 5) {
+					t.Errorf("%s: untouched query %d moved to %v", strategy, q, got)
+				}
+			}
+			ctrl.Shutdown()
+		}
+	}
+}

@@ -3,20 +3,15 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net"
-	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/control"
 	"repro/internal/coordinator"
-	"repro/internal/cql"
-	"repro/internal/federation"
 	"repro/internal/metrics"
-	"repro/internal/query"
 	"repro/internal/sic"
 	"repro/internal/sources"
 	"repro/internal/stream"
@@ -24,8 +19,9 @@ import (
 
 // Controller plays the query-submission node and the per-query
 // coordinators of a networked THEMIS federation: it deploys query
-// fragments across node servers (placement mirrors the virtual-time
-// engine's site assignment via federation.Placer), starts them, ingests
+// fragments across node servers (placement, re-placement and sharing are
+// the control plane's decisions, shared with the virtual-time engine —
+// internal/control), starts them, ingests
 // result/accepted reports, broadcasts result-SIC updates every interval,
 // and summarises per-query SIC at the end. Derived batches never pass
 // through the controller — hosts ship them to each other directly.
@@ -37,15 +33,24 @@ import (
 // failure that cannot be re-placed — too few survivors for the query's
 // fragments — aborts the run.
 type Controller struct {
-	mu     sync.Mutex
-	nodes  []*conn
-	addrs  []string
-	dead   []bool
+	mu    sync.Mutex
+	nodes []*conn
+	addrs []string
+	// plane is the control plane (guarded by mu): membership, the
+	// auto-placer, the plan cache, every query's placement and share
+	// facts, and the share index. Its index is an exact mirror of every
+	// host's: per-connection sends are ordered and a host's
+	// attach/host/promote decisions are deterministic functions of arrival
+	// order — the rules the plane itself applies — so the controller
+	// predicts every host-side outcome without a round trip. Host nodes
+	// re-plan the travelling CQL text themselves through their own caches.
+	plane  *control.Plane
 	coords map[stream.QueryID]*coordinator.Coordinator
 	accs   map[stream.QueryID]*sic.Accumulator
 	sums   map[stream.QueryID]*sampleStats
-	hosts  map[stream.QueryID][]int // fragment → node index, per query
-	deps   map[stream.QueryID]*deployRecord
+	// deps remembers each live query's travelling descriptor (per-fragment
+	// fields unset), from which recovery re-issues deploy frames.
+	deps map[stream.QueryID]Deploy
 	// qEpochs records each query's measurement epoch (deploy time): a
 	// query submitted mid-run warms up on its own clock before its
 	// samples count, so its mean is not diluted by an empty STW.
@@ -61,12 +66,8 @@ type Controller struct {
 	// every KindCheckpoint frame and dropped on retract. Blobs are
 	// opaque here — versioned and checksummed by the stream snapshot
 	// codec, verified by the restoring node.
-	ckpts  map[peerKey][]byte
-	nextQ  stream.QueryID
-	seed   int64
-	placer *federation.Placer
+	ckpts map[peerKey][]byte
 
-	strategy  string
 	hbTimeout time.Duration
 	norecover bool
 	// lastSeen holds per-node atomic unix-nano receive timestamps;
@@ -80,31 +81,13 @@ type Controller struct {
 
 	sicFn func(q stream.QueryID, now stream.Time, v float64)
 
-	// planCache memoises Submit's local planning step (text and canonical
-	// shape level), invalidated on membership change. Host nodes re-plan
-	// the travelling CQL text themselves through their own caches; under
-	// sharing the controller additionally derives each fragment's
-	// structural subtree key from the cached plan to key the distributed
-	// share index below.
-	planCache *cql.PlanCache
-
-	// sharing selects the networked multi-query sharing mode. shareIdx is
-	// an exact mirror of every host's share index (node index → share key
-	// → members in attach order, members[0] executing): per-connection
-	// sends are ordered and the node's attach/host/promote decisions are
-	// deterministic functions of arrival order, so the controller can
-	// predict every host-side outcome without a round trip. qShare holds
-	// per-query share facts; shareEpoch pins share keys in time — every
-	// pre-Run submission shares epoch 0 (instances are cold until Start,
-	// so attaching is exact), while each post-Start submission and each
-	// recovery event mints a fresh epoch so nothing attaches to an
-	// instance already mid-stream.
-	sharing    federation.Sharing
-	shareIdx   map[int]map[string]*shareGroup
-	qShare     map[stream.QueryID]*queryShare
+	// shareEpoch pins share keys in time: every pre-Run submission shares
+	// pin 0 (instances are cold until Start, so attaching is exact), while
+	// each post-Start submission and each recovery mints a fresh one so
+	// nothing attaches to an instance already mid-stream.
 	shareEpoch int64
 	// ckptCompat banks the newest checkpoint blob per shape-compatibility
-	// key (shape|frag|rate — the share identity without its epoch pin).
+	// key (control.Query.CompatKey — the share identity without its pin).
 	// Shared subscribers carry no private state, so their displaced
 	// fragments restore from a same-shape query's blob; keyed source
 	// seeding is what makes that state exchangeable.
@@ -122,45 +105,6 @@ type Controller struct {
 type sampleStats struct {
 	sum float64
 	n   int
-}
-
-// deployRecord remembers everything needed to re-issue a query's deploy
-// messages during failure recovery.
-type deployRecord struct {
-	base Deploy // shared descriptor; per-fragment fields unset
-	seed int64  // SourceSeed base (per-fragment: seed + frag)
-}
-
-// shareGroup mirrors one host's shared instance: the queries subscribed
-// under one share key, in attach order. members[0] executes; the rest
-// ride as fan-out subscribers. The node promotes the next subscriber in
-// attach order when the executing query departs, which is exactly
-// members[1] here — the mirror replays the node's decision locally.
-type shareGroup struct {
-	members []stream.QueryID
-}
-
-// queryShare is one query's sharing facts: its structural identity
-// (epoch-free per-fragment subtree keys over the canonical shape), the
-// plan's downstream wiring, and the current share state per fragment —
-// the full key it was deployed under ("" before sharing applies),
-// whether the fragment rides a shared instance or executes, and the
-// last emit bit delivered for riding fragments.
-type queryShare struct {
-	shape    string
-	rate     float64
-	subKeys  []string
-	downs    []int
-	keys     []string
-	attached []bool
-	emits    []bool
-}
-
-// emitFlip is one pending KindShareEmit send: the emit-invariant sweep
-// computes flips under c.mu and delivers them outside it.
-type emitFlip struct {
-	ni int
-	e  *Envelope
 }
 
 // nodeFailure is one detected node death, reported to Run.
@@ -207,14 +151,14 @@ type ControllerConfig struct {
 	// aborts the run instead of re-placing the dead node's fragments.
 	DisableRecovery bool
 	// Sharing selects the multi-query sharing mode applied across the
-	// networked federation, mirroring federation.EngineConfig.Sharing:
+	// networked federation, as federation.Config.Sharing does in virtual time:
 	// off (default), keyed (same-shape submissions draw identical source
 	// streams, enabling cross-query checkpoint compatibility), full
 	// (same-shape fragments placed on the same host collapse onto one
 	// executing instance with refcounted fan-out views), or scaled (full,
 	// plus instances shared across rates with the SIC mass converted at
 	// the fan-out point).
-	Sharing federation.Sharing
+	Sharing control.Sharing
 	// Checkpoint is the operator-state checkpoint cadence: every
 	// Checkpoint of wall clock each host snapshots its fragments and
 	// ships the sealed blobs here; failure recovery then restores a
@@ -241,36 +185,26 @@ func NewController(cfg ControllerConfig, nodeAddrs []string) (*Controller, error
 			hb = 2 * time.Second
 		}
 	}
+	if _, err := control.NewPlacer(cfg.Placement, 1, cfg.Seed); err != nil {
+		return nil, err
+	}
 	c := &Controller{
-		coords:    make(map[stream.QueryID]*coordinator.Coordinator),
-		accs:      make(map[stream.QueryID]*sic.Accumulator),
-		sums:      make(map[stream.QueryID]*sampleStats),
-		hosts:     make(map[stream.QueryID][]int),
-		deps:      make(map[stream.QueryID]*deployRecord),
-		qEpochs:   make(map[stream.QueryID]time.Time),
-		finished:  make(map[stream.QueryID]float64),
-		stw:       cfg.STW,
-		ival:      cfg.Interval,
-		ckpt:      cfg.Checkpoint,
-		ckpts:     make(map[peerKey][]byte),
-		seed:      cfg.Seed,
-		strategy:  cfg.Placement,
-		hbTimeout: hb,
-		norecover: cfg.DisableRecovery,
+		plane:      control.New(control.Config{Placement: cfg.Placement, Seed: cfg.Seed, Sharing: cfg.Sharing}),
+		coords:     make(map[stream.QueryID]*coordinator.Coordinator),
+		accs:       make(map[stream.QueryID]*sic.Accumulator),
+		sums:       make(map[stream.QueryID]*sampleStats),
+		deps:       make(map[stream.QueryID]Deploy),
+		qEpochs:    make(map[stream.QueryID]time.Time),
+		finished:   make(map[stream.QueryID]float64),
+		stw:        cfg.STW,
+		ival:       cfg.Interval,
+		ckpt:       cfg.Checkpoint,
+		ckpts:      make(map[peerKey][]byte),
+		hbTimeout:  hb,
+		norecover:  cfg.DisableRecovery,
 		fail:       make(chan nodeFailure, 64),
 		statsCh:    make(chan struct{}, 256),
-		planCache:  cql.NewPlanCache(),
-		sharing:    cfg.Sharing,
-		shareIdx:   make(map[int]map[string]*shareGroup),
-		qShare:     make(map[stream.QueryID]*queryShare),
 		ckptCompat: make(map[string][]byte),
-	}
-	if len(nodeAddrs) > 0 {
-		p, err := federation.NewPlacer(cfg.Placement, len(nodeAddrs), cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		c.placer = p
 	}
 	for _, addr := range nodeAddrs {
 		cn, err := dial(addr, "controller", defaultWriteTimeout)
@@ -280,7 +214,7 @@ func NewController(cfg ControllerConfig, nodeAddrs []string) (*Controller, error
 		}
 		c.nodes = append(c.nodes, cn)
 		c.addrs = append(c.addrs, addr)
-		c.dead = append(c.dead, false)
+		c.plane.Join()
 		c.lastSeen = append(c.lastSeen, &atomic.Int64{})
 	}
 	return c, nil
@@ -297,17 +231,12 @@ func (c *Controller) AddNode(addr string) (int, error) {
 		return 0, err
 	}
 	c.mu.Lock()
-	idx := len(c.nodes)
+	idx := int(c.plane.Join())
 	c.nodes = append(c.nodes, cn)
 	c.addrs = append(c.addrs, addr)
-	c.dead = append(c.dead, false)
 	ls := &atomic.Int64{}
 	ls.Store(time.Now().UnixNano())
 	c.lastSeen = append(c.lastSeen, ls)
-	c.rebuildPlacerLocked()
-	// Membership changed: conservatively drop cached plans so nothing
-	// planned against the old epoch survives into the new one.
-	c.planCache.Invalidate()
 	// Read running under the same lock Run holds while it snapshots the
 	// connection list and flips running: exactly one of Run and AddNode
 	// starts this connection's read loop, never both and never neither.
@@ -329,26 +258,6 @@ func (c *Controller) AddNode(addr string) (int, error) {
 	return idx, nil
 }
 
-// rebuildPlacerLocked re-derives the automatic placer over the live
-// membership (strategy and seed preserved, round-robin state restarts).
-// Called under c.mu whenever membership changes — joins and deaths —
-// so AutoPlace never assigns fragments to dead nodes.
-func (c *Controller) rebuildPlacerLocked() {
-	alive := 0
-	for i := range c.nodes {
-		if !c.dead[i] {
-			alive++
-		}
-	}
-	if alive == 0 {
-		c.placer = nil
-		return
-	}
-	if p, err := federation.NewPlacer(c.strategy, alive, c.seed); err == nil {
-		c.placer = p
-	}
-}
-
 // NumNodes reports the number of connected node servers (dead ones
 // included — indices are stable for the lifetime of the controller).
 func (c *Controller) NumNodes() int {
@@ -363,6 +272,19 @@ func (c *Controller) conns() []*conn {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]*conn(nil), c.nodes...)
+}
+
+// liveConnsLocked snapshots the connections for sends made outside c.mu,
+// with nil in every dead node's slot: a host that cannot be reached is
+// dead or dying, and failure detection owns that path.
+func (c *Controller) liveConnsLocked() []*conn {
+	conns := append([]*conn(nil), c.nodes...)
+	for i := range conns {
+		if !c.plane.Alive(stream.NodeID(i)) {
+			conns[i] = nil
+		}
+	}
+	return conns
 }
 
 // CloseAll closes all node connections.
@@ -402,55 +324,19 @@ func (c *Controller) OnSIC(fn func(q stream.QueryID, now stream.Time, v float64)
 // indices using the configured placement strategy. The placer draws
 // over the alive membership only; dead nodes never receive fragments.
 func (c *Controller) AutoPlace(fragments int) ([]int, error) {
-	// Place under the lock: Placer.Place mutates the strategy's state
-	// (round-robin cursor, rng), and concurrent mid-run Submits must not
-	// race on it.
+	// Place under the lock: the strategy is stateful (round-robin cursor,
+	// rng), and concurrent mid-run Submits must not race on it.
 	c.mu.Lock()
-	var alive []int
-	for i := range c.nodes {
-		if !c.dead[i] {
-			alive = append(alive, i)
-		}
-	}
-	if c.placer == nil || len(alive) == 0 {
-		c.mu.Unlock()
-		return nil, errors.New("transport: controller has no live nodes to place on")
-	}
-	ids, err := c.placer.Place(fragments)
+	ids, err := c.plane.Place(fragments)
 	c.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 	out := make([]int, len(ids))
 	for i, id := range ids {
-		out[i] = alive[int(id)]
+		out[i] = int(id)
 	}
 	return out, nil
-}
-
-// checkPlacement validates a placement against the connected nodes,
-// mirroring the virtual-time engine's rules (§3: fragments of one query
-// land on distinct nodes). Dead nodes are not valid targets.
-func (c *Controller) checkPlacement(fragments int, placement []int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(placement) != fragments {
-		return fmt.Errorf("transport: placement has %d entries for %d fragments", len(placement), fragments)
-	}
-	seen := make(map[int]bool, len(placement))
-	for _, ni := range placement {
-		if ni < 0 || ni >= len(c.nodes) {
-			return fmt.Errorf("transport: placement names missing node %d (%d connected)", ni, len(c.nodes))
-		}
-		if c.dead[ni] {
-			return fmt.Errorf("transport: placement names dead node %d (%s)", ni, c.addrs[ni])
-		}
-		if seen[ni] {
-			return errors.New("transport: fragments of one query must be placed on distinct nodes")
-		}
-		seen[ni] = true
-	}
-	return nil
 }
 
 // Submit makes a query a first-class runtime citizen: it plans the CQL
@@ -460,31 +346,61 @@ func (c *Controller) checkPlacement(fragments int, placement []int) error {
 // where the new fragments start ticking without pausing any other
 // query. The query's measurement epoch starts now: its samples count
 // toward its mean only after its own warmup, and its coordinator
-// registers for result-SIC dissemination immediately.
+// registers for result-SIC dissemination immediately. With sharing
+// enabled attach-vs-host is settled here, by the plane, and travels to
+// the host as an opaque ShareKey.
 func (c *Controller) Submit(cqlText string, fragments, dataset int, rate, batchesPerSec float64, placement []int) (stream.QueryID, error) {
+	var at []stream.NodeID
+	if placement != nil {
+		at = make([]stream.NodeID, len(placement))
+		for i, ni := range placement {
+			if at[i] = stream.NodeID(ni); int(at[i]) != ni {
+				at[i] = -1 // beyond the id type: the plane refuses it as missing
+			}
+		}
+	}
+	c.mu.Lock()
 	// Plan locally first: reject malformed statements before any node
-	// sees them, and learn the workload label for results. The plan cache
-	// makes repeat submissions of the same (or same-shaped) text skip the
-	// parse and planning work entirely; plans are read-only templates, so
-	// sharing one across query ids is safe.
-	ds := sources.Dataset(dataset)
-	plan, shape, err := c.planCache.PlanDistributed(cqlText, cql.DefaultCatalog(ds), ds.String(), fragments)
+	// sees them. The plan cache makes repeat submissions of the same (or
+	// same-shaped) text skip the parse and planning work entirely.
+	plan, shape, err := c.plane.Plan(cqlText, fragments, sources.Dataset(dataset))
 	if err != nil {
+		c.mu.Unlock()
 		return 0, err
 	}
-	if err := plan.Validate(); err != nil {
+	pin := int64(0)
+	if c.running.Load() {
+		c.shareEpoch++
+		pin = c.shareEpoch
+	}
+	cq, cmds, err := c.plane.Submit(plan, shape, rate, at, pin)
+	if err != nil {
+		c.mu.Unlock()
 		return 0, err
 	}
-	if placement == nil {
-		placement, err = c.AutoPlace(plan.NumFragments())
-		if err != nil {
+	q := cq.ID
+	c.coords[q] = coordinator.New(q, coordinator.RootMeasured, c.stw, c.ival)
+	c.accs[q] = sic.NewAccumulator(c.stw, c.ival)
+	c.sums[q] = &sampleStats{}
+	c.deps[q] = Deploy{
+		CQL: cqlText, Fragments: plan.NumFragments(), Dataset: dataset,
+		Rate: rate, Batches: batchesPerSec,
+	}
+	c.qEpochs[q] = time.Now()
+	peers := c.peersLocked(cq.Placement)
+	outs := make([]Deploy, len(cmds))
+	for i, cmd := range cmds {
+		outs[i] = c.frameLocked(cmd, peers)
+	}
+	conns := append([]*conn(nil), c.nodes...)
+	c.mu.Unlock()
+
+	for i, cmd := range cmds {
+		if err := conns[cmd.Node].send(&Envelope{Kind: KindDeploy, Deploy: &outs[i]}); err != nil {
 			return 0, err
 		}
 	}
-	return c.deploy(Deploy{
-		CQL: cqlText, Fragments: plan.NumFragments(), Dataset: dataset,
-		Rate: rate, Batches: batchesPerSec,
-	}, placement, plan, shape)
+	return q, nil
 }
 
 // Retract tears a running query down mid-run: its hosts drop the
@@ -499,7 +415,11 @@ func (c *Controller) Submit(cqlText string, fragments, dataset int, rate, batche
 // and stands down.
 func (c *Controller) Retract(q stream.QueryID) error {
 	c.mu.Lock()
-	placement, ok := c.hosts[q]
+	// The plane replays the hosts' teardown before the retract frames go
+	// out: group membership shifts (including promotion of the next
+	// subscriber to executing) and the emit invariant is re-derived over
+	// what remains.
+	placement, _, flips, ok := c.plane.Retract(q)
 	if !ok {
 		c.mu.Unlock()
 		return fmt.Errorf("transport: retract: unknown query %d", q)
@@ -509,15 +429,9 @@ func (c *Controller) Retract(q stream.QueryID) error {
 		mean = st.sum / float64(st.n)
 	}
 	c.finished[q] = mean
-	// Mirror the hosts' teardown before the retract frames go out: group
-	// membership shifts (including promotion of the next subscriber to
-	// executing) and the emit invariant is re-derived over what remains.
-	c.dropShareLocked(q, placement)
-	flips := c.shareEmitSweepLocked()
 	delete(c.coords, q)
 	delete(c.accs, q)
 	delete(c.sums, q)
-	delete(c.hosts, q)
 	delete(c.deps, q)
 	delete(c.qEpochs, q)
 	for k := range c.ckpts {
@@ -525,279 +439,64 @@ func (c *Controller) Retract(q stream.QueryID) error {
 			delete(c.ckpts, k)
 		}
 	}
-	placement = append([]int(nil), placement...)
-	conns := append([]*conn(nil), c.nodes...)
-	dead := append([]bool(nil), c.dead...)
+	conns := c.liveConnsLocked()
 	c.mu.Unlock()
-	// Network sends happen outside c.mu; errors are ignored — a host
-	// that cannot be reached is dead or dying, and failure detection
-	// owns that path.
-	seen := make(map[int]bool, len(placement))
+	// Network sends happen outside c.mu; errors are ignored, as for a dead
+	// host.
 	for _, ni := range placement {
-		if ni < 0 || ni >= len(conns) || dead[ni] || seen[ni] {
-			continue
+		if cn := conns[ni]; cn != nil {
+			cn.send(&Envelope{Kind: KindRetract, Retract: &Retract{Query: q}})
 		}
-		seen[ni] = true
-		conns[ni].send(&Envelope{Kind: KindRetract, Retract: &Retract{Query: q}})
 	}
 	// Emit flips ship after the retracts: per-connection ordering then
 	// guarantees a host sees the promotion (retract) before any flip that
 	// depends on it, and flips to other hosts converge within a tick.
-	c.sendEmitFlips(flips)
+	sendEmitFlips(conns, flips)
 	return nil
 }
 
-// deploy registers a query's controller-side records and sends one
-// Deploy per fragment. With sharing enabled the plan and its shape drive
-// the keyed source seeds and the share-index decisions — attach-vs-host
-// is settled here, under the mirror, and travels to the host as an
-// opaque ShareKey.
-func (c *Controller) deploy(d Deploy, placement []int, plan *query.Plan, shape string) (stream.QueryID, error) {
-	if err := c.checkPlacement(d.Fragments, placement); err != nil {
-		return 0, err
-	}
-	c.mu.Lock()
-	q := c.nextQ
-	c.nextQ++
-	c.seed++
-	c.coords[q] = coordinator.New(q, coordinator.RootMeasured, c.stw, c.ival)
-	c.accs[q] = sic.NewAccumulator(c.stw, c.ival)
-	c.sums[q] = &sampleStats{}
+// peersLocked renders a placement as the fragment → address map hosts
+// route derived batches by.
+func (c *Controller) peersLocked(placement []stream.NodeID) map[stream.FragID]string {
 	peers := make(map[stream.FragID]string, len(placement))
 	for f, ni := range placement {
 		peers[stream.FragID(f)] = c.addrs[ni]
 	}
-	c.hosts[q] = append([]int(nil), placement...)
-	c.deps[q] = &deployRecord{base: d, seed: c.seed}
-	c.qEpochs[q] = time.Now()
-	epoch := int64(0)
-	if c.sharing != federation.SharingOff {
-		c.qShare[q] = &queryShare{
-			shape:    shape,
-			rate:     d.Rate,
-			subKeys:  cql.SubtreeKeys(plan, shape),
-			downs:    append([]int(nil), plan.Downstream...),
-			keys:     make([]string, len(placement)),
-			attached: make([]bool, len(placement)),
-			emits:    make([]bool, len(placement)),
-		}
-		if c.running.Load() {
-			c.shareEpoch++
-			epoch = c.shareEpoch
-		}
-	}
-	outs := make([]Deploy, len(placement))
-	for f, ni := range placement {
-		outs[f] = c.fragDeployLocked(q, f, ni, peers, epoch)
-	}
-	conns := append([]*conn(nil), c.nodes...)
-	c.mu.Unlock()
-
-	for f, ni := range placement {
-		if err := conns[ni].send(&Envelope{Kind: KindDeploy, Deploy: &outs[f]}); err != nil {
-			return 0, err
-		}
-	}
-	return q, nil
+	return peers
 }
 
-// fragDeployLocked builds the Deploy frame that puts fragment f of query
-// q on node ni: the query's recorded descriptor specialised for the
-// fragment, the keyed source seed when the query shares, and the
-// attach-vs-host decision against the mirror. The initial deploy and
-// every recovery re-deploy build their frames here and nowhere else, so
-// a re-placed fragment is described to its new host by the same rules
-// that described it to the old one. Per-query source seeds and source
-// ids are pure functions of (query, fragment): a re-deploy reconstructs
-// the displaced fragment's sources exactly. Callers hold c.mu and build
-// a query's frames in ascending fragment order (see applyShareLocked).
-func (c *Controller) fragDeployLocked(q stream.QueryID, f, ni int, peers map[stream.FragID]string, epoch int64) Deploy {
-	rec := c.deps[q]
-	d := rec.base
-	d.Query = q
-	d.Frag = stream.FragID(f)
+// frameLocked builds the Deploy frame for one of the plane's deploy
+// commands: the query's recorded descriptor specialised for the fragment,
+// with the plane's seed and share terms. The initial deploy and every
+// recovery re-deploy build their frames here and nowhere else, so a
+// re-placed fragment is described to its new host by the same rules that
+// described it to the old one. Source seeds and source ids are pure
+// functions of (query, fragment): a re-deploy reconstructs the displaced
+// fragment's sources exactly. Callers hold c.mu.
+func (c *Controller) frameLocked(cmd control.Deploy, peers map[stream.FragID]string) Deploy {
+	d := c.deps[cmd.Query]
+	d.Query = cmd.Query
+	d.Frag = stream.FragID(cmd.Frag)
 	d.Peers = peers
-	d.SourceSeed = rec.seed + int64(f)
-	d.FirstSourceID = stream.SourceID(int(q)*1000 + 100*f)
+	d.SourceSeed = cmd.Seed
+	d.FirstSourceID = stream.SourceID(int(cmd.Query)*1000 + 100*cmd.Frag)
 	d.STWMs = int64(c.stw)
 	d.IntervalMs = int64(c.ival)
 	d.CheckpointMs = c.ckptMs()
-	if qs := c.qShare[q]; qs != nil {
-		d.SourceSeed = keyedSourceSeed(qs.shape, qs.rate, c.sharing == federation.SharingScaled, d.Frag)
-		if c.sharing >= federation.SharingFull {
-			c.applyShareLocked(qs, q, f, ni, epoch, &d)
-		}
-	}
+	d.ShareKey, d.ShareEmit, d.ShareScale = cmd.ShareKey, cmd.Emit, cmd.Scale
 	return d
 }
 
-// shareKeyFor mints a fragment's full share key: the structural subtree
-// key plus fragment index, a rate pin under the exact modes (scaled
-// sharing deliberately collapses rates), and the epoch pin.
-func (c *Controller) shareKeyFor(qs *queryShare, f int, epoch int64) string {
-	key := qs.subKeys[f] + "|f" + strconv.Itoa(f)
-	if c.sharing != federation.SharingScaled {
-		key += "|r" + strconv.FormatFloat(qs.rate, 'g', -1, 64)
-	}
-	return key + "|e" + strconv.FormatInt(epoch, 10)
-}
-
-// keyedSourceSeed derives a fragment's source seed from its structural
-// identity instead of its submission order: same-shape (and, except
-// under scaled sharing, same-rate) queries draw identical streams, which
-// is what makes one query's execution — and its checkpoints — valid for
-// another. SharingOff keeps the per-query seeds.
-func keyedSourceSeed(shape string, rate float64, scaled bool, f stream.FragID) int64 {
-	h := fnv.New64a()
-	io.WriteString(h, shape)
-	if !scaled {
-		io.WriteString(h, "|r"+strconv.FormatFloat(rate, 'g', -1, 64))
-	}
-	io.WriteString(h, "|f"+strconv.Itoa(int(f)))
-	return int64(h.Sum64() & (1<<63 - 1))
-}
-
-// applyShareLocked settles attach-vs-host for one fragment deploy
-// against the mirror. Every sharing-eligible deploy carries its key (the
-// first under a key becomes the host's registered dedup target); a
-// deploy finding an existing group attaches instead — riding the
-// instance with an emit bit per the invariant (emit iff the query's own
-// downstream fragment executes privately) and, under scaled sharing,
-// the Eq. (1) conversion factor primaryRate/riderRate. Deploy and
-// recovery both process a query's fragments in ascending order and
-// Downstream[f] < f, so the downstream attach decision this reads is
-// always already made. On recovery the key carries the recovery epoch:
-// co-displaced same-shape members that land together re-share (the
-// lowest-numbered query recovers first and becomes the new target),
-// everyone else re-deploys privately. Callers hold c.mu.
-func (c *Controller) applyShareLocked(qs *queryShare, q stream.QueryID, f, ni int, epoch int64, df *Deploy) {
-	key := c.shareKeyFor(qs, f, epoch)
-	idx := c.shareIdx[ni]
-	if idx == nil {
-		idx = make(map[string]*shareGroup)
-		c.shareIdx[ni] = idx
-	}
-	df.ShareKey = key
-	qs.keys[f] = key
-	g := idx[key]
-	if g == nil || len(g.members) == 0 {
-		idx[key] = &shareGroup{members: []stream.QueryID{q}}
-		qs.attached[f] = false
-		qs.emits[f] = true // executes privately; kept coherent for sweeps
-		return
-	}
-	qs.attached[f] = true
-	down := qs.downs[f]
-	emit := down < 0 || !qs.attached[down]
-	qs.emits[f] = emit
-	df.ShareEmit = emit
-	if c.sharing == federation.SharingScaled && qs.rate > 0 {
-		if pqs := c.qShare[g.members[0]]; pqs != nil && pqs.rate > 0 {
-			df.ShareScale = pqs.rate / qs.rate
-		}
-	}
-	g.members = append(g.members, q)
-}
-
-// dropShareLocked removes a departing query from every share group it
-// belongs to, mirroring the node-side teardown: removing a subscriber
-// just detaches it, removing the executing member promotes the next in
-// attach order (the node hands the instance over in the same order —
-// the promoted query's fragment flips from riding to executing here),
-// and an emptied group disappears with its instance. Callers hold c.mu
-// and pass the query's placement, which must still be live.
-func (c *Controller) dropShareLocked(q stream.QueryID, placement []int) {
-	qs := c.qShare[q]
-	if qs == nil {
-		return
-	}
-	for f, key := range qs.keys {
-		if key == "" || f >= len(placement) {
-			continue
-		}
-		idx := c.shareIdx[placement[f]]
-		g := idx[key]
-		if g == nil {
-			continue
-		}
-		for i, m := range g.members {
-			if m != q {
-				continue
-			}
-			wasPrimary := i == 0
-			g.members = append(g.members[:i], g.members[i+1:]...)
-			if len(g.members) == 0 {
-				delete(idx, key)
-			} else if wasPrimary {
-				if nqs := c.qShare[g.members[0]]; nqs != nil && f < len(nqs.attached) {
-					nqs.attached[f] = false
-				}
-			}
-			break
-		}
-	}
-	delete(c.qShare, q)
-}
-
-// shareEmitSweepLocked re-derives every subscription's emit bit from the
-// mirror — emit iff the subscriber's downstream fragment executes
-// privately — and returns the flips to deliver. Retract and recovery
-// call it after mutating the mirror; promotion is the interesting case
-// (a promoted query's upstream subscriptions must start feeding the
-// instance it now executes). Callers hold c.mu; sends happen outside.
-func (c *Controller) shareEmitSweepLocked() []emitFlip {
-	var flips []emitFlip
-	for q, qs := range c.qShare {
-		placement := c.hosts[q]
-		for f := range qs.keys {
-			if !qs.attached[f] || f >= len(placement) {
-				continue
-			}
-			down := qs.downs[f]
-			want := down < 0 || !qs.attached[down]
-			if want == qs.emits[f] {
-				continue
-			}
-			qs.emits[f] = want
-			flips = append(flips, emitFlip{placement[f], &Envelope{Kind: KindShareEmit, ShareEmit: &ShareEmitMsg{
-				Query: q, Frag: stream.FragID(f), Emit: want,
-			}}})
-		}
-	}
-	return flips
-}
-
-// sendEmitFlips delivers pending emit updates; dead hosts are skipped —
-// failure detection owns that path and recovery re-derives the bits.
-func (c *Controller) sendEmitFlips(flips []emitFlip) {
-	if len(flips) == 0 {
-		return
-	}
-	c.mu.Lock()
-	conns := append([]*conn(nil), c.nodes...)
-	dead := append([]bool(nil), c.dead...)
-	c.mu.Unlock()
+// sendEmitFlips delivers the plane's emit flips as KindShareEmit frames;
+// dead hosts are skipped — recovery re-derives the bits.
+func sendEmitFlips(conns []*conn, flips []control.EmitFlip) {
 	for _, fl := range flips {
-		if fl.ni < 0 || fl.ni >= len(conns) || dead[fl.ni] {
-			continue
+		if cn := conns[fl.Node]; cn != nil {
+			cn.send(&Envelope{Kind: KindShareEmit, ShareEmit: &ShareEmitMsg{
+				Query: fl.Query, Frag: stream.FragID(fl.Frag), Emit: fl.Emit,
+			}})
 		}
-		conns[fl.ni].send(fl.e)
 	}
-}
-
-// compatCkptKey is the shape-compatibility identity of a fragment's
-// checkpointed state: the share key without its epoch pin, empty when
-// sharing is off (the query then has no share facts). Mirrors the
-// virtual-time engine's compat keys (federation/checkpoint.go).
-func (c *Controller) compatCkptKey(qs *queryShare, f int) string {
-	if qs == nil {
-		return ""
-	}
-	key := qs.shape + "|f" + strconv.Itoa(f)
-	if c.sharing != federation.SharingScaled {
-		key += "|r" + strconv.FormatFloat(qs.rate, 'g', -1, 64)
-	}
-	return key
 }
 
 // ckptMs is the checkpoint cadence in wall-clock milliseconds (zero when
@@ -877,16 +576,17 @@ loop:
 			type bcast struct {
 				q     stream.QueryID
 				v     float64
-				hosts []int
+				hosts []stream.NodeID
 			}
 			var outs []bcast
 			c.mu.Lock()
 			for q, coord := range c.coords {
 				v := coord.Value(now)
-				// Recovery rewrites host slices in place, so copy them
+				// Recovery rewrites placements in place, so copy them
 				// for use outside the lock below.
-				outs = append(outs, bcast{q, v, append([]int(nil), c.hosts[q]...)})
-				coord.NoteUpdateSent(len(c.hosts[q]))
+				hosts := append([]stream.NodeID(nil), c.plane.Query(q).Placement...)
+				outs = append(outs, bcast{q, v, hosts})
+				coord.NoteUpdateSent(len(hosts))
 				// Per-query SIC epoch: samples count from the query's own
 				// deploy time plus warmup, so a mid-run submission's mean
 				// is not diluted while its sliding window fills. Queries
@@ -901,8 +601,7 @@ loop:
 					st.n++
 				}
 			}
-			conns := append([]*conn(nil), c.nodes...)
-			dead := append([]bool(nil), c.dead...)
+			conns := c.liveConnsLocked()
 			c.mu.Unlock()
 			// Network writes happen outside c.mu: a node with a full TCP
 			// send buffer must not stall readLoop's report ingestion.
@@ -912,10 +611,9 @@ loop:
 			perNode := make([][]*Envelope, len(conns))
 			for _, b := range outs {
 				for _, ni := range b.hosts {
-					if dead[ni] {
-						continue
+					if conns[ni] != nil {
+						perNode[ni] = append(perNode[ni], &Envelope{Kind: KindSIC, SIC: &SICMsg{Query: b.q, Value: b.v}})
 					}
-					perNode[ni] = append(perNode[ni], &Envelope{Kind: KindSIC, SIC: &SICMsg{Query: b.q, Value: b.v}})
 				}
 				if c.sicFn != nil {
 					c.sicFn(b.q, now, b.v)
@@ -966,7 +664,7 @@ drain:
 	c.mu.Lock()
 	alive := 0
 	for i := range c.nodes {
-		if !c.dead[i] {
+		if c.plane.Alive(stream.NodeID(i)) {
 			alive++
 		}
 	}
@@ -1005,7 +703,7 @@ func (c *Controller) checkHeartbeats() {
 	c.mu.Lock()
 	var late []nodeFailure
 	for i := range c.nodes {
-		if !c.dead[i] && c.lastSeen[i].Load() < cutoff {
+		if c.plane.Alive(stream.NodeID(i)) && c.lastSeen[i].Load() < cutoff {
 			late = append(late, nodeFailure{i, errMissedHeartbeat})
 		}
 	}
@@ -1025,55 +723,27 @@ func (c *Controller) checkHeartbeats() {
 // detection race benignly.
 func (c *Controller) handleFailure(f nodeFailure) error {
 	c.mu.Lock()
-	if f.idx < 0 || f.idx >= len(c.nodes) || c.dead[f.idx] {
+	// The plane drops the node from the membership and clears its share
+	// groups; the queries it names get their displaced fragments re-keyed
+	// under a fresh recovery pin below.
+	affected, ok := c.plane.Fail(stream.NodeID(f.idx))
+	if !ok {
 		c.mu.Unlock()
 		return nil
 	}
-	c.dead[f.idx] = true
-	c.rebuildPlacerLocked()
-	c.planCache.Invalidate()
 	deadAddr := c.addrs[f.idx]
 	cn := c.nodes[f.idx]
-	var affected []stream.QueryID
-	for q, placement := range c.hosts {
-		for _, ni := range placement {
-			if ni == f.idx {
-				affected = append(affected, q)
-				break
-			}
-		}
-	}
-	// The dead node's share groups die with it: every member's fragment
-	// there is displaced (its placement entry names the dead node, so the
-	// loop above already collected it) and gets re-keyed under a fresh
-	// recovery epoch below — co-displaced same-shape fragments re-share
-	// when the placer lands them together, and never attach to a live
-	// warm instance elsewhere.
-	for key, g := range c.shareIdx[f.idx] {
-		for _, m := range g.members {
-			if qs := c.qShare[m]; qs != nil {
-				for fi, k := range qs.keys {
-					if k == key {
-						qs.keys[fi] = ""
-						qs.attached[fi] = false
-					}
-				}
-			}
-		}
-	}
-	delete(c.shareIdx, f.idx)
 	c.shareEpoch++
-	recoveryEpoch := c.shareEpoch
+	pin := c.shareEpoch
 	c.mu.Unlock()
 	cn.Close() // sever, so a half-dead node stops feeding us reports
 	if c.norecover {
 		return fmt.Errorf("node %s: %w", deadAddr, f.err)
 	}
-	sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
 	start := time.Now()
 	restored := len(affected) > 0
 	for _, q := range affected {
-		warm, err := c.replaceFragments(q, f.idx, recoveryEpoch)
+		warm, err := c.replaceFragments(q, pin)
 		if err != nil {
 			return fmt.Errorf("node %s: %v: %w", deadAddr, f.err, err)
 		}
@@ -1088,26 +758,27 @@ func (c *Controller) handleFailure(f nodeFailure) error {
 	// Re-placement may have turned riders into private executors (or new
 	// primaries into attach targets); restore the emit invariant over the
 	// surviving topology.
-	flips := c.shareEmitSweepLocked()
+	flips := c.plane.Sweep()
+	conns := c.liveConnsLocked()
 	c.mu.Unlock()
-	c.sendEmitFlips(flips)
+	sendEmitFlips(conns, flips)
 	return nil
 }
 
 // replaceFragments re-places query q's fragments that were hosted on the
-// dead node: replacement hosts are chosen with the configured placement
-// strategy over the surviving membership (alive nodes not already
-// hosting the query), the displaced fragments are re-deployed there —
-// each host re-plans the travelling CQL text deterministically, so the
-// new host derives the exact fragment the dead one ran — and every
-// surviving host is rewired to the new peer map. The query's SIC
-// accounting resets at this recovery epoch: accepted/result accumulators
-// and the run's sample sums restart, so the reported mean describes the
-// post-recovery pipeline instead of blending two incomparable regimes.
-func (c *Controller) replaceFragments(q stream.QueryID, deadIdx int, repoch int64) (restored bool, err error) {
+// dead node: the plane picks replacement hosts (DESIGN.md §7) and settles
+// their share terms under the recovery pin, the displaced fragments are
+// re-deployed there — each host re-plans the travelling CQL text
+// deterministically, so the new host derives the exact fragment the dead
+// one ran — and every surviving host is rewired to the new peer map. The
+// query's SIC accounting resets at this recovery epoch: accepted/result
+// accumulators and the run's sample sums restart, so the reported mean
+// describes the post-recovery pipeline instead of blending two
+// incomparable regimes.
+func (c *Controller) replaceFragments(q stream.QueryID, pin int64) (restored bool, err error) {
 	c.mu.Lock()
-	placement := c.hosts[q]
-	if c.deps[q] == nil {
+	cq := c.plane.Query(q)
+	if cq == nil {
 		// The query was retracted between failure detection and this
 		// re-placement — nothing left to recover. Not an error: retract
 		// racing recovery is a legal interleaving and whichever side
@@ -1115,52 +786,16 @@ func (c *Controller) replaceFragments(q stream.QueryID, deadIdx int, repoch int6
 		c.mu.Unlock()
 		return true, nil
 	}
-	var displaced []int
-	used := make(map[int]bool, len(placement))
-	for f, ni := range placement {
-		if ni == deadIdx {
-			displaced = append(displaced, f)
-		} else {
-			used[ni] = true
-		}
-	}
-	var candidates []int
-	for ni := range c.nodes {
-		if !c.dead[ni] && !used[ni] {
-			candidates = append(candidates, ni)
-		}
-	}
-	if len(candidates) < len(displaced) {
-		c.mu.Unlock()
-		return false, fmt.Errorf("transport: query %d: %d fragments displaced, %d candidate survivors",
-			q, len(displaced), len(candidates))
-	}
-	placer, err := federation.NewPlacer(c.strategy, len(candidates), c.seed+int64(q))
+	cmds, err := c.plane.Replace(q, pin)
 	if err != nil {
 		c.mu.Unlock()
-		return false, err
+		return false, fmt.Errorf("transport: %w", err)
 	}
-	picked, err := placer.Place(len(displaced))
-	if err != nil {
-		c.mu.Unlock()
-		return false, err
+	peers := c.peersLocked(cq.Placement)
+	frames := make([]Deploy, len(cmds))
+	for i, cmd := range cmds {
+		frames[i] = c.frameLocked(cmd, peers)
 	}
-	picks := make([]int, len(displaced))
-	for i, p := range picked {
-		picks[i] = candidates[p]
-		placement[displaced[i]] = candidates[p]
-	}
-	peers := make(map[stream.FragID]string, len(placement))
-	for f, ni := range placement {
-		peers[stream.FragID(f)] = c.addrs[ni]
-	}
-	// Displaced fragments come out of the placement scan ascending, as
-	// fragDeployLocked requires.
-	frames := make([]Deploy, len(displaced))
-	for i, f := range displaced {
-		frames[i] = c.fragDeployLocked(q, f, picks[i], peers, repoch)
-	}
-	qs := c.qShare[q]
 	// With checkpointing on and a blob banked for every displaced
 	// fragment, recovery restores warm state: the blobs ship to the new
 	// hosts after their deploys below, and the query's SIC accounting
@@ -1173,14 +808,14 @@ func (c *Controller) replaceFragments(q stream.QueryID, deadIdx int, repoch int6
 	// subscribers — fall back to a shape-compatible query's blob, which
 	// keyed source seeding makes exchangeable.
 	restoring := c.ckpt > 0
-	blobs := make([][]byte, len(displaced))
-	for i, f := range displaced {
-		if qs != nil && qs.attached[f] {
+	blobs := make([][]byte, len(cmds))
+	for i, cmd := range cmds {
+		if cmd.Attach {
 			continue
 		}
-		blob, ok := c.ckpts[peerKey{q, stream.FragID(f)}]
+		blob, ok := c.ckpts[peerKey{q, stream.FragID(cmd.Frag)}]
 		if !ok {
-			blob, ok = c.ckptCompat[c.compatCkptKey(qs, f)]
+			blob, ok = c.ckptCompat[cq.CompatKey(cmd.Frag)]
 		}
 		if !ok {
 			restoring = false
@@ -1190,31 +825,24 @@ func (c *Controller) replaceFragments(q stream.QueryID, deadIdx int, repoch int6
 	}
 	if !restoring {
 		// Recovery epoch: wipe pre-failure SIC state so post-recovery
-		// values are measured cleanly. Guarded lookups — a retract may
-		// have won the race for individual records.
-		if co, ok := c.coords[q]; ok {
-			co.ResetEpoch()
-		}
-		if acc, ok := c.accs[q]; ok {
-			acc.Reset()
-		}
-		if _, ok := c.sums[q]; ok {
-			c.sums[q] = &sampleStats{}
-		}
+		// values are measured cleanly.
+		c.coords[q].ResetEpoch()
+		c.accs[q].Reset()
+		c.sums[q] = &sampleStats{}
 	}
-	conns := append([]*conn(nil), c.nodes...)
-	dead := append([]bool(nil), c.dead...)
-	addrs := append([]string(nil), c.addrs...)
+	conns := c.liveConnsLocked()
+	placement := append([]stream.NodeID(nil), cq.Placement...)
 	c.mu.Unlock()
 
 	// Re-deploy the displaced fragments and (re-)start their hosts — an
 	// idle spare begins ticking here; handleStart is idempotent on nodes
 	// already running.
-	for i, f := range displaced {
-		if err := conns[picks[i]].send(&Envelope{Kind: KindDeploy, Deploy: &frames[i]}); err != nil {
-			return false, fmt.Errorf("transport: re-deploy fragment %d on %s: %w", f, addrs[picks[i]], err)
+	for i, cmd := range cmds {
+		cn := conns[cmd.Node]
+		if err := cn.send(&Envelope{Kind: KindDeploy, Deploy: &frames[i]}); err != nil {
+			return false, fmt.Errorf("transport: re-deploy fragment %d on %s: %w", cmd.Frag, peers[stream.FragID(cmd.Frag)], err)
 		}
-		conns[picks[i]].send(&Envelope{Kind: KindStart, Start: &Start{
+		cn.send(&Envelope{Kind: KindStart, Start: &Start{
 			IntervalMs: int64(c.ival), STWMs: int64(c.stw), CheckpointMs: c.ckptMs(),
 			RunOffsetMs: c.runOffsetMs(),
 		}})
@@ -1222,8 +850,8 @@ func (c *Controller) replaceFragments(q stream.QueryID, deadIdx int, repoch int6
 			// Per-connection sends are ordered, so the restore lands
 			// after the deploy that builds its target executor. Attaching
 			// fragments get no blob — the live instance is their state.
-			conns[picks[i]].send(&Envelope{Kind: KindRestoreState, Restore: &RestoreStateMsg{
-				Query: q, Frag: stream.FragID(f), State: blobs[i],
+			cn.send(&Envelope{Kind: KindRestoreState, Restore: &RestoreStateMsg{
+				Query: q, Frag: stream.FragID(cmd.Frag), State: blobs[i],
 			}})
 		}
 	}
@@ -1231,22 +859,21 @@ func (c *Controller) replaceFragments(q stream.QueryID, deadIdx int, repoch int6
 	// already carried the updated peer map; the redundant rewire is
 	// harmless and keeps the fan-out simple.
 	for _, ni := range placement {
-		if dead[ni] {
-			continue
+		if cn := conns[ni]; cn != nil {
+			cn.send(&Envelope{Kind: KindRewire, Rewire: &Rewire{Query: q, Peers: peers}})
 		}
-		conns[ni].send(&Envelope{Kind: KindRewire, Rewire: &Rewire{Query: q, Peers: peers}})
 	}
 	// A retract that slipped in while the re-deploys were on the wire
 	// would leave the fresh fragments as zombies on their new hosts:
 	// per-connection sends are ordered, so a retract issued now is
 	// guaranteed to land after the deploys above and undo them.
 	c.mu.Lock()
-	_, stillDeployed := c.deps[q]
+	stillDeployed := c.plane.Query(q) != nil
 	c.mu.Unlock()
 	if !stillDeployed {
 		for _, ni := range placement {
-			if !dead[ni] {
-				conns[ni].send(&Envelope{Kind: KindRetract, Retract: &Retract{Query: q}})
+			if cn := conns[ni]; cn != nil {
+				cn.send(&Envelope{Kind: KindRetract, Retract: &Retract{Query: q}})
 			}
 		}
 	}
@@ -1314,17 +941,15 @@ func (c *Controller) readLoop(idx int, n *conn) {
 			// Keep the newest blob per fragment, and only for queries
 			// still deployed — a checkpoint racing a retract must not
 			// resurrect the query's state map entry.
-			if _, ok := c.deps[ck.Query]; ok {
+			if cq := c.plane.Query(ck.Query); cq != nil {
 				c.ckpts[peerKey{ck.Query, ck.Frag}] = ck.State
 				// Bank the blob under its shape-compatibility key too:
 				// displaced shared subscribers (which never checkpoint
 				// privately) restore from here. Keys are shapes, not
 				// queries, so the bank stays bounded by workload
 				// diversity rather than churn volume.
-				if qs := c.qShare[ck.Query]; qs != nil {
-					if key := c.compatCkptKey(qs, int(ck.Frag)); key != "" {
-						c.ckptCompat[key] = ck.State
-					}
+				if key := cq.CompatKey(int(ck.Frag)); key != "" {
+					c.ckptCompat[key] = ck.State
 				}
 			}
 			c.mu.Unlock()

@@ -154,8 +154,8 @@ func TestLiveQueryChurnEndToEnd(t *testing.T) {
 	if _, ok := ctrl.sums[qB]; ok {
 		t.Error("retracted query's sample sums still allocated")
 	}
-	if _, ok := ctrl.hosts[qB]; ok {
-		t.Error("retracted query's host map still present")
+	if ctrl.plane.Query(qB) != nil {
+		t.Error("retracted query's control-plane record still present")
 	}
 	if _, ok := ctrl.deps[qB]; ok {
 		t.Error("retracted query's deploy record still present")
@@ -252,7 +252,7 @@ func TestSubmitAfterNodeFailure(t *testing.T) {
 		t.Fatal("post-failure submit never completed")
 	}
 	ctrl.mu.Lock()
-	placement := append([]int(nil), ctrl.hosts[gotB]...)
+	placement := append([]stream.NodeID(nil), ctrl.plane.Query(gotB).Placement...)
 	ctrl.mu.Unlock()
 	if len(placement) != 2 {
 		t.Fatalf("submitted query placed on %v", placement)
@@ -382,7 +382,13 @@ func TestRetractFreesControllerState(t *testing.T) {
 	}
 
 	ctrl.mu.Lock()
-	got := []int{len(ctrl.coords), len(ctrl.accs), len(ctrl.sums), len(ctrl.hosts), len(ctrl.deps), len(ctrl.qEpochs)}
+	inPlane := 0
+	for _, q := range qs {
+		if ctrl.plane.Query(q) != nil {
+			inPlane++
+		}
+	}
+	got := []int{len(ctrl.coords), len(ctrl.accs), len(ctrl.sums), inPlane, len(ctrl.deps), len(ctrl.qEpochs)}
 	finished := len(ctrl.finished)
 	ctrl.mu.Unlock()
 	for i, n := range got {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cql"
 	"repro/internal/node"
-	"repro/internal/query"
 	"repro/internal/sources"
 	"repro/internal/stream"
 )
@@ -351,40 +349,18 @@ func (s *NodeServer) handleDeploy(d *Deploy) error {
 	if d.CheckpointMs > 0 {
 		s.ckptMs = d.CheckpointMs
 	}
-	fp := plan.Fragments[d.Frag]
-	downstream := stream.FragID(-1)
-	downstreamPort := -1
-	if dn := plan.Downstream[d.Frag]; dn >= 0 {
-		downstream = stream.FragID(dn)
-		downstreamPort = plan.Fragments[dn].UpstreamPort
-	}
-	if d.ShareKey != "" {
-		if s.nd.AttachShared(d.ShareKey, d.Query, d.Frag, downstream, downstreamPort, d.ShareEmit, d.ShareScale) {
-			// The fragment rides an instance this node already executes:
-			// no executor, no sources — only the peer routes, so the
-			// instance's fan-out views find this query's downstream host.
-			for f, addr := range d.Peers {
-				s.peers[peerKey{d.Query, f}] = addr
-			}
-			return nil
-		}
-		// No instance under the key yet: host below as the registered
-		// dedup target for later same-key deploys.
-	}
-	s.nd.HostFragmentShared(d.Query, d.Frag, query.NewFragmentExec(fp), plan.NumSources(), downstream, downstreamPort, d.ShareKey)
+	// An attaching fragment rides an instance this node already executes
+	// — no executor, no sources; a hosting one becomes the registered
+	// dedup target for later same-key deploys. Either way the peer routes
+	// go in, so the instance's fan-out views find this query's downstream
+	// host.
+	s.nd.Deploy(node.FragmentSpec{
+		Query: d.Query, Frag: d.Frag, Plan: plan,
+		Rate: d.Rate, Batches: d.Batches, FirstSource: d.FirstSourceID, Seed: d.SourceSeed,
+		ShareKey: d.ShareKey, Emit: d.ShareEmit, Scale: d.ShareScale,
+	})
 	for f, addr := range d.Peers {
 		s.peers[peerKey{d.Query, f}] = addr
-	}
-	rng := rand.New(rand.NewSource(d.SourceSeed))
-	sid := d.FirstSourceID
-	// Query-global generator indices: the virtual-time engine and a
-	// recovery re-deploy derive the same identities from the same rule.
-	genIdx := plan.SourceIndexOffset(int(d.Frag))
-	for i, ss := range fp.Sources {
-		gen := ss.NewGen(rand.New(rand.NewSource(rng.Int63())), genIdx+i)
-		src := sources.New(sid, d.Query, d.Frag, ss.Port, d.Rate, d.Batches, ss.Arity, gen, rng.Int63())
-		sid++
-		s.nd.AttachSource(src)
 	}
 	return nil
 }

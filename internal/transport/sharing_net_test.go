@@ -18,6 +18,21 @@ import (
 // SharingOff, while actually collapsing same-shape fragments onto shared
 // instances (asserted against the hosts' share indexes mid-run).
 
+// mirrorCounts sums the controller's share index — the control plane's
+// Groups accessor, the one the engine's mirror property test reads — into
+// executing instances and riding subscriptions across all nodes.
+func mirrorCounts(ctrl *Controller) (groups, riders int) {
+	ctrl.mu.Lock()
+	defer ctrl.mu.Unlock()
+	for n := range ctrl.nodes {
+		for _, members := range ctrl.plane.Groups(stream.NodeID(n)) {
+			groups++
+			riders += len(members) - 1
+		}
+	}
+	return groups, riders
+}
+
 // netSharingRun executes one fixed churn schedule under the given
 // sharing mode and returns the results keyed by submission order (query
 // ids are identical across runs — same controller, same order).
@@ -74,6 +89,11 @@ func netSharingRun(t *testing.T, sharing federation.Sharing) (*NetResults, []str
 			// riders attach at both fragments.
 			if instances != 4 || subs != 4 {
 				t.Errorf("mid-run share index: %d instances, %d subscriptions; want 4 and 4", instances, subs)
+			}
+			// The controller's mirror is the plane's index: it must count
+			// what the hosts hold.
+			if groups, riders := mirrorCounts(ctrl); groups != instances || riders != subs {
+				t.Errorf("mid-run mirror: %d groups, %d riders; hosts hold %d instances, %d subscriptions", groups, riders, instances, subs)
 			}
 		})
 	}
@@ -256,15 +276,16 @@ func TestNetworkedSharingRetractDrainsState(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	// Controller mirror drained too.
-	ctrl.mu.Lock()
-	groups := 0
-	for _, idx := range ctrl.shareIdx {
-		groups += len(idx)
+	if groups, riders := mirrorCounts(ctrl); groups != 0 || riders != 0 {
+		t.Errorf("controller mirror holds %d groups, %d riders after full retract", groups, riders)
 	}
-	qshares := len(ctrl.qShare)
-	ctrl.mu.Unlock()
-	if groups != 0 || qshares != 0 {
-		t.Errorf("controller mirror holds %d groups, %d query records after full retract", groups, qshares)
+	for _, q := range qs {
+		ctrl.mu.Lock()
+		left := ctrl.plane.Query(q) != nil
+		ctrl.mu.Unlock()
+		if left {
+			t.Errorf("control plane still records retracted query %d", q)
+		}
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("run failed: %v", err)

@@ -32,10 +32,6 @@ var Seeds = []string{
 var Stops = []string{
 	"(*repro/internal/federation.Engine).applyChurn",
 	"(*repro/internal/federation.Engine).applyQueryChurn",
-	// Checkpoint slot rebuild runs only on deploy/remove churn (the
-	// ckptDirty flag); the per-tick snapshot body itself stays in the
-	// hot set and is covered by TestCheckpointSteadyStateZeroAlloc.
-	"(*repro/internal/federation.Engine).rebuildCheckpointSlots",
 	// Dialling happens only on first contact with a peer or after an
 	// evict/redial; steady-state flushes hit the connection cache.
 	"repro/internal/transport.dial",

@@ -3,17 +3,18 @@
 // goroutine. It owns every decision a runtime makes about where a query
 // runs and what it shares — live membership and the auto-placer over it,
 // placement validation, the re-placement choice after a failure, the
-// plan cache, per-query share facts, the one share-key / compat-key /
-// keyed-seed format, and the share index with attach-vs-host,
+// plan cache, per-query share facts, the one share-key / keyed-seed
+// format and state-compatibility rule, the share index with attach-vs-host,
 // promote-on-primary-departure, dead-node group clearing and the
-// emit-invariant sweep.
+// emit-invariant sweep, and the checkpoint bank with the one rule for
+// which blob, if any, warms a re-placed fragment.
 //
-// Events go in (Join, Fail, Submit, Retract, Replace), each carrying the
-// driver's time pin — the virtual-time engine's tick, the TCP
-// controller's epoch counter — and plain command values come out:
-// per-fragment deploys, promotions, emit flips in ascending (query,
-// fragment) order. federation.Engine applies them to *node.Node
-// directly; transport.Controller turns them into frames under its lock.
+// Events go in (Join, Fail, Submit, Retract, Replace, Checkpoint), the
+// share-deciding ones carrying the driver's time pin — the virtual-time
+// engine's tick, the TCP controller's epoch counter — and plain command
+// values come out: per-fragment deploys, promotions, emit flips in
+// ascending (query, fragment) order. federation.Engine applies them to
+// *node.Node directly; transport.Controller turns them into frames under its lock.
 // Because hosts decide attach-vs-host and promotion by the same
 // arrival-order rules, the plane's share index is an exact mirror of
 // every host's; the engine checks that equality on every command it
@@ -64,6 +65,9 @@ type Query struct {
 	// (no shape, or sharing below SharingFull).
 	subKeys []string
 	share   []fragShare
+	// ckpt banks the newest checkpoint blob per fragment (empty = none) in
+	// buffers reused from one checkpoint to the next; nil until the first.
+	ckpt [][]byte
 }
 
 // fragShare is one fragment's share state: the full key it is indexed
@@ -105,6 +109,10 @@ type Deploy struct {
 	// figures.
 	Seed  int64
 	Keyed bool
+	// Restore is the banked state to restore into the fragment once hosted
+	// — set by Replace only, and only under a warm verdict. It aliases the
+	// bank's buffer, which the next Checkpoint of its owner overwrites.
+	Restore []byte
 }
 
 // Promotion predicts one shared-instance hand-off on Node: the instance
@@ -164,8 +172,12 @@ type Plane struct {
 // group is one host's shared instance as the plane sees it: the queries
 // under one share key, in attach order. members[0] executes, the rest
 // ride; the host promotes the next in attach order when the executing
-// query departs.
-type group struct{ members []stream.QueryID }
+// query departs. warm marks an instance Replace hosted with restored
+// state: a fragment attaching to it in the same recovery is as warm as it.
+type group struct {
+	members []stream.QueryID
+	warm    bool
+}
 
 // New returns an empty plane.
 func New(cfg Config) *Plane {
@@ -441,6 +453,7 @@ func (p *Plane) Retract(id stream.QueryID) (placement []stream.NodeID, promos []
 	}
 	i := p.find(id)
 	p.queries = append(p.queries[:i], p.queries[i+1:]...)
+	q.ckpt = nil // drivers keep the record for its plan; the bank goes now
 	return q.Placement, promos, p.Sweep(), true
 }
 
@@ -483,10 +496,19 @@ func (p *Plane) Fail(n stream.NodeID) (affected []stream.QueryID, ok bool) {
 // pin by the same rules that deployed it. A query retracted since the
 // failure returns no commands (whichever of retract and recovery runs
 // second stands down); ErrUnplaceable leaves the query untouched.
-func (p *Plane) Replace(id stream.QueryID, pin int64) ([]Deploy, error) {
+//
+// warm is the query's restore verdict, all or nothing — a partially
+// restored query would mix warm and cold windows under one surviving SIC
+// accumulator. A fragment that hosts is warm when the bank holds a blob
+// for it (record), which its command then carries; one that attaches
+// rides an instance hosted earlier in this same recovery, is as warm as
+// that instance, receives no blob, and loses its own record, which
+// describes an executor it no longer has. A cold verdict strips every
+// blob: the driver restarts the query's SIC epoch instead.
+func (p *Plane) Replace(id stream.QueryID, pin int64) (cmds []Deploy, warm bool, err error) {
 	q := p.Query(id)
 	if q == nil {
-		return nil, nil
+		return nil, true, nil
 	}
 	var displaced []int
 	used := make(map[stream.NodeID]bool, len(q.Placement))
@@ -499,23 +521,99 @@ func (p *Plane) Replace(id stream.QueryID, pin int64) ([]Deploy, error) {
 	}
 	candidates := p.live(used)
 	if len(candidates) < len(displaced) {
-		return nil, fmt.Errorf("query %d: %d fragments displaced, %d candidate survivors: %w",
+		return nil, false, fmt.Errorf("query %d: %d fragments displaced, %d candidate survivors: %w",
 			id, len(displaced), len(candidates), ErrUnplaceable)
 	}
 	pl, err := NewPlacer(p.cfg.Placement, len(candidates), p.cfg.Seed+int64(id))
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	picks, err := pick(pl, candidates, len(displaced))
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	cmds := make([]Deploy, len(displaced))
+	cmds = make([]Deploy, len(displaced))
+	warm = true
 	for i, f := range displaced {
 		q.Placement[f] = picks[i]
-		cmds[i] = p.deploy(q, f, picks[i], pin)
+		d := p.deploy(q, f, picks[i], pin)
+		if d.Attach {
+			if q.ckpt != nil {
+				q.ckpt[f] = q.ckpt[f][:0]
+			}
+			warm = warm && p.groups[d.Node][d.ShareKey].warm
+		} else {
+			d.Restore = p.record(q, f)
+			warm = warm && d.Restore != nil
+		}
+		cmds[i] = d
 	}
-	return cmds, nil
+	for i := range cmds {
+		d := &cmds[i]
+		if !warm {
+			d.Restore = nil
+		}
+		if !d.Attach && d.ShareKey != "" {
+			p.groups[d.Node][d.ShareKey].warm = warm
+		}
+	}
+	return cmds, warm, nil
+}
+
+// --- checkpoint bank ---
+
+// Checkpoint banks blob as the newest state of fragment f of query id,
+// copying it into the fragment's reused buffer (a steady-state checkpoint
+// round allocates nothing). A blob for a query no longer deployed is
+// ignored: a checkpoint racing a retract must not resurrect its state.
+// Blobs are opaque here — versioned and checksummed by the stream
+// snapshot codec, verified by the restoring node.
+func (p *Plane) Checkpoint(id stream.QueryID, f int, blob []byte) {
+	q := p.Query(id)
+	if q == nil || f < 0 || f >= len(q.Placement) {
+		return
+	}
+	if q.ckpt == nil {
+		q.ckpt = make([][]byte, len(q.Placement))
+	}
+	q.ckpt[f] = q.ckpt[f][:0]
+	q.ckpt[f] = append(q.ckpt[f], blob...)
+}
+
+// Checkpointed returns the blob banked for fragment f of query id itself
+// (nil when none is): the bank's buffer, for tests.
+func (p *Plane) Checkpointed(id stream.QueryID, f int) []byte {
+	if q := p.Query(id); q != nil {
+		return q.banked(f)
+	}
+	return nil
+}
+
+// banked is fragment f's own record, nil when it holds none.
+func (q *Query) banked(f int) []byte {
+	if q.ckpt == nil || len(q.ckpt[f]) == 0 {
+		return nil
+	}
+	return q.ckpt[f]
+}
+
+// record is the one rule for the blob that warms fragment f of q: its own
+// newest checkpoint, else that of the lowest-numbered live query with
+// compatible state (Query.compatible) holding one — deterministic, and
+// the longest-running candidate, so the warmest. Riders of a shared
+// instance never checkpoint privately; this is where they restore from.
+func (p *Plane) record(q *Query, f int) []byte {
+	if own := q.banked(f); own != nil {
+		return own
+	}
+	for _, o := range p.queries {
+		if o.ckpt != nil && q.compatible(o) {
+			if twin := o.banked(f); twin != nil {
+				return twin
+			}
+		}
+	}
+	return nil
 }
 
 // Sweep re-derives every riding fragment's emit bit — emit iff the

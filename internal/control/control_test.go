@@ -87,7 +87,7 @@ func fail(n stream.NodeID) event {
 
 func replace(q stream.QueryID, pin int64) event {
 	return func(_ *testing.T, p *Plane) any {
-		cmds, err := p.Replace(q, pin)
+		cmds, _, err := p.Replace(q, pin)
 		if err != nil {
 			return err
 		}
@@ -281,7 +281,7 @@ func TestUnplaceableKeepsTheQuery(t *testing.T) {
 	p.Join()
 	submit(2, 20, nodes{0, 1}, 0)(t, p)
 	p.Fail(1)
-	if _, err := p.Replace(0, 1); !errors.Is(err, ErrUnplaceable) {
+	if _, _, err := p.Replace(0, 1); !errors.Is(err, ErrUnplaceable) {
 		t.Fatalf("Replace: %v, want ErrUnplaceable", err)
 	}
 	if q := p.Query(0); q == nil || !reflect.DeepEqual(q.Placement, nodes{0, 1}) {
@@ -384,13 +384,13 @@ func TestSeedsAndKeys(t *testing.T) {
 	b, _, _ := p.Submit(plan, shape, 20, nodes{0}, 5)
 	c, _, _ := p.Submit(plan, shape, 40, nodes{0}, 0)
 	d, _, _ := p.Submit(plan, "", 20, nodes{0}, 0)
-	if a.CompatKey(0) == "" || a.CompatKey(0) != b.CompatKey(0) || a.ShareKey(0) == b.ShareKey(0) {
-		t.Error("compat key must be the share identity without its pin")
+	if !a.compatible(b) || a.ShareKey(0) == b.ShareKey(0) {
+		t.Error("state compatibility must be the share identity without its pin")
 	}
-	if a.CompatKey(0) == c.CompatKey(0) {
-		t.Error("exact sharing must keep rates apart in the compat key")
+	if a.compatible(c) {
+		t.Error("exact sharing must keep rates apart in state compatibility")
 	}
-	if d.CompatKey(0) != "" || d.ShareKey(0) != "" {
+	if d.compatible(d) || d.ShareKey(0) != "" {
 		t.Error("a plan deployed without a shape must never share")
 	}
 }

@@ -87,17 +87,14 @@ func (q *Query) shareKey(f int, pin int64) string {
 	return q.subKeys[f] + q.ratePin + "|p" + strconv.FormatInt(pin, 10)
 }
 
-// CompatKey is the shape-compatibility identity of a fragment's
-// checkpointed state: the share identity without its time pin. Under
-// keyed seeding, fragments with equal compat keys observe the same
-// logical stream, so one's snapshot is a valid warm start for the other.
-// Empty when the query has no shape or sharing is off — then only the
-// fragment's own snapshot may restore it.
-func (q *Query) CompatKey(f int) string {
-	if !q.keyed {
-		return ""
-	}
-	return q.Shape + fragPin(f) + q.ratePin
+// compatible reports whether o's checkpointed fragment state is a valid
+// warm start for q's fragment of the same index: both keyed, same shape
+// and same rate pin — the share identity without its time pin. Under
+// keyed seeding such fragments observe the same logical stream, so their
+// window state is exchangeable. A query without a shape, or with sharing
+// off, is compatible with nothing: only its own snapshot may restore it.
+func (q *Query) compatible(o *Query) bool {
+	return q.keyed && o.keyed && q.Shape == o.Shape && q.ratePin == o.ratePin
 }
 
 // structuralSeed hashes (base seed, shape, rate pin, fragment) into the one

@@ -53,9 +53,6 @@ type Coordinator struct {
 	mode     UpdateMode
 	accepted *sic.Accumulator
 	measured *sic.Accumulator
-	// msgs counts result-SIC update messages sent to fragment hosts, for
-	// the §7.6 overhead accounting (30 bytes each).
-	msgs int64
 }
 
 // New builds a coordinator for the query with the given STW and slide.
@@ -131,15 +128,3 @@ func (c *Coordinator) Value(t stream.Time) float64 {
 func (c *Coordinator) MeasuredSIC(t stream.Time) float64 {
 	return c.measured.Sum(t)
 }
-
-// NoteUpdateSent counts one dissemination message (§7.6 overhead).
-func (c *Coordinator) NoteUpdateSent(nSubscribers int) {
-	c.msgs += int64(nSubscribers)
-}
-
-// UpdateMessages reports how many result-SIC update messages were sent.
-func (c *Coordinator) UpdateMessages() int64 { return c.msgs }
-
-// UpdateBytes reports the total dissemination traffic in bytes (§7.6:
-// 30 bytes per message).
-func (c *Coordinator) UpdateBytes() int64 { return c.msgs * stream.CoordinatorMsgBytes }

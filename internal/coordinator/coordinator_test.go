@@ -55,18 +55,6 @@ func TestValueSlidesWithSTW(t *testing.T) {
 	}
 }
 
-func TestUpdateAccounting(t *testing.T) {
-	c := New(4, Acceptance, stream.Second, 250*stream.Millisecond)
-	c.NoteUpdateSent(3)
-	c.NoteUpdateSent(2)
-	if got := c.UpdateMessages(); got != 5 {
-		t.Errorf("messages: %d", got)
-	}
-	if got := c.UpdateBytes(); got != 5*stream.CoordinatorMsgBytes {
-		t.Errorf("bytes: %d", got)
-	}
-}
-
 func TestModeString(t *testing.T) {
 	if Acceptance.String() != "acceptance" || RootMeasured.String() != "root-measured" {
 		t.Error("mode names")

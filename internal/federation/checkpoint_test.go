@@ -157,15 +157,17 @@ func TestCheckpointVersion1FallsBackToLegacy(t *testing.T) {
 		legacy.Step()
 	}
 	downgraded := 0
-	for _, rec := range old.ckptRecs {
-		if !rec.valid {
+	for fi := range old.Placement(q) {
+		// The bank's own buffer: rewriting it in place rewrites the record.
+		data := old.plane.Checkpointed(q, fi)
+		if data == nil {
 			continue
 		}
-		body := rec.data[:len(rec.data)-8]
+		body := data[:len(data)-8]
 		body[0] = 1
 		h := fnv.New64a()
 		h.Write(body)
-		rec.data = binary.LittleEndian.AppendUint64(body, h.Sum64())
+		binary.LittleEndian.AppendUint64(body, h.Sum64())
 		downgraded++
 	}
 	if downgraded == 0 {
@@ -204,8 +206,8 @@ func TestCheckpointReadOnlyBitExact(t *testing.T) {
 	}
 }
 
-// TestCheckpointStateNoLeak: records of removed queries must be pruned at
-// the next slot rebuild, so a long-lived federation absorbing query churn
+// TestCheckpointStateNoLeak: records of removed queries must leave the
+// bank with the query, so a long-lived federation absorbing query churn
 // does not accumulate dead snapshots.
 func TestCheckpointStateNoLeak(t *testing.T) {
 	cfg := Defaults()
@@ -228,20 +230,18 @@ func TestCheckpointStateNoLeak(t *testing.T) {
 		e.Step()
 	}
 	for _, q := range []stream.QueryID{q1, q2} {
-		if rec := e.ckptRecs[ckptKey{q: q, fi: 0}]; rec == nil || !rec.valid {
+		if e.plane.Checkpointed(q, 0) == nil {
 			t.Fatalf("query %d has no valid checkpoint record after 10 ticks", q)
 		}
 	}
 	e.RemoveQuery(q1)
 	for i := 0; i < 2; i++ {
-		e.Step() // next checkpoint tick rebuilds the slots and prunes
+		e.Step() // checkpoint ticks after the removal must not re-bank it
 	}
-	for k := range e.ckptRecs {
-		if k.q == q1 {
-			t.Errorf("removed query %d still owns checkpoint record %+v", q1, k)
-		}
+	if e.plane.Checkpointed(q1, 0) != nil {
+		t.Errorf("removed query %d still owns a checkpoint record", q1)
 	}
-	if rec := e.ckptRecs[ckptKey{q: q2, fi: 0}]; rec == nil || !rec.valid {
+	if e.plane.Checkpointed(q2, 0) == nil {
 		t.Error("surviving query's checkpoint record was dropped by the prune")
 	}
 }

@@ -24,11 +24,9 @@ import (
 	"repro/internal/coordinator"
 	"repro/internal/core"
 	"repro/internal/cql"
-	"repro/internal/metrics"
 	"repro/internal/node"
 	"repro/internal/parallel"
 	"repro/internal/query"
-	"repro/internal/sic"
 	"repro/internal/sources"
 	"repro/internal/stream"
 )
@@ -229,27 +227,16 @@ type sicUpdate struct {
 	v  float64
 }
 
-// queryRT is the engine-side runtime state of one deployed query: the
-// result-SIC bookkeeping. Where the query runs and what it shares is the
-// control plane's record, ctl.
+// queryRT is the engine-side runtime state of one deployed query: where
+// it runs and what it shares is the control plane's record, its result
+// SIC the ledger's.
 type queryRT struct {
 	// ctl is the plane's record (plan, rate, shape, fragment → node
 	// placement). The plane rewrites ctl.Placement in place when failure
 	// recovery re-places fragments; the pointer outlives the retract so
 	// the frozen statistics keep their plan.
-	ctl       *control.Query
-	resultAcc *sic.Accumulator
-	samples   []float64
-	sampleSum float64
-	sampleN   int
-	resultFn  func(now stream.Time, tuples []stream.Tuple)
-	// epoch is the engine time at which the query's measurement epoch
-	// began (deployment time). Samples count toward the query's mean only
-	// after epoch+Warmup, so a query submitted mid-run warms up on its
-	// own clock instead of polluting its mean with an empty window.
-	epoch stream.Time
-	// removed freezes the query's statistics after RemoveQuery.
-	removed bool
+	ctl      *control.Query
+	resultFn func(now stream.Time, tuples []stream.Tuple)
 }
 
 // Engine is a running federated deployment.
@@ -260,11 +247,13 @@ type Engine struct {
 	// auto-placer, the plan cache, the share index); the engine applies
 	// its commands to nodes and holds it against what the nodes then
 	// report (placeFragment, RemoveQuery).
-	plane   *control.Plane
-	nodes   []*node.Node
-	coords  map[stream.QueryID]*coordinator.Coordinator
-	queries map[stream.QueryID]*queryRT
-	order   []stream.QueryID
+	plane *control.Plane
+	nodes []*node.Node
+	// ledger owns every query's result-SIC bookkeeping (coordinator,
+	// epoch, samples); queries is indexed by the plane's dense query ids
+	// and keeps retracted entries for the final report.
+	ledger  *coordinator.Ledger
+	queries []queryRT
 
 	// pool recycles every batch in the deployment: sources and fragment
 	// emissions draw from it, and the engine releases batches after
@@ -282,11 +271,6 @@ type Engine struct {
 	transitRing [][]delivery
 	updateRing  [][]sicUpdate
 
-	// accBatch gathers each query's accepted-SIC deltas (in node order)
-	// during the exchange phase for one batched coordinator update per
-	// query per tick; slices are reused across ticks.
-	accBatch map[stream.QueryID][]float64
-
 	// skippedSubmits and skippedRetracts count scheduled events the
 	// engine could not apply (bad CQL, too few live nodes, unknown
 	// query id) — schedule errors cannot surface from Step, so tests
@@ -295,18 +279,11 @@ type Engine struct {
 	skippedSubmits  int
 	skippedRetracts int
 
-	// Checkpoint schedule state (see checkpoint.go). ckptEvery is the
-	// cadence in ticks (0 = off); ckptSlots is the precomputed per-tick
-	// walk, rebuilt lazily when ckptDirty marks the query set changed;
-	// ckptRecs holds the newest snapshot per fragment and ckptCompat
-	// indexes those records by shape+rate compatibility key; ckptEnc is
-	// the one reused encoder.
-	ckptEvery  int64
-	ckptDirty  bool
-	ckptSlots  []ckptSlot
-	ckptRecs   map[ckptKey]*snapshotRec
-	ckptCompat map[string]*snapshotRec
-	ckptEnc    stream.SnapEncoder
+	// Checkpoint schedule (see checkpoint.go): ckptEvery is the cadence in
+	// ticks (0 = off), ckptEnc the one reused encoder. The snapshots
+	// themselves are banked in the plane.
+	ckptEvery int64
+	ckptEnc   stream.SnapEncoder
 
 	nextSource stream.SourceID
 }
@@ -329,21 +306,17 @@ func NewEngine(cfg Config) *Engine {
 		cfg.BatchesPerSec = 3
 	}
 	e := &Engine{
-		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		plane:    control.New(control.Config{Placement: cfg.Placement, Seed: cfg.Seed, Sharing: cfg.Sharing}),
-		pool:     stream.NewPool(),
-		coords:   make(map[stream.QueryID]*coordinator.Coordinator),
-		queries:  make(map[stream.QueryID]*queryRT),
-		accBatch: make(map[stream.QueryID][]float64),
+		cfg:    cfg,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		plane:  control.New(control.Config{Placement: cfg.Placement, Seed: cfg.Seed, Sharing: cfg.Sharing}),
+		pool:   stream.NewPool(),
+		ledger: coordinator.NewLedger(cfg.UpdateMode, cfg.STW, cfg.Interval, cfg.KeepSamples),
 	}
 	if cfg.Checkpoint > 0 {
 		e.ckptEvery = int64(cfg.Checkpoint / cfg.Interval)
 		if e.ckptEvery < 1 {
 			e.ckptEvery = 1
 		}
-		e.ckptRecs = make(map[ckptKey]*snapshotRec)
-		e.ckptCompat = make(map[string]*snapshotRec)
 	}
 	// Ring length covers the longest possible delivery delay (the link
 	// latency in ticks) plus the current tick's drain slot.
@@ -433,40 +406,31 @@ func (e *Engine) deployShaped(plan *query.Plan, placement []stream.NodeID, rate 
 	if err != nil {
 		return 0, err
 	}
-	q := cq.ID
-	rt := &queryRT{
-		ctl:       cq,
-		resultAcc: sic.NewAccumulator(e.cfg.STW, e.cfg.Interval),
-		epoch:     stream.Time(e.tick * int64(e.cfg.Interval)),
-	}
 	for _, d := range cmds {
-		e.placeFragment(rt, d)
+		e.placeFragment(cq, d)
 	}
-
-	e.coords[q] = coordinator.New(q, e.cfg.UpdateMode, e.cfg.STW, e.cfg.Interval)
-	e.queries[q] = rt
-	e.order = append(e.order, q)
-	e.ckptDirty = true
-	return q, nil
+	// Plane ids are dense and assigned in submission order: the new query's
+	// id is its index here and in the ledger.
+	e.queries = append(e.queries, queryRT{ctl: cq})
+	e.ledger.Open(cq.ID, e.now())
+	return cq.ID, nil
 }
 
 // RemoveQuery undeploys a running query: its fragments leave their host
 // nodes (freeing capacity for the remaining queries at the next shedding
 // round), its coordinator stops broadcasting, and its statistics freeze
 // at their current values. In-flight batches of the query are dropped on
-// delivery. All per-query runtime state — the sliding result-SIC
-// accumulator, the coordinator, the exchange-phase delta buffer — is
-// released; only the scalars behind the query's reported mean (and the
-// opt-in KeepSamples series) survive, so a long-lived federation
-// absorbing arrivals and departures does not grow without bound.
+// delivery. All per-query runtime state is released (Ledger.Close keeps
+// only the scalars behind the query's reported mean and the opt-in
+// KeepSamples series), so a long-lived federation absorbing arrivals and
+// departures does not grow without bound.
 // It reports whether a live query was actually removed; unknown or
 // already-removed ids are a no-op.
 func (e *Engine) RemoveQuery(q stream.QueryID) bool {
-	rt, ok := e.queries[q]
-	if !ok || rt.removed {
+	if !e.ledger.Close(q) {
 		return false
 	}
-	rt.removed = true
+	e.queries[q].resultFn = nil
 	placement, promos, flips, _ := e.plane.Retract(q)
 	for fi, nd := range placement {
 		e.nodes[nd].RemoveFragment(q, stream.FragID(fi))
@@ -494,14 +458,6 @@ func (e *Engine) RemoveQuery(q stream.QueryID) bool {
 	if len(promos) != 0 {
 		mirrorFault("no node performed the predicted hand-offs %v", promos)
 	}
-	delete(e.coords, q)
-	delete(e.accBatch, q)
-	// The opt-in KeepSamples series survives — it is a reported result,
-	// not runtime state — but the accumulator and callback are dead
-	// weight once the query's statistics are frozen.
-	rt.resultAcc = nil
-	rt.resultFn = nil
-	e.ckptDirty = true
 	// The departing query may have owned shared instances whose
 	// subscribers were just promoted; their fan-out boundaries moved.
 	e.applyFlips(flips)
@@ -544,12 +500,11 @@ func (e *Engine) latencyTicks() int64 {
 // hosting the destination fragment, taking ownership: a batch with no
 // live destination is recycled on the spot.
 func (e *Engine) routeDownstream(from stream.NodeID, b *stream.Batch) {
-	rt, ok := e.queries[b.Query]
-	if !ok || rt.removed || int(b.Frag) >= len(rt.ctl.Placement) {
+	if !e.ledger.Live(b.Query) || int(b.Frag) >= len(e.queries[b.Query].ctl.Placement) {
 		b.Release()
 		return
 	}
-	dest := rt.ctl.Placement[b.Frag]
+	dest := e.queries[b.Query].ctl.Placement[b.Frag]
 	delay := int64(1) // local hand-off still waits for the next tick
 	if dest != from {
 		delay = e.latencyTicks()
@@ -565,16 +520,11 @@ func (e *Engine) routeDownstream(from stream.NodeID, b *stream.Batch) {
 // tuple-SIC sum except for rate-scaled fan-out views, whose headers carry
 // the subscriber's scaled mass over the primary's tuple payload.
 func (e *Engine) deliverResult(q stream.QueryID, now stream.Time, tuples []stream.Tuple, total float64) {
-	rt, ok := e.queries[q]
-	if !ok || rt.removed {
+	if !e.ledger.Result(q, now, total) {
 		return
 	}
-	rt.resultAcc.Add(now, total)
-	if c, ok := e.coords[q]; ok {
-		c.ReportResult(now, total)
-	}
-	if rt.resultFn != nil {
-		rt.resultFn(now, tuples)
+	if fn := e.queries[q].resultFn; fn != nil {
+		fn(now, tuples)
 	}
 }
 
@@ -607,11 +557,11 @@ func (e *Engine) applyChurn() {
 // already hosting the query, DESIGN.md §7), with a fresh executor and
 // fresh sources. Without checkpointing, operator window state dies with
 // the node, exactly as in a real crash, and the affected queries' SIC
-// accounting resets at this recovery epoch — their statistics describe
-// the post-recovery pipeline. With Config.Checkpoint
+// accounting resets at this recovery epoch (Ledger.ResetEpoch) — their
+// statistics describe the post-recovery pipeline. With Config.Checkpoint
 // set, each displaced fragment is restored from the newest compatible
 // snapshot instead; when every displaced fragment of a query restores,
-// the epoch resets are skipped and the query's surviving accumulators
+// the epoch reset is skipped and the query's surviving accumulators
 // carry straight through the failure (checkpoint.go). A query that
 // cannot be re-placed (too few survivors) departs. Batches in transit
 // to the dead node are dropped on delivery and counted against the
@@ -625,8 +575,7 @@ func (e *Engine) KillNode(id stream.NodeID) {
 	// buffer so the pool's leak accounting stays exact.
 	e.nodes[id].ReleaseBuffers()
 	for _, qid := range affected {
-		rt := e.queries[qid]
-		cmds, err := e.plane.Replace(qid, e.tick)
+		cmds, warm, err := e.plane.Replace(qid, e.tick)
 		if err != nil {
 			// Unrecoverable for this query: not enough distinct survivors.
 			// The federation keeps running without it (the TCP controller
@@ -634,35 +583,22 @@ func (e *Engine) KillNode(id stream.NodeID) {
 			e.RemoveQuery(qid)
 			continue
 		}
+		// A warm verdict carries, on each hosting command, the banked state
+		// to restore (control.Plane.Replace; never without checkpointing —
+		// the bank is then empty). A restore the node refuses (stale or
+		// downgraded blob) turns the whole query cold, as a missing record
+		// would have.
 		for _, d := range cmds {
 			e.nodes[id].RemoveFragment(qid, stream.FragID(d.Frag))
-			e.placeFragment(rt, d)
-		}
-		// With checkpointing on, try to restore every displaced fragment
-		// from its newest compatible snapshot. All-or-nothing per query:
-		// a partially-restored query would mix warm and cold windows under
-		// one surviving accumulator, so any failure falls back to the full
-		// legacy recovery epoch.
-		restored := false
-		if e.ckptEvery > 0 {
-			restored = true
-			for _, d := range cmds {
-				if !e.restoreDisplaced(rt, d.Frag) {
-					restored = false
-					break
-				}
+			e.placeFragment(e.queries[qid].ctl, d)
+			if warm && d.Restore != nil && e.nodes[d.Node].RestoreState(qid, stream.FragID(d.Frag), d.Restore) != nil {
+				warm = false
 			}
 		}
-		if restored {
-			continue
-		}
-		// Recovery epoch: measured SIC and per-run samples restart so the
-		// post-recovery pipeline is measured cleanly.
-		rt.resultAcc.Reset()
-		rt.samples = rt.samples[:0]
-		rt.sampleSum, rt.sampleN = 0, 0
-		if c, ok := e.coords[qid]; ok {
-			c.ResetEpoch()
+		if !warm {
+			// Recovery epoch: measured SIC and per-run samples restart so
+			// the post-recovery pipeline is measured cleanly.
+			e.ledger.ResetEpoch(qid)
 		}
 	}
 	// Re-placement changed which fragments execute privately (a displaced
@@ -703,10 +639,10 @@ func (e *Engine) relabelTransit(p node.Promotion) {
 // therefore everything downstream of it — bit-identical. Unkeyed
 // fragments draw from e.rng in submission order, which is what the paper
 // figures are pinned to.
-func (e *Engine) placeFragment(rt *queryRT, d control.Deploy) {
+func (e *Engine) placeFragment(cq *control.Query, d control.Deploy) {
 	spec := node.FragmentSpec{
-		Query: rt.ctl.ID, Frag: stream.FragID(d.Frag), Plan: rt.ctl.Plan,
-		Rate: rt.ctl.Rate, Batches: e.cfg.BatchesPerSec, Burst: e.cfg.Burst,
+		Query: cq.ID, Frag: stream.FragID(d.Frag), Plan: cq.Plan,
+		Rate: cq.Rate, Batches: e.cfg.BatchesPerSec, Burst: e.cfg.Burst,
 		FirstSource: e.nextSource, Seed: d.Seed,
 		ShareKey: d.ShareKey, Emit: d.Emit, Scale: d.Scale,
 	}
@@ -715,10 +651,10 @@ func (e *Engine) placeFragment(rt *queryRT, d control.Deploy) {
 	}
 	attached := e.nodes[d.Node].Deploy(spec)
 	if attached != d.Attach {
-		mirrorFault("query %d fragment %d on node %d: attached=%v, plane predicted %v", rt.ctl.ID, d.Frag, d.Node, attached, d.Attach)
+		mirrorFault("query %d fragment %d on node %d: attached=%v, plane predicted %v", cq.ID, d.Frag, d.Node, attached, d.Attach)
 	}
 	if !attached {
-		e.nextSource += stream.SourceID(len(rt.ctl.Plan.Fragments[d.Frag].Sources))
+		e.nextSource += stream.SourceID(len(cq.Plan.Fragments[d.Frag].Sources))
 	}
 }
 
@@ -784,23 +720,21 @@ func (e *Engine) NodeAlive(id stream.NodeID) bool { return e.plane.Alive(id) }
 // Placement returns a copy of a query's current fragment→node
 // assignment (it changes when failure recovery re-places fragments).
 func (e *Engine) Placement(q stream.QueryID) []stream.NodeID {
-	rt, ok := e.queries[q]
-	if !ok {
+	if q < 0 || int(q) >= len(e.queries) {
 		return nil
 	}
-	return append([]stream.NodeID(nil), rt.ctl.Placement...)
+	return append([]stream.NodeID(nil), e.queries[q].ctl.Placement...)
 }
 
 // CurrentSIC reports a query's sliding measured result SIC at the
 // engine's current virtual time — the per-tick observable the churn
 // experiments track through kill and recovery.
 func (e *Engine) CurrentSIC(q stream.QueryID) float64 {
-	rt, ok := e.queries[q]
-	if !ok || rt.removed {
-		return 0
-	}
-	return rt.resultAcc.Sum(stream.Time(e.tick * int64(e.cfg.Interval)))
+	return e.ledger.Measured(q, e.now())
 }
+
+// now is the engine's virtual time at the start of the current tick.
+func (e *Engine) now() stream.Time { return stream.Time(e.tick * int64(e.cfg.Interval)) }
 
 // --- run loop ---
 
@@ -841,18 +775,18 @@ func (e *Engine) computePhase(t stream.Time) {
 }
 
 // exchangePhase drains every node's outbox in node-ID order: derived
-// batches enter the in-transit schedule, root results reach accumulators,
-// coordinators and callbacks, and accepted-SIC deltas are applied to each
-// coordinator as one batched update. The fixed drain order makes a
-// parallel compute phase bit-identical to a sequential one.
-func (e *Engine) exchangePhase(now stream.Time) {
+// batches enter the in-transit schedule, root results reach the ledger
+// and callbacks, and accepted-SIC deltas are gathered in the ledger for
+// one batched update per query at the tick's close. The fixed drain order
+// makes a parallel compute phase bit-identical to a sequential one.
+func (e *Engine) exchangePhase() {
 	for i, n := range e.nodes {
 		if !e.plane.Alive(stream.NodeID(i)) {
 			continue
 		}
 		out := n.TakeOutbox()
 		for _, a := range out.Accepted {
-			e.accBatch[a.Query] = append(e.accBatch[a.Query], a.Delta)
+			e.ledger.Accepted(a.Query, a.Delta)
 		}
 		for _, r := range out.Results {
 			e.deliverResult(r.Query, r.Now, r.Batch.Tuples, r.Batch.SIC)
@@ -860,21 +794,6 @@ func (e *Engine) exchangePhase(now stream.Time) {
 		}
 		for _, b := range out.Downstream {
 			e.routeDownstream(n.ID(), b)
-		}
-	}
-	for _, qid := range e.order {
-		deltas := e.accBatch[qid]
-		if len(deltas) == 0 {
-			continue
-		}
-		if c, ok := e.coords[qid]; ok {
-			c.ReportAcceptedBatch(now, deltas)
-			e.accBatch[qid] = deltas[:0]
-		} else {
-			// Query departed this tick: a node may still have emitted a
-			// delta for it during the compute phase. Drop the buffer so a
-			// retracted query leaves no residue behind.
-			delete(e.accBatch, qid)
 		}
 	}
 }
@@ -885,7 +804,7 @@ func (e *Engine) exchangePhase(now stream.Time) {
 func (e *Engine) Step() {
 	e.applyChurn()
 	e.applyQueryChurn()
-	t := stream.Time(e.tick * int64(e.cfg.Interval))
+	t := e.now()
 	// Deliver in-transit batches and coordinator updates due this tick.
 	// Batches bound for a node that died while they were in flight are
 	// dropped (and recycled) — their pre-credited SIC mass is lost in the
@@ -915,44 +834,24 @@ func (e *Engine) Step() {
 
 	e.computePhase(t)
 	now := t.Add(e.cfg.Interval)
-	e.exchangePhase(now)
+	e.exchangePhase()
 
-	// Coordinators broadcast updated result SIC values to all fragment
-	// hosts; updates arrive after the link latency (§6: "sent at regular
-	// intervals to all query fragments").
+	// The ledger closes the tick: coordinators broadcast updated result SIC
+	// values to all fragment hosts, arriving after the link latency (§6:
+	// "sent at regular intervals to all query fragments"), and each query
+	// past its own warm-up samples its measured result SIC.
+	var send func(q stream.QueryID, v float64) int
 	if !e.cfg.DisableUpdates {
-		delay := e.latencyTicks()
-		for _, qid := range e.order {
-			c, ok := e.coords[qid]
-			if !ok {
-				continue // query departed
+		slot := (e.tick + e.latencyTicks()) % int64(len(e.updateRing))
+		send = func(q stream.QueryID, v float64) int {
+			hosts := e.queries[q].ctl.Placement
+			for _, nd := range hosts {
+				e.updateRing[slot] = append(e.updateRing[slot], sicUpdate{to: nd, q: q, v: v})
 			}
-			rt := e.queries[qid]
-			v := c.Value(now)
-			slot := (e.tick + delay) % int64(len(e.updateRing))
-			for _, nd := range rt.ctl.Placement {
-				e.updateRing[slot] = append(e.updateRing[slot], sicUpdate{to: nd, q: qid, v: v})
-			}
-			c.NoteUpdateSent(len(rt.ctl.Placement))
+			return len(hosts)
 		}
 	}
-
-	// Sample per-query measured result SIC after each query's own
-	// measurement epoch plus warmup: a query submitted mid-run warms up
-	// on its own clock, so its mean is not diluted by the ticks its
-	// sliding window needed to fill (the per-query SIC epoch).
-	for _, qid := range e.order {
-		rt := e.queries[qid]
-		if rt.removed || now <= rt.epoch.Add(e.cfg.Warmup) {
-			continue
-		}
-		s := rt.resultAcc.Sum(now)
-		rt.sampleSum += s
-		rt.sampleN++
-		if e.cfg.KeepSamples {
-			rt.samples = append(rt.samples, s)
-		}
-	}
+	e.ledger.Tick(now, e.cfg.Warmup, send)
 	// Checkpoint the end-of-tick operator state on the configured virtual
 	// time cadence. Snapshots are read-only against node state, so a run
 	// with checkpointing on is bit-identical to one with it off until the
@@ -1007,26 +906,21 @@ type Results struct {
 
 // Results assembles the current statistics without advancing time.
 func (e *Engine) Results() *Results {
-	res := &Results{Policy: e.cfg.Policy}
-	perQuery := make([]float64, 0, len(e.order))
-	for _, qid := range e.order {
-		rt := e.queries[qid]
-		mean := 0.0
-		if rt.sampleN > 0 {
-			mean = rt.sampleSum / float64(rt.sampleN)
-		}
-		perQuery = append(perQuery, mean)
+	sum := e.ledger.Summary()
+	res := &Results{
+		Policy: e.cfg.Policy, MeanSIC: sum.Mean, Jain: sum.Jain, StdSIC: sum.Std,
+		CoordinatorMessages: e.ledger.UpdateMessages(), CoordinatorBytes: e.ledger.UpdateBytes(),
+	}
+	for i, qid := range sum.Queries {
+		cq := e.queries[qid].ctl
 		res.Queries = append(res.Queries, QueryResult{
 			ID:        qid,
-			Type:      rt.ctl.Plan.Type,
-			Fragments: rt.ctl.Plan.NumFragments(),
-			MeanSIC:   mean,
-			Samples:   rt.samples,
+			Type:      cq.Plan.Type,
+			Fragments: cq.Plan.NumFragments(),
+			MeanSIC:   sum.Means[i],
+			Samples:   e.ledger.Samples(qid),
 		})
 	}
-	res.MeanSIC = metrics.Mean(perQuery)
-	res.Jain = metrics.Jain(perQuery)
-	res.StdSIC = metrics.Std(perQuery)
 	var selN, selT int64
 	for _, n := range e.nodes {
 		st := n.Stats()
@@ -1036,10 +930,6 @@ func (e *Engine) Results() *Results {
 	}
 	if selN > 0 {
 		res.SelectNanosPerInvocation = float64(selT) / float64(selN)
-	}
-	for _, c := range e.coords {
-		res.CoordinatorMessages += c.UpdateMessages()
-		res.CoordinatorBytes += c.UpdateBytes()
 	}
 	return res
 }

@@ -97,11 +97,8 @@ func TestScheduledRetractFreesState(t *testing.T) {
 	if got != want {
 		t.Errorf("node state after retract: %+v, want half of %+v", got, withBoth)
 	}
-	if _, leaked := e.accBatch[1]; leaked {
-		t.Error("retracted query's exchange buffer still allocated")
-	}
-	if _, leaked := e.coords[1]; leaked {
-		t.Error("retracted query's coordinator still registered")
+	if e.ledger.Live(1) || e.ledger.NumLive() != 1 {
+		t.Errorf("retracted query's coordinator still registered (%d live)", e.ledger.NumLive())
 	}
 	// The retracted query's record must survive with a frozen mean.
 	res := e.Results()

@@ -11,8 +11,6 @@ import (
 
 	"repro/internal/control"
 	"repro/internal/coordinator"
-	"repro/internal/metrics"
-	"repro/internal/sic"
 	"repro/internal/sources"
 	"repro/internal/stream"
 )
@@ -21,8 +19,9 @@ import (
 // coordinators of a networked THEMIS federation: it deploys query
 // fragments across node servers (placement, re-placement and sharing are
 // the control plane's decisions, shared with the virtual-time engine —
-// internal/control), starts them, ingests
-// result/accepted reports, broadcasts result-SIC updates every interval,
+// internal/control), starts them, ingests result reports into its
+// ledger (coordinator.Ledger — the result-SIC bookkeeping it likewise
+// shares with the engine), broadcasts result-SIC updates every interval,
 // and summarises per-query SIC at the end. Derived batches never pass
 // through the controller — hosts ship them to each other directly.
 //
@@ -44,29 +43,18 @@ type Controller struct {
 	// order — the rules the plane itself applies — so the controller
 	// predicts every host-side outcome without a round trip. Host nodes
 	// re-plan the travelling CQL text themselves through their own caches.
-	plane  *control.Plane
-	coords map[stream.QueryID]*coordinator.Coordinator
-	accs   map[stream.QueryID]*sic.Accumulator
-	sums   map[stream.QueryID]*sampleStats
+	plane *control.Plane
+	// ledger is every query's result-SIC bookkeeping (guarded by mu) — the
+	// per-query coordinators, epochs and sample sums, shared with the
+	// engine (coordinator.Ledger) and clocked by c.now().
+	ledger *coordinator.Ledger
 	// deps remembers each live query's travelling descriptor (per-fragment
 	// fields unset), from which recovery re-issues deploy frames.
-	deps map[stream.QueryID]Deploy
-	// qEpochs records each query's measurement epoch (deploy time): a
-	// query submitted mid-run warms up on its own clock before its
-	// samples count, so its mean is not diluted by an empty STW.
-	qEpochs map[stream.QueryID]time.Time
-	// finished holds the frozen post-epoch mean SIC of retracted
-	// queries; they appear in the final results alongside live ones.
-	finished map[stream.QueryID]float64
-	epoch    time.Time
-	stw      stream.Duration
-	ival     stream.Duration
-	ckpt     time.Duration
-	// ckpts holds the newest checkpoint blob per fragment, replaced on
-	// every KindCheckpoint frame and dropped on retract. Blobs are
-	// opaque here — versioned and checksummed by the stream snapshot
-	// codec, verified by the restoring node.
-	ckpts map[peerKey][]byte
+	deps  map[stream.QueryID]Deploy
+	epoch time.Time
+	stw   stream.Duration
+	ival  stream.Duration
+	ckpt  time.Duration
 
 	hbTimeout time.Duration
 	norecover bool
@@ -86,12 +74,6 @@ type Controller struct {
 	// each post-Start submission and each recovery mints a fresh one so
 	// nothing attaches to an instance already mid-stream.
 	shareEpoch int64
-	// ckptCompat banks the newest checkpoint blob per shape-compatibility
-	// key (control.Query.CompatKey — the share identity without its pin).
-	// Shared subscribers carry no private state, so their displaced
-	// fragments restore from a same-shape query's blob; keyed source
-	// seeding is what makes that state exchangeable.
-	ckptCompat map[string][]byte
 
 	// stopping flips before the stop handshake; read-loop errors after
 	// that are expected connection teardown, errors before it are node
@@ -100,11 +82,6 @@ type Controller struct {
 	fail     chan nodeFailure
 	statsCh  chan struct{}
 	stats    []StatsMsg
-}
-
-type sampleStats struct {
-	sum float64
-	n   int
 }
 
 // nodeFailure is one detected node death, reported to Run.
@@ -189,22 +166,16 @@ func NewController(cfg ControllerConfig, nodeAddrs []string) (*Controller, error
 		return nil, err
 	}
 	c := &Controller{
-		plane:      control.New(control.Config{Placement: cfg.Placement, Seed: cfg.Seed, Sharing: cfg.Sharing}),
-		coords:     make(map[stream.QueryID]*coordinator.Coordinator),
-		accs:       make(map[stream.QueryID]*sic.Accumulator),
-		sums:       make(map[stream.QueryID]*sampleStats),
-		deps:       make(map[stream.QueryID]Deploy),
-		qEpochs:    make(map[stream.QueryID]time.Time),
-		finished:   make(map[stream.QueryID]float64),
-		stw:        cfg.STW,
-		ival:       cfg.Interval,
-		ckpt:       cfg.Checkpoint,
-		ckpts:      make(map[peerKey][]byte),
-		hbTimeout:  hb,
-		norecover:  cfg.DisableRecovery,
-		fail:       make(chan nodeFailure, 64),
-		statsCh:    make(chan struct{}, 256),
-		ckptCompat: make(map[string][]byte),
+		plane:     control.New(control.Config{Placement: cfg.Placement, Seed: cfg.Seed, Sharing: cfg.Sharing}),
+		ledger:    coordinator.NewLedger(coordinator.RootMeasured, cfg.STW, cfg.Interval, false),
+		deps:      make(map[stream.QueryID]Deploy),
+		stw:       cfg.STW,
+		ival:      cfg.Interval,
+		ckpt:      cfg.Checkpoint,
+		hbTimeout: hb,
+		norecover: cfg.DisableRecovery,
+		fail:      make(chan nodeFailure, 64),
+		statsCh:   make(chan struct{}, 256),
 	}
 	for _, addr := range nodeAddrs {
 		cn, err := dial(addr, "controller", defaultWriteTimeout)
@@ -379,14 +350,11 @@ func (c *Controller) Submit(cqlText string, fragments, dataset int, rate, batche
 		return 0, err
 	}
 	q := cq.ID
-	c.coords[q] = coordinator.New(q, coordinator.RootMeasured, c.stw, c.ival)
-	c.accs[q] = sic.NewAccumulator(c.stw, c.ival)
-	c.sums[q] = &sampleStats{}
+	c.ledger.Open(q, c.now())
 	c.deps[q] = Deploy{
 		CQL: cqlText, Fragments: plan.NumFragments(), Dataset: dataset,
 		Rate: rate, Batches: batchesPerSec,
 	}
-	c.qEpochs[q] = time.Now()
 	peers := c.peersLocked(cq.Placement)
 	outs := make([]Deploy, len(cmds))
 	for i, cmd := range cmds {
@@ -424,21 +392,8 @@ func (c *Controller) Retract(q stream.QueryID) error {
 		c.mu.Unlock()
 		return fmt.Errorf("transport: retract: unknown query %d", q)
 	}
-	mean := 0.0
-	if st := c.sums[q]; st != nil && st.n > 0 {
-		mean = st.sum / float64(st.n)
-	}
-	c.finished[q] = mean
-	delete(c.coords, q)
-	delete(c.accs, q)
-	delete(c.sums, q)
+	c.ledger.Close(q)
 	delete(c.deps, q)
-	delete(c.qEpochs, q)
-	for k := range c.ckpts {
-		if k.q == q {
-			delete(c.ckpts, k)
-		}
-	}
 	conns := c.liveConnsLocked()
 	c.mu.Unlock()
 	// Network sends happen outside c.mu; errors are ignored, as for a dead
@@ -513,6 +468,10 @@ func (c *Controller) runOffsetMs() int64 {
 	return time.Since(c.epoch).Milliseconds()
 }
 
+// now is the run clock as the ledger's time: a query submitted before Run
+// opens at time zero and so warms up from the run epoch.
+func (c *Controller) now() stream.Time { return stream.Time(c.runOffsetMs()) }
+
 // Run starts all nodes, processes reports for the given wall-clock
 // duration (samples are recorded after warmup), stops the nodes and
 // returns the per-query mean SIC plus fairness metrics. A node failing
@@ -573,50 +532,32 @@ loop:
 		case <-ticker.C:
 			c.checkHeartbeats()
 			now := c.now()
-			type bcast struct {
-				q     stream.QueryID
-				v     float64
-				hosts []stream.NodeID
-			}
-			var outs []bcast
-			c.mu.Lock()
-			for q, coord := range c.coords {
-				v := coord.Value(now)
-				// Recovery rewrites placements in place, so copy them
-				// for use outside the lock below.
-				hosts := append([]stream.NodeID(nil), c.plane.Query(q).Placement...)
-				outs = append(outs, bcast{q, v, hosts})
-				coord.NoteUpdateSent(len(hosts))
-				// Per-query SIC epoch: samples count from the query's own
-				// deploy time plus warmup, so a mid-run submission's mean
-				// is not diluted while its sliding window fills. Queries
-				// deployed before Run warm up from the run epoch.
-				eff := c.qEpochs[q]
-				if eff.Before(c.epoch) {
-					eff = c.epoch
-				}
-				if time.Since(eff) > warmup {
-					st := c.sums[q]
-					st.sum += c.accs[q].Sum(now)
-					st.n++
-				}
-			}
-			conns := c.liveConnsLocked()
-			c.mu.Unlock()
-			// Network writes happen outside c.mu: a node with a full TCP
-			// send buffer must not stall readLoop's report ingestion.
-			// Every query's update to the same host is coalesced into one
+			// The ledger walks the live queries in ascending id; every
+			// query's update to the same host is coalesced into one
 			// vectored write — at 48 queries over 24 nodes this interval
 			// costs one syscall per host, not one per (query, host) pair.
+			var sent []*SICMsg
+			c.mu.Lock()
+			conns := c.liveConnsLocked()
 			perNode := make([][]*Envelope, len(conns))
-			for _, b := range outs {
-				for _, ni := range b.hosts {
+			c.ledger.Tick(now, stream.Duration(warmup.Milliseconds()), func(q stream.QueryID, v float64) int {
+				m := &SICMsg{Query: q, Value: v}
+				sent = append(sent, m)
+				hosts := c.plane.Query(q).Placement
+				for _, ni := range hosts {
 					if conns[ni] != nil {
-						perNode[ni] = append(perNode[ni], &Envelope{Kind: KindSIC, SIC: &SICMsg{Query: b.q, Value: b.v}})
+						perNode[ni] = append(perNode[ni], &Envelope{Kind: KindSIC, SIC: m})
 					}
 				}
-				if c.sicFn != nil {
-					c.sicFn(b.q, now, b.v)
+				return len(hosts)
+			})
+			c.mu.Unlock()
+			// The user's callback and the network writes happen outside
+			// c.mu: a node with a full TCP send buffer must not stall
+			// readLoop's report ingestion.
+			if c.sicFn != nil {
+				for _, m := range sent {
+					c.sicFn(m.Query, now, m.Value)
 				}
 			}
 			for ni, es := range perNode {
@@ -770,9 +711,9 @@ func (c *Controller) handleFailure(f nodeFailure) error {
 // their share terms under the recovery pin, the displaced fragments are
 // re-deployed there — each host re-plans the travelling CQL text
 // deterministically, so the new host derives the exact fragment the dead
-// one ran — and every surviving host is rewired to the new peer map. The
-// query's SIC accounting resets at this recovery epoch: accepted/result
-// accumulators and the run's sample sums restart, so the reported mean
+// one ran — and every surviving host is rewired to the new peer map.
+// Unless the plane's verdict is warm, the query's SIC accounting resets
+// at this recovery epoch (Ledger.ResetEpoch), so the reported mean
 // describes the post-recovery pipeline instead of blending two
 // incomparable regimes.
 func (c *Controller) replaceFragments(q stream.QueryID, pin int64) (restored bool, err error) {
@@ -786,49 +727,33 @@ func (c *Controller) replaceFragments(q stream.QueryID, pin int64) (restored boo
 		c.mu.Unlock()
 		return true, nil
 	}
-	cmds, err := c.plane.Replace(q, pin)
+	// With a blob banked for every displaced fragment the plane's verdict
+	// is warm and its commands carry the state to restore: the blobs ship
+	// to the new hosts after their deploys below, and the query's SIC
+	// accounting carries straight through the failure — no recovery epoch.
+	// A node-side restore failure (stale or corrupt blob) degrades that
+	// query's dip to roughly the cold one; the blob's checksum and plan
+	// tags make the failure clean either way.
+	cmds, warm, err := c.plane.Replace(q, pin)
 	if err != nil {
 		c.mu.Unlock()
 		return false, fmt.Errorf("transport: %w", err)
 	}
 	peers := c.peersLocked(cq.Placement)
 	frames := make([]Deploy, len(cmds))
+	restores := make([]*RestoreStateMsg, len(cmds))
 	for i, cmd := range cmds {
 		frames[i] = c.frameLocked(cmd, peers)
+		if cmd.Restore != nil {
+			// Copied under the lock: the bank reuses its buffers, and the
+			// send below happens outside it.
+			restores[i] = &RestoreStateMsg{Query: q, Frag: stream.FragID(cmd.Frag), State: append([]byte(nil), cmd.Restore...)}
+		}
 	}
-	// With checkpointing on and a blob banked for every displaced
-	// fragment, recovery restores warm state: the blobs ship to the new
-	// hosts after their deploys below, and the query's SIC accounting
-	// carries straight through the failure — no recovery epoch. A node-
-	// side restore failure (stale or corrupt blob) degrades that query's
-	// dip to roughly the legacy one; the blob's checksum and plan tags
-	// make the failure clean either way. Fragments that re-attach to a
-	// live instance are warm by construction (the executing query's state
-	// covers them); fragments that never checkpointed privately — shared
-	// subscribers — fall back to a shape-compatible query's blob, which
-	// keyed source seeding makes exchangeable.
-	restoring := c.ckpt > 0
-	blobs := make([][]byte, len(cmds))
-	for i, cmd := range cmds {
-		if cmd.Attach {
-			continue
-		}
-		blob, ok := c.ckpts[peerKey{q, stream.FragID(cmd.Frag)}]
-		if !ok {
-			blob, ok = c.ckptCompat[cq.CompatKey(cmd.Frag)]
-		}
-		if !ok {
-			restoring = false
-			break
-		}
-		blobs[i] = blob
-	}
-	if !restoring {
+	if !warm {
 		// Recovery epoch: wipe pre-failure SIC state so post-recovery
 		// values are measured cleanly.
-		c.coords[q].ResetEpoch()
-		c.accs[q].Reset()
-		c.sums[q] = &sampleStats{}
+		c.ledger.ResetEpoch(q)
 	}
 	conns := c.liveConnsLocked()
 	placement := append([]stream.NodeID(nil), cq.Placement...)
@@ -846,13 +771,11 @@ func (c *Controller) replaceFragments(q stream.QueryID, pin int64) (restored boo
 			IntervalMs: int64(c.ival), STWMs: int64(c.stw), CheckpointMs: c.ckptMs(),
 			RunOffsetMs: c.runOffsetMs(),
 		}})
-		if restoring && blobs[i] != nil {
+		if restores[i] != nil {
 			// Per-connection sends are ordered, so the restore lands
 			// after the deploy that builds its target executor. Attaching
 			// fragments get no blob — the live instance is their state.
-			cn.send(&Envelope{Kind: KindRestoreState, Restore: &RestoreStateMsg{
-				Query: q, Frag: stream.FragID(cmd.Frag), State: blobs[i],
-			}})
+			cn.send(&Envelope{Kind: KindRestoreState, Restore: restores[i]})
 		}
 	}
 	// Rewire every surviving host of the query. The new hosts' deploys
@@ -877,15 +800,11 @@ func (c *Controller) replaceFragments(q stream.QueryID, pin int64) (restored boo
 			}
 		}
 	}
-	return restoring, nil
+	return warm, nil
 }
 
 // stopTimeout bounds the stop handshake's wait for node stats.
 const stopTimeout = 5 * time.Second
-
-func (c *Controller) now() stream.Time {
-	return stream.Time(time.Since(c.epoch).Milliseconds())
-}
 
 // readLoop ingests reports from one node until its connection closes.
 // Abnormal closes before the stop handshake are surfaced to Run as node
@@ -923,14 +842,7 @@ func (c *Controller) readLoop(idx int, n *conn) {
 			}
 			now := c.now()
 			c.mu.Lock()
-			if coord, ok := c.coords[r.Query]; ok {
-				if r.IsResult {
-					coord.ReportResult(now, r.Result)
-					c.accs[r.Query].Add(now, r.Result)
-				} else {
-					coord.ReportAccepted(now, r.Accepted)
-				}
-			}
+			c.ledger.Result(r.Query, now, r.Result)
 			c.mu.Unlock()
 		case KindCheckpoint:
 			ck := e.Checkpoint
@@ -938,20 +850,7 @@ func (c *Controller) readLoop(idx int, n *conn) {
 				continue
 			}
 			c.mu.Lock()
-			// Keep the newest blob per fragment, and only for queries
-			// still deployed — a checkpoint racing a retract must not
-			// resurrect the query's state map entry.
-			if cq := c.plane.Query(ck.Query); cq != nil {
-				c.ckpts[peerKey{ck.Query, ck.Frag}] = ck.State
-				// Bank the blob under its shape-compatibility key too:
-				// displaced shared subscribers (which never checkpoint
-				// privately) restore from here. Keys are shapes, not
-				// queries, so the bank stays bounded by workload
-				// diversity rather than churn volume.
-				if key := cq.CompatKey(int(ck.Frag)); key != "" {
-					c.ckptCompat[key] = ck.State
-				}
-			}
+			c.plane.Checkpoint(ck.Query, int(ck.Frag), ck.State)
 			c.mu.Unlock()
 		case KindStats:
 			if e.Stats == nil {
@@ -987,24 +886,13 @@ type NetResults struct {
 func (c *Controller) results() *NetResults {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	res := &NetResults{PerQuery: make(map[stream.QueryID]float64)}
-	var vals []float64
-	for q, st := range c.sums {
-		mean := 0.0
-		if st.n > 0 {
-			mean = st.sum / float64(st.n)
-		}
-		res.PerQuery[q] = mean
-		vals = append(vals, mean)
-	}
 	// Retracted queries report the mean frozen at retract time; fairness
 	// metrics cover the whole workload the run served, live or departed.
-	for q, mean := range c.finished {
-		res.PerQuery[q] = mean
-		vals = append(vals, mean)
+	sum := c.ledger.Summary()
+	res := &NetResults{PerQuery: make(map[stream.QueryID]float64, len(sum.Queries)), MeanSIC: sum.Mean, Jain: sum.Jain}
+	for i, q := range sum.Queries {
+		res.PerQuery[q] = sum.Means[i]
 	}
-	res.MeanSIC = metrics.Mean(vals)
-	res.Jain = metrics.Jain(vals)
 	res.Nodes = append(res.Nodes, c.stats...)
 	res.Recoveries = append(res.Recoveries, c.recoveries...)
 	return res

@@ -80,9 +80,27 @@ func TestLiveQueryChurnEndToEnd(t *testing.T) {
 	})
 	defer tRetract.Stop()
 
+	// Within one broadcast tick the callback fires in ascending query id
+	// (the ledger's walk), through the submit and the retract alike: an id
+	// that does not ascend starts a new tick, so an ordered run shows one
+	// ascending sequence per tick — at most 12 s / 100 ms of them — where a
+	// map-ordered walk over two or three queries would show half as many
+	// again. The callback runs on Run's goroutine; plain variables are safe.
+	lastQ, sicRuns, sicCalls := stream.QueryID(-1), 0, 0
+	ctrl.OnSIC(func(q stream.QueryID, _ stream.Time, _ float64) {
+		if q <= lastQ || sicCalls == 0 {
+			sicRuns++
+		}
+		lastQ = q
+		sicCalls++
+	})
+
 	res, err := ctrl.Run(12*time.Second, 4*time.Second)
 	if err != nil {
 		t.Fatalf("run failed: %v", err)
+	}
+	if sicCalls < 200 || sicRuns > 121 {
+		t.Errorf("OnSIC fired %d times in %d ascending-id sequences; want one sequence per tick (<= 121)", sicCalls, sicRuns)
 	}
 	if len(res.Recoveries) != 0 {
 		t.Fatalf("unexpected recoveries: %+v", res.Recoveries)
@@ -145,14 +163,8 @@ func TestLiveQueryChurnEndToEnd(t *testing.T) {
 
 	// The retracted query left no state behind: controller-side...
 	ctrl.mu.Lock()
-	if _, ok := ctrl.coords[qB]; ok {
-		t.Error("retracted query's coordinator still registered")
-	}
-	if _, ok := ctrl.accs[qB]; ok {
-		t.Error("retracted query's accumulator still allocated")
-	}
-	if _, ok := ctrl.sums[qB]; ok {
-		t.Error("retracted query's sample sums still allocated")
+	if ctrl.ledger.Live(qB) || ctrl.ledger.NumLive() != 2 {
+		t.Errorf("retracted query's coordinator still registered (%d live, want 2)", ctrl.ledger.NumLive())
 	}
 	if ctrl.plane.Query(qB) != nil {
 		t.Error("retracted query's control-plane record still present")
@@ -160,7 +172,7 @@ func TestLiveQueryChurnEndToEnd(t *testing.T) {
 	if _, ok := ctrl.deps[qB]; ok {
 		t.Error("retracted query's deploy record still present")
 	}
-	if _, ok := ctrl.finished[qB]; !ok {
+	if _, ok := res.PerQuery[qB]; !ok {
 		t.Error("retracted query's frozen mean missing")
 	}
 	ctrl.mu.Unlock()
@@ -388,8 +400,8 @@ func TestRetractFreesControllerState(t *testing.T) {
 			inPlane++
 		}
 	}
-	got := []int{len(ctrl.coords), len(ctrl.accs), len(ctrl.sums), inPlane, len(ctrl.deps), len(ctrl.qEpochs)}
-	finished := len(ctrl.finished)
+	got := []int{ctrl.ledger.NumLive(), inPlane, len(ctrl.deps)}
+	finished := len(ctrl.ledger.Summary().Queries)
 	ctrl.mu.Unlock()
 	for i, n := range got {
 		if n != 0 {

@@ -229,16 +229,18 @@ type SICMsg struct {
 	Value float64        `json:"value"`
 }
 
-// ReportMsg flows node → controller: either an accepted-SIC delta or a
-// result-stream delivery. The numeric fields deliberately avoid
-// omitempty: a zero-valued accepted delta or result is meaningful SIC
-// accounting data and must survive the round trip unchanged.
+// ReportMsg flows node → controller: one result-stream delivery. The
+// numeric fields deliberately avoid omitempty: a zero-valued result is
+// meaningful SIC accounting data and must survive the round trip
+// unchanged. Hosts used to send a second shape through this frame — an
+// accepted-SIC delta, {"accepted":d,"result":0,"is_result":false} — which
+// no coordinator read (the controller disseminates root-measured SIC); a
+// frame in that shape from a host not yet upgraded decodes as a result
+// of zero mass.
 type ReportMsg struct {
-	Query    stream.QueryID `json:"query"`
-	Accepted float64        `json:"accepted"`
-	Result   float64        `json:"result"`
-	Tuples   int            `json:"tuples"`
-	IsResult bool           `json:"is_result"`
+	Query  stream.QueryID `json:"query"`
+	Result float64        `json:"result"`
+	Tuples int            `json:"tuples"`
 }
 
 // StatsMsg returns a node's final counters. Like ReportMsg, the numeric
@@ -267,8 +269,8 @@ type StatsMsg struct {
 	// measurement) without instrumenting hosts externally.
 	Ticks     int64 `json:"ticks"`
 	TickNanos int64 `json:"tick_nanos"`
-	// DroppedCtrl counts control frames (result and accepted-SIC reports,
-	// heartbeats, checkpoints) the node dropped because its controller
+	// DroppedCtrl counts control frames (result reports, heartbeats,
+	// checkpoints) the node dropped because its controller
 	// send queue was full: the queries' result SIC reads low by that
 	// much. Omitted when zero, so frames of healthy runs are unchanged.
 	DroppedCtrl int64 `json:"dropped_ctrl_frames,omitempty"`

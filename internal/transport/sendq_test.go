@@ -313,7 +313,7 @@ func TestCtrlQueueOverflowCounted(t *testing.T) {
 	s.logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
 	const extra = 3
 	for i := 0; i < maxQueueFrames+extra; i++ {
-		s.queueCtrl(&Envelope{Kind: KindReport, Report: &ReportMsg{Query: stream.QueryID(i), Accepted: 0.5}})
+		s.queueCtrl(&Envelope{Kind: KindReport, Report: &ReportMsg{Query: stream.QueryID(i), Result: 0.5, Tuples: 1}})
 	}
 	if got := s.ctrlDropped.Load(); got != extra {
 		t.Fatalf("dropped %d control frames, want %d", got, extra)
@@ -336,5 +336,59 @@ func TestCtrlQueueOverflowCounted(t *testing.T) {
 	var back StatsMsg
 	if err := json.Unmarshal(lossy, &back); err != nil || back.DroppedCtrl != extra {
 		t.Fatalf("stats frame round trip: %v, %+v", err, back)
+	}
+}
+
+// TestHostReportsOnlyResults: what a host queues for the controller per
+// tick is its result reports (plus the tick loop's one heartbeat) — the
+// k accepted-SIC deltas its node produces every shedding round feed only
+// the engine's Acceptance ablation and never reach the wire. The tick
+// body is driven by hand, on virtual time, so the frame count is exact.
+func TestHostReportsOnlyResults(t *testing.T) {
+	const hosted = 6
+	s, err := NewNodeServer(NodeServerConfig{Name: "n", Addr: "127.0.0.1:0", CapacityPerSec: 50_000, Quiet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for q := 0; q < hosted; q++ {
+		if err := s.handleDeploy(&Deploy{
+			Query: stream.QueryID(q), CQL: "Select Avg(t.v) From Src[Range 1 sec]", Fragments: 1, Dataset: 1,
+			Rate: 200, Batches: 10, FirstSourceID: stream.SourceID(1000 * q), SourceSeed: int64(q + 1),
+			STWMs: 2000, IntervalMs: 100,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.ctrl = &conn{} // never written: the test reads the queue instead of flushing it
+	var deltas, results, reports int
+	for tick := 1; tick <= 40; tick++ {
+		s.nd.TickSpan(stream.Time(100*(tick-1)), stream.Time(100*tick))
+		out := s.nd.TakeOutbox()
+		deltas += len(out.Accepted)
+		want := len(out.Results)
+		out.Replay(0, s)
+		s.queueCtrl(&Envelope{Kind: KindHeartbeat})
+		frames := s.ctrlQ.take()
+		if len(frames) != want+1 {
+			t.Fatalf("tick %d: %d control frames queued, want %d result reports + 1 heartbeat", tick, len(frames), want)
+		}
+		for _, f := range frames[:want] {
+			var e Envelope
+			if err := json.Unmarshal(f.buf[frameHeaderLen:], &e); err != nil || e.Kind != KindReport || e.Report.Tuples < 1 {
+				t.Fatalf("tick %d: queued %s, want a result report (%v)", tick, f.buf[frameHeaderLen:], err)
+			}
+		}
+		results += want
+		reports += len(frames) - 1
+		s.recycleFrames(&s.ctrlQ, frames)
+	}
+	// The run must have exercised both: every hosted query accepts source
+	// mass every tick, and the 1 s windows closed several times.
+	if deltas < hosted*30 || results < hosted*2 {
+		t.Fatalf("degenerate run: %d accepted deltas, %d results over 40 ticks", deltas, results)
+	}
+	if reports != results {
+		t.Errorf("%d report frames for %d results", reports, results)
 	}
 }

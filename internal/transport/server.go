@@ -20,7 +20,7 @@ import (
 
 // NodeServer exposes one THEMIS node over TCP. It owns the node runtime,
 // ticks it with a wall-clock timer, routes derived batches to peer nodes,
-// and reports results and accepted-SIC deltas to the controller.
+// and reports results to the controller.
 type NodeServer struct {
 	Name string
 
@@ -950,18 +950,11 @@ func (s *NodeServer) DeliverResult(q stream.QueryID, _ stream.Time, tuples []str
 	if ctrl == nil {
 		return
 	}
-	s.queueCtrl(&Envelope{Kind: KindReport, Report: &ReportMsg{
-		Query: q, Result: sicMass, Tuples: len(tuples), IsResult: true,
-	}})
+	s.queueCtrl(&Envelope{Kind: KindReport, Report: &ReportMsg{Query: q, Result: sicMass, Tuples: len(tuples)}})
 }
 
-// ReportAccepted implements node.Router.
-func (s *NodeServer) ReportAccepted(q stream.QueryID, _ stream.Time, delta float64) {
-	s.mu.Lock()
-	ctrl := s.ctrl
-	s.mu.Unlock()
-	if ctrl == nil {
-		return
-	}
-	s.queueCtrl(&Envelope{Kind: KindReport, Report: &ReportMsg{Query: q, Accepted: delta}})
-}
+// ReportAccepted implements node.Router and sends nothing: accepted-SIC
+// deltas feed only the Acceptance estimate, an engine-only ablation
+// (federation.Config.UpdateMode). The controller disseminates the SIC
+// measured at the root (§6), which the result reports above carry.
+func (s *NodeServer) ReportAccepted(stream.QueryID, stream.Time, float64) {}

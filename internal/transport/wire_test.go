@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"net"
 	"strings"
 	"testing"
 
@@ -95,13 +96,13 @@ func TestWireRoundTripProperty(t *testing.T) {
 }
 
 // TestReportMsgKeepsZeroFields guards against omitempty creeping back
-// onto the numeric report fields: a zero accepted-SIC delta is data.
+// onto the numeric report fields: a zero-mass result is data.
 func TestReportMsgKeepsZeroFields(t *testing.T) {
 	j, err := json.Marshal(&ReportMsg{Query: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"accepted", "result", "tuples"} {
+	for _, field := range []string{"result", "tuples"} {
 		if !strings.Contains(string(j), `"`+field+`"`) {
 			t.Errorf("zero-valued %q dropped from wire: %s", field, j)
 		}
@@ -240,4 +241,52 @@ func BenchmarkWireBatch(b *testing.B) {
 		}
 		b.ReportMetric(float64(total)/float64(b.N), "wire-bytes/op")
 	})
+}
+
+// TestControllerToleratesOldReportShape: a host not yet upgraded still
+// sends one accepted-SIC delta per hosted query per tick through the
+// report frame ({"accepted":d,"result":0,"is_result":false}). Such a frame
+// must be harmless to a controller that no longer reads those fields: it
+// adds zero mass, it does not panic, and a report for an unknown query is
+// still dropped rather than opening a ledger entry.
+func TestControllerToleratesOldReportShape(t *testing.T) {
+	addrs, _ := startNodes(t, 1, 1000)
+	ctrl, err := NewController(ControllerConfig{Seed: 1}, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.CloseAll()
+	q, err := ctrl.Submit("Select Avg(t.v) From Src[Range 1 sec]", 1, 1, 20, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, ctl := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ctrl.readLoop(0, newConn(ctl))
+	}()
+	for _, frame := range []string{
+		`{"kind":"report","report":{"query":0,"accepted":0.5,"result":0,"tuples":0,"is_result":false}}`,
+		`{"kind":"report","report":{"query":0,"accepted":-3,"result":0,"is_result":false}}`,
+		`{"kind":"report","report":{"query":99,"accepted":0.5,"result":0,"is_result":false}}`,
+		`{"kind":"report","report":{"query":99,"result":0.5,"tuples":4}}`,
+		`{"kind":"report"}`,
+		`{"kind":"report","report":{"query":0,"result":0.25,"tuples":4}}`,
+	} {
+		if _, err := host.Write(appendFrame(nil, frameJSON, []byte(frame))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctrl.stopping.Store(true) // the close below is teardown, not a node failure
+	host.Close()
+	<-done
+	ctrl.mu.Lock()
+	defer ctrl.mu.Unlock()
+	if got := ctrl.ledger.Measured(q, 0); got != 0.25 {
+		t.Errorf("measured SIC %v after old-shape frames and one 0.25 result, want exactly 0.25", got)
+	}
+	if n := ctrl.ledger.NumLive(); n != 1 || ctrl.ledger.Live(99) {
+		t.Errorf("%d live ledger entries, want only the submitted query", n)
+	}
 }

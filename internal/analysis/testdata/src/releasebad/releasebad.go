@@ -40,7 +40,7 @@ func discarded(p *stream.Pool) {
 // neither released nor handed on leaks its Live count.
 
 func headerLeak(p *stream.Pool, shed bool) {
-	h := p.GetHeader(1, 2, 3, 0, 80, 100, 1e-4) // want `pooled batch h may leak`
+	h := p.GetHeader(1, 2, 3, 0, 80, 100, 1e-4, 1e-2) // want `pooled batch h may leak`
 	if shed {
 		return
 	}
@@ -97,7 +97,7 @@ func returned(p *stream.Pool) *stream.Batch {
 // The header-first settle idiom: a kept header is traded for the batch
 // it stood for, which is handed on, and the header is released.
 func headerSettled(p *stream.Pool, ib []*stream.Batch) {
-	h := p.GetHeader(1, 2, 3, 0, 80, 100, 1e-4)
+	h := p.GetHeader(1, 2, 3, 0, 80, 100, 1e-4, 1e-2)
 	n, _, _ := h.Pending()
 	b := p.Get(h.Query, h.Frag, h.Source, h.TS, n, 1)
 	ib[0] = b

@@ -139,12 +139,11 @@ func TestCheckpointRecoveryBeatsLegacy(t *testing.T) {
 	}
 }
 
-// TestCheckpointVersion1FallsBackToLegacy: a checkpoint bank written by a
-// build with snapshot version 1 (buffered tuples where version 2 holds
-// folded accumulators) must be refused at restore, and the query must then
-// take the empty-window recovery epoch — the same trajectory, bit for bit,
-// as a run that never checkpointed.
-func TestCheckpointVersion1FallsBackToLegacy(t *testing.T) {
+// checkpointVersionFallsBack: a checkpoint bank written by a build with
+// another snapshot version must be refused at restore, and the query must
+// then take the empty-window recovery epoch — the same trajectory, bit
+// for bit, as a run that never checkpointed.
+func checkpointVersionFallsBack(t *testing.T, version byte) {
 	const (
 		stw      = 5 * stream.Second
 		interval = 100 * stream.Millisecond
@@ -164,7 +163,7 @@ func TestCheckpointVersion1FallsBackToLegacy(t *testing.T) {
 			continue
 		}
 		body := data[:len(data)-8]
-		body[0] = 1
+		body[0] = version
 		h := fnv.New64a()
 		h.Write(body)
 		binary.LittleEndian.AppendUint64(body, h.Sum64())
@@ -177,13 +176,21 @@ func TestCheckpointVersion1FallsBackToLegacy(t *testing.T) {
 		old.Step()
 		legacy.Step()
 		if a, b := old.CurrentSIC(q), legacy.CurrentSIC(q); a != b {
-			t.Fatalf("t+%d: SIC %v after refusing the version-1 bank, %v on the legacy path", i, a, b)
+			t.Fatalf("t+%d: SIC %v after refusing the version-%d bank, %v on the legacy path", i, a, version, b)
 		}
 	}
 	if got := old.CurrentSIC(q); got < 0.9 {
 		t.Errorf("SIC %.3f one STW after the fallback, want the refilled window", got)
 	}
 }
+
+// TestCheckpointVersion1FallsBackToLegacy: version 1 held buffered tuples
+// where version 2 held folded accumulators.
+func TestCheckpointVersion1FallsBackToLegacy(t *testing.T) { checkpointVersionFallsBack(t, 1) }
+
+// TestCheckpointVersion2FallsBackToLegacy: version 2 held PartialCov's
+// buffered windows where version 3 holds its folded columns.
+func TestCheckpointVersion2FallsBackToLegacy(t *testing.T) { checkpointVersionFallsBack(t, 2) }
 
 // TestCheckpointReadOnlyBitExact: checkpointing is a read-only observer
 // until a restore happens, so an undisturbed run with it on must be

@@ -103,7 +103,7 @@ type eagerSink struct {
 
 func (e eagerSink) Accept(src *sources.Source, b *stream.Batch) {
 	n := e.n
-	est := n.rateEst[src.ID]
+	est := n.srcByID[src.ID].est
 	est.Observe(b.TS, b.Len())
 	per := sic.SourceTupleSIC(est.PerSTW(b.TS), n.frags[fragKey{src.Query, src.Frag}].numSources)
 	for i := range b.Tuples {
@@ -167,8 +167,8 @@ func TestHeaderFirstMatchesEagerReference(t *testing.T) {
 					d.RecomputeSIC()
 					n.Enqueue(d, from)
 				}
-				for _, src := range refSrcs {
-					src.Emit(from, to, ref.pool, eagerSink{ref, from})
+				for _, a := range refSrcs {
+					a.src.Emit(from, to, ref.pool, eagerSink{ref, from})
 				}
 				subject.TickSpan(from, to)
 				ref.TickSpan(from, to)
@@ -290,6 +290,67 @@ func TestShedHeaderCostsNoStorage(t *testing.T) {
 	if live := n.pool.Live(); live != 0 {
 		t.Fatalf("%d batches live after ReleaseBuffers", live)
 	}
+}
+
+// TestMemoisedHeaderSICMatchesMaterialisedBatch: a header's SIC comes out
+// of the per-source memo, and a kept batch inherits it unchecked, so it
+// must be the very sum RecomputeSIC finds over the tuples Fill then
+// writes — while (N, per) wanders: rates that change mid-run, bursts,
+// spans of uneven length (another number of batches per tick), and
+// sources removed and attached again under the same id.
+func TestMemoisedHeaderSICMatchesMaterialisedBatch(t *testing.T) {
+	n, _ := diffNode(core.NewBalanceSIC(1), 1e9)
+	rng := rand.New(rand.NewSource(9))
+	var hits, misses, headers, reattached int
+	from := stream.Time(0)
+	for tick := 0; tick < 1500; tick++ {
+		switch rng.Intn(50) {
+		case 0: // a rate change
+			a := n.srcs[rng.Intn(len(n.srcs))]
+			a.src.Rate = float64(200 + rng.Intn(3000))
+		case 1: // query 2 leaves and comes back, same source ids
+			n.RemoveFragment(2, 0)
+			n.HostFragment(2, 0, query.NewFragmentExec(identityPlan(2)), 2, -1, -1)
+			for i, gen := range []sources.ValueGen{sources.NewTrace(rng, 1).CPUGen(), sources.NewTrace(rng, 2).MemGen()} {
+				n.AttachSource(sources.New(stream.SourceID(2+i), 2, 0, i, 1200, 12, 2, gen, rng.Int63()))
+			}
+			reattached++
+		}
+		to := from + 250
+		if rng.Intn(10) == 0 {
+			to = from + stream.Time(40+rng.Intn(600))
+		}
+		memo := map[*attached][]headerSum{}
+		for _, a := range n.srcs {
+			memo[a] = append([]headerSum(nil), a.sums...)
+		}
+		n.emitSources(from, to)
+		nth := map[stream.SourceID]int{} // headers are buffered in plan order
+		for _, h := range n.ib {
+			cnt, _, per := h.Pending()
+			a, i := n.srcByID[h.Source], nth[h.Source]
+			nth[h.Source]++
+			if was := memo[a]; i < len(was) && was[i].n == cnt && was[i].per == per {
+				hits++
+			} else {
+				misses++
+			}
+		}
+		n.settleHeaders(nil)
+		for i, b := range n.ib {
+			want := b.SIC
+			if b.RecomputeSIC(); b.SIC != want || want <= 0 {
+				t.Fatalf("tick %d batch %d (source %d, %d tuples): header SIC %v, tuples sum to %v", tick, i, b.Source, b.Len(), want, b.SIC)
+			}
+			headers++
+		}
+		n.ReleaseBuffers()
+		from = to
+	}
+	if hits == 0 || misses == 0 || reattached == 0 {
+		t.Fatalf("%d memo hits, %d misses, %d re-attachments: the schedule missed a path", hits, misses, reattached)
+	}
+	t.Logf("%d headers: %d out of the memo, %d summed", headers, hits, misses)
 }
 
 // TestHeadersInFlightDrainOnTeardown removes fragments and drops the

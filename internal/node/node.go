@@ -138,6 +138,46 @@ type fragInstance struct {
 	subs []fanSub
 }
 
+// attached is everything the node keeps per attached source: the source,
+// the online estimate of its rate over the STW, |S| of its query (the
+// Eq. 1 normaliser — hosting pins it, and a promotion relabels the
+// instance, not its plan) and the header sums of the batches it plans.
+type attached struct {
+	src        *sources.Source
+	est        *sic.RateEstimator
+	numSources int
+	// sums[i] memoises the header SIC of the i-th batch the source plans
+	// in a tick. The batches of one tick differ — the estimate they read
+	// fills as the tick goes — but in steady state the i-th batch of every
+	// tick is the i-th batch of the last one.
+	sums []headerSum
+}
+
+// headerSum is the SIC of a batch of n tuples carrying per each, as
+// RecomputeSIC finds it: per added n times, left to right.
+type headerSum struct {
+	n   int
+	per float64
+	sum float64
+}
+
+// headerSIC returns the header SIC of the i-th batch planned this tick,
+// n tuples of per each, adding it up only if the memo holds another batch.
+func (a *attached) headerSIC(i, n int, per float64) float64 {
+	if i >= len(a.sums) {
+		a.sums = append(a.sums, headerSum{})
+	}
+	m := &a.sums[i]
+	if m.n != n || m.per != per {
+		sum := 0.0
+		for k := 0; k < n; k++ {
+			sum += per
+		}
+		*m = headerSum{n: n, per: per, sum: sum}
+	}
+	return m.sum
+}
+
 // Stats aggregates a node's per-run counters.
 type Stats struct {
 	ArrivedTuples   int64
@@ -183,9 +223,10 @@ type Node struct {
 	// fragOrder fixes the fragment iteration order so runs are
 	// reproducible under a fixed seed (map iteration is randomised).
 	fragOrder []fragKey
-	srcs      []*sources.Source
-	rateEst   map[stream.SourceID]*sic.RateEstimator
-	srcByID   map[stream.SourceID]*sources.Source
+	// srcs holds the attached sources in attach order; srcByID finds a
+	// header's source when the header is settled.
+	srcs    []*attached
+	srcByID map[stream.SourceID]*attached
 
 	// shared indexes executing instances by share key; subOf maps a
 	// subscriber's fragment key to the primary instance it rides on.
@@ -279,8 +320,7 @@ func New(id stream.NodeID, cfg Config, shedder core.Shedder) *Node {
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		pool:     pool,
 		frags:    make(map[fragKey]*fragInstance),
-		rateEst:  make(map[stream.SourceID]*sic.RateEstimator),
-		srcByID:  make(map[stream.SourceID]*sources.Source),
+		srcByID:  make(map[stream.SourceID]*attached),
 		shared:   make(map[string]fragKey),
 		subOf:    make(map[fragKey]fragKey),
 		hostedQ:  make(map[stream.QueryID]int),
@@ -568,13 +608,12 @@ func (n *Node) RemoveFragment(q stream.QueryID, f stream.FragID) {
 		}
 	}
 	kept := n.srcs[:0]
-	for _, src := range n.srcs {
-		if src.Query == q && src.Frag == f {
-			delete(n.rateEst, src.ID)
-			delete(n.srcByID, src.ID)
+	for _, a := range n.srcs {
+		if a.src.Query == q && a.src.Frag == f {
+			delete(n.srcByID, a.src.ID)
 			continue
 		}
-		kept = append(kept, src)
+		kept = append(kept, a)
 	}
 	n.srcs = kept
 	ib := n.ib[:0]
@@ -661,9 +700,9 @@ func (n *Node) promote(key fragKey, inst *fragInstance) {
 	if inst.shareKey != "" && n.shared[inst.shareKey] == key {
 		n.shared[inst.shareKey] = newKey
 	}
-	for _, src := range n.srcs {
-		if src.Query == key.q && src.Frag == key.f {
-			src.Query, src.Frag = newKey.q, newKey.f
+	for _, a := range n.srcs {
+		if a.src.Query == key.q && a.src.Frag == key.f {
+			a.src.Query, a.src.Frag = newKey.q, newKey.f
 		}
 	}
 	for _, b := range n.ib {
@@ -734,7 +773,7 @@ func (n *Node) StateSize() StateSize {
 	return StateSize{
 		Fragments:       len(n.frags),
 		Sources:         len(n.srcs),
-		RateEstimators:  len(n.rateEst),
+		RateEstimators:  len(n.srcs), // one per attached source
 		SourceQueries:   len(n.srcByID),
 		KnownSIC:        len(n.knownSIC),
 		BufferedBatches: len(n.ib),
@@ -781,13 +820,13 @@ func (n *Node) HostedQueries() []stream.QueryID {
 // as they enter the input buffer, using an online per-source rate
 // estimate over the STW.
 func (n *Node) AttachSource(src *sources.Source) {
-	key := fragKey{src.Query, src.Frag}
-	if _, ok := n.frags[key]; !ok {
+	inst, ok := n.frags[fragKey{src.Query, src.Frag}]
+	if !ok {
 		panic("node: source attached for a fragment this node does not host")
 	}
-	n.srcs = append(n.srcs, src)
-	n.rateEst[src.ID] = sic.NewRateEstimator(n.cfg.STW, n.cfg.Interval)
-	n.srcByID[src.ID] = src
+	a := &attached{src: src, est: sic.NewRateEstimator(n.cfg.STW, n.cfg.Interval), numSources: inst.numSources}
+	n.srcs = append(n.srcs, a)
+	n.srcByID[src.ID] = a
 }
 
 // SetResultSIC ingests a coordinator update for a hosted query
@@ -878,13 +917,12 @@ func (n *Node) splitOversized(maxLen int) {
 // will hold, from the online per-source rate estimate over the STW — so
 // no tuple is generated before Select has decided which batches survive.
 func (n *Node) emitSources(from, to stream.Time) {
-	for _, src := range n.srcs {
-		est := n.rateEst[src.ID]
-		numSources := n.frags[fragKey{src.Query, src.Frag}].numSources
-		for _, p := range src.Plan(from, to) {
-			est.Observe(p.B0, p.N)
-			per := sic.SourceTupleSIC(est.PerSTW(p.B0), numSources)
-			h := n.pool.GetHeader(src.Query, src.Frag, src.ID, p.B0, p.B1, p.N, per)
+	for _, a := range n.srcs {
+		src := a.src
+		for i, p := range src.Plan(from, to) {
+			a.est.Observe(p.B0, p.N)
+			per := sic.SourceTupleSIC(a.est.PerSTW(p.B0), a.numSources)
+			h := n.pool.GetHeader(src.Query, src.Frag, src.ID, p.B0, p.B1, p.N, per, a.headerSIC(i, p.N, per))
 			h.Port = src.Port
 			n.Enqueue(h, from)
 		}
@@ -904,7 +942,7 @@ func (n *Node) settleHeaders(mark []bool) {
 		if cnt == 0 {
 			continue
 		}
-		src := n.srcByID[h.Source]
+		src := n.srcByID[h.Source].src
 		p := sources.Plan{B0: h.TS, B1: end, N: cnt}
 		if mark != nil && !mark[i] {
 			src.Skip(p)

@@ -62,21 +62,16 @@ func (n *Node) StateSnapshot(q stream.QueryID, f stream.FragID, enc *stream.Snap
 	}
 	inst.exec.Snapshot(enc)
 	cnt := 0
-	for _, s := range n.srcs {
-		if s.Query == q && s.Frag == f {
+	for _, a := range n.srcs {
+		if a.src.Query == q && a.src.Frag == f {
 			cnt++
 		}
 	}
 	enc.U32(uint32(cnt))
-	for _, s := range n.srcs {
-		if s.Query != q || s.Frag != f {
-			continue
-		}
-		if re := n.rateEst[s.ID]; re != nil {
+	for _, a := range n.srcs {
+		if a.src.Query == q && a.src.Frag == f {
 			enc.Bool(true)
-			re.Snapshot(enc)
-		} else {
-			enc.Bool(false)
+			a.est.Snapshot(enc)
 		}
 	}
 	return nil
@@ -115,8 +110,8 @@ func (n *Node) RestoreState(q stream.QueryID, f stream.FragID, data []byte) erro
 		return err
 	}
 	applied := 0
-	for _, s := range n.srcs {
-		if s.Query != q || s.Frag != f {
+	for _, a := range n.srcs {
+		if a.src.Query != q || a.src.Frag != f {
 			continue
 		}
 		if applied >= cnt {
@@ -124,11 +119,7 @@ func (n *Node) RestoreState(q stream.QueryID, f stream.FragID, data []byte) erro
 			continue
 		}
 		if dec.Bool() {
-			re := n.rateEst[s.ID]
-			if re == nil {
-				return fmt.Errorf("node: snapshot carries an estimator for source %d, none attached", s.ID)
-			}
-			if err := re.Restore(&dec); err != nil {
+			if err := a.est.Restore(&dec); err != nil {
 				return err
 			}
 		}

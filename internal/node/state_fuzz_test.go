@@ -3,6 +3,8 @@ package node
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"strings"
@@ -171,21 +173,113 @@ func asVersion(sealed []byte, version byte) []byte {
 	return binary.LittleEndian.AppendUint64(body, h.Sum64())
 }
 
-// TestStateRestoreRejectsVersion1: folded accumulators replaced buffered
-// tuples in the operator blobs, so a version-1 snapshot (a checkpoint
-// taken by an older build) must be refused by its version byte — named
-// as such, before any operator state is touched — and leave the fragment
-// exactly as it was.
-func TestStateRestoreRejectsVersion1(t *testing.T) {
-	if stream.SnapVersion != 2 {
-		t.Fatalf("SnapVersion = %d: this test pins the 1 -> 2 bump", stream.SnapVersion)
+// opBlob returns the named operator's state blob inside a sealed fragment
+// snapshot (FragmentExec.Snapshot: a count, then per operator its name
+// tag and a length-prefixed blob), aliasing sealed.
+func opBlob(tb testing.TB, sealed []byte, name string) []byte {
+	tb.Helper()
+	var dec stream.SnapDecoder
+	if err := dec.Init(sealed); err != nil {
+		tb.Fatal(err)
 	}
+	for ops := dec.U32(); ops > 0 && dec.Err() == nil; ops-- {
+		tag, size := dec.Str(), int(dec.U32())
+		if tag == name {
+			return sealed[dec.Offset() : dec.Offset()+size]
+		}
+		for ; size > 0; size-- {
+			dec.U8()
+		}
+	}
+	tb.Fatalf("snapshot holds no %q operator", name)
+	return nil
+}
+
+// fragOf returns the first hosted fragment of a query.
+func fragOf(tb testing.TB, frags []FragRef, q stream.QueryID) FragRef {
+	tb.Helper()
+	for _, fr := range frags {
+		if fr.Query == q {
+			return fr
+		}
+	}
+	tb.Fatalf("no fragment of query %d hosted", q)
+	return FragRef{}
+}
+
+// windowHeader is what WindowBuffer.Snapshot and the folded operators
+// write ahead of their contents: kind, range, slide, next edge.
+const (
+	windowHeaderEdgeAt = 1 + 8 + 8
+	windowHeaderLen    = windowHeaderEdgeAt + 8
+)
+
+// TestStateNodeSeedsFoldedCov: the state node's COV fragment is caught
+// mid-window, and what its partial-cov operator checkpoints is the folded
+// state — an open window of two SIC sums and two columns — not buffered
+// tuples.
+func TestStateNodeSeedsFoldedCov(t *testing.T) {
 	n, frags := buildStateNode(t)
+	blob := opBlob(t, snapshotOf(t, n, fragOf(t, frags, 2)), "partial-cov")
+	var enc stream.SnapEncoder
+	enc.Reset()
+	for _, b := range blob[windowHeaderLen:] {
+		enc.U8(b)
+	}
+	var dec stream.SnapDecoder
+	if err := dec.Init(enc.Seal()); err != nil {
+		t.Fatal(err)
+	}
+	seen, open := dec.Bool(), dec.U32()
+	edge, sicX, sicY := dec.I64(), dec.F64(), dec.F64()
+	nx := dec.Count(8)
+	for i := 0; i < nx; i++ {
+		dec.F64()
+	}
+	ny := dec.Count(8)
+	if err := dec.Err(); err != nil {
+		t.Fatal(err)
+	}
+	// 30 ticks of 250 ms at 80 tuples/s per side: the window closing at
+	// 8000 is half full.
+	if !seen || open != 1 || edge != 8000 || nx != 40 || ny != 40 || sicX <= 0 || sicY <= 0 || dec.Remaining() != 8*ny {
+		t.Fatalf("partial-cov state: seen %v, %d open, edge %d, columns %d and %d, SIC %v and %v, %d bytes left",
+			seen, open, edge, nx, ny, sicX, sicY, dec.Remaining())
+	}
+}
+
+// joinSidesApart returns the TOP-5 fragment's snapshot with the next edge
+// of its join's left window moved one slide on, so the two sides of the
+// join disagree, re-sealed.
+func joinSidesApart(tb testing.TB, n *Node, fr FragRef) []byte {
+	sealed := snapshotOf(tb, n, fr)
+	at := opBlob(tb, sealed, "join")[windowHeaderEdgeAt:windowHeaderLen]
+	binary.LittleEndian.PutUint64(at, binary.LittleEndian.Uint64(at)+1000)
+	return asVersion(sealed, stream.SnapVersion)
+}
+
+// TestStateRestoreRejectsJoinSidesApart: a checkpoint whose join would
+// pair window e with window e' from then on is refused as corrupt.
+func TestStateRestoreRejectsJoinSidesApart(t *testing.T) {
+	n, frags := buildStateNode(t)
+	fr := fragOf(t, frags, 3)
+	if err := n.RestoreState(fr.Query, fr.Frag, joinSidesApart(t, n, fr)); !errors.Is(err, stream.ErrSnapCorrupt) {
+		t.Fatalf("restore of a join with its sides on different edges: %v, want ErrSnapCorrupt", err)
+	}
+}
+
+// restoreRejectsVersion: a snapshot sealed under another codec version (a
+// checkpoint taken by an older build) must be refused by its version byte
+// — named as such, before any operator state is touched — and leave the
+// fragment exactly as it was.
+func restoreRejectsVersion(t *testing.T, version byte) {
+	n, frags := buildStateNode(t)
+	want := fmt.Sprintf("version %d", version)
 	for _, fr := range frags {
 		before := snapshotOf(t, n, fr)
-		err := n.RestoreState(fr.Query, fr.Frag, asVersion(before, 1))
-		if err == nil || !strings.Contains(err.Error(), "version 1") {
-			t.Fatalf("q%d/f%d: restore of a version-1 blob: %v, want a version error", fr.Query, fr.Frag, err)
+		err := n.RestoreState(fr.Query, fr.Frag, asVersion(before, version))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("q%d/f%d: restore of a version-%d blob: %v, want a version error", fr.Query, fr.Frag, version, err)
 		}
 		if after := snapshotOf(t, n, fr); !bytes.Equal(before, after) {
 			t.Errorf("q%d/f%d: a refused restore changed the fragment's state", fr.Query, fr.Frag)
@@ -193,12 +287,26 @@ func TestStateRestoreRejectsVersion1(t *testing.T) {
 	}
 }
 
+// TestStateRestoreRejectsVersion1: version 1 held buffered tuples where
+// version 2 held the folded accumulators of Agg, GroupAgg and PartialAvg.
+func TestStateRestoreRejectsVersion1(t *testing.T) { restoreRejectsVersion(t, 1) }
+
+// TestStateRestoreRejectsVersion2: version 2 held PartialCov's two window
+// buffers and capture stores where version 3 holds its folded columns.
+func TestStateRestoreRejectsVersion2(t *testing.T) {
+	if stream.SnapVersion != 3 {
+		t.Fatalf("SnapVersion = %d: this test pins the 2 -> 3 bump", stream.SnapVersion)
+	}
+	restoreRejectsVersion(t, 2)
+}
+
 // FuzzStateCodec is the decode hardening gate (PR 8 satellite): arbitrary
 // bytes fed to RestoreState must error, not panic, and any input that
 // does decode must reach a self-consistent state — its re-snapshot
 // restores and re-snapshots to identical bytes (encode∘decode fixed
 // point). Seeds are valid sealed snapshots of every hosted fragment plus
-// truncations and bit flips of them.
+// truncations and bit flips of them, the same under the two retired
+// codec versions, and a join whose sides disagree on their next edge.
 func FuzzStateCodec(f *testing.F) {
 	n, frags := buildStateNode(f)
 	for _, fr := range frags {
@@ -209,7 +317,9 @@ func FuzzStateCodec(f *testing.F) {
 		flipped[len(flipped)/3] ^= 0x20
 		f.Add(flipped)
 		f.Add(asVersion(sealed, 1))
+		f.Add(asVersion(sealed, 2))
 	}
+	f.Add(joinSidesApart(f, n, fragOf(f, frags, 3)))
 	f.Add([]byte{})
 	f.Add([]byte{stream.SnapVersion})
 	f.Fuzz(func(t *testing.T, data []byte) {

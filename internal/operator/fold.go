@@ -15,12 +15,19 @@ import (
 // tuple into the window its timestamp falls in, Tick emits from the
 // accumulator at each closed edge. Every sum is accumulated in push
 // order — the order the buffered scan visits a window in — so results are
-// bit-identical to scanning a stream.WindowBuffer.
+// bit-identical to scanning a stream.WindowBuffer. PartialCov needs the
+// mean of a window before its comoment, so what it keeps per tuple is the
+// one field it reads, not the tuple.
 //
 // Sliding and count windows still buffer: a tuple of a sliding window
 // belongs to Range/Slide windows, and combining panes would reorder the
 // float sums. Which path an operator takes is decided once, by the window
 // spec its plan carries.
+
+// tumbling reports whether operators over spec fold on push.
+func tumbling(spec stream.WindowSpec) bool {
+	return spec.Kind == stream.TimeWindow && spec.Slide == spec.Range
+}
 
 // folder is what an operator built on folding supplies.
 type folder interface {
@@ -40,17 +47,22 @@ type folder interface {
 // openWin is the folded state of one window [edge-Range, edge).
 type openWin struct {
 	edge int64
-	sic  float64 // sum of the folded tuples' SIC, in push order
-	n    int     // tuples folded
+	sic  float64 // sum of the SIC of the tuples folded on port 0, in push order
+	n    int     // tuples folded on port 0
 	// acc is the scalar aggregate state (Agg, PartialAvg); groups the
-	// per-key state (GroupAgg). An operator uses one of them.
+	// per-key state (GroupAgg); sicY, x and y are PartialCov's: port 1's
+	// SIC sum and, per port, the field its tuples are read for, in push
+	// order. An operator uses one of the three.
 	acc    acc
 	groups groupTable
+	sicY   float64
+	x, y   []float64
 }
 
 func (w *openWin) reset() {
 	w.edge, w.sic, w.n, w.acc = 0, 0, 0, acc{}
 	w.groups.reset()
+	w.sicY, w.x, w.y = 0, w.x[:0], w.y[:0]
 }
 
 // acc accumulates one aggregate's running values.
@@ -98,23 +110,194 @@ func (a *acc) decode(dec *stream.SnapDecoder) {
 	a.sum, a.max, a.min, a.n = dec.F64(), dec.F64(), dec.F64(), int(dec.I64())
 }
 
-// folding is the base of the single-input windowed aggregates. Over a
-// tumbling time window it keeps the short list of open windows and
-// everything about them that is the same for every aggregate — which
-// window a timestamp falls in, the late-tuple rule, the emission cursor,
-// AdvanceTo and Reopen, record recycling, snapshot framing; over any
-// other window it buffers through windowed and folds each closed window
-// on the spot, so an operator's accumulate and finish serve both.
-type folding struct {
-	windowed            // the buffered path; win is nil while folds
-	op       folder     // the operator built on this base
-	out      arena      // emission arena, reset every Tick
-	folds    bool       // tumbling time window: fold on push
+// grid is the edge grid of a tumbling time window and the windows open on
+// it: which window a timestamp falls in, the late-tuple rule, the emission
+// cursor, AdvanceTo and Reopen, record recycling and snapshot framing —
+// everything that is the same whatever a window folds. folding and
+// PartialCov are built on it.
+type grid struct {
 	width    int64      // Range == Slide
 	nextEdge int64      // next emission boundary, a multiple of width
 	seen     bool       // a tuple was ever pushed
 	open     []*openWin // ascending edge, every edge >= nextEdge
 	free     []*openWin
+}
+
+func newGrid(width int64) grid { return grid{width: width, nextEdge: width} }
+
+// run finds the open window the first tuple of in falls in and the
+// number of leading tuples that share it, and folds their SIC and count
+// into the window's sums for the port they arrived on. A tuple whose
+// window has already closed is late: no future window covers it, so the
+// run of late tuples is returned with a nil window and dropped.
+func (g *grid) run(in []stream.Tuple, port int) (*openWin, int) {
+	g.seen = true
+	ts := int64(in[0].TS)
+	// nextEdge >= width, so a tuple that is not late has ts >= 0.
+	if oldest := g.nextEdge - g.width; ts < oldest || ts > math.MaxInt64-g.width {
+		n := 1
+		for n < len(in) && int64(in[n].TS) < oldest {
+			n++
+		}
+		return nil, n
+	}
+	w := g.window(ts - ts%g.width + g.width)
+	start, sicSum, n := w.edge-g.width, w.sic, 0
+	if port != 0 {
+		sicSum = w.sicY
+	}
+	for n < len(in) {
+		t := &in[n]
+		if ts := int64(t.TS); ts < start || ts >= w.edge {
+			break
+		}
+		sicSum += t.SIC
+		n++
+	}
+	if port != 0 {
+		w.sicY = sicSum
+	} else {
+		w.sic, w.n = sicSum, w.n+n
+	}
+	return w, n
+}
+
+// window returns the open window closing at edge, opening it if needed.
+// The list is short — the window being filled, and beside it the next one
+// when a tick runs past an edge — and searched newest first.
+func (g *grid) window(edge int64) *openWin {
+	i := len(g.open)
+	for i > 0 && g.open[i-1].edge >= edge {
+		if i--; g.open[i].edge == edge {
+			return g.open[i]
+		}
+	}
+	var w *openWin
+	if n := len(g.free); n > 0 {
+		w, g.free = g.free[n-1], g.free[:n-1]
+	} else {
+		w = new(openWin)
+	}
+	w.edge = edge
+	g.open = append(g.open, nil)
+	copy(g.open[i+1:], g.open[i:])
+	g.open[i] = w
+	return w
+}
+
+// recycle returns the first k open windows to the free list.
+func (g *grid) recycle(k int) {
+	for _, w := range g.open[:k] {
+		w.reset()
+		g.free = append(g.free, w)
+	}
+	g.open = g.open[:copy(g.open, g.open[k:])]
+}
+
+// closing returns the window that closes at the cursor, nil when no tuple
+// fell in it. Tick reads it, then moves on with advance, once per edge at
+// or before now.
+func (g *grid) closing() *openWin {
+	if len(g.open) > 0 && g.open[0].edge == g.nextEdge {
+		return g.open[0]
+	}
+	return nil
+}
+
+// advance moves the cursor one edge on and recycles the window that
+// closed there.
+func (g *grid) advance() {
+	if g.closing() != nil {
+		g.recycle(1)
+	}
+	g.nextEdge += g.width
+}
+
+// skipTo moves the emission cursor past now, keeping edge alignment, and
+// discards the open windows it passes: they will never be emitted.
+func (g *grid) skipTo(now stream.Time) {
+	if g.nextEdge <= int64(now) {
+		g.nextEdge += ((int64(now)-g.nextEdge)/g.width + 1) * g.width
+	}
+	k := 0
+	for k < len(g.open) && g.open[k].edge < g.nextEdge {
+		k++
+	}
+	g.recycle(k)
+}
+
+// advanceTo is skipTo for TimeAdvancer: like WindowBuffer.FastForward it
+// is legal only before the first tuple, on whichever port.
+func (g *grid) advanceTo(now stream.Time) {
+	if !g.seen {
+		g.skipTo(now)
+	}
+}
+
+// snapshot writes the window spec and cursor as WindowBuffer frames them,
+// then the open windows oldest first: the edge, and what win writes.
+func (g *grid) snapshot(enc *stream.SnapEncoder, win func(*stream.SnapEncoder, *openWin)) {
+	enc.U8(uint8(stream.TimeWindow))
+	enc.I64(g.width)
+	enc.I64(g.width)
+	enc.I64(g.nextEdge)
+	enc.Bool(g.seen)
+	enc.U32(uint32(len(g.open)))
+	for _, w := range g.open {
+		enc.I64(w.edge)
+		win(enc, w)
+	}
+}
+
+// restore replaces the grid with a snapshot whose windows win reads,
+// winBytes being the least one occupies after its edge. A snapshot of
+// another window spec is rejected, as is one whose cursor or windows
+// break the invariants Tick relies on. A snapshot refused by its header
+// leaves the grid as it was; a failure past the header leaves no open
+// window.
+func (g *grid) restore(dec *stream.SnapDecoder, winBytes int, win func(*stream.SnapDecoder, *openWin) error) error {
+	kind, rng, slide := stream.WindowKind(dec.U8()), dec.I64(), dec.I64()
+	nextEdge, seen := dec.I64(), dec.Bool()
+	n := dec.Count(8 + winBytes)
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	if kind != stream.TimeWindow || rng != g.width || slide != g.width {
+		return fmt.Errorf("operator: snapshot window %v/%d/%d incompatible with tumbling %d", kind, rng, slide, g.width)
+	}
+	if nextEdge < g.width || nextEdge%g.width != 0 {
+		return stream.ErrSnapCorrupt
+	}
+	g.recycle(len(g.open))
+	g.nextEdge, g.seen = nextEdge, seen
+	for last := nextEdge - g.width; n > 0; n-- {
+		edge := dec.I64()
+		err := dec.Err()
+		if err == nil && (edge <= last || edge%g.width != 0) {
+			err = stream.ErrSnapCorrupt
+		}
+		if err == nil {
+			err = win(dec, g.window(edge))
+		}
+		if err != nil {
+			g.recycle(len(g.open))
+			return err
+		}
+		last = edge
+	}
+	return nil
+}
+
+// folding is the base of the single-input windowed aggregates. Over a
+// tumbling time window it folds on push, into the windows of a grid; over
+// any other window it buffers through windowed and folds each closed
+// window on the spot, so an operator's accumulate and finish serve both.
+type folding struct {
+	windowed         // the buffered path; win is nil while folds
+	grid             // the folded path
+	op       folder  // the operator built on this base
+	out      arena   // emission arena, reset every Tick
+	folds    bool    // tumbling time window: fold on push
 	scratch  openWin // a buffered window's fold, and the empty window
 }
 
@@ -125,8 +308,8 @@ func (f *folding) init(spec stream.WindowSpec, op folder) {
 		panic(err)
 	}
 	f.op = op
-	if spec.Kind == stream.TimeWindow && spec.Slide == spec.Range {
-		f.folds, f.width, f.nextEdge = true, spec.Range, spec.Range
+	if f.folds = tumbling(spec); f.folds {
+		f.grid = newGrid(spec.Range)
 	} else {
 		f.windowed = newWindowed(spec)
 	}
@@ -139,75 +322,12 @@ func (f *folding) Push(port int, in []stream.Tuple) {
 		return
 	}
 	for len(in) > 0 {
-		f.seen = true
-		w, n := f.run(in)
+		w, n := f.run(in, 0)
 		if w != nil {
 			f.op.accumulate(w, in[:n])
 		}
 		in = in[n:]
 	}
-}
-
-// run finds the open window the first tuple of in falls in and the
-// number of leading tuples that share it, and folds their SIC and count
-// into the window. A tuple whose window has already closed is late: no
-// future window covers it, so the run of late tuples is returned with a
-// nil window and dropped.
-func (f *folding) run(in []stream.Tuple) (*openWin, int) {
-	ts := int64(in[0].TS)
-	// nextEdge >= width, so a tuple that is not late has ts >= 0.
-	if oldest := f.nextEdge - f.width; ts < oldest || ts > math.MaxInt64-f.width {
-		n := 1
-		for n < len(in) && int64(in[n].TS) < oldest {
-			n++
-		}
-		return nil, n
-	}
-	w := f.window(ts - ts%f.width + f.width)
-	start, sicSum, n := w.edge-f.width, w.sic, 0
-	for n < len(in) {
-		t := &in[n]
-		if ts := int64(t.TS); ts < start || ts >= w.edge {
-			break
-		}
-		sicSum += t.SIC
-		n++
-	}
-	w.sic = sicSum
-	w.n += n
-	return w, n
-}
-
-// window returns the open window closing at edge, opening it if needed.
-// The list is short — the window being filled, and beside it the next one
-// when a tick runs past an edge — and searched newest first.
-func (f *folding) window(edge int64) *openWin {
-	i := len(f.open)
-	for i > 0 && f.open[i-1].edge >= edge {
-		if i--; f.open[i].edge == edge {
-			return f.open[i]
-		}
-	}
-	var w *openWin
-	if n := len(f.free); n > 0 {
-		w, f.free = f.free[n-1], f.free[:n-1]
-	} else {
-		w = new(openWin)
-	}
-	w.edge = edge
-	f.open = append(f.open, nil)
-	copy(f.open[i+1:], f.open[i:])
-	f.open[i] = w
-	return w
-}
-
-// recycle returns the first k open windows to the free list.
-func (f *folding) recycle(k int) {
-	for _, w := range f.open[:k] {
-		w.reset()
-		f.free = append(f.free, w)
-	}
-	f.open = f.open[:copy(f.open, f.open[k:])]
 }
 
 // Tick implements Operator: one finish per window edge at or before now,
@@ -226,38 +346,22 @@ func (f *folding) Tick(now stream.Time, emit func([]stream.Tuple)) {
 		return
 	}
 	for f.nextEdge <= int64(now) {
-		if len(f.open) > 0 && f.open[0].edge == f.nextEdge {
-			f.op.finish(f.open[0], stream.Time(f.nextEdge), emit)
-			f.recycle(1)
-		} else {
-			f.op.finish(&f.scratch, stream.Time(f.nextEdge), emit)
+		w := f.closing()
+		if w == nil {
+			w = &f.scratch
 		}
-		f.nextEdge += f.width
+		f.op.finish(w, stream.Time(f.nextEdge), emit)
+		f.advance()
 	}
 }
 
-// skipTo moves the emission cursor past now, keeping edge alignment, and
-// discards the open windows it passes: they will never be emitted.
-func (f *folding) skipTo(now stream.Time) {
-	if f.nextEdge <= int64(now) {
-		f.nextEdge += ((int64(now)-f.nextEdge)/f.width + 1) * f.width
-	}
-	k := 0
-	for k < len(f.open) && f.open[k].edge < f.nextEdge {
-		k++
-	}
-	f.recycle(k)
-}
-
-// AdvanceTo implements TimeAdvancer. Like WindowBuffer.FastForward it is
-// legal only before the first tuple.
+// AdvanceTo implements TimeAdvancer.
 func (f *folding) AdvanceTo(now stream.Time) {
-	switch {
-	case !f.folds:
+	if !f.folds {
 		f.windowed.AdvanceTo(now)
-	case !f.seen:
-		f.skipTo(now)
+		return
 	}
+	f.advanceTo(now)
 }
 
 // Reopen implements Reopener.
@@ -270,73 +374,39 @@ func (f *folding) Reopen(now stream.Time) {
 }
 
 // SnapshotState implements Stateful. The folded state is the operator's
-// whole cross-tick state: the window spec and cursor as WindowBuffer
-// frames them, then the open windows oldest first.
+// whole cross-tick state: per open window its SIC sum, its tuple count
+// and the operator's aggregate.
 func (f *folding) SnapshotState(enc *stream.SnapEncoder) {
 	if !f.folds {
 		f.windowed.SnapshotState(enc)
 		return
 	}
-	enc.U8(uint8(stream.TimeWindow))
-	enc.I64(f.width)
-	enc.I64(f.width)
-	enc.I64(f.nextEdge)
-	enc.Bool(f.seen)
-	enc.U32(uint32(len(f.open)))
-	for _, w := range f.open {
-		enc.I64(w.edge)
-		enc.F64(w.sic)
-		enc.I64(int64(w.n))
-		f.op.encode(enc, w)
-	}
+	f.snapshot(enc, f.encodeWin)
 }
 
-// RestoreState implements Stateful. A snapshot of another window spec is
-// rejected, as is one whose cursor or windows break the invariants Tick
-// relies on. A snapshot refused by its header leaves the operator as it
-// was; a failure past the header leaves no open window.
+func (f *folding) encodeWin(enc *stream.SnapEncoder, w *openWin) {
+	enc.F64(w.sic)
+	enc.I64(int64(w.n))
+	f.op.encode(enc, w)
+}
+
+// RestoreState implements Stateful.
 func (f *folding) RestoreState(dec *stream.SnapDecoder) error {
 	if !f.folds {
 		return f.windowed.RestoreState(dec)
 	}
-	kind, rng, slide := stream.WindowKind(dec.U8()), dec.I64(), dec.I64()
-	nextEdge, seen := dec.I64(), dec.Bool()
-	// An open window costs at least edge + SIC + count.
-	n := dec.Count(24)
+	// After its edge an open window costs at least SIC + count.
+	return f.restore(dec, 16, f.decodeWin)
+}
+
+func (f *folding) decodeWin(dec *stream.SnapDecoder, w *openWin) error {
+	sicSum, count := dec.F64(), dec.I64()
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if kind != stream.TimeWindow || rng != f.width || slide != f.width {
-		return fmt.Errorf("operator: snapshot window %v/%d/%d incompatible with tumbling %d", kind, rng, slide, f.width)
-	}
-	if nextEdge < f.width || nextEdge%f.width != 0 {
+	if count < 0 {
 		return stream.ErrSnapCorrupt
 	}
-	f.recycle(len(f.open))
-	f.nextEdge, f.seen = nextEdge, seen
-	err := f.restoreWindows(dec, n)
-	if err != nil {
-		f.recycle(len(f.open))
-	}
-	return err
-}
-
-// restoreWindows reads n open windows, oldest first.
-func (f *folding) restoreWindows(dec *stream.SnapDecoder, n int) error {
-	for last := f.nextEdge - f.width; n > 0; n-- {
-		edge, sicSum, count := dec.I64(), dec.F64(), dec.I64()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		if edge <= last || edge%f.width != 0 || count < 0 {
-			return stream.ErrSnapCorrupt
-		}
-		w := f.window(edge)
-		w.sic, w.n = sicSum, int(count)
-		if err := f.op.decode(dec, w); err != nil {
-			return err
-		}
-		last = edge
-	}
-	return nil
+	w.sic, w.n = sicSum, int(count)
+	return f.op.decode(dec, w)
 }

@@ -15,24 +15,77 @@ import (
 // outputs (Eq. 3). A window pair that produces no matches loses its SIC —
 // the join discarded all derived information for that window.
 type Join struct {
-	left     *stream.WindowBuffer
-	right    *stream.WindowBuffer
+	paired
 	out      arena
-	sicShare float64
 	leftKey  int
 	rightKey int
-
-	// pendingLeft/Right pair window contents until both sides have closed
-	// the same window edge. The stores own deep copies of the captured
-	// tuples (window emissions alias buffer memory that is compacted
-	// away), recycling their storage once both queues drain.
-	pendingLeft  winStore
-	pendingRight winStore
 
 	// index/chain are the per-pair hash index scratch: index maps a key to
 	// the first right-tuple index of its bucket, chain links the rest.
 	index map[int64]int32
 	chain []int32
+}
+
+// paired is the base of the two-input operators that need both windows'
+// tuples at the edge: Join, and PartialCov over a window it cannot fold.
+// Each port buffers in its own WindowBuffer over the same spec; closed
+// windows wait in a capture store until the other side has closed the
+// same edge, and are then handed over pairwise, oldest first.
+type paired struct {
+	left, right *stream.WindowBuffer
+	// pendLeft/Right own deep copies of the captured tuples (window
+	// emissions alias buffer memory that is compacted away), recycling
+	// their storage once both queues drain.
+	pendLeft, pendRight winStore
+	sicShare            float64
+}
+
+func newPaired(spec stream.WindowSpec) paired {
+	return paired{
+		left:     stream.NewWindowBuffer(spec),
+		right:    stream.NewWindowBuffer(spec),
+		sicShare: float64(spec.Slide) / float64(spec.Range),
+	}
+}
+
+// InPorts implements Operator.
+func (p *paired) InPorts() int { return 2 }
+
+// Push implements Operator.
+func (p *paired) Push(port int, in []stream.Tuple) {
+	if port == 0 {
+		p.left.Push(in)
+	} else {
+		p.right.Push(in)
+	}
+}
+
+// AdvanceTo implements TimeAdvancer for both input windows, or neither:
+// FastForward is a no-op on a side that has seen a tuple, and cursors
+// that part ways would pair window e with window e' from then on.
+func (p *paired) AdvanceTo(now stream.Time) {
+	if p.left.Untouched() && p.right.Untouched() {
+		p.left.FastForward(now)
+		p.right.FastForward(now)
+	}
+}
+
+// pairs closes both sides' windows up to now and calls fn per pair of
+// windows that closed at the same edge, with the SIC mass the pair
+// consumes. Edges advance identically on both sides (same spec, cursors
+// moved together), so pairs align one-to-one.
+func (p *paired) pairs(now stream.Time, fn func(left, right []stream.Tuple, at stream.Time, sicMass float64)) {
+	p.left.Tick(now, func(win []stream.Tuple, at stream.Time) {
+		p.pendLeft.capture(win, at, p.sicShare)
+	})
+	p.right.Tick(now, func(win []stream.Tuple, at stream.Time) {
+		p.pendRight.capture(win, at, p.sicShare)
+	})
+	for p.pendLeft.len() > 0 && p.pendRight.len() > 0 {
+		lt, at, lsic := p.pendLeft.pop()
+		rt, _, rsic := p.pendRight.pop()
+		fn(lt, rt, at, lsic+rsic)
+	}
 }
 
 // winStore owns captured closed windows awaiting pairing: tuples and
@@ -92,9 +145,7 @@ func (ws *winStore) pop() (tuples []stream.Tuple, at stream.Time, sicMass float6
 // keys name the join fields on each side.
 func NewJoin(spec stream.WindowSpec, leftKey, rightKey int) *Join {
 	return &Join{
-		left:     stream.NewWindowBuffer(spec),
-		right:    stream.NewWindowBuffer(spec),
-		sicShare: float64(spec.Slide) / float64(spec.Range),
+		paired:   newPaired(spec),
 		leftKey:  leftKey,
 		rightKey: rightKey,
 		index:    make(map[int64]int32),
@@ -104,43 +155,15 @@ func NewJoin(spec stream.WindowSpec, leftKey, rightKey int) *Join {
 // Name implements Operator.
 func (j *Join) Name() string { return "join" }
 
-// InPorts implements Operator.
-func (j *Join) InPorts() int { return 2 }
-
-// Push implements Operator.
-func (j *Join) Push(port int, in []stream.Tuple) {
-	if port == 0 {
-		j.left.Push(in)
-	} else {
-		j.right.Push(in)
-	}
-}
-
-// AdvanceTo implements TimeAdvancer for both input windows.
-func (j *Join) AdvanceTo(now stream.Time) {
-	j.left.FastForward(now)
-	j.right.FastForward(now)
-}
-
 // Tick implements Operator.
 func (j *Join) Tick(now stream.Time, emit func([]stream.Tuple)) {
 	j.out.reset()
-	j.left.Tick(now, func(win []stream.Tuple, at stream.Time) {
-		j.pendingLeft.capture(win, at, j.sicShare)
+	j.pairs(now, func(lts, rts []stream.Tuple, _ stream.Time, sicMass float64) {
+		j.joinPair(lts, rts, sicMass, emit)
 	})
-	j.right.Tick(now, func(win []stream.Tuple, at stream.Time) {
-		j.pendingRight.capture(win, at, j.sicShare)
-	})
-	// Join window pairs in order. Window edges advance identically on
-	// both sides (same spec), so pairs align one-to-one.
-	for j.pendingLeft.len() > 0 && j.pendingRight.len() > 0 {
-		lt, lat, lsic := j.pendingLeft.pop()
-		rt, _, rsic := j.pendingRight.pop()
-		j.joinPair(lt, rt, lat, lsic+rsic, emit)
-	}
 }
 
-func (j *Join) joinPair(lts, rts []stream.Tuple, _ stream.Time, sicMass float64, emit func([]stream.Tuple)) {
+func (j *Join) joinPair(lts, rts []stream.Tuple, sicMass float64, emit func([]stream.Tuple)) {
 	if len(lts) == 0 && len(rts) == 0 {
 		return
 	}

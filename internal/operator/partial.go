@@ -124,27 +124,34 @@ func (f *AvgFinalize) Tick(now stream.Time, emit func([]stream.Tuple)) {
 // carries X tuples, port 1 carries Y tuples (Table 1's SrcCPU1 / SrcCPU2).
 // Per window it pairs tuples by position and emits one mergeable partial
 // (n, meanX, meanY, comoment) tuple.
+//
+// Over a tumbling time window it folds on push: per open window and port
+// it keeps the SIC sum and a column of the one field it reads. Over any
+// other window it buffers both inputs through paired and copies each
+// closed pair's fields into scratch columns, so one finish serves both.
 type PartialCov struct {
-	x        *stream.WindowBuffer
-	y        *stream.WindowBuffer
-	out      arena
-	sicShare float64
-	pendX    winStore
-	pendY    winStore
-	fieldX   int
-	fieldY   int
+	grid            // the folded path
+	buf     *paired // the buffered path; nil while folding
+	out     arena
+	scratch openWin // a buffered pair's columns
+	fieldX  int
+	fieldY  int
 }
 
 // NewPartialCov builds a partial covariance over the given fields of the
-// two input streams.
+// two input streams. Like NewWindowBuffer it panics on an invalid spec.
 func NewPartialCov(spec stream.WindowSpec, fieldX, fieldY int) *PartialCov {
-	return &PartialCov{
-		x:        stream.NewWindowBuffer(spec),
-		y:        stream.NewWindowBuffer(spec),
-		sicShare: float64(spec.Slide) / float64(spec.Range),
-		fieldX:   fieldX,
-		fieldY:   fieldY,
+	if err := spec.Validate(); err != nil {
+		panic(err)
 	}
+	p := &PartialCov{fieldX: fieldX, fieldY: fieldY}
+	if tumbling(spec) {
+		p.grid = newGrid(spec.Range)
+	} else {
+		buf := newPaired(spec)
+		p.buf = &buf
+	}
+	return p
 }
 
 // Name implements Operator.
@@ -155,41 +162,71 @@ func (p *PartialCov) InPorts() int { return 2 }
 
 // Push implements Operator.
 func (p *PartialCov) Push(port int, in []stream.Tuple) {
-	if port == 0 {
-		p.x.Push(in)
-	} else {
-		p.y.Push(in)
+	if p.buf != nil {
+		p.buf.Push(port, in)
+		return
+	}
+	for len(in) > 0 {
+		w, n := p.run(in, port)
+		if w != nil {
+			if port == 0 {
+				w.x = column(w.x, in[:n], p.fieldX)
+			} else {
+				w.y = column(w.y, in[:n], p.fieldY)
+			}
+		}
+		in = in[n:]
 	}
 }
 
-// AdvanceTo implements TimeAdvancer for both input windows.
+// column appends one field of every tuple of in to col.
+func column(col []float64, in []stream.Tuple, field int) []float64 {
+	for i := range in {
+		col = append(col, in[i].V[field])
+	}
+	return col
+}
+
+// AdvanceTo implements TimeAdvancer.
 func (p *PartialCov) AdvanceTo(now stream.Time) {
-	p.x.FastForward(now)
-	p.y.FastForward(now)
+	if p.buf != nil {
+		p.buf.AdvanceTo(now)
+		return
+	}
+	p.advanceTo(now)
 }
 
 // Tick implements Operator.
 func (p *PartialCov) Tick(now stream.Time, emit func([]stream.Tuple)) {
 	p.out.reset()
-	p.x.Tick(now, func(win []stream.Tuple, at stream.Time) {
-		p.pendX.capture(win, at, p.sicShare)
-	})
-	p.y.Tick(now, func(win []stream.Tuple, at stream.Time) {
-		p.pendY.capture(win, at, p.sicShare)
-	})
-	for p.pendX.len() > 0 && p.pendY.len() > 0 {
-		xt, xat, xsic := p.pendX.pop()
-		yt, _, ysic := p.pendY.pop()
-		n := len(xt)
-		if len(yt) < n {
-			n = len(yt)
-		}
-		if n == 0 {
-			continue
-		}
-		st := newCovState(xt[:n], yt[:n], p.fieldX, p.fieldY)
-		emit(p.out.one(xat, xsic+ysic, st.n, st.meanX, st.meanY, st.comoment))
+	if p.buf != nil {
+		p.buf.pairs(now, func(xs, ys []stream.Tuple, at stream.Time, sicMass float64) {
+			w := &p.scratch
+			w.reset()
+			w.sic = sicMass
+			w.x, w.y = column(w.x, xs, p.fieldX), column(w.y, ys, p.fieldY)
+			p.finish(w, at, emit)
+		})
+		return
 	}
+	for p.nextEdge <= int64(now) {
+		if w := p.closing(); w != nil {
+			p.finish(w, stream.Time(p.nextEdge), emit)
+		}
+		p.advance()
+	}
+}
+
+// finish emits the partial of one closed window. The sides pair by
+// position, so the longer one's tail is left out; a window with an empty
+// side emits nothing and its SIC is lost.
+func (p *PartialCov) finish(w *openWin, edge stream.Time, emit func([]stream.Tuple)) {
+	n := min(len(w.x), len(w.y))
+	if n == 0 {
+		return
+	}
+	st := newCovState(w.x[:n], w.y[:n])
+	emit(p.out.one(edge, w.sic+w.sicY, st.n, st.meanX, st.meanY, st.comoment))
 }
 
 // covState is the mergeable covariance statistic (n, meanX, meanY,
@@ -202,18 +239,18 @@ type covState struct {
 }
 
 // newCovState computes the exact statistic over equal-length paired
-// windows.
-func newCovState(xs, ys []stream.Tuple, fx, fy int) covState {
+// columns.
+func newCovState(xs, ys []float64) covState {
 	n := len(xs)
 	var sx, sy float64
 	for i := 0; i < n; i++ {
-		sx += xs[i].V[fx]
-		sy += ys[i].V[fy]
+		sx += xs[i]
+		sy += ys[i]
 	}
 	mx, my := sx/float64(n), sy/float64(n)
 	var cm float64
 	for i := 0; i < n; i++ {
-		cm += (xs[i].V[fx] - mx) * (ys[i].V[fy] - my)
+		cm += (xs[i] - mx) * (ys[i] - my)
 	}
 	return covState{n: float64(n), meanX: mx, meanY: my, comoment: cm}
 }

@@ -11,6 +11,7 @@ import (
 // over a full STW (DESIGN.md §12).
 //
 // What counts as state: window buffers (tuples waiting for future edges),
+// the accumulators and columns of operators that fold on push (fold.go),
 // captured-window stores pairing two-input operators' closed windows, and
 // pass-through held input. What does not: per-tick and per-window
 // scratch — emission arenas, group-by maps, join hash indexes, top-k
@@ -112,63 +113,103 @@ func (ws *winStore) restore(dec *stream.SnapDecoder) error {
 	return nil
 }
 
-// --- PartialCov (two windows + two capture stores) ---
+// --- paired base (Join; PartialCov over a window it cannot fold) ---
 
-// SnapshotState implements Stateful.
+// SnapshotState implements Stateful: two windows, then two capture
+// stores. Join's index/chain are per-pair scratch and excluded (see the
+// package note above).
+func (p *paired) SnapshotState(enc *stream.SnapEncoder) {
+	p.left.Snapshot(enc)
+	p.right.Snapshot(enc)
+	p.pendLeft.snapshot(enc)
+	p.pendRight.snapshot(enc)
+}
+
+// RestoreState implements Stateful. Time windows that disagree on their
+// next edge are refused: pairs match by queue position, so such a blob
+// would join window e with window e' for good. A refused blob may have
+// been applied in part, so it leaves both sides empty, on the edge they
+// shared before it.
+func (p *paired) RestoreState(dec *stream.SnapDecoder) error {
+	spec, edge := p.left.Spec(), p.left.NextEdge()
+	err := p.restore(dec)
+	if err != nil {
+		*p = newPaired(spec)
+		p.AdvanceTo(stream.Time(edge - 1))
+	}
+	return err
+}
+
+func (p *paired) restore(dec *stream.SnapDecoder) error {
+	if err := p.left.Restore(dec); err != nil {
+		return err
+	}
+	if err := p.right.Restore(dec); err != nil {
+		return err
+	}
+	if p.left.Spec().Kind == stream.TimeWindow && p.left.NextEdge() != p.right.NextEdge() {
+		return stream.ErrSnapCorrupt
+	}
+	if err := p.pendLeft.restore(dec); err != nil {
+		return err
+	}
+	return p.pendRight.restore(dec)
+}
+
+// Reopen implements Reopener for both input windows.
+func (p *paired) Reopen(now stream.Time) {
+	p.left.Reopen(now)
+	p.right.Reopen(now)
+}
+
+// --- PartialCov ---
+
+// SnapshotState implements Stateful. Folded, the state is per open window
+// the two SIC sums and the two columns.
 func (p *PartialCov) SnapshotState(enc *stream.SnapEncoder) {
-	p.x.Snapshot(enc)
-	p.y.Snapshot(enc)
-	p.pendX.snapshot(enc)
-	p.pendY.snapshot(enc)
+	if p.buf != nil {
+		p.buf.SnapshotState(enc)
+		return
+	}
+	p.snapshot(enc, encodeCov)
+}
+
+func encodeCov(enc *stream.SnapEncoder, w *openWin) {
+	enc.F64(w.sic)
+	enc.F64(w.sicY)
+	for _, col := range [2][]float64{w.x, w.y} {
+		enc.U32(uint32(len(col)))
+		for _, v := range col {
+			enc.F64(v)
+		}
+	}
 }
 
 // RestoreState implements Stateful.
 func (p *PartialCov) RestoreState(dec *stream.SnapDecoder) error {
-	if err := p.x.Restore(dec); err != nil {
-		return err
+	if p.buf != nil {
+		return p.buf.RestoreState(dec)
 	}
-	if err := p.y.Restore(dec); err != nil {
-		return err
-	}
-	if err := p.pendX.restore(dec); err != nil {
-		return err
-	}
-	return p.pendY.restore(dec)
+	// After its edge an open window costs at least two SIC sums and two
+	// column lengths.
+	return p.restore(dec, 24, decodeCov)
 }
 
-// Reopen implements Reopener for both input windows.
+func decodeCov(dec *stream.SnapDecoder, w *openWin) error {
+	w.sic, w.sicY = dec.F64(), dec.F64()
+	for _, col := range [2]*[]float64{&w.x, &w.y} {
+		for n := dec.Count(8); n > 0; n-- {
+			*col = append(*col, dec.F64())
+		}
+	}
+	return dec.Err()
+}
+
+// Reopen implements Reopener.
 func (p *PartialCov) Reopen(now stream.Time) {
-	p.x.Reopen(now)
-	p.y.Reopen(now)
-}
-
-// --- Join (two windows + two capture stores) ---
-
-// SnapshotState implements Stateful. index/chain are per-pair scratch and
-// excluded (see the package note above).
-func (j *Join) SnapshotState(enc *stream.SnapEncoder) {
-	j.left.Snapshot(enc)
-	j.right.Snapshot(enc)
-	j.pendingLeft.snapshot(enc)
-	j.pendingRight.snapshot(enc)
-}
-
-// RestoreState implements Stateful.
-func (j *Join) RestoreState(dec *stream.SnapDecoder) error {
-	if err := j.left.Restore(dec); err != nil {
-		return err
+	if p.buf != nil {
+		p.buf.Reopen(now)
+		return
 	}
-	if err := j.right.Restore(dec); err != nil {
-		return err
-	}
-	if err := j.pendingLeft.restore(dec); err != nil {
-		return err
-	}
-	return j.pendingRight.restore(dec)
-}
-
-// Reopen implements Reopener for both input windows.
-func (j *Join) Reopen(now stream.Time) {
-	j.left.Reopen(now)
-	j.right.Reopen(now)
+	p.skipTo(now)
 }

@@ -155,19 +155,17 @@ func (p *Pool) GetView(query QueryID, frag FragID, src SourceID, ts Time, tuples
 
 // GetHeader returns a header-only batch: no tuples, but a header that
 // reads as if it held n tuples spread evenly across [ts, end), each
-// carrying tupleSIC — Len is n and SIC is the sum RecomputeSIC would
-// produce over them. It lets a shedder that decides from headers alone
-// (§6) run before the tuples are generated: whoever keeps the batch
-// draws a real one from Pending's description and releases the header;
-// a shed header is released having cost no tuple storage at all.
-func (p *Pool) GetHeader(query QueryID, frag FragID, src SourceID, ts, end Time, n int, tupleSIC float64) *Batch {
+// carrying tupleSIC — Len is n and SIC is sic, which the caller vouches is
+// the sum RecomputeSIC would produce over them (tupleSIC added n times,
+// left to right; the node memoises it per source). It lets a shedder that
+// decides from headers alone (§6) run before the tuples are generated:
+// whoever keeps the batch draws a real one from Pending's description and
+// releases the header; a shed header is released having cost no tuple
+// storage at all.
+func (p *Pool) GetHeader(query QueryID, frag FragID, src SourceID, ts, end Time, n int, tupleSIC, sic float64) *Batch {
 	b := p.GetView(query, frag, src, ts, nil)
 	b.pending, b.pendEnd, b.pendSIC = n, end, tupleSIC
-	sum := 0.0
-	for ; n > 0; n-- {
-		sum += tupleSIC
-	}
-	b.SIC = sum
+	b.SIC = sic
 	return b
 }
 

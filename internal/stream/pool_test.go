@@ -122,16 +122,17 @@ func TestPoolViewReleaseKeepsParentStorage(t *testing.T) {
 }
 
 // TestPoolHeaderStandsForItsTuples pins the header-only batch: it reads
-// as the batch it stands for (Len, SIC) while holding no tuples, counts
-// as one live draw, and its recycled header comes back as a plain view.
+// as the batch it stands for (Len, and the SIC its caller summed) while
+// holding no tuples, counts as one live draw, and its recycled header
+// comes back as a plain view.
 func TestPoolHeaderStandsForItsTuples(t *testing.T) {
 	p := NewPool()
-	h := p.GetHeader(4, 1, 9, 1000, 1083, 100, 1e-4)
 	real := p.Get(4, 1, 9, 1000, 100, 1)
 	for i := range real.Tuples {
 		real.Tuples[i].SIC = 1e-4
 	}
 	real.RecomputeSIC()
+	h := p.GetHeader(4, 1, 9, 1000, 1083, 100, 1e-4, real.SIC)
 	if h.Len() != 100 || h.Tuples != nil || h.SIC != real.SIC || h.Source != 9 || h.TS != 1000 {
 		t.Fatalf("header reads len %d tuples %v SIC %v (want %v) source %d ts %d",
 			h.Len(), h.Tuples, h.SIC, real.SIC, h.Source, h.TS)

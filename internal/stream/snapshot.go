@@ -24,7 +24,7 @@ import (
 // SnapVersion is the snapshot codec version. Init rejects snapshots from
 // a different version: state layout is not wire-compatible across
 // versions, and a version bump is the upgrade story (DESIGN.md §12).
-const SnapVersion = 2
+const SnapVersion = 3
 
 // snapTrailerLen is the length of the checksum trailer Seal appends.
 const snapTrailerLen = 8

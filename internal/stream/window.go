@@ -219,7 +219,7 @@ func (wb *WindowBuffer) retireBelow(ts int64) {
 // Slide alignment is preserved, so the first real window closes at the
 // same absolute edge it would have closed at anyway.
 func (wb *WindowBuffer) FastForward(now Time) {
-	if wb.spec.Kind != TimeWindow || wb.seen > 0 || len(wb.buf) > 0 {
+	if wb.spec.Kind != TimeWindow || !wb.Untouched() {
 		return
 	}
 	if wb.nextEdge <= int64(now) {
@@ -227,6 +227,15 @@ func (wb *WindowBuffer) FastForward(now Time) {
 		wb.nextEdge += steps * wb.spec.Slide
 	}
 }
+
+// Untouched reports whether the buffer has never seen a tuple — the
+// condition FastForward needs. An operator with one buffer per port asks
+// it of every port first, so its cursors move together or not at all.
+func (wb *WindowBuffer) Untouched() bool { return wb.seen == 0 && len(wb.buf) == 0 }
+
+// NextEdge reports the next emission boundary: a timestamp for a time
+// window, a cumulative tuple count for a count window.
+func (wb *WindowBuffer) NextEdge() int64 { return wb.nextEdge }
 
 // Snapshot writes the buffer's full state — spec, emission cursor and
 // buffered tuples with deep payload copies — so a re-placed fragment can

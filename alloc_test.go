@@ -23,7 +23,6 @@ import (
 // operator state at that cadence.
 func steadyEngine(checkpoint stream.Duration) *federation.Engine {
 	cfg := federation.Defaults()
-	cfg.Workers = 1
 	cfg.Seed = 3
 	cfg.Checkpoint = checkpoint
 	e := federation.NewEngine(cfg)
@@ -45,11 +44,10 @@ func steadyEngine(checkpoint stream.Duration) *federation.Engine {
 
 // overloadedEngine builds the constantly shedding deployment: a 24-node
 // Emulab-style federation running 48 mixed complex queries of 1-3
-// fragments over PlanetLab traces, sequential compute phase.
+// fragments over PlanetLab traces.
 func overloadedEngine() *federation.Engine {
 	const nodes, queries = 24, 48
 	cfg := federation.Defaults()
-	cfg.Workers = 1
 	cfg.Seed = 7
 	e := federation.Emulab(cfg, nodes, 2000)
 	next := 0
@@ -75,7 +73,6 @@ func sharedMonitorsEngine(n int) *federation.Engine {
 		"Select Avg(t.v) From Src [Rows 200]",
 	}
 	cfg := federation.Defaults()
-	cfg.Workers = 1
 	cfg.Seed = 11
 	cfg.Sharing = federation.SharingFull
 	cfg.SourceRate = 100

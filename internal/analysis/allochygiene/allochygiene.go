@@ -105,10 +105,10 @@ func checkHot(pass *analysis.Pass, dirs *directives.Set, fn *types.Func, body *a
 			}
 		case *ast.FuncLit:
 			// A literal passed directly as a call argument (sort.Slice,
-			// rng.Shuffle, parallel.ForEach callbacks) does not escape
-			// and is stack-allocated; the AllocsPerRun tests verify
-			// this. Stored, returned, deferred or goroutine-launched
-			// literals escape and are flagged.
+			// rng.Shuffle callbacks) does not escape and is
+			// stack-allocated; the AllocsPerRun tests verify this.
+			// Stored, returned, deferred or goroutine-launched literals
+			// escape and are flagged.
 			if call, ok := parents[ast.Node(n)].(*ast.CallExpr); ok && call.Fun != ast.Expr(n) {
 				isArg := false
 				for _, a := range call.Args {

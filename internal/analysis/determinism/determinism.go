@@ -26,9 +26,9 @@ In the allowlisted packages (engine, control plane, node, operator, sic,
 core, stream, coordinator, cql planning) the analyzer rejects: time.Now/time.Since
 (annotate //themis:wallclock for stats-only reads), global math/rand
 calls (seeded rand.New(rand.NewSource(...)) is fine), go statements
-outside the worker pool (annotate //themis:goroutine), and map ranges
-whose bodies emit tuples/updates or append to result slices that are
-not subsequently sorted (annotate //themis:maporder).`,
+(annotate //themis:goroutine), and map ranges whose bodies emit
+tuples/updates or append to result slices that are not subsequently
+sorted (annotate //themis:maporder).`,
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
@@ -52,14 +52,8 @@ var Packages = strings.Join([]string{
 	"repro/internal/query",
 }, ",")
 
-// GoroutineOK lists packages inside the allowlist that may launch
-// goroutines: the two-phase worker pool is the single sanctioned
-// concurrency entry point (PR 1).
-var GoroutineOK = "repro/internal/parallel"
-
 func init() {
 	Analyzer.Flags.StringVar(&Packages, "packages", Packages, "comma-separated import paths to police")
-	Analyzer.Flags.StringVar(&GoroutineOK, "goroutines-ok", GoroutineOK, "comma-separated import paths where go statements are allowed")
 }
 
 // randConstructors are the math/rand package-level functions that do
@@ -87,13 +81,10 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		case *ast.CallExpr:
 			checkCall(pass, dirs, n)
 		case *ast.GoStmt:
-			if inList(GoroutineOK, pass.Pkg.Path()) {
-				return
-			}
 			if _, ok := dirs.Covering(n.Pos(), "goroutine"); ok {
 				return
 			}
-			pass.Reportf(n.Pos(), "go statement outside the worker pool in hot-path package %s (scheduling order is nondeterministic; use internal/parallel or annotate //themis:goroutine <why>)", pass.Pkg.Path())
+			pass.Reportf(n.Pos(), "go statement in hot-path package %s (scheduling order is nondeterministic; annotate //themis:goroutine <why>)", pass.Pkg.Path())
 		case *ast.FuncDecl:
 			if n.Body != nil {
 				checkMapRanges(pass, dirs, n.Body)

@@ -21,7 +21,7 @@ var Known = map[string]string{
 	"owns":      "releasecheck: ownership of an acquired batch transfers to the annotated callee/structure",
 	"wallclock": "determinism: reviewed wall-clock read (stats/diagnostics only, never result-affecting)",
 	"maporder":  "determinism: reviewed map iteration (order provably does not affect results)",
-	"goroutine": "determinism: reviewed goroutine launch outside the worker pool",
+	"goroutine": "determinism: reviewed goroutine launch in a hot-path package (scheduling provably does not affect results)",
 	"coldalloc": "allochygiene: reviewed allocation on a cold/amortised path of a hot function",
 	"lockorder": "lockorder: reviewed lock acquisition outside the global order",
 }

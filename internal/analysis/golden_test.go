@@ -39,15 +39,6 @@ func TestDeterminismAllowlistGate(t *testing.T) {
 	harness.RunFixture(t, "determallowed", determinism.Analyzer)
 }
 
-// TestDeterminismWorkerPoolExempt proves -goroutines-ok permits go
-// statements (the internal/parallel carve-out) without disabling the
-// other rules.
-func TestDeterminismWorkerPoolExempt(t *testing.T) {
-	defer override(&determinism.Packages, determinism.Packages+",fixture/determpool")()
-	defer override(&determinism.GoroutineOK, determinism.GoroutineOK+",fixture/determpool")()
-	harness.RunFixture(t, "determpool", determinism.Analyzer)
-}
-
 func TestAllochygieneGolden(t *testing.T) {
 	defer override(&allochygiene.HotList, ""+
 		"fixture/allocbad.hotMake,"+

@@ -55,7 +55,7 @@ func fieldAppendUnsorted(a *acc, m map[int]int) {
 }
 
 func spawn(done chan struct{}) {
-	go close(done) // want `go statement outside the worker pool`
+	go close(done) // want `go statement in hot-path package`
 }
 
 // The negatives below must produce no diagnostics.

@@ -71,7 +71,6 @@ func DynamicWorkload(s Scale, seed int64) (*DynamicResult, error) {
 	cfg.SourceRate = rate
 	cfg.BatchesPerSec = 10
 	cfg.Seed = seed
-	cfg.Workers = 1
 	cfg.QueryChurn = []federation.QueryChurnEvent{
 		{Tick: 0, Submit: []federation.QuerySubmit{
 			{CQL: avg, Fragments: 1, Dataset: 1},

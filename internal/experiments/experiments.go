@@ -73,11 +73,6 @@ func (s Scale) baseConfig(seed int64) federation.Config {
 	cfg.SourceRate = s.Rate
 	cfg.BatchesPerSec = 3
 	cfg.Seed = seed
-	// Most runners fan out across independent engine runs (see forEach),
-	// so each engine defaults to a sequential compute phase and the core
-	// budget is spent once. Single-run or timing-sensitive runners
-	// override Workers (sec75.go, sec76.go).
-	cfg.Workers = 1
 	return cfg
 }
 

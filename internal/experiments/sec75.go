@@ -154,7 +154,6 @@ func Sec75(scale Scale, seed int64) *Sec75Result {
 
 	// BALANCE-SIC on the identical deployment, run for real.
 	cfg := scale.baseConfig(seed)
-	cfg.Workers = 0 // single engine run: spend the core budget on its compute phase
 	e := federation.Emulab(cfg, nodes, perNode)
 	for i := range specs {
 		if _, err := e.DeployQuery(plans[i], placements[i], 0); err != nil {

@@ -35,7 +35,7 @@ func Sec76(scale Scale, seed int64) *Sec76Result {
 
 	run := func(pol federation.Policy) (nsPerBatch float64, msgs, traffic int64) {
 		cfg := scale.baseConfig(seed)
-		// Deliberately sequential (Workers=1 from baseConfig, no forEach):
+		// Deliberately one run at a time (no forEach):
 		// SelectNanos is a wall-clock measurement and concurrent runs would
 		// add scheduler noise to the §7.6 overhead comparison.
 		cfg.Policy = pol

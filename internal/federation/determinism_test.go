@@ -1,10 +1,12 @@
 package federation
 
 import (
-	"fmt"
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/query"
@@ -14,14 +16,13 @@ import (
 
 // detConfig is a deployment big enough to exercise multi-node routing,
 // shedding and coordinator feedback, small enough to run in milliseconds.
-func detConfig(policy Policy, workers int) Config {
+func detConfig(policy Policy) Config {
 	cfg := Defaults()
 	cfg.Duration = 12 * stream.Second
 	cfg.Warmup = 4 * stream.Second
 	cfg.SourceRate = 20
 	cfg.Policy = policy
 	cfg.KeepSamples = true
-	cfg.Workers = workers
 	cfg.Seed = 42
 	return cfg
 }
@@ -60,36 +61,19 @@ func normalize(r *Results) *Results {
 func TestDeterministicAcrossRuns(t *testing.T) {
 	for _, pol := range []Policy{PolicyBalanceSIC, PolicyRandom, PolicyKeepAll} {
 		t.Run(pol.String(), func(t *testing.T) {
-			a := normalize(detRun(t, detConfig(pol, 1)))
-			b := normalize(detRun(t, detConfig(pol, 1)))
+			a := normalize(detRun(t, detConfig(pol)))
+			b := normalize(detRun(t, detConfig(pol)))
 			if !reflect.DeepEqual(a, b) {
-				t.Errorf("two sequential runs with seed %d differ:\n%+v\nvs\n%+v", detConfig(pol, 1).Seed, a, b)
+				t.Errorf("two sequential runs with seed %d differ:\n%+v\nvs\n%+v", detConfig(pol).Seed, a, b)
 			}
 		})
 	}
 }
 
-// TestDeterministicAcrossWorkerCounts verifies the tentpole guarantee:
-// the parallel compute phase produces bit-identical Results to the
-// sequential one, for every policy and several worker counts.
-func TestDeterministicAcrossWorkerCounts(t *testing.T) {
-	for _, pol := range []Policy{PolicyBalanceSIC, PolicyRandom, PolicyKeepAll} {
-		t.Run(pol.String(), func(t *testing.T) {
-			seq := normalize(detRun(t, detConfig(pol, 1)))
-			for _, w := range []int{2, 8, runtime.GOMAXPROCS(0)} {
-				par := normalize(detRun(t, detConfig(pol, w)))
-				if !reflect.DeepEqual(seq, par) {
-					t.Errorf("Workers=%d diverges from Workers=1:\n%+v\nvs\n%+v", w, par, seq)
-				}
-			}
-		})
-	}
-}
-
-// TestStepEquivalentToRun guards the two-phase Step against drift: calling
-// Step tick by tick must equal one Run.
+// TestStepEquivalentToRun guards Step against drift: calling Step tick by
+// tick must equal one Run.
 func TestStepEquivalentToRun(t *testing.T) {
-	cfg := detConfig(PolicyBalanceSIC, 4)
+	cfg := detConfig(PolicyBalanceSIC)
 	build := func() *Engine {
 		e := Emulab(cfg, 4, 400)
 		rng := rand.New(rand.NewSource(3))
@@ -115,16 +99,89 @@ func TestStepEquivalentToRun(t *testing.T) {
 	}
 }
 
-func ExampleConfig_workers() {
-	cfg := Defaults()
-	cfg.Duration = 2 * stream.Second
-	cfg.Workers = 4 // 0 defaults to GOMAXPROCS
-	e := Emulab(cfg, 4, 1000)
-	plan := query.NewCov(2, sources.Uniform)
-	if _, err := e.DeployQuery(plan, []stream.NodeID{0, 1}, 0); err != nil {
-		panic(err)
+// bitHash folds float bits and counters into an FNV-1a hash.
+type bitHash struct{ hash.Hash64 }
+
+func (h bitHash) u(v uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	h.Write(b[:])
+}
+
+func (h bitHash) f(v float64) { h.u(math.Float64bits(v)) }
+
+// results folds every deterministic field of a Results, wall-clock
+// fields left out.
+func (h bitHash) results(r *Results) {
+	h.u(uint64(r.Policy))
+	h.u(uint64(len(r.Queries)))
+	for _, q := range r.Queries {
+		h.u(uint64(q.ID))
+		h.Write([]byte(q.Type))
+		h.u(uint64(q.Fragments))
+		h.f(q.MeanSIC)
+		h.u(uint64(len(q.Samples)))
+		for _, s := range q.Samples {
+			h.f(s)
+		}
 	}
-	res := e.Run()
-	fmt.Println(len(res.Queries))
-	// Output: 1
+	h.f(r.MeanSIC)
+	h.f(r.Jain)
+	h.f(r.StdSIC)
+	h.u(uint64(len(r.Nodes)))
+	for _, n := range r.Nodes {
+		for _, c := range []int64{n.ArrivedTuples, n.ArrivedBatches, n.KeptTuples, n.KeptBatches,
+			n.ShedTuples, n.ShedBatches, n.ShedInvocations, n.DroppedBatches, n.DroppedTuples} {
+			h.u(uint64(c))
+		}
+		h.f(n.DroppedSIC)
+	}
+	h.u(uint64(r.CoordinatorMessages))
+	h.u(uint64(r.CoordinatorBytes))
+}
+
+// TestEngineBitsPinned is the cross-commit oracle: an FNV-1a hash over
+// the float bits and counters of five canonical runs, recorded at 72010ab
+// (the last commit with the two-phase Step). TestDeterministicAcrossRuns
+// says a commit agrees with itself; this says it agrees with its parent,
+// which a refactor of Step, the ledger or the control plane must.
+//
+// To re-record, run the test and copy the hashes it prints. A re-record
+// is a statement that the engine's numbers moved: it needs a CHANGES.md
+// line saying which run moved and why.
+func TestEngineBitsPinned(t *testing.T) {
+	policy := func(pol Policy) func(*testing.T, bitHash) {
+		return func(t *testing.T, h bitHash) { h.results(detRun(t, detConfig(pol))) }
+	}
+	for _, c := range []struct {
+		name string
+		want uint64
+		run  func(t *testing.T, h bitHash)
+	}{
+		{"BALANCE-SIC", 0xcf891eca8f6b8b4d, policy(PolicyBalanceSIC)},
+		{"random", 0x49975b466b9838da, policy(PolicyRandom)},
+		{"keep-all", 0x62a6935f3fe675e1, policy(PolicyKeepAll)},
+		{"sharing-full", 0x1f03ae6af0d47723, func(t *testing.T, h bitHash) {
+			h.results(sharingRun(t, SharingFull))
+		}},
+		// A checkpoint every tick and the root fragment's host killed at
+		// tick 30: the query's SIC at every tick through the restore, then
+		// Results.
+		{"churn-checkpoint", 0x874249a933fab9d2, func(t *testing.T, h bitHash) {
+			e, q := ckptChurnEngine(t, 2*stream.Second, 100*stream.Millisecond, 100*stream.Millisecond, 30)
+			for i := 0; i < 120; i++ {
+				e.Step()
+				h.f(e.CurrentSIC(q))
+			}
+			h.results(e.Results())
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := bitHash{fnv.New64a()}
+			c.run(t, h)
+			if got := h.Sum64(); got != c.want {
+				t.Errorf("engine bits moved: %#016x, pinned %#016x", got, c.want)
+			}
+		})
+	}
 }

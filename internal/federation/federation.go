@@ -18,14 +18,12 @@ package federation
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 
 	"repro/internal/control"
 	"repro/internal/coordinator"
 	"repro/internal/core"
 	"repro/internal/cql"
 	"repro/internal/node"
-	"repro/internal/parallel"
 	"repro/internal/query"
 	"repro/internal/sources"
 	"repro/internal/stream"
@@ -81,7 +79,8 @@ type Config struct {
 	// Policy selects the shedding policy.
 	Policy Policy
 	// UpdateMode selects the coordinator's estimation mode (§5.2 /
-	// Assumption 3); Acceptance is the prototype default.
+	// Assumption 3); Defaults sets RootMeasured, Acceptance is the
+	// ablation.
 	UpdateMode coordinator.UpdateMode
 	// DisableProjection turns off the §6 local-shedding projection
 	// (ablation).
@@ -108,13 +107,6 @@ type Config struct {
 	// KeepSamples retains the per-tick SIC time series of every query in
 	// the results (costs memory on large runs).
 	KeepSamples bool
-	// Workers bounds the goroutines ticking nodes concurrently during the
-	// compute phase of each Step. Zero or negative defaults to
-	// runtime.GOMAXPROCS(0); 1 forces sequential execution. Results are
-	// bit-identical for every worker count under a fixed Seed: nodes tick
-	// against private state and their effects are applied in node-ID order
-	// during the exchange phase.
-	Workers int
 	// Churn schedules node kill/join events at given ticks — the
 	// virtual-time mirror of the TCP transport's failure recovery, so a
 	// networked run through membership churn can be checked against the
@@ -127,7 +119,7 @@ type Config struct {
 	// schedule. Events apply at the start of a step, after node churn
 	// (a submission in the same tick as a kill places over the post-kill
 	// membership, exactly as a controller submit after a detected
-	// failure does) and are deterministic across worker counts.
+	// failure does).
 	QueryChurn []QueryChurnEvent
 	// Placement names the site-assignment strategy for submissions
 	// without an explicit placement and for re-placement after a kill:
@@ -483,11 +475,14 @@ func (e *Engine) applyFlips(flips []control.EmitFlip) {
 // experiments to capture result values. The tuple slice is only valid
 // during the callback: result batches are pooled and recycled right
 // after delivery, so callbacks copy whatever they keep (DESIGN.md §9).
+// Callbacks fire in ascending order of the node hosting the query's root
+// fragment, each right after that node's tick — that is, between the
+// node ticks of one Step, not after the last of them.
 func (e *Engine) OnResult(q stream.QueryID, fn func(now stream.Time, tuples []stream.Tuple)) {
 	e.queries[q].resultFn = fn
 }
 
-// --- exchange-phase effect application ---
+// --- outbox effect application (drainOutbox) ---
 
 // latencyTicks converts the link latency into a delivery delay in ticks:
 // a batch emitted at the end of tick k is available at the destination
@@ -664,8 +659,7 @@ func (e *Engine) placeFragment(cq *control.Query, d control.Deploy) {
 // current tick: retracts first (freeing nodes for arrivals), then
 // submits. A submission that cannot be applied (malformed CQL, too few
 // live nodes for distinct placement) is skipped and counted — Step has
-// no error channel — so schedules stay deterministic across worker
-// counts either way.
+// no error channel.
 func (e *Engine) applyQueryChurn() {
 	for _, ev := range e.cfg.QueryChurn {
 		if ev.Tick != e.tick {
@@ -738,69 +732,30 @@ func (e *Engine) now() stream.Time { return stream.Time(e.tick * int64(e.cfg.Int
 
 // --- run loop ---
 
-// workerCount resolves Config.Workers against GOMAXPROCS and the node
-// count.
-func (e *Engine) workerCount() int {
-	w := e.cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+// drainOutbox applies the effects a node's tick left in its outbox:
+// accepted-SIC deltas are gathered in the ledger for one batched update
+// per query at the tick's close, root results reach the ledger and
+// callbacks, and derived batches enter the in-transit schedule.
+func (e *Engine) drainOutbox(n *node.Node) {
+	out := n.TakeOutbox()
+	for _, a := range out.Accepted {
+		e.ledger.Accepted(a.Query, a.Delta)
 	}
-	if w > len(e.nodes) {
-		w = len(e.nodes)
+	for _, r := range out.Results {
+		e.deliverResult(r.Query, r.Now, r.Batch.Tuples, r.Batch.SIC)
+		r.Batch.Release()
 	}
-	return w
-}
-
-// computePhase runs every node's Tick for the interval starting at t.
-// Nodes touch only their own state during Tick — effects land in per-node
-// outboxes — so the ticks run concurrently on a bounded worker pool.
-// Completion order is irrelevant because the exchange phase drains
-// outboxes in node-ID order. The sequential path avoids the worker-pool
-// closure entirely: a steady-state single-worker step allocates nothing.
-func (e *Engine) computePhase(t stream.Time) {
-	if e.workerCount() <= 1 {
-		for i, n := range e.nodes {
-			if e.plane.Alive(stream.NodeID(i)) {
-				n.Tick(t)
-			}
-		}
-		return
-	}
-	parallel.ForEach(len(e.nodes), e.workerCount(), func(i int) {
-		if !e.plane.Alive(stream.NodeID(i)) {
-			return
-		}
-		e.nodes[i].Tick(t)
-	})
-}
-
-// exchangePhase drains every node's outbox in node-ID order: derived
-// batches enter the in-transit schedule, root results reach the ledger
-// and callbacks, and accepted-SIC deltas are gathered in the ledger for
-// one batched update per query at the tick's close. The fixed drain order
-// makes a parallel compute phase bit-identical to a sequential one.
-func (e *Engine) exchangePhase() {
-	for i, n := range e.nodes {
-		if !e.plane.Alive(stream.NodeID(i)) {
-			continue
-		}
-		out := n.TakeOutbox()
-		for _, a := range out.Accepted {
-			e.ledger.Accepted(a.Query, a.Delta)
-		}
-		for _, r := range out.Results {
-			e.deliverResult(r.Query, r.Now, r.Batch.Tuples, r.Batch.SIC)
-			r.Batch.Release()
-		}
-		for _, b := range out.Downstream {
-			e.routeDownstream(n.ID(), b)
-		}
+	for _, b := range out.Downstream {
+		e.routeDownstream(n.ID(), b)
 	}
 }
 
-// Step advances the federation by one shedding interval in two phases:
-// compute (all nodes tick concurrently against private state) and
-// exchange (their effects are applied in deterministic node-ID order).
+// Step advances the federation by one shedding interval: due traffic is
+// delivered, then every live node, in ascending node-ID order, ticks and
+// has its outbox drained. Nothing drained in tick k is readable by any
+// node before tick k+1 — derived batches are scheduled at tick + delay
+// (delay ≥ 1), SIC updates travel through updateRing — so a node's tick
+// never depends on its position in the loop (DESIGN.md §4).
 func (e *Engine) Step() {
 	e.applyChurn()
 	e.applyQueryChurn()
@@ -832,9 +787,13 @@ func (e *Engine) Step() {
 	}
 	e.updateRing[slot] = e.updateRing[slot][:0]
 
-	e.computePhase(t)
+	for i, n := range e.nodes {
+		if e.plane.Alive(stream.NodeID(i)) {
+			n.Tick(t)
+			e.drainOutbox(n)
+		}
+	}
 	now := t.Add(e.cfg.Interval)
-	e.exchangePhase()
 
 	// The ledger closes the tick: coordinators broadcast updated result SIC
 	// values to all fragment hosts, arriving after the link latency (§6:

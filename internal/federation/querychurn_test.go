@@ -107,39 +107,6 @@ func TestScheduledRetractFreesState(t *testing.T) {
 	}
 }
 
-// TestQueryChurnDeterministicAcrossWorkers: an identical submit/retract
-// schedule under a fixed seed must yield bit-identical results for any
-// worker count — query churn is part of the deterministic exchange
-// contract, exactly like node churn.
-func TestQueryChurnDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) (float64, float64) {
-		cfg := churnScheduleConfig()
-		cfg.Workers = workers
-		cfg.QueryChurn = []QueryChurnEvent{
-			{Tick: 0, Submit: []QuerySubmit{
-				{CQL: churnAvgCQL, Fragments: 1, Dataset: 1},
-				{CQL: churnAvgCQL, Fragments: 1, Dataset: 1},
-			}},
-			{Tick: 25, Submit: []QuerySubmit{{CQL: churnAvgCQL, Fragments: 2, Dataset: 1}}},
-			{Tick: 55, Retract: []stream.QueryID{0}},
-		}
-		e := NewEngine(cfg)
-		e.AddNodes(4, 400) // overloaded: shedding decisions must replay identically
-		for i := 0; i < 100; i++ {
-			e.Step()
-		}
-		if n := e.SkippedSubmits(); n != 0 {
-			t.Fatalf("workers=%d: %d submissions skipped", workers, n)
-		}
-		return e.CurrentSIC(1), e.CurrentSIC(2)
-	}
-	a1, a2 := run(1)
-	b1, b2 := run(4)
-	if a1 != b1 || a2 != b2 {
-		t.Errorf("churn schedule diverged across worker counts: (%v,%v) vs (%v,%v)", a1, a2, b1, b2)
-	}
-}
-
 // TestScheduledSubmitAfterKillPlacesOnSurvivors: a submission scheduled
 // after a node kill must place its fragments over the surviving
 // membership only.

@@ -10,8 +10,8 @@ import (
 // Multi-query sharing tests: fragment dedup (SharingFull) must be a pure
 // execution optimisation. Against the apples-to-apples baseline — keyed
 // seeds with private pipelines (SharingKeyed) — an underloaded federation
-// must produce bit-identical per-query results and SIC trajectories, for
-// any worker count, through node-failure recovery and live query churn.
+// must produce bit-identical per-query results and SIC trajectories
+// through node-failure recovery and live query churn.
 // Sharing also must not leak: shared instances, subscriptions, and pooled
 // batches all return to baseline when the riding queries depart, in any
 // retraction order (primary first exercises promotion).
@@ -31,14 +31,13 @@ var sharingShapes = []string{
 // merge), a node kill+join at tick 24, and live churn that submits two
 // more queries at tick 20 and retracts two — including a share-group
 // primary — at tick 32.
-func sharingRun(t *testing.T, mode Sharing, workers int) *Results {
+func sharingRun(t *testing.T, mode Sharing) *Results {
 	t.Helper()
 	cfg := Defaults()
 	cfg.Duration = 15 * stream.Second
 	cfg.Warmup = 4 * stream.Second
 	cfg.SourceRate = 20
 	cfg.KeepSamples = true
-	cfg.Workers = workers
 	cfg.Seed = 42
 	cfg.Sharing = mode
 	cfg.Churn = []ChurnEvent{
@@ -86,22 +85,15 @@ func queryFacts(r *Results) *Results {
 
 // TestSharingDifferentialBitIdentical is the acceptance test for the
 // dedup layer: SharingFull equals SharingKeyed exactly, per query and per
-// tick, across worker counts, through recovery and churn.
+// tick, through recovery and churn.
 func TestSharingDifferentialBitIdentical(t *testing.T) {
-	base := queryFacts(sharingRun(t, SharingKeyed, 1))
-	if len(base.Queries) != 14 {
-		t.Fatalf("deployment drifted: %d queries, want 14", len(base.Queries))
+	keyed := queryFacts(sharingRun(t, SharingKeyed))
+	if len(keyed.Queries) != 14 {
+		t.Fatalf("deployment drifted: %d queries, want 14", len(keyed.Queries))
 	}
-	for _, workers := range []int{1, 4} {
-		keyed := queryFacts(sharingRun(t, SharingKeyed, workers))
-		full := queryFacts(sharingRun(t, SharingFull, workers))
-		if !reflect.DeepEqual(keyed, full) {
-			t.Errorf("workers=%d: SharingFull diverges from SharingKeyed:\n%+v\nvs\n%+v",
-				workers, full, keyed)
-		}
-		if !reflect.DeepEqual(base, keyed) {
-			t.Errorf("workers=%d: SharingKeyed diverges across worker counts", workers)
-		}
+	full := queryFacts(sharingRun(t, SharingFull))
+	if !reflect.DeepEqual(keyed, full) {
+		t.Errorf("SharingFull diverges from SharingKeyed:\n%+v\nvs\n%+v", full, keyed)
 	}
 }
 
@@ -280,7 +272,6 @@ func TestSharingScaledAcrossRates(t *testing.T) {
 func TestSharingTeardownNoLeaks(t *testing.T) {
 	cfg := Defaults()
 	cfg.SourceRate = 20
-	cfg.Workers = 4
 	cfg.Seed = 9
 	cfg.Sharing = SharingFull
 	e := NewEngine(cfg)

@@ -71,7 +71,7 @@ func aggNode(t *testing.T, capacityPerSec, rate float64) (*Node, *fakeRouter) {
 }
 
 // runTicks advances the node and drains its outbox into the router after
-// every tick, the way a driver's exchange phase does.
+// every tick, the way a driver does.
 func runTicks(n *Node, r Router, ticks int) {
 	for i := 0; i < ticks; i++ {
 		n.Tick(stream.Time(i * 250))

@@ -3,15 +3,19 @@ package node
 import "repro/internal/stream"
 
 // Outbox collects the externally-visible effects of one node tick. The
-// node fills it during Tick/TickSpan instead of calling into shared
-// federation state, so any number of nodes can tick concurrently; the
-// driver (federation engine or TCP transport) drains outboxes afterwards,
-// in a deterministic order, during its exchange phase.
+// node fills it during Tick/TickSpan instead of calling into its driver,
+// and the driver drains it once the tick is over. The federation engine
+// does so right after each node's tick: a derived batch is held here
+// until it enters the in-transit schedule at tick + delay, so no node
+// sees it in the tick that produced it. The TCP transport drains after
+// dropping the node mutex (TakeOutbox's double buffer keeps the drained
+// outbox valid meanwhile), so inbound handlers never wait behind an
+// encode.
 //
 // The batches in an outbox are pooled: draining transfers their
 // ownership to the driver, which must release each one after its last
-// use — the federation engine does so at exchange/apply time, and Replay
-// does it after the router call returns.
+// use — the federation engine does so as it applies each effect, and
+// Replay does it after the router call returns.
 type Outbox struct {
 	// Downstream holds derived batches bound for the node hosting the
 	// consuming fragment, in fragment emission order.

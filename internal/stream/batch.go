@@ -49,9 +49,11 @@ type Batch struct {
 	// parent and refs implement retained views (Pool.ViewRetained): a
 	// batch's storage recycles only when its reference count — one for the
 	// owner plus one per retained view — drops to zero, and a retained
-	// view's release drops its parent's count. refs is atomic because
-	// views of one batch fan out to fragments that tick on different
-	// goroutines during the engine's parallel compute phase.
+	// view's release drops its parent's count. refs is atomic so that
+	// Release keeps the pool's contract — callable from any goroutine,
+	// under no lock: a networked host releases on its tick goroutine
+	// (Outbox.Replay, after dropping the node mutex) and on its connection
+	// readers. The single-threaded engine does not depend on it.
 	parent *Batch
 	refs   atomic.Int32
 	// pending, pendEnd and pendSIC describe the tuples a header-only

@@ -202,8 +202,9 @@ func TestPoolLiveAccountingProperty(t *testing.T) {
 }
 
 // TestPoolConcurrentGetRelease hammers one pool from many goroutines —
-// the engine's parallel compute phase shares a pool across nodes — and
-// relies on -race to catch unsynchronised free-list access.
+// a networked host's connection readers decode into the pool its tick
+// goroutine draws from and releases into — and relies on -race to catch
+// unsynchronised free-list access.
 func TestPoolConcurrentGetRelease(t *testing.T) {
 	p := NewPool()
 	var wg sync.WaitGroup
@@ -384,9 +385,10 @@ func TestPoolRetainedViewUnpooledParent(t *testing.T) {
 }
 
 // TestPoolConcurrentRetainedViewRelease fans one parent out to many
-// goroutines releasing concurrently — the engine's compute phase ticks
-// subscriber fragments on different workers — and relies on -race plus
-// the zero-live postcondition to prove the refcount chain is sound.
+// goroutines releasing concurrently — Release is callable from any
+// goroutine under no lock, which a networked host's tick goroutine and
+// connection readers both rely on — and relies on -race plus the
+// zero-live postcondition to prove the refcount chain is sound.
 func TestPoolConcurrentRetainedViewRelease(t *testing.T) {
 	p := NewPool()
 	for round := 0; round < 200; round++ {

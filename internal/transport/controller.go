@@ -57,7 +57,6 @@ type Controller struct {
 	ckpt  time.Duration
 
 	hbTimeout time.Duration
-	norecover bool
 	// lastSeen holds per-node atomic unix-nano receive timestamps;
 	// entries are pointers so membership growth never moves them.
 	lastSeen []*atomic.Int64
@@ -124,9 +123,6 @@ type ControllerConfig struct {
 	// negative disables missed-heartbeat detection — connection errors
 	// still detect failure.
 	HeartbeatTimeout time.Duration
-	// DisableRecovery restores the pre-churn behaviour: any node failure
-	// aborts the run instead of re-placing the dead node's fragments.
-	DisableRecovery bool
 	// Sharing selects the multi-query sharing mode applied across the
 	// networked federation, as federation.Config.Sharing does in virtual time:
 	// off (default), keyed (same-shape submissions draw identical source
@@ -173,7 +169,6 @@ func NewController(cfg ControllerConfig, nodeAddrs []string) (*Controller, error
 		ival:      cfg.Interval,
 		ckpt:      cfg.Checkpoint,
 		hbTimeout: hb,
-		norecover: cfg.DisableRecovery,
 		fail:      make(chan nodeFailure, 64),
 		statsCh:   make(chan struct{}, 256),
 	}
@@ -678,9 +673,6 @@ func (c *Controller) handleFailure(f nodeFailure) error {
 	pin := c.shareEpoch
 	c.mu.Unlock()
 	cn.Close() // sever, so a half-dead node stops feeding us reports
-	if c.norecover {
-		return fmt.Errorf("node %s: %w", deadAddr, f.err)
-	}
 	start := time.Now()
 	restored := len(affected) > 0
 	for _, q := range affected {

@@ -54,7 +54,7 @@ func TestBankScripts(t *testing.T) {
 		steps   []step
 	}{
 		{
-			name: "own record beats compat", sharing: SharingKeyed, members: 3,
+			name: "own record beats compat", sharing: SharingOff, members: 3,
 			steps: []step{
 				{submit(1, 20, nodes{0}, 0), []dep{{Q: 0, N: 0}}},
 				{submit(1, 20, nodes{1}, 0), []dep{{Q: 1, N: 1}}},
@@ -65,7 +65,7 @@ func TestBankScripts(t *testing.T) {
 			},
 		},
 		{
-			name: "compat owner is the lowest live id and moves when it retracts", sharing: SharingKeyed, members: 5,
+			name: "compat owner is the lowest live id and moves when it retracts", sharing: SharingOff, members: 5,
 			steps: []step{
 				{submit(1, 20, nodes{0}, 0), []dep{{Q: 0, N: 0}}},
 				{submit(1, 20, nodes{1}, 0), []dep{{Q: 1, N: 1}}},
@@ -86,7 +86,7 @@ func TestBankScripts(t *testing.T) {
 			},
 		},
 		{
-			name: "a checkpoint for a retracted query is ignored", sharing: SharingKeyed, members: 3,
+			name: "a checkpoint for a retracted query is ignored", sharing: SharingOff, members: 3,
 			steps: []step{
 				{submit(1, 20, nodes{0}, 0), []dep{{Q: 0, N: 0}}},
 				{submit(1, 20, nodes{1}, 0), []dep{{Q: 1, N: 1}}},

@@ -3,7 +3,7 @@
 // goroutine. It owns every decision a runtime makes about where a query
 // runs and what it shares — live membership and the auto-placer over it,
 // placement validation, the re-placement choice after a failure, the
-// plan cache, per-query share facts, the one share-key / keyed-seed
+// plan cache, per-query share facts, the one share-key / structural-seed
 // format and state-compatibility rule, the share index with attach-vs-host,
 // promote-on-primary-departure, dead-node group clearing and the
 // emit-invariant sweep, and the checkpoint bank with the one rule for
@@ -38,12 +38,18 @@ type Config struct {
 	// placement and for re-placement after a failure: "round-robin"
 	// (default), "uniform" or "zipf".
 	Placement string
-	// Seed drives placement randomness and is the base of keyed source
-	// seeds.
+	// Seed drives placement randomness and is the base of structural
+	// source seeds.
 	Seed int64
 	// Sharing selects the multi-query sharing mode.
 	Sharing Sharing
 }
+
+// MaxRate bounds a source's tuples/s and batches/s: a node plans
+// rate × interval tuples every tick, so an absurd rate (1e308 is a valid
+// float) would wedge or overflow the tick. Submit refuses a rate beyond
+// it, and a host refuses a deploy frame beyond it.
+const MaxRate = 1e7
 
 // Query is the plane's record of one live query. Drivers read it; only
 // the plane writes it.
@@ -56,13 +62,11 @@ type Query struct {
 	// in place, so a driver holding the slice sees re-placements.
 	Placement []stream.NodeID
 
-	// keyed reports structural source seeds (sharing on and the query has
-	// a shape); ratePin is the query's rate component of every key.
-	keyed   bool
+	// ratePin is a shaped query's rate component of every key.
 	ratePin string
 	// subKeys holds one canonical subtree key per fragment and share the
 	// per-fragment share state; both nil when the query never deduplicates
-	// (no shape, or sharing below SharingFull).
+	// (no shape, or sharing off).
 	subKeys []string
 	share   []fragShare
 	// ckpt banks the newest checkpoint blob per fragment (empty = none) in
@@ -97,18 +101,14 @@ type Deploy struct {
 	// ShareKey is the fragment's dedup identity ("" = private). Attach
 	// predicts the host's decision: the node already executes an instance
 	// under the key and the fragment rides it — no executor, no sources —
-	// with the given Emit bit and SIC Scale (0 = unscaled).
+	// with the given Emit bit.
 	ShareKey string
 	Attach   bool
 	Emit     bool
-	Scale    float64
-	// Seed is a hosting fragment's source seed (an attach has no sources):
-	// structural when Keyed, else the per-query rule
-	// Config.Seed+1+query+fragment. The engine's unkeyed path draws from
-	// its submission-order generator instead, which is what pins the paper
-	// figures.
-	Seed  int64
-	Keyed bool
+	// Seed is a hosting fragment's structural source seed (an attach has
+	// no sources). A shapeless query carries none: the engine seeds it from
+	// its submission-order generator, which is what pins the paper figures.
+	Seed int64
 	// Restore is the banked state to restore into the fragment once hosted
 	// — set by Replace only, and only under a warm verdict. It aliases the
 	// bank's buffer, which the next Checkpoint of its owner overwrites.
@@ -319,8 +319,13 @@ func (p *Plane) Groups(n stream.NodeID) map[string][]stream.QueryID {
 // the configured strategy over the live membership), assigns the next
 // query id, and settles every fragment's share decision at time pin.
 // shape is the statement's plan-cache shape key; plans deployed without
-// one ("") never share. The commands come in ascending fragment order.
+// one ("") never share and get no seed. A rate outside (0, MaxRate] — NaN
+// and ±Inf included — is refused before anything is placed. The commands
+// come in ascending fragment order.
 func (p *Plane) Submit(plan *query.Plan, shape string, rate float64, placement []stream.NodeID, pin int64) (*Query, []Deploy, error) {
+	if !(rate > 0 && rate <= MaxRate) {
+		return nil, nil, fmt.Errorf("control: source rate %g tuples/s outside (0, %g]", rate, float64(MaxRate))
+	}
 	if err := plan.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -337,10 +342,9 @@ func (p *Plane) Submit(plan *query.Plan, shape string, rate float64, placement [
 	}
 	q := &Query{ID: p.next, Plan: plan, Rate: rate, Shape: shape, Placement: placement}
 	p.next++
-	if shape != "" && p.cfg.Sharing != SharingOff {
-		q.keyed = true
+	if shape != "" {
 		q.ratePin = p.ratePin(rate)
-		if p.cfg.Sharing >= SharingFull {
+		if p.cfg.Sharing == SharingFull {
 			ks, ok := p.subKeys[shape]
 			if !ok {
 				ks = cql.SubtreeKeys(plan, shape)
@@ -371,9 +375,11 @@ func (p *Plane) Submit(plan *query.Plan, shape string, rate float64, placement [
 // order and plans wire downstream to a lower index, so the downstream
 // decision this reads is already made.
 func (p *Plane) deploy(q *Query, f int, n stream.NodeID, pin int64) Deploy {
-	d := Deploy{Query: q.ID, Frag: f, Node: n, Keyed: q.keyed}
+	d := Deploy{Query: q.ID, Frag: f, Node: n}
 	if q.share == nil {
-		d.Seed = p.seed(q, f)
+		if q.Shape != "" {
+			d.Seed = q.structuralSeed(p.cfg.Seed, f)
+		}
 		return d
 	}
 	key := q.shareKey(f, pin)
@@ -387,34 +393,14 @@ func (p *Plane) deploy(q *Query, f int, n stream.NodeID, pin int64) Deploy {
 	if g == nil {
 		idx[key] = &group{members: []stream.QueryID{q.ID}}
 		q.share[f] = fragShare{key: key, emit: true} // executes; emit kept coherent for Sweep
-		d.Seed = p.seed(q, f)
+		d.Seed = q.structuralSeed(p.cfg.Seed, f)
 		return d
 	}
 	g.members = append(g.members, q.ID)
 	down := q.Plan.Downstream[f]
 	d.Attach, d.Emit = true, down < 0 || !q.share[down].attached
 	q.share[f] = fragShare{key: key, attached: true, emit: d.Emit}
-	// Rate-scaled sharing converts the primary's SIC mass into the rider's
-	// normalisation at the fan-out point. Eq. (1) stamps are fractions of
-	// the stamping query's ideal window content (rate × |S| × T); a rider
-	// declaring twice the primary's rate receives half of *its* ideal
-	// content from the shared stream, so its views carry
-	// primaryRate/riderRate of the primary's mass.
-	if p.cfg.Sharing == SharingScaled && q.Rate > 0 {
-		if prim := p.Query(g.members[0]); prim.Rate > 0 {
-			d.Scale = prim.Rate / q.Rate
-		}
-	}
 	return d
-}
-
-// seed is fragment f's source seed: structural for a keyed query, else
-// the per-query rule. An attaching fragment has no sources and gets none.
-func (p *Plane) seed(q *Query, f int) int64 {
-	if q.keyed {
-		return q.structuralSeed(p.cfg.Seed, f)
-	}
-	return p.cfg.Seed + 1 + int64(q.ID) + int64(f)
 }
 
 // Retract removes a live query, mirroring the hosts' teardown: leaving a

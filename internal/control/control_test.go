@@ -2,6 +2,7 @@ package control
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -29,7 +30,6 @@ type dep struct {
 	N      stream.NodeID
 	Attach bool
 	Emit   bool
-	Scale  float64
 }
 
 // Events. Each returns what the plane answered, in comparable form.
@@ -53,7 +53,7 @@ func submit(frags int, rate float64, at nodes, pin int64) event {
 func project(cmds []Deploy) []dep {
 	out := make([]dep, len(cmds))
 	for i, c := range cmds {
-		out[i] = dep{c.Query, c.Frag, c.Node, c.Attach, c.Emit, c.Scale}
+		out[i] = dep{c.Query, c.Frag, c.Node, c.Attach, c.Emit}
 	}
 	return out
 }
@@ -229,14 +229,6 @@ func TestPlaneScripts(t *testing.T) {
 			},
 		},
 		{
-			name: "scaled riders convert by primaryRate/riderRate", sharing: SharingScaled, members: 1,
-			steps: []step{
-				{submit(1, 20, nodes{0}, 0), []dep{{Q: 0, N: 0}}},
-				{submit(1, 40, nodes{0}, 0), []dep{{Q: 1, N: 0, Attach: true, Emit: true, Scale: 0.5}}},
-				{submit(1, 10, nodes{0}, 0), []dep{{Q: 2, N: 0, Attach: true, Emit: true, Scale: 2}}},
-			},
-		},
-		{
 			name: "too few survivors is unplaceable and leaves the query alone", sharing: SharingFull, members: 3,
 			steps: []step{
 				{submit(3, 20, nodes{0, 1, 2}, 0), []dep{{Q: 0, F: 0, N: 0}, {Q: 0, F: 1, N: 1}, {Q: 0, F: 2, N: 2}}},
@@ -246,7 +238,7 @@ func TestPlaneScripts(t *testing.T) {
 			check: unplaceable,
 		},
 		{
-			name: "keyed and off never index", sharing: SharingKeyed, members: 1,
+			name: "keyed and off never index", sharing: SharingOff, members: 1,
 			steps: []step{
 				{submit(1, 20, nodes{0}, 0), []dep{{Q: 0, N: 0}}},
 				{submit(1, 20, nodes{0}, 0), []dep{{Q: 1, N: 0}}},
@@ -292,8 +284,8 @@ func TestUnplaceableKeepsTheQuery(t *testing.T) {
 	}
 }
 
-// TestPlacementValidation covers every way an explicit placement is
-// refused, and that a refusal consumes no query id.
+// TestPlacementValidation covers every way an explicit placement or a
+// rate is refused, and that a refusal consumes no query id.
 func TestPlacementValidation(t *testing.T) {
 	p := New(Config{})
 	for i := 0; i < 3; i++ {
@@ -315,7 +307,12 @@ func TestPlacementValidation(t *testing.T) {
 	if _, err := p.Place(3); err == nil {
 		t.Error("placed 3 fragments on 2 live nodes")
 	}
-	q, _, err := p.Submit(plan, shape, 20, nodes{1, 0}, 0)
+	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1e300, MaxRate * 2} {
+		if _, _, err := p.Submit(plan, shape, rate, nil, 0); err == nil {
+			t.Errorf("rate %g accepted", rate)
+		}
+	}
+	q, _, err := p.Submit(plan, shape, MaxRate, nodes{1, 0}, 0)
 	if err != nil || q.ID != 0 {
 		t.Fatalf("valid placement after refusals: id %v, err %v", q, err)
 	}
@@ -329,10 +326,10 @@ func TestPlacementValidation(t *testing.T) {
 	}
 }
 
-// TestSeedsAndKeys pins the one identity format by its relations: keyed
-// seeds depend on (base seed, shape, rate unless scaled, fragment) and
-// nothing else; unkeyed seeds follow the per-query rule; compat keys are
-// share keys without the pin.
+// TestSeedsAndKeys pins the one identity format by its relations: a
+// shaped query's seeds depend on (base seed, shape, rate, fragment) and
+// nothing else — not the sharing mode, not the pin; a shapeless one
+// carries none; compat keys are share keys without the pin.
 func TestSeedsAndKeys(t *testing.T) {
 	deploys := func(cfg Config, rate float64, pin int64) []Deploy {
 		p := New(cfg)
@@ -353,28 +350,25 @@ func TestSeedsAndKeys(t *testing.T) {
 		return cmds
 	}
 	full := deploys(Config{Seed: 7, Sharing: SharingFull}, 20, 0)
-	if !full[0].Keyed || full[0].Seed == full[1].Seed {
-		t.Fatalf("fragments of one keyed query must draw distinct structural seeds: %+v", full)
+	if full[0].Seed == full[1].Seed {
+		t.Fatalf("fragments of one query must draw distinct structural seeds: %+v", full)
 	}
 	same := func(a, b []Deploy) bool { return a[0].Seed == b[0].Seed && a[1].Seed == b[1].Seed }
-	if !same(full, deploys(Config{Seed: 7, Sharing: SharingKeyed}, 20, 9)) {
-		t.Error("keyed seed depends on the sharing mode or the pin")
+	off := deploys(Config{Seed: 7}, 20, 9)
+	if !same(full, off) {
+		t.Error("structural seed depends on the sharing mode or the pin")
 	}
 	if same(full, deploys(Config{Seed: 8, Sharing: SharingFull}, 20, 0)) {
-		t.Error("keyed seed ignores the base seed")
+		t.Error("structural seed ignores the base seed")
 	}
-	if same(full, deploys(Config{Seed: 7, Sharing: SharingFull}, 40, 0)) {
-		t.Error("exact sharing must pin the rate into the seed")
-	}
-	if !same(deploys(Config{Seed: 7, Sharing: SharingScaled}, 20, 0), deploys(Config{Seed: 7, Sharing: SharingScaled}, 40, 0)) {
-		t.Error("scaled sharing must not pin the rate into the seed")
+	if same(full, deploys(Config{Seed: 7}, 40, 0)) {
+		t.Error("structural seed ignores the rate")
 	}
 	if full[0].ShareKey == full[1].ShareKey || full[0].ShareKey == deploys(Config{Seed: 7, Sharing: SharingFull}, 20, 1)[0].ShareKey {
 		t.Error("share keys must differ by fragment and by pin")
 	}
-	off := deploys(Config{Seed: 7}, 20, 0)
-	if off[0].Keyed || off[0].ShareKey != "" || off[0].Seed != 7+1+1+0 || off[1].Seed != 7+1+1+1 {
-		t.Errorf("unkeyed deploys: %+v, want private with seeds seed+1+query+fragment", off)
+	if off[0].ShareKey != "" || off[0].Attach || off[1].Attach {
+		t.Errorf("sharing off deploys: %+v, want private", off)
 	}
 
 	p := New(Config{Sharing: SharingFull})
@@ -383,12 +377,15 @@ func TestSeedsAndKeys(t *testing.T) {
 	a, _, _ := p.Submit(plan, shape, 20, nodes{0}, 0)
 	b, _, _ := p.Submit(plan, shape, 20, nodes{0}, 5)
 	c, _, _ := p.Submit(plan, shape, 40, nodes{0}, 0)
-	d, _, _ := p.Submit(plan, "", 20, nodes{0}, 0)
+	d, dcmds, _ := p.Submit(plan, "", 20, nodes{0}, 0)
+	if dcmds[0].Seed != 0 {
+		t.Errorf("a shapeless submit carries seed %d; its driver seeds it", dcmds[0].Seed)
+	}
 	if !a.compatible(b) || a.ShareKey(0) == b.ShareKey(0) {
 		t.Error("state compatibility must be the share identity without its pin")
 	}
 	if a.compatible(c) {
-		t.Error("exact sharing must keep rates apart in state compatibility")
+		t.Error("state compatibility must keep rates apart")
 	}
 	if d.compatible(d) || d.ShareKey(0) != "" {
 		t.Error("a plan deployed without a shape must never share")

@@ -6,8 +6,8 @@ import "repro/internal/stream"
 // engine walks every live fragment at the end of a Step and banks its
 // operator state (windows, capture stores, rate estimators) with the
 // control plane. When KillNode re-places a displaced fragment, the plane
-// hands back the blob that warms it — the fragment's own, or a
-// shape-and-rate compatible query's under keyed sharing
+// hands back the blob that warms it — the fragment's own, or that of a
+// query with the same shape and rate, which draws the same stream
 // (control.Plane.Replace) — and it is restored into the fresh executor,
 // so recovery resumes from a warm window instead of refilling it over a
 // full STW. When every displaced fragment of a query restores, the

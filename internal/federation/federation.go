@@ -53,16 +53,14 @@ func (p Policy) String() string {
 	}
 }
 
-// Sharing selects how much cross-query work the engine deduplicates for
+// Sharing selects whether the engine deduplicates work across
 // structurally identical CQL submissions. The modes are the control
 // plane's; the names stay here for the drivers that configure an engine.
 type Sharing = control.Sharing
 
 const (
-	SharingOff    = control.SharingOff
-	SharingKeyed  = control.SharingKeyed
-	SharingFull   = control.SharingFull
-	SharingScaled = control.SharingScaled
+	SharingOff  = control.SharingOff
+	SharingFull = control.SharingFull
 )
 
 // Config parameterises a federated deployment.
@@ -125,8 +123,9 @@ type Config struct {
 	// without an explicit placement and for re-placement after a kill:
 	// "round-robin" (default), "uniform" or "zipf" (control.Placer).
 	Placement string
-	// Sharing selects the multi-query sharing mode for CQL submissions
-	// (SharingOff preserves the legacy per-query behaviour exactly).
+	// Sharing selects whether CQL submissions deduplicate fragments
+	// (SharingFull) or run privately (SharingOff); their source streams are
+	// the same either way.
 	Sharing Sharing
 	// Checkpoint is the operator-state checkpoint cadence in virtual time:
 	// every Checkpoint the engine snapshots the window and accumulator
@@ -386,7 +385,7 @@ func (e *Engine) DeployQuery(plan *query.Plan, placement []stream.NodeID, rate f
 }
 
 // deployShaped is DeployQuery carrying the statement's structural shape
-// key, which CQL submissions thread through so keyed seeding and
+// key, which CQL submissions thread through so structural seeding and
 // fragment dedup can recognise structurally identical queries. Directly
 // deployed plans have no shape ("") and always run private. A nil
 // placement asks the plane for the configured strategy's.
@@ -431,7 +430,7 @@ func (e *Engine) RemoveQuery(q stream.QueryID) bool {
 	// promoted them to their first subscriber, and the instances' output
 	// already in transit belongs to the survivor's pipeline. Re-address it,
 	// or the promoted query would lose exactly the in-flight batches — a
-	// divergence from its private (SharingKeyed) execution, which keeps
+	// divergence from its private (SharingOff) execution, which keeps
 	// its own in-flight batches across another query's retract. The hosts
 	// must report exactly the hand-offs the plane predicted; on a dead node
 	// (a query retired by KillNode) they are moot.
@@ -511,9 +510,8 @@ func (e *Engine) routeDownstream(from stream.NodeID, b *stream.Batch) {
 // deliverResult accumulates result SIC reaching a root fragment and feeds
 // the query's coordinator and user callback. The tuples are only
 // borrowed: callbacks that retain them (or their payloads) must copy.
-// total is the delivering batch's header SIC — identical to the
-// tuple-SIC sum except for rate-scaled fan-out views, whose headers carry
-// the subscriber's scaled mass over the primary's tuple payload.
+// total is the delivering batch's header SIC, the batch's tuple-SIC sum
+// computed once where the batch was made, so it is not summed again here.
 func (e *Engine) deliverResult(q stream.QueryID, now stream.Time, tuples []stream.Tuple, total float64) {
 	if !e.ledger.Result(q, now, total) {
 		return
@@ -625,23 +623,24 @@ func (e *Engine) relabelTransit(p node.Promotion) {
 
 // placeFragment applies one of the plane's deploy commands: the fragment
 // attaches to, or is hosted on, the commanded node (node.Deploy). Both
-// the initial deploy and failure recovery go through here. Keyed modes
-// seed sources from the query's structural shape, so structurally
-// identical queries observe identical source data (the production
-// semantics — many dashboards over one metric feed) and, crucially,
-// consume nothing from e.rng: a deduplicated deployment (SharingFull)
-// and a private one (SharingKeyed) keep the engine's random state — and
-// therefore everything downstream of it — bit-identical. Unkeyed
-// fragments draw from e.rng in submission order, which is what the paper
-// figures are pinned to.
+// the initial deploy and failure recovery go through here. A CQL
+// submission has a shape, and its sources are seeded from it, so
+// structurally identical queries observe identical source data (the
+// production semantics — many dashboards over one metric feed) and,
+// crucially, consume nothing from e.rng: a deduplicated deployment
+// (SharingFull) and a private one (SharingOff) keep the engine's random
+// state — and therefore everything downstream of it — bit-identical, and
+// draw what the networked controller's hosts draw. Shapeless plans
+// (DeployQuery) draw from e.rng in submission order, which is what the
+// paper figures are pinned to.
 func (e *Engine) placeFragment(cq *control.Query, d control.Deploy) {
 	spec := node.FragmentSpec{
 		Query: cq.ID, Frag: stream.FragID(d.Frag), Plan: cq.Plan,
 		Rate: cq.Rate, Batches: e.cfg.BatchesPerSec, Burst: e.cfg.Burst,
 		FirstSource: e.nextSource, Seed: d.Seed,
-		ShareKey: d.ShareKey, Emit: d.Emit, Scale: d.Scale,
+		ShareKey: d.ShareKey, Emit: d.Emit,
 	}
-	if !d.Keyed {
+	if cq.Shape == "" {
 		spec.Seeds = e.rng
 	}
 	attached := e.nodes[d.Node].Deploy(spec)

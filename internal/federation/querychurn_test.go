@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/stream"
@@ -187,6 +188,29 @@ func TestSkippedSubmitsCounted(t *testing.T) {
 	}
 	if got := len(e.Results().Queries); got != 0 {
 		t.Errorf("%d queries deployed from invalid schedule", got)
+	}
+}
+
+// TestSubmitRefusesUnrunnableRates: a rate no source can run — NaN, +Inf,
+// or beyond control.MaxRate — is refused on both submit paths before it
+// costs a query id (a non-positive rate means Config.SourceRate).
+func TestSubmitRefusesUnrunnableRates(t *testing.T) {
+	e := NewEngine(churnScheduleConfig())
+	e.AddNode(1000)
+	plan, _, err := e.plane.Plan(churnAvgCQL, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rate := range []float64{math.NaN(), math.Inf(1), 1e300, 1e12} {
+		if _, err := e.SubmitCQL(churnAvgCQL, 1, 1, rate, nil); err == nil {
+			t.Errorf("SubmitCQL accepted rate %g", rate)
+		}
+		if _, err := e.DeployQuery(plan, []stream.NodeID{0}, rate); err == nil {
+			t.Errorf("DeployQuery accepted rate %g", rate)
+		}
+	}
+	if q, err := e.SubmitCQL(churnAvgCQL, 1, 1, -1, nil); err != nil || q != 0 {
+		t.Fatalf("valid submit after refusals: id %d, err %v; want id 0", q, err)
 	}
 }
 

@@ -8,9 +8,10 @@ import (
 )
 
 // Multi-query sharing tests: fragment dedup (SharingFull) must be a pure
-// execution optimisation. Against the apples-to-apples baseline — keyed
-// seeds with private pipelines (SharingKeyed) — an underloaded federation
-// must produce bit-identical per-query results and SIC trajectories
+// execution optimisation. Every CQL query draws structurally seeded
+// streams whatever the mode, so private pipelines (SharingOff) are the
+// answer recomputed from scratch: an underloaded federation must produce
+// bit-identical per-query results and SIC trajectories under both,
 // through node-failure recovery and live query churn.
 // Sharing also must not leak: shared instances, subscriptions, and pooled
 // batches all return to baseline when the riding queries depart, in any
@@ -84,16 +85,16 @@ func queryFacts(r *Results) *Results {
 }
 
 // TestSharingDifferentialBitIdentical is the acceptance test for the
-// dedup layer: SharingFull equals SharingKeyed exactly, per query and per
+// dedup layer: SharingFull equals SharingOff exactly, per query and per
 // tick, through recovery and churn.
 func TestSharingDifferentialBitIdentical(t *testing.T) {
-	keyed := queryFacts(sharingRun(t, SharingKeyed))
-	if len(keyed.Queries) != 14 {
-		t.Fatalf("deployment drifted: %d queries, want 14", len(keyed.Queries))
+	off := queryFacts(sharingRun(t, SharingOff))
+	if len(off.Queries) != 14 {
+		t.Fatalf("deployment drifted: %d queries, want 14", len(off.Queries))
 	}
 	full := queryFacts(sharingRun(t, SharingFull))
-	if !reflect.DeepEqual(keyed, full) {
-		t.Errorf("SharingFull diverges from SharingKeyed:\n%+v\nvs\n%+v", full, keyed)
+	if !reflect.DeepEqual(off, full) {
+		t.Errorf("SharingFull diverges from SharingOff:\n%+v\nvs\n%+v", full, off)
 	}
 }
 
@@ -210,59 +211,6 @@ func TestSubmitPlanCacheCounts(t *testing.T) {
 	check("after KillNode", 3, n)
 	submit(sharingShapes[0], 3)
 	check("re-warmed", 3, n+1)
-}
-
-// TestSharingScaledAcrossRates checks the rate-scaled mode: queries whose
-// shapes differ only in rate collapse onto one instance (SharingFull
-// keeps them apart via its rate pin), and each rider's SIC index lands at
-// primaryRate/riderRate of its private value — the fan-out point converts
-// the primary's mass into the rider's Eq. (1) normalisation, so a rider
-// declaring twice the rate honestly reports receiving half of its ideal
-// content, and a rider declaring half the rate reports double.
-func TestSharingScaledAcrossRates(t *testing.T) {
-	rates := []float64{20, 40, 10}
-	run := func(mode Sharing) (*Engine, []stream.QueryID) {
-		cfg := Defaults()
-		cfg.SourceRate = 20
-		cfg.Seed = 42
-		cfg.Sharing = mode
-		e := NewEngine(cfg)
-		e.AddNodes(2, 1e8)
-		var ids []stream.QueryID
-		for _, r := range rates {
-			q, err := e.SubmitCQL(sharingShapes[0], 1, 1, r, []stream.NodeID{0})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, q)
-		}
-		for i := 0; i < 40; i++ {
-			e.Step()
-		}
-		return e, ids
-	}
-	scaled, ids := run(SharingScaled)
-	ss := scaled.Node(0).StateSize()
-	if ss.SharedInstances != 1 || ss.Subscriptions != len(rates)-1 {
-		t.Fatalf("rate-scaled dedup: %+v, want 1 instance with %d subscriptions", ss, len(rates)-1)
-	}
-	full, _ := run(SharingFull)
-	fss := full.Node(0).StateSize()
-	if fss.SharedInstances != len(rates) || fss.Subscriptions != 0 {
-		t.Fatalf("SharingFull must keep distinct rates apart: %+v", fss)
-	}
-	private, pids := run(SharingKeyed)
-	for i, q := range ids {
-		got, base := scaled.CurrentSIC(q), private.CurrentSIC(pids[i])
-		if base <= 0 {
-			t.Fatalf("baseline query %d has no SIC", i)
-		}
-		want := base * rates[0] / rates[i]
-		if diff := got - want; diff > 0.15 || diff < -0.15 {
-			t.Errorf("rate %.0f: scaled SIC %.3f, want %.3f (private %.3f × %g/%g)",
-				rates[i], got, want, base, rates[0], rates[i])
-		}
-	}
 }
 
 // TestSharingTeardownNoLeaks churns queries on and off shared instances —

@@ -46,9 +46,8 @@ type Router interface {
 	RouteDownstream(from stream.NodeID, b *stream.Batch)
 	// DeliverResult hands result tuples emitted by a root fragment to the
 	// query's user, with the SIC mass they carry. The slice is only valid
-	// during the call. sicMass is the delivering batch's header SIC — it
-	// equals the tuple-SIC sum except for rate-scaled fan-out views, whose
-	// headers carry the subscriber's scaled mass.
+	// during the call. sicMass is the delivering batch's header SIC: the
+	// tuple-SIC sum, computed once where the batch was made.
 	DeliverResult(q stream.QueryID, now stream.Time, tuples []stream.Tuple, sicMass float64)
 	// ReportAccepted forwards an accepted-SIC delta to the query's
 	// coordinator (see coordinator.Acceptance).
@@ -105,12 +104,6 @@ type fanSub struct {
 	// downstream is already fed by the primary chain, and an extra copy
 	// would double-feed it — but their SIC accounting still mirrors.
 	emit bool
-	// scale multiplies the SIC mass this subscriber sees, 1 for exact
-	// sharing. Rate-scaled sharing attaches queries whose shapes differ
-	// only in source rate and scales SIC at the fan-out point (batch
-	// headers and accounting credits; per-tuple SIC inside fanned-out
-	// payloads stays the primary's — a documented approximation).
-	scale float64
 }
 
 // fragInstance is one hosted fragment: its executor plus routing facts.
@@ -462,7 +455,6 @@ type FragmentSpec struct {
 	// (AttachShared), or else host as the key's dedup target.
 	ShareKey string
 	Emit     bool
-	Scale    float64
 }
 
 // Deploy instantiates a fragment on this node — the one routine behind
@@ -479,7 +471,7 @@ func (n *Node) Deploy(s FragmentSpec) (attached bool) {
 	if d := s.Plan.Downstream[s.Frag]; d >= 0 {
 		downstream, downstreamPort = stream.FragID(d), s.Plan.Fragments[d].UpstreamPort
 	}
-	if n.AttachShared(s.ShareKey, s.Query, s.Frag, downstream, downstreamPort, s.Emit, s.Scale) {
+	if n.AttachShared(s.ShareKey, s.Query, s.Frag, downstream, downstreamPort, s.Emit) {
 		return true
 	}
 	n.HostFragmentShared(s.Query, s.Frag, query.NewFragmentExec(fp), s.Plan.NumSources(), downstream, downstreamPort, s.ShareKey)
@@ -502,15 +494,14 @@ func (n *Node) Deploy(s FragmentSpec) (attached bool) {
 // with the given share key, if the node hosts one. The subscriber gets no
 // executor and no sources — when emit is set the shared instance's output
 // is viewed once per subscriber, addressed to (q, downstream,
-// downstreamPort), and either way its kept SIC (times scale) is credited
-// to q. Callers pass emit=false when the subscriber's downstream fragment
-// itself rides a shared instance fed by the primary chain; scale is 1 for
-// exact sharing and riderRate/primaryRate under rate-scaled sharing.
-// Reports whether the attach happened; a false return means the caller
-// deploys the fragment normally (becoming the share target for later
-// queries when hosted with the same key).
+// downstreamPort), and either way its kept SIC is credited to q. Callers
+// pass emit=false when the subscriber's downstream fragment itself rides
+// a shared instance fed by the primary chain. Reports whether the attach
+// happened; a false return means the caller deploys the fragment
+// normally (becoming the share target for later queries when hosted with
+// the same key).
 func (n *Node) AttachShared(shareKey string, q stream.QueryID, f stream.FragID,
-	downstream stream.FragID, downstreamPort int, emit bool, scale float64) bool {
+	downstream stream.FragID, downstreamPort int, emit bool) bool {
 	if shareKey == "" {
 		return false
 	}
@@ -518,13 +509,9 @@ func (n *Node) AttachShared(shareKey string, q stream.QueryID, f stream.FragID,
 	if !ok {
 		return false
 	}
-	if scale <= 0 {
-		scale = 1
-	}
 	inst := n.frags[pk]
 	inst.subs = append(inst.subs, fanSub{
-		q: q, f: f, downstream: downstream, downstreamPort: downstreamPort,
-		emit: emit, scale: scale,
+		q: q, f: f, downstream: downstream, downstreamPort: downstreamPort, emit: emit,
 	})
 	n.subOf[fragKey{q, f}] = pk
 	n.addQueryRef(q)
@@ -532,9 +519,8 @@ func (n *Node) AttachShared(shareKey string, q stream.QueryID, f stream.FragID,
 }
 
 // SharedPrimary reports the query currently executing the shared
-// instance registered under the key, so drivers can compare a
-// prospective subscriber against the primary (rate scaling) before
-// attaching.
+// instance registered under the key — what a driver's share index must
+// name as the group's first member.
 func (n *Node) SharedPrimary(shareKey string) (stream.QueryID, bool) {
 	pk, ok := n.shared[shareKey]
 	if !ok {
@@ -1002,7 +988,7 @@ func (n *Node) emitFragment(inst *fragInstance, tuples []stream.Tuple) {
 			continue
 		}
 		v := n.pool.ViewRetained(b, s.q, inst.f, -1, b.TS, b.Tuples)
-		v.SIC = b.SIC * s.scale
+		v.SIC = b.SIC
 		if s.downstream < 0 {
 			n.out.Results = append(n.out.Results, ResultEmit{Query: s.q, Now: n.now, Batch: v})
 		} else {
@@ -1033,9 +1019,9 @@ func (n *Node) creditSubs(b *stream.Batch, derived bool) {
 	for i := range inst.subs {
 		if ai, ok := n.acctIdx[inst.subs[i].q]; ok {
 			if derived {
-				n.accts[ai].derived += b.SIC * inst.subs[i].scale
+				n.accts[ai].derived += b.SIC
 			} else {
-				n.accts[ai].kept += b.SIC * inst.subs[i].scale
+				n.accts[ai].kept += b.SIC
 			}
 		}
 	}

@@ -32,7 +32,7 @@ func sharedAggNode(t *testing.T, nSubs int) (*Node, *fakeRouter) {
 	exec := query.NewFragmentExec(plan.Fragments[0])
 	n.HostFragmentShared(7, 0, exec, plan.NumSources(), -1, -1, "sharedKey")
 	for i := 0; i < nSubs; i++ {
-		if !n.AttachShared("sharedKey", stream.QueryID(20+i), 0, -1, -1, true, 1) {
+		if !n.AttachShared("sharedKey", stream.QueryID(20+i), 0, -1, -1, true) {
 			t.Fatalf("subscriber %d failed to attach", i)
 		}
 	}
@@ -44,7 +44,7 @@ func sharedAggNode(t *testing.T, nSubs int) (*Node, *fakeRouter) {
 
 func TestAttachSharedUnknownKeyRefuses(t *testing.T) {
 	n := New(1, Config{}, &core.KeepAll{})
-	if n.AttachShared("nope", 5, 0, -1, -1, true, 1) {
+	if n.AttachShared("nope", 5, 0, -1, -1, true) {
 		t.Fatal("attached to a share key nobody registered")
 	}
 }
@@ -189,7 +189,7 @@ func TestAcctTableTracksHostedQueries(t *testing.T) {
 			n.HostFragmentShared(q, f, query.NewFragmentExec(plan.Fragments[0]), 1, -1, -1, key)
 			check(step, "host")
 		case op == 1 && !hosted && !riding:
-			n.AttachShared(key, q, f, -1, -1, true, 1)
+			n.AttachShared(key, q, f, -1, -1, true)
 			check(step, "attach")
 		case op == 2:
 			n.RemoveFragment(q, f) // detaches, promotes or tears down

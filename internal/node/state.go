@@ -78,8 +78,8 @@ func (n *Node) StateSnapshot(q stream.QueryID, f stream.FragID, enc *stream.Snap
 }
 
 // RestoreState replaces the fragment's state with a sealed snapshot taken
-// from a fragment of the same plan (same query, or a shape-and-rate
-// compatible one under keyed sharing). After the operator state is
+// from a fragment of the same plan (same query, or one of the same shape
+// and rate, which draws the same stream). After the operator state is
 // applied, every window's emission cursor is reopened at the node's
 // current time, so edges between the checkpoint and the restore are
 // skipped rather than re-emitted.

@@ -123,14 +123,11 @@ type ControllerConfig struct {
 	// negative disables missed-heartbeat detection — connection errors
 	// still detect failure.
 	HeartbeatTimeout time.Duration
-	// Sharing selects the multi-query sharing mode applied across the
-	// networked federation, as federation.Config.Sharing does in virtual time:
-	// off (default), keyed (same-shape submissions draw identical source
-	// streams, enabling cross-query checkpoint compatibility), full
-	// (same-shape fragments placed on the same host collapse onto one
-	// executing instance with refcounted fan-out views), or scaled (full,
-	// plus instances shared across rates with the SIC mass converted at
-	// the fan-out point).
+	// Sharing selects, as federation.Config.Sharing does in virtual time,
+	// whether same-shape, same-rate fragments placed on one host collapse
+	// onto one executing instance with refcounted fan-out views
+	// (SharingFull) or run privately (SharingOff, the default). Their
+	// source streams are the same either way.
 	Sharing control.Sharing
 	// Checkpoint is the operator-state checkpoint cadence: every
 	// Checkpoint of wall clock each host snapshots its fragments and
@@ -314,8 +311,12 @@ func (c *Controller) AutoPlace(fragments int) ([]int, error) {
 // toward its mean only after its own warmup, and its coordinator
 // registers for result-SIC dissemination immediately. With sharing
 // enabled attach-vs-host is settled here, by the plane, and travels to
-// the host as an opaque ShareKey.
+// the host as an opaque ShareKey. A rate or batches/s no host would run
+// is refused here, before it costs a query id.
 func (c *Controller) Submit(cqlText string, fragments, dataset int, rate, batchesPerSec float64, placement []int) (stream.QueryID, error) {
+	if !(batchesPerSec > 0 && batchesPerSec <= control.MaxRate) {
+		return 0, fmt.Errorf("transport: %g batches/s outside (0, %g]", batchesPerSec, float64(control.MaxRate))
+	}
 	var at []stream.NodeID
 	if placement != nil {
 		at = make([]stream.NodeID, len(placement))
@@ -433,7 +434,7 @@ func (c *Controller) frameLocked(cmd control.Deploy, peers map[stream.FragID]str
 	d.STWMs = int64(c.stw)
 	d.IntervalMs = int64(c.ival)
 	d.CheckpointMs = c.ckptMs()
-	d.ShareKey, d.ShareEmit, d.ShareScale = cmd.ShareKey, cmd.Emit, cmd.Scale
+	d.ShareKey, d.ShareEmit = cmd.ShareKey, cmd.Emit
 	return d
 }
 

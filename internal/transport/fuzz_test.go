@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/control"
 	"repro/internal/stream"
 )
 
@@ -128,7 +129,7 @@ var hostileFrames = []struct{ name, payload string }{
 	{"empty cql", deployFrame(904, 0, 1, "")},
 	{"malformed cql", deployFrame(905, 0, 1, "Select Bogus(")},
 	{"rate 1e308", deployFrameAt(906, 0, 1, avgCQL, 1e308, 4)},
-	{"rate just above the bound", deployFrameAt(907, 0, 1, avgCQL, maxDeployRate+1, 4)},
+	{"rate just above the bound", deployFrameAt(907, 0, 1, avgCQL, control.MaxRate+1, 4)},
 	{"batches/s above the bound", deployFrameAt(908, 0, 1, avgCQL, 50, 1e8)},
 	{"unknown kind", `{"kind":"nope","deploy":{"frag":-1}}`},
 	{"no kind", `{}`},
@@ -218,7 +219,7 @@ func TestHostRefusesDeployAtFragmentCap(t *testing.T) {
 	for q := stream.QueryID(0); q < maxHostedFragments; q++ {
 		d := validDeploy(q)
 		if q%4096 != 1 {
-			d.ShareKey, d.ShareEmit, d.ShareScale = "shared", true, 1
+			d.ShareKey, d.ShareEmit = "shared", true
 		}
 		if err := s.handleDeploy(d); err != nil {
 			t.Fatalf("deploy %d of %d refused: %v", q, maxHostedFragments, err)

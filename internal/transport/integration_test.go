@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/control"
 	"repro/internal/cql"
 	"repro/internal/federation"
 	"repro/internal/sources"
@@ -242,6 +243,17 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := ctrl.Submit(avgAllCQL, 2, 0, 10, 1, []int{0}); err == nil {
 		t.Error("placement length mismatch accepted")
+	}
+	for _, bad := range []struct{ rate, batches float64 }{
+		{0, 1}, {-1, 1}, {math.NaN(), 1}, {math.Inf(1), 1}, {1e300, 1}, {control.MaxRate * 2, 1},
+		{10, 0}, {10, -1}, {10, math.NaN()}, {10, math.Inf(1)}, {10, control.MaxRate * 2},
+	} {
+		if _, err := ctrl.Submit(avgCQL, 1, 0, bad.rate, bad.batches, nil); err == nil {
+			t.Errorf("%g tuples/s in %g batches/s accepted", bad.rate, bad.batches)
+		}
+	}
+	if q, err := ctrl.Submit(avgCQL, 1, 0, 10, 1, nil); err != nil || q != 0 {
+		t.Errorf("valid submit after refusals: id %d, err %v; want id 0", q, err)
 	}
 	if _, err := ctrl.AutoPlace(3); err == nil {
 		t.Error("AutoPlace over-subscribed 2 nodes with 3 fragments")

@@ -97,7 +97,10 @@ type Deploy struct {
 	// Peers maps every fragment of the query to the address of its host
 	// node, so derived batches can be routed directly site-to-site.
 	Peers map[stream.FragID]string `json:"peers"`
-	// SourceSeed derives deterministic per-source generators.
+	// SourceSeed is the fragment's structural source seed (control.Deploy's
+	// Seed), from which its sources draw their generator and emission
+	// seeds: same-shape, same-rate fragments draw one stream, here and in
+	// the engine.
 	SourceSeed int64 `json:"source_seed"`
 	// FirstSourceID numbers this fragment's sources globally.
 	FirstSourceID stream.SourceID `json:"first_source_id"`
@@ -114,8 +117,7 @@ type Deploy struct {
 	CheckpointMs int64 `json:"checkpoint_ms,omitempty"`
 	// ShareKey is the controller-computed structural identity of this
 	// fragment under multi-query sharing: the plan-subtree key plus
-	// fragment index, rate pin (exact modes) and epoch pin. Empty when
-	// sharing is off.
+	// fragment index, rate pin and epoch pin. Empty when sharing is off.
 	// A host receiving a non-empty key attaches the fragment to an
 	// already-hosted instance under the same key when one exists (no
 	// executor, no sources — refcounted fan-out views instead), and
@@ -129,10 +131,6 @@ type Deploy struct {
 	// — a rider whose downstream also rides the same primary chain gets
 	// its results through that chain and must not double-feed it.
 	ShareEmit bool `json:"share_emit,omitempty"`
-	// ShareScale converts the shared instance's kept SIC into this
-	// subscriber's Eq. (1) normalization under rate-scaled sharing
-	// (primaryRate/riderRate); zero or one means exact sharing.
-	ShareScale float64 `json:"share_scale,omitempty"`
 }
 
 // Start begins real-time processing on a node. The tick interval and

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/cql"
 	"repro/internal/node"
@@ -304,10 +305,6 @@ const (
 	// planner allocates per fragment, and fragments of one query sit on
 	// distinct nodes, so this is a large federation's size.
 	maxDeployFragments = 1024
-	// maxDeployRate bounds tuples/s and batches/s per source: a started
-	// node plans rate × interval tuples every tick, so an absurd rate
-	// (1e308 parses as valid JSON) would wedge or overflow the tick.
-	maxDeployRate = 1e7
 	// maxHostedFragments bounds the fragments one host runs or rides,
 	// the per-host state no single frame bounds.
 	maxHostedFragments = 1 << 16
@@ -328,8 +325,8 @@ func (s *NodeServer) handleDeploy(d *Deploy) error {
 	if d.Fragments < 1 || d.Fragments > maxDeployFragments {
 		return fmt.Errorf("fragment count %d outside [1, %d]", d.Fragments, maxDeployFragments)
 	}
-	if !(d.Rate > 0 && d.Rate <= maxDeployRate && d.Batches > 0 && d.Batches <= maxDeployRate) {
-		return fmt.Errorf("source rate %g tuples/s in %g batches/s: both must be in (0, %g]", d.Rate, d.Batches, float64(maxDeployRate))
+	if !(d.Rate > 0 && d.Rate <= control.MaxRate && d.Batches > 0 && d.Batches <= control.MaxRate) {
+		return fmt.Errorf("source rate %g tuples/s in %g batches/s: both must be in (0, %g]", d.Rate, d.Batches, float64(control.MaxRate))
 	}
 	ds := sources.Dataset(d.Dataset)
 	plan, _, err := s.plans.PlanDistributed(d.CQL, cql.DefaultCatalog(ds), ds.String(), d.Fragments)
@@ -357,7 +354,7 @@ func (s *NodeServer) handleDeploy(d *Deploy) error {
 	s.nd.Deploy(node.FragmentSpec{
 		Query: d.Query, Frag: d.Frag, Plan: plan,
 		Rate: d.Rate, Batches: d.Batches, FirstSource: d.FirstSourceID, Seed: d.SourceSeed,
-		ShareKey: d.ShareKey, Emit: d.ShareEmit, Scale: d.ShareScale,
+		ShareKey: d.ShareKey, Emit: d.ShareEmit,
 	})
 	for f, addr := range d.Peers {
 		s.peers[peerKey{d.Query, f}] = addr
@@ -940,9 +937,8 @@ func (s *NodeServer) flushCtrl() {
 // DeliverResult implements node.Router by queueing result SIC mass and
 // tuple counts for the controller; the tick-end flush coalesces them
 // with the heartbeat and any checkpoints into one write. sicMass is the
-// batch-header SIC total — under rate-scaled sharing a fan-out view's
-// header is scaled while the aliased tuple payloads keep the primary's
-// per-tuple stamps, so the header is the accountable quantity.
+// batch-header SIC total, summed once where the batch was made, so the
+// tuples are not summed again here.
 func (s *NodeServer) DeliverResult(q stream.QueryID, _ stream.Time, tuples []stream.Tuple, sicMass float64) {
 	s.mu.Lock()
 	ctrl := s.ctrl

@@ -164,50 +164,6 @@ func TestNetworkedSharingDifferential(t *testing.T) {
 	}
 }
 
-// TestNetworkedSharingScaledRates exercises rate-scaled sharing over the
-// wire: a 40/s rider attaching to a 20/s instance reports its SIC in its
-// own Eq. (1) normalization — primaryRate/riderRate times the instance's
-// index — via the scaled batch-header mass on the fan-out views.
-func TestNetworkedSharingScaledRates(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock federation test in -short mode")
-	}
-	const cqlText = "Select Avg(t.v) From AllSrc[Range 1 sec]"
-	addrs, _ := startNodes(t, 2, 50_000)
-	ctrl, err := NewController(ControllerConfig{
-		STW:      3 * stream.Second,
-		Interval: 100 * stream.Millisecond,
-		Seed:     1,
-		Sharing:  federation.SharingScaled,
-	}, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.CloseAll()
-
-	qPrim, err := ctrl.Submit(cqlText, 2, 1, 20, 4, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qRider, err := ctrl.Submit(cqlText, 2, 1, 40, 4, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ctrl.Run(8*time.Second, 3*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prim, rider := res.PerQuery[qPrim], res.PerQuery[qRider]
-	if prim < 0.7 {
-		t.Fatalf("primary SIC %.3f: underloaded instance should process nearly everything", prim)
-	}
-	// The rider's ideal window holds twice the primary's mass, so riding
-	// the 20/s instance honestly reports half the primary's index.
-	if math.Abs(rider-prim*0.5) > 0.15 {
-		t.Errorf("rider SIC %.3f, want ≈ half of primary %.3f", rider, prim)
-	}
-}
-
 // TestNetworkedSharingRetractDrainsState: retracting every member of a
 // shared group on a live federation must drain the hosts back to their
 // pre-deploy footprint — share index empty, no leaked pooled batches —

@@ -47,7 +47,11 @@ func (m UpdateMode) String() string {
 	return "acceptance"
 }
 
-// Coordinator tracks one query's result SIC estimate.
+// Coordinator tracks one query's result SIC estimate. Both runtimes build
+// theirs through Ledger, always RootMeasured. The Acceptance mode, the
+// accepted accumulator behind ReportAcceptedBatch, and Value's mode switch
+// are kept only because bench/probes.go (coordinator.report_ns) compiles
+// against them; it is their one remaining non-test caller.
 type Coordinator struct {
 	query    stream.QueryID
 	mode     UpdateMode
@@ -70,13 +74,6 @@ func (c *Coordinator) Query() stream.QueryID { return c.query }
 
 // Mode returns the estimation mode.
 func (c *Coordinator) Mode() UpdateMode { return c.mode }
-
-// ReportAccepted records a (possibly negative) accepted-SIC delta from a
-// node's shedding round: positive for freshly accepted source data,
-// negative when pre-credited derived data is shed downstream.
-func (c *Coordinator) ReportAccepted(t stream.Time, delta float64) {
-	c.accepted.Add(t, delta)
-}
 
 // ReportAcceptedBatch records one exchange round's accepted-SIC deltas
 // (gathered across nodes in a fixed order) with a single accumulator

@@ -11,18 +11,18 @@ func TestAcceptanceModeCreditsAndDebits(t *testing.T) {
 	if c.Query() != 1 || c.Mode() != Acceptance {
 		t.Error("metadata")
 	}
-	c.ReportAccepted(0, 0.3)
-	c.ReportAccepted(250, 0.2)
+	c.ReportAcceptedBatch(0, []float64{0.3})
+	c.ReportAcceptedBatch(250, []float64{0.2})
 	if got := c.Value(250); got != 0.5 {
 		t.Errorf("after credits: %g", got)
 	}
 	// A downstream shed debits the earlier optimistic credit.
-	c.ReportAccepted(500, -0.2)
+	c.ReportAcceptedBatch(500, []float64{-0.2})
 	if got := c.Value(500); got < 0.299 || got > 0.301 {
 		t.Errorf("after debit: %g", got)
 	}
 	// The value never goes negative even with excess debits.
-	c.ReportAccepted(750, -5)
+	c.ReportAcceptedBatch(750, []float64{-5})
 	if got := c.Value(750); got != 0 {
 		t.Errorf("over-debited: %g", got)
 	}
@@ -30,7 +30,7 @@ func TestAcceptanceModeCreditsAndDebits(t *testing.T) {
 
 func TestRootMeasuredModeIgnoresAcceptance(t *testing.T) {
 	c := New(2, RootMeasured, 10*stream.Second, 250*stream.Millisecond)
-	c.ReportAccepted(0, 0.9)
+	c.ReportAcceptedBatch(0, []float64{0.9})
 	if got := c.Value(0); got != 0 {
 		t.Errorf("acceptance leaked into root-measured value: %g", got)
 	}

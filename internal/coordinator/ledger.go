@@ -10,14 +10,13 @@ import (
 // behind its reported mean, and the walk that decides what is broadcast
 // and what is reported. The virtual-time engine and the TCP controller
 // both keep exactly one and feed it the same events — open, result,
-// accepted delta, tick, recovery epoch, close — with the time passed in
+// tick, recovery epoch, close — with the time passed in
 // (the engine's tick time, the controller's run clock), so a query's
 // reported SIC is computed by one piece of arithmetic whichever runtime
 // served it. Entries are indexed by the control plane's dense query ids,
 // and every walk is in ascending id: nothing a ledger reports depends on
 // map order. A Ledger is not safe for concurrent use.
 type Ledger struct {
-	mode       UpdateMode
 	stw, slide stream.Duration
 	keep       bool
 	entries    []entry
@@ -36,21 +35,17 @@ type entry struct {
 	// only after epoch+warmup, so a query submitted mid-run warms up on its
 	// own clock instead of diluting its mean with an empty window; one
 	// opened before the run starts (time zero) warms up on the run's.
-	epoch stream.Time
-	// pending sums the accepted-SIC deltas reported since the last tick,
-	// in arrival order, for one accumulator update per query per tick.
-	pending    float64
-	hasPending bool
-	sum        float64
-	n          int
-	samples    []float64
+	epoch   stream.Time
+	sum     float64
+	n       int
+	samples []float64
 }
 
-// NewLedger builds an empty ledger whose coordinators estimate under mode
-// over the given STW and slide. keepSamples retains every query's
-// per-tick series (costs memory on large runs).
-func NewLedger(mode UpdateMode, stw, slide stream.Duration, keepSamples bool) *Ledger {
-	return &Ledger{mode: mode, stw: stw, slide: slide, keep: keepSamples}
+// NewLedger builds an empty ledger whose coordinators disseminate the
+// root-measured result SIC over the given STW and slide. keepSamples
+// retains every query's per-tick series (costs memory on large runs).
+func NewLedger(stw, slide stream.Duration, keepSamples bool) *Ledger {
+	return &Ledger{stw: stw, slide: slide, keep: keepSamples}
 }
 
 // at returns q's entry if the query is open, else nil.
@@ -68,13 +63,13 @@ func (l *Ledger) Open(q stream.QueryID, now stream.Time) {
 		l.entries = append(l.entries, entry{})
 	}
 	if e := &l.entries[q]; !e.opened {
-		*e = entry{coord: New(q, l.mode, l.stw, l.slide), opened: true, epoch: now}
+		*e = entry{coord: New(q, RootMeasured, l.stw, l.slide), opened: true, epoch: now}
 		l.live++
 	}
 }
 
 // Close freezes q at its current mean: the coordinator and its sliding
-// accumulators are released, late results and deltas are ignored, and
+// accumulators are released, late results are ignored, and
 // only the scalars behind the reported mean (and the opt-in series)
 // remain, so a deployment absorbing arrivals and departures does not grow
 // with its history. It reports whether an open query was closed.
@@ -84,7 +79,6 @@ func (l *Ledger) Close(q stream.QueryID) bool {
 		return false
 	}
 	e.coord = nil
-	e.pending, e.hasPending = 0, false
 	l.live--
 	return true
 }
@@ -105,29 +99,14 @@ func (l *Ledger) Result(q stream.QueryID, now stream.Time, mass float64) bool {
 	return e != nil
 }
 
-// Accepted gathers one accepted-SIC delta for q; the next Tick applies
-// the gathered sum as a single update, the bits ReportAcceptedBatch
-// gives for the same deltas. Only the Acceptance ablation ever reads the
-// accepted estimate, so under RootMeasured the delta is dropped here.
-func (l *Ledger) Accepted(q stream.QueryID, delta float64) {
-	if l.mode != Acceptance {
-		return
-	}
-	if e := l.at(q); e != nil {
-		e.pending += delta
-		e.hasPending = true
-	}
-}
-
 // ResetEpoch starts a fresh measurement epoch for q after a cold
-// recovery: SIC mass accepted or measured before its fragments were
-// re-placed described a pipeline that no longer exists, so both sliding
-// estimates, the sample sum and the kept series restart. The warm-up gate
+// recovery: SIC mass measured before its fragments were re-placed
+// described a pipeline that no longer exists, so the measured estimate,
+// the sample sum and the kept series restart. The warm-up gate
 // does not: the query is as old as it was.
 func (l *Ledger) ResetEpoch(q stream.QueryID) {
 	if e := l.at(q); e != nil {
 		e.coord.ResetEpoch()
-		e.pending, e.hasPending = 0, false
 		e.sum, e.n = 0, 0
 		e.samples = e.samples[:0]
 	}
@@ -143,25 +122,27 @@ func (l *Ledger) Measured(q stream.QueryID, now stream.Time) float64 {
 }
 
 // Tick closes one interval at time now for every open query in ascending
-// id: the gathered accepted deltas are applied, send — when non-nil — is
-// handed the value to disseminate and returns how many fragment hosts it
-// addressed, and past the query's warm-up the measured result SIC is
-// sampled into its mean. A nil send disseminates nothing.
+// id: the measured result SIC is read once, send — when non-nil — is
+// handed it to disseminate and returns how many fragment hosts it
+// addressed, and past the query's warm-up the same value is sampled into
+// its mean. A nil send disseminates nothing.
 func (l *Ledger) Tick(now stream.Time, warmup stream.Duration, send func(q stream.QueryID, v float64) int) {
 	for i := range l.entries {
 		e := &l.entries[i]
 		if e.coord == nil {
 			continue
 		}
-		if e.hasPending {
-			e.coord.ReportAccepted(now, e.pending)
-			e.pending, e.hasPending = 0, false
+		// The read advances the sliding accumulator, so a tick that
+		// neither sends nor samples leaves it alone.
+		sampled := now > e.epoch.Add(warmup)
+		if send == nil && !sampled {
+			continue
 		}
+		s := e.coord.MeasuredSIC(now)
 		if send != nil {
-			l.msgs += int64(send(stream.QueryID(i), e.coord.Value(now)))
+			l.msgs += int64(send(stream.QueryID(i), s))
 		}
-		if now > e.epoch.Add(warmup) {
-			s := e.coord.MeasuredSIC(now)
+		if sampled {
 			e.sum += s
 			e.n++
 			if l.keep {

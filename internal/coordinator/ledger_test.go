@@ -31,7 +31,7 @@ func mean(t *testing.T, l *Ledger, q stream.QueryID) float64 {
 // up on the run epoch, one opened mid-run on its own.
 func TestLedgerWarmupEpochs(t *testing.T) {
 	const warmup = stream.Second
-	l := NewLedger(RootMeasured, tSTW, tSlide, true)
+	l := NewLedger(tSTW, tSlide, true)
 	l.Open(0, 0)
 	for tick := 1; tick <= 20; tick++ {
 		now := stream.Time(tick) * stream.Time(tSlide)
@@ -57,28 +57,25 @@ func TestLedgerWarmupEpochs(t *testing.T) {
 	}
 }
 
-// TestLedgerResetEpoch: a cold recovery clears the measured and accepted
-// estimates, the sample sum and the kept series — and nothing of any
-// other query.
+// TestLedgerResetEpoch: a cold recovery clears the measured estimate,
+// the sample sum and the kept series — and nothing of any other query.
 func TestLedgerResetEpoch(t *testing.T) {
-	l := NewLedger(Acceptance, tSTW, tSlide, true)
+	l := NewLedger(tSTW, tSlide, true)
 	l.Open(0, 0)
 	l.Open(1, 0)
 	var now stream.Time
 	for tick := 1; tick <= 6; tick++ {
 		now = stream.Time(tick) * stream.Time(tSlide)
 		for q := stream.QueryID(0); q < 2; q++ {
-			l.Accepted(q, 0.2)
 			l.Result(q, now, 0.1)
 		}
 		l.Tick(now, 0, nil)
 	}
-	l.Accepted(0, 0.5) // gathered, not yet applied: must not survive either
 	l.ResetEpoch(0)
 	var vals []float64
 	l.Tick(now, 0, func(_ stream.QueryID, v float64) int { vals = append(vals, v); return 0 })
 	if vals[0] != 0 || vals[1] == 0 {
-		t.Errorf("accepted estimates after reset: %v, want query 0 cleared only", vals)
+		t.Errorf("disseminated estimates after reset: %v, want query 0 cleared only", vals)
 	}
 	if l.Measured(0, now) != 0 || l.Measured(1, now) == 0 {
 		t.Errorf("measured after reset: %g / %g", l.Measured(0, now), l.Measured(1, now))
@@ -96,7 +93,7 @@ func TestLedgerResetEpoch(t *testing.T) {
 // TestLedgerCloseFreezes: a closed query keeps its mean and its place in
 // the summary, releases its coordinator, and ignores whatever arrives late.
 func TestLedgerCloseFreezes(t *testing.T) {
-	l := NewLedger(Acceptance, tSTW, tSlide, false)
+	l := NewLedger(tSTW, tSlide, false)
 	l.Open(0, 0)
 	l.Open(1, 0)
 	for tick := 1; tick <= 4; tick++ {
@@ -119,7 +116,6 @@ func TestLedgerCloseFreezes(t *testing.T) {
 	for tick := 5; tick <= 8; tick++ {
 		now := stream.Time(tick) * stream.Time(tSlide)
 		l.Result(0, now, 0.9)
-		l.Accepted(0, 0.9)
 		l.Tick(now, 0, func(q stream.QueryID, _ float64) int {
 			if q == 0 {
 				t.Error("closed query still disseminates")
@@ -146,59 +142,10 @@ func TestLedgerCloseFreezes(t *testing.T) {
 	}
 }
 
-// TestLedgerAcceptedBatchBits: deltas gathered over a tick are applied as
-// the bits Coordinator.ReportAcceptedBatch gives for the same deltas.
-func TestLedgerAcceptedBatchBits(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	l := NewLedger(Acceptance, tSTW, tSlide, false)
-	l.Open(0, 0)
-	ref := New(0, Acceptance, tSTW, tSlide)
-	for tick := 1; tick <= 40; tick++ {
-		now := stream.Time(tick) * stream.Time(tSlide)
-		deltas := make([]float64, rng.Intn(6)) // some ticks gather nothing
-		for i := range deltas {
-			deltas[i] = rng.Float64()/7 - 0.02
-			l.Accepted(0, deltas[i])
-		}
-		if len(deltas) > 0 {
-			ref.ReportAcceptedBatch(now, deltas)
-		}
-		var got float64
-		l.Tick(now, 0, func(_ stream.QueryID, v float64) int { got = v; return 1 })
-		if want := ref.Value(now); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("tick %d: ledger value %v, batched coordinator %v", tick, got, want)
-		}
-	}
-}
-
-// TestLedgerModes: Acceptance disseminates the accepted estimate,
-// RootMeasured the mass measured at the root (and drops the deltas nobody
-// reads); the sampled mean is the measured one under both.
-func TestLedgerModes(t *testing.T) {
-	for _, tc := range []struct {
-		mode UpdateMode
-		want float64
-	}{{Acceptance, 0.75}, {RootMeasured, 0.25}} {
-		l := NewLedger(tc.mode, tSTW, tSlide, true)
-		l.Open(0, 0)
-		l.Accepted(0, 0.5)
-		l.Accepted(0, 0.25)
-		l.Result(0, 250, 0.25)
-		var got float64
-		l.Tick(250, 0, func(_ stream.QueryID, v float64) int { got = v; return 3 })
-		if got != tc.want {
-			t.Errorf("%v: disseminated %g, want %g", tc.mode, got, tc.want)
-		}
-		if s := l.Samples(0); len(s) != 1 || s[0] != 0.25 {
-			t.Errorf("%v: sampled %v, want the measured 0.25", tc.mode, s)
-		}
-	}
-}
-
 // TestUpdateAccounting: the ledger totals dissemination traffic (§7.6)
 // from what each send reports, closed queries' share included.
 func TestUpdateAccounting(t *testing.T) {
-	l := NewLedger(Acceptance, stream.Second, tSlide, false)
+	l := NewLedger(stream.Second, tSlide, false)
 	l.Open(0, 0)
 	l.Open(1, 0)
 	hosts := []int{3, 2}
@@ -254,7 +201,7 @@ func TestLedgerOrderIndependence(t *testing.T) {
 		}
 	}
 	run := func(shuffle *rand.Rand) Summary {
-		l := NewLedger(RootMeasured, tSTW, tSlide, false)
+		l := NewLedger(tSTW, tSlide, false)
 		for tick, evs := range byTick {
 			if shuffle != nil {
 				// Any interleaving across queries, each query's own events
@@ -318,11 +265,10 @@ func TestLedgerOrderIndependence(t *testing.T) {
 	}
 }
 
-// TestLedgerTickZeroAlloc: the steady-state path — results, accepted
-// deltas, the tick walk with dissemination and sampling — allocates
-// nothing.
+// TestLedgerTickZeroAlloc: the steady-state path — results, the tick
+// walk with dissemination and sampling — allocates nothing.
 func TestLedgerTickZeroAlloc(t *testing.T) {
-	l := NewLedger(Acceptance, tSTW, tSlide, false)
+	l := NewLedger(tSTW, tSlide, false)
 	for q := stream.QueryID(0); q < 64; q++ {
 		l.Open(q, 0)
 	}
@@ -331,7 +277,6 @@ func TestLedgerTickZeroAlloc(t *testing.T) {
 	step := func() {
 		now += stream.Time(tSlide)
 		for q := stream.QueryID(0); q < 64; q++ {
-			l.Accepted(q, 0.01)
 			l.Result(q, now, 0.01)
 		}
 		l.Tick(now, stream.Second, func(stream.QueryID, float64) int { sent++; return 1 })

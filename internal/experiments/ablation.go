@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"repro/internal/coordinator"
 	"repro/internal/federation"
 	"repro/internal/sources"
 )
@@ -16,8 +15,6 @@ import (
 //   - without coordinator updates (Figure 4's top half: nodes balance
 //     their local view only, multi-fragment queries diverge);
 //   - without the §6 local-shedding projection;
-//   - with acceptance-mode updates instead of root-measured result SIC
-//     (the literal Assumption-3 reading);
 //   - without the max(x_SIC) within-query selection rule;
 //   - random shedding, for reference.
 type AblationResult struct {
@@ -50,7 +47,6 @@ func Ablation(scale Scale, seed int64) *AblationResult {
 		{"full BALANCE-SIC", func(*federation.Config) {}},
 		{"no updateSIC (Fig 4 top)", func(c *federation.Config) { c.DisableUpdates = true }},
 		{"no local projection", func(c *federation.Config) { c.DisableProjection = true }},
-		{"acceptance-mode updates", func(c *federation.Config) { c.UpdateMode = coordinator.Acceptance }},
 		{"no max(x_SIC) rule", func(c *federation.Config) { c.DisableMaxSIC = true }},
 		{"random shedding", func(c *federation.Config) { c.Policy = federation.PolicyRandom }},
 	}

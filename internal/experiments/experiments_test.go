@@ -233,12 +233,12 @@ func TestAblationShape(t *testing.T) {
 		t.Skip("ablation sweep in -short mode")
 	}
 	res := Ablation(tiny, 1)
-	if len(res.Rows) != 6 {
+	if len(res.Rows) != 5 {
 		t.Fatalf("rows: %d", len(res.Rows))
 	}
 	full := res.Rows[0]
 	noUpd := res.Rows[1]
-	random := res.Rows[5]
+	random := res.Rows[4]
 	if full.Jain <= random.Jain {
 		t.Errorf("full BALANCE-SIC Jain %.3f should beat random %.3f", full.Jain, random.Jain)
 	}

@@ -76,10 +76,6 @@ type Config struct {
 	Warmup   stream.Duration
 	// Policy selects the shedding policy.
 	Policy Policy
-	// UpdateMode selects the coordinator's estimation mode (§5.2 /
-	// Assumption 3); Defaults sets RootMeasured, Acceptance is the
-	// ablation.
-	UpdateMode coordinator.UpdateMode
 	// DisableProjection turns off the §6 local-shedding projection
 	// (ablation).
 	DisableProjection bool
@@ -195,7 +191,6 @@ func Defaults() Config {
 		Duration:      60 * stream.Second,
 		Warmup:        15 * stream.Second,
 		Policy:        PolicyBalanceSIC,
-		UpdateMode:    coordinator.RootMeasured,
 		Latency:       5 * stream.Millisecond,
 		SourceRate:    150,
 		BatchesPerSec: 3,
@@ -301,7 +296,7 @@ func NewEngine(cfg Config) *Engine {
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		plane:  control.New(control.Config{Placement: cfg.Placement, Seed: cfg.Seed, Sharing: cfg.Sharing}),
 		pool:   stream.NewPool(),
-		ledger: coordinator.NewLedger(cfg.UpdateMode, cfg.STW, cfg.Interval, cfg.KeepSamples),
+		ledger: coordinator.NewLedger(cfg.STW, cfg.Interval, cfg.KeepSamples),
 	}
 	if cfg.Checkpoint > 0 {
 		e.ckptEvery = int64(cfg.Checkpoint / cfg.Interval)
@@ -731,15 +726,11 @@ func (e *Engine) now() stream.Time { return stream.Time(e.tick * int64(e.cfg.Int
 
 // --- run loop ---
 
-// drainOutbox applies the effects a node's tick left in its outbox:
-// accepted-SIC deltas are gathered in the ledger for one batched update
-// per query at the tick's close, root results reach the ledger and
-// callbacks, and derived batches enter the in-transit schedule.
+// drainOutbox applies the effects a node's tick left in its outbox: root
+// results reach the ledger and callbacks, and derived batches enter the
+// in-transit schedule.
 func (e *Engine) drainOutbox(n *node.Node) {
 	out := n.TakeOutbox()
-	for _, a := range out.Accepted {
-		e.ledger.Accepted(a.Query, a.Delta)
-	}
 	for _, r := range out.Results {
 		e.deliverResult(r.Query, r.Now, r.Batch.Tuples, r.Batch.SIC)
 		r.Batch.Release()

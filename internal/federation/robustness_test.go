@@ -3,7 +3,6 @@ package federation
 import (
 	"testing"
 
-	"repro/internal/coordinator"
 	"repro/internal/query"
 	"repro/internal/sources"
 	"repro/internal/stream"
@@ -131,27 +130,6 @@ func TestZeroConfigDefaults(t *testing.T) {
 	res := e.Run() // must not panic or hang
 	if len(res.Queries) != 1 {
 		t.Fatal("no results")
-	}
-}
-
-func TestAcceptanceModeStillConverges(t *testing.T) {
-	// The Assumption-3 literal mode is an ablation but must remain a
-	// working configuration.
-	cfg := Defaults()
-	cfg.Duration = 30 * stream.Second
-	cfg.Warmup = 10 * stream.Second
-	cfg.UpdateMode = coordinator.Acceptance
-	cfg.SourceRate = 40
-	e := NewEngine(cfg)
-	e.AddNodes(2, 800)
-	for i := 0; i < 6; i++ {
-		if _, err := e.DeployQuery(query.NewAvgAll(2, sources.Uniform), []stream.NodeID{0, 1}, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res := e.Run()
-	if res.Jain < 0.95 {
-		t.Errorf("acceptance-mode Jain %.3f", res.Jain)
 	}
 }
 

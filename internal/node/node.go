@@ -5,7 +5,7 @@
 //
 // The node is deliberately unaware of the rest of the federation: it
 // receives batches, coordinator updates and a clock, and it writes its
-// effects — derived batches, root results, accepted-SIC deltas — into a
+// effects — derived batches and root results — into a
 // per-node Outbox. Both the in-process federation simulator and the TCP
 // transport drive nodes through this same interface, so the shedding code
 // under test is the code a real deployment runs. Because a ticking node
@@ -49,9 +49,6 @@ type Router interface {
 	// during the call. sicMass is the delivering batch's header SIC: the
 	// tuple-SIC sum, computed once where the batch was made.
 	DeliverResult(q stream.QueryID, now stream.Time, tuples []stream.Tuple, sicMass float64)
-	// ReportAccepted forwards an accepted-SIC delta to the query's
-	// coordinator (see coordinator.Acceptance).
-	ReportAccepted(q stream.QueryID, now stream.Time, delta float64)
 }
 
 // Config parameterises a node.
@@ -89,9 +86,8 @@ type fragKey struct {
 // fanSub is one subscriber of a shared fragment instance: a query whose
 // identical fragment was deduplicated onto the instance. The shared
 // instance executes once; its output fans out as one retained view per
-// subscriber, addressed to the subscriber's own downstream fragment, and
-// its kept SIC is credited to every subscriber's accounting slot — so
-// each subscriber's coordinator sees exactly the trajectory its private
+// subscriber, addressed to the subscriber's own downstream fragment, so
+// each subscriber's result stream carries exactly the SIC its private
 // pipeline would have produced.
 type fanSub struct {
 	q              stream.QueryID
@@ -102,7 +98,7 @@ type fanSub struct {
 	// subscriber as a retained view. Subscribers whose own downstream
 	// fragment also rides a shared instance need no view — the shared
 	// downstream is already fed by the primary chain, and an extra copy
-	// would double-feed it — but their SIC accounting still mirrors.
+	// would double-feed it.
 	emit bool
 }
 
@@ -182,25 +178,15 @@ type Stats struct {
 	ShedInvocations int64
 	// DroppedBatches, DroppedTuples and DroppedSIC count derived batches
 	// the driver failed to route downstream — a dead peer, a failed dial,
-	// a send error. Unlike shed tuples, these were already processed and
-	// their SIC mass pre-credited to the coordinator, so losing them
-	// silently would skew result SIC invisibly; the counters make the
-	// lost mass auditable in reports.
+	// a send error. Unlike shed tuples, these were already processed, so
+	// losing them silently would skew result SIC invisibly; the counters
+	// make the lost mass auditable in reports.
 	DroppedBatches int64
 	DroppedTuples  int64
 	DroppedSIC     float64
 	// SelectNanos accumulates wall-clock time spent inside the shedder's
 	// Select, for the §7.6 overhead comparison.
 	SelectNanos int64
-}
-
-// queryAcct is one hosted query's per-tick SIC accounting. The node keeps
-// a dense slice of these, sorted by query id, instead of building fresh
-// maps every shedding interval.
-type queryAcct struct {
-	q       stream.QueryID
-	derived float64 // SIC of derived batches in this tick's input buffer
-	kept    float64 // SIC of batches the shedder kept
 }
 
 // Node is a single THEMIS node.
@@ -243,21 +229,6 @@ type Node struct {
 	// once so a shedding round does not allocate it.
 	knownSIC  map[stream.QueryID]float64
 	resultSIC core.ResultSICFunc
-
-	// accts and acctIdx are the flat per-query accounting: accts is
-	// sorted by query id (so outbox deltas emit in deterministic order
-	// without a per-tick sort) and acctIdx maps a query to its slot.
-	// A query holds a slot while hostedQ counts a reference to it
-	// (addQueryRef/dropQueryRef); slots are zeroed in place every tick.
-	accts   []queryAcct
-	acctIdx map[stream.QueryID]int32
-	// extraAcct picks up batches of queries with no hosted fragment —
-	// a deploy/rewire race or a fragment that departed with batches in
-	// flight. Their pre-credited SIC must still be debited when shed
-	// (the query's coordinator may well be alive elsewhere). nil until
-	// first needed; steady state never touches it.
-	extraAcct map[stream.QueryID]queryAcct
-	extraQ    []stream.QueryID
 
 	// out and spare double-buffer the tick effects: Tick fills out,
 	// TakeOutbox hands it to the driver and recycles the previously
@@ -318,7 +289,6 @@ func New(id stream.NodeID, cfg Config, shedder core.Shedder) *Node {
 		subOf:    make(map[fragKey]fragKey),
 		hostedQ:  make(map[stream.QueryID]int),
 		knownSIC: make(map[stream.QueryID]float64),
-		acctIdx:  make(map[stream.QueryID]int32),
 		out:      &Outbox{},
 		spare:    &Outbox{},
 	}
@@ -363,32 +333,6 @@ func (n *Node) NoteDropped(tuples int, sicMass float64) {
 // Shedder returns the node's shedding policy.
 func (n *Node) Shedder() core.Shedder { return n.shedder }
 
-// addQueryRef takes one fragment-or-subscription reference on q. A
-// query's first reference gives it its accounting slot: accts stays
-// sorted by query id, so the slot is inserted in place and only the slots
-// behind it are re-indexed — none at all for a fresh, highest id, which
-// keeps filling a host linear in the number of deploys.
-func (n *Node) addQueryRef(q stream.QueryID) {
-	refs := n.hostedQ[q] + 1
-	n.hostedQ[q] = refs
-	if refs > 1 {
-		return
-	}
-	i := sort.Search(len(n.accts), func(i int) bool { return n.accts[i].q >= q })
-	n.accts = append(n.accts, queryAcct{})
-	copy(n.accts[i+1:], n.accts[i:])
-	n.accts[i] = queryAcct{q: q}
-	n.reindexAccts(i)
-}
-
-// reindexAccts re-points acctIdx at the slots from i on, after an insert
-// or a removal shifted them.
-func (n *Node) reindexAccts(i int) {
-	for ; i < len(n.accts); i++ {
-		n.acctIdx[n.accts[i].q] = int32(i)
-	}
-}
-
 // HostFragment deploys a fragment instance on this node. numSources is
 // the total source count of the whole query (|S| in Eq. 1); downstream
 // identifies the consuming fragment (-1 for the root) and its entry port.
@@ -410,7 +354,7 @@ func (n *Node) HostFragmentShared(q stream.QueryID, f stream.FragID, exec *query
 	key := fragKey{q, f}
 	if _, dup := n.frags[key]; !dup {
 		n.fragOrder = append(n.fragOrder, key)
-		n.addQueryRef(q)
+		n.hostedQ[q]++
 	}
 	inst := &fragInstance{
 		exec:           exec,
@@ -514,7 +458,7 @@ func (n *Node) AttachShared(shareKey string, q stream.QueryID, f stream.FragID,
 		q: q, f: f, downstream: downstream, downstreamPort: downstreamPort, emit: emit,
 	})
 	n.subOf[fragKey{q, f}] = pk
-	n.addQueryRef(q)
+	n.hostedQ[q]++
 	return true
 }
 
@@ -618,8 +562,7 @@ func (n *Node) RemoveFragment(q stream.QueryID, f stream.FragID) {
 }
 
 // dropQueryRef releases one fragment-or-subscription reference on q,
-// clearing the query's residual state and its accounting slot when the
-// last reference drops.
+// clearing the query's residual state when the last reference drops.
 func (n *Node) dropQueryRef(q stream.QueryID) {
 	if c := n.hostedQ[q] - 1; c > 0 {
 		n.hostedQ[q] = c
@@ -627,11 +570,6 @@ func (n *Node) dropQueryRef(q stream.QueryID) {
 	}
 	delete(n.hostedQ, q)
 	delete(n.knownSIC, q)
-	if i, ok := n.acctIdx[q]; ok {
-		delete(n.acctIdx, q)
-		n.accts = append(n.accts[:i], n.accts[i+1:]...)
-		n.reindexAccts(int(i))
-	}
 }
 
 // Promotion records one shared-instance ownership hand-off: the instance
@@ -1006,68 +944,6 @@ func (n *Node) emitFragment(inst *fragInstance, tuples []stream.Tuple) {
 	}
 }
 
-// creditSubs mirrors one batch's accounting onto every subscriber of the
-// instance it feeds. Each subscriber's coordinator thereby sees the
-// accepted-SIC trajectory its own private pipeline would have produced:
-// the shared instance's physical batch stands in for the N identical
-// batches the unshared deployment would have buffered.
-func (n *Node) creditSubs(b *stream.Batch, derived bool) {
-	inst, ok := n.frags[fragKey{b.Query, b.Frag}]
-	if !ok || len(inst.subs) == 0 {
-		return
-	}
-	for i := range inst.subs {
-		if ai, ok := n.acctIdx[inst.subs[i].q]; ok {
-			if derived {
-				n.accts[ai].derived += b.SIC
-			} else {
-				n.accts[ai].kept += b.SIC
-			}
-		}
-	}
-}
-
-// extraDerived records the in-buffer SIC of a derived batch whose query
-// has no hosted fragment (deploy/rewire race, departed fragment) so its
-// upstream pre-credit is still debited if the batch is shed.
-func (n *Node) extraDerived(b *stream.Batch) {
-	if n.extraAcct == nil {
-		n.extraAcct = make(map[stream.QueryID]queryAcct, 4)
-	}
-	a := n.extraAcct[b.Query]
-	a.q = b.Query
-	a.derived += b.SIC
-	n.extraAcct[b.Query] = a
-}
-
-// extraKept credits a kept batch of a query with no hosted fragment.
-func (n *Node) extraKept(b *stream.Batch) {
-	if n.extraAcct == nil {
-		n.extraAcct = make(map[stream.QueryID]queryAcct, 4)
-	}
-	a := n.extraAcct[b.Query]
-	a.q = b.Query
-	a.kept += b.SIC
-	n.extraAcct[b.Query] = a
-}
-
-// emitExtraDeltas flushes the overflow accounting in ascending query
-// order (determinism) and clears it for the next tick.
-func (n *Node) emitExtraDeltas(now stream.Time) {
-	n.extraQ = n.extraQ[:0]
-	for q := range n.extraAcct {
-		n.extraQ = append(n.extraQ, q)
-	}
-	sort.Slice(n.extraQ, func(i, j int) bool { return n.extraQ[i] < n.extraQ[j] })
-	for _, q := range n.extraQ {
-		a := n.extraAcct[q]
-		if delta := a.kept - a.derived; delta != 0 {
-			n.out.Accepted = append(n.out.Accepted, AcceptedDelta{Query: q, Now: now, Delta: delta})
-		}
-	}
-	clear(n.extraAcct)
-}
-
 // Tick advances the node by one shedding interval starting at t:
 // sources emit, the overload detector checks the input buffer against the
 // cost model's capacity estimate, the shedder discards excess batches,
@@ -1083,8 +959,8 @@ func (n *Node) Tick(t stream.Time) {
 // with the span, so shedding stays calibrated either way.
 //
 // A steady-state span — warmed pool, no overload, no churn — performs
-// zero heap allocations: batches cycle through the pool, accounting is
-// flat per-query slots, and every emission lands in reused storage.
+// zero heap allocations: batches cycle through the pool and every
+// emission lands in reused storage.
 func (n *Node) TickSpan(from, to stream.Time) {
 	if to <= from {
 		return
@@ -1137,58 +1013,13 @@ func (n *Node) TickSpan(from, to stream.Time) {
 		n.settleHeaders(nil)
 	}
 
-	// Report accepted-SIC deltas to coordinators: fresh credit for source
-	// batches, and a debit for any pre-credited derived batch that was
-	// shed (net: kept SIC minus derived IB SIC per query). The accounting
-	// is flat: one pre-sorted slot per hosted query, zeroed in place, so
-	// deltas emit in ascending query order without per-tick maps or
-	// sorting. Batches of departed queries are dropped silently — their
-	// coordinator is gone. See coordinator.Acceptance.
-	for i := range n.accts {
-		n.accts[i].derived, n.accts[i].kept = 0, 0
-	}
-	// sharing gates the subscriber-crediting lookups so the unshared hot
-	// path stays one map probe per batch.
-	sharing := len(n.subOf) > 0
-	for _, b := range n.ib {
-		if b.Source < 0 {
-			if ai, ok := n.acctIdx[b.Query]; ok {
-				n.accts[ai].derived += b.SIC
-			} else {
-				n.extraDerived(b)
-			}
-			if sharing {
-				n.creditSubs(b, true)
-			}
-		}
-	}
+	// Execute fragments over the kept batches.
 	var processed int
 	for _, b := range kept {
-		if ai, ok := n.acctIdx[b.Query]; ok {
-			n.accts[ai].kept += b.SIC
-		} else {
-			n.extraKept(b)
-		}
-		if sharing {
-			n.creditSubs(b, false)
-		}
 		processed += b.Len()
 		n.stats.KeptBatches++
 		n.stats.KeptTuples += int64(b.Len())
-	}
-	for i := range n.accts {
-		if delta := n.accts[i].kept - n.accts[i].derived; delta != 0 {
-			n.out.Accepted = append(n.out.Accepted, AcceptedDelta{Query: n.accts[i].q, Now: now, Delta: delta})
-		}
-	}
-	if len(n.extraAcct) > 0 {
-		n.emitExtraDeltas(now)
-	}
-
-	// Execute fragments over the kept batches.
-	for _, b := range kept {
-		key := fragKey{b.Query, b.Frag}
-		inst, ok := n.frags[key]
+		inst, ok := n.frags[fragKey{b.Query, b.Frag}]
 		if !ok {
 			continue // fragment departed; drop silently
 		}

@@ -16,13 +16,14 @@ import (
 type fakeRouter struct {
 	downstream []*stream.Batch
 	results    map[stream.QueryID][]stream.Tuple
-	accepted   map[stream.QueryID]float64
+	// delivered sums the SIC mass each query's results carried.
+	delivered map[stream.QueryID]float64
 }
 
 func newFakeRouter() *fakeRouter {
 	return &fakeRouter{
-		results:  make(map[stream.QueryID][]stream.Tuple),
-		accepted: make(map[stream.QueryID]float64),
+		results:   make(map[stream.QueryID][]stream.Tuple),
+		delivered: make(map[stream.QueryID]float64),
 	}
 }
 
@@ -43,11 +44,9 @@ func (r *fakeRouter) RouteDownstream(_ stream.NodeID, b *stream.Batch) {
 	cp.Tuples = cloneTuples(b.Tuples)
 	r.downstream = append(r.downstream, cp)
 }
-func (r *fakeRouter) DeliverResult(q stream.QueryID, _ stream.Time, tuples []stream.Tuple, _ float64) {
+func (r *fakeRouter) DeliverResult(q stream.QueryID, _ stream.Time, tuples []stream.Tuple, sicMass float64) {
 	r.results[q] = append(r.results[q], cloneTuples(tuples)...)
-}
-func (r *fakeRouter) ReportAccepted(q stream.QueryID, _ stream.Time, delta float64) {
-	r.accepted[q] += delta
+	r.delivered[q] += sicMass
 }
 
 // aggNode builds a node hosting one single-fragment AVG query with one
@@ -92,9 +91,9 @@ func TestNodeUnderloadedProcessesEverything(t *testing.T) {
 	if len(router.results[7]) < 8 {
 		t.Errorf("results: %d windows, want ~9", len(router.results[7]))
 	}
-	// Eq. 1: the total SIC accepted over one full STW approaches 1.
-	if router.accepted[7] < 0.9 {
-		t.Errorf("accepted SIC: %g, want ~>= 1 over 10 s", router.accepted[7])
+	// Eq. 1: the total SIC delivered over one full STW approaches 1.
+	if router.delivered[7] < 0.9 {
+		t.Errorf("delivered SIC: %g, want ~>= 1 over 10 s", router.delivered[7])
 	}
 }
 
@@ -114,11 +113,10 @@ func TestNodeOverloadDetectorSheds(t *testing.T) {
 func TestNodeSICStampingMatchesEq1(t *testing.T) {
 	n, router := aggNode(t, 1e6, 400)
 	runTicks(n, router, 80) // 20 s — rate estimator converged
-	// Result SIC per 1 s window should approach rate·window/(rate·STW)·…
-	// summed = 1/STW · window… simpler: accepted SIC per STW ≈ 1, so per
-	// 20 s run ≈ 2.
-	if router.accepted[7] < 1.7 || router.accepted[7] > 2.3 {
-		t.Errorf("accepted SIC over 2 STWs: %g, want ~2", router.accepted[7])
+	// Eq. 1 stamps one STW's source tuples with SIC summing to 1, and an
+	// underloaded node delivers all of it, so a 20 s run delivers ≈ 2.
+	if router.delivered[7] < 1.7 || router.delivered[7] > 2.3 {
+		t.Errorf("delivered SIC over 2 STWs: %g, want ~2", router.delivered[7])
 	}
 }
 
@@ -281,9 +279,6 @@ func TestTakeOutboxDoubleBuffers(t *testing.T) {
 	if first.Empty() {
 		t.Fatal("outbox empty after eight ticks of an active source")
 	}
-	if len(first.Accepted) == 0 {
-		t.Error("no accepted-SIC deltas recorded")
-	}
 	if second := n.TakeOutbox(); !second.Empty() {
 		t.Error("second TakeOutbox without a tick should be empty")
 	}
@@ -302,8 +297,8 @@ func TestOutboxReplayResets(t *testing.T) {
 	if !out.Empty() {
 		t.Error("Replay should reset the outbox")
 	}
-	if router.accepted[7] <= 0 {
-		t.Errorf("replayed accepted SIC: %g, want > 0", router.accepted[7])
+	if router.delivered[7] <= 0 {
+		t.Errorf("replayed delivered SIC: %g, want > 0", router.delivered[7])
 	}
 	if len(router.results[7]) == 0 {
 		t.Error("replayed no result tuples")

@@ -22,9 +22,6 @@ type Outbox struct {
 	Downstream []*stream.Batch
 	// Results holds root-fragment result emissions.
 	Results []ResultEmit
-	// Accepted holds per-query accepted-SIC deltas from this tick's
-	// shedding round, in ascending query order.
-	Accepted []AcceptedDelta
 }
 
 // ResultEmit is one root-fragment result emission. The batch carries the
@@ -35,21 +32,12 @@ type ResultEmit struct {
 	Batch *stream.Batch
 }
 
-// AcceptedDelta is one query's accepted-SIC delta for a tick: positive
-// for freshly accepted source data, negative when pre-credited derived
-// data is shed (see coordinator.Acceptance).
-type AcceptedDelta struct {
-	Query stream.QueryID
-	Now   stream.Time
-	Delta float64
-}
-
 // Empty reports whether the outbox holds no effects.
 func (o *Outbox) Empty() bool {
-	return len(o.Downstream) == 0 && len(o.Results) == 0 && len(o.Accepted) == 0
+	return len(o.Downstream) == 0 && len(o.Results) == 0
 }
 
-// Reset truncates all three queues, keeping their storage for reuse.
+// Reset truncates both queues, keeping their storage for reuse.
 // Batches still referenced are NOT released — callers drain (and
 // release) before Reset runs via TakeOutbox.
 func (o *Outbox) Reset() {
@@ -61,20 +49,16 @@ func (o *Outbox) Reset() {
 		o.Results[i].Batch = nil
 	}
 	o.Results = o.Results[:0]
-	o.Accepted = o.Accepted[:0]
 }
 
-// Replay feeds the outbox through a Router — accepted deltas first, then
-// result and downstream emissions — and resets it, releasing every batch
+// Replay feeds the outbox through a Router — result emissions first, then
+// downstream ones — and resets it, releasing every batch
 // after its router call returns. It is the drop-in bridge for drivers
 // that consume effects one at a time, like the TCP transport; the
-// federation engine drains outboxes directly so it can batch coordinator
-// updates and hand batches over without a copy. Routers that retain a
+// federation engine drains outboxes directly so it can hand batches
+// over without a copy. Routers that retain a
 // batch or its tuples past the call must copy.
 func (o *Outbox) Replay(from stream.NodeID, r Router) {
-	for _, a := range o.Accepted {
-		r.ReportAccepted(a.Query, a.Now, a.Delta)
-	}
 	for _, re := range o.Results {
 		r.DeliverResult(re.Query, re.Now, re.Batch.Tuples, re.Batch.SIC)
 		re.Batch.Release()

@@ -1,7 +1,9 @@
 package node
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -50,9 +52,8 @@ func TestAttachSharedUnknownKeyRefuses(t *testing.T) {
 }
 
 // TestSharedFanOutDeliversEveryRider: every subscribing query receives
-// the same result stream as the primary, tuple for tuple, and the node
-// reports accepted SIC for every rider — the per-query accounting the
-// coordinators feed on.
+// the same result stream as the primary, tuple for tuple, and the same
+// SIC mass with it — what each rider's coordinator measures.
 func TestSharedFanOutDeliversEveryRider(t *testing.T) {
 	n, router := sharedAggNode(t, 2)
 	if ss := n.StateSize(); ss.SharedInstances != 1 || ss.Subscriptions != 2 {
@@ -73,12 +74,12 @@ func TestSharedFanOutDeliversEveryRider(t *testing.T) {
 				t.Fatalf("query %d tuple %d diverges from primary: %+v vs %+v", q, i, got[i], prim[i])
 			}
 		}
-		if router.accepted[q] <= 0 {
-			t.Errorf("query %d has no accepted SIC mass", q)
+		if router.delivered[q] <= 0 {
+			t.Errorf("query %d has no delivered SIC mass", q)
 		}
-		if router.accepted[q] != router.accepted[7] {
-			t.Errorf("query %d accepted %.3f, primary %.3f — accounting not mirrored",
-				q, router.accepted[q], router.accepted[7])
+		if math.Float64bits(router.delivered[q]) != math.Float64bits(router.delivered[7]) {
+			t.Errorf("query %d delivered %v, primary %v — mass not mirrored",
+				q, router.delivered[q], router.delivered[7])
 		}
 	}
 }
@@ -155,25 +156,30 @@ func TestSharedSubscriberRemovalLeavesPrimary(t *testing.T) {
 	}
 }
 
-// TestAcctTableTracksHostedQueries: the flat accounting table is
-// maintained in place — a slot inserted on a query's first fragment or
-// subscription, removed with its last — so after any sequence of hosts,
-// attaches, removals and promotions it must be exactly the hosted queries
-// in ascending id order, each indexed at its slot.
+// TestAcctTableTracksHostedQueries: the per-query reference table
+// (hostedQ) is maintained in place — a reference taken with each fragment
+// or subscription, dropped with it — so after any sequence of hosts,
+// attaches, removals and promotions it must count exactly the hosted
+// fragments plus subscriptions of each query, and no query it does not
+// list may keep a coordinator value.
 func TestAcctTableTracksHostedQueries(t *testing.T) {
 	n := New(1, Config{}, &core.KeepAll{})
 	plan := query.NewAggregate(operator.AggAvg, sources.Uniform)
 	check := func(step int, what string) {
 		t.Helper()
-		if len(n.accts) != len(n.hostedQ) || len(n.acctIdx) != len(n.hostedQ) {
-			t.Fatalf("step %d %s: %d slots, %d indexed, %d hosted queries", step, what, len(n.accts), len(n.acctIdx), len(n.hostedQ))
+		want := make(map[stream.QueryID]int)
+		for k := range n.frags {
+			want[k.q]++
 		}
-		for i, a := range n.accts {
-			if i > 0 && n.accts[i-1].q >= a.q {
-				t.Fatalf("step %d %s: slots out of order at %d: %v", step, what, i, n.accts)
-			}
-			if n.hostedQ[a.q] == 0 || n.acctIdx[a.q] != int32(i) {
-				t.Fatalf("step %d %s: slot %d holds q%d (refs %d, indexed at %d)", step, what, i, a.q, n.hostedQ[a.q], n.acctIdx[a.q])
+		for k := range n.subOf {
+			want[k.q]++
+		}
+		if !reflect.DeepEqual(n.hostedQ, want) {
+			t.Fatalf("step %d %s: refs %v, want %v", step, what, n.hostedQ, want)
+		}
+		for q := range n.knownSIC {
+			if n.hostedQ[q] == 0 {
+				t.Fatalf("step %d %s: unhosted q%d keeps a coordinator value", step, what, q)
 			}
 		}
 	}
@@ -189,7 +195,9 @@ func TestAcctTableTracksHostedQueries(t *testing.T) {
 			n.HostFragmentShared(q, f, query.NewFragmentExec(plan.Fragments[0]), 1, -1, -1, key)
 			check(step, "host")
 		case op == 1 && !hosted && !riding:
-			n.AttachShared(key, q, f, -1, -1, true)
+			if n.AttachShared(key, q, f, -1, -1, true) {
+				n.SetResultSIC(q, 0.5)
+			}
 			check(step, "attach")
 		case op == 2:
 			n.RemoveFragment(q, f) // detaches, promotes or tears down
@@ -203,8 +211,8 @@ func TestAcctTableTracksHostedQueries(t *testing.T) {
 		n.RemoveQuery(q)
 	}
 	check(-1, "drain")
-	if len(n.accts) != 0 {
-		t.Fatalf("%d slots survive an empty node", len(n.accts))
+	if len(n.hostedQ) != 0 || len(n.knownSIC) != 0 {
+		t.Fatalf("%d refs, %d coordinator values survive an empty node", len(n.hostedQ), len(n.knownSIC))
 	}
 }
 

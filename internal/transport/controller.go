@@ -160,7 +160,7 @@ func NewController(cfg ControllerConfig, nodeAddrs []string) (*Controller, error
 	}
 	c := &Controller{
 		plane:     control.New(control.Config{Placement: cfg.Placement, Seed: cfg.Seed, Sharing: cfg.Sharing}),
-		ledger:    coordinator.NewLedger(coordinator.RootMeasured, cfg.STW, cfg.Interval, false),
+		ledger:    coordinator.NewLedger(cfg.STW, cfg.Interval, false),
 		deps:      make(map[stream.QueryID]Deploy),
 		stw:       cfg.STW,
 		ival:      cfg.Interval,

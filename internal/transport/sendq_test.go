@@ -340,10 +340,9 @@ func TestCtrlQueueOverflowCounted(t *testing.T) {
 }
 
 // TestHostReportsOnlyResults: what a host queues for the controller per
-// tick is its result reports (plus the tick loop's one heartbeat) — the
-// k accepted-SIC deltas its node produces every shedding round feed only
-// the engine's Acceptance ablation and never reach the wire. The tick
-// body is driven by hand, on virtual time, so the frame count is exact.
+// tick is its result reports plus the tick loop's one heartbeat, and
+// nothing else. The tick body is driven by hand, on virtual time, so the
+// frame count is exact.
 func TestHostReportsOnlyResults(t *testing.T) {
 	const hosted = 6
 	s, err := NewNodeServer(NodeServerConfig{Name: "n", Addr: "127.0.0.1:0", CapacityPerSec: 50_000, Quiet: true})
@@ -361,11 +360,10 @@ func TestHostReportsOnlyResults(t *testing.T) {
 		}
 	}
 	s.ctrl = &conn{} // never written: the test reads the queue instead of flushing it
-	var deltas, results, reports int
+	var results, reports int
 	for tick := 1; tick <= 40; tick++ {
 		s.nd.TickSpan(stream.Time(100*(tick-1)), stream.Time(100*tick))
 		out := s.nd.TakeOutbox()
-		deltas += len(out.Accepted)
 		want := len(out.Results)
 		out.Replay(0, s)
 		s.queueCtrl(&Envelope{Kind: KindHeartbeat})
@@ -383,10 +381,9 @@ func TestHostReportsOnlyResults(t *testing.T) {
 		reports += len(frames) - 1
 		s.recycleFrames(&s.ctrlQ, frames)
 	}
-	// The run must have exercised both: every hosted query accepts source
-	// mass every tick, and the 1 s windows closed several times.
-	if deltas < hosted*30 || results < hosted*2 {
-		t.Fatalf("degenerate run: %d accepted deltas, %d results over 40 ticks", deltas, results)
+	// The 1 s windows must have closed several times.
+	if results < hosted*2 {
+		t.Fatalf("degenerate run: %d results over 40 ticks", results)
 	}
 	if reports != results {
 		t.Errorf("%d report frames for %d results", reports, results)

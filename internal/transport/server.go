@@ -948,9 +948,3 @@ func (s *NodeServer) DeliverResult(q stream.QueryID, _ stream.Time, tuples []str
 	}
 	s.queueCtrl(&Envelope{Kind: KindReport, Report: &ReportMsg{Query: q, Result: sicMass, Tuples: len(tuples)}})
 }
-
-// ReportAccepted implements node.Router and sends nothing: accepted-SIC
-// deltas feed only the Acceptance estimate, an engine-only ablation
-// (federation.Config.UpdateMode). The controller disseminates the SIC
-// measured at the root (§6), which the result reports above carry.
-func (s *NodeServer) ReportAccepted(stream.QueryID, stream.Time, float64) {}

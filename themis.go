@@ -36,7 +36,6 @@ package themis
 import (
 	"math/rand"
 
-	"repro/internal/coordinator"
 	"repro/internal/cql"
 	"repro/internal/federation"
 	"repro/internal/metrics"
@@ -96,8 +95,6 @@ type (
 	QueryChurnEvent = federation.QueryChurnEvent
 	// QuerySubmit describes one scheduled CQL submission.
 	QuerySubmit = federation.QuerySubmit
-	// UpdateMode selects the coordinator's result-SIC estimation mode.
-	UpdateMode = coordinator.UpdateMode
 	// Catalog names the input streams available to CQL queries.
 	Catalog = cql.Catalog
 	// Dataset selects a source data distribution (§7).
@@ -112,14 +109,6 @@ const (
 	RandomShedding = federation.PolicyRandom
 	// KeepAll disables shedding (perfect-processing reference).
 	KeepAll = federation.PolicyKeepAll
-)
-
-// Coordinator update modes.
-const (
-	// RootMeasured disseminates root-measured result SIC (default).
-	RootMeasured = coordinator.RootMeasured
-	// Acceptance credits SIC at batch acceptance (Assumption 3 literal).
-	Acceptance = coordinator.Acceptance
 )
 
 // Source datasets (§7).

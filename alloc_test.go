@@ -10,6 +10,7 @@ package themis_test
 import (
 	"testing"
 
+	"repro/internal/cql"
 	"repro/internal/federation"
 	"repro/internal/query"
 	"repro/internal/sources"
@@ -31,15 +32,21 @@ func steadyEngine(checkpoint stream.Duration) *federation.Engine {
 		plan      *query.Plan
 		placement []stream.NodeID
 	}{
-		{query.NewAvgAll(2, sources.Uniform), []stream.NodeID{0, 1}},
-		{query.NewAggregate(0, sources.Gaussian), []stream.NodeID{2}},
-		{query.NewCov(2, sources.Exponential), []stream.NodeID{3, 0}},
+		{cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 2), []stream.NodeID{0, 1}},
+		{cql.MustPlan(cql.Avg, cql.DefaultCatalog(sources.Gaussian), 1), []stream.NodeID{2}},
+		{cql.MustPlan(cql.Cov, cql.DefaultCatalog(sources.Exponential), 2), []stream.NodeID{3, 0}},
 	} {
 		if _, err := e.DeployQuery(d.plan, d.placement, 0); err != nil {
 			panic(err)
 		}
 	}
 	return e
+}
+
+// mixedPlan plans the i-th query of the complex workload, which cycles
+// AVG-all, TOP-5 and COV, over k fragments.
+func mixedPlan(i, k int, d sources.Dataset) *query.Plan {
+	return cql.MustPlan([...]string{cql.AvgAll, cql.Top5, cql.Cov}[i%3], cql.DefaultCatalog(d), k)
 }
 
 // overloadedEngine builds the constantly shedding deployment: a 24-node
@@ -53,7 +60,7 @@ func overloadedEngine() *federation.Engine {
 	next := 0
 	for i := 0; i < queries; i++ {
 		k := 1 + i%3
-		plan := query.MixedComplex(i, k, sources.PlanetLab)
+		plan := mixedPlan(i, k, sources.PlanetLab)
 		if _, err := e.DeployQuery(plan, federation.RoundRobinPlacement(&next, nodes, k), 0); err != nil {
 			panic(err)
 		}

@@ -135,7 +135,8 @@ func main() {
 		return
 	}
 
-	plan, err := themis.ParseQuery(*queryText, themis.DefaultCatalog(ds))
+	// The local testbed is one node, so the query runs as one fragment.
+	plan, err := themis.ParseQuery(*queryText, themis.DefaultCatalog(ds), 1)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "themis-cql: %v\n", err)
 		os.Exit(2)

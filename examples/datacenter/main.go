@@ -59,14 +59,23 @@ func main() {
 		})
 	}
 
+	// The three queries in the paper's CQL-like syntax (Table 1), each
+	// planned over as many fragments as it spans nodes.
+	catalog := themis.DefaultCatalog(themis.PlanetLab)
+	const (
+		avgAll = `Select Avg(t.v) From AllSrc[Range 1 sec]`
+		top5   = `Select Top5(AllSrcCPU.id) From AllSrcCPU[Range 1 sec], AllSrcMem[Range 1 sec] ` +
+			`Where AllSrcMem.free >= 100,000 and AllSrcCPU.id = AllSrcMem.id`
+		cov = `Select Cov(SrcCPU1.value, SrcCPU2.value) From SrcCPU1[Range 1 sec], SrcCPU2[Range 1 sec]`
+	)
 	for i := 0; i < 6; i++ {
-		deploy(fmt.Sprintf("AVG-all #%d (cluster CPU)", i), themis.NewAvgAllQuery(3, themis.PlanetLab), 3)
+		deploy(fmt.Sprintf("AVG-all #%d (cluster CPU)", i), themis.MustParseQuery(avgAll, catalog, 3), 3)
 	}
 	for i := 0; i < 6; i++ {
-		deploy(fmt.Sprintf("TOP-5   #%d (best hosts)", i), themis.NewTop5Query(2, themis.PlanetLab), 2)
+		deploy(fmt.Sprintf("TOP-5   #%d (best hosts)", i), themis.MustParseQuery(top5, catalog, 2), 2)
 	}
 	for i := 0; i < 6; i++ {
-		deploy(fmt.Sprintf("COV     #%d (cpu pairs)", i), themis.NewCovQuery(2, themis.PlanetLab), 2)
+		deploy(fmt.Sprintf("COV     #%d (cpu pairs)", i), themis.MustParseQuery(cov, catalog, 2), 2)
 	}
 
 	res := engine.Run()

@@ -39,34 +39,44 @@ func run(policy themis.Policy) *themis.Results {
 	engine.AddNode(4000) // Rome
 	engine.AddNode(4000) // Mexico
 
+	// Queries are written in the paper's CQL-like syntax (Table 1) and
+	// planned over one fragment per site they span.
+	catalog := themis.DefaultCatalog(themis.PlanetLab)
 	rng := rand.New(rand.NewSource(7))
-	deploy := func(plan *themis.Plan, placement []themis.NodeID) {
+	deploy := func(cql string, placement []themis.NodeID) {
+		plan := themis.MustParseQuery(cql, catalog, len(placement))
 		if _, err := engine.DeployQuery(plan, placement, 60); err != nil {
 			panic(err)
 		}
 	}
+	const (
+		top5 = `Select Top5(AllSrcCPU.id) From AllSrcCPU[Range 1 sec], AllSrcMem[Range 1 sec] ` +
+			`Where AllSrcMem.free >= 100,000 and AllSrcCPU.id = AllSrcMem.id`
+		cov    = `Select Cov(SrcCPU1.value, SrcCPU2.value) From SrcCPU1[Range 1 sec], SrcCPU2[Range 1 sec]`
+		avgAll = `Select Avg(t.v) From AllSrc[Range 1 sec]`
+	)
 
 	// Rome's local users dominate: single-site queries over local
 	// sensors ("the 10 highest values of carbon monoxide concentration
 	// measurements on highways...").
 	for i := 0; i < 8; i++ {
-		deploy(themis.NewTop5Query(1, themis.PlanetLab), []themis.NodeID{1})
+		deploy(top5, []themis.NodeID{1})
 	}
 	// Paris: covariance analyses between sensor modalities ("the
 	// covariance matrix between measurements of (temperature, airflow)
 	// and (carbon dioxide, nitrogen)").
 	for i := 0; i < 4; i++ {
-		deploy(themis.NewCovQuery(1, themis.PlanetLab), []themis.NodeID{0})
+		deploy(cov, []themis.NodeID{0})
 	}
 	// Federated queries for meteorological researchers: city-wide
 	// averages pooling sensors of all three sites (fragment tree), and
 	// two-site top-k chains.
 	for i := 0; i < 5; i++ {
-		deploy(themis.NewAvgAllQuery(3, themis.PlanetLab), []themis.NodeID{0, 1, 2})
+		deploy(avgAll, []themis.NodeID{0, 1, 2})
 	}
 	for i := 0; i < 5; i++ {
 		two := themis.UniformPlacement(rng, 3, 2)
-		deploy(themis.NewTop5Query(2, themis.PlanetLab), two)
+		deploy(top5, two)
 	}
 	return engine.Run()
 }

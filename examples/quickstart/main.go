@@ -38,7 +38,7 @@ func main() {
 		{"COUNT @ 1600 t/s", `Select Count(t.v) From Src[Range 1 sec] Having t.v >= 50`, 1600},
 	}
 	for _, q := range queries {
-		plan, err := themis.ParseQuery(q.cql, catalog)
+		plan, err := themis.ParseQuery(q.cql, catalog, 1)
 		if err != nil {
 			panic(err)
 		}

@@ -142,22 +142,14 @@ func TestLexerRejectsGarbage(t *testing.T) {
 
 func TestPlanTable1Queries(t *testing.T) {
 	cat := DefaultCatalog(sources.Gaussian)
-	queries := []string{
-		"Select Avg(t.v) from Src[Range 1 sec]",
-		"Select Max(t.v) from Src[Range 1 sec]",
-		"Select Count(t.v) from Src[Range 1 sec] Having t.v >= 50",
-		"Select Avg(t.v) from AllSrc[Range 1 sec]",
-		"Select Top5(AllSrcCPU.id) From AllSrcCPU[Range 1 sec], AllSrcMem[Range 1 sec] " +
-			"Where AllSrcMem.free >= 100,000 and AllSrcCPU.id = AllSrcMem.id",
-		"Select Cov(SrcCPU1.value, SrcCPU2.value) From SrcCPU1[Range 1 sec], SrcCPU2[Range 1 sec]",
-	}
+	queries := []string{Avg, Max, Count, AvgAll, Top5, Cov}
 	for _, q := range queries {
 		st, err := Parse(q)
 		if err != nil {
 			t.Errorf("%q: parse: %v", q, err)
 			continue
 		}
-		plan, err := Plan(st, cat)
+		plan, err := PlanDistributed(st, cat, 1)
 		if err != nil {
 			t.Errorf("%q: plan: %v", q, err)
 			continue
@@ -170,15 +162,14 @@ func TestPlanTable1Queries(t *testing.T) {
 
 func TestPlanShapes(t *testing.T) {
 	cat := DefaultCatalog(sources.Gaussian)
-	p := MustPlan("Select Avg(t.v) from AllSrc[Range 1 sec]", cat)
+	p := MustPlan(AvgAll, cat, 1)
 	if p.NumSources() != 10 {
 		t.Errorf("AllSrc sources: %d", p.NumSources())
 	}
 	if p.Type != "AVG" {
 		t.Errorf("type: %s", p.Type)
 	}
-	top := MustPlan("Select Top5(AllSrcCPU.id) From AllSrcCPU[Range 1 sec], AllSrcMem[Range 1 sec] "+
-		"Where AllSrcMem.free >= 100,000 and AllSrcCPU.id = AllSrcMem.id", cat)
+	top := MustPlan(Top5, cat, 1)
 	if top.NumSources() != 20 {
 		t.Errorf("TOP-5 sources: %d", top.NumSources())
 	}
@@ -197,6 +188,9 @@ var planErrorCases = []string{
 	"Select Median(t.v) from Src",                                                       // unsupported aggregate
 	"Select Avg(t.v) from Src where t.v >= 5",                                           // WHERE on single stream
 	"Select Top5(Wrong.id) From AllSrcCPU, AllSrcMem Where AllSrcCPU.id = AllSrcMem.id", // bad key stream
+	// Two-stream statements pair their streams window by window.
+	"Select Cov(SrcCPU1.value, SrcCPU2.value) From SrcCPU1[Range 1 sec], SrcCPU2[Range 5 sec]",
+	"Select Top5(AllSrcCPU.id) From AllSrcCPU[Range 1 sec], AllSrcMem[Rows 50] Where AllSrcCPU.id = AllSrcMem.id",
 }
 
 func TestPlanErrors(t *testing.T) {
@@ -206,8 +200,10 @@ func TestPlanErrors(t *testing.T) {
 		if err != nil {
 			continue // parse-level rejection is fine too
 		}
-		if _, err := Plan(st, cat); err == nil {
-			t.Errorf("%q: planned without error", q)
+		for _, frags := range []int{1, 3} {
+			if _, err := PlanDistributed(st, cat, frags); err == nil {
+				t.Errorf("%q x%d: planned without error", q, frags)
+			}
 		}
 	}
 }
@@ -218,7 +214,7 @@ func TestMustPlanPanics(t *testing.T) {
 			t.Error("MustPlan should panic on bad input")
 		}
 	}()
-	MustPlan("not a query", DefaultCatalog(sources.Gaussian))
+	MustPlan("not a query", DefaultCatalog(sources.Gaussian), 1)
 }
 
 func TestCatalogLookupCaseInsensitive(t *testing.T) {

@@ -8,35 +8,21 @@ import (
 	"repro/internal/query"
 )
 
-// Distributed planning. A CQL statement compiles to a single fragment by
-// default; PlanDistributed partitions the same statement across k
-// fragments for deployment on k federation sites (§3: each fragment on a
-// different FSPS node). The layouts mirror the Table 1 workload builders:
-// scalar aggregates become a tree of partials merged at the root
-// (AVG-all's shape), COV and TOP-k become chains whose last fragment
-// emits the result. Every fragment hosts its own copy of the statement's
-// source streams, so |S| — the Eq. (1) normaliser — grows with k exactly
-// as it does for the paper's multi-fragment queries.
-
-// PlanDistributed compiles a parsed statement into a plan with the given
-// number of fragments. fragments <= 1 yields the single-fragment plan.
-func PlanDistributed(st *Statement, cat *Catalog, fragments int) (*query.Plan, error) {
-	if fragments <= 1 {
-		return Plan(st, cat)
-	}
-	switch st.Agg {
-	case "avg":
-		return planDistAvg(st, cat, fragments)
-	case "max", "min", "sum", "count":
-		return planDistScalar(st, cat, fragments)
-	case "cov":
-		return planCov(st, cat, fragments)
-	case "top":
-		return planTopK(st, cat, fragments)
-	default:
-		return nil, fmt.Errorf("cql: aggregate %q cannot be distributed", st.Agg)
-	}
-}
+// Fragment layouts. A statement planned over k fragments puts one
+// fragment on each of k federation sites, and every fragment hosts its
+// own copy of the statement's source streams, so |S| — the Eq. (1)
+// normaliser — grows with k. Fragment 0 is the root and emits the result.
+//
+//   - A scalar aggregate over one fragment is a flat plan: receivers →
+//     union → aggregate → output (13 ops for AvgAll's 10 sources).
+//   - AVG over k > 1 fragments is a tree: every fragment unions its
+//     sources into a (sum, count) partial; the root merges its own and
+//     the other fragments' partials and finalizes the average.
+//   - MAX, MIN, SUM and COUNT over k > 1 fragments are the same tree with
+//     the aggregate itself as the partial and a merge aggregate at the
+//     root.
+//   - COV and TOP-k are chains at every k (planner.go): each fragment
+//     merges its own partial with the one upstream of it.
 
 // scalarInputs resolves the stream, aggregate field and optional HAVING
 // predicate of a single-stream scalar aggregate.
@@ -75,7 +61,7 @@ func scalarInputs(st *Statement, cat *Catalog) (StreamDef, int, operator.Predica
 
 // planDistAvg builds the AVG tree: every fragment unions its sources into
 // a (sum, count) partial; the root merges its own and the other
-// fragments' partials and finalizes the average (NewAvgAll's layout).
+// fragments' partials and finalizes the average.
 func planDistAvg(st *Statement, cat *Catalog, fragments int) (*query.Plan, error) {
 	def, field, pred, err := scalarInputs(st, cat)
 	if err != nil {

@@ -1,7 +1,11 @@
 package cql_test
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cql"
@@ -11,7 +15,7 @@ import (
 	"repro/internal/stream"
 )
 
-// queriesByShape lists one statement per distributable aggregate shape.
+// distributable lists one statement per distributable aggregate shape.
 var distributable = []string{
 	"Select Avg(t.v) From Src[Range 1 sec]",
 	"Select Max(t.v) From Src[Range 1 sec]",
@@ -216,6 +220,133 @@ func TestPlanDistributedDeterministic(t *testing.T) {
 						t.Errorf("%s frags=%d fragment %d entry %d differs", src, frags, fi, port)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestTable1Layouts pins the plan of every Table 1 statement over one,
+// two and three fragments: the operator names of each fragment (a run of
+// n equal names written name*n) with its upstream port, the downstream
+// table and the source count. Scalar aggregates are flat at k = 1 and
+// trees at k > 1; COV and TOP-5 are chains at every k.
+func TestTable1Layouts(t *testing.T) {
+	const (
+		avgRoot  = "receive union partial-avg avg-merge avg-finalize output | up 1"
+		avgLeaf  = "receive union partial-avg avg-merge | up -1"
+		allRoot  = "receive*10 union partial-avg avg-merge avg-finalize output | up 10"
+		allLeaf  = "receive*10 union partial-avg avg-merge | up -1"
+		top5Frag = "receive*20 union*2 filter group-avg*2 join top-k output | up 20"
+		covRoot  = "receive*2 partial-cov cov-merge cov-finalize output | up 2"
+		covLink  = "receive*2 partial-cov cov-merge | up 2"
+	)
+	golden := []struct {
+		src        string
+		k          int
+		downstream []int
+		sources    int
+		frags      []string
+	}{
+		{cql.Avg, 1, []int{-1}, 1, []string{"receive union avg output | up -1"}},
+		{cql.Avg, 2, []int{-1, 0}, 2, []string{avgRoot, avgLeaf}},
+		{cql.Avg, 3, []int{-1, 0, 0}, 3, []string{avgRoot, avgLeaf, avgLeaf}},
+		{cql.Max, 1, []int{-1}, 1, []string{"receive union max output | up -1"}},
+		{cql.Max, 2, []int{-1, 0}, 2, []string{"receive union max merge-max output | up 1", "receive union max | up -1"}},
+		{cql.Max, 3, []int{-1, 0, 0}, 3, []string{"receive union max merge-max output | up 1", "receive union max | up -1", "receive union max | up -1"}},
+		{cql.Count, 1, []int{-1}, 1, []string{"receive union count output | up -1"}},
+		{cql.Count, 2, []int{-1, 0}, 2, []string{"receive union count merge-sum output | up 1", "receive union count | up -1"}},
+		{cql.Count, 3, []int{-1, 0, 0}, 3, []string{"receive union count merge-sum output | up 1", "receive union count | up -1", "receive union count | up -1"}},
+		{cql.AvgAll, 1, []int{-1}, 10, []string{"receive*10 union avg output | up -1"}},
+		{cql.AvgAll, 2, []int{-1, 0}, 20, []string{allRoot, allLeaf}},
+		{cql.AvgAll, 3, []int{-1, 0, 0}, 30, []string{allRoot, allLeaf, allLeaf}},
+		{cql.Top5, 1, []int{-1}, 20, []string{"receive*20 union*2 filter group-avg*2 join top-k output | up -1"}},
+		{cql.Top5, 2, []int{-1, 0}, 40, []string{top5Frag, top5Frag}},
+		{cql.Top5, 3, []int{-1, 0, 1}, 60, []string{top5Frag, top5Frag, top5Frag}},
+		{cql.Cov, 1, []int{-1}, 2, []string{"receive*2 partial-cov cov-merge cov-finalize output | up -1"}},
+		{cql.Cov, 2, []int{-1, 0}, 4, []string{covRoot, covLink}},
+		{cql.Cov, 3, []int{-1, 0, 1}, 6, []string{covRoot, covLink, covLink}},
+	}
+	cat := cql.DefaultCatalog(sources.Uniform)
+	for _, g := range golden {
+		p := cql.MustPlan(g.src, cat, g.k)
+		if err := p.Validate(); err != nil {
+			t.Errorf("%s x%d: invalid plan: %v", g.src, g.k, err)
+		}
+		if !reflect.DeepEqual(p.Downstream, g.downstream) {
+			t.Errorf("%s x%d: downstream %v, want %v", g.src, g.k, p.Downstream, g.downstream)
+		}
+		if p.NumSources() != g.sources {
+			t.Errorf("%s x%d: %d sources, want %d", g.src, g.k, p.NumSources(), g.sources)
+		}
+		var frags []string
+		for _, fp := range p.Fragments {
+			frags = append(frags, fragmentLayout(fp))
+		}
+		if !reflect.DeepEqual(frags, g.frags) {
+			t.Errorf("%s x%d: fragments\n  %q\nwant\n  %q", g.src, g.k, frags, g.frags)
+		}
+	}
+	// Table 1's operator counts per fragment (see DESIGN.md for the
+	// window-counting difference).
+	for _, k := range []int{1, 3} {
+		if got := len(cql.MustPlan(cql.AvgAll, cat, k).Fragments[k-1].Ops); got != 13 {
+			t.Errorf("AVG-all x%d ops/fragment: %d, want 13", k, got)
+		}
+	}
+	if got := len(cql.MustPlan(cql.Top5, cat, 3).Fragments[1].Ops); got != 28 {
+		t.Errorf("TOP-5 ops/fragment: %d, want 28 (~29 in the paper)", got)
+	}
+}
+
+// fragmentLayout renders a fragment's operator names, runs of equal names
+// folded to name*n, and its upstream port.
+func fragmentLayout(fp *query.FragmentPlan) string {
+	var names []string
+	for i := 0; i < len(fp.Ops); {
+		j := i
+		for j < len(fp.Ops) && fp.Ops[j].Name == fp.Ops[i].Name {
+			j++
+		}
+		name := fp.Ops[i].Name
+		if j-i > 1 {
+			name = fmt.Sprintf("%s*%d", name, j-i)
+		}
+		names = append(names, name)
+		i = j
+	}
+	return fmt.Sprintf("%s | up %d", strings.Join(names, " "), fp.UpstreamPort)
+}
+
+// TestTop5DatasetsDrawDifferentHosts: the CPU/memory streams are host
+// traces whatever the dataset, and the dataset reseeds them. Planning
+// TOP-5 twice over one dataset must draw the same values, and the five
+// datasets must draw five different host populations — else every TOP-5
+// series of a per-dataset figure would run on the same data.
+func TestTop5DatasetsDrawDifferentHosts(t *testing.T) {
+	draw := func(d sources.Dataset) []float64 {
+		fp := cql.MustPlan(cql.Top5, cql.DefaultCatalog(d), 1).Fragments[0]
+		var vals []float64
+		for i, ss := range fp.Sources {
+			batch := make([]stream.Tuple, 8)
+			for j := range batch {
+				batch[j] = stream.Tuple{TS: stream.Time(j * 100), V: make([]float64, ss.Arity)}
+			}
+			ss.NewGen(rand.New(rand.NewSource(int64(i+1))), i).FillBatch(batch)
+			for _, tp := range batch {
+				vals = append(vals, tp.V...)
+			}
+		}
+		return vals
+	}
+	seen := make([][]float64, len(sources.AllDatasets))
+	for i, d := range sources.AllDatasets {
+		seen[i] = draw(d)
+		if again := draw(d); !reflect.DeepEqual(seen[i], again) {
+			t.Errorf("%s: two plans drew different values", d)
+		}
+		for j := 0; j < i; j++ {
+			if reflect.DeepEqual(seen[i], seen[j]) {
+				t.Errorf("%s and %s drew the same values", d, sources.AllDatasets[j])
 			}
 		}
 	}

@@ -51,42 +51,72 @@ func DefaultCatalog(d sources.Dataset) *Catalog {
 		}
 		return sources.NewValueGen(d, rng)
 	}
+	// The CPU/memory streams are host traces whatever the dataset, so the
+	// dataset reseeds each trace instead: the five datasets then draw five
+	// different host populations (§7 plots TOP-5 over all five). Reseeding
+	// the generator handed in spares allocating a second one per source.
+	trace := func(rng *rand.Rand, idx int) *sources.Trace {
+		rng.Seed(rng.Int63() + int64(d)*7919)
+		return sources.NewTrace(rng, idx)
+	}
 	return NewCatalog(
 		StreamDef{Name: "Src", NumSources: 1, Schema: stream.NewSchema("v"), NewGen: scalar},
 		StreamDef{Name: "AllSrc", NumSources: 10, Schema: stream.NewSchema("v"), NewGen: scalar},
 		StreamDef{Name: "AllSrcCPU", NumSources: 10, Schema: stream.NewSchema("id", "cpu"),
-			NewGen: func(rng *rand.Rand, idx int) sources.ValueGen { return sources.NewTrace(rng, idx).CPUGen() }},
+			NewGen: func(rng *rand.Rand, idx int) sources.ValueGen { return trace(rng, idx).CPUGen() }},
 		StreamDef{Name: "AllSrcMem", NumSources: 10, Schema: stream.NewSchema("id", "free"),
-			NewGen: func(rng *rand.Rand, idx int) sources.ValueGen { return sources.NewTrace(rng, idx).MemGen() }},
+			NewGen: func(rng *rand.Rand, idx int) sources.ValueGen { return trace(rng, idx).MemGen() }},
 		StreamDef{Name: "SrcCPU1", NumSources: 1, Schema: stream.NewSchema("value"), NewGen: scalar},
 		StreamDef{Name: "SrcCPU2", NumSources: 1, Schema: stream.NewSchema("value"), NewGen: scalar},
 	)
 }
 
-// Plan compiles a parsed statement into a single-fragment query plan.
-// Multi-fragment deployment is a placement decision (§3: performed by the
-// query user), handled by the workload builders in internal/query.
-func Plan(st *Statement, cat *Catalog) (*query.Plan, error) {
+// Table 1's six statements over DefaultCatalog's streams. Avg, Max and
+// Count are the aggregate workload, one source each; AvgAll, Top5 and Cov
+// are the complex workload, whose fragment count is chosen at plan time.
+const (
+	Avg    = "Select Avg(t.v) From Src[Range 1 sec]"
+	Max    = "Select Max(t.v) From Src[Range 1 sec]"
+	Count  = "Select Count(t.v) From Src[Range 1 sec] Having t.v >= 50"
+	AvgAll = "Select Avg(t.v) From AllSrc[Range 1 sec]"
+	Top5   = "Select Top5(AllSrcCPU.id) From AllSrcCPU[Range 1 sec], AllSrcMem[Range 1 sec] " +
+		"Where AllSrcMem.free >= 100,000 and AllSrcCPU.id = AllSrcMem.id"
+	Cov = "Select Cov(SrcCPU1.value, SrcCPU2.value) From SrcCPU1[Range 1 sec], SrcCPU2[Range 1 sec]"
+)
+
+// PlanDistributed compiles a parsed statement into a plan with the given
+// number of fragments, one per federation site (§3: placing fragments is
+// the query user's decision). fragments <= 1 yields the single-fragment
+// plan. The layouts are described in distributed.go.
+func PlanDistributed(st *Statement, cat *Catalog, fragments int) (*query.Plan, error) {
 	switch st.Agg {
 	case "avg", "max", "min", "sum", "count":
-		return planScalarAgg(st, cat)
+		switch {
+		case fragments <= 1:
+			return planScalarAgg(st, cat)
+		case st.Agg == "avg":
+			return planDistAvg(st, cat, fragments)
+		default:
+			return planDistScalar(st, cat, fragments)
+		}
 	case "cov":
-		return planCov(st, cat, 1)
+		return planCov(st, cat, max(fragments, 1))
 	case "top":
-		return planTopK(st, cat, 1)
+		return planTopK(st, cat, max(fragments, 1))
 	default:
 		return nil, fmt.Errorf("cql: unsupported aggregate %q", st.Agg)
 	}
 }
 
-// MustPlan parses and plans src, panicking on error — for tests and
-// examples with literal queries.
-func MustPlan(src string, cat *Catalog) *query.Plan {
+// MustPlan parses and plans src over the given number of fragments,
+// panicking on error — for tests, examples and the paper's figures, whose
+// statements are literals.
+func MustPlan(src string, cat *Catalog, fragments int) *query.Plan {
 	st, err := Parse(src)
 	if err != nil {
 		panic(err)
 	}
-	p, err := Plan(st, cat)
+	p, err := PlanDistributed(st, cat, fragments)
 	if err != nil {
 		panic(err)
 	}
@@ -175,13 +205,31 @@ func planScalarAgg(st *Statement, cat *Catalog) (*query.Plan, error) {
 	return &query.Plan{Type: strings.ToUpper(st.Agg), Fragments: []*query.FragmentPlan{fp}, Downstream: []int{-1}}, nil
 }
 
-// planCov handles Cov(a.x, b.y) over two single-source streams. With
-// fragments > 1 the fragments form a chain merging partial covariance
-// states (NewCov's layout): each fragment pairs its own copy of the two
-// streams, and the root finalizes the merged state.
+// pairedWindow returns the window of a two-stream statement. Cov and
+// top-k pair their two streams window by window, so both must declare the
+// same window: planning with only the first would silently drop the
+// second, and Shape would still key the statement by both.
+func pairedWindow(st *Statement) (stream.WindowSpec, error) {
+	a, b := st.From[0].Window, st.From[1].Window
+	if a != b {
+		return a, fmt.Errorf("cql: %s pairs its streams window by window, but %s%s and %s%s differ",
+			st.Agg, st.From[0].Name, renderWindow(a), st.From[1].Name, renderWindow(b))
+	}
+	return a, nil
+}
+
+// planCov handles Cov(a.x, b.y) over two single-source streams. The
+// fragments form a chain merging partial covariance states: each fragment
+// pairs its own copy of the two streams into a partial, merges it with
+// the partial of the fragment upstream of it, and the root (fragment 0)
+// finalizes the merged state.
 func planCov(st *Statement, cat *Catalog, fragments int) (*query.Plan, error) {
 	if len(st.From) != 2 || len(st.Args) != 2 {
 		return nil, fmt.Errorf("cql: cov expects two arguments over two streams")
+	}
+	win, err := pairedWindow(st)
+	if err != nil {
+		return nil, err
 	}
 	defs := make([]StreamDef, 2)
 	fields := make([]int, 2)
@@ -200,7 +248,6 @@ func planCov(st *Statement, cat *Catalog, fragments int) (*query.Plan, error) {
 		}
 		fields[i] = f
 	}
-	win := st.From[0].Window
 	plans := make([]*query.FragmentPlan, fragments)
 	for f := 0; f < fragments; f++ {
 		root := f == 0
@@ -243,9 +290,9 @@ func planCov(st *Statement, cat *Catalog, fragments int) (*query.Plan, error) {
 
 // planTopK handles the TOP-5 shape: TopK(stream.key) over two streams
 // with an equi-join on key and optional filters; ids are ranked by the
-// per-key average of the key stream's value field. With fragments > 1 the
-// fragments form a chain (NewTop5's layout): each merges its local top-k
-// candidates with the upstream fragment's, and the root emits the final
+// per-key average of the key stream's value field. The fragments form a
+// chain: each merges its local top-k candidates with those of the
+// fragment upstream of it, and the root (fragment 0) emits the final
 // ranking.
 func planTopK(st *Statement, cat *Catalog, fragments int) (*query.Plan, error) {
 	if len(st.Args) != 1 {
@@ -253,6 +300,10 @@ func planTopK(st *Statement, cat *Catalog, fragments int) (*query.Plan, error) {
 	}
 	if len(st.From) != 2 {
 		return nil, fmt.Errorf("cql: top-k expects two input streams (value and predicate streams)")
+	}
+	win, err := pairedWindow(st)
+	if err != nil {
+		return nil, err
 	}
 	var join *Cond
 	var filters []Cond
@@ -357,7 +408,6 @@ func planTopK(st *Statement, cat *Catalog, fragments int) (*query.Plan, error) {
 		}
 	}
 
-	win := st.From[0].Window
 	n := defs[0].NumSources
 	plans := make([]*query.FragmentPlan, fragments)
 	for frag := 0; frag < fragments; frag++ {

@@ -13,15 +13,11 @@ import (
 // table1Statements are the paper's Table 1 workloads plus window/filter
 // variants exercising every clause the grammar accepts.
 var table1Statements = []string{
-	"Select Avg(t.v) From Src[Range 1 sec]",
+	Avg, Max, Count, AvgAll, Top5, Cov,
 	"Select Avg(t.v) From Src",
-	"Select Count(t.v) From Src[Range 1 sec] Having t.v >= 50",
 	"Select Sum(t.v) From AllSrc[Range 2 sec Slide 500 ms]",
 	"Select Max(t.v) From AllSrc[Range 1 min]",
 	"Select Min(t.v) From Src[Rows 100]",
-	"Select Top5(AllSrcCPU.id) From AllSrcCPU[Range 1 sec], AllSrcMem[Range 1 sec] " +
-		"Where AllSrcMem.free >= 100,000 and AllSrcCPU.id = AllSrcMem.id",
-	"Select Cov(SrcCPU1.value, SrcCPU2.value) From SrcCPU1[Range 1 sec], SrcCPU2[Range 1 sec]",
 	"Select Avg(t.v) From Src[Range 0.5 sec]",
 	"Select Count(t.v) From Src[Range 1 sec] Having t.v < 12.75",
 }

@@ -15,8 +15,8 @@ import (
 	"math/rand"
 	"strings"
 
+	"repro/internal/cql"
 	"repro/internal/federation"
-	"repro/internal/query"
 	"repro/internal/sources"
 	"repro/internal/stream"
 )
@@ -76,15 +76,20 @@ func (s Scale) baseConfig(seed int64) federation.Config {
 	return cfg
 }
 
+// complexMix is the complex workload of §7.2–§7.4, which cycles through
+// its three queries.
+var complexMix = [...]string{cql.AvgAll, cql.Top5, cql.Cov}
+
 // mixedDeployment deploys n complex-workload queries, cycling AVG-all /
 // TOP-5 / COV, with fragsFor(i) fragments each, using the given placement
 // function. It returns the total fragment count.
 func mixedDeployment(e *federation.Engine, n int, fragsFor func(i int) int,
 	place func(k int) []stream.NodeID, dataset sources.Dataset) (int, error) {
+	cat := cql.DefaultCatalog(dataset)
 	totalFrags := 0
 	for i := 0; i < n; i++ {
 		k := fragsFor(i)
-		plan := query.MixedComplex(i, k, dataset)
+		plan := cql.MustPlan(complexMix[i%len(complexMix)], cat, k)
 		if _, err := e.DeployQuery(plan, place(k), 0); err != nil {
 			return totalFrags, err
 		}

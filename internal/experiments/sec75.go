@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/baseline"
+	"repro/internal/cql"
 	"repro/internal/federation"
 	"repro/internal/metrics"
 	"repro/internal/query"
@@ -66,7 +67,7 @@ func sec75SimpleDeployment(rng *rand.Rand) *baseline.Deployment {
 
 // sec75ComplexSpec is one query of the complex deployment.
 type sec75ComplexSpec struct {
-	kind    query.ComplexKind
+	stmt    string
 	frags   int
 	outRate float64
 }
@@ -104,21 +105,22 @@ func Sec75(scale Scale, seed int64) *Sec75Result {
 	const nodes = 4
 	specs := make([]sec75ComplexSpec, 0, 60)
 	for i := 0; i < 20; i++ {
-		specs = append(specs, sec75ComplexSpec{query.KindAvgAll, 3, 1})
+		specs = append(specs, sec75ComplexSpec{cql.AvgAll, 3, 1})
 	}
 	for i := 0; i < 20; i++ {
-		specs = append(specs, sec75ComplexSpec{query.KindCov, 2, 1})
+		specs = append(specs, sec75ComplexSpec{cql.Cov, 2, 1})
 	}
 	for i := 0; i < 20; i++ {
-		specs = append(specs, sec75ComplexSpec{query.KindTop5, 2, 5})
+		specs = append(specs, sec75ComplexSpec{cql.Top5, 2, 5})
 	}
 	// One shared random placement, used by both the Zhao formulation and
 	// the BALANCE-SIC engine run, so the comparison is apples-to-apples.
 	placeRng := rand.New(rand.NewSource(seed + 41))
 	placements := make([][]stream.NodeID, len(specs))
 	plans := make([]*query.Plan, len(specs))
+	cat := cql.DefaultCatalog(sources.PlanetLab)
 	for i, s := range specs {
-		plans[i] = query.NewComplex(s.kind, s.frags, sources.PlanetLab)
+		plans[i] = cql.MustPlan(s.stmt, cat, s.frags)
 		placements[i] = federation.UniformPlacement(placeRng, nodes, s.frags)
 	}
 

@@ -6,10 +6,9 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/cql"
 	"repro/internal/federation"
 	"repro/internal/metrics"
-	"repro/internal/operator"
-	"repro/internal/query"
 	"repro/internal/sources"
 	"repro/internal/stream"
 )
@@ -84,17 +83,18 @@ type corrSpec struct {
 	metric   errKind
 	rate     float64 // per-source tuple rate
 	overload []int   // numbers of co-located queries to sweep
-	makePlan func(d sources.Dataset) *query.Plan
+	stmt     string  // the query's CQL text, planned over one fragment
 }
 
 // runCorr executes the spec for one dataset, returning one point per
 // (query, overload level).
 func runCorr(spec corrSpec, d sources.Dataset, scale Scale, seed int64) []CorrPoint {
 	var points []CorrPoint
+	plan := cql.MustPlan(spec.stmt, cql.DefaultCatalog(d), 1)
 	for _, n := range spec.overload {
 		// Capacity grants ~2.5 queries' demand, so the sweep spans
 		// SIC ≈ 1 down to ≈ 2.5/max(overload).
-		demand := spec.rate * float64(spec.makePlan(d).NumSources())
+		demand := spec.rate * float64(plan.NumSources())
 		capacity := 2.5 * demand
 
 		run := func(policy federation.Policy, cap float64) []*capture {
@@ -108,7 +108,6 @@ func runCorr(spec corrSpec, d sources.Dataset, scale Scale, seed int64) []CorrPo
 			e, nd := federation.LocalTestbed(cfg, cap)
 			caps := make([]*capture, n)
 			for i := 0; i < n; i++ {
-				plan := spec.makePlan(d)
 				qid, err := e.DeployQuery(plan, []stream.NodeID{nd}, spec.rate)
 				if err != nil {
 					panic(err)
@@ -236,13 +235,10 @@ func aggCorrSpecs(scale Scale) []corrSpec {
 	if scale.LoadFactor < 0.5 {
 		overload = []int{2, 4, 8, 14}
 	}
-	mk := func(kind operator.AggKind) func(d sources.Dataset) *query.Plan {
-		return func(d sources.Dataset) *query.Plan { return query.NewAggregate(kind, d) }
-	}
 	return []corrSpec{
-		{name: "AVG", metric: errMAE, rate: 400, overload: overload, makePlan: mk(operator.AggAvg)},
-		{name: "COUNT", metric: errMAE, rate: 400, overload: overload, makePlan: mk(operator.AggCount)},
-		{name: "MAX", metric: errMAE, rate: 400, overload: overload, makePlan: mk(operator.AggMax)},
+		{name: "AVG", metric: errMAE, rate: 400, overload: overload, stmt: cql.Avg},
+		{name: "COUNT", metric: errMAE, rate: 400, overload: overload, stmt: cql.Count},
+		{name: "MAX", metric: errMAE, rate: 400, overload: overload, stmt: cql.Max},
 	}
 }
 
@@ -254,10 +250,8 @@ func complexCorrSpecs(scale Scale) []corrSpec {
 		overload = []int{2, 4, 8}
 	}
 	return []corrSpec{
-		{name: "TOP-5", metric: errKendall, rate: 20, overload: overload,
-			makePlan: func(d sources.Dataset) *query.Plan { return query.NewTop5(1, d) }},
-		{name: "COV", metric: errRMS, rate: 400, overload: overload,
-			makePlan: func(d sources.Dataset) *query.Plan { return query.NewCov(1, d) }},
+		{name: "TOP-5", metric: errKendall, rate: 20, overload: overload, stmt: cql.Top5},
+		{name: "COV", metric: errRMS, rate: 400, overload: overload, stmt: cql.Cov},
 	}
 }
 

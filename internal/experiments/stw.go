@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/cql"
 	"repro/internal/federation"
 	"repro/internal/metrics"
-	"repro/internal/query"
 	"repro/internal/sources"
 	"repro/internal/stream"
 )
@@ -46,8 +46,8 @@ func STW(scale Scale, seed int64) *STWValidation {
 		cfg.Policy = federation.PolicyKeepAll
 		e := federation.NewEngine(cfg)
 		e.AddNodes(2, 1e12)
+		plan := cql.MustPlan(cql.Top5, cql.DefaultCatalog(sources.PlanetLab), 2)
 		for q := 0; q < 10; q++ {
-			plan := query.NewTop5(2, sources.PlanetLab)
 			if _, err := e.DeployQuery(plan, []stream.NodeID{0, 1}, 20); err != nil {
 				panic(err)
 			}

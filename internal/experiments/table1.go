@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/cql"
-	"repro/internal/query"
 	"repro/internal/sources"
 )
 
@@ -29,42 +28,32 @@ type Table1Row struct {
 	Sources  int
 }
 
-// Table1Queries runs the inventory.
+// Table1Queries runs the inventory: each statement over one fragment,
+// and the complex workload's three over three, whose middle fragment is
+// the one the paper's per-fragment counts describe.
 func Table1Queries() *Table1 {
 	cat := cql.DefaultCatalog(sources.Gaussian)
 	res := &Table1{}
-	add := func(name, text, paperOps string) {
-		plan := cql.MustPlan(text, cat)
+	add := func(name, text, paperOps string, fragments int) {
+		plan := cql.MustPlan(text, cat, fragments)
 		res.Rows = append(res.Rows, Table1Row{
 			Name:     name,
 			CQL:      text,
 			Type:     plan.Type,
-			Ops:      len(plan.Fragments[0].Ops),
+			Ops:      len(plan.Fragments[fragments/2].Ops),
 			PaperOps: paperOps,
 			Sources:  plan.NumSources(),
 		})
 	}
-	add("AVG", "Select Avg(t.v) from Src[Range 1 sec]", "-")
-	add("MAX", "Select Max(t.v) from Src[Range 1 sec]", "-")
-	add("COUNT", "Select Count(t.v) from Src[Range 1 sec] Having t.v >= 50", "-")
-	add("AVG-all", "Select Avg(t.v) from AllSrc[Range 1 sec]", "13")
-	add("TOP-5", "Select Top5(AllSrcCPU.id) From AllSrcCPU[Range 1 sec], AllSrcMem[Range 1 sec] "+
-		"Where AllSrcMem.free >= 100,000 and AllSrcCPU.id = AllSrcMem.id", "29")
-	add("COV", "Select Cov(SrcCPU1.value, SrcCPU2.value) From SrcCPU1[Range 1 sec], SrcCPU2[Range 1 sec]", "5")
-
-	// The deployable multi-fragment variants come from the workload
-	// builders; record their per-fragment op counts too.
-	for _, k := range []query.ComplexKind{query.KindAvgAll, query.KindTop5, query.KindCov} {
-		plan := query.NewComplex(k, 3, sources.Gaussian)
-		res.Rows = append(res.Rows, Table1Row{
-			Name:     k.String() + " (3 fragments)",
-			CQL:      "(workload builder)",
-			Type:     plan.Type,
-			Ops:      len(plan.Fragments[1].Ops),
-			PaperOps: map[query.ComplexKind]string{query.KindAvgAll: "13", query.KindTop5: "29", query.KindCov: "5"}[k],
-			Sources:  plan.NumSources(),
-		})
-	}
+	add("AVG", cql.Avg, "-", 1)
+	add("MAX", cql.Max, "-", 1)
+	add("COUNT", cql.Count, "-", 1)
+	add("AVG-all", cql.AvgAll, "13", 1)
+	add("TOP-5", cql.Top5, "29", 1)
+	add("COV", cql.Cov, "5", 1)
+	add("AVG-all (3 fragments)", cql.AvgAll, "13", 3)
+	add("TOP-5 (3 fragments)", cql.Top5, "29", 3)
+	add("COV (3 fragments)", cql.Cov, "5", 3)
 	return res
 }
 

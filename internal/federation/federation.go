@@ -375,6 +375,13 @@ func (e *Engine) Node(id stream.NodeID) *node.Node { return e.nodes[id] }
 // (one node per fragment; fragments of one query must land on distinct
 // nodes, §3) and attaches its sources. rate overrides the config's
 // per-source tuple rate when positive. It returns the new query id.
+//
+// The paper's figures deploy here rather than through a CQL submission
+// because the query has no shape: its sources are seeded from the
+// engine's generator, one fresh draw per query. A CQL submission seeds
+// them from its shape, so every query of one shape reads identical
+// source data, and a 48-query fairness figure cycling three statements
+// would run on three data streams.
 func (e *Engine) DeployQuery(plan *query.Plan, placement []stream.NodeID, rate float64) (stream.QueryID, error) {
 	return e.deployShaped(plan, placement, rate, "")
 }

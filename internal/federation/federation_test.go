@@ -4,8 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/operator"
-	"repro/internal/query"
+	"repro/internal/cql"
 	"repro/internal/sources"
 	"repro/internal/stream"
 )
@@ -21,7 +20,7 @@ func TestUnderloadedSICNearOne(t *testing.T) {
 	e := NewEngine(cfg)
 	e.AddNodes(2, 1e9)
 	for i := 0; i < 4; i++ {
-		plan := query.NewTop5(2, sources.PlanetLab)
+		plan := cql.MustPlan(cql.Top5, cql.DefaultCatalog(sources.PlanetLab), 2)
 		if _, err := e.DeployQuery(plan, []stream.NodeID{0, 1}, 20); err != nil {
 			t.Fatal(err)
 		}
@@ -42,8 +41,8 @@ func TestAggregateUnderloaded(t *testing.T) {
 	cfg.Warmup = 15 * stream.Second
 	cfg.Policy = PolicyKeepAll
 	e, nd := LocalTestbed(cfg, 1e9)
-	for _, kind := range []operator.AggKind{operator.AggAvg, operator.AggMax, operator.AggCount} {
-		plan := query.NewAggregate(kind, sources.Gaussian)
+	for _, src := range []string{cql.Avg, cql.Max, cql.Count} {
+		plan := cql.MustPlan(src, cql.DefaultCatalog(sources.Gaussian), 1)
 		if _, err := e.DeployQuery(plan, []stream.NodeID{nd}, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +66,7 @@ func TestOverloadDegradesSIC(t *testing.T) {
 		cfg.SourceRate = 400             // Table 2 local test-bed rate
 		e, nd := LocalTestbed(cfg, 2000) // 2k tuples/s capacity
 		for i := 0; i < 10; i++ {        // 10 × 400 t/s demand = 4k t/s
-			plan := query.NewAggregate(operator.AggAvg, sources.Uniform)
+			plan := cql.MustPlan(cql.Avg, cql.DefaultCatalog(sources.Uniform), 1)
 			if _, err := e.DeployQuery(plan, []stream.NodeID{nd}, 0); err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +97,7 @@ func TestBalanceBeatsRandomOnJain(t *testing.T) {
 		e, nd := LocalTestbed(cfg, 3000)
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < 12; i++ {
-			plan := query.NewAggregate(operator.AggAvg, sources.Uniform)
+			plan := cql.MustPlan(cql.Avg, cql.DefaultCatalog(sources.Uniform), 1)
 			rate := 100 + rng.Float64()*700 // heterogeneous rates
 			if _, err := e.DeployQuery(plan, []stream.NodeID{nd}, rate); err != nil {
 				t.Fatal(err)

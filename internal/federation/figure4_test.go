@@ -4,8 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cql"
 	"repro/internal/metrics"
-	"repro/internal/query"
 	"repro/internal/sources"
 	"repro/internal/stream"
 )
@@ -31,13 +31,13 @@ func TestFigure4UpdateSICConvergence(t *testing.T) {
 		// 10 × 40 = 800 t/s.
 		e.AddNodes(2, 400)
 		// q1 on node a, q3 on node b, q2 spanning both.
-		if _, err := e.DeployQuery(query.NewAvgAll(1, sources.Uniform), []stream.NodeID{0}, 0); err != nil {
+		if _, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 1), []stream.NodeID{0}, 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.DeployQuery(query.NewAvgAll(2, sources.Uniform), []stream.NodeID{0, 1}, 0); err != nil {
+		if _, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 2), []stream.NodeID{0, 1}, 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.DeployQuery(query.NewAvgAll(1, sources.Uniform), []stream.NodeID{1}, 0); err != nil {
+		if _, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 1), []stream.NodeID{1}, 0); err != nil {
 			t.Fatal(err)
 		}
 		return e.Run()
@@ -83,7 +83,7 @@ func TestRunDeterminism(t *testing.T) {
 		e.AddNodes(3, 500)
 		for i := 0; i < 6; i++ {
 			k := 1 + i%3
-			plan := query.MixedComplex(i, k, sources.PlanetLab)
+			plan := mixedPlan(i, k, sources.PlanetLab)
 			place := make([]stream.NodeID, k)
 			for j := range place {
 				place[j] = stream.NodeID((i + j) % 3)
@@ -110,7 +110,7 @@ func TestRunDeterminism(t *testing.T) {
 func TestDeployValidation(t *testing.T) {
 	e := NewEngine(Defaults())
 	e.AddNodes(2, 1000)
-	plan := query.NewAvgAll(2, sources.Uniform)
+	plan := cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 2)
 	if _, err := e.DeployQuery(plan, []stream.NodeID{0}, 0); err == nil {
 		t.Error("placement length mismatch accepted")
 	}
@@ -192,7 +192,7 @@ func TestResultCallback(t *testing.T) {
 	cfg.Policy = PolicyKeepAll
 	e := NewEngine(cfg)
 	nd := e.AddNode(1e9)
-	qid, err := e.DeployQuery(query.NewAvgAll(1, sources.Uniform), []stream.NodeID{nd}, 50)
+	qid, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 1), []stream.NodeID{nd}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestCoordinatorTrafficAccounting(t *testing.T) {
 	cfg.Duration = 10 * stream.Second
 	e := NewEngine(cfg)
 	e.AddNodes(2, 100)
-	if _, err := e.DeployQuery(query.NewAvgAll(2, sources.Uniform), []stream.NodeID{0, 1}, 50); err != nil {
+	if _, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 2), []stream.NodeID{0, 1}, 50); err != nil {
 		t.Fatal(err)
 	}
 	res := e.Run()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cql"
 	"repro/internal/operator"
 	"repro/internal/query"
 	"repro/internal/sic"
@@ -87,7 +88,7 @@ func diffNode(shedder core.Shedder, capacityPerSec float64) (*Node, []*countGen)
 	attach(2, 0, 2, sources.NewTrace(rng(13), 1).CPUGen())
 	attach(2, 1, 2, sources.NewTrace(rng(14), 2).MemGen())
 
-	avg := query.NewAggregate(operator.AggAvg, sources.Mixed)
+	avg := cql.MustPlan(cql.Avg, cql.DefaultCatalog(sources.Mixed), 1)
 	n.HostFragment(3, 0, query.NewFragmentExec(avg.Fragments[0]), 1, -1, -1)
 	attach(3, 0, 1, sources.NewValueGen(sources.Mixed, rng(15)))
 	return n, gens
@@ -400,7 +401,7 @@ func BenchmarkNodeTickOverloaded(b *testing.B) {
 	seeds := rand.New(rand.NewSource(1))
 	sid := stream.SourceID(0)
 	for q := 0; q < 4; q++ {
-		fp := query.MixedComplex(q, 1, sources.PlanetLab).Fragments[0]
+		fp := mixedPlan(q, 1, sources.PlanetLab).Fragments[0]
 		n.HostFragment(stream.QueryID(q), 0, query.NewFragmentExec(fp), len(fp.Sources), -1, -1)
 		for i, ss := range fp.Sources {
 			gen := ss.NewGen(rand.New(rand.NewSource(seeds.Int63())), i)
@@ -434,4 +435,10 @@ func BenchmarkNodeTickOverloaded(b *testing.B) {
 	arrived := end.ArrivedTuples - start.ArrivedTuples
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(arrived), "ns/offered-tuple")
 	b.ReportMetric(float64(end.ShedTuples-start.ShedTuples)/float64(arrived), "shed-frac")
+}
+
+// mixedPlan plans the i-th query of the complex workload, which cycles
+// AVG-all, TOP-5 and COV, over k fragments.
+func mixedPlan(i, k int, d sources.Dataset) *query.Plan {
+	return cql.MustPlan([...]string{cql.AvgAll, cql.Top5, cql.Cov}[i%3], cql.DefaultCatalog(d), k)
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/operator"
+	"repro/internal/cql"
 	"repro/internal/query"
 	"repro/internal/sources"
 	"repro/internal/stream"
@@ -60,7 +60,7 @@ func aggNode(t *testing.T, capacityPerSec, rate float64) (*Node, *fakeRouter) {
 		CapacityPerSec: capacityPerSec,
 		Seed:           1,
 	}, core.NewBalanceSIC(1))
-	plan := query.NewAggregate(operator.AggAvg, sources.Uniform)
+	plan := cql.MustPlan(cql.Avg, cql.DefaultCatalog(sources.Uniform), 1)
 	exec := query.NewFragmentExec(plan.Fragments[0])
 	n.HostFragment(7, 0, exec, plan.NumSources(), -1, -1)
 	gen := plan.Fragments[0].Sources[0].NewGen(rand.New(rand.NewSource(2)), 0)
@@ -139,7 +139,7 @@ func TestNodeDerivedBatchRestamping(t *testing.T) {
 func TestNodeRoutesDownstreamFragments(t *testing.T) {
 	router := newFakeRouter()
 	n := New(1, Config{Interval: 250, STW: 10 * stream.Second, CapacityPerSec: 1e6, Seed: 1}, &core.KeepAll{})
-	plan := query.NewCov(2, sources.Uniform)
+	plan := cql.MustPlan(cql.Cov, cql.DefaultCatalog(sources.Uniform), 2)
 	// Host the non-root fragment (index 1); its output goes downstream to
 	// fragment 0 on some other node.
 	exec := query.NewFragmentExec(plan.Fragments[1])
@@ -167,7 +167,7 @@ func TestNodeRoutesDownstreamFragments(t *testing.T) {
 
 func TestNodeHostedQueriesAndLookup(t *testing.T) {
 	n := New(1, Config{}, &core.KeepAll{})
-	plan := query.NewAggregate(operator.AggMax, sources.Uniform)
+	plan := cql.MustPlan(cql.Max, cql.DefaultCatalog(sources.Uniform), 1)
 	n.HostFragment(3, 0, query.NewFragmentExec(plan.Fragments[0]), 1, -1, -1)
 	n.HostFragment(5, 0, query.NewFragmentExec(plan.Fragments[0]), 1, -1, -1)
 	if !n.HostsFragment(3, 0) || n.HostsFragment(4, 0) {
@@ -181,7 +181,7 @@ func TestNodeHostedQueriesAndLookup(t *testing.T) {
 
 func TestNodeCoordinatorUpdates(t *testing.T) {
 	n := New(1, Config{}, &core.KeepAll{})
-	plan := query.NewAggregate(operator.AggMax, sources.Uniform)
+	plan := cql.MustPlan(cql.Max, cql.DefaultCatalog(sources.Uniform), 1)
 	n.HostFragment(4, 0, query.NewFragmentExec(plan.Fragments[0]), 1, -1, -1)
 	n.SetResultSIC(4, 0.7)
 	if got := n.ResultSIC(4); got != 0.7 {
@@ -209,7 +209,7 @@ func TestRemoveQueryReturnsStateToBaseline(t *testing.T) {
 	baseline := n.StateSize()
 
 	// Deploy a second two-fragment query with a source and live traffic.
-	plan := query.NewAvgAll(1, sources.Uniform)
+	plan := cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 1)
 	n.HostFragment(9, 0, query.NewFragmentExec(plan.Fragments[0]), plan.NumSources(), -1, -1)
 	gen := plan.Fragments[0].Sources[0].NewGen(rand.New(rand.NewSource(5)), 0)
 	n.AttachSource(sources.New(8, 9, 0, 0, 100, 5, 1, gen, 6))

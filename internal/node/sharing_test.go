@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/operator"
+	"repro/internal/cql"
 	"repro/internal/query"
 	"repro/internal/sources"
 	"repro/internal/stream"
@@ -30,7 +30,7 @@ func sharedAggNode(t *testing.T, nSubs int) (*Node, *fakeRouter) {
 		CapacityPerSec: 1e6,
 		Seed:           1,
 	}, core.NewBalanceSIC(1))
-	plan := query.NewAggregate(operator.AggAvg, sources.Uniform)
+	plan := cql.MustPlan(cql.Avg, cql.DefaultCatalog(sources.Uniform), 1)
 	exec := query.NewFragmentExec(plan.Fragments[0])
 	n.HostFragmentShared(7, 0, exec, plan.NumSources(), -1, -1, "sharedKey")
 	for i := 0; i < nSubs; i++ {
@@ -164,7 +164,7 @@ func TestSharedSubscriberRemovalLeavesPrimary(t *testing.T) {
 // list may keep a coordinator value.
 func TestAcctTableTracksHostedQueries(t *testing.T) {
 	n := New(1, Config{}, &core.KeepAll{})
-	plan := query.NewAggregate(operator.AggAvg, sources.Uniform)
+	plan := cql.MustPlan(cql.Avg, cql.DefaultCatalog(sources.Uniform), 1)
 	check := func(step int, what string) {
 		t.Helper()
 		want := make(map[stream.QueryID]int)

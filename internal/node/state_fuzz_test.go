@@ -11,7 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/operator"
+	"repro/internal/cql"
 	"repro/internal/query"
 	"repro/internal/sources"
 	"repro/internal/stream"
@@ -74,10 +74,10 @@ func buildStateNode(tb testing.TB) (*Node, []FragRef) {
 			}
 		}
 	}
-	host(1, query.NewAvgAll(2, sources.Uniform))
-	host(2, query.NewCov(2, sources.Exponential))
-	host(3, query.NewTop5(2, sources.Gaussian))
-	host(4, query.NewAggregate(operator.AggMax, sources.Uniform))
+	host(1, cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 2))
+	host(2, cql.MustPlan(cql.Cov, cql.DefaultCatalog(sources.Exponential), 2))
+	host(3, cql.MustPlan(cql.Top5, cql.DefaultCatalog(sources.Gaussian), 2))
+	host(4, cql.MustPlan(cql.Max, cql.DefaultCatalog(sources.Uniform), 1))
 
 	lr := &loopbackRouter{}
 	for i := 0; i < 30; i++ {

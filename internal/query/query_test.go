@@ -1,26 +1,28 @@
-package query
+package query_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/cql"
 	"repro/internal/operator"
+	"repro/internal/query"
 	"repro/internal/sources"
 	"repro/internal/stream"
 )
 
 func TestWorkloadPlansValidate(t *testing.T) {
-	plans := []*Plan{
-		NewAggregate(operator.AggAvg, sources.Gaussian),
-		NewAggregate(operator.AggMax, sources.PlanetLab),
-		NewAggregate(operator.AggCount, sources.Mixed),
-		NewAvgAll(1, sources.Uniform),
-		NewAvgAll(4, sources.Uniform),
-		NewTop5(1, sources.PlanetLab),
-		NewTop5(3, sources.PlanetLab),
-		NewCov(1, sources.Exponential),
-		NewCov(5, sources.Exponential),
+	plans := []*query.Plan{
+		cql.MustPlan(cql.Avg, cql.DefaultCatalog(sources.Gaussian), 1),
+		cql.MustPlan(cql.Max, cql.DefaultCatalog(sources.PlanetLab), 1),
+		cql.MustPlan(cql.Count, cql.DefaultCatalog(sources.Mixed), 1),
+		cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 1),
+		cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 4),
+		cql.MustPlan(cql.Top5, cql.DefaultCatalog(sources.PlanetLab), 1),
+		cql.MustPlan(cql.Top5, cql.DefaultCatalog(sources.PlanetLab), 3),
+		cql.MustPlan(cql.Cov, cql.DefaultCatalog(sources.Exponential), 1),
+		cql.MustPlan(cql.Cov, cql.DefaultCatalog(sources.Exponential), 5),
 	}
 	for _, p := range plans {
 		if err := p.Validate(); err != nil {
@@ -30,7 +32,7 @@ func TestWorkloadPlansValidate(t *testing.T) {
 }
 
 func TestWorkloadShapes(t *testing.T) {
-	avgAll := NewAvgAll(4, sources.Uniform)
+	avgAll := cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 4)
 	if avgAll.NumFragments() != 4 || avgAll.NumSources() != 40 {
 		t.Errorf("AVG-all: %d fragments, %d sources", avgAll.NumFragments(), avgAll.NumSources())
 	}
@@ -40,7 +42,7 @@ func TestWorkloadShapes(t *testing.T) {
 			t.Errorf("AVG-all fragment %d downstream %d, want 0 (tree)", i, avgAll.Downstream[i])
 		}
 	}
-	top5 := NewTop5(3, sources.PlanetLab)
+	top5 := cql.MustPlan(cql.Top5, cql.DefaultCatalog(sources.PlanetLab), 3)
 	if top5.NumSources() != 60 {
 		t.Errorf("TOP-5 sources: %d", top5.NumSources())
 	}
@@ -50,58 +52,58 @@ func TestWorkloadShapes(t *testing.T) {
 			t.Errorf("TOP-5 fragment %d downstream %d, want %d (chain)", i, top5.Downstream[i], i-1)
 		}
 	}
-	cov := NewCov(2, sources.Gaussian)
+	cov := cql.MustPlan(cql.Cov, cql.DefaultCatalog(sources.Gaussian), 2)
 	if cov.NumSources() != 4 {
 		t.Errorf("COV sources: %d", cov.NumSources())
 	}
 	// Table 1 operator counts per fragment (see DESIGN.md for the
 	// window-counting difference).
-	if got := len(NewAvgAll(3, sources.Uniform).Fragments[1].Ops); got != 13 {
+	if got := len(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 3).Fragments[1].Ops); got != 13 {
 		t.Errorf("AVG-all ops/fragment: %d, want 13", got)
 	}
-	if got := len(NewTop5(3, sources.PlanetLab).Fragments[1].Ops); got != 28 {
+	if got := len(top5.Fragments[1].Ops); got != 28 {
 		t.Errorf("TOP-5 ops/fragment: %d, want 28 (~29 in the paper)", got)
 	}
 }
 
 func TestPlanValidationCatchesErrors(t *testing.T) {
 	// Downstream table length mismatch.
-	p := NewAggregate(operator.AggAvg, sources.Uniform)
+	p := cql.MustPlan(cql.Avg, cql.DefaultCatalog(sources.Uniform), 1)
 	p.Downstream = []int{-1, 0}
 	if err := p.Validate(); err == nil {
 		t.Error("downstream length mismatch accepted")
 	}
 	// Root must have downstream -1.
-	p = NewAggregate(operator.AggAvg, sources.Uniform)
+	p = cql.MustPlan(cql.Avg, cql.DefaultCatalog(sources.Uniform), 1)
 	p.Downstream[0] = 0
 	if err := p.Validate(); err == nil {
 		t.Error("non-root fragment 0 accepted")
 	}
 	// Non-topological op order.
-	fp := &FragmentPlan{
-		Ops: []OpSpec{
-			{Name: "a", New: func() operator.Operator { return operator.NewReceive() }, Outs: []Edge{{To: 0}}},
+	fp := &query.FragmentPlan{
+		Ops: []query.OpSpec{
+			{Name: "a", New: func() operator.Operator { return operator.NewReceive() }, Outs: []query.Edge{{To: 0}}},
 		},
-		Entries:      map[int]Entry{0: {Op: 0}},
+		Entries:      map[int]query.Entry{0: {Op: 0}},
 		UpstreamPort: -1,
 	}
 	if err := fp.Validate(); err == nil {
 		t.Error("self-loop accepted")
 	}
 	// Source feeding an unmapped port.
-	fp2 := &FragmentPlan{
-		Ops: []OpSpec{
+	fp2 := &query.FragmentPlan{
+		Ops: []query.OpSpec{
 			{Name: "a", New: func() operator.Operator { return operator.NewReceive() }},
 		},
-		Entries:      map[int]Entry{0: {Op: 0}},
-		Sources:      []SourceSpec{{Port: 3, Arity: 1}},
+		Entries:      map[int]query.Entry{0: {Op: 0}},
+		Sources:      []query.SourceSpec{{Port: 3, Arity: 1}},
 		UpstreamPort: -1,
 	}
 	if err := fp2.Validate(); err == nil {
 		t.Error("unmapped source port accepted")
 	}
 	// Feeding a fragment that accepts no upstream input.
-	p2 := NewCov(2, sources.Uniform)
+	p2 := cql.MustPlan(cql.Cov, cql.DefaultCatalog(sources.Uniform), 2)
 	p2.Fragments[0].UpstreamPort = -1
 	if err := p2.Validate(); err == nil {
 		t.Error("chain into upstream-less fragment accepted")
@@ -111,7 +113,7 @@ func TestPlanValidationCatchesErrors(t *testing.T) {
 // runFragment pushes per-tick source tuples into an executor and collects
 // emissions. Emitted tuples alias executor scratch, so the collector deep
 // copies them (the Operator ownership contract).
-func runFragment(exec *FragmentExec, push func(tick int, push func(port int, in []stream.Tuple)), ticks int) [][]stream.Tuple {
+func runFragment(exec *query.FragmentExec, push func(tick int, push func(port int, in []stream.Tuple)), ticks int) [][]stream.Tuple {
 	var out [][]stream.Tuple
 	for i := 0; i < ticks; i++ {
 		push(i, exec.Push)
@@ -127,8 +129,8 @@ func runFragment(exec *FragmentExec, push func(tick int, push func(port int, in 
 }
 
 func TestFragmentExecAggregatePipeline(t *testing.T) {
-	plan := NewAggregate(operator.AggAvg, sources.Uniform)
-	exec := NewFragmentExec(plan.Fragments[0])
+	plan := cql.MustPlan(cql.Avg, cql.DefaultCatalog(sources.Uniform), 1)
+	exec := query.NewFragmentExec(plan.Fragments[0])
 	if exec.Plan() != plan.Fragments[0] {
 		t.Error("Plan accessor")
 	}
@@ -160,8 +162,8 @@ func TestFragmentExecAggregatePipeline(t *testing.T) {
 }
 
 func TestFragmentExecUnknownPortDropped(t *testing.T) {
-	plan := NewAggregate(operator.AggAvg, sources.Uniform)
-	exec := NewFragmentExec(plan.Fragments[0])
+	plan := cql.MustPlan(cql.Avg, cql.DefaultCatalog(sources.Uniform), 1)
+	exec := query.NewFragmentExec(plan.Fragments[0])
 	exec.Push(99, []stream.Tuple{{TS: 1, V: []float64{1}}}) // must not panic
 	emitted := 0
 	exec.Tick(1000, func(batch []stream.Tuple) { emitted += len(batch) })
@@ -201,9 +203,9 @@ func TestIncrementalEquivalence(t *testing.T) {
 	}
 
 	// Two-fragment run.
-	plan2 := NewAvgAll(2, sources.Uniform)
-	root := NewFragmentExec(plan2.Fragments[0])
-	leaf := NewFragmentExec(plan2.Fragments[1])
+	plan2 := cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 2)
+	root := query.NewFragmentExec(plan2.Fragments[0])
+	leaf := query.NewFragmentExec(plan2.Fragments[1])
 	var twoFrag []float64
 	for k := 0; k < ticks; k++ {
 		for s := 0; s < 10; s++ {
@@ -224,8 +226,8 @@ func TestIncrementalEquivalence(t *testing.T) {
 	// Single-fragment reference over all 20 sources: reuse the AVG-all
 	// fragment structure with 10 receivers by pushing two sources per
 	// port — the union operator makes this equivalent.
-	plan1 := NewAvgAll(1, sources.Uniform)
-	ref := NewFragmentExec(plan1.Fragments[0])
+	plan1 := cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 1)
+	ref := query.NewFragmentExec(plan1.Fragments[0])
 	var oneFrag []float64
 	for k := 0; k < ticks; k++ {
 		for s := 0; s < 10; s++ {
@@ -272,40 +274,5 @@ func TestIncrementalEquivalence(t *testing.T) {
 	}
 	if math.Abs(mean(twoFrag)-directMean) > 1.5 {
 		t.Errorf("2-fragment mean %g vs direct %g", mean(twoFrag), directMean)
-	}
-}
-
-func TestMixedComplexCycles(t *testing.T) {
-	types := map[string]bool{}
-	for i := 0; i < 6; i++ {
-		types[MixedComplex(i, 1, sources.Uniform).Type] = true
-	}
-	for _, want := range []string{"AVG-all", "TOP-5", "COV"} {
-		if !types[want] {
-			t.Errorf("mixed workload missing %s", want)
-		}
-	}
-}
-
-func TestComplexKindNames(t *testing.T) {
-	if KindAvgAll.String() != "AVG-all" || KindTop5.String() != "TOP-5" || KindCov.String() != "COV" {
-		t.Error("kind names")
-	}
-}
-
-func TestBuildersPanicOnZeroFragments(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewAvgAll(0, sources.Uniform) },
-		func() { NewTop5(0, sources.Uniform) },
-		func() { NewCov(0, sources.Uniform) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("zero fragments should panic")
-				}
-			}()
-			f()
-		}()
 	}
 }

@@ -19,18 +19,21 @@
 //	eng := themis.NewEngine(cfg)
 //	eng.AddNodes(4, 8000) // four sites, 8k tuples/sec each
 //
-//	plan := themis.MustParseQuery(
-//	    `Select Avg(t.v) From Src[Range 1 sec]`,
-//	    themis.DefaultCatalog(themis.Gaussian))
-//	eng.DeployQuery(plan, []themis.NodeID{0}, 400)
+//	catalog := themis.DefaultCatalog(themis.Gaussian)
+//	avg := themis.MustParseQuery(`Select Avg(t.v) From Src[Range 1 sec]`, catalog, 1)
+//	eng.DeployQuery(avg, []themis.NodeID{0}, 400)
+//
+//	// The complex workload's average over 10 sources per fragment,
+//	// planned over three fragments and deployed one per node.
+//	avgAll := themis.MustParseQuery(`Select Avg(t.v) From AllSrc[Range 1 sec]`, catalog, 3)
+//	eng.DeployQuery(avgAll, []themis.NodeID{1, 2, 3}, 20)
 //
 //	res := eng.Run()
 //	fmt.Println(res.MeanSIC, res.Jain)
 //
-// Multi-fragment queries from the paper's complex workload (Table 1) are
-// built with NewAvgAllQuery, NewTop5Query and NewCovQuery, and deployed
-// with one node per fragment. See the examples/ directory for complete
-// programs and internal/experiments for the paper's full evaluation.
+// Every query, Table 1's included, is planned from its CQL text. See the
+// examples/ directory for complete programs and internal/experiments for
+// the paper's full evaluation.
 package themis
 
 import (
@@ -143,51 +146,26 @@ func Emulab(cfg Config, numNodes int, capacity float64) *Engine {
 }
 
 // ParseQuery parses a CQL-like statement (see Table 1 for the supported
-// shapes) against the catalog and returns a single-fragment plan.
-func ParseQuery(src string, cat *Catalog) (*Plan, error) {
+// shapes) against the catalog and plans it over the given number of
+// fragments, to be deployed one per node; fragments <= 1 yields a
+// single-fragment plan.
+func ParseQuery(src string, cat *Catalog, fragments int) (*Plan, error) {
 	st, err := cql.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return cql.Plan(st, cat)
+	return cql.PlanDistributed(st, cat, fragments)
 }
 
 // MustParseQuery is ParseQuery, panicking on error.
-func MustParseQuery(src string, cat *Catalog) *Plan {
-	return cql.MustPlan(src, cat)
+func MustParseQuery(src string, cat *Catalog, fragments int) *Plan {
+	return cql.MustPlan(src, cat, fragments)
 }
 
 // DefaultCatalog returns a catalog with the paper's Table 1 streams
 // (Src, AllSrc, AllSrcCPU, AllSrcMem, SrcCPU1, SrcCPU2) over the given
 // dataset.
 func DefaultCatalog(d Dataset) *Catalog { return cql.DefaultCatalog(d) }
-
-// Aggregate workload builders (Table 1).
-
-// NewAvgQuery builds "Select Avg(t.v) from Src[Range 1 sec]".
-func NewAvgQuery(d Dataset) *Plan { return query.NewAggregate(operator.AggAvg, d) }
-
-// NewMaxQuery builds "Select Max(t.v) from Src[Range 1 sec]".
-func NewMaxQuery(d Dataset) *Plan { return query.NewAggregate(operator.AggMax, d) }
-
-// NewCountQuery builds "Select Count(t.v) from Src[Range 1 sec] Having
-// t.v >= 50".
-func NewCountQuery(d Dataset) *Plan { return query.NewAggregate(operator.AggCount, d) }
-
-// Complex workload builders (Table 1); fragments ≥ 1, deployed one per
-// node.
-
-// NewAvgAllQuery builds the AVG-all query (tree of partial averages over
-// 10 sources per fragment).
-func NewAvgAllQuery(fragments int, d Dataset) *Plan { return query.NewAvgAll(fragments, d) }
-
-// NewTop5Query builds the TOP-5 query (chain of top-5 merges over 10 CPU
-// and 10 memory sources per fragment).
-func NewTop5Query(fragments int, d Dataset) *Plan { return query.NewTop5(fragments, d) }
-
-// NewCovQuery builds the COV query (chain of covariance partials over two
-// sources per fragment).
-func NewCovQuery(fragments int, d Dataset) *Plan { return query.NewCov(fragments, d) }
 
 // Placement helpers.
 

@@ -9,6 +9,17 @@ import (
 	themis "repro"
 )
 
+// Table 1's statements, as a user of the façade writes them.
+const (
+	avgQuery    = `Select Avg(t.v) From Src[Range 1 sec]`
+	maxQuery    = `Select Max(t.v) From Src[Range 1 sec]`
+	countQuery  = `Select Count(t.v) From Src[Range 1 sec] Having t.v >= 50`
+	avgAllQuery = `Select Avg(t.v) From AllSrc[Range 1 sec]`
+	top5Query   = `Select Top5(AllSrcCPU.id) From AllSrcCPU[Range 1 sec], AllSrcMem[Range 1 sec] ` +
+		`Where AllSrcMem.free >= 100,000 and AllSrcCPU.id = AllSrcMem.id`
+	covQuery = `Select Cov(SrcCPU1.value, SrcCPU2.value) From SrcCPU1[Range 1 sec], SrcCPU2[Range 1 sec]`
+)
+
 func TestPublicQuickstartFlow(t *testing.T) {
 	cfg := themis.Defaults()
 	cfg.Duration = 30 * themis.Second
@@ -16,14 +27,14 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	engine, node := themis.LocalTestbed(cfg, 1000)
 
 	catalog := themis.DefaultCatalog(themis.Gaussian)
-	plan, err := themis.ParseQuery(`Select Avg(t.v) From Src[Range 1 sec]`, catalog)
+	plan, err := themis.ParseQuery(avgQuery, catalog, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := engine.DeployQuery(plan, []themis.NodeID{node}, 400); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.DeployQuery(themis.NewCountQuery(themis.Uniform), []themis.NodeID{node}, 800); err != nil {
+	if _, err := engine.DeployQuery(themis.MustParseQuery(countQuery, themis.DefaultCatalog(themis.Uniform), 1), []themis.NodeID{node}, 800); err != nil {
 		t.Fatal(err)
 	}
 	res := engine.Run()
@@ -46,15 +57,16 @@ func TestPublicMultiSiteFlow(t *testing.T) {
 	cfg.Burst = &themis.DefaultBurst
 	engine := themis.Emulab(cfg, 4, 2000)
 
+	catalog := themis.DefaultCatalog(themis.PlanetLab)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 4; i++ {
 		placement := themis.UniformPlacement(rng, 4, 2)
-		if _, err := engine.DeployQuery(themis.NewTop5Query(2, themis.PlanetLab), placement, 20); err != nil {
+		if _, err := engine.DeployQuery(themis.MustParseQuery(top5Query, catalog, 2), placement, 20); err != nil {
 			t.Fatal(err)
 		}
 	}
 	z := themis.ZipfPlacement(rng, 4, 3, 1.5)
-	if _, err := engine.DeployQuery(themis.NewAvgAllQuery(3, themis.PlanetLab), z, 20); err != nil {
+	if _, err := engine.DeployQuery(themis.MustParseQuery(avgAllQuery, catalog, 3), z, 20); err != nil {
 		t.Fatal(err)
 	}
 
@@ -81,12 +93,12 @@ func TestPublicJainIndex(t *testing.T) {
 
 func TestPublicQueryBuilders(t *testing.T) {
 	plans := []*themis.Plan{
-		themis.NewAvgQuery(themis.Gaussian),
-		themis.NewMaxQuery(themis.Exponential),
-		themis.NewCountQuery(themis.Mixed),
-		themis.NewAvgAllQuery(2, themis.Uniform),
-		themis.NewTop5Query(3, themis.PlanetLab),
-		themis.NewCovQuery(2, themis.PlanetLab),
+		themis.MustParseQuery(avgQuery, themis.DefaultCatalog(themis.Gaussian), 1),
+		themis.MustParseQuery(maxQuery, themis.DefaultCatalog(themis.Exponential), 1),
+		themis.MustParseQuery(countQuery, themis.DefaultCatalog(themis.Mixed), 1),
+		themis.MustParseQuery(avgAllQuery, themis.DefaultCatalog(themis.Uniform), 2),
+		themis.MustParseQuery(top5Query, themis.DefaultCatalog(themis.PlanetLab), 3),
+		themis.MustParseQuery(covQuery, themis.DefaultCatalog(themis.PlanetLab), 2),
 	}
 	for _, p := range plans {
 		if err := p.Validate(); err != nil {
@@ -96,7 +108,7 @@ func TestPublicQueryBuilders(t *testing.T) {
 }
 
 func TestPublicParseErrors(t *testing.T) {
-	if _, err := themis.ParseQuery("not cql", themis.DefaultCatalog(themis.Gaussian)); err == nil {
+	if _, err := themis.ParseQuery("not cql", themis.DefaultCatalog(themis.Gaussian), 1); err == nil {
 		t.Error("garbage accepted")
 	}
 	defer func() {
@@ -104,5 +116,5 @@ func TestPublicParseErrors(t *testing.T) {
 			t.Error("MustParseQuery should panic")
 		}
 	}()
-	themis.MustParseQuery("still not cql", themis.DefaultCatalog(themis.Gaussian))
+	themis.MustParseQuery("still not cql", themis.DefaultCatalog(themis.Gaussian), 1)
 }

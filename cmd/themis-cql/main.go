@@ -82,7 +82,7 @@ func main() {
 	stw := flag.Duration("stw", 10*time.Second, "source time window (-net mode)")
 	interval := flag.Duration("interval", 250*time.Millisecond, "shedding/update interval (-net mode)")
 	seed := flag.Int64("seed", 1, "deployment seed (-net mode)")
-	checkpoint := flag.Duration("checkpoint", 0, "operator-state checkpoint cadence; failure recovery restores windows from the newest snapshot instead of refilling them (-net mode; 0 disables)")
+	checkpoint := flag.Duration("checkpoint", 0, "operator-state checkpoint cadence, rounded down to whole intervals (minimum one); failure recovery restores windows from the newest snapshot instead of refilling them (-net mode; 0 disables)")
 
 	// Live query churn: mid-run submissions and retracts, in both modes.
 	// The initial -query is query 0; scheduled submissions are numbered

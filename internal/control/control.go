@@ -51,6 +51,46 @@ type Config struct {
 // it, and a host refuses a deploy frame beyond it.
 const MaxRate = 1e7
 
+// Bounds on a networked run: a host builds its node from the run its
+// controller announces, so these bound what one hello may ask of it.
+const (
+	// MaxInterval bounds the shedding interval (an hour), so the
+	// wall-clock durations drivers derive from it — a host's ticker, the
+	// controller's heartbeat timeout — stay far from overflow.
+	MaxInterval = 3600 * stream.Second
+	// MaxSTWSlots bounds the STW in shedding intervals: the length of the
+	// ring every rate estimator and SIC accumulator allocates.
+	MaxSTWSlots = 1 << 14
+)
+
+// CheckRun reports whether a run — STW, shedding interval and checkpoint
+// cadence in ticks (0 = off) — is one a host may build its node from.
+// The controller checks its own configuration with it, and a host checks
+// the run a hello announces.
+func CheckRun(stw, interval stream.Duration, ckptTicks int64) error {
+	if interval < 1 || interval > MaxInterval {
+		return fmt.Errorf("control: shedding interval %d ms outside [1, %d]", interval, MaxInterval)
+	}
+	if stw < 1 || stw > interval*MaxSTWSlots {
+		return fmt.Errorf("control: STW %d ms outside [1, %d] (at most %d intervals)", stw, interval*MaxSTWSlots, MaxSTWSlots)
+	}
+	if ckptTicks < 0 {
+		return fmt.Errorf("control: checkpoint cadence %d ticks is negative", ckptTicks)
+	}
+	return nil
+}
+
+// CheckpointTicks is the one checkpoint-cadence rule of both runtimes: a
+// cadence of ckpt snapshots every max(1, ckpt/interval) ticks, after
+// each tick whose count from 1 is a multiple of it; a cadence of zero or
+// less never does (0).
+func CheckpointTicks(ckpt, interval stream.Duration) int64 {
+	if ckpt <= 0 {
+		return 0
+	}
+	return max(1, int64(ckpt/interval))
+}
+
 // Query is the plane's record of one live query. Drivers read it; only
 // the plane writes it.
 type Query struct {

@@ -465,3 +465,51 @@ func TestMembershipEpochs(t *testing.T) {
 		t.Fatalf("first placement after a failure: %+v", got)
 	}
 }
+
+// TestCheckRun: every run the repository configures — the paper's
+// 250 ms / 10 s, the fairness sweep's intervals down to 25 ms, the
+// 100 s STW row, the benchmark's and tests' 50–100 ms runs — passes the
+// bounds a host checks a hello against, and every run that would
+// overflow a duration, allocate an unbounded ring or tick never is
+// refused.
+func TestCheckRun(t *testing.T) {
+	for _, r := range []struct {
+		stw, interval stream.Duration
+		ckpt          int64
+	}{
+		{10 * stream.Second, 250, 0}, {10 * stream.Second, 25, 0}, {100 * stream.Second, 250, 0},
+		{2 * stream.Second, 50, 0}, {3 * stream.Second, 100, 3}, {stream.Second, 1000, 1},
+		{MaxSTWSlots * MaxInterval, MaxInterval, math.MaxInt64}, {1, 1, 0},
+	} {
+		if err := CheckRun(r.stw, r.interval, r.ckpt); err != nil {
+			t.Errorf("CheckRun(%d, %d, %d): %v, want admitted", r.stw, r.interval, r.ckpt, err)
+		}
+	}
+	for _, r := range []struct {
+		stw, interval stream.Duration
+		ckpt          int64
+	}{
+		{1 << 50, 1, 0}, {2000, 1 << 62, 0}, {2000, 0, 0}, {2000, -1, 0}, {0, 250, 0}, {-1, 250, 0},
+		{MaxSTWSlots*250 + 1, 250, 0}, {math.MaxInt64, MaxInterval, 0}, {2000, MaxInterval + 1, 0}, {2000, 50, -1},
+	} {
+		if err := CheckRun(r.stw, r.interval, r.ckpt); err == nil {
+			t.Errorf("CheckRun(%d, %d, %d) admitted", r.stw, r.interval, r.ckpt)
+		}
+	}
+}
+
+// TestCheckpointTicks pins the one cadence rule: max(1, ckpt/interval)
+// ticks, rounding down, and off for a cadence of zero or less.
+func TestCheckpointTicks(t *testing.T) {
+	for _, r := range []struct {
+		ckpt, interval stream.Duration
+		want           int64
+	}{
+		{0, 250, 0}, {-5, 250, 0}, {1, 250, 1}, {250, 250, 1}, {499, 250, 1}, {500, 250, 2},
+		{300, 100, 3}, {350, 100, 3}, {10 * stream.Second, 250, 40},
+	} {
+		if got := CheckpointTicks(r.ckpt, r.interval); got != r.want {
+			t.Errorf("CheckpointTicks(%d, %d) = %d, want %d", r.ckpt, r.interval, got, r.want)
+		}
+	}
+}

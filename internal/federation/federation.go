@@ -128,8 +128,8 @@ type Config struct {
 	// state of every live fragment, and KillNode restores displaced
 	// fragments from the newest compatible snapshot instead of refilling
 	// their windows over a full STW. Zero disables checkpointing (the
-	// legacy empty-window recovery). Sub-interval values clamp to one
-	// checkpoint per tick.
+	// legacy empty-window recovery). The cadence rounds down to whole
+	// intervals, at least one (control.CheckpointTicks).
 	Checkpoint stream.Duration
 	// Seed drives all randomness in the deployment.
 	Seed int64
@@ -194,7 +194,7 @@ func Defaults() Config {
 		Latency:       5 * stream.Millisecond,
 		SourceRate:    150,
 		BatchesPerSec: 3,
-		CostNoise:     0.05,
+		CostNoise:     node.DefaultCostNoise,
 		Seed:          1,
 	}
 }
@@ -292,17 +292,12 @@ func NewEngine(cfg Config) *Engine {
 		cfg.BatchesPerSec = 3
 	}
 	e := &Engine{
-		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		plane:  control.New(control.Config{Placement: cfg.Placement, Seed: cfg.Seed, Sharing: cfg.Sharing}),
-		pool:   stream.NewPool(),
-		ledger: coordinator.NewLedger(cfg.STW, cfg.Interval, cfg.KeepSamples),
-	}
-	if cfg.Checkpoint > 0 {
-		e.ckptEvery = int64(cfg.Checkpoint / cfg.Interval)
-		if e.ckptEvery < 1 {
-			e.ckptEvery = 1
-		}
+		cfg:       cfg,
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		plane:     control.New(control.Config{Placement: cfg.Placement, Seed: cfg.Seed, Sharing: cfg.Sharing}),
+		pool:      stream.NewPool(),
+		ledger:    coordinator.NewLedger(cfg.STW, cfg.Interval, cfg.KeepSamples),
+		ckptEvery: control.CheckpointTicks(cfg.Checkpoint, cfg.Interval),
 	}
 	// Ring length covers the longest possible delivery delay (the link
 	// latency in ticks) plus the current tick's drain slot.

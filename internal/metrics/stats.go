@@ -1,76 +1,5 @@
 package metrics
 
-import "math"
-
-// Welford accumulates a running mean and variance using Welford's online
-// algorithm. It backs the cost model's estimate of per-tuple processing
-// time and the covariance operator's sample statistics.
-type Welford struct {
-	n    int64
-	mean float64
-	m2   float64
-}
-
-// Add incorporates a new observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N reports the number of observations.
-func (w *Welford) N() int64 { return w.n }
-
-// Mean reports the running mean (0 before any observation).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var reports the running population variance.
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// Std reports the running population standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// Reset clears the accumulator.
-func (w *Welford) Reset() { *w = Welford{} }
-
-// Covariance accumulates a running sample covariance of two series, used
-// by the COV query operator (§7, Table 1).
-type Covariance struct {
-	n     int64
-	meanX float64
-	meanY float64
-	coMom float64
-}
-
-// Add incorporates a new (x, y) pair.
-func (c *Covariance) Add(x, y float64) {
-	c.n++
-	dx := x - c.meanX
-	c.meanX += dx / float64(c.n)
-	c.meanY += (y - c.meanY) / float64(c.n)
-	c.coMom += dx * (y - c.meanY)
-}
-
-// N reports the number of pairs.
-func (c *Covariance) N() int64 { return c.n }
-
-// Cov reports the sample covariance (0 with fewer than two pairs).
-func (c *Covariance) Cov() float64 {
-	if c.n < 2 {
-		return 0
-	}
-	return c.coMom / float64(c.n-1)
-}
-
-// Reset clears the accumulator.
-func (c *Covariance) Reset() { *c = Covariance{} }
-
 // MovingAverage keeps the mean of the most recent capacity observations.
 // The THEMIS cost model uses it over past per-tuple processing-time
 // estimations (§6: "We use a moving average over past estimations").

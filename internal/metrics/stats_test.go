@@ -7,74 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestWelfordMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var w Welford
-	vals := make([]float64, 100)
-	for i := range vals {
-		vals[i] = rng.NormFloat64()*3 + 7
-		w.Add(vals[i])
-	}
-	if w.N() != 100 {
-		t.Fatalf("N: %d", w.N())
-	}
-	if !almost(w.Mean(), Mean(vals)) {
-		t.Errorf("mean: %g vs %g", w.Mean(), Mean(vals))
-	}
-	if math.Abs(w.Std()-Std(vals)) > 1e-9 {
-		t.Errorf("std: %g vs %g", w.Std(), Std(vals))
-	}
-	w.Reset()
-	if w.N() != 0 || w.Mean() != 0 || w.Var() != 0 {
-		t.Error("reset did not clear state")
-	}
-}
-
-func TestWelfordDegenerate(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Var() != 0 {
-		t.Error("empty accumulator not zero")
-	}
-	w.Add(5)
-	if w.Var() != 0 {
-		t.Error("single observation should have zero variance")
-	}
-}
-
-func TestCovarianceMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var c Covariance
-	n := 200
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for i := 0; i < n; i++ {
-		xs[i] = rng.Float64() * 10
-		ys[i] = 0.5*xs[i] + rng.NormFloat64()
-		c.Add(xs[i], ys[i])
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var want float64
-	for i := 0; i < n; i++ {
-		want += (xs[i] - mx) * (ys[i] - my)
-	}
-	want /= float64(n - 1)
-	if math.Abs(c.Cov()-want) > 1e-9 {
-		t.Errorf("cov: %g vs %g", c.Cov(), want)
-	}
-	c.Reset()
-	if c.Cov() != 0 || c.N() != 0 {
-		t.Error("reset did not clear state")
-	}
-}
-
-func TestCovarianceDegenerate(t *testing.T) {
-	var c Covariance
-	c.Add(1, 2)
-	if c.Cov() != 0 {
-		t.Error("single pair should have zero covariance")
-	}
-}
-
 func TestMovingAverageWindowing(t *testing.T) {
 	m := NewMovingAverage(3)
 	if m.Mean() != 0 || m.N() != 0 {

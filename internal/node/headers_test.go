@@ -76,20 +76,20 @@ func diffNode(shedder core.Shedder, capacityPerSec float64) (*Node, []*countGen)
 		src := sources.New(nextID, q, 0, port, 1200, 12, arity, g, 100+int64(nextID))
 		src.Burst = &sources.BurstConfig{Prob: 0.2, Factor: 3}
 		nextID++
-		n.AttachSource(src)
+		n.attachSource(src)
 	}
 	rng := func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-	n.HostFragment(1, 0, query.NewFragmentExec(identityPlan(3)), 2, -1, -1)
+	n.hostFragment(1, 0, query.NewFragmentExec(identityPlan(3)), 2, -1, -1, "")
 	attach(1, 0, 1, sources.NewTrace(rng(11), 0).ScalarGen())
 	attach(1, 1, 1, sources.NewValueGen(sources.Gaussian, rng(12)))
 
-	n.HostFragment(2, 0, query.NewFragmentExec(identityPlan(2)), 2, -1, -1)
+	n.hostFragment(2, 0, query.NewFragmentExec(identityPlan(2)), 2, -1, -1, "")
 	attach(2, 0, 2, sources.NewTrace(rng(13), 1).CPUGen())
 	attach(2, 1, 2, sources.NewTrace(rng(14), 2).MemGen())
 
 	avg := cql.MustPlan(cql.Avg, cql.DefaultCatalog(sources.Mixed), 1)
-	n.HostFragment(3, 0, query.NewFragmentExec(avg.Fragments[0]), 1, -1, -1)
+	n.hostFragment(3, 0, query.NewFragmentExec(avg.Fragments[0]), 1, -1, -1, "")
 	attach(3, 0, 1, sources.NewValueGen(sources.Mixed, rng(15)))
 	return n, gens
 }
@@ -308,9 +308,9 @@ func TestMemoisedHeaderSICMatchesMaterialisedBatch(t *testing.T) {
 			a.src.Rate = float64(200 + rng.Intn(3000))
 		case 1: // query 2 leaves and comes back, same source ids
 			n.RemoveFragment(2, 0)
-			n.HostFragment(2, 0, query.NewFragmentExec(identityPlan(2)), 2, -1, -1)
+			n.hostFragment(2, 0, query.NewFragmentExec(identityPlan(2)), 2, -1, -1, "")
 			for i, gen := range []sources.ValueGen{sources.NewTrace(rng, 1).CPUGen(), sources.NewTrace(rng, 2).MemGen()} {
-				n.AttachSource(sources.New(stream.SourceID(2+i), 2, 0, i, 1200, 12, 2, gen, rng.Int63()))
+				n.attachSource(sources.New(stream.SourceID(2+i), 2, 0, i, 1200, 12, 2, gen, rng.Int63()))
 			}
 			reattached++
 		}
@@ -402,10 +402,10 @@ func BenchmarkNodeTickOverloaded(b *testing.B) {
 	sid := stream.SourceID(0)
 	for q := 0; q < 4; q++ {
 		fp := mixedPlan(q, 1, sources.PlanetLab).Fragments[0]
-		n.HostFragment(stream.QueryID(q), 0, query.NewFragmentExec(fp), len(fp.Sources), -1, -1)
+		n.hostFragment(stream.QueryID(q), 0, query.NewFragmentExec(fp), len(fp.Sources), -1, -1, "")
 		for i, ss := range fp.Sources {
 			gen := ss.NewGen(rand.New(rand.NewSource(seeds.Int63())), i)
-			n.AttachSource(sources.New(sid, stream.QueryID(q), 0, ss.Port, 1200, 12, ss.Arity, gen, seeds.Int63()))
+			n.attachSource(sources.New(sid, stream.QueryID(q), 0, ss.Port, 1200, 12, ss.Arity, gen, seeds.Int63()))
 			sid++
 		}
 	}

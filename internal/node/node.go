@@ -35,21 +35,10 @@ import (
 	"repro/internal/stream"
 )
 
-// Router consumes a node's outbound effects. Since the outbox refactor it
-// is no longer called during Tick: drivers drain the node's Outbox after
-// ticking, either directly (federation engine) or via Outbox.Replay (TCP
-// transport, tests).
-type Router interface {
-	// RouteDownstream ships a derived batch towards the node hosting the
-	// destination fragment. The batch is only borrowed: Replay releases
-	// it after the call, so implementations that retain it must copy.
-	RouteDownstream(from stream.NodeID, b *stream.Batch)
-	// DeliverResult hands result tuples emitted by a root fragment to the
-	// query's user, with the SIC mass they carry. The slice is only valid
-	// during the call. sicMass is the delivering batch's header SIC: the
-	// tuple-SIC sum, computed once where the batch was made.
-	DeliverResult(q stream.QueryID, now stream.Time, tuples []stream.Tuple, sicMass float64)
-}
+// DefaultCostNoise is the relative noise on the simulated processing
+// times the cost model observes: the engine's default and every TCP
+// host's, so a networked run and its engine replay see the same noise.
+const DefaultCostNoise = 0.05
 
 // Config parameterises a node.
 type Config struct {
@@ -63,11 +52,8 @@ type Config struct {
 	// drifting capacities are handled exactly as in the paper.
 	CapacityPerSec float64
 	// CostNoise is the relative standard deviation of simulated per-tick
-	// processing times (default 0.05).
+	// processing times (DefaultCostNoise in both runtimes; zero is none).
 	CostNoise float64
-	// InitialCapacity seeds the cost model before its first observation.
-	// Zero defaults to one interval's worth of CapacityPerSec.
-	InitialCapacity int
 	// Pool recycles the node's batches. Drivers that move batches between
 	// nodes (the federation engine) share one pool across nodes so a
 	// batch released at its destination is reusable anywhere; nil gives
@@ -115,11 +101,11 @@ type fragInstance struct {
 	// numSources is |S| of the whole query — the Eq. (1) normaliser.
 	numSources int
 	// sink wraps the fragment's output emissions into pooled outbox
-	// batches. Built once at HostFragment so ticking allocates nothing.
+	// batches. Built once at hostFragment so ticking allocates nothing.
 	sink func([]stream.Tuple)
 	// shareKey is the structural identity under which this instance was
 	// hosted ("" when sharing is off). Instances with a share key accept
-	// subscribers via AttachShared.
+	// subscribers via attachShared.
 	shareKey string
 	// subs lists the queries deduplicated onto this instance, in
 	// subscription order (deterministic: the engine submits in query-id
@@ -265,13 +251,8 @@ func New(id stream.NodeID, cfg Config, shedder core.Shedder) *Node {
 	if cfg.CostNoise < 0 {
 		cfg.CostNoise = 0
 	}
-	initial := cfg.InitialCapacity
-	if initial <= 0 {
-		initial = int(cfg.CapacityPerSec * float64(cfg.Interval) / 1000)
-		if initial < 1 {
-			initial = 1
-		}
-	}
+	// The cost model starts from one interval's worth of the capacity.
+	initial := max(1, int(cfg.CapacityPerSec*float64(cfg.Interval)/1000))
 	pool := cfg.Pool
 	if pool == nil {
 		pool = stream.NewPool()
@@ -301,7 +282,7 @@ func New(id stream.NodeID, cfg Config, shedder core.Shedder) *Node {
 // buffer drained before that. The returned outbox is valid only until
 // the next TakeOutbox call, which resets it for reuse. Ownership of the
 // outbox's batches passes to the caller, which must release each one
-// after its last use (Outbox.Replay does so itself).
+// after its last use.
 func (n *Node) TakeOutbox() *Outbox {
 	o := n.out
 	n.out = n.spare
@@ -333,23 +314,17 @@ func (n *Node) NoteDropped(tuples int, sicMass float64) {
 // Shedder returns the node's shedding policy.
 func (n *Node) Shedder() core.Shedder { return n.shedder }
 
-// HostFragment deploys a fragment instance on this node. numSources is
+// hostFragment deploys a fragment instance on this node. numSources is
 // the total source count of the whole query (|S| in Eq. 1); downstream
 // identifies the consuming fragment (-1 for the root) and its entry port.
 // An executor hosted after the node has started ticking is fast-forwarded
 // to the node's current time, so its windows open at the deployment
-// instant instead of replaying every empty edge since time zero.
-func (n *Node) HostFragment(q stream.QueryID, f stream.FragID, exec *query.FragmentExec,
-	numSources int, downstream stream.FragID, downstreamPort int) {
-	n.HostFragmentShared(q, f, exec, numSources, downstream, downstreamPort, "")
-}
-
-// HostFragmentShared hosts a fragment under a structural share key. A
-// non-empty key registers the instance in the node's share index, making
-// it a dedup target: later queries with an identical fragment attach to
-// it via AttachShared instead of deploying their own executor and
-// sources. An empty key is exactly HostFragment.
-func (n *Node) HostFragmentShared(q stream.QueryID, f stream.FragID, exec *query.FragmentExec,
+// instant instead of replaying every empty edge since time zero. A
+// non-empty share key registers the instance in the node's share index,
+// making it a dedup target: later queries with an identical fragment
+// attach to it via attachShared instead of deploying their own executor
+// and sources.
+func (n *Node) hostFragment(q stream.QueryID, f stream.FragID, exec *query.FragmentExec,
 	numSources int, downstream stream.FragID, downstreamPort int, shareKey string) {
 	key := fragKey{q, f}
 	if _, dup := n.frags[key]; !dup {
@@ -396,7 +371,7 @@ type FragmentSpec struct {
 	Seed  int64
 	// ShareKey, when set, makes the fragment ride the instance this node
 	// already executes under the key, with the given fan-out terms
-	// (AttachShared), or else host as the key's dedup target.
+	// (attachShared), or else host as the key's dedup target.
 	ShareKey string
 	Emit     bool
 }
@@ -415,10 +390,10 @@ func (n *Node) Deploy(s FragmentSpec) (attached bool) {
 	if d := s.Plan.Downstream[s.Frag]; d >= 0 {
 		downstream, downstreamPort = stream.FragID(d), s.Plan.Fragments[d].UpstreamPort
 	}
-	if n.AttachShared(s.ShareKey, s.Query, s.Frag, downstream, downstreamPort, s.Emit) {
+	if n.attachShared(s.ShareKey, s.Query, s.Frag, downstream, downstreamPort, s.Emit) {
 		return true
 	}
-	n.HostFragmentShared(s.Query, s.Frag, query.NewFragmentExec(fp), s.Plan.NumSources(), downstream, downstreamPort, s.ShareKey)
+	n.hostFragment(s.Query, s.Frag, query.NewFragmentExec(fp), s.Plan.NumSources(), downstream, downstreamPort, s.ShareKey)
 	seeds := s.Seeds
 	if seeds == nil {
 		seeds = rand.New(rand.NewSource(s.Seed))
@@ -429,12 +404,12 @@ func (n *Node) Deploy(s FragmentSpec) (attached bool) {
 		src := sources.New(s.FirstSource+stream.SourceID(i), s.Query, s.Frag, ss.Port,
 			s.Rate, s.Batches, ss.Arity, gen, seeds.Int63())
 		src.Burst = s.Burst
-		n.AttachSource(src)
+		n.attachSource(src)
 	}
 	return false
 }
 
-// AttachShared subscribes fragment (q, f) to an existing shared instance
+// attachShared subscribes fragment (q, f) to an existing shared instance
 // with the given share key, if the node hosts one. The subscriber gets no
 // executor and no sources — when emit is set the shared instance's output
 // is viewed once per subscriber, addressed to (q, downstream,
@@ -444,7 +419,7 @@ func (n *Node) Deploy(s FragmentSpec) (attached bool) {
 // happened; a false return means the caller deploys the fragment
 // normally (becoming the share target for later queries when hosted with
 // the same key).
-func (n *Node) AttachShared(shareKey string, q stream.QueryID, f stream.FragID,
+func (n *Node) attachShared(shareKey string, q stream.QueryID, f stream.FragID,
 	downstream stream.FragID, downstreamPort int, emit bool) bool {
 	if shareKey == "" {
 		return false
@@ -739,11 +714,11 @@ func (n *Node) HostedQueries() []stream.QueryID {
 	return out
 }
 
-// AttachSource attaches a local source feeding one of the node's hosted
+// attachSource attaches a local source feeding one of the node's hosted
 // fragments. The node assigns Eq. (1) SIC values to the source's tuples
 // as they enter the input buffer, using an online per-source rate
 // estimate over the STW.
-func (n *Node) AttachSource(src *sources.Source) {
+func (n *Node) attachSource(src *sources.Source) {
 	inst, ok := n.frags[fragKey{src.Query, src.Frag}]
 	if !ok {
 		panic("node: source attached for a fragment this node does not host")

@@ -27,9 +27,8 @@ func newFakeRouter() *fakeRouter {
 	}
 }
 
-// cloneTuples deep-copies tuples out of pooled storage: Replay recycles
-// batches after the router call, so a recording router must copy (the
-// Router ownership contract).
+// cloneTuples deep-copies tuples out of pooled storage: drain recycles
+// batches after the router call, so a recording router must copy.
 func cloneTuples(in []stream.Tuple) []stream.Tuple {
 	out := make([]stream.Tuple, len(in))
 	for i, t := range in {
@@ -39,12 +38,12 @@ func cloneTuples(in []stream.Tuple) []stream.Tuple {
 	return out
 }
 
-func (r *fakeRouter) RouteDownstream(_ stream.NodeID, b *stream.Batch) {
+func (r *fakeRouter) RouteDownstream(b *stream.Batch) {
 	cp := &stream.Batch{Query: b.Query, Frag: b.Frag, Port: b.Port, Source: b.Source, TS: b.TS, SIC: b.SIC}
 	cp.Tuples = cloneTuples(b.Tuples)
 	r.downstream = append(r.downstream, cp)
 }
-func (r *fakeRouter) DeliverResult(q stream.QueryID, _ stream.Time, tuples []stream.Tuple, sicMass float64) {
+func (r *fakeRouter) DeliverResult(q stream.QueryID, tuples []stream.Tuple, sicMass float64) {
 	r.results[q] = append(r.results[q], cloneTuples(tuples)...)
 	r.delivered[q] += sicMass
 }
@@ -62,19 +61,43 @@ func aggNode(t *testing.T, capacityPerSec, rate float64) (*Node, *fakeRouter) {
 	}, core.NewBalanceSIC(1))
 	plan := cql.MustPlan(cql.Avg, cql.DefaultCatalog(sources.Uniform), 1)
 	exec := query.NewFragmentExec(plan.Fragments[0])
-	n.HostFragment(7, 0, exec, plan.NumSources(), -1, -1)
+	n.hostFragment(7, 0, exec, plan.NumSources(), -1, -1, "")
 	gen := plan.Fragments[0].Sources[0].NewGen(rand.New(rand.NewSource(2)), 0)
 	src := sources.New(3, 7, 0, 0, rate, 5, 1, gen, 4)
-	n.AttachSource(src)
+	n.attachSource(src)
 	return n, router
 }
 
+// router consumes the effects a test drains out of a node's outbox.
+type router interface {
+	RouteDownstream(b *stream.Batch)
+	DeliverResult(q stream.QueryID, tuples []stream.Tuple, sicMass float64)
+}
+
+// drain feeds an outbox to r the way the drivers drain theirs — results,
+// then downstream batches — releasing each batch after its call, and
+// resets the outbox.
+func drain(o *Outbox, r router) {
+	for _, re := range o.Results {
+		r.DeliverResult(re.Query, re.Batch.Tuples, re.Batch.SIC)
+		re.Batch.Release()
+	}
+	for _, b := range o.Downstream {
+		r.RouteDownstream(b)
+		b.Release()
+	}
+	o.Reset()
+}
+
+// empty reports whether an outbox holds no effects.
+func empty(o *Outbox) bool { return len(o.Downstream) == 0 && len(o.Results) == 0 }
+
 // runTicks advances the node and drains its outbox into the router after
 // every tick, the way a driver does.
-func runTicks(n *Node, r Router, ticks int) {
+func runTicks(n *Node, r router, ticks int) {
 	for i := 0; i < ticks; i++ {
 		n.Tick(stream.Time(i * 250))
-		n.TakeOutbox().Replay(n.ID(), r)
+		drain(n.TakeOutbox(), r)
 	}
 }
 
@@ -143,11 +166,11 @@ func TestNodeRoutesDownstreamFragments(t *testing.T) {
 	// Host the non-root fragment (index 1); its output goes downstream to
 	// fragment 0 on some other node.
 	exec := query.NewFragmentExec(plan.Fragments[1])
-	n.HostFragment(9, 1, exec, plan.NumSources(), 0, plan.Fragments[0].UpstreamPort)
+	n.hostFragment(9, 1, exec, plan.NumSources(), 0, plan.Fragments[0].UpstreamPort, "")
 	for _, ss := range plan.Fragments[1].Sources {
 		gen := ss.NewGen(rand.New(rand.NewSource(3)), ss.Port)
 		src := sources.New(stream.SourceID(10+ss.Port), 9, 1, ss.Port, 100, 4, ss.Arity, gen, 5)
-		n.AttachSource(src)
+		n.attachSource(src)
 	}
 	runTicks(n, router, 12) // 3 s
 	if len(router.downstream) == 0 {
@@ -168,8 +191,8 @@ func TestNodeRoutesDownstreamFragments(t *testing.T) {
 func TestNodeHostedQueriesAndLookup(t *testing.T) {
 	n := New(1, Config{}, &core.KeepAll{})
 	plan := cql.MustPlan(cql.Max, cql.DefaultCatalog(sources.Uniform), 1)
-	n.HostFragment(3, 0, query.NewFragmentExec(plan.Fragments[0]), 1, -1, -1)
-	n.HostFragment(5, 0, query.NewFragmentExec(plan.Fragments[0]), 1, -1, -1)
+	n.hostFragment(3, 0, query.NewFragmentExec(plan.Fragments[0]), 1, -1, -1, "")
+	n.hostFragment(5, 0, query.NewFragmentExec(plan.Fragments[0]), 1, -1, -1, "")
 	if !n.HostsFragment(3, 0) || n.HostsFragment(4, 0) {
 		t.Error("HostsFragment lookup")
 	}
@@ -182,7 +205,7 @@ func TestNodeHostedQueriesAndLookup(t *testing.T) {
 func TestNodeCoordinatorUpdates(t *testing.T) {
 	n := New(1, Config{}, &core.KeepAll{})
 	plan := cql.MustPlan(cql.Max, cql.DefaultCatalog(sources.Uniform), 1)
-	n.HostFragment(4, 0, query.NewFragmentExec(plan.Fragments[0]), 1, -1, -1)
+	n.hostFragment(4, 0, query.NewFragmentExec(plan.Fragments[0]), 1, -1, -1, "")
 	n.SetResultSIC(4, 0.7)
 	if got := n.ResultSIC(4); got != 0.7 {
 		t.Errorf("ResultSIC: %g", got)
@@ -210,9 +233,9 @@ func TestRemoveQueryReturnsStateToBaseline(t *testing.T) {
 
 	// Deploy a second two-fragment query with a source and live traffic.
 	plan := cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 1)
-	n.HostFragment(9, 0, query.NewFragmentExec(plan.Fragments[0]), plan.NumSources(), -1, -1)
+	n.hostFragment(9, 0, query.NewFragmentExec(plan.Fragments[0]), plan.NumSources(), -1, -1, "")
 	gen := plan.Fragments[0].Sources[0].NewGen(rand.New(rand.NewSource(5)), 0)
-	n.AttachSource(sources.New(8, 9, 0, 0, 100, 5, 1, gen, 6))
+	n.attachSource(sources.New(8, 9, 0, 0, 100, 5, 1, gen, 6))
 	n.SetResultSIC(9, 0.5)
 	runTicks(n, r, 8)
 	if grown := n.StateSize(); grown == baseline {
@@ -255,7 +278,7 @@ func TestAttachSourceForUnknownFragmentPanics(t *testing.T) {
 		}
 	}()
 	gen := sources.GenFunc(func(_ stream.Time, v []float64) {})
-	n.AttachSource(sources.New(1, 1, 0, 0, 10, 1, 1, gen, 1))
+	n.attachSource(sources.New(1, 1, 0, 0, 10, 1, 1, gen, 1))
 }
 
 func TestNodeCostModelTracksCapacity(t *testing.T) {
@@ -276,10 +299,10 @@ func TestTakeOutboxDoubleBuffers(t *testing.T) {
 		n.Tick(stream.Time(i * 250))
 	}
 	first := n.TakeOutbox()
-	if first.Empty() {
+	if empty(first) {
 		t.Fatal("outbox empty after eight ticks of an active source")
 	}
-	if second := n.TakeOutbox(); !second.Empty() {
+	if second := n.TakeOutbox(); !empty(second) {
 		t.Error("second TakeOutbox without a tick should be empty")
 	}
 	if second := n.TakeOutbox(); second != first {
@@ -293,9 +316,9 @@ func TestOutboxReplayResets(t *testing.T) {
 		n.Tick(stream.Time(i * 250))
 	}
 	out := n.TakeOutbox()
-	out.Replay(n.ID(), router)
-	if !out.Empty() {
-		t.Error("Replay should reset the outbox")
+	drain(out, router)
+	if !empty(out) {
+		t.Error("drain should reset the outbox")
 	}
 	if router.delivered[7] <= 0 {
 		t.Errorf("replayed delivered SIC: %g, want > 0", router.delivered[7])

@@ -14,8 +14,7 @@ import "repro/internal/stream"
 //
 // The batches in an outbox are pooled: draining transfers their
 // ownership to the driver, which must release each one after its last
-// use — the federation engine does so as it applies each effect, and
-// Replay does it after the router call returns.
+// use, as it applies each effect.
 type Outbox struct {
 	// Downstream holds derived batches bound for the node hosting the
 	// consuming fragment, in fragment emission order.
@@ -32,11 +31,6 @@ type ResultEmit struct {
 	Batch *stream.Batch
 }
 
-// Empty reports whether the outbox holds no effects.
-func (o *Outbox) Empty() bool {
-	return len(o.Downstream) == 0 && len(o.Results) == 0
-}
-
 // Reset truncates both queues, keeping their storage for reuse.
 // Batches still referenced are NOT released — callers drain (and
 // release) before Reset runs via TakeOutbox.
@@ -49,23 +43,4 @@ func (o *Outbox) Reset() {
 		o.Results[i].Batch = nil
 	}
 	o.Results = o.Results[:0]
-}
-
-// Replay feeds the outbox through a Router — result emissions first, then
-// downstream ones — and resets it, releasing every batch
-// after its router call returns. It is the drop-in bridge for drivers
-// that consume effects one at a time, like the TCP transport; the
-// federation engine drains outboxes directly so it can hand batches
-// over without a copy. Routers that retain a
-// batch or its tuples past the call must copy.
-func (o *Outbox) Replay(from stream.NodeID, r Router) {
-	for _, re := range o.Results {
-		r.DeliverResult(re.Query, re.Now, re.Batch.Tuples, re.Batch.SIC)
-		re.Batch.Release()
-	}
-	for _, b := range o.Downstream {
-		r.RouteDownstream(from, b)
-		b.Release()
-	}
-	o.Reset()
 }

@@ -32,21 +32,21 @@ func sharedAggNode(t *testing.T, nSubs int) (*Node, *fakeRouter) {
 	}, core.NewBalanceSIC(1))
 	plan := cql.MustPlan(cql.Avg, cql.DefaultCatalog(sources.Uniform), 1)
 	exec := query.NewFragmentExec(plan.Fragments[0])
-	n.HostFragmentShared(7, 0, exec, plan.NumSources(), -1, -1, "sharedKey")
+	n.hostFragment(7, 0, exec, plan.NumSources(), -1, -1, "sharedKey")
 	for i := 0; i < nSubs; i++ {
-		if !n.AttachShared("sharedKey", stream.QueryID(20+i), 0, -1, -1, true) {
+		if !n.attachShared("sharedKey", stream.QueryID(20+i), 0, -1, -1, true) {
 			t.Fatalf("subscriber %d failed to attach", i)
 		}
 	}
 	gen := plan.Fragments[0].Sources[0].NewGen(rand.New(rand.NewSource(2)), 0)
 	src := sources.New(3, 7, 0, 0, 100, 5, 1, gen, 4)
-	n.AttachSource(src)
+	n.attachSource(src)
 	return n, router
 }
 
 func TestAttachSharedUnknownKeyRefuses(t *testing.T) {
 	n := New(1, Config{}, &core.KeepAll{})
-	if n.AttachShared("nope", 5, 0, -1, -1, true) {
+	if n.attachShared("nope", 5, 0, -1, -1, true) {
 		t.Fatal("attached to a share key nobody registered")
 	}
 }
@@ -104,7 +104,7 @@ func TestSharedPrimaryRemovalPromotes(t *testing.T) {
 	before := len(router.results[20])
 	for i := 20; i < 40; i++ {
 		n.Tick(stream.Time(i * 250))
-		n.TakeOutbox().Replay(n.ID(), router)
+		drain(n.TakeOutbox(), router)
 	}
 	if len(router.results[20]) <= before {
 		t.Error("promoted query stopped producing results")
@@ -127,7 +127,7 @@ func TestSharedSubscriberRemovalLeavesPrimary(t *testing.T) {
 	advance := func(ticks int) {
 		for ; ticks > 0; ticks-- {
 			n.Tick(stream.Time(tick * 250))
-			n.TakeOutbox().Replay(n.ID(), router)
+			drain(n.TakeOutbox(), router)
 			tick++
 		}
 	}
@@ -192,10 +192,10 @@ func TestAcctTableTracksHostedQueries(t *testing.T) {
 		_, riding := n.subOf[fragKey{q, f}]
 		switch op := rng.Intn(4); {
 		case op == 0 && !hosted && !riding:
-			n.HostFragmentShared(q, f, query.NewFragmentExec(plan.Fragments[0]), 1, -1, -1, key)
+			n.hostFragment(q, f, query.NewFragmentExec(plan.Fragments[0]), 1, -1, -1, key)
 			check(step, "host")
 		case op == 1 && !hosted && !riding:
-			if n.AttachShared(key, q, f, -1, -1, true) {
+			if n.attachShared(key, q, f, -1, -1, true) {
 				n.SetResultSIC(q, 0.5)
 			}
 			check(step, "attach")

@@ -31,12 +31,6 @@ var ErrNotHosted = errors.New("node: fragment not hosted")
 // and has no private state of its own.
 var ErrSharedSubscriber = errors.New("node: fragment is a shared subscriber; state lives on its primary")
 
-// FragRef names one hosted fragment.
-type FragRef struct {
-	Query stream.QueryID
-	Frag  stream.FragID
-}
-
 // ForEachFragment calls fn for every hosted executing fragment in the
 // node's deterministic hosting order. Shared subscribers are skipped —
 // they carry no private state.

@@ -21,12 +21,12 @@ import (
 // node, so downstream fragments (merge, finalize, cov pairing) accumulate
 // real window state for the snapshot tests — a recording router would
 // leave every non-leaf window empty. Batches are deep-copied through
-// NewBatch because Replay recycles the originals after the call.
+// NewBatch because drain recycles the originals after the call.
 type loopbackRouter struct {
 	batches []*stream.Batch
 }
 
-func (r *loopbackRouter) RouteDownstream(_ stream.NodeID, b *stream.Batch) {
+func (r *loopbackRouter) RouteDownstream(b *stream.Batch) {
 	arity := 0
 	if len(b.Tuples) > 0 {
 		arity = len(b.Tuples[0].V)
@@ -41,7 +41,13 @@ func (r *loopbackRouter) RouteDownstream(_ stream.NodeID, b *stream.Batch) {
 	cp.SIC = b.SIC
 	r.batches = append(r.batches, cp)
 }
-func (r *loopbackRouter) DeliverResult(stream.QueryID, stream.Time, []stream.Tuple, float64) {}
+func (r *loopbackRouter) DeliverResult(stream.QueryID, []stream.Tuple, float64) {}
+
+// FragRef names one hosted fragment.
+type FragRef struct {
+	Query stream.QueryID
+	Frag  stream.FragID
+}
 
 // buildStateNode hosts every fragment of a workload mix covering all
 // operator kinds — partial/merge/finalize AVG, COV with window pairing,
@@ -65,11 +71,11 @@ func buildStateNode(tb testing.TB) (*Node, []FragRef) {
 				downstream = stream.FragID(d)
 				downstreamPort = plan.Fragments[d].UpstreamPort
 			}
-			n.HostFragment(q, stream.FragID(fi), query.NewFragmentExec(fp), plan.NumSources(), downstream, downstreamPort)
+			n.hostFragment(q, stream.FragID(fi), query.NewFragmentExec(fp), plan.NumSources(), downstream, downstreamPort, "")
 			genIdx := plan.SourceIndexOffset(fi)
 			for si, ss := range fp.Sources {
 				gen := ss.NewGen(rand.New(rand.NewSource(rng.Int63())), genIdx+si)
-				n.AttachSource(sources.New(sid, q, stream.FragID(fi), ss.Port, 80, 4, ss.Arity, gen, rng.Int63()))
+				n.attachSource(sources.New(sid, q, stream.FragID(fi), ss.Port, 80, 4, ss.Arity, gen, rng.Int63()))
 				sid++
 			}
 		}
@@ -84,7 +90,7 @@ func buildStateNode(tb testing.TB) (*Node, []FragRef) {
 		now := stream.Time(i * 250)
 		n.Tick(now)
 		lr.batches = lr.batches[:0]
-		n.TakeOutbox().Replay(n.ID(), lr)
+		drain(n.TakeOutbox(), lr)
 		for _, b := range lr.batches {
 			n.Enqueue(b, now)
 		}

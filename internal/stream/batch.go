@@ -52,8 +52,8 @@ type Batch struct {
 	// view's release drops its parent's count. refs is atomic so that
 	// Release keeps the pool's contract — callable from any goroutine,
 	// under no lock: a networked host releases on its tick goroutine
-	// (Outbox.Replay, after dropping the node mutex) and on its connection
-	// readers. The single-threaded engine does not depend on it.
+	// (NodeServer.drainOutbox, after dropping the node mutex) and on its
+	// connection readers. The single-threaded engine does not depend on it.
 	parent *Batch
 	refs   atomic.Int32
 	// pending, pendEnd and pendSIC describe the tuples a header-only

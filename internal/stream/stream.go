@@ -90,10 +90,6 @@ func NewSchema(fields ...string) *Schema {
 // Arity reports the number of fields.
 func (s *Schema) Arity() int { return len(s.fields) }
 
-// Fields returns the field names in order. The caller must not modify the
-// returned slice.
-func (s *Schema) Fields() []string { return s.fields }
-
 // Index returns the position of the named field and whether it exists.
 func (s *Schema) Index(name string) (int, bool) {
 	i, ok := s.index[name]

@@ -121,3 +121,59 @@ func TestCheckpointedRecoveryEndToEnd(t *testing.T) {
 		t.Errorf("post-restore SIC %.3f: the restored root did not resume with warm windows", netSIC)
 	}
 }
+
+// TestHostCheckpointsOnTickCadence: a host told a checkpoint cadence of
+// k ticks ships a round after every k-th tick it runs — the engine's
+// rule — so a host stopped after n ticks has run exactly ⌊n/k⌋ rounds
+// and put that many checkpoint frames of its one fragment on the wire,
+// however late its wall-clock ticks fired.
+func TestHostCheckpointsOnTickCadence(t *testing.T) {
+	const k = 3
+	srv, err := NewNodeServer(NodeServerConfig{Name: "s", Addr: "127.0.0.1:0", CapacityPerSec: 10_000, Quiet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	nc, c := dialRaw(t, srv.Addr())
+	for _, e := range []*Envelope{
+		{Kind: KindHello, Hello: &Hello{From: "controller", STWMs: 2000, IntervalMs: 20, CheckpointTicks: k}},
+		{Kind: KindDeploy, Deploy: validDeploy(0)},
+		{Kind: KindStart, Start: &Start{}},
+	} {
+		if err := c.send(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(300 * time.Millisecond)
+	if err := c.send(&Envelope{Kind: KindStop}); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	fr := newFrameReader(nc)
+	frames := 0
+	var stats *StatsMsg
+	for stats == nil {
+		e, _, err := fr.next()
+		if err != nil {
+			t.Fatalf("no stats reply: %v", err)
+		}
+		switch {
+		case e == nil:
+		case e.Kind == KindCheckpoint:
+			frames++
+		case e.Kind == KindStats:
+			stats = e.Stats
+		}
+	}
+	srv.mu.Lock()
+	rounds := srv.ckptTick
+	srv.mu.Unlock()
+	n := stats.Ticks
+	t.Logf("%d ticks, %d checkpoint rounds, %d checkpoint frames", n, rounds, frames)
+	if n < k {
+		t.Fatalf("only %d ticks ran: the cadence went unexercised", n)
+	}
+	if rounds != n/k || int64(frames) != n/k {
+		t.Errorf("%d ticks at a cadence of %d: %d rounds and %d frames, want %d", n, k, rounds, frames, n/k)
+	}
+}

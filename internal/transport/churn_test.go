@@ -197,8 +197,10 @@ func routingServer(t *testing.T, addr string) *NodeServer {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
+	if err := s.handleHello(testRun); err != nil {
+		t.Fatal(err)
+	}
 	s.mu.Lock()
-	s.initNode(0, 0)
 	s.peers[peerKey{1, 2}] = addr
 	s.mu.Unlock()
 	return s
@@ -223,7 +225,7 @@ func TestPeerConnRedial(t *testing.T) {
 	addr := peer.ln.Addr().String()
 	s := routingServer(t, addr)
 
-	s.RouteDownstream(0, testBatch(3))
+	s.RouteDownstream(testBatch(3))
 	s.flushPeers()
 	select {
 	case <-peer.got:
@@ -241,7 +243,7 @@ func TestPeerConnRedial(t *testing.T) {
 	// to the restarted peer.
 	deadline := time.After(5 * time.Second)
 	for {
-		s.RouteDownstream(0, testBatch(3))
+		s.RouteDownstream(testBatch(3))
 		s.flushPeers()
 		select {
 		case <-peer2.got:
@@ -268,9 +270,9 @@ func TestDroppedSICAccounting(t *testing.T) {
 	s := routingServer(t, deadAddr)
 	b := testBatch(4)
 	wantSIC := b.SIC
-	s.RouteDownstream(0, b)
+	s.RouteDownstream(b)
 	// A batch with no peer entry at all is dropped too.
-	s.RouteDownstream(0, &stream.Batch{Query: 9, Frag: 9, Tuples: testBatch(2).Tuples, SIC: 0.5})
+	s.RouteDownstream(&stream.Batch{Query: 9, Frag: 9, Tuples: testBatch(2).Tuples, SIC: 0.5})
 	// The dial failure (and the drop accounting for the queued frame)
 	// happens at flush time.
 	s.flushPeers()
@@ -361,8 +363,8 @@ func TestStopBeforeStart(t *testing.T) {
 	}
 }
 
-// startedServer deploys one single-fragment AVG query and starts the
-// node, returning the server.
+// startedServer announces the test run, deploys one single-fragment AVG
+// query and starts the node, returning the server.
 func startedServer(t *testing.T) *NodeServer {
 	t.Helper()
 	srv, err := NewNodeServer(NodeServerConfig{Name: "s", Addr: "127.0.0.1:0", CapacityPerSec: 10_000, Quiet: true})
@@ -371,10 +373,13 @@ func startedServer(t *testing.T) *NodeServer {
 	}
 	t.Cleanup(func() { srv.Close() })
 	_, c := dialRaw(t, srv.Addr())
+	if err := c.send(&Envelope{Kind: KindHello, Hello: testRun}); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.send(&Envelope{Kind: KindDeploy, Deploy: validDeploy(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.send(&Envelope{Kind: KindStart, Start: &Start{IntervalMs: 50, STWMs: 2000}}); err != nil {
+	if err := c.send(&Envelope{Kind: KindStart, Start: &Start{}}); err != nil {
 		t.Fatal(err)
 	}
 	return srv
@@ -425,7 +430,7 @@ func TestStopRacesRedeploy(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			cD.send(&Envelope{Kind: KindDeploy, Deploy: validDeploy(7)})
-			cD.send(&Envelope{Kind: KindStart, Start: &Start{IntervalMs: 50, STWMs: 2000}})
+			cD.send(&Envelope{Kind: KindStart, Start: &Start{}})
 			cD.send(&Envelope{Kind: KindRewire, Rewire: &Rewire{Query: 7, Peers: map[stream.FragID]string{}}})
 		}()
 		go func() {

@@ -52,9 +52,9 @@ type Controller struct {
 	// fields unset), from which recovery re-issues deploy frames.
 	deps  map[stream.QueryID]Deploy
 	epoch time.Time
-	stw   stream.Duration
-	ival  stream.Duration
-	ckpt  time.Duration
+	// hello announces the run — STW, interval, checkpoint cadence in
+	// ticks — on every connection this controller dials; immutable.
+	hello Hello
 
 	hbTimeout time.Duration
 	// lastSeen holds per-node atomic unix-nano receive timestamps;
@@ -107,7 +107,9 @@ type RecoveryEvent struct {
 
 // ControllerConfig parameterises the controller.
 type ControllerConfig struct {
-	// STW and Interval mirror the node settings (defaults 10 s / 250 ms).
+	// STW and Interval are the run every host builds its node from
+	// (defaults 10 s / 250 ms), announced in the hello; NewController
+	// refuses a run outside control.CheckRun's bounds.
 	STW      stream.Duration
 	Interval stream.Duration
 	// Seed derives per-deployment source seeds and drives placement
@@ -129,9 +131,10 @@ type ControllerConfig struct {
 	// (SharingFull) or run privately (SharingOff, the default). Their
 	// source streams are the same either way.
 	Sharing control.Sharing
-	// Checkpoint is the operator-state checkpoint cadence: every
-	// Checkpoint of wall clock each host snapshots its fragments and
-	// ships the sealed blobs here; failure recovery then restores a
+	// Checkpoint is the operator-state checkpoint cadence, rounded down
+	// to whole intervals and at least one (control.CheckpointTicks): on
+	// that many ticks each host snapshots its fragments and ships the
+	// sealed blobs here; failure recovery then restores a
 	// displaced fragment's newest blob on its replacement host instead
 	// of refilling its windows over a full STW, and — when every
 	// displaced fragment of a query has a blob — keeps the query's SIC
@@ -155,22 +158,26 @@ func NewController(cfg ControllerConfig, nodeAddrs []string) (*Controller, error
 			hb = 2 * time.Second
 		}
 	}
+	ckptTicks := control.CheckpointTicks(stream.Duration(cfg.Checkpoint.Milliseconds()), cfg.Interval)
+	if err := control.CheckRun(cfg.STW, cfg.Interval, ckptTicks); err != nil {
+		return nil, fmt.Errorf("transport: %w", err)
+	}
 	if _, err := control.NewPlacer(cfg.Placement, 1, cfg.Seed); err != nil {
 		return nil, err
 	}
 	c := &Controller{
-		plane:     control.New(control.Config{Placement: cfg.Placement, Seed: cfg.Seed, Sharing: cfg.Sharing}),
-		ledger:    coordinator.NewLedger(cfg.STW, cfg.Interval, false),
-		deps:      make(map[stream.QueryID]Deploy),
-		stw:       cfg.STW,
-		ival:      cfg.Interval,
-		ckpt:      cfg.Checkpoint,
+		plane:  control.New(control.Config{Placement: cfg.Placement, Seed: cfg.Seed, Sharing: cfg.Sharing}),
+		ledger: coordinator.NewLedger(cfg.STW, cfg.Interval, false),
+		deps:   make(map[stream.QueryID]Deploy),
+		hello: Hello{
+			From: "controller", STWMs: int64(cfg.STW), IntervalMs: int64(cfg.Interval), CheckpointTicks: ckptTicks,
+		},
 		hbTimeout: hb,
 		fail:      make(chan nodeFailure, 64),
 		statsCh:   make(chan struct{}, 256),
 	}
 	for _, addr := range nodeAddrs {
-		cn, err := dial(addr, "controller", defaultWriteTimeout)
+		cn, err := dial(addr, c.hello, defaultWriteTimeout)
 		if err != nil {
 			c.CloseAll()
 			return nil, err
@@ -189,7 +196,7 @@ func NewController(cfg ControllerConfig, nodeAddrs []string) (*Controller, error
 // for subsequent deploys. Joining is legal mid-run: the node is started
 // and its reports are ingested immediately.
 func (c *Controller) AddNode(addr string) (int, error) {
-	cn, err := dial(addr, "controller", defaultWriteTimeout)
+	cn, err := dial(addr, c.hello, defaultWriteTimeout)
 	if err != nil {
 		return 0, err
 	}
@@ -209,10 +216,7 @@ func (c *Controller) AddNode(addr string) (int, error) {
 	}
 	c.mu.Unlock()
 	if running {
-		cn.send(&Envelope{Kind: KindStart, Start: &Start{
-			IntervalMs: int64(c.ival), STWMs: int64(c.stw), CheckpointMs: c.ckptMs(),
-			RunOffsetMs: c.runOffsetMs(),
-		}})
+		cn.send(c.start())
 		go func() {
 			defer c.wg.Done()
 			c.readLoop(idx, cn)
@@ -431,9 +435,6 @@ func (c *Controller) frameLocked(cmd control.Deploy, peers map[stream.FragID]str
 	d.Peers = peers
 	d.SourceSeed = cmd.Seed
 	d.FirstSourceID = stream.SourceID(int(cmd.Query)*1000 + 100*cmd.Frag)
-	d.STWMs = int64(c.stw)
-	d.IntervalMs = int64(c.ival)
-	d.CheckpointMs = c.ckptMs()
 	d.ShareKey, d.ShareEmit = cmd.ShareKey, cmd.Emit
 	return d
 }
@@ -450,9 +451,11 @@ func sendEmitFlips(conns []*conn, flips []control.EmitFlip) {
 	}
 }
 
-// ckptMs is the checkpoint cadence in wall-clock milliseconds (zero when
-// checkpointing is off). c.ckpt is immutable after construction.
-func (c *Controller) ckptMs() int64 { return int64(c.ckpt / time.Millisecond) }
+// start is the Start frame for a host joining now: Run's hosts at the
+// run epoch, a mid-run joiner at its offset into the run.
+func (c *Controller) start() *Envelope {
+	return &Envelope{Kind: KindStart, Start: &Start{RunOffsetMs: c.runOffsetMs()}}
+}
 
 // runOffsetMs is the run clock carried on Start messages so mid-run
 // joiners align their logical clocks with the founding members. Zero
@@ -493,10 +496,7 @@ func (c *Controller) Run(duration, warmup time.Duration) (*NetResults, error) {
 	c.mu.Unlock()
 	defer c.running.Store(false)
 	for _, n := range conns {
-		if err := n.send(&Envelope{Kind: KindStart, Start: &Start{
-			IntervalMs: int64(c.ival), STWMs: int64(c.stw), CheckpointMs: c.ckptMs(),
-			RunOffsetMs: c.runOffsetMs(),
-		}}); err != nil {
+		if err := n.send(c.start()); err != nil {
 			c.CloseAll()
 			return nil, err
 		}
@@ -511,7 +511,7 @@ func (c *Controller) Run(duration, warmup time.Duration) (*NetResults, error) {
 	}
 
 	// Broadcast result-SIC updates every interval, sample after warmup.
-	ticker := time.NewTicker(time.Duration(c.ival) * time.Millisecond)
+	ticker := time.NewTicker(time.Duration(c.hello.IntervalMs) * time.Millisecond)
 	deadline := time.After(duration)
 	defer ticker.Stop()
 loop:
@@ -752,18 +752,13 @@ func (c *Controller) replaceFragments(q stream.QueryID, pin int64) (restored boo
 	placement := append([]stream.NodeID(nil), cq.Placement...)
 	c.mu.Unlock()
 
-	// Re-deploy the displaced fragments and (re-)start their hosts — an
-	// idle spare begins ticking here; handleStart is idempotent on nodes
-	// already running.
+	// Re-deploy the displaced fragments. Their hosts already tick: every
+	// member, spares included, got its Start from Run or AddNode.
 	for i, cmd := range cmds {
 		cn := conns[cmd.Node]
 		if err := cn.send(&Envelope{Kind: KindDeploy, Deploy: &frames[i]}); err != nil {
 			return false, fmt.Errorf("transport: re-deploy fragment %d on %s: %w", cmd.Frag, peers[stream.FragID(cmd.Frag)], err)
 		}
-		cn.send(&Envelope{Kind: KindStart, Start: &Start{
-			IntervalMs: int64(c.ival), STWMs: int64(c.stw), CheckpointMs: c.ckptMs(),
-			RunOffsetMs: c.runOffsetMs(),
-		}})
 		if restores[i] != nil {
 			// Per-connection sends are ordered, so the restore lands
 			// after the deploy that builds its target executor. Attaching

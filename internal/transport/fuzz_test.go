@@ -109,49 +109,70 @@ func deployFrame(q, frag, fragments int, cqlText string) string {
 // batches/s spelled out.
 func deployFrameAt(q, frag, fragments int, cqlText string, rate, batches float64) string {
 	return fmt.Sprintf(`{"kind":"deploy","deploy":{"query":%d,"frag":%d,"cql":%q,"fragments":%d,`+
-		`"dataset":1,"rate":%g,"batches_per_sec":%g,"stw_ms":2000,"interval_ms":50}}`, q, frag, cqlText, fragments, rate, batches)
+		`"dataset":1,"rate":%g,"batches_per_sec":%g}}`, q, frag, cqlText, fragments, rate, batches)
 }
+
+// runFrame renders a controller hello announcing a run as raw JSON, so
+// hostile values reach the host exactly as written.
+func runFrame(stwMs, intervalMs int64) string {
+	return fmt.Sprintf(`{"kind":"hello","hello":{"from":"controller","stw_ms":%d,"interval_ms":%d}}`, stwMs, intervalMs)
+}
+
+// testRun is the run the tests' hosts are told: the hello of a
+// controller with STW 2 s, interval 50 ms and checkpoints off.
+var testRun = &Hello{From: "controller", STWMs: 2000, IntervalMs: 50}
 
 // hostileQuery is the first query id the hostile deploy rows use; valid
 // deploys in these tests stay below it.
 const hostileQuery = 900
 
 // hostileFrames are control-frame payloads no correct controller or peer
-// sends. A host must ignore or reject each and keep serving. The start
-// row comes last: it is the one frame that legitimately changes the
-// server's state (a payload-less start begins ticking on the defaults).
-var hostileFrames = []struct{ name, payload string }{
-	{"json batch", `{"kind":"batch","batch":{"arity":1,"tss":[1],"sics":[],"vals":[]}}`},
-	{"frag -1", deployFrame(900, -1, 1, avgCQL)},
-	{"frag beyond plan", deployFrame(901, 3, 2, avgAllCQL)},
-	{"fragments 0", deployFrame(902, 0, 0, avgCQL)},
-	{"fragments 1<<30", deployFrame(903, 0, 1<<30, avgAllCQL)},
-	{"empty cql", deployFrame(904, 0, 1, "")},
-	{"malformed cql", deployFrame(905, 0, 1, "Select Bogus(")},
-	{"rate 1e308", deployFrameAt(906, 0, 1, avgCQL, 1e308, 4)},
-	{"rate just above the bound", deployFrameAt(907, 0, 1, avgCQL, control.MaxRate+1, 4)},
-	{"batches/s above the bound", deployFrameAt(908, 0, 1, avgCQL, 50, 1e8)},
-	{"unknown kind", `{"kind":"nope","deploy":{"frag":-1}}`},
-	{"no kind", `{}`},
-	{"null", `null`},
-	{"nil hello", `{"kind":"hello"}`},
-	{"nil deploy", `{"kind":"deploy"}`},
-	{"nil sic", `{"kind":"sic"}`},
-	{"nil report", `{"kind":"report"}`},
-	{"nil stats", `{"kind":"stats"}`},
-	{"nil rewire", `{"kind":"rewire"}`},
-	{"nil heartbeat", `{"kind":"heartbeat"}`},
-	{"nil retract", `{"kind":"retract"}`},
-	{"nil checkpoint", `{"kind":"checkpoint"}`},
-	{"nil restore", `{"kind":"restore_state"}`},
-	{"nil share emit", `{"kind":"share_emit"}`},
-	{"nil start", `{"kind":"start"}`},
+// sends. A host must ignore or reject each and keep serving. Rows with
+// beforeRun reach a host no hello has told a run yet; the others follow
+// testRun. The "nil start" row is the one frame that legitimately
+// changes the server's state: after a run, a payload-less start begins
+// ticking at the run's interval.
+var hostileFrames = []struct {
+	name, payload string
+	beforeRun     bool
+}{
+	{"json batch", `{"kind":"batch","batch":{"arity":1,"tss":[1],"sics":[],"vals":[]}}`, false},
+	{"frag -1", deployFrame(900, -1, 1, avgCQL), false},
+	{"frag beyond plan", deployFrame(901, 3, 2, avgAllCQL), false},
+	{"fragments 0", deployFrame(902, 0, 0, avgCQL), false},
+	{"fragments 1<<30", deployFrame(903, 0, 1<<30, avgAllCQL), false},
+	{"empty cql", deployFrame(904, 0, 1, ""), false},
+	{"malformed cql", deployFrame(905, 0, 1, "Select Bogus("), false},
+	{"rate 1e308", deployFrameAt(906, 0, 1, avgCQL, 1e308, 4), false},
+	{"rate just above the bound", deployFrameAt(907, 0, 1, avgCQL, control.MaxRate+1, 4), false},
+	{"batches/s above the bound", deployFrameAt(908, 0, 1, avgCQL, 50, 1e8), false},
+	{"unknown kind", `{"kind":"nope","deploy":{"frag":-1}}`, false},
+	{"no kind", `{}`, false},
+	{"null", `null`, false},
+	{"nil hello", `{"kind":"hello"}`, false},
+	{"nil deploy", `{"kind":"deploy"}`, false},
+	{"nil sic", `{"kind":"sic"}`, false},
+	{"nil report", `{"kind":"report"}`, false},
+	{"nil stats", `{"kind":"stats"}`, false},
+	{"nil rewire", `{"kind":"rewire"}`, false},
+	{"nil heartbeat", `{"kind":"heartbeat"}`, false},
+	{"nil retract", `{"kind":"retract"}`, false},
+	{"nil checkpoint", `{"kind":"checkpoint"}`, false},
+	{"nil restore", `{"kind":"restore_state"}`, false},
+	{"nil share emit", `{"kind":"share_emit"}`, false},
+	{"nil start", `{"kind":"start"}`, false},
+	{"run stw 2^50 at interval 1", runFrame(1<<50, 1), true},
+	{"run interval 2^62", runFrame(2000, 1<<62), true},
+	{"run interval 0", runFrame(2000, 0), true},
+	{"run interval -1", runFrame(2000, -1), true},
+	{"deploy before any run", deployFrame(909, 0, 1, avgCQL), true},
+	{"start before any run", `{"kind":"start","start":{}}`, true},
 }
 
 // validDeploy is the single-fragment deploy frame Submit would send for
 // query q.
 func validDeploy(q stream.QueryID) *Deploy {
-	return &Deploy{Query: q, CQL: avgCQL, Fragments: 1, Dataset: 1, Rate: 50, Batches: 4, STWMs: 2000, IntervalMs: 50}
+	return &Deploy{Query: q, CQL: avgCQL, Fragments: 1, Dataset: 1, Rate: 50, Batches: 4}
 }
 
 // hosts reports whether the server runs a fragment of a query with an
@@ -166,29 +187,37 @@ func hosts(s *NodeServer, lo, hi stream.QueryID) bool {
 	return found
 }
 
-// TestHostSurvivesHostileFrames writes each hostile frame to a live
-// server over a real loopback connection, followed on the same
-// connection by a deploy of the shape Submit sends. Frames on one
-// connection are handled in order, so once the deploy's query is hosted
-// the hostile frame has been fully processed: the server is up, the
-// connection survived, and the batch pool is where it was.
+// TestHostSurvivesHostileFrames writes each hostile frame to a fresh
+// live server over a real loopback connection — after testRun's hello,
+// or before any run — followed on the same connection by testRun's hello
+// and a deploy of the shape Submit sends. Frames on one connection are
+// handled in order, so once the deploy's query is hosted the hostile
+// frame has been fully processed: the server is up, the connection
+// survived, the batch pool is where it was, and a hostile run was not
+// the one the node was built from.
 func TestHostSurvivesHostileFrames(t *testing.T) {
-	srv, err := NewNodeServer(NodeServerConfig{Name: "s", Addr: "127.0.0.1:0", CapacityPerSec: 10_000, Quiet: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	live := srv.pool.Live()
-	for i, h := range hostileFrames {
+	for _, h := range hostileFrames {
+		srv, err := NewNodeServer(NodeServerConfig{Name: "s", Addr: "127.0.0.1:0", CapacityPerSec: 10_000, Quiet: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := srv.pool.Live()
 		nc, c := dialRaw(t, srv.Addr())
+		if !h.beforeRun {
+			if err := c.send(&Envelope{Kind: KindHello, Hello: testRun}); err != nil {
+				t.Fatalf("%s: %v", h.name, err)
+			}
+		}
 		if _, err := nc.Write(appendFrame(nil, frameJSON, []byte(h.payload))); err != nil {
 			t.Fatalf("%s: %v", h.name, err)
 		}
-		q := stream.QueryID(i)
-		if err := c.send(&Envelope{Kind: KindDeploy, Deploy: validDeploy(q)}); err != nil {
+		if err := c.send(&Envelope{Kind: KindHello, Hello: testRun}); err != nil {
+			t.Fatalf("%s: hello after hostile frame: %v", h.name, err)
+		}
+		if err := c.send(&Envelope{Kind: KindDeploy, Deploy: validDeploy(0)}); err != nil {
 			t.Fatalf("%s: deploy after hostile frame: %v", h.name, err)
 		}
-		for deadline := time.Now().Add(5 * time.Second); !hosts(srv, q, q); time.Sleep(time.Millisecond) {
+		for deadline := time.Now().Add(5 * time.Second); !hosts(srv, 0, 0); time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Fatalf("%s: a valid deploy after the hostile frame never landed", h.name)
 			}
@@ -199,6 +228,16 @@ func TestHostSurvivesHostileFrames(t *testing.T) {
 		if got := srv.pool.Live(); got != live {
 			t.Errorf("%s: pool live moved %d -> %d", h.name, live, got)
 		}
+		srv.mu.Lock()
+		run, started := srv.run, srv.started
+		srv.mu.Unlock()
+		if want := (Hello{STWMs: testRun.STWMs, IntervalMs: testRun.IntervalMs}); run != want {
+			t.Errorf("%s: host runs %+v, want testRun's %+v", h.name, run, want)
+		}
+		if h.beforeRun && started {
+			t.Errorf("%s: a frame before any run started the host", h.name)
+		}
+		srv.Close()
 	}
 }
 
@@ -215,6 +254,9 @@ func TestHostRefusesDeployAtFragmentCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	if err := s.handleHello(testRun); err != nil {
+		t.Fatal(err)
+	}
 	start := time.Now()
 	for q := stream.QueryID(0); q < maxHostedFragments; q++ {
 		d := validDeploy(q)
@@ -245,11 +287,12 @@ func TestHostRefusesDeployAtFragmentCap(t *testing.T) {
 }
 
 // FuzzHostFrame drives arbitrary JSON control frames through the
-// dispatch serveConn runs — against an empty server, and again after a
-// valid deploy so rewire, retract, share-emit and restore frames meet
-// real state. Nothing a peer can put in a frame may panic the host or
-// leak a pooled batch. Start and stop are skipped: they spawn the tick
-// loop and tear the server down, which the lifecycle tests cover.
+// dispatch serveConn runs — against a server no run has reached, where
+// nothing may start it, and again after testRun and a valid deploy so
+// rewire, retract, share-emit and restore frames meet real state.
+// Nothing a peer can put in a frame may panic the host or leak a pooled
+// batch. Stop is skipped, and so is a start after the run: they tear the
+// server down and spawn the tick loop, which the lifecycle tests cover.
 func FuzzHostFrame(f *testing.F) {
 	for _, h := range hostileFrames {
 		f.Add([]byte(h.payload))
@@ -264,7 +307,7 @@ func FuzzHostFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, p []byte) {
 		var e Envelope
-		if json.Unmarshal(p, &e) != nil || e.Kind == KindStart || e.Kind == KindStop {
+		if json.Unmarshal(p, &e) != nil || e.Kind == KindStop {
 			return
 		}
 		s, err := NewNodeServer(NodeServerConfig{Name: "fuzz", Addr: "127.0.0.1:0", CapacityPerSec: 1000, Quiet: true})
@@ -273,10 +316,18 @@ func FuzzHostFrame(f *testing.F) {
 		}
 		defer s.Close()
 		s.handle(&e, nil)
+		if s.started {
+			t.Fatal("a frame before any run started the host")
+		}
+		// A valid run the fuzzed hello announced stands; testRun is then
+		// refused as a second run, which is the rule.
+		s.handleHello(testRun)
 		if err := s.handleDeploy(validDeploy(7)); err != nil {
 			t.Fatalf("valid deploy rejected after the fuzzed frame: %v", err)
 		}
-		s.handle(&e, nil)
+		if e.Kind != KindStart {
+			s.handle(&e, nil)
+		}
 		if live := s.pool.Live(); live != 0 {
 			t.Fatalf("pool holds %d live batches after control frames only", live)
 		}

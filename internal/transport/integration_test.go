@@ -262,3 +262,38 @@ func TestSubmitValidation(t *testing.T) {
 		t.Errorf("AutoPlace: %v %v", p, err)
 	}
 }
+
+// TestControllerRefusesUnrunnableRun: NewController checks its own run
+// with the bound every host checks a hello against, so a run no host
+// would build from fails here, before any node is dialled.
+func TestControllerRefusesUnrunnableRun(t *testing.T) {
+	for _, cfg := range []ControllerConfig{
+		{STW: 1 << 50, Interval: 1},
+		{Interval: 1 << 62},
+		{STW: 100 * stream.Second, Interval: 1},
+	} {
+		if _, err := NewController(cfg, []string{"127.0.0.1:1"}); err == nil || !strings.Contains(err.Error(), "control:") {
+			t.Errorf("NewController(STW %d, interval %d): %v, want the run refused", cfg.STW, cfg.Interval, err)
+		}
+	}
+}
+
+// TestNodeServerRefusesUnknownPolicy: a host runs BALANCE-SIC or random
+// shedding and nothing else; any other name is an error, not a silent
+// BALANCE-SIC.
+func TestNodeServerRefusesUnknownPolicy(t *testing.T) {
+	for _, p := range []string{"", "balance-sic", "random"} {
+		srv, err := NewNodeServer(NodeServerConfig{Addr: "127.0.0.1:0", Policy: p, Quiet: true})
+		if err != nil {
+			t.Errorf("policy %q refused: %v", p, err)
+			continue
+		}
+		srv.Close()
+	}
+	for _, p := range []string{"keepall", "BALANCE-SIC", "balance_sic", " random"} {
+		if srv, err := NewNodeServer(NodeServerConfig{Addr: "127.0.0.1:0", Policy: p, Quiet: true}); err == nil {
+			srv.Close()
+			t.Errorf("policy %q accepted", p)
+		}
+	}
+}

@@ -77,9 +77,18 @@ const (
 	KindShareEmit = "share_emit"
 )
 
-// Hello introduces a connection.
+// Hello introduces a connection. The controller's hello also announces
+// the run: the federation-wide STW and shedding interval — Eq. (1)
+// normalises every source tuple's SIC over the STW, so every node must
+// run the same one — and the checkpoint cadence in ticks (zero = off). A
+// host builds its node from the first hello that announces a run within
+// control.CheckRun's bounds, and refuses deploys and starts before it. A
+// peer's hello announces none.
 type Hello struct {
-	From string `json:"from"`
+	From            string `json:"from"`
+	STWMs           int64  `json:"stw_ms,omitempty"`
+	IntervalMs      int64  `json:"interval_ms,omitempty"`
+	CheckpointTicks int64  `json:"checkpoint_ticks,omitempty"`
 }
 
 // Deploy instructs a node to host one fragment of a query. Plans cannot
@@ -104,17 +113,6 @@ type Deploy struct {
 	SourceSeed int64 `json:"source_seed"`
 	// FirstSourceID numbers this fragment's sources globally.
 	FirstSourceID stream.SourceID `json:"first_source_id"`
-	// STWMs and IntervalMs configure the node runtime's source time
-	// window and shedding interval. They must arrive with the deploy —
-	// not just with Start — because the Eq. (1) rate estimators of the
-	// fragment's sources are built at attach time; a node left on its
-	// defaults would normalise SIC over the wrong window and skew every
-	// result-SIC measurement by controllerSTW/nodeSTW.
-	STWMs      int64 `json:"stw_ms"`
-	IntervalMs int64 `json:"interval_ms"`
-	// CheckpointMs is the operator-state checkpoint cadence in wall-clock
-	// milliseconds; zero disables checkpoint shipping from this host.
-	CheckpointMs int64 `json:"checkpoint_ms,omitempty"`
 	// ShareKey is the controller-computed structural identity of this
 	// fragment under multi-query sharing: the plan-subtree key plus
 	// fragment index, rate pin and epoch pin. Empty when sharing is off.
@@ -133,19 +131,9 @@ type Deploy struct {
 	ShareEmit bool `json:"share_emit,omitempty"`
 }
 
-// Start begins real-time processing on a node. The tick interval and
-// STW echo the deploy's. A node that has received no Deploy — a spare
-// held in reserve as a failure-recovery target — builds its runtime from
-// these values, so fragments re-placed onto it later attach their
-// sources under the same STW as everywhere else (the Eq. (1)
-// normaliser; a mismatch would skew every re-placed query's SIC by
-// controllerSTW/nodeSTW).
+// Start begins real-time processing on a node, ticking at the interval
+// of the run its controller's hello announced.
 type Start struct {
-	IntervalMs int64 `json:"interval_ms"`
-	STWMs      int64 `json:"stw_ms"`
-	// CheckpointMs echoes the deploy's checkpoint cadence, so spare nodes
-	// adopted as recovery targets checkpoint the fragments they inherit.
-	CheckpointMs int64 `json:"checkpoint_ms,omitempty"`
 	// RunOffsetMs is the controller's run clock at the moment this Start
 	// was sent. A node started mid-run (a spare adopted during failure
 	// recovery) backdates its epoch by this much, so its logical clock —
@@ -190,7 +178,7 @@ type Retract struct {
 type CheckpointMsg struct {
 	Query stream.QueryID `json:"query"`
 	Frag  stream.FragID  `json:"frag"`
-	// Tick is the host's local tick count at the snapshot, for ordering
+	// Tick numbers the host's checkpoint rounds, for ordering
 	// diagnostics only — the controller keeps the last blob received.
 	Tick  int64  `json:"tick"`
 	State []byte `json:"state"`
@@ -364,16 +352,16 @@ func appendBatchFrame(dst []byte, b *stream.Batch) []byte {
 	return dst
 }
 
-// dial connects (bounded by the dial timeout) and sends a hello. wt is
+// dial connects (bounded by the dial timeout) and sends the hello. wt is
 // the write deadline applied to every frame written on the resulting
 // conn.
-func dial(addr, from string, wt time.Duration) (*conn, error) {
+func dial(addr string, hello Hello, wt time.Duration) (*conn, error) {
 	nc, err := net.DialTimeout("tcp", addr, defaultDialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
 	c := newConnTimeout(nc, wt)
-	if err := c.send(&Envelope{Kind: KindHello, Hello: &Hello{From: from}}); err != nil {
+	if err := c.send(&Envelope{Kind: KindHello, Hello: &hello}); err != nil {
 		nc.Close()
 		return nil, err
 	}

@@ -26,8 +26,10 @@ func queuedServer(t *testing.T, addr string, wt, cool time.Duration) *NodeServer
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
+	if err := s.handleHello(testRun); err != nil {
+		t.Fatal(err)
+	}
 	s.mu.Lock()
-	s.initNode(0, 0)
 	s.peers[peerKey{1, 2}] = addr
 	s.mu.Unlock()
 	return s
@@ -105,7 +107,7 @@ func TestStalledPeerBoundedDrain(t *testing.T) {
 		// ~4.7 MB per round: overruns loopback's socket buffers within a
 		// few rounds, after which only the deadline unblocks the write.
 		for i := 0; i < 96; i++ {
-			s.RouteDownstream(0, queryBatch(1, 2048))
+			s.RouteDownstream(queryBatch(1, 2048))
 		}
 		start := time.Now()
 		s.flushPeers()
@@ -155,8 +157,8 @@ func TestCoalescedFlush(t *testing.T) {
 	const perTick = 10
 	for tick := 1; tick <= 2; tick++ {
 		for i := 0; i < perTick; i++ {
-			s.RouteDownstream(0, queryBatch(1, 3))
-			s.RouteDownstream(0, queryBatch(2, 3))
+			s.RouteDownstream(queryBatch(1, 3))
+			s.RouteDownstream(queryBatch(2, 3))
 		}
 		s.flushPeers()
 		for _, q := range []*peerQueue{s.queueFor(addrA), s.queueFor(addrB)} {
@@ -201,7 +203,7 @@ func TestDialCooldown(t *testing.T) {
 	s.peers[peerKey{1, 2}] = deadAddr
 	s.mu.Unlock()
 
-	s.RouteDownstream(0, queryBatch(1, 4))
+	s.RouteDownstream(queryBatch(1, 4))
 	s.flushPeers() // dial fails, drops the frame, opens the window
 	s.mu.Lock()
 	dropped := s.nd.Stats().DroppedBatches
@@ -215,7 +217,7 @@ func TestDialCooldown(t *testing.T) {
 	}
 	// Queued sends inside the window fail fast — bounded well under a
 	// dial timeout — and still account their drops.
-	s.RouteDownstream(0, queryBatch(1, 4))
+	s.RouteDownstream(queryBatch(1, 4))
 	start := time.Now()
 	s.flushPeers()
 	if d := time.Since(start); d > cool/2 {
@@ -265,12 +267,12 @@ func TestSteadyStateSendZeroAlloc(t *testing.T) {
 	s := queuedServer(t, ln.Addr().String(), 0, 0)
 	b := queryBatch(1, 64)
 	for i := 0; i < 50; i++ { // warm: conn, free list, spare slices, iovec cache
-		s.RouteDownstream(0, b)
+		s.RouteDownstream(b)
 		s.flushPeers()
 	}
 	<-accepted
 	avg := testing.AllocsPerRun(200, func() {
-		s.RouteDownstream(0, b)
+		s.RouteDownstream(b)
 		s.flushPeers()
 	})
 	if avg != 0 {
@@ -350,11 +352,13 @@ func TestHostReportsOnlyResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	if err := s.handleHello(&Hello{From: "controller", STWMs: 2000, IntervalMs: 100}); err != nil {
+		t.Fatal(err)
+	}
 	for q := 0; q < hosted; q++ {
 		if err := s.handleDeploy(&Deploy{
 			Query: stream.QueryID(q), CQL: "Select Avg(t.v) From Src[Range 1 sec]", Fragments: 1, Dataset: 1,
 			Rate: 200, Batches: 10, FirstSourceID: stream.SourceID(1000 * q), SourceSeed: int64(q + 1),
-			STWMs: 2000, IntervalMs: 100,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -365,7 +369,7 @@ func TestHostReportsOnlyResults(t *testing.T) {
 		s.nd.TickSpan(stream.Time(100*(tick-1)), stream.Time(100*tick))
 		out := s.nd.TakeOutbox()
 		want := len(out.Results)
-		out.Replay(0, s)
+		s.drainOutbox(out)
 		s.queueCtrl(&Envelope{Kind: KindHeartbeat})
 		frames := s.ctrlQ.take()
 		if len(frames) != want+1 {

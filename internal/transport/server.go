@@ -49,13 +49,17 @@ type NodeServer struct {
 	seed     int64
 	policy   string
 
-	// Checkpoint shipping (PR 8): every ckptMs of wall clock the tick
-	// loop snapshots each hosted fragment and sends the sealed blobs to
-	// the controller, which keeps the newest per fragment for the
-	// failure-recovery restore path. Zero disables shipping. All three
-	// fields are guarded by mu (collectCheckpoints holds it while the
-	// encoder is in use).
-	ckptMs   int64
+	// run is the run the controller's hello announced, From left empty
+	// (see handleHello); set with nd, guarded by mu. The tick loop
+	// checkpoints on its cadence: after every CheckpointTicks-th tick it
+	// snapshots each hosted fragment and sends the sealed blobs to the
+	// controller, which keeps the newest per fragment for the
+	// failure-recovery restore path — the ticks the engine snapshots on.
+	run Hello
+
+	// ckptTick counts the checkpoint rounds shipped; ckptEnc is their one
+	// reused encoder. Both are guarded by mu (collectCheckpoints holds it
+	// while the encoder is in use).
 	ckptTick int64
 	ckptEnc  stream.SnapEncoder
 
@@ -114,7 +118,8 @@ type NodeServerConfig struct {
 	Addr string
 	// CapacityPerSec is the node's processing speed in tuples/sec.
 	CapacityPerSec float64
-	// Policy is "balance-sic" (default) or "random".
+	// Policy is "balance-sic" (the default, also "") or "random";
+	// NewNodeServer refuses any other.
 	Policy string
 	// Seed drives shedding randomness.
 	Seed int64
@@ -134,6 +139,11 @@ type NodeServerConfig struct {
 
 // NewNodeServer starts listening (processing begins on Start).
 func NewNodeServer(cfg NodeServerConfig) (*NodeServer, error) {
+	switch cfg.Policy {
+	case "", "balance-sic", "random":
+	default:
+		return nil, fmt.Errorf("transport: unknown shedding policy %q (want balance-sic or random)", cfg.Policy)
+	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		return nil, err
@@ -255,7 +265,9 @@ func (s *NodeServer) serveConn(nc net.Conn) {
 func (s *NodeServer) handle(e *Envelope, out *conn) (stopped bool) {
 	switch e.Kind {
 	case KindHello:
-		// Connections are identified per message; nothing to do.
+		if err := s.handleHello(e.Hello); err != nil {
+			s.logf("themis-node %s: hello: %v", s.Name, err)
+		}
 	case KindDeploy:
 		if err := s.handleDeploy(e.Deploy); err != nil {
 			s.logf("themis-node %s: deploy: %v", s.Name, err)
@@ -339,12 +351,10 @@ func (s *NodeServer) handleDeploy(d *Deploy) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.nd == nil {
-		s.initNode(d.STWMs, d.IntervalMs)
-	} else if ss := s.nd.StateSize(); ss.Fragments+ss.Subscriptions >= maxHostedFragments {
-		return fmt.Errorf("host is at its cap of %d hosted fragments", maxHostedFragments)
+		return errNoRun
 	}
-	if d.CheckpointMs > 0 {
-		s.ckptMs = d.CheckpointMs
+	if ss := s.nd.StateSize(); ss.Fragments+ss.Subscriptions >= maxHostedFragments {
+		return fmt.Errorf("host is at its cap of %d hosted fragments", maxHostedFragments)
 	}
 	// An attaching fragment rides an instance this node already executes
 	// — no executor, no sources; a hosting one becomes the registered
@@ -476,9 +486,34 @@ func (s *NodeServer) evictStalePeers(live map[string]bool) {
 	}
 }
 
-// initNode builds the node runtime with the deployment's STW and
-// shedding interval (zero values fall back to the node defaults).
-func (s *NodeServer) initNode(stwMs, intervalMs int64) {
+// errNoRun refuses a deploy or start that arrives before any hello has
+// announced a run: the host has no node to put it on.
+var errNoRun = errors.New("no run announced yet: refused")
+
+// handleHello builds the node runtime from the first hello that
+// announces a run, once control.CheckRun admits it. A hello without a
+// run (a peer's) is a no-op; a run outside the bounds is refused and the
+// host keeps waiting for a valid one; a later run is ignored, and
+// refused if it differs from the one the node runs.
+func (s *NodeServer) handleHello(h *Hello) error {
+	if h == nil {
+		return nil
+	}
+	run := Hello{STWMs: h.STWMs, IntervalMs: h.IntervalMs, CheckpointTicks: h.CheckpointTicks}
+	if run == (Hello{}) {
+		return nil
+	}
+	if err := control.CheckRun(stream.Duration(run.STWMs), stream.Duration(run.IntervalMs), run.CheckpointTicks); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.nd != nil {
+		if run != s.run {
+			return fmt.Errorf("a second run %+v differs from the one this host runs, %+v: refused", run, s.run)
+		}
+		return nil
+	}
 	var shedder core.Shedder
 	if s.policy == "random" {
 		shedder = core.NewRandom(s.seed)
@@ -486,12 +521,15 @@ func (s *NodeServer) initNode(stwMs, intervalMs int64) {
 		shedder = core.NewBalanceSIC(s.seed)
 	}
 	s.nd = node.New(0, node.Config{
-		STW:            stream.Duration(stwMs),
-		Interval:       stream.Duration(intervalMs),
+		STW:            stream.Duration(run.STWMs),
+		Interval:       stream.Duration(run.IntervalMs),
 		CapacityPerSec: s.capacity,
+		CostNoise:      node.DefaultCostNoise,
 		Pool:           s.pool,
 		Seed:           s.seed,
 	}, shedder)
+	s.run = run
+	return nil
 }
 
 // now maps wall clock to the node's logical milliseconds.
@@ -502,6 +540,9 @@ func (s *NodeServer) now() stream.Time {
 	return stream.Time(time.Since(s.epoch).Milliseconds())
 }
 
+// handleStart begins ticking at the run's interval. A spare — a member
+// with no fragment yet — starts like any other host, so it heartbeats
+// and can adopt re-placed fragments. A start before any run is refused.
 func (s *NodeServer) handleStart(st *Start, ctrl *conn) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -509,24 +550,11 @@ func (s *NodeServer) handleStart(st *Start, ctrl *conn) {
 		return
 	}
 	if s.nd == nil {
-		// No fragments deployed yet: this node is a spare. Build the
-		// runtime anyway (from the Start message's STW/interval) so the
-		// node ticks, heartbeats, and can adopt re-placed fragments.
-		var stwMs, ivalMs int64
-		if st != nil {
-			stwMs, ivalMs = st.STWMs, st.IntervalMs
-		}
-		s.initNode(stwMs, ivalMs)
+		s.logf("themis-node %s: start: %v", s.Name, errNoRun)
+		return
 	}
 	s.ctrl = ctrl
 	s.started = true
-	if st != nil && st.CheckpointMs > 0 {
-		s.ckptMs = st.CheckpointMs
-	}
-	interval := 250 * time.Millisecond
-	if st != nil && st.IntervalMs > 0 {
-		interval = time.Duration(st.IntervalMs) * time.Millisecond
-	}
 	s.epoch = time.Now()
 	if st != nil && st.RunOffsetMs > 0 {
 		// A mid-run joiner backdates its epoch so its logical clock lines
@@ -535,7 +563,7 @@ func (s *NodeServer) handleStart(st *Start, ctrl *conn) {
 		// batches' timestamps fall inside the local windows immediately.
 		s.epoch = s.epoch.Add(-time.Duration(st.RunOffsetMs) * time.Millisecond)
 	}
-	go s.tickLoop(interval)
+	go s.tickLoop(time.Duration(s.run.IntervalMs) * time.Millisecond)
 }
 
 func (s *NodeServer) tickLoop(interval time.Duration) {
@@ -549,7 +577,6 @@ func (s *NodeServer) tickLoop(interval time.Duration) {
 	s.mu.Lock()
 	last := s.now()
 	s.mu.Unlock()
-	lastCkpt := time.Now()
 	for {
 		select {
 		case <-s.stop:
@@ -571,33 +598,32 @@ func (s *NodeServer) tickLoop(interval time.Duration) {
 			s.nd.TickSpan(last, now)
 			s.tickNanos += time.Since(t0).Nanoseconds()
 			s.ticks++
+			ckpt := s.run.CheckpointTicks > 0 && s.ticks%s.run.CheckpointTicks == 0
 			out := s.nd.TakeOutbox()
 			last = now
 			s.mu.Unlock()
-			// Drain the outbox outside the node mutex: the router methods
-			// below *encode and queue* rather than send, so the drain no
-			// longer blocks on the network at all — and inbound
-			// Enqueue/SetResultSIC handlers are never behind a send.
-			// tickLoop is the only goroutine ticking the node, so the
-			// outbox stays valid until the next iteration.
-			out.Replay(0, s)
+			// Drain the outbox outside the node mutex: the drain *encodes
+			// and queues* rather than sends, so it never blocks on the
+			// network — and inbound Enqueue/SetResultSIC handlers are
+			// never behind a send. tickLoop is the only goroutine ticking
+			// the node, so the outbox stays valid until the next
+			// iteration.
+			s.drainOutbox(out)
 			// Liveness beacon: a node hosting no (or only displaced-away)
 			// fragments may otherwise stay silent for whole intervals,
 			// which the controller's missed-heartbeat detector would
 			// mistake for a partition.
 			s.mu.Lock()
 			ctrl := s.ctrl
-			ckptMs := s.ckptMs
 			s.mu.Unlock()
 			if ctrl != nil {
 				s.queueCtrl(&Envelope{Kind: KindHeartbeat})
 			}
-			// Ship operator-state checkpoints on the configured cadence.
+			// Ship operator-state checkpoints on the run's cadence, the
+			// engine's rule: after every CheckpointTicks-th tick.
 			// Snapshots are collected under the node mutex but queued and
 			// flushed outside it, like the outbox drain above.
-			if ctrl != nil && ckptMs > 0 &&
-				time.Since(lastCkpt) >= time.Duration(ckptMs)*time.Millisecond {
-				lastCkpt = time.Now()
+			if ctrl != nil && ckpt {
 				for _, env := range s.collectCheckpoints() {
 					s.queueCtrl(env)
 				}
@@ -717,7 +743,7 @@ func (s *NodeServer) peerConn(addr string) (*conn, error) {
 		}
 		delete(s.cool, addr)
 	}
-	c, err := dial(addr, s.Name, s.wtimeout)
+	c, err := dial(addr, Hello{From: s.Name}, s.wtimeout)
 	if err != nil {
 		s.cool[addr] = time.Now().Add(s.dialCool)
 		return nil, err
@@ -769,22 +795,36 @@ func (s *NodeServer) noteDroppedFrames(frames []qframe) {
 	s.mu.Unlock()
 }
 
-// --- node.Router implementation (wall-clock federation) ---
+// --- outbox drain (wall-clock federation) ---
 //
-// These methods are no longer called mid-tick: tickLoop drains the node's
-// outbox through Outbox.Replay after releasing the node mutex, so they
-// run concurrently with inbound Enqueue/SetResultSIC handlers and must
-// take s.mu themselves where they touch the node. They encode into
-// per-destination queues rather than send: the network is touched once
-// per destination per tick, by flushPeers.
+// These methods are not called mid-tick: tickLoop drains the node's
+// outbox after releasing the node mutex, so they run concurrently with
+// inbound Enqueue/SetResultSIC handlers and must take s.mu themselves
+// where they touch the node. They encode into per-destination queues
+// rather than send: the network is touched once per destination per
+// tick, by flushPeers.
 
-// RouteDownstream implements node.Router by encoding the batch as a wire
-// frame (into a pooled buffer — the batch itself is borrowed and released
-// by the outbox replay) and queueing it for the peer hosting the
-// destination fragment. A full queue means the peer is not draining:
-// the batch is dropped with its tuples and pre-credited SIC mass
-// accounted, never buffered unboundedly.
-func (s *NodeServer) RouteDownstream(_ stream.NodeID, b *stream.Batch) {
+// drainOutbox hands one tick's effects to the send queues — result
+// reports first, then derived batches, as federation.drainOutbox applies
+// them — releasing each batch after use.
+func (s *NodeServer) drainOutbox(out *node.Outbox) {
+	for _, re := range out.Results {
+		s.DeliverResult(re.Query, len(re.Batch.Tuples), re.Batch.SIC)
+		re.Batch.Release()
+	}
+	for _, b := range out.Downstream {
+		s.RouteDownstream(b)
+		b.Release()
+	}
+	out.Reset()
+}
+
+// RouteDownstream encodes the batch as a wire frame (into a pooled
+// buffer — the batch itself is borrowed and released by the drain) and
+// queues it for the peer hosting the destination fragment. A full queue
+// means the peer is not draining: the batch is dropped with its tuples
+// and pre-credited SIC mass accounted, never buffered unboundedly.
+func (s *NodeServer) RouteDownstream(b *stream.Batch) {
 	s.mu.Lock()
 	addr, ok := s.peers[peerKey{b.Query, b.Frag}]
 	s.mu.Unlock()
@@ -934,17 +974,17 @@ func (s *NodeServer) flushCtrl() {
 	s.recycleFrames(&s.ctrlQ, frames)
 }
 
-// DeliverResult implements node.Router by queueing result SIC mass and
-// tuple counts for the controller; the tick-end flush coalesces them
-// with the heartbeat and any checkpoints into one write. sicMass is the
+// DeliverResult queues one result delivery — its tuple count and SIC
+// mass — for the controller; the tick-end flush coalesces it with the
+// heartbeat and any checkpoints into one write. sicMass is the
 // batch-header SIC total, summed once where the batch was made, so the
 // tuples are not summed again here.
-func (s *NodeServer) DeliverResult(q stream.QueryID, _ stream.Time, tuples []stream.Tuple, sicMass float64) {
+func (s *NodeServer) DeliverResult(q stream.QueryID, tuples int, sicMass float64) {
 	s.mu.Lock()
 	ctrl := s.ctrl
 	s.mu.Unlock()
 	if ctrl == nil {
 		return
 	}
-	s.queueCtrl(&Envelope{Kind: KindReport, Report: &ReportMsg{Query: q, Result: sicMass, Tuples: len(tuples)}})
+	s.queueCtrl(&Envelope{Kind: KindReport, Report: &ReportMsg{Query: q, Result: sicMass, Tuples: tuples}})
 }

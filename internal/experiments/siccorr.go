@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/cql"
@@ -137,16 +137,15 @@ func runCorr(spec corrSpec, d sources.Dataset, scale Scale, seed int64) []CorrPo
 	return points
 }
 
-// seriesError compares a degraded capture against the perfect reference.
+// seriesError compares a degraded capture against the perfect reference
+// over the perfect run's post-warm-up windows, in time order, so the
+// float sums come out the same bits on every run.
 func seriesError(kind errKind, deg, perf *capture, warmup stream.Duration) float64 {
 	switch kind {
 	case errKendall:
 		var sum float64
 		var n int
-		for ts, plist := range perf.lists {
-			if ts <= stream.Time(warmup) {
-				continue
-			}
+		for _, ts := range windowsAfter(perf.lists, warmup) {
 			dlist, ok := deg.lists[ts]
 			if !ok {
 				// A fully-shed window: maximal disagreement.
@@ -154,7 +153,7 @@ func seriesError(kind errKind, deg, perf *capture, warmup stream.Duration) float
 				n++
 				continue
 			}
-			sum += metrics.KendallTopK(dlist, plist)
+			sum += metrics.KendallTopK(dlist, perf.lists[ts])
 			n++
 		}
 		if n == 0 {
@@ -164,15 +163,12 @@ func seriesError(kind errKind, deg, perf *capture, warmup stream.Duration) float
 	case errRMS:
 		var ss float64
 		var n int
-		for ts, pv := range perf.vals {
-			if ts <= stream.Time(warmup) {
-				continue
-			}
+		for _, ts := range windowsAfter(perf.vals, warmup) {
 			dv, ok := deg.vals[ts]
 			if !ok {
 				continue
 			}
-			d := dv - pv
+			d := dv - perf.vals[ts]
 			ss += d * d
 			n++
 		}
@@ -182,14 +178,7 @@ func seriesError(kind errKind, deg, perf *capture, warmup stream.Duration) float
 		return math.Sqrt(ss / float64(n))
 	default:
 		var dvals, pvals []float64
-		keys := make([]stream.Time, 0, len(perf.vals))
-		for ts := range perf.vals {
-			if ts > stream.Time(warmup) {
-				keys = append(keys, ts)
-			}
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, ts := range keys {
+		for _, ts := range windowsAfter(perf.vals, warmup) {
 			dv, ok := deg.vals[ts]
 			if !ok {
 				continue
@@ -202,6 +191,18 @@ func seriesError(kind errKind, deg, perf *capture, warmup stream.Duration) float
 		}
 		return metrics.MeanAbsRelErr(dvals, pvals)
 	}
+}
+
+// windowsAfter lists a capture's window times past the warm-up, ascending.
+func windowsAfter[V any](m map[stream.Time]V, warmup stream.Duration) []stream.Time {
+	keys := make([]stream.Time, 0, len(m))
+	for ts := range m {
+		if ts > stream.Time(warmup) {
+			keys = append(keys, ts)
+		}
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // bucketise summarises a point cloud into SIC deciles.

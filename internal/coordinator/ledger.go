@@ -89,14 +89,24 @@ func (l *Ledger) Live(q stream.QueryID) bool { return l.at(q) != nil }
 // NumLive reports how many queries hold a coordinator.
 func (l *Ledger) NumLive() int { return l.live }
 
+// MaxResultMass bounds the SIC mass one result report may carry. Eq. (1)
+// stamps a query's sources with a total mass of 1 per STW and operators
+// only divide and sum it, so a report of one window's result carries at
+// most about 1; the bound leaves three orders of magnitude for rate
+// estimates and windows that stretch that (DESIGN.md §5).
+const MaxResultMass = 1e3
+
 // Result records SIC mass that reached q's result stream at time now and
-// reports whether q is open; a result for any other query is dropped.
+// reports whether it was recorded: a result for a query that is not open
+// is dropped, and so is mass no result can carry — negative, NaN, above
+// MaxResultMass — which would poison q's sliding sum for good.
 func (l *Ledger) Result(q stream.QueryID, now stream.Time, mass float64) bool {
 	e := l.at(q)
-	if e != nil {
-		e.coord.ReportResult(now, mass)
+	if e == nil || !(mass >= 0 && mass <= MaxResultMass) {
+		return false
 	}
-	return e != nil
+	e.coord.ReportResult(now, mass)
+	return true
 }
 
 // ResetEpoch starts a fresh measurement epoch for q after a cold

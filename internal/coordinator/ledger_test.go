@@ -57,6 +57,49 @@ func TestLedgerWarmupEpochs(t *testing.T) {
 	}
 }
 
+// TestLedgerRefusesImpossibleMass: a report of mass no result can carry —
+// negative, NaN, ±Inf, above MaxResultMass — is dropped, so a query's
+// measured SIC, mean and Jain read exactly as if it never arrived. Two
+// reports of 1e308 used to overflow the sliding sum to +Inf, and the
+// first slide to expire turned it into NaN for good.
+func TestLedgerRefusesImpossibleMass(t *testing.T) {
+	const stw, slide = 10 * stream.Second, 250 * stream.Millisecond
+	clean, fed := NewLedger(stw, slide, false), NewLedger(stw, slide, false)
+	for _, l := range []*Ledger{clean, fed} {
+		l.Open(0, 0)
+		l.Open(1, 0)
+	}
+	for tick := 1; tick <= 60; tick++ {
+		now := stream.Time(tick) * stream.Time(slide)
+		for _, l := range []*Ledger{clean, fed} {
+			l.Result(0, now, 0.025)
+			l.Result(1, now, 0.02)
+		}
+		if tick <= 2 {
+			for _, bad := range []float64{1e308, math.Inf(1), math.Inf(-1), math.NaN(), -0.5, MaxResultMass * 2} {
+				if fed.Result(0, now, bad) {
+					t.Errorf("mass %g recorded", bad)
+				}
+			}
+		}
+		if !fed.Result(1, now, MaxResultMass) {
+			t.Fatal("mass at the bound refused")
+		}
+		fed.Result(1, now, -MaxResultMass)
+		clean.Result(1, now, MaxResultMass)
+		for _, l := range []*Ledger{clean, fed} {
+			l.Tick(now, stream.Second, nil)
+		}
+		if got, want := fed.Measured(0, now), clean.Measured(0, now); got != want {
+			t.Fatalf("tick %d: measured %g, want %g", tick, got, want)
+		}
+	}
+	got, want := fed.Summary(), clean.Summary()
+	if !reflect.DeepEqual(got, want) || math.IsNaN(got.Mean) || math.IsNaN(got.Jain) {
+		t.Errorf("summary %+v, want %+v", got, want)
+	}
+}
+
 // TestLedgerResetEpoch: a cold recovery clears the measured estimate,
 // the sample sum and the kept series — and nothing of any other query.
 func TestLedgerResetEpoch(t *testing.T) {

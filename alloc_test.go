@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/cql"
 	"repro/internal/federation"
-	"repro/internal/query"
 	"repro/internal/sources"
 	"repro/internal/stream"
 )
@@ -28,30 +27,21 @@ func steadyEngine(checkpoint stream.Duration) *federation.Engine {
 	cfg.Checkpoint = checkpoint
 	e := federation.NewEngine(cfg)
 	e.AddNodes(4, 1e6)
-	for _, d := range []struct {
-		plan      *query.Plan
-		placement []stream.NodeID
-	}{
-		{cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 2), []stream.NodeID{0, 1}},
-		{cql.MustPlan(cql.Avg, cql.DefaultCatalog(sources.Gaussian), 1), []stream.NodeID{2}},
-		{cql.MustPlan(cql.Cov, cql.DefaultCatalog(sources.Exponential), 2), []stream.NodeID{3, 0}},
+	for _, sub := range []federation.QuerySubmit{
+		{CQL: cql.AvgAll, Fragments: 2, Dataset: int(sources.Uniform), Placement: []stream.NodeID{0, 1}},
+		{CQL: cql.Avg, Dataset: int(sources.Gaussian), Placement: []stream.NodeID{2}},
+		{CQL: cql.Cov, Fragments: 2, Dataset: int(sources.Exponential), Placement: []stream.NodeID{3, 0}},
 	} {
-		if _, err := e.DeployQuery(d.plan, d.placement, 0); err != nil {
+		if _, err := e.Submit(sub); err != nil {
 			panic(err)
 		}
 	}
 	return e
 }
 
-// mixedPlan plans the i-th query of the complex workload, which cycles
-// AVG-all, TOP-5 and COV, over k fragments.
-func mixedPlan(i, k int, d sources.Dataset) *query.Plan {
-	return cql.MustPlan([...]string{cql.AvgAll, cql.Top5, cql.Cov}[i%3], cql.DefaultCatalog(d), k)
-}
-
 // overloadedEngine builds the constantly shedding deployment: a 24-node
 // Emulab-style federation running 48 mixed complex queries of 1-3
-// fragments over PlanetLab traces.
+// fragments over PlanetLab traces, each query on its own feed.
 func overloadedEngine() *federation.Engine {
 	const nodes, queries = 24, 48
 	cfg := federation.Defaults()
@@ -60,8 +50,11 @@ func overloadedEngine() *federation.Engine {
 	next := 0
 	for i := 0; i < queries; i++ {
 		k := 1 + i%3
-		plan := mixedPlan(i, k, sources.PlanetLab)
-		if _, err := e.DeployQuery(plan, federation.RoundRobinPlacement(&next, nodes, k), 0); err != nil {
+		sub := federation.QuerySubmit{
+			CQL: [...]string{cql.AvgAll, cql.Top5, cql.Cov}[i%3], Fragments: k, Dataset: int(sources.PlanetLab),
+			Placement: federation.RoundRobinPlacement(&next, nodes, k), Feed: i,
+		}
+		if _, err := e.Submit(sub); err != nil {
 			panic(err)
 		}
 	}

@@ -135,13 +135,6 @@ func main() {
 		return
 	}
 
-	// The local testbed is one node, so the query runs as one fragment.
-	plan, err := themis.ParseQuery(*queryText, themis.DefaultCatalog(ds), 1)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "themis-cql: %v\n", err)
-		os.Exit(2)
-	}
-
 	cfg := themis.Defaults()
 	cfg.Duration = themis.Duration(duration.Milliseconds())
 	cfg.Warmup = cfg.Duration / 5
@@ -165,10 +158,11 @@ func main() {
 		})
 	}
 	engine, node := themis.LocalTestbed(cfg, *capacity)
-	qid, err := engine.DeployQuery(plan, []themis.NodeID{node}, *rate)
+	// The local testbed is one node, so the query runs as one fragment.
+	qid, err := engine.Submit(themis.QuerySubmit{CQL: *queryText, Fragments: 1, Dataset: int(ds), Rate: *rate, Placement: []themis.NodeID{node}})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "themis-cql: %v\n", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 	if !*quietFlag {
 		engine.OnResult(qid, func(now themis.Time, tuples []themis.Tuple) {
@@ -185,7 +179,7 @@ func main() {
 
 	res := engine.Run()
 	ns := res.Nodes[0]
-	fmt.Printf("\n%s (%s)\n", plan.Type, *queryText)
+	fmt.Printf("\n%s (%s)\n", res.Queries[qid].Type, *queryText)
 	if len(res.Queries) == 1 {
 		fmt.Printf("mean SIC over run: %.3f   (1.0 = perfect processing)\n", res.Queries[0].MeanSIC)
 	} else {

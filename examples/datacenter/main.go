@@ -42,9 +42,15 @@ func main() {
 	}
 	var queries []*deployed
 
-	deploy := func(name string, plan *themis.Plan, frags int) {
+	// Each query reads its own data feed (its index in the workload), so
+	// the six copies of a statement monitor six independent metric
+	// streams rather than one.
+	deploy := func(name, stmt string, frags int) {
 		placement := themis.UniformPlacement(rng, 6, frags)
-		id, err := engine.DeployQuery(plan, placement, 25)
+		id, err := engine.Submit(themis.QuerySubmit{
+			CQL: stmt, Fragments: frags, Dataset: int(themis.PlanetLab),
+			Rate: 25, Placement: placement, Feed: len(queries),
+		})
 		if err != nil {
 			panic(err)
 		}
@@ -61,7 +67,6 @@ func main() {
 
 	// The three queries in the paper's CQL-like syntax (Table 1), each
 	// planned over as many fragments as it spans nodes.
-	catalog := themis.DefaultCatalog(themis.PlanetLab)
 	const (
 		avgAll = `Select Avg(t.v) From AllSrc[Range 1 sec]`
 		top5   = `Select Top5(AllSrcCPU.id) From AllSrcCPU[Range 1 sec], AllSrcMem[Range 1 sec] ` +
@@ -69,13 +74,13 @@ func main() {
 		cov = `Select Cov(SrcCPU1.value, SrcCPU2.value) From SrcCPU1[Range 1 sec], SrcCPU2[Range 1 sec]`
 	)
 	for i := 0; i < 6; i++ {
-		deploy(fmt.Sprintf("AVG-all #%d (cluster CPU)", i), themis.MustParseQuery(avgAll, catalog, 3), 3)
+		deploy(fmt.Sprintf("AVG-all #%d (cluster CPU)", i), avgAll, 3)
 	}
 	for i := 0; i < 6; i++ {
-		deploy(fmt.Sprintf("TOP-5   #%d (best hosts)", i), themis.MustParseQuery(top5, catalog, 2), 2)
+		deploy(fmt.Sprintf("TOP-5   #%d (best hosts)", i), top5, 2)
 	}
 	for i := 0; i < 6; i++ {
-		deploy(fmt.Sprintf("COV     #%d (cpu pairs)", i), themis.MustParseQuery(cov, catalog, 2), 2)
+		deploy(fmt.Sprintf("COV     #%d (cpu pairs)", i), cov, 2)
 	}
 
 	res := engine.Run()

@@ -40,14 +40,16 @@ func run(policy themis.Policy) *themis.Results {
 	engine.AddNode(4000) // Mexico
 
 	// Queries are written in the paper's CQL-like syntax (Table 1) and
-	// planned over one fragment per site they span.
-	catalog := themis.DefaultCatalog(themis.PlanetLab)
+	// planned over one fragment per site they span. Each reads its own
+	// data feed, so repeated statements monitor different sensors.
 	rng := rand.New(rand.NewSource(7))
+	feed := 0
 	deploy := func(cql string, placement []themis.NodeID) {
-		plan := themis.MustParseQuery(cql, catalog, len(placement))
-		if _, err := engine.DeployQuery(plan, placement, 60); err != nil {
+		sub := themis.QuerySubmit{CQL: cql, Fragments: len(placement), Dataset: int(themis.PlanetLab), Rate: 60, Placement: placement, Feed: feed}
+		if _, err := engine.Submit(sub); err != nil {
 			panic(err)
 		}
+		feed++
 	}
 	const (
 		top5 = `Select Top5(AllSrcCPU.id) From AllSrcCPU[Range 1 sec], AllSrcMem[Range 1 sec] ` +

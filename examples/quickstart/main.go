@@ -27,7 +27,6 @@ func main() {
 	// (Table 1), at different source rates: under fair shedding the
 	// heavier query loses proportionally more tuples so that all three
 	// retain the same fraction of their information.
-	catalog := themis.DefaultCatalog(themis.Gaussian)
 	queries := []struct {
 		name string
 		cql  string
@@ -38,11 +37,8 @@ func main() {
 		{"COUNT @ 1600 t/s", `Select Count(t.v) From Src[Range 1 sec] Having t.v >= 50`, 1600},
 	}
 	for _, q := range queries {
-		plan, err := themis.ParseQuery(q.cql, catalog, 1)
-		if err != nil {
-			panic(err)
-		}
-		if _, err := engine.DeployQuery(plan, []themis.NodeID{node}, q.rate); err != nil {
+		sub := themis.QuerySubmit{CQL: q.cql, Fragments: 1, Dataset: int(themis.Gaussian), Rate: q.rate, Placement: []themis.NodeID{node}}
+		if _, err := engine.Submit(sub); err != nil {
 			panic(err)
 		}
 	}

@@ -102,11 +102,10 @@ type Query struct {
 	// in place, so a driver holding the slice sees re-placements.
 	Placement []stream.NodeID
 
-	// ratePin is a shaped query's rate component of every key.
+	// ratePin is the query's rate and feed component of every key.
 	ratePin string
 	// subKeys holds one canonical subtree key per fragment and share the
-	// per-fragment share state; both nil when the query never deduplicates
-	// (no shape, or sharing off).
+	// per-fragment share state; both nil when sharing is off.
 	subKeys []string
 	share   []fragShare
 	// ckpt banks the newest checkpoint blob per fragment (empty = none) in
@@ -146,8 +145,7 @@ type Deploy struct {
 	Attach   bool
 	Emit     bool
 	// Seed is a hosting fragment's structural source seed (an attach has
-	// no sources). A shapeless query carries none: the engine seeds it from
-	// its submission-order generator, which is what pins the paper figures.
+	// no sources).
 	Seed int64
 	// Restore is the banked state to restore into the fragment once hosted
 	// — set by Replace only, and only under a warm verdict. It aliases the
@@ -358,11 +356,12 @@ func (p *Plane) Groups(n stream.NodeID) map[string][]stream.QueryID {
 // Submit admits a query: it validates the plan and the placement (nil =
 // the configured strategy over the live membership), assigns the next
 // query id, and settles every fragment's share decision at time pin.
-// shape is the statement's plan-cache shape key; plans deployed without
-// one ("") never share and get no seed. A rate outside (0, MaxRate] — NaN
-// and ±Inf included — is refused before anything is placed. The commands
+// shape is the statement's plan-cache shape key and feed the data feed
+// its sources read; together with the rate they are the query's
+// structural identity (ratePin). A rate outside (0, MaxRate] — NaN and
+// ±Inf included — is refused before anything is placed. The commands
 // come in ascending fragment order.
-func (p *Plane) Submit(plan *query.Plan, shape string, rate float64, placement []stream.NodeID, pin int64) (*Query, []Deploy, error) {
+func (p *Plane) Submit(plan *query.Plan, shape string, feed int, rate float64, placement []stream.NodeID, pin int64) (*Query, []Deploy, error) {
 	if !(rate > 0 && rate <= MaxRate) {
 		return nil, nil, fmt.Errorf("control: source rate %g tuples/s outside (0, %g]", rate, float64(MaxRate))
 	}
@@ -380,22 +379,19 @@ func (p *Plane) Submit(plan *query.Plan, shape string, rate float64, placement [
 		}
 		placement = append([]stream.NodeID(nil), placement...)
 	}
-	q := &Query{ID: p.next, Plan: plan, Rate: rate, Shape: shape, Placement: placement}
+	q := &Query{ID: p.next, Plan: plan, Rate: rate, Shape: shape, Placement: placement, ratePin: p.ratePin(rate, feed)}
 	p.next++
-	if shape != "" {
-		q.ratePin = p.ratePin(rate)
-		if p.cfg.Sharing == SharingFull {
-			ks, ok := p.subKeys[shape]
-			if !ok {
-				ks = cql.SubtreeKeys(plan, shape)
-				for f := range ks {
-					ks[f] += fragPin(f)
-				}
-				p.subKeys[shape] = ks
+	if p.cfg.Sharing == SharingFull {
+		ks, ok := p.subKeys[shape]
+		if !ok {
+			ks = cql.SubtreeKeys(plan, shape)
+			for f := range ks {
+				ks[f] += fragPin(f)
 			}
-			q.subKeys = ks
-			q.share = make([]fragShare, plan.NumFragments())
+			p.subKeys[shape] = ks
 		}
+		q.subKeys = ks
+		q.share = make([]fragShare, plan.NumFragments())
 	}
 	p.queries = append(p.queries, q)
 	cmds := make([]Deploy, len(placement))
@@ -417,9 +413,7 @@ func (p *Plane) Submit(plan *query.Plan, shape string, rate float64, placement [
 func (p *Plane) deploy(q *Query, f int, n stream.NodeID, pin int64) Deploy {
 	d := Deploy{Query: q.ID, Frag: f, Node: n}
 	if q.share == nil {
-		if q.Shape != "" {
-			d.Seed = q.structuralSeed(p.cfg.Seed, f)
-		}
+		d.Seed = q.structuralSeed(p.cfg.Seed, f)
 		return d
 	}
 	key := q.shareKey(f, pin)

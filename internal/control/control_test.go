@@ -42,7 +42,7 @@ func submit(frags int, rate float64, at nodes, pin int64) event {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, cmds, err := p.Submit(plan, shape, rate, at, pin)
+		_, cmds, err := p.Submit(plan, shape, 0, rate, at, pin)
 		if err != nil {
 			return err
 		}
@@ -300,7 +300,7 @@ func TestPlacementValidation(t *testing.T) {
 		"too few": {0}, "too many": {0, 1, 0}, "out of range": {0, 3}, "negative": {-1, 0},
 		"dead": {0, 2}, "duplicate": {1, 1},
 	} {
-		if _, _, err := p.Submit(plan, shape, 20, at, 0); err == nil {
+		if _, _, err := p.Submit(plan, shape, 0, 20, at, 0); err == nil {
 			t.Errorf("%s placement %v accepted", name, at)
 		}
 	}
@@ -308,11 +308,11 @@ func TestPlacementValidation(t *testing.T) {
 		t.Error("placed 3 fragments on 2 live nodes")
 	}
 	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1e300, MaxRate * 2} {
-		if _, _, err := p.Submit(plan, shape, rate, nil, 0); err == nil {
+		if _, _, err := p.Submit(plan, shape, 0, rate, nil, 0); err == nil {
 			t.Errorf("rate %g accepted", rate)
 		}
 	}
-	q, _, err := p.Submit(plan, shape, MaxRate, nodes{1, 0}, 0)
+	q, _, err := p.Submit(plan, shape, 0, MaxRate, nodes{1, 0}, 0)
 	if err != nil || q.ID != 0 {
 		t.Fatalf("valid placement after refusals: id %v, err %v", q, err)
 	}
@@ -327,9 +327,9 @@ func TestPlacementValidation(t *testing.T) {
 }
 
 // TestSeedsAndKeys pins the one identity format by its relations: a
-// shaped query's seeds depend on (base seed, shape, rate, fragment) and
-// nothing else — not the sharing mode, not the pin; a shapeless one
-// carries none; compat keys are share keys without the pin.
+// query's seeds depend on (base seed, shape, rate, fragment) and nothing
+// else — not the sharing mode, not the pin; compat keys are share keys
+// without the pin.
 func TestSeedsAndKeys(t *testing.T) {
 	deploys := func(cfg Config, rate float64, pin int64) []Deploy {
 		p := New(cfg)
@@ -340,10 +340,10 @@ func TestSeedsAndKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 		// A first query so the one under test is not id 0.
-		if _, _, err := p.Submit(plan, shape, rate, nodes{0, 1}, pin); err != nil {
+		if _, _, err := p.Submit(plan, shape, 0, rate, nodes{0, 1}, pin); err != nil {
 			t.Fatal(err)
 		}
-		_, cmds, err := p.Submit(plan, shape, rate, nodes{1, 0}, pin)
+		_, cmds, err := p.Submit(plan, shape, 0, rate, nodes{1, 0}, pin)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,21 +374,59 @@ func TestSeedsAndKeys(t *testing.T) {
 	p := New(Config{Sharing: SharingFull})
 	p.Join()
 	plan, shape, _ := p.Plan(avgAll, 1, sources.Uniform)
-	a, _, _ := p.Submit(plan, shape, 20, nodes{0}, 0)
-	b, _, _ := p.Submit(plan, shape, 20, nodes{0}, 5)
-	c, _, _ := p.Submit(plan, shape, 40, nodes{0}, 0)
-	d, dcmds, _ := p.Submit(plan, "", 20, nodes{0}, 0)
-	if dcmds[0].Seed != 0 {
-		t.Errorf("a shapeless submit carries seed %d; its driver seeds it", dcmds[0].Seed)
-	}
+	a, _, _ := p.Submit(plan, shape, 0, 20, nodes{0}, 0)
+	b, _, _ := p.Submit(plan, shape, 0, 20, nodes{0}, 5)
+	c, _, _ := p.Submit(plan, shape, 0, 40, nodes{0}, 0)
 	if !a.compatible(b) || a.ShareKey(0) == b.ShareKey(0) {
 		t.Error("state compatibility must be the share identity without its pin")
 	}
 	if a.compatible(c) {
 		t.Error("state compatibility must keep rates apart")
 	}
-	if d.compatible(d) || d.ShareKey(0) != "" {
-		t.Error("a plan deployed without a shape must never share")
+}
+
+// TestFeedIdentity pins the feed's place in the identity format: feed 0
+// keeps the seed and share key a submission had before feeds existed,
+// and two feeds of one statement draw distinct seeds and neither share
+// an instance nor warm-start each other.
+func TestFeedIdentity(t *testing.T) {
+	p := New(Config{Seed: 7, Sharing: SharingFull})
+	p.Join()
+	p.Join()
+	plan, shape, err := p.Plan(avgAll, 2, sources.Uniform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(feed int) (*Query, []Deploy) {
+		t.Helper()
+		q, cmds, err := p.Submit(plan, shape, feed, 20, nodes{0, 1}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q, cmds
+	}
+	q0, d0 := submit(0)
+	if d0[0].Seed != 0x3ff2ed49e7d08989 || d0[1].Seed != 0x3ff2ecc9e7d088b0 {
+		t.Errorf("feed 0 seeds moved: %#x %#x", d0[0].Seed, d0[1].Seed)
+	}
+	if d0[0].ShareKey != "stb8414273f2de4a58|f0|r20|p0" || d0[1].ShareKey != "stf0b43b60e860c719|f1|r20|p0" {
+		t.Errorf("feed 0 share keys moved: %q %q", d0[0].ShareKey, d0[1].ShareKey)
+	}
+	q1, d1 := submit(1)
+	q2, d2 := submit(2)
+	for f := range d0 {
+		if d0[f].Seed == d1[f].Seed || d1[f].Seed == d2[f].Seed || d0[f].Seed == d2[f].Seed {
+			t.Errorf("fragment %d: feeds share a seed: %#x %#x %#x", f, d0[f].Seed, d1[f].Seed, d2[f].Seed)
+		}
+		if d1[f].Attach || d2[f].Attach || d1[f].ShareKey == d0[f].ShareKey || d1[f].ShareKey == d2[f].ShareKey {
+			t.Errorf("fragment %d: feeds share an instance: %+v %+v", f, d1[f], d2[f])
+		}
+	}
+	if q0.compatible(q1) || q1.compatible(q2) || q1.compatible(q0) {
+		t.Error("queries on different feeds must not warm-start each other")
+	}
+	if _, again := submit(1); !again[0].Attach || again[0].ShareKey != d1[0].ShareKey {
+		t.Errorf("a second query on feed 1 must ride the first: %+v", again[0])
 	}
 }
 

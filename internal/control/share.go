@@ -9,10 +9,10 @@ import (
 
 // Sharing selects whether a federation deduplicates work across
 // structurally identical CQL submissions (same plan-cache shape key).
-// Either way a query with a shape draws structurally seeded streams, so
-// same-shape queries monitor the same logical stream (the production
-// semantics — 4,800 dashboards over one metric feed) and one query's
-// checkpoint is a valid warm start for another.
+// Either way every query draws structurally seeded streams, so
+// same-shape queries on one feed monitor the same logical stream (the
+// production semantics — 4,800 dashboards over one metric feed) and one
+// query's checkpoint is a valid warm start for another.
 type Sharing int
 
 const (
@@ -38,11 +38,17 @@ func (s Sharing) String() string {
 	return "off"
 }
 
-// ratePin is the rate component of every structural identity: queries of
-// different rates never share a stream, an instance or a checkpoint.
-func (p *Plane) ratePin(rate float64) string {
+// ratePin is the rate and feed component of every structural identity:
+// queries of different rates, or on different feeds, never share a
+// stream, an instance or a checkpoint. Feed 0 appends nothing, so the
+// identities of queries on the default feed do not depend on feeds
+// existing at all.
+func (p *Plane) ratePin(rate float64, feed int) string {
 	if p.pin == "" || rate != p.pinRate {
 		p.pinRate, p.pin = rate, "|r"+strconv.FormatFloat(rate, 'g', -1, 64)
+	}
+	if feed != 0 {
+		return p.pin + "|d" + strconv.Itoa(feed)
 	}
 	return p.pin
 }
@@ -63,17 +69,16 @@ func (q *Query) shareKey(f int, pin int64) string {
 }
 
 // compatible reports whether o's checkpointed fragment state is a valid
-// warm start for q's fragment of the same index: both shaped, same shape
-// and same rate pin — the share identity without its time pin. Such
-// fragments observe the same logical stream, so their window state is
-// exchangeable. A query without a shape is compatible with nothing: only
-// its own snapshot may restore it.
+// warm start for q's fragment of the same index: same shape and same
+// rate pin — the share identity without its time pin. Such fragments
+// observe the same logical stream, so their window state is
+// exchangeable.
 func (q *Query) compatible(o *Query) bool {
-	return q.Shape != "" && q.Shape == o.Shape && q.ratePin == o.ratePin
+	return q.Shape == o.Shape && q.ratePin == o.ratePin
 }
 
 // structuralSeed hashes (base seed, shape, rate pin, fragment) into the one
-// seed a shaped fragment's sources draw their generator and emission
+// seed a fragment's sources draw their generator and emission
 // seeds from, in source order — FNV-1a over the identifying facts.
 // Excluding the time pin keeps a fragment re-placed after failure on the
 // same logical stream as the instance it replaces; including the base

@@ -52,15 +52,6 @@ func TestPlanDistributedValidates(t *testing.T) {
 // values.
 func runDistributed(t *testing.T, src string, frags int, rate float64) (float64, []float64) {
 	t.Helper()
-	cat := cql.DefaultCatalog(sources.Uniform)
-	st, err := cql.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := cql.PlanDistributed(st, cat, frags)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := federation.Defaults()
 	// Short STW so the sliding SIC window fills well inside the warmup.
 	cfg.STW = 4 * stream.Second
@@ -75,7 +66,7 @@ func runDistributed(t *testing.T, src string, frags int, rate float64) (float64,
 	for i := range placement {
 		placement[i] = stream.NodeID(i % 3)
 	}
-	q, err := e.DeployQuery(plan, placement, rate)
+	q, err := e.Submit(federation.QuerySubmit{CQL: src, Fragments: frags, Dataset: int(sources.Uniform), Rate: rate, Placement: placement})
 	if err != nil {
 		t.Fatal(err)
 	}

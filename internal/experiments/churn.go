@@ -118,7 +118,7 @@ func churnRun(stw, interval stream.Duration, seed int64, nodes, frags int, check
 	cfg.Churn = []federation.ChurnEvent{{Tick: killTick, Kill: []stream.NodeID{0}}}
 	e := federation.NewEngine(cfg)
 	e.AddNodes(nodes, 50_000)
-	q, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), frags), []stream.NodeID{0, 1, 2}, 0)
+	q, err := e.Submit(federation.QuerySubmit{CQL: cql.AvgAll, Fragments: frags, Dataset: int(sources.Uniform), Placement: []stream.NodeID{0, 1, 2}})
 	if err != nil {
 		return ChurnRow{}, err
 	}

@@ -85,12 +85,11 @@ var complexMix = [...]string{cql.AvgAll, cql.Top5, cql.Cov}
 // function. It returns the total fragment count.
 func mixedDeployment(e *federation.Engine, n int, fragsFor func(i int) int,
 	place func(k int) []stream.NodeID, dataset sources.Dataset) (int, error) {
-	cat := cql.DefaultCatalog(dataset)
 	totalFrags := 0
 	for i := 0; i < n; i++ {
 		k := fragsFor(i)
-		plan := cql.MustPlan(complexMix[i%len(complexMix)], cat, k)
-		if _, err := e.DeployQuery(plan, place(k), 0); err != nil {
+		sub := federation.QuerySubmit{CQL: complexMix[i%len(complexMix)], Fragments: k, Dataset: int(dataset), Placement: place(k), Feed: i}
+		if _, err := e.Submit(sub); err != nil {
 			return totalFrags, err
 		}
 		totalFrags += k

@@ -26,14 +26,14 @@ func TestPaperFiguresPinned(t *testing.T) {
 		run  func() any
 	}{
 		{"table1", 0x0f16b8080822a033, func() any { return Table1Queries() }},
-		{"fig6", 0x425948a6fefc1fad, func() any { return Fig6(tiny, 1) }},
-		{"fig7", 0x1355edcb65a54345, func() any { return Fig7(tiny, 1) }},
-		{"fig8", 0x7b6128c2d687e120, func() any { return Fig8(tiny, 1) }},
-		{"fig10", 0x404b4a70a12737a2, func() any { return Fig10(tiny, 1) }},
-		{"fig14", 0x8a14184c29d51965, func() any { return Fig14(tiny, 1) }},
-		{"sec75", 0x034bc51636d6cae0, func() any { return Sec75(tiny, 1) }},
-		{"stw", 0x44127c862c65a872, func() any { return STW(tiny, 1) }},
-		{"ablation", 0xf8cec5492ef10090, func() any { return Ablation(tiny, 1) }},
+		{"fig6", 0x4da47cd0d02ac88b, func() any { return Fig6(tiny, 1) }},
+		{"fig7", 0x62fd888145470cbc, func() any { return Fig7(tiny, 1) }},
+		{"fig8", 0xf91f7b315d5e2aff, func() any { return Fig8(tiny, 1) }},
+		{"fig10", 0xc846c35e478df88e, func() any { return Fig10(tiny, 1) }},
+		{"fig14", 0xfd7e5a9e2b28dee5, func() any { return Fig14(tiny, 1) }},
+		{"sec75", 0xbb49a909a7c72328, func() any { return Sec75(tiny, 1) }},
+		{"stw", 0x7a839074f6177e23, func() any { return STW(tiny, 1) }},
+		{"ablation", 0xfe92d33acbddb1eb, func() any { return Ablation(tiny, 1) }},
 		{"churn", 0x04745ca4ce8cf5aa, func() any {
 			r, err := ChurnRecovery([]stream.Duration{1 * stream.Second, 2 * stream.Second}, 1)
 			if err != nil {

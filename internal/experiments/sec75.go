@@ -158,7 +158,8 @@ func Sec75(scale Scale, seed int64) *Sec75Result {
 	cfg := scale.baseConfig(seed)
 	e := federation.Emulab(cfg, nodes, perNode)
 	for i := range specs {
-		if _, err := e.DeployQuery(plans[i], placements[i], 0); err != nil {
+		sub := federation.QuerySubmit{CQL: specs[i].stmt, Fragments: specs[i].frags, Dataset: int(sources.PlanetLab), Placement: placements[i], Feed: i}
+		if _, err := e.Submit(sub); err != nil {
 			panic(err)
 		}
 	}

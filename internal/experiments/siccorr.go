@@ -108,7 +108,7 @@ func runCorr(spec corrSpec, d sources.Dataset, scale Scale, seed int64) []CorrPo
 			e, nd := federation.LocalTestbed(cfg, cap)
 			caps := make([]*capture, n)
 			for i := 0; i < n; i++ {
-				qid, err := e.DeployQuery(plan, []stream.NodeID{nd}, spec.rate)
+				qid, err := e.Submit(federation.QuerySubmit{CQL: spec.stmt, Fragments: 1, Dataset: int(d), Rate: spec.rate, Placement: []stream.NodeID{nd}, Feed: i})
 				if err != nil {
 					panic(err)
 				}

@@ -46,9 +46,9 @@ func STW(scale Scale, seed int64) *STWValidation {
 		cfg.Policy = federation.PolicyKeepAll
 		e := federation.NewEngine(cfg)
 		e.AddNodes(2, 1e12)
-		plan := cql.MustPlan(cql.Top5, cql.DefaultCatalog(sources.PlanetLab), 2)
 		for q := 0; q < 10; q++ {
-			if _, err := e.DeployQuery(plan, []stream.NodeID{0, 1}, 20); err != nil {
+			sub := federation.QuerySubmit{CQL: cql.Top5, Fragments: 2, Dataset: int(sources.PlanetLab), Rate: 20, Placement: []stream.NodeID{0, 1}, Feed: q}
+			if _, err := e.Submit(sub); err != nil {
 				panic(err)
 			}
 		}

@@ -31,7 +31,7 @@ func ckptChurnEngine(t *testing.T, stw, interval, ckpt stream.Duration, killTick
 	}
 	e := NewEngine(cfg)
 	e.AddNodes(4, 50_000)
-	q, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 3), []stream.NodeID{0, 1, 2}, 0)
+	q, err := e.Submit(QuerySubmit{CQL: cql.AvgAll, Fragments: 3, Dataset: int(sources.Uniform), Placement: []stream.NodeID{0, 1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +225,11 @@ func TestCheckpointStateNoLeak(t *testing.T) {
 	cfg.Seed = 5
 	e := NewEngine(cfg)
 	e.AddNodes(3, 50_000)
-	q1, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 1), []stream.NodeID{0}, 0)
+	q1, err := e.Submit(QuerySubmit{CQL: cql.AvgAll, Dataset: int(sources.Uniform), Placement: []stream.NodeID{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Gaussian), 2), []stream.NodeID{1, 2}, 0)
+	q2, err := e.Submit(QuerySubmit{CQL: cql.AvgAll, Fragments: 2, Dataset: int(sources.Gaussian), Placement: []stream.NodeID{1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestQueryDepartureFreesCapacity(t *testing.T) {
 	nd := e.AddNode(800) // half of the 4 × 400 t/s demand
 	ids := make([]stream.QueryID, 4)
 	for i := range ids {
-		id, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 1), []stream.NodeID{nd}, 0)
+		id, err := e.Submit(QuerySubmit{CQL: cql.AvgAll, Dataset: int(sources.Uniform), Placement: []stream.NodeID{nd}, Feed: i})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestQueryDepartureFinalSIC(t *testing.T) {
 	nd := e.AddNode(800)
 	ids := make([]stream.QueryID, 4)
 	for i := range ids {
-		ids[i], _ = e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 1), []stream.NodeID{nd}, 0)
+		ids[i], _ = e.Submit(QuerySubmit{CQL: cql.AvgAll, Dataset: int(sources.Uniform), Placement: []stream.NodeID{nd}, Feed: i})
 	}
 	half := int64(40 * stream.Second / cfg.Interval)
 	for i := int64(0); i < half; i++ {
@@ -100,7 +100,7 @@ func TestLateArrivalConverges(t *testing.T) {
 	e := NewEngine(cfg)
 	// Capacity for one query: the arrival halves both queries' share.
 	nd := e.AddNode(400)
-	if _, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 1), []stream.NodeID{nd}, 0); err != nil {
+	if _, err := e.Submit(QuerySubmit{CQL: cql.AvgAll, Dataset: int(sources.Uniform), Placement: []stream.NodeID{nd}}); err != nil {
 		t.Fatal(err)
 	}
 	half := int64(30 * stream.Second / cfg.Interval)
@@ -108,7 +108,7 @@ func TestLateArrivalConverges(t *testing.T) {
 		e.Step()
 	}
 	// A second identical query arrives mid-run.
-	late, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 1), []stream.NodeID{nd}, 0)
+	late, err := e.Submit(QuerySubmit{CQL: cql.AvgAll, Dataset: int(sources.Uniform), Placement: []stream.NodeID{nd}, Feed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestRemoveQueryIdempotentAndUnknown(t *testing.T) {
 	cfg.SourceRate = 40
 	e := NewEngine(cfg)
 	nd := e.AddNode(500)
-	id, _ := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 1), []stream.NodeID{nd}, 0)
+	id, _ := e.Submit(QuerySubmit{CQL: cql.AvgAll, Dataset: int(sources.Uniform), Placement: []stream.NodeID{nd}})
 	e.RemoveQuery(id)
 	e.RemoveQuery(id)  // idempotent
 	e.RemoveQuery(999) // unknown: no-op
@@ -158,7 +158,7 @@ func churnEngine(t *testing.T, nodes int, churn []ChurnEvent) (*Engine, stream.Q
 	cfg.Churn = churn
 	e := NewEngine(cfg)
 	e.AddNodes(nodes, 50_000)
-	q, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 3), []stream.NodeID{0, 1, 2}, 0)
+	q, err := e.Submit(QuerySubmit{CQL: cql.AvgAll, Fragments: 3, Dataset: int(sources.Uniform), Placement: []stream.NodeID{0, 1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestChurnDeterminism(t *testing.T) {
 		cfg.Churn = []ChurnEvent{{Tick: 30, Kill: []stream.NodeID{1}}}
 		e := NewEngine(cfg)
 		e.AddNodes(4, 900) // overloaded: shedding decisions must also replay identically
-		q, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 3), []stream.NodeID{0, 1, 2}, 0)
+		q, err := e.Submit(QuerySubmit{CQL: cql.AvgAll, Fragments: 3, Dataset: int(sources.Uniform), Placement: []stream.NodeID{0, 1, 2}})
 		if err != nil {
 			t.Fatal(err)
 		}

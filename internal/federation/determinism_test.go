@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/cql"
-	"repro/internal/query"
 	"repro/internal/sources"
 	"repro/internal/stream"
 )
@@ -37,18 +36,18 @@ func detRun(t *testing.T, cfg Config) *Results {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 24; i++ {
 		k := 1 + i%3
-		plan := mixedPlan(i, k, sources.PlanetLab)
-		if _, err := e.DeployQuery(plan, UniformPlacement(rng, nodes, k), 0); err != nil {
+		if _, err := e.Submit(mixedSubmit(i, k, sources.PlanetLab, UniformPlacement(rng, nodes, k))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return e.Run()
 }
 
-// mixedPlan plans the i-th query of the complex workload, which cycles
-// AVG-all, TOP-5 and COV, over k fragments.
-func mixedPlan(i, k int, d sources.Dataset) *query.Plan {
-	return cql.MustPlan([...]string{cql.AvgAll, cql.Top5, cql.Cov}[i%3], cql.DefaultCatalog(d), k)
+// mixedSubmit is the i-th query of the complex workload, which cycles
+// AVG-all, TOP-5 and COV, over k fragments on its own feed, as the paper
+// figures submit it.
+func mixedSubmit(i, k int, d sources.Dataset, placement []stream.NodeID) QuerySubmit {
+	return QuerySubmit{CQL: [...]string{cql.AvgAll, cql.Top5, cql.Cov}[i%3], Fragments: k, Dataset: int(d), Placement: placement, Feed: i}
 }
 
 // normalize zeroes the wall-clock timing fields, the only parts of
@@ -86,8 +85,7 @@ func TestStepEquivalentToRun(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < 6; i++ {
 			k := 1 + i%2
-			plan := mixedPlan(i, k, sources.PlanetLab)
-			if _, err := e.DeployQuery(plan, UniformPlacement(rng, 4, k), 0); err != nil {
+			if _, err := e.Submit(mixedSubmit(i, k, sources.PlanetLab, UniformPlacement(rng, 4, k))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -166,9 +164,9 @@ func TestEngineBitsPinned(t *testing.T) {
 		want uint64
 		run  func(t *testing.T, h bitHash)
 	}{
-		{"BALANCE-SIC", 0xde53bd82aaae4a94, policy(PolicyBalanceSIC)},
-		{"random", 0xe354c27352aa6efd, policy(PolicyRandom)},
-		{"keep-all", 0x1787d917fc312ac4, policy(PolicyKeepAll)},
+		{"BALANCE-SIC", 0x34625e00a2dfaea1, policy(PolicyBalanceSIC)},
+		{"random", 0x0e18bd91e5b902dd, policy(PolicyRandom)},
+		{"keep-all", 0x31246fd92c1fe62a, policy(PolicyKeepAll)},
 		{"sharing-full", 0x1f03ae6af0d47723, func(t *testing.T, h bitHash) {
 			h.results(sharingRun(t, SharingFull))
 		}},

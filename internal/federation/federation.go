@@ -160,14 +160,15 @@ type QueryChurnEvent struct {
 	Tick int64
 	// Submit deploys these queries onto the live membership.
 	Submit []QuerySubmit
-	// Retract undeploys the named queries (ids as returned by
-	// DeployQuery/SubmitCQL in submission order, starting at 0).
+	// Retract undeploys the named queries (ids as returned by Submit, in
+	// submission order, starting at 0).
 	Retract []stream.QueryID
 }
 
-// QuerySubmit describes one scheduled query submission: the CQL text is
-// planned with cql.PlanDistributed — exactly as every transport host
-// re-plans a travelling statement — and placed over the live membership.
+// QuerySubmit describes one query submission (Engine.Submit, or a
+// scheduled QueryChurn event): the CQL text is planned with
+// cql.PlanDistributed — exactly as every transport host re-plans a
+// travelling statement — and placed over the live membership.
 type QuerySubmit struct {
 	// CQL is the statement text (Table 1 syntax).
 	CQL string
@@ -180,6 +181,12 @@ type QuerySubmit struct {
 	// Placement pins the fragments to these nodes; nil uses the
 	// engine's Config.Placement strategy over the live membership.
 	Placement []stream.NodeID
+	// Feed names the data feed the query's sources read. Queries of one
+	// shape and rate on one feed read the same data and may share work;
+	// on different feeds they read independent data and never share. The
+	// paper's figures put each query on its own feed, its index in the
+	// run; 0, the default, is the one feed of the networked runtime.
+	Feed int
 }
 
 // Defaults returns the evaluation's base configuration (§7): 250 ms
@@ -228,6 +235,8 @@ type queryRT struct {
 // Engine is a running federated deployment.
 type Engine struct {
 	cfg Config
+	// rng seeds nodes and shedders, in the order they join; sources are
+	// seeded from their query's structural identity (placeFragment).
 	rng *rand.Rand
 	// plane decides placement, re-placement and sharing (membership, the
 	// auto-placer, the plan cache, the share index); the engine applies
@@ -316,9 +325,7 @@ func (e *Engine) Config() Config { return e.cfg }
 
 // newShedder builds the per-node shedder for the configured policy. The
 // seed is drawn unconditionally so that engines differing only in policy
-// consume identical random sequences — the §7.1 correlation experiments
-// depend on degraded and perfect-reference runs seeing identical source
-// data.
+// consume identical random sequences and seed their nodes alike.
 func (e *Engine) newShedder() core.Shedder {
 	seed := e.rng.Int63()
 	switch e.cfg.Policy {
@@ -366,31 +373,33 @@ func (e *Engine) NumNodes() int { return len(e.nodes) }
 // Node returns a node by id (for tests and tooling).
 func (e *Engine) Node(id stream.NodeID) *node.Node { return e.nodes[id] }
 
-// DeployQuery instantiates the plan's fragments on the given placement
-// (one node per fragment; fragments of one query must land on distinct
-// nodes, §3) and attaches its sources. rate overrides the config's
-// per-source tuple rate when positive. It returns the new query id.
-//
-// The paper's figures deploy here rather than through a CQL submission
-// because the query has no shape: its sources are seeded from the
-// engine's generator, one fresh draw per query. A CQL submission seeds
-// them from its shape, so every query of one shape reads identical
-// source data, and a 48-query fairness figure cycling three statements
-// would run on three data streams.
-func (e *Engine) DeployQuery(plan *query.Plan, placement []stream.NodeID, rate float64) (stream.QueryID, error) {
-	return e.deployShaped(plan, placement, rate, "")
+// Submit plans the statement with cql.PlanDistributed — the same
+// deterministic planner every transport host runs on a travelling
+// statement — places its fragments (explicitly, or with the configured
+// Placement strategy over the live membership) and deploys it onto the
+// running federation: the one way a query enters the engine, before the
+// run or at any tick of it. It is the virtual-time twin of
+// Controller.Submit and returns the new query id.
+func (e *Engine) Submit(sub QuerySubmit) (stream.QueryID, error) {
+	// The plan cache short-circuits the whole lex/parse/plan pipeline for
+	// repeated text, and re-planning for merely re-spelled statements.
+	plan, shape, err := e.plane.Plan(sub.CQL, max(sub.Fragments, 1), sources.Dataset(sub.Dataset))
+	if err != nil {
+		return 0, err
+	}
+	return e.submit(plan, shape, sub)
 }
 
-// deployShaped is DeployQuery carrying the statement's structural shape
-// key, which CQL submissions thread through so structural seeding and
-// fragment dedup can recognise structurally identical queries. Directly
-// deployed plans have no shape ("") and always run private. A nil
-// placement asks the plane for the configured strategy's.
-func (e *Engine) deployShaped(plan *query.Plan, placement []stream.NodeID, rate float64, shapeKey string) (stream.QueryID, error) {
+// submit deploys a planned statement under its structural shape key,
+// which seeds its sources (with its rate and feed) and, under
+// SharingFull, keys its fragments' dedup. Submit is its only caller
+// outside tests, which reach it to deploy plans CQL cannot express.
+func (e *Engine) submit(plan *query.Plan, shape string, sub QuerySubmit) (stream.QueryID, error) {
+	rate := sub.Rate
 	if rate <= 0 {
 		rate = e.cfg.SourceRate
 	}
-	cq, cmds, err := e.plane.Submit(plan, shapeKey, rate, placement, e.tick)
+	cq, cmds, err := e.plane.Submit(plan, shape, sub.Feed, rate, sub.Placement, e.tick)
 	if err != nil {
 		return 0, err
 	}
@@ -620,25 +629,19 @@ func (e *Engine) relabelTransit(p node.Promotion) {
 
 // placeFragment applies one of the plane's deploy commands: the fragment
 // attaches to, or is hosted on, the commanded node (node.Deploy). Both
-// the initial deploy and failure recovery go through here. A CQL
-// submission has a shape, and its sources are seeded from it, so
-// structurally identical queries observe identical source data (the
-// production semantics — many dashboards over one metric feed) and,
-// crucially, consume nothing from e.rng: a deduplicated deployment
-// (SharingFull) and a private one (SharingOff) keep the engine's random
-// state — and therefore everything downstream of it — bit-identical, and
-// draw what the networked controller's hosts draw. Shapeless plans
-// (DeployQuery) draw from e.rng in submission order, which is what the
-// paper figures are pinned to.
+// the initial deploy and failure recovery go through here. Sources are
+// seeded from the query's structural identity (shape, rate, feed), never
+// from e.rng: queries of one shape on one feed observe identical source
+// data (the production semantics — many dashboards over one metric feed),
+// a deduplicated deployment (SharingFull) and a private one (SharingOff)
+// keep the engine's random state — and so everything downstream of it —
+// bit-identical, and both draw what the networked controller's hosts draw.
 func (e *Engine) placeFragment(cq *control.Query, d control.Deploy) {
 	spec := node.FragmentSpec{
 		Query: cq.ID, Frag: stream.FragID(d.Frag), Plan: cq.Plan,
 		Rate: cq.Rate, Batches: e.cfg.BatchesPerSec, Burst: e.cfg.Burst,
 		FirstSource: e.nextSource, Seed: d.Seed,
 		ShareKey: d.ShareKey, Emit: d.Emit,
-	}
-	if cq.Shape == "" {
-		spec.Seeds = e.rng
 	}
 	attached := e.nodes[d.Node].Deploy(spec)
 	if attached != d.Attach {
@@ -667,30 +670,17 @@ func (e *Engine) applyQueryChurn() {
 			}
 		}
 		for _, sub := range ev.Submit {
-			if _, err := e.SubmitCQL(sub.CQL, sub.Fragments, sub.Dataset, sub.Rate, sub.Placement); err != nil {
+			if _, err := e.Submit(sub); err != nil {
 				e.skippedSubmits++
 			}
 		}
 	}
 }
 
-// SubmitCQL plans a CQL statement with cql.PlanDistributed — the same
-// deterministic planner every transport host runs on a travelling
-// statement — places its fragments (explicitly, or with the configured
-// Placement strategy over the live membership) and deploys it onto the
-// running federation. It is the virtual-time twin of Controller.Submit:
-// queries are first-class runtime citizens that may arrive at any tick.
+// SubmitCQL is Submit with the submission spelled out, on feed 0. It is
+// kept only because the benchmark module calls it.
 func (e *Engine) SubmitCQL(cqlText string, fragments, dataset int, rate float64, placement []stream.NodeID) (stream.QueryID, error) {
-	if fragments < 1 {
-		fragments = 1
-	}
-	// The plan cache short-circuits the whole lex/parse/plan pipeline for
-	// repeated text, and re-planning for merely re-spelled statements.
-	plan, shapeKey, err := e.plane.Plan(cqlText, fragments, sources.Dataset(dataset))
-	if err != nil {
-		return 0, err
-	}
-	return e.deployShaped(plan, placement, rate, shapeKey)
+	return e.Submit(QuerySubmit{CQL: cqlText, Fragments: fragments, Dataset: dataset, Rate: rate, Placement: placement})
 }
 
 // PlanCacheStats reports the submit-path plan cache counters.

@@ -20,8 +20,8 @@ func TestUnderloadedSICNearOne(t *testing.T) {
 	e := NewEngine(cfg)
 	e.AddNodes(2, 1e9)
 	for i := 0; i < 4; i++ {
-		plan := cql.MustPlan(cql.Top5, cql.DefaultCatalog(sources.PlanetLab), 2)
-		if _, err := e.DeployQuery(plan, []stream.NodeID{0, 1}, 20); err != nil {
+		sub := QuerySubmit{CQL: cql.Top5, Fragments: 2, Dataset: int(sources.PlanetLab), Rate: 20, Placement: []stream.NodeID{0, 1}, Feed: i}
+		if _, err := e.Submit(sub); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,8 +42,7 @@ func TestAggregateUnderloaded(t *testing.T) {
 	cfg.Policy = PolicyKeepAll
 	e, nd := LocalTestbed(cfg, 1e9)
 	for _, src := range []string{cql.Avg, cql.Max, cql.Count} {
-		plan := cql.MustPlan(src, cql.DefaultCatalog(sources.Gaussian), 1)
-		if _, err := e.DeployQuery(plan, []stream.NodeID{nd}, 0); err != nil {
+		if _, err := e.Submit(QuerySubmit{CQL: src, Dataset: int(sources.Gaussian), Placement: []stream.NodeID{nd}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -66,8 +65,7 @@ func TestOverloadDegradesSIC(t *testing.T) {
 		cfg.SourceRate = 400             // Table 2 local test-bed rate
 		e, nd := LocalTestbed(cfg, 2000) // 2k tuples/s capacity
 		for i := 0; i < 10; i++ {        // 10 × 400 t/s demand = 4k t/s
-			plan := cql.MustPlan(cql.Avg, cql.DefaultCatalog(sources.Uniform), 1)
-			if _, err := e.DeployQuery(plan, []stream.NodeID{nd}, 0); err != nil {
+			if _, err := e.Submit(QuerySubmit{CQL: cql.Avg, Dataset: int(sources.Uniform), Placement: []stream.NodeID{nd}, Feed: i}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -97,9 +95,8 @@ func TestBalanceBeatsRandomOnJain(t *testing.T) {
 		e, nd := LocalTestbed(cfg, 3000)
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < 12; i++ {
-			plan := cql.MustPlan(cql.Avg, cql.DefaultCatalog(sources.Uniform), 1)
 			rate := 100 + rng.Float64()*700 // heterogeneous rates
-			if _, err := e.DeployQuery(plan, []stream.NodeID{nd}, rate); err != nil {
+			if _, err := e.Submit(QuerySubmit{CQL: cql.Avg, Dataset: int(sources.Uniform), Rate: rate, Placement: []stream.NodeID{nd}, Feed: i}); err != nil {
 				t.Fatal(err)
 			}
 		}

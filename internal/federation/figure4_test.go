@@ -31,13 +31,13 @@ func TestFigure4UpdateSICConvergence(t *testing.T) {
 		// 10 × 40 = 800 t/s.
 		e.AddNodes(2, 400)
 		// q1 on node a, q3 on node b, q2 spanning both.
-		if _, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 1), []stream.NodeID{0}, 0); err != nil {
+		if _, err := e.Submit(QuerySubmit{CQL: cql.AvgAll, Dataset: int(sources.Uniform), Placement: []stream.NodeID{0}}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 2), []stream.NodeID{0, 1}, 0); err != nil {
+		if _, err := e.Submit(QuerySubmit{CQL: cql.AvgAll, Fragments: 2, Dataset: int(sources.Uniform), Placement: []stream.NodeID{0, 1}, Feed: 1}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 1), []stream.NodeID{1}, 0); err != nil {
+		if _, err := e.Submit(QuerySubmit{CQL: cql.AvgAll, Dataset: int(sources.Uniform), Placement: []stream.NodeID{1}, Feed: 2}); err != nil {
 			t.Fatal(err)
 		}
 		return e.Run()
@@ -83,12 +83,11 @@ func TestRunDeterminism(t *testing.T) {
 		e.AddNodes(3, 500)
 		for i := 0; i < 6; i++ {
 			k := 1 + i%3
-			plan := mixedPlan(i, k, sources.PlanetLab)
 			place := make([]stream.NodeID, k)
 			for j := range place {
 				place[j] = stream.NodeID((i + j) % 3)
 			}
-			if _, err := e.DeployQuery(plan, place, 0); err != nil {
+			if _, err := e.Submit(mixedSubmit(i, k, sources.PlanetLab, place)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -110,17 +109,19 @@ func TestRunDeterminism(t *testing.T) {
 func TestDeployValidation(t *testing.T) {
 	e := NewEngine(Defaults())
 	e.AddNodes(2, 1000)
-	plan := cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 2)
-	if _, err := e.DeployQuery(plan, []stream.NodeID{0}, 0); err == nil {
+	at := func(placement ...stream.NodeID) QuerySubmit {
+		return QuerySubmit{CQL: cql.AvgAll, Fragments: 2, Dataset: int(sources.Uniform), Placement: placement}
+	}
+	if _, err := e.Submit(at(0)); err == nil {
 		t.Error("placement length mismatch accepted")
 	}
-	if _, err := e.DeployQuery(plan, []stream.NodeID{0, 0}, 0); err == nil {
+	if _, err := e.Submit(at(0, 0)); err == nil {
 		t.Error("duplicate node placement accepted")
 	}
-	if _, err := e.DeployQuery(plan, []stream.NodeID{0, 7}, 0); err == nil {
+	if _, err := e.Submit(at(0, 7)); err == nil {
 		t.Error("missing node accepted")
 	}
-	if _, err := e.DeployQuery(plan, []stream.NodeID{0, 1}, 0); err != nil {
+	if _, err := e.Submit(at(0, 1)); err != nil {
 		t.Errorf("valid deployment rejected: %v", err)
 	}
 }
@@ -192,7 +193,7 @@ func TestResultCallback(t *testing.T) {
 	cfg.Policy = PolicyKeepAll
 	e := NewEngine(cfg)
 	nd := e.AddNode(1e9)
-	qid, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 1), []stream.NodeID{nd}, 50)
+	qid, err := e.Submit(QuerySubmit{CQL: cql.AvgAll, Dataset: int(sources.Uniform), Rate: 50, Placement: []stream.NodeID{nd}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestCoordinatorTrafficAccounting(t *testing.T) {
 	cfg.Duration = 10 * stream.Second
 	e := NewEngine(cfg)
 	e.AddNodes(2, 100)
-	if _, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 2), []stream.NodeID{0, 1}, 50); err != nil {
+	if _, err := e.Submit(QuerySubmit{CQL: cql.AvgAll, Fragments: 2, Dataset: int(sources.Uniform), Rate: 50, Placement: []stream.NodeID{0, 1}}); err != nil {
 		t.Fatal(err)
 	}
 	res := e.Run()

@@ -34,9 +34,9 @@ func TestUnderloadPerfectSICProperty(t *testing.T) {
 		nq := 2 + rng.Intn(4)
 		for i := 0; i < nq; i++ {
 			k := 1 + rng.Intn(nodes)
-			plan := mixedPlan(rng.Intn(3), k, sources.AllDatasets[rng.Intn(len(sources.AllDatasets))])
-			place := UniformPlacement(rng, nodes, k)
-			if _, err := e.DeployQuery(plan, place, 0); err != nil {
+			sub := mixedSubmit(rng.Intn(3), k, sources.AllDatasets[rng.Intn(len(sources.AllDatasets))], UniformPlacement(rng, nodes, k))
+			sub.Feed = i
+			if _, err := e.Submit(sub); err != nil {
 				return false
 			}
 		}
@@ -74,7 +74,7 @@ func TestOverloadSICMatchesCapacityShareProperty(t *testing.T) {
 		e := NewEngine(cfg)
 		nd := e.AddNode(share * demand)
 		for i := 0; i < nq; i++ {
-			if _, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 1), []stream.NodeID{nd}, 0); err != nil {
+			if _, err := e.Submit(QuerySubmit{CQL: cql.AvgAll, Dataset: int(sources.Uniform), Placement: []stream.NodeID{nd}, Feed: i}); err != nil {
 				return false
 			}
 		}

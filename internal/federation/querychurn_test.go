@@ -197,16 +197,12 @@ func TestSkippedSubmitsCounted(t *testing.T) {
 func TestSubmitRefusesUnrunnableRates(t *testing.T) {
 	e := NewEngine(churnScheduleConfig())
 	e.AddNode(1000)
-	plan, _, err := e.plane.Plan(churnAvgCQL, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, rate := range []float64{math.NaN(), math.Inf(1), 1e300, 1e12} {
 		if _, err := e.SubmitCQL(churnAvgCQL, 1, 1, rate, nil); err == nil {
 			t.Errorf("SubmitCQL accepted rate %g", rate)
 		}
-		if _, err := e.DeployQuery(plan, []stream.NodeID{0}, rate); err == nil {
-			t.Errorf("DeployQuery accepted rate %g", rate)
+		if _, err := e.Submit(QuerySubmit{CQL: churnAvgCQL, Dataset: 1, Rate: rate, Placement: []stream.NodeID{0}}); err == nil {
+			t.Errorf("Submit accepted rate %g", rate)
 		}
 	}
 	if q, err := e.SubmitCQL(churnAvgCQL, 1, 1, -1, nil); err != nil || q != 0 {

@@ -21,7 +21,7 @@ func TestHighCostNoiseStaysStable(t *testing.T) {
 	e := NewEngine(cfg)
 	nd := e.AddNode(500)
 	for i := 0; i < 4; i++ {
-		if _, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 1), []stream.NodeID{nd}, 0); err != nil {
+		if _, err := e.Submit(QuerySubmit{CQL: cql.AvgAll, Dataset: int(sources.Uniform), Placement: []stream.NodeID{nd}, Feed: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,7 +42,7 @@ func TestExtremeOverloadTenX(t *testing.T) {
 	e := NewEngine(cfg)
 	nd := e.AddNode(150) // demand 10 queries × 10 src × 50 t/s = 5,000 t/s
 	for i := 0; i < 10; i++ {
-		if _, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 1), []stream.NodeID{nd}, 0); err != nil {
+		if _, err := e.Submit(QuerySubmit{CQL: cql.AvgAll, Dataset: int(sources.Uniform), Placement: []stream.NodeID{nd}, Feed: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,7 +65,7 @@ func TestBurstySourcesDoNotDeadlock(t *testing.T) {
 	e := NewEngine(cfg)
 	e.AddNodes(2, 800)
 	for i := 0; i < 4; i++ {
-		if _, err := e.DeployQuery(cql.MustPlan(cql.Cov, cql.DefaultCatalog(sources.Gaussian), 2), []stream.NodeID{0, 1}, 0); err != nil {
+		if _, err := e.Submit(QuerySubmit{CQL: cql.Cov, Fragments: 2, Dataset: int(sources.Gaussian), Placement: []stream.NodeID{0, 1}, Feed: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,7 +89,7 @@ func TestLatencyLongerThanInterval(t *testing.T) {
 	e := NewEngine(cfg)
 	e.AddNodes(3, 1200)
 	for i := 0; i < 6; i++ {
-		if _, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 3), []stream.NodeID{0, 1, 2}, 0); err != nil {
+		if _, err := e.Submit(QuerySubmit{CQL: cql.AvgAll, Fragments: 3, Dataset: int(sources.Uniform), Placement: []stream.NodeID{0, 1, 2}, Feed: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,7 +110,7 @@ func TestKeepSamplesRecordsSeries(t *testing.T) {
 	cfg.SourceRate = 40
 	e := NewEngine(cfg)
 	nd := e.AddNode(200)
-	if _, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 1), []stream.NodeID{nd}, 0); err != nil {
+	if _, err := e.Submit(QuerySubmit{CQL: cql.AvgAll, Dataset: int(sources.Uniform), Placement: []stream.NodeID{nd}}); err != nil {
 		t.Fatal(err)
 	}
 	res := e.Run()
@@ -124,7 +124,7 @@ func TestZeroConfigDefaults(t *testing.T) {
 	// A zero-value config must be normalised to runnable defaults.
 	e := NewEngine(Config{Seed: 1, SourceRate: 50, Warmup: stream.Second})
 	nd := e.AddNode(0) // clamped node capacity
-	if _, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 1), []stream.NodeID{nd}, 0); err != nil {
+	if _, err := e.Submit(QuerySubmit{CQL: cql.AvgAll, Dataset: int(sources.Uniform), Placement: []stream.NodeID{nd}}); err != nil {
 		t.Fatal(err)
 	}
 	res := e.Run() // must not panic or hang
@@ -141,7 +141,7 @@ func TestStepAndResultsIncremental(t *testing.T) {
 	cfg.SourceRate = 40
 	e := NewEngine(cfg)
 	nd := e.AddNode(300)
-	if _, err := e.DeployQuery(cql.MustPlan(cql.AvgAll, cql.DefaultCatalog(sources.Uniform), 1), []stream.NodeID{nd}, 0); err != nil {
+	if _, err := e.Submit(QuerySubmit{CQL: cql.AvgAll, Dataset: int(sources.Uniform), Placement: []stream.NodeID{nd}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {

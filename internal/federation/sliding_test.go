@@ -10,6 +10,10 @@ import (
 	"repro/internal/stream"
 )
 
+// slidingShape is the shape key slidingAggPlan deploys under, as a CQL
+// statement's plan-cache shape key would be.
+const slidingShape = "test/avg-sliding"
+
 // slidingAggPlan builds a single-fragment query whose aggregate runs over
 // a sliding window (range 2 s, slide 500 ms) — exercising the per-slide
 // SIC division of §6 inside a full federation run.
@@ -43,7 +47,7 @@ func TestSlidingWindowSICConservation(t *testing.T) {
 	cfg.SourceRate = 100
 	e := NewEngine(cfg)
 	nd := e.AddNode(1e9)
-	if _, err := e.DeployQuery(slidingAggPlan(), []stream.NodeID{nd}, 0); err != nil {
+	if _, err := e.submit(slidingAggPlan(), slidingShape, QuerySubmit{Placement: []stream.NodeID{nd}}); err != nil {
 		t.Fatal(err)
 	}
 	res := e.Run()
@@ -62,7 +66,7 @@ func TestSlidingWindowUnderShedding(t *testing.T) {
 	e := NewEngine(cfg)
 	nd := e.AddNode(100) // half of the 2 × 100 t/s demand
 	for i := 0; i < 2; i++ {
-		if _, err := e.DeployQuery(slidingAggPlan(), []stream.NodeID{nd}, 0); err != nil {
+		if _, err := e.submit(slidingAggPlan(), slidingShape, QuerySubmit{Placement: []stream.NodeID{nd}, Feed: i}); err != nil {
 			t.Fatal(err)
 		}
 	}

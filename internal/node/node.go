@@ -364,11 +364,10 @@ type FragmentSpec struct {
 	Rate, Batches float64
 	Burst         *sources.BurstConfig
 	FirstSource   stream.SourceID
-	// Seeds yields, per source in plan order, the generator seed and then
-	// the emission seed. Nil means a fresh generator over Seed, built only
-	// if the fragment hosts — an attach draws nothing.
-	Seeds *rand.Rand
-	Seed  int64
+	// Seed seeds a generator that yields, per source in plan order, the
+	// generator seed and then the emission seed. It is built only if the
+	// fragment hosts — an attach draws nothing.
+	Seed int64
 	// ShareKey, when set, makes the fragment ride the instance this node
 	// already executes under the key, with the given fan-out terms
 	// (attachShared), or else host as the key's dedup target.
@@ -394,10 +393,7 @@ func (n *Node) Deploy(s FragmentSpec) (attached bool) {
 		return true
 	}
 	n.hostFragment(s.Query, s.Frag, query.NewFragmentExec(fp), s.Plan.NumSources(), downstream, downstreamPort, s.ShareKey)
-	seeds := s.Seeds
-	if seeds == nil {
-		seeds = rand.New(rand.NewSource(s.Seed))
-	}
+	seeds := rand.New(rand.NewSource(s.Seed))
 	genIdx := s.Plan.SourceIndexOffset(int(s.Frag))
 	for i, ss := range fp.Sources {
 		gen := ss.NewGen(rand.New(rand.NewSource(seeds.Int63())), genIdx+i)

@@ -60,7 +60,7 @@ func (p *passThrough) RestoreState(dec *stream.SnapDecoder) error {
 	return dec.Err()
 }
 
-// --- windowed base (Agg, GroupAgg, PartialAvg, AvgMerge, CovMerge, TopK, UDF) ---
+// --- windowed base (Agg, GroupAgg, PartialAvg, AvgMerge, CovMerge, TopK) ---
 
 // SnapshotState implements Stateful: the window buffer is the entire
 // cross-tick state; sicShare is derived from the static window spec.

@@ -5,9 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cql"
 	"repro/internal/federation"
-	"repro/internal/sources"
 	"repro/internal/stream"
 )
 
@@ -80,16 +78,9 @@ func TestCheckpointedRecoveryEndToEnd(t *testing.T) {
 	}
 	netSIC := res.PerQuery[q]
 
-	// The deterministic mirror: same plan, same membership, same churn
-	// schedule, same checkpoint cadence in virtual time.
-	st, err := cql.Parse(cqlText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := cql.PlanDistributed(st, cql.DefaultCatalog(sources.Dataset(dataset)), frags)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The deterministic mirror: same statement and source data, same
+	// membership, same churn schedule, same checkpoint cadence in virtual
+	// time.
 	cfg := federation.Defaults()
 	cfg.STW = 3 * stream.Second
 	cfg.Interval = 100 * stream.Millisecond
@@ -102,14 +93,14 @@ func TestCheckpointedRecoveryEndToEnd(t *testing.T) {
 	cfg.Churn = []federation.ChurnEvent{{Tick: 30, Kill: []stream.NodeID{stream.NodeID(rootHost)}}}
 	eng := federation.NewEngine(cfg)
 	eng.AddNodes(4, capacity)
-	vq, err := eng.DeployQuery(plan, []stream.NodeID{0, 1, 2}, rate)
+	vq, err := eng.Submit(federation.QuerySubmit{CQL: cqlText, Fragments: frags, Dataset: dataset, Rate: rate, Placement: []stream.NodeID{0, 1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	vres := eng.Run()
 	virtSIC := vres.Queries[int(vq)].MeanSIC
-	t.Logf("networked SIC %.3f, virtual-time SIC %.3f (recovery: restored=%v, took %v)",
-		netSIC, virtSIC, rec.Restored, rec.Took)
+	t.Logf("networked SIC %.4f, virtual-time SIC %.4f, gap %.4f (recovery: restored=%v, took %v)",
+		netSIC, virtSIC, math.Abs(netSIC-virtSIC), rec.Restored, rec.Took)
 	if math.Abs(netSIC-virtSIC) > 0.15 {
 		t.Errorf("checkpointed networked SIC %.3f vs virtual-time SIC %.3f: disagree beyond tolerance", netSIC, virtSIC)
 	}

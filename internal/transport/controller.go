@@ -344,7 +344,9 @@ func (c *Controller) Submit(cqlText string, fragments, dataset int, rate, batche
 		c.shareEpoch++
 		pin = c.shareEpoch
 	}
-	cq, cmds, err := c.plane.Submit(plan, shape, rate, at, pin)
+	// Every networked query reads feed 0: same-shape queries monitor one
+	// logical stream, as their engine twins submitted on feed 0 do.
+	cq, cmds, err := c.plane.Submit(plan, shape, 0, rate, at, pin)
 	if err != nil {
 		c.mu.Unlock()
 		return 0, err

@@ -19,21 +19,30 @@
 //	eng := themis.NewEngine(cfg)
 //	eng.AddNodes(4, 8000) // four sites, 8k tuples/sec each
 //
-//	catalog := themis.DefaultCatalog(themis.Gaussian)
-//	avg := themis.MustParseQuery(`Select Avg(t.v) From Src[Range 1 sec]`, catalog, 1)
-//	eng.DeployQuery(avg, []themis.NodeID{0}, 400)
+//	// Every query is CQL text (Table 1's syntax), planned over
+//	// Fragments fragments (default 1) placed one per node.
+//	eng.Submit(themis.QuerySubmit{
+//		CQL:       `Select Avg(t.v) From Src[Range 1 sec]`,
+//		Dataset:   int(themis.Gaussian),
+//		Rate:      400,
+//		Placement: []themis.NodeID{0},
+//	})
 //
 //	// The complex workload's average over 10 sources per fragment,
 //	// planned over three fragments and deployed one per node.
-//	avgAll := themis.MustParseQuery(`Select Avg(t.v) From AllSrc[Range 1 sec]`, catalog, 3)
-//	eng.DeployQuery(avgAll, []themis.NodeID{1, 2, 3}, 20)
+//	eng.Submit(themis.QuerySubmit{
+//		CQL:       `Select Avg(t.v) From AllSrc[Range 1 sec]`,
+//		Fragments: 3,
+//		Rate:      20,
+//		Placement: []themis.NodeID{1, 2, 3},
+//	})
 //
 //	res := eng.Run()
 //	fmt.Println(res.MeanSIC, res.Jain)
 //
-// Every query, Table 1's included, is planned from its CQL text. See the
-// examples/ directory for complete programs and internal/experiments for
-// the paper's full evaluation.
+// Queries of one statement and rate read the same data unless their
+// QuerySubmit.Feed differs. See the examples/ directory for complete
+// programs and internal/experiments for the paper's full evaluation.
 package themis
 
 import (
@@ -42,8 +51,6 @@ import (
 	"repro/internal/cql"
 	"repro/internal/federation"
 	"repro/internal/metrics"
-	"repro/internal/operator"
-	"repro/internal/query"
 	"repro/internal/sources"
 	"repro/internal/stream"
 )
@@ -87,8 +94,6 @@ type (
 	QueryResult = federation.QueryResult
 	// Policy selects the shedding policy.
 	Policy = federation.Policy
-	// Plan is a deployable query template.
-	Plan = query.Plan
 	// BurstConfig makes sources bursty (§7.4).
 	BurstConfig = sources.BurstConfig
 	// ChurnEvent schedules node kill/join events at engine ticks.
@@ -96,7 +101,8 @@ type (
 	// QueryChurnEvent schedules query submit/retract events at engine
 	// ticks — the virtual-time mirror of live Submit/Retract.
 	QueryChurnEvent = federation.QueryChurnEvent
-	// QuerySubmit describes one scheduled CQL submission.
+	// QuerySubmit describes one CQL submission, immediate (Engine.Submit)
+	// or scheduled (QueryChurnEvent).
 	QuerySubmit = federation.QuerySubmit
 	// Catalog names the input streams available to CQL queries.
 	Catalog = cql.Catalog
@@ -145,23 +151,6 @@ func Emulab(cfg Config, numNodes int, capacity float64) *Engine {
 	return federation.Emulab(cfg, numNodes, capacity)
 }
 
-// ParseQuery parses a CQL-like statement (see Table 1 for the supported
-// shapes) against the catalog and plans it over the given number of
-// fragments, to be deployed one per node; fragments <= 1 yields a
-// single-fragment plan.
-func ParseQuery(src string, cat *Catalog, fragments int) (*Plan, error) {
-	st, err := cql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return cql.PlanDistributed(st, cat, fragments)
-}
-
-// MustParseQuery is ParseQuery, panicking on error.
-func MustParseQuery(src string, cat *Catalog, fragments int) *Plan {
-	return cql.MustPlan(src, cat, fragments)
-}
-
 // DefaultCatalog returns a catalog with the paper's Table 1 streams
 // (Src, AllSrc, AllSrcCPU, AllSrcMem, SrcCPU1, SrcCPU2) over the given
 // dataset.
@@ -182,12 +171,3 @@ func ZipfPlacement(rng *rand.Rand, numNodes, k int, s float64) []NodeID {
 
 // JainIndex computes Jain's Fairness Index over the values (§7.2).
 func JainIndex(values []float64) float64 { return metrics.Jain(values) }
-
-// NewMedianOperator exposes the UDF-based median aggregate for custom
-// plans — an example of a user-defined operator participating in fair
-// shedding with no shedding-aware code (§1).
-var NewMedianOperator = operator.NewMedian
-
-// NewUDFOperator wraps an arbitrary windowed user-defined function as an
-// operator with automatic Eq. 3 SIC propagation.
-var NewUDFOperator = operator.NewUDF

@@ -26,15 +26,12 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	cfg.Warmup = 10 * themis.Second
 	engine, node := themis.LocalTestbed(cfg, 1000)
 
-	catalog := themis.DefaultCatalog(themis.Gaussian)
-	plan, err := themis.ParseQuery(avgQuery, catalog, 1)
-	if err != nil {
+	sub := themis.QuerySubmit{CQL: avgQuery, Dataset: int(themis.Gaussian), Rate: 400, Placement: []themis.NodeID{node}}
+	if _, err := engine.Submit(sub); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.DeployQuery(plan, []themis.NodeID{node}, 400); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := engine.DeployQuery(themis.MustParseQuery(countQuery, themis.DefaultCatalog(themis.Uniform), 1), []themis.NodeID{node}, 800); err != nil {
+	sub = themis.QuerySubmit{CQL: countQuery, Dataset: int(themis.Uniform), Rate: 800, Placement: []themis.NodeID{node}}
+	if _, err := engine.Submit(sub); err != nil {
 		t.Fatal(err)
 	}
 	res := engine.Run()
@@ -57,16 +54,18 @@ func TestPublicMultiSiteFlow(t *testing.T) {
 	cfg.Burst = &themis.DefaultBurst
 	engine := themis.Emulab(cfg, 4, 2000)
 
-	catalog := themis.DefaultCatalog(themis.PlanetLab)
+	planetLab := int(themis.PlanetLab)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 4; i++ {
 		placement := themis.UniformPlacement(rng, 4, 2)
-		if _, err := engine.DeployQuery(themis.MustParseQuery(top5Query, catalog, 2), placement, 20); err != nil {
+		sub := themis.QuerySubmit{CQL: top5Query, Fragments: 2, Dataset: planetLab, Rate: 20, Placement: placement, Feed: i}
+		if _, err := engine.Submit(sub); err != nil {
 			t.Fatal(err)
 		}
 	}
 	z := themis.ZipfPlacement(rng, 4, 3, 1.5)
-	if _, err := engine.DeployQuery(themis.MustParseQuery(avgAllQuery, catalog, 3), z, 20); err != nil {
+	sub := themis.QuerySubmit{CQL: avgAllQuery, Fragments: 3, Dataset: planetLab, Rate: 20, Placement: z, Feed: 4}
+	if _, err := engine.Submit(sub); err != nil {
 		t.Fatal(err)
 	}
 
@@ -91,30 +90,27 @@ func TestPublicJainIndex(t *testing.T) {
 	}
 }
 
+// TestPublicQueryBuilders submits every Table 1 statement through the
+// façade, each planned over its usual fragments.
 func TestPublicQueryBuilders(t *testing.T) {
-	plans := []*themis.Plan{
-		themis.MustParseQuery(avgQuery, themis.DefaultCatalog(themis.Gaussian), 1),
-		themis.MustParseQuery(maxQuery, themis.DefaultCatalog(themis.Exponential), 1),
-		themis.MustParseQuery(countQuery, themis.DefaultCatalog(themis.Mixed), 1),
-		themis.MustParseQuery(avgAllQuery, themis.DefaultCatalog(themis.Uniform), 2),
-		themis.MustParseQuery(top5Query, themis.DefaultCatalog(themis.PlanetLab), 3),
-		themis.MustParseQuery(covQuery, themis.DefaultCatalog(themis.PlanetLab), 2),
-	}
-	for _, p := range plans {
-		if err := p.Validate(); err != nil {
-			t.Errorf("%s: %v", p.Type, err)
+	engine := themis.Emulab(themis.Defaults(), 3, 2000)
+	for _, sub := range []themis.QuerySubmit{
+		{CQL: avgQuery, Dataset: int(themis.Gaussian)},
+		{CQL: maxQuery, Dataset: int(themis.Exponential)},
+		{CQL: countQuery, Dataset: int(themis.Mixed)},
+		{CQL: avgAllQuery, Fragments: 2, Dataset: int(themis.Uniform)},
+		{CQL: top5Query, Fragments: 3, Dataset: int(themis.PlanetLab)},
+		{CQL: covQuery, Fragments: 2, Dataset: int(themis.PlanetLab)},
+	} {
+		if _, err := engine.Submit(sub); err != nil {
+			t.Errorf("%s: %v", sub.CQL, err)
 		}
 	}
 }
 
 func TestPublicParseErrors(t *testing.T) {
-	if _, err := themis.ParseQuery("not cql", themis.DefaultCatalog(themis.Gaussian), 1); err == nil {
+	engine := themis.Emulab(themis.Defaults(), 1, 2000)
+	if _, err := engine.Submit(themis.QuerySubmit{CQL: "not cql"}); err == nil {
 		t.Error("garbage accepted")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustParseQuery should panic")
-		}
-	}()
-	themis.MustParseQuery("still not cql", themis.DefaultCatalog(themis.Gaussian), 1)
 }

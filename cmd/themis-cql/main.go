@@ -159,7 +159,10 @@ func main() {
 	}
 	engine, node := themis.LocalTestbed(cfg, *capacity)
 	// The local testbed is one node, so the query runs as one fragment.
-	qid, err := engine.Submit(themis.QuerySubmit{CQL: *queryText, Fragments: 1, Dataset: int(ds), Rate: *rate, Placement: []themis.NodeID{node}})
+	qid, err := engine.Submit(themis.QuerySubmit{
+		CQL: *queryText, Fragments: 1, Dataset: int(ds),
+		Rate: *rate, Placement: []themis.NodeID{node},
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "themis-cql: %v\n", err)
 		os.Exit(2)

@@ -45,8 +45,11 @@ func run(policy themis.Policy) *themis.Results {
 	rng := rand.New(rand.NewSource(7))
 	feed := 0
 	deploy := func(cql string, placement []themis.NodeID) {
-		sub := themis.QuerySubmit{CQL: cql, Fragments: len(placement), Dataset: int(themis.PlanetLab), Rate: 60, Placement: placement, Feed: feed}
-		if _, err := engine.Submit(sub); err != nil {
+		_, err := engine.Submit(themis.QuerySubmit{
+			CQL: cql, Fragments: len(placement), Dataset: int(themis.PlanetLab),
+			Rate: 60, Placement: placement, Feed: feed,
+		})
+		if err != nil {
 			panic(err)
 		}
 		feed++

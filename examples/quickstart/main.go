@@ -37,8 +37,11 @@ func main() {
 		{"COUNT @ 1600 t/s", `Select Count(t.v) From Src[Range 1 sec] Having t.v >= 50`, 1600},
 	}
 	for _, q := range queries {
-		sub := themis.QuerySubmit{CQL: q.cql, Fragments: 1, Dataset: int(themis.Gaussian), Rate: q.rate, Placement: []themis.NodeID{node}}
-		if _, err := engine.Submit(sub); err != nil {
+		_, err := engine.Submit(themis.QuerySubmit{
+			CQL: q.cql, Dataset: int(themis.Gaussian),
+			Rate: q.rate, Placement: []themis.NodeID{node},
+		})
+		if err != nil {
 			panic(err)
 		}
 	}

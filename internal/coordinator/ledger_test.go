@@ -82,11 +82,9 @@ func TestLedgerRefusesImpossibleMass(t *testing.T) {
 				}
 			}
 		}
-		if !fed.Result(1, now, MaxResultMass) {
+		if !fed.Result(1, now, MaxResultMass) || !clean.Result(1, now, MaxResultMass) {
 			t.Fatal("mass at the bound refused")
 		}
-		fed.Result(1, now, -MaxResultMass)
-		clean.Result(1, now, MaxResultMass)
 		for _, l := range []*Ledger{clean, fed} {
 			l.Tick(now, stream.Second, nil)
 		}

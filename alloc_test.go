@@ -10,6 +10,7 @@ package themis_test
 import (
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/cql"
 	"repro/internal/federation"
 	"repro/internal/sources"
@@ -52,7 +53,7 @@ func overloadedEngine() *federation.Engine {
 		k := 1 + i%3
 		sub := federation.QuerySubmit{
 			CQL: [...]string{cql.AvgAll, cql.Top5, cql.Cov}[i%3], Fragments: k, Dataset: int(sources.PlanetLab),
-			Placement: federation.RoundRobinPlacement(&next, nodes, k), Feed: i,
+			Placement: control.RoundRobinPlacement(&next, nodes, k), Feed: i,
 		}
 		if _, err := e.Submit(sub); err != nil {
 			panic(err)

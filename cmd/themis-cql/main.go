@@ -32,7 +32,6 @@ import (
 	"time"
 
 	themis "repro"
-	"repro/internal/federation"
 	"repro/internal/stream"
 	"repro/internal/transport"
 )
@@ -138,25 +137,6 @@ func main() {
 	cfg := themis.Defaults()
 	cfg.Duration = themis.Duration(duration.Milliseconds())
 	cfg.Warmup = cfg.Duration / 5
-	// The scheduled churn replays as deterministic engine events: one
-	// tick per shedding interval, retract events before submissions at
-	// the same offset (mirroring the engine's within-event order).
-	for _, r := range retracts {
-		cfg.QueryChurn = append(cfg.QueryChurn, federation.QueryChurnEvent{
-			Tick:    r.at.Milliseconds() / int64(cfg.Interval),
-			Retract: []stream.QueryID{r.q},
-		})
-	}
-	for _, s := range submits {
-		// Same -fragments as -net mode, so a local replay mirrors the
-		// networked schedule plan-for-plan. The local testbed has one
-		// node, so multi-fragment submissions cannot place there; they
-		// are counted as skipped and reported after the run.
-		cfg.QueryChurn = append(cfg.QueryChurn, federation.QueryChurnEvent{
-			Tick:   s.at.Milliseconds() / int64(cfg.Interval),
-			Submit: []federation.QuerySubmit{{CQL: s.cql, Fragments: *fragments, Dataset: int(ds), Rate: *rate}},
-		})
-	}
 	engine, node := themis.LocalTestbed(cfg, *capacity)
 	// The local testbed is one node, so the query runs as one fragment.
 	qid, err := engine.Submit(themis.QuerySubmit{
@@ -180,7 +160,44 @@ func main() {
 		})
 	}
 
-	res := engine.Run()
+	// The churn flags replay as engine calls between Steps, one tick per
+	// shedding interval: an offset's retracts, then its submissions. A
+	// refused call is reported with its reason and the run goes on, as in
+	// -net mode.
+	tickMs := int64(engine.Config().Interval)
+	ticks := int64(engine.Config().Duration) / tickMs
+	tickOf := func(at time.Duration) int64 { return at.Milliseconds() / tickMs }
+	for _, r := range retracts {
+		if tickOf(r.at) >= ticks {
+			fmt.Fprintf(os.Stderr, "themis-cql: retract at %v: past the run's end at %v\n", r.at, *duration)
+		}
+	}
+	for _, s := range submits {
+		if tickOf(s.at) >= ticks {
+			fmt.Fprintf(os.Stderr, "themis-cql: submit at %v: past the run's end at %v\n", s.at, *duration)
+		}
+	}
+	for tick := int64(0); tick < ticks; tick++ {
+		for _, r := range retracts {
+			if tickOf(r.at) == tick && !engine.RemoveQuery(r.q) {
+				fmt.Fprintf(os.Stderr, "themis-cql: retract at %v: query %d is not live\n", r.at, r.q)
+			}
+		}
+		for _, s := range submits {
+			if tickOf(s.at) != tick {
+				continue
+			}
+			// Same -fragments as -net mode, so a local replay mirrors the
+			// networked schedule plan-for-plan. The local testbed has one
+			// node, so a multi-fragment submission cannot place there.
+			sub := themis.QuerySubmit{CQL: s.cql, Fragments: *fragments, Dataset: int(ds), Rate: *rate}
+			if _, err := engine.Submit(sub); err != nil {
+				fmt.Fprintf(os.Stderr, "themis-cql: submit at %v: %v\n", s.at, err)
+			}
+		}
+		engine.Step()
+	}
+	res := engine.Results()
 	ns := res.Nodes[0]
 	fmt.Printf("\n%s (%s)\n", res.Queries[qid].Type, *queryText)
 	if len(res.Queries) == 1 {
@@ -191,12 +208,6 @@ func main() {
 			fmt.Printf("query %d (%s) mean SIC: %.3f   (1.0 = perfect processing)\n", q.ID, q.Type, q.MeanSIC)
 		}
 		fmt.Printf("fairness (Jain): %.3f\n", res.Jain)
-	}
-	if skipped := engine.SkippedSubmits(); skipped > 0 {
-		fmt.Fprintf(os.Stderr, "themis-cql: %d scheduled submission(s) could not be applied\n", skipped)
-	}
-	if skipped := engine.SkippedRetracts(); skipped > 0 {
-		fmt.Fprintf(os.Stderr, "themis-cql: %d scheduled retract(s) named a query that was not live\n", skipped)
 	}
 	fmt.Printf("tuples: %d arrived, %d shed (%.0f%%), %d shedder invocations\n",
 		ns.ArrivedTuples, ns.ShedTuples,

@@ -26,12 +26,9 @@ var Seeds = []string{
 }
 
 // Stops are reachability barriers: functions reachable from the roots
-// that are, by design, not steady-state — they run only on node/query
-// churn ticks, where allocation is expected and budgeted separately.
-// The traversal does not descend into them.
+// that are, by design, not steady-state, where allocation is expected
+// and budgeted separately. The traversal does not descend into them.
 var Stops = []string{
-	"(*repro/internal/federation.Engine).applyChurn",
-	"(*repro/internal/federation.Engine).applyQueryChurn",
 	// Dialling happens only on first contact with a peer or after an
 	// evict/redial; steady-state flushes hit the connection cache.
 	"repro/internal/transport.dial",

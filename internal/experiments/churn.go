@@ -115,7 +115,6 @@ func churnRun(stw, interval stream.Duration, seed int64, nodes, frags int, check
 	}
 	// Kill once the window has long filled: three STWs in.
 	killTick := 3 * int64(stw) / int64(interval)
-	cfg.Churn = []federation.ChurnEvent{{Tick: killTick, Kill: []stream.NodeID{0}}}
 	e := federation.NewEngine(cfg)
 	e.AddNodes(nodes, 50_000)
 	q, err := e.Submit(federation.QuerySubmit{CQL: cql.AvgAll, Fragments: frags, Dataset: int(sources.Uniform), Placement: []stream.NodeID{0, 1, 2}})
@@ -127,7 +126,8 @@ func churnRun(stw, interval stream.Duration, seed int64, nodes, frags int, check
 	}
 	row := ChurnRow{STWMs: int64(stw), Checkpoint: checkpoint, KillTick: killTick,
 		PreKillSIC: e.CurrentSIC(q), RecoveryTicks: -1, FullRecoveryTicks: -1, SettledTicks: -1}
-	e.Step() // the kill + re-placement applies here
+	e.KillNode(0) // the kill + re-placement land at the start of the kill tick
+	e.Step()
 	row.DipSIC = e.CurrentSIC(q)
 	// Record the full post-kill SIC series, then derive the metrics: the
 	// plateau scan needs to look two slides ahead of each sample.

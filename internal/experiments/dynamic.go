@@ -41,8 +41,9 @@ type DynamicResult struct {
 }
 
 // DynamicWorkload runs the three-phase arrival/departure schedule on
-// the virtual-time engine, entirely through the query-churn machinery
-// (even the founding queries are scheduled submissions at tick 0).
+// the virtual-time engine through its mid-run verbs: each phase's
+// arrivals (Submit) and departures (RemoveQuery) are called before the
+// phase's first Step, the founding queries' included.
 func DynamicWorkload(s Scale, seed int64) (*DynamicResult, error) {
 	const (
 		interval = 100 * stream.Millisecond
@@ -71,33 +72,38 @@ func DynamicWorkload(s Scale, seed int64) (*DynamicResult, error) {
 	cfg.SourceRate = rate
 	cfg.BatchesPerSec = 10
 	cfg.Seed = seed
-	cfg.QueryChurn = []federation.QueryChurnEvent{
-		{Tick: 0, Submit: []federation.QuerySubmit{
-			{CQL: avg, Fragments: 1, Dataset: 1},
-			{CQL: cnt, Fragments: 1, Dataset: 1},
-		}},
-		{Tick: phaseTicks, Submit: []federation.QuerySubmit{
-			{CQL: avg, Fragments: 1, Dataset: 1},
-			{CQL: cnt, Fragments: 1, Dataset: 1},
-		}},
-		{Tick: 2 * phaseTicks, Retract: []stream.QueryID{0, 1}},
-	}
 	e := federation.NewEngine(cfg)
 	// Capacity for one query's full rate: two live queries mean 2×
 	// overload, four mean 4×.
 	e.AddNode(rate)
 
 	res := &DynamicResult{IntervalMs: int64(interval), STWMs: int64(stw)}
+	// A phase opens with its departures, then its arrivals: one AVG and
+	// one COUNT query each time.
 	phases := []struct {
-		name string
-		live []stream.QueryID
+		name    string
+		arrive  bool
+		retract []stream.QueryID
+		live    []stream.QueryID
 	}{
-		{"2 queries (2x overload)", []stream.QueryID{0, 1}},
-		{"4 queries (4x overload)", []stream.QueryID{0, 1, 2, 3}},
-		{"2 retracted (2x overload)", []stream.QueryID{2, 3}},
+		{"2 queries (2x overload)", true, nil, []stream.QueryID{0, 1}},
+		{"4 queries (4x overload)", true, nil, []stream.QueryID{0, 1, 2, 3}},
+		{"2 retracted (2x overload)", false, []stream.QueryID{0, 1}, []stream.QueryID{2, 3}},
 	}
 	tick := int64(0)
 	for i, ph := range phases {
+		for _, q := range ph.retract {
+			if !e.RemoveQuery(q) {
+				return nil, fmt.Errorf("experiments: query %d is not live", q)
+			}
+		}
+		if ph.arrive {
+			for _, text := range []string{avg, cnt} {
+				if _, err := e.Submit(federation.QuerySubmit{CQL: text, Fragments: 1, Dataset: 1}); err != nil {
+					return nil, err
+				}
+			}
+		}
 		end := int64(i+1) * phaseTicks
 		// At batch granularity the instantaneous sliding SIC rotates
 		// between queries at window scale; the fair-share signal — the
@@ -126,9 +132,6 @@ func DynamicWorkload(s Scale, seed int64) (*DynamicResult, error) {
 		row.MeanSIC = metrics.Mean(vals)
 		row.Jain = metrics.Jain(vals)
 		res.Phases = append(res.Phases, row)
-	}
-	if n := e.SkippedSubmits(); n > 0 {
-		return nil, fmt.Errorf("experiments: %d scheduled submissions skipped", n)
 	}
 	return res, nil
 }

@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"repro/internal/control"
 	"repro/internal/cql"
 	"repro/internal/federation"
 	"repro/internal/sources"
@@ -101,7 +102,7 @@ func mixedDeployment(e *federation.Engine, n int, fragsFor func(i int) int,
 // uniformly at random.
 func uniformPlacer(rng *rand.Rand, numNodes int) func(k int) []stream.NodeID {
 	return func(k int) []stream.NodeID {
-		return federation.UniformPlacement(rng, numNodes, k)
+		return control.UniformPlacement(rng, numNodes, k)
 	}
 }
 
@@ -109,7 +110,7 @@ func uniformPlacer(rng *rand.Rand, numNodes int) func(k int) []stream.NodeID {
 // workload distribution).
 func zipfPlacer(rng *rand.Rand, numNodes int, s float64) func(k int) []stream.NodeID {
 	return func(k int) []stream.NodeID {
-		return federation.ZipfPlacement(rng, numNodes, k, s)
+		return control.ZipfPlacement(rng, numNodes, k, s)
 	}
 }
 

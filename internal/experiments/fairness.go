@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"repro/internal/control"
 	"repro/internal/federation"
 	"repro/internal/sources"
 	"repro/internal/stream"
@@ -252,7 +253,7 @@ func Fig11(scale Scale, seed int64) *FairnessResult {
 		e := federation.Emulab(cfg, nodes, capacityFor(totalFrags, scale.Rate, nodes, 0.35))
 		next := 0
 		place := func(k int) []stream.NodeID {
-			return federation.RoundRobinPlacement(&next, nodes, k)
+			return control.RoundRobinPlacement(&next, nodes, k)
 		}
 		if _, err := mixedDeployment(e, q, frags, place, sources.PlanetLab); err != nil {
 			panic(err)

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/baseline"
+	"repro/internal/control"
 	"repro/internal/cql"
 	"repro/internal/federation"
 	"repro/internal/metrics"
@@ -121,7 +122,7 @@ func Sec75(scale Scale, seed int64) *Sec75Result {
 	cat := cql.DefaultCatalog(sources.PlanetLab)
 	for i, s := range specs {
 		plans[i] = cql.MustPlan(s.stmt, cat, s.frags)
-		placements[i] = federation.UniformPlacement(placeRng, nodes, s.frags)
+		placements[i] = control.UniformPlacement(placeRng, nodes, s.frags)
 	}
 
 	rate := scale.Rate

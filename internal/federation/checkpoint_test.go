@@ -16,9 +16,10 @@ import (
 // keeps the query's SIC accounting running, so recovery settles within a
 // couple of result slides instead of one STW refill.
 
-// churnEngine builds the churn-experiment topology: 4 nodes (one spare),
-// a 3-fragment AVG-all query on nodes {0,1,2}, node 0 killed at killTick.
-func ckptChurnEngine(t *testing.T, stw, interval, ckpt stream.Duration, killTick int64) (*Engine, stream.QueryID) {
+// ckptChurnEngine builds the churn-experiment topology: 4 nodes (one
+// spare) and a 3-fragment AVG-all query on nodes {0,1,2}, whose root
+// host, node 0, the tests kill.
+func ckptChurnEngine(t *testing.T, stw, interval, ckpt stream.Duration) (*Engine, stream.QueryID) {
 	t.Helper()
 	cfg := Defaults()
 	cfg.STW = stw
@@ -26,9 +27,6 @@ func ckptChurnEngine(t *testing.T, stw, interval, ckpt stream.Duration, killTick
 	cfg.SourceRate = 50
 	cfg.Seed = 11
 	cfg.Checkpoint = ckpt
-	if killTick >= 0 {
-		cfg.Churn = []ChurnEvent{{Tick: killTick, Kill: []stream.NodeID{0}}}
-	}
 	e := NewEngine(cfg)
 	e.AddNodes(4, 50_000)
 	q, err := e.Submit(QuerySubmit{CQL: cql.AvgAll, Fragments: 3, Dataset: int(sources.Uniform), Placement: []stream.NodeID{0, 1, 2}})
@@ -50,8 +48,8 @@ func TestCheckpointRecoveryConvergence(t *testing.T) {
 		slide    = stream.Second // AVG-all result slide
 	)
 	killTick := 3 * int64(stw) / int64(interval)
-	churned, q := ckptChurnEngine(t, stw, interval, interval, killTick)
-	calm, cq := ckptChurnEngine(t, stw, interval, interval, -1)
+	churned, q := ckptChurnEngine(t, stw, interval, interval)
+	calm, cq := ckptChurnEngine(t, stw, interval, interval)
 	if cq != q {
 		t.Fatalf("query ids diverge: %d vs %d", q, cq)
 	}
@@ -63,6 +61,7 @@ func TestCheckpointRecoveryConvergence(t *testing.T) {
 	if pre < 0.9 {
 		t.Fatalf("pre-kill SIC %.3f, federation never reached steady state", pre)
 	}
+	churned.KillNode(0)
 	// The restore brings the window back, but the partial batches that
 	// were in flight to the dead host when it died are gone for good —
 	// one slide's emissions from the two upstream fragments, 2 of the
@@ -117,13 +116,15 @@ func TestCheckpointRecoveryBeatsLegacy(t *testing.T) {
 		slide    = stream.Second
 	)
 	killTick := 3 * int64(stw) / int64(interval)
-	ck, q := ckptChurnEngine(t, stw, interval, interval, killTick)
-	legacy, _ := ckptChurnEngine(t, stw, interval, 0, killTick)
+	ck, q := ckptChurnEngine(t, stw, interval, interval)
+	legacy, _ := ckptChurnEngine(t, stw, interval, 0)
 	for i := int64(0); i < killTick; i++ {
 		ck.Step()
 		legacy.Step()
 	}
 	pre := ck.CurrentSIC(q)
+	ck.KillNode(0)
+	legacy.KillNode(0)
 	deadline := 2 * int64(slide) / int64(interval)
 	for i := int64(0); i <= deadline; i++ {
 		ck.Step()
@@ -149,8 +150,8 @@ func checkpointVersionFallsBack(t *testing.T, version byte) {
 		interval = 100 * stream.Millisecond
 	)
 	killTick := 2 * int64(stw) / int64(interval)
-	old, q := ckptChurnEngine(t, stw, interval, interval, killTick)
-	legacy, _ := ckptChurnEngine(t, stw, interval, 0, killTick)
+	old, q := ckptChurnEngine(t, stw, interval, interval)
+	legacy, _ := ckptChurnEngine(t, stw, interval, 0)
 	for i := int64(0); i < killTick; i++ {
 		old.Step()
 		legacy.Step()
@@ -172,6 +173,8 @@ func checkpointVersionFallsBack(t *testing.T, version byte) {
 	if downgraded == 0 {
 		t.Fatal("no checkpoint record to downgrade")
 	}
+	old.KillNode(0)
+	legacy.KillNode(0)
 	for i := int64(0); i < 2*int64(stw)/int64(interval); i++ {
 		old.Step()
 		legacy.Step()
@@ -200,8 +203,8 @@ func TestCheckpointReadOnlyBitExact(t *testing.T) {
 		stw      = 5 * stream.Second
 		interval = 100 * stream.Millisecond
 	)
-	on, q := ckptChurnEngine(t, stw, interval, interval, -1)
-	off, _ := ckptChurnEngine(t, stw, interval, 0, -1)
+	on, q := ckptChurnEngine(t, stw, interval, interval)
+	off, _ := ckptChurnEngine(t, stw, interval, 0)
 	ticks := 4 * int64(stw) / int64(interval)
 	for i := int64(0); i < ticks; i++ {
 		on.Step()

@@ -143,19 +143,18 @@ func TestRemoveQueryIdempotentAndUnknown(t *testing.T) {
 	e.Step()           // must not panic with zero hosted queries
 }
 
-// --- node churn (Config.Churn): the virtual-time mirror of the TCP
-// transport's failure recovery ---
+// --- node churn (AddNode and KillNode between Steps): the virtual-time
+// mirror of the TCP transport's failure recovery ---
 
 // churnEngine builds an underloaded federation whose SIC sits near 1 in
 // steady state, so recovery is visible as a dip-and-return.
-func churnEngine(t *testing.T, nodes int, churn []ChurnEvent) (*Engine, stream.QueryID) {
+func churnEngine(t *testing.T, nodes int) (*Engine, stream.QueryID) {
 	t.Helper()
 	cfg := Defaults()
 	cfg.STW = 2 * stream.Second
 	cfg.Interval = 100 * stream.Millisecond
 	cfg.SourceRate = 50
 	cfg.Seed = 3
-	cfg.Churn = churn
 	e := NewEngine(cfg)
 	e.AddNodes(nodes, 50_000)
 	q, err := e.Submit(QuerySubmit{CQL: cql.AvgAll, Fragments: 3, Dataset: int(sources.Uniform), Placement: []stream.NodeID{0, 1, 2}})
@@ -171,14 +170,15 @@ func churnEngine(t *testing.T, nodes int, churn []ChurnEvent) (*Engine, stream.Q
 // once the STW refills.
 func TestNodeKillRecovery(t *testing.T) {
 	const killTick = 60
-	e, q := churnEngine(t, 4, []ChurnEvent{{Tick: killTick, Kill: []stream.NodeID{1}}})
+	e, q := churnEngine(t, 4)
 	for i := 0; i < killTick; i++ {
 		e.Step()
 	}
 	if pre := e.CurrentSIC(q); pre < 0.9 {
 		t.Fatalf("pre-kill SIC %.3f: federation not in steady state", pre)
 	}
-	e.Step() // the kill applies at the start of this step
+	e.KillNode(1)
+	e.Step()
 	if p := e.Placement(q); p[1] != 3 {
 		t.Fatalf("fragment 1 placed on node %d after kill, want spare node 3 (placement %v)", p[1], p)
 	}
@@ -197,15 +197,18 @@ func TestNodeKillRecovery(t *testing.T) {
 	}
 }
 
-// TestNodeJoinAdoptsFragments joins a replacement in the same churn
-// event that kills a host: the joiner is the only eligible survivor and
+// TestNodeJoinAdoptsFragments joins a replacement just before a host is
+// killed, in the same tick: the joiner is the only eligible survivor and
 // must adopt the displaced fragment.
 func TestNodeJoinAdoptsFragments(t *testing.T) {
 	const killTick = 40
-	e, q := churnEngine(t, 3, []ChurnEvent{{Tick: killTick, Join: 1, JoinCapacity: 50_000, Kill: []stream.NodeID{2}}})
-	for i := 0; i <= killTick; i++ {
+	e, q := churnEngine(t, 3)
+	for i := 0; i < killTick; i++ {
 		e.Step()
 	}
+	e.AddNode(50_000)
+	e.KillNode(2)
+	e.Step()
 	if p := e.Placement(q); p[2] != 3 {
 		t.Fatalf("fragment 2 on node %d, want joined node 3 (placement %v)", p[2], p)
 	}
@@ -221,8 +224,11 @@ func TestNodeJoinAdoptsFragments(t *testing.T) {
 // to take its fragment: the query departs and the federation keeps
 // running instead of panicking.
 func TestKillUnrecoverableQueryDeparts(t *testing.T) {
-	e, q := churnEngine(t, 3, []ChurnEvent{{Tick: 20, Kill: []stream.NodeID{2}}})
+	e, q := churnEngine(t, 3)
 	for i := 0; i < 40; i++ {
+		if i == 20 {
+			e.KillNode(2)
+		}
 		e.Step()
 	}
 	if got := e.CurrentSIC(q); got != 0 {
@@ -244,7 +250,6 @@ func TestChurnDeterminism(t *testing.T) {
 		cfg.Interval = 100 * stream.Millisecond
 		cfg.SourceRate = 50
 		cfg.Seed = 3
-		cfg.Churn = []ChurnEvent{{Tick: 30, Kill: []stream.NodeID{1}}}
 		e := NewEngine(cfg)
 		e.AddNodes(4, 900) // overloaded: shedding decisions must also replay identically
 		q, err := e.Submit(QuerySubmit{CQL: cql.AvgAll, Fragments: 3, Dataset: int(sources.Uniform), Placement: []stream.NodeID{0, 1, 2}})
@@ -252,6 +257,9 @@ func TestChurnDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 120; i++ {
+			if i == 30 {
+				e.KillNode(1)
+			}
 			e.Step()
 		}
 		return e.CurrentSIC(q)

@@ -1,21 +1,6 @@
 package federation
 
-import (
-	"repro/internal/control"
-	"repro/internal/stream"
-)
-
-// Placement is the control plane's; the evaluation's three strategies
-// and the name-driven Placer keep their federation names for the
-// experiments and the public facade.
-type Placer = control.Placer
-
-var (
-	UniformPlacement    = control.UniformPlacement
-	RoundRobinPlacement = control.RoundRobinPlacement
-	ZipfPlacement       = control.ZipfPlacement
-	NewPlacer           = control.NewPlacer
-)
+import "repro/internal/stream"
 
 // Table 2 presets.
 

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/cql"
 	"repro/internal/sources"
 	"repro/internal/stream"
@@ -36,7 +37,7 @@ func detRun(t *testing.T, cfg Config) *Results {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 24; i++ {
 		k := 1 + i%3
-		if _, err := e.Submit(mixedSubmit(i, k, sources.PlanetLab, UniformPlacement(rng, nodes, k))); err != nil {
+		if _, err := e.Submit(mixedSubmit(i, k, sources.PlanetLab, control.UniformPlacement(rng, nodes, k))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,7 +86,7 @@ func TestStepEquivalentToRun(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < 6; i++ {
 			k := 1 + i%2
-			if _, err := e.Submit(mixedSubmit(i, k, sources.PlanetLab, UniformPlacement(rng, 4, k))); err != nil {
+			if _, err := e.Submit(mixedSubmit(i, k, sources.PlanetLab, control.UniformPlacement(rng, 4, k))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -174,8 +175,11 @@ func TestEngineBitsPinned(t *testing.T) {
 		// tick 30: the query's SIC at every tick through the restore, then
 		// Results.
 		{"churn-checkpoint", 0x96dfdd613fc2fa70, func(t *testing.T, h bitHash) {
-			e, q := ckptChurnEngine(t, 2*stream.Second, 100*stream.Millisecond, 100*stream.Millisecond, 30)
+			e, q := ckptChurnEngine(t, 2*stream.Second, 100*stream.Millisecond, 100*stream.Millisecond)
 			for i := 0; i < 120; i++ {
+				if i == 30 {
+					e.KillNode(0)
+				}
 				e.Step()
 				h.f(e.CurrentSIC(q))
 			}

@@ -101,20 +101,6 @@ type Config struct {
 	// KeepSamples retains the per-tick SIC time series of every query in
 	// the results (costs memory on large runs).
 	KeepSamples bool
-	// Churn schedules node kill/join events at given ticks — the
-	// virtual-time mirror of the TCP transport's failure recovery, so a
-	// networked run through membership churn can be checked against the
-	// deterministic engine executing the same schedule.
-	Churn []ChurnEvent
-	// QueryChurn schedules query submit/retract events at given ticks —
-	// the virtual-time mirror of Controller.Submit/Retract on the TCP
-	// transport, so a networked run through a dynamic workload can be
-	// checked against the deterministic engine executing the same
-	// schedule. Events apply at the start of a step, after node churn
-	// (a submission in the same tick as a kill places over the post-kill
-	// membership, exactly as a controller submit after a detected
-	// failure does).
-	QueryChurn []QueryChurnEvent
 	// Placement names the site-assignment strategy for submissions
 	// without an explicit placement and for re-placement after a kill:
 	// "round-robin" (default), "uniform" or "zipf" (control.Placer).
@@ -135,40 +121,10 @@ type Config struct {
 	Seed int64
 }
 
-// ChurnEvent is one scheduled membership change. Joins apply before
-// kills within the same event, so a replacement node announced together
-// with a failure is eligible to adopt the displaced fragments.
-type ChurnEvent struct {
-	// Tick is the engine tick at whose start the event applies.
-	Tick int64
-	// Join adds this many fresh nodes with JoinCapacity tuples/sec.
-	Join         int
-	JoinCapacity float64
-	// Kill fails the named nodes: their hosted fragments are re-placed
-	// on surviving nodes exactly as the transport controller re-places
-	// them (fresh executor state, SIC accounting reset at the recovery
-	// epoch); a query with too few survivors departs instead.
-	Kill []stream.NodeID
-}
-
-// QueryChurnEvent is one scheduled workload change. Retracts apply
-// before submits within the same event, so a replacement query arriving
-// together with a departure may reuse the departed query's nodes (one
-// query's fragments must land on distinct nodes, §3).
-type QueryChurnEvent struct {
-	// Tick is the engine tick at whose start the event applies.
-	Tick int64
-	// Submit deploys these queries onto the live membership.
-	Submit []QuerySubmit
-	// Retract undeploys the named queries (ids as returned by Submit, in
-	// submission order, starting at 0).
-	Retract []stream.QueryID
-}
-
-// QuerySubmit describes one query submission (Engine.Submit, or a
-// scheduled QueryChurn event): the CQL text is planned with
-// cql.PlanDistributed — exactly as every transport host re-plans a
-// travelling statement — and placed over the live membership.
+// QuerySubmit describes one query submission (Engine.Submit): the CQL
+// text is planned with cql.PlanDistributed — exactly as every transport
+// host re-plans a travelling statement — and placed over the live
+// membership.
 type QuerySubmit struct {
 	// CQL is the statement text (Table 1 syntax).
 	CQL string
@@ -265,14 +221,6 @@ type Engine struct {
 	// bounded by the link latency, fixed at construction).
 	transitRing [][]delivery
 	updateRing  [][]sicUpdate
-
-	// skippedSubmits and skippedRetracts count scheduled events the
-	// engine could not apply (bad CQL, too few live nodes, unknown
-	// query id) — schedule errors cannot surface from Step, so tests
-	// assert these stay zero. The networked controller surfaces the
-	// same mistakes as Submit/Retract errors.
-	skippedSubmits  int
-	skippedRetracts int
 
 	// Checkpoint schedule (see checkpoint.go): ckptEvery is the cadence in
 	// ticks (0 = off), ckptEnc the one reused encoder. The snapshots
@@ -527,29 +475,6 @@ func (e *Engine) deliverResult(q stream.QueryID, now stream.Time, tuples []strea
 	}
 }
 
-// --- membership churn ---
-
-// applyChurn executes the scheduled membership events due at the current
-// tick: joins first (so announced replacements can adopt fragments),
-// then kills.
-func (e *Engine) applyChurn() {
-	for _, ev := range e.cfg.Churn {
-		if ev.Tick != e.tick {
-			continue
-		}
-		for j := 0; j < ev.Join; j++ {
-			speed := ev.JoinCapacity
-			if speed <= 0 {
-				speed = 1000
-			}
-			e.AddNode(speed)
-		}
-		for _, id := range ev.Kill {
-			e.KillNode(id)
-		}
-	}
-}
-
 // KillNode fails a node mid-run — the controller's failure recovery in
 // virtual time: every query fragment the node hosted is re-placed by the
 // plane's one rule (the configured strategy over the surviving nodes not
@@ -652,31 +577,6 @@ func (e *Engine) placeFragment(cq *control.Query, d control.Deploy) {
 	}
 }
 
-// --- query churn ---
-
-// applyQueryChurn executes the scheduled workload events due at the
-// current tick: retracts first (freeing nodes for arrivals), then
-// submits. A submission that cannot be applied (malformed CQL, too few
-// live nodes for distinct placement) is skipped and counted — Step has
-// no error channel.
-func (e *Engine) applyQueryChurn() {
-	for _, ev := range e.cfg.QueryChurn {
-		if ev.Tick != e.tick {
-			continue
-		}
-		for _, q := range ev.Retract {
-			if !e.RemoveQuery(q) {
-				e.skippedRetracts++
-			}
-		}
-		for _, sub := range ev.Submit {
-			if _, err := e.Submit(sub); err != nil {
-				e.skippedSubmits++
-			}
-		}
-	}
-}
-
 // SubmitCQL is Submit with the submission spelled out, on feed 0. It is
 // kept only because the benchmark module calls it.
 func (e *Engine) SubmitCQL(cqlText string, fragments, dataset int, rate float64, placement []stream.NodeID) (stream.QueryID, error) {
@@ -685,14 +585,6 @@ func (e *Engine) SubmitCQL(cqlText string, fragments, dataset int, rate float64,
 
 // PlanCacheStats reports the submit-path plan cache counters.
 func (e *Engine) PlanCacheStats() cql.PlanCacheStats { return e.plane.PlanCacheStats() }
-
-// SkippedSubmits reports how many scheduled QueryChurn submissions
-// could not be applied.
-func (e *Engine) SkippedSubmits() int { return e.skippedSubmits }
-
-// SkippedRetracts reports how many scheduled QueryChurn retracts named
-// a query that was not live.
-func (e *Engine) SkippedRetracts() int { return e.skippedRetracts }
 
 // NodeAlive reports whether a node is still part of the membership.
 func (e *Engine) NodeAlive(id stream.NodeID) bool { return e.plane.Alive(id) }
@@ -737,10 +629,10 @@ func (e *Engine) drainOutbox(n *node.Node) {
 // has its outbox drained. Nothing drained in tick k is readable by any
 // node before tick k+1 — derived batches are scheduled at tick + delay
 // (delay ≥ 1), SIC updates travel through updateRing — so a node's tick
-// never depends on its position in the loop (DESIGN.md §4).
+// never depends on its position in the loop (DESIGN.md §4). A running
+// deployment changes only between Steps, through AddNode, KillNode,
+// Submit and RemoveQuery: a call lands at the start of the next tick.
 func (e *Engine) Step() {
-	e.applyChurn()
-	e.applyQueryChurn()
 	t := e.now()
 	// Deliver in-transit batches and coordinator updates due this tick.
 	// Batches bound for a node that died while they were in flight are

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/cql"
 	"repro/internal/metrics"
 	"repro/internal/sources"
@@ -130,25 +131,25 @@ func TestDeployValidation(t *testing.T) {
 func TestPlacementHelpers(t *testing.T) {
 	rng := newTestRand()
 	for _, k := range []int{1, 3, 6} {
-		p := UniformPlacement(rng, 10, k)
+		p := control.UniformPlacement(rng, 10, k)
 		if len(p) != k || hasDup(p) {
 			t.Errorf("uniform placement: %v", p)
 		}
-		z := ZipfPlacement(rng, 10, k, 1.5)
+		z := control.ZipfPlacement(rng, 10, k, 1.5)
 		if len(z) != k || hasDup(z) {
 			t.Errorf("zipf placement: %v", z)
 		}
 	}
 	next := 0
-	a := RoundRobinPlacement(&next, 5, 3)
-	b := RoundRobinPlacement(&next, 5, 3)
+	a := control.RoundRobinPlacement(&next, 5, 3)
+	b := control.RoundRobinPlacement(&next, 5, 3)
 	if a[0] != 0 || a[2] != 2 || b[0] != 3 || b[2] != 0 {
 		t.Errorf("round robin: %v then %v", a, b)
 	}
 	// Zipf must actually skew: node 0 should appear far more often.
 	counts := make([]int, 10)
 	for i := 0; i < 500; i++ {
-		for _, nd := range ZipfPlacement(rng, 10, 1, 1.5) {
+		for _, nd := range control.ZipfPlacement(rng, 10, 1, 1.5) {
 			counts[nd]++
 		}
 	}
@@ -171,9 +172,9 @@ func hasDup(p []stream.NodeID) bool {
 // TestPlacementPanics checks over-subscription panics.
 func TestPlacementPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { UniformPlacement(newTestRand(), 2, 3) },
-		func() { ZipfPlacement(newTestRand(), 2, 3, 1.5) },
-		func() { next := 0; RoundRobinPlacement(&next, 2, 3) },
+		func() { control.UniformPlacement(newTestRand(), 2, 3) },
+		func() { control.ZipfPlacement(newTestRand(), 2, 3, 1.5) },
+		func() { next := 0; control.RoundRobinPlacement(&next, 2, 3) },
 	} {
 		func() {
 			defer func() {

@@ -1,10 +1,14 @@
 package federation
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/control"
+)
 
 func TestPlacerStrategies(t *testing.T) {
 	for _, strategy := range []string{"", "round-robin", "uniform", "zipf"} {
-		p, err := NewPlacer(strategy, 6, 3)
+		p, err := control.NewPlacer(strategy, 6, 3)
 		if err != nil {
 			t.Fatalf("%q: %v", strategy, err)
 		}
@@ -31,16 +35,16 @@ func TestPlacerStrategies(t *testing.T) {
 			t.Errorf("%q: over-subscription accepted", strategy)
 		}
 	}
-	if _, err := NewPlacer("nope", 4, 1); err == nil {
+	if _, err := control.NewPlacer("nope", 4, 1); err == nil {
 		t.Error("unknown strategy accepted")
 	}
-	if _, err := NewPlacer("uniform", 0, 1); err == nil {
+	if _, err := control.NewPlacer("uniform", 0, 1); err == nil {
 		t.Error("zero nodes accepted")
 	}
 
 	// Round-robin is stateful: consecutive placements rotate the start
 	// node so total load spreads evenly.
-	rr, _ := NewPlacer("round-robin", 4, 1)
+	rr, _ := control.NewPlacer("round-robin", 4, 1)
 	a, _ := rr.Place(2)
 	b, _ := rr.Place(2)
 	if a[0] == b[0] {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/control"
 	"repro/internal/cql"
 	"repro/internal/sources"
 	"repro/internal/stream"
@@ -34,7 +35,7 @@ func TestUnderloadPerfectSICProperty(t *testing.T) {
 		nq := 2 + rng.Intn(4)
 		for i := 0; i < nq; i++ {
 			k := 1 + rng.Intn(nodes)
-			sub := mixedSubmit(rng.Intn(3), k, sources.AllDatasets[rng.Intn(len(sources.AllDatasets))], UniformPlacement(rng, nodes, k))
+			sub := mixedSubmit(rng.Intn(3), k, sources.AllDatasets[rng.Intn(len(sources.AllDatasets))], control.UniformPlacement(rng, nodes, k))
 			sub.Feed = i
 			if _, err := e.Submit(sub); err != nil {
 				return false

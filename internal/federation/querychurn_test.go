@@ -7,15 +7,15 @@ import (
 	"repro/internal/stream"
 )
 
-// Query-churn schedule tests: the engine-side mirror of
-// Controller.Submit/Retract. Scheduled submissions plan CQL with the
-// same deterministic planner transport hosts run, place over the live
-// membership, and deploy mid-run; retracts tear queries down and free
-// their runtime state.
+// Query-churn tests: the engine-side mirror of Controller.Submit/Retract.
+// A submission between two Steps plans CQL with the same deterministic
+// planner transport hosts run, places over the live membership, and
+// deploys mid-run; retracts tear queries down and free their runtime
+// state.
 
 const churnAvgCQL = "Select Avg(t.v) From Src[Range 1 sec]"
 
-// churnScheduleConfig is the shared base for the schedule tests: one
+// churnScheduleConfig is the shared base for the churn tests: one
 // comfortable node, fine-grained batches.
 func churnScheduleConfig() Config {
 	cfg := Defaults()
@@ -27,6 +27,14 @@ func churnScheduleConfig() Config {
 	return cfg
 }
 
+// stepTo steps the engine until tick is the next one to run, so a call
+// made after it lands at the start of that tick.
+func stepTo(e *Engine, tick int64) {
+	for e.tick < tick {
+		e.Step()
+	}
+}
+
 // TestScheduledSubmitDeploysMidRun: a submission at tick 30 must appear
 // as a live query, reach steady-state SIC, and sample only after its
 // own epoch plus warmup.
@@ -34,18 +42,13 @@ func TestScheduledSubmitDeploysMidRun(t *testing.T) {
 	cfg := churnScheduleConfig()
 	cfg.Warmup = 2 * stream.Second
 	cfg.KeepSamples = true
-	cfg.QueryChurn = []QueryChurnEvent{
-		{Tick: 30, Submit: []QuerySubmit{{CQL: churnAvgCQL, Fragments: 1, Dataset: 1}}},
-	}
 	e := NewEngine(cfg)
 	e.AddNode(50_000) // underloaded: SIC near 1 once warm
-	const ticks = 120
-	for i := 0; i < ticks; i++ {
-		e.Step()
+	stepTo(e, 30)
+	if _, err := e.Submit(QuerySubmit{CQL: churnAvgCQL, Fragments: 1, Dataset: 1}); err != nil {
+		t.Fatal(err)
 	}
-	if n := e.SkippedSubmits(); n != 0 {
-		t.Fatalf("%d submissions skipped", n)
-	}
+	stepTo(e, 120)
 	res := e.Results()
 	if len(res.Queries) != 1 {
 		t.Fatalf("queries after scheduled submit: %+v", res.Queries)
@@ -70,23 +73,20 @@ func TestScheduledSubmitDeploysMidRun(t *testing.T) {
 // its engine bookkeeping and all node-side per-query state, returning
 // the node to its pre-deploy footprint.
 func TestScheduledRetractFreesState(t *testing.T) {
-	cfg := churnScheduleConfig()
-	cfg.QueryChurn = []QueryChurnEvent{
-		{Tick: 0, Submit: []QuerySubmit{
-			{CQL: churnAvgCQL, Fragments: 1, Dataset: 1},
-			{CQL: churnAvgCQL, Fragments: 1, Dataset: 1},
-		}},
-		{Tick: 40, Retract: []stream.QueryID{1}},
-	}
-	e := NewEngine(cfg)
+	e := NewEngine(churnScheduleConfig())
 	nd := e.AddNode(50_000)
-	for i := 0; i < 20; i++ {
-		e.Step()
+	for i := 0; i < 2; i++ {
+		if _, err := e.Submit(QuerySubmit{CQL: churnAvgCQL, Fragments: 1, Dataset: 1}); err != nil {
+			t.Fatal(err)
+		}
 	}
+	stepTo(e, 20)
 	withBoth := e.Node(nd).StateSize()
-	for i := 20; i < 80; i++ {
-		e.Step()
+	stepTo(e, 40)
+	if !e.RemoveQuery(1) {
+		t.Fatal("retract of live query 1 refused")
 	}
+	stepTo(e, 80)
 	got := e.Node(nd).StateSize()
 	want := withBoth
 	want.Fragments /= 2
@@ -108,23 +108,19 @@ func TestScheduledRetractFreesState(t *testing.T) {
 	}
 }
 
-// TestScheduledSubmitAfterKillPlacesOnSurvivors: a submission scheduled
+// TestScheduledSubmitAfterKillPlacesOnSurvivors: a submission made
 // after a node kill must place its fragments over the surviving
 // membership only.
 func TestScheduledSubmitAfterKillPlacesOnSurvivors(t *testing.T) {
-	cfg := churnScheduleConfig()
-	cfg.Churn = []ChurnEvent{{Tick: 10, Kill: []stream.NodeID{0}}}
-	cfg.QueryChurn = []QueryChurnEvent{
-		{Tick: 20, Submit: []QuerySubmit{{CQL: churnAvgCQL, Fragments: 2, Dataset: 1}}},
-	}
-	e := NewEngine(cfg)
+	e := NewEngine(churnScheduleConfig())
 	e.AddNodes(3, 50_000)
-	for i := 0; i < 60; i++ {
-		e.Step()
+	stepTo(e, 10)
+	e.KillNode(0)
+	stepTo(e, 20)
+	if _, err := e.Submit(QuerySubmit{CQL: churnAvgCQL, Fragments: 2, Dataset: 1}); err != nil {
+		t.Fatal(err)
 	}
-	if n := e.SkippedSubmits(); n != 0 {
-		t.Fatalf("%d submissions skipped", n)
-	}
+	stepTo(e, 60)
 	p := e.Placement(0)
 	if len(p) != 2 {
 		t.Fatalf("placement %v, want 2 fragments", p)
@@ -139,24 +135,18 @@ func TestScheduledSubmitAfterKillPlacesOnSurvivors(t *testing.T) {
 	}
 }
 
-// TestScheduledSubmitSameTickAsKill: within one tick node churn applies
-// before query churn, so a submission scheduled at the kill tick sees
-// the post-kill membership — mirroring a controller submit issued after
-// failure detection.
+// TestScheduledSubmitSameTickAsKill: a submission made right after a
+// kill, before the same Step, sees the post-kill membership — mirroring
+// a controller submit issued after failure detection.
 func TestScheduledSubmitSameTickAsKill(t *testing.T) {
-	cfg := churnScheduleConfig()
-	cfg.Churn = []ChurnEvent{{Tick: 15, Kill: []stream.NodeID{1}}}
-	cfg.QueryChurn = []QueryChurnEvent{
-		{Tick: 15, Submit: []QuerySubmit{{CQL: churnAvgCQL, Fragments: 2, Dataset: 1}}},
-	}
-	e := NewEngine(cfg)
+	e := NewEngine(churnScheduleConfig())
 	e.AddNodes(3, 50_000)
-	for i := 0; i < 20; i++ {
-		e.Step()
+	stepTo(e, 15)
+	e.KillNode(1)
+	if _, err := e.Submit(QuerySubmit{CQL: churnAvgCQL, Fragments: 2, Dataset: 1}); err != nil {
+		t.Fatal(err)
 	}
-	if n := e.SkippedSubmits(); n != 0 {
-		t.Fatalf("%d submissions skipped", n)
-	}
+	stepTo(e, 20)
 	for _, nd := range e.Placement(0) {
 		if nd == 1 {
 			t.Fatalf("fragment placed on node killed in the same tick (placement %v)", e.Placement(0))
@@ -164,30 +154,50 @@ func TestScheduledSubmitSameTickAsKill(t *testing.T) {
 	}
 }
 
-// TestSkippedSubmitsCounted: schedules that cannot apply — malformed
-// CQL, more fragments than live nodes, retracts naming unknown
-// queries — are counted, not silently dropped and not fatal; the
-// networked controller surfaces the same mistakes as errors.
-func TestSkippedSubmitsCounted(t *testing.T) {
-	cfg := churnScheduleConfig()
-	cfg.QueryChurn = []QueryChurnEvent{
-		{Tick: 1, Submit: []QuerySubmit{{CQL: "Select Nope(", Fragments: 1, Dataset: 1}}},
-		{Tick: 2, Submit: []QuerySubmit{{CQL: churnAvgCQL, Fragments: 5, Dataset: 1}}},
-		{Tick: 3, Retract: []stream.QueryID{7}},
+// TestSubmitThenKillSameTick: a query submitted onto a node that dies
+// before the same Step is re-placed off it like any hosted fragment, and
+// its SIC recovers on the survivors.
+func TestSubmitThenKillSameTick(t *testing.T) {
+	e := NewEngine(churnScheduleConfig())
+	e.AddNodes(3, 50_000)
+	stepTo(e, 15)
+	q, err := e.Submit(QuerySubmit{CQL: churnAvgCQL, Fragments: 2, Dataset: 1, Placement: []stream.NodeID{1, 2}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	e := NewEngine(cfg)
+	e.KillNode(1)
+	p := e.Placement(q)
+	if len(p) != 2 || p[0] == 1 || p[1] == 1 || p[0] == p[1] {
+		t.Fatalf("placement after same-tick kill %v, want 2 distinct survivors of node 1", p)
+	}
+	stepTo(e, 80)
+	if sic := e.CurrentSIC(q); sic < 0.9 {
+		t.Errorf("SIC %.3f after the same-tick kill, want ~1 on underloaded survivors", sic)
+	}
+}
+
+// TestBadChurnRefusedAtCall: churn that cannot apply — malformed CQL,
+// more fragments than live nodes, a retract naming an unknown query —
+// is refused at the call, as the networked controller refuses it, and
+// deploys nothing.
+func TestBadChurnRefusedAtCall(t *testing.T) {
+	e := NewEngine(churnScheduleConfig())
 	e.AddNode(1000)
-	for i := 0; i < 5; i++ {
-		e.Step()
+	stepTo(e, 1)
+	if _, err := e.Submit(QuerySubmit{CQL: "Select Nope(", Fragments: 1, Dataset: 1}); err == nil {
+		t.Error("malformed CQL accepted")
 	}
-	if n := e.SkippedSubmits(); n != 2 {
-		t.Errorf("skipped submissions: %d, want 2", n)
+	stepTo(e, 2)
+	if _, err := e.Submit(QuerySubmit{CQL: churnAvgCQL, Fragments: 5, Dataset: 1}); err == nil {
+		t.Error("5 fragments placed on 1 node")
 	}
-	if n := e.SkippedRetracts(); n != 1 {
-		t.Errorf("skipped retracts: %d, want 1", n)
+	stepTo(e, 3)
+	if e.RemoveQuery(7) {
+		t.Error("retract of unknown query 7 accepted")
 	}
+	stepTo(e, 5)
 	if got := len(e.Results().Queries); got != 0 {
-		t.Errorf("%d queries deployed from invalid schedule", got)
+		t.Errorf("%d queries deployed from refused churn", got)
 	}
 }
 
@@ -213,18 +223,16 @@ func TestSubmitRefusesUnrunnableRates(t *testing.T) {
 // TestExplicitPlacementSubmit: a QuerySubmit may pin its placement; the
 // engine must honour it instead of consulting the placer.
 func TestExplicitPlacementSubmit(t *testing.T) {
-	cfg := churnScheduleConfig()
-	cfg.QueryChurn = []QueryChurnEvent{
-		{Tick: 5, Submit: []QuerySubmit{{
-			CQL: churnAvgCQL, Fragments: 2, Dataset: 1,
-			Placement: []stream.NodeID{2, 0},
-		}}},
-	}
-	e := NewEngine(cfg)
+	e := NewEngine(churnScheduleConfig())
 	e.AddNodes(3, 50_000)
-	for i := 0; i < 10; i++ {
-		e.Step()
+	stepTo(e, 5)
+	if _, err := e.Submit(QuerySubmit{
+		CQL: churnAvgCQL, Fragments: 2, Dataset: 1,
+		Placement: []stream.NodeID{2, 0},
+	}); err != nil {
+		t.Fatal(err)
 	}
+	stepTo(e, 10)
 	p := e.Placement(0)
 	if len(p) != 2 || p[0] != 2 || p[1] != 0 {
 		t.Errorf("explicit placement not honoured: %v, want [2 0]", p)

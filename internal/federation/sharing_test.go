@@ -29,7 +29,7 @@ var sharingShapes = []string{
 // capacity far above load (no shedding — overload responses legitimately
 // differ when sharing changes per-node arrival counts), 12 queries over
 // three shapes (some 2-fragment, so dedup covers leaf fragments feeding a
-// merge), a node kill+join at tick 24, and live churn that submits two
+// merge), a node join+kill at tick 24, and live churn that submits two
 // more queries at tick 20 and retracts two — including a share-group
 // primary — at tick 32.
 func sharingRun(t *testing.T, mode Sharing) *Results {
@@ -41,16 +41,6 @@ func sharingRun(t *testing.T, mode Sharing) *Results {
 	cfg.KeepSamples = true
 	cfg.Seed = 42
 	cfg.Sharing = mode
-	cfg.Churn = []ChurnEvent{
-		{Tick: 24, Join: 1, JoinCapacity: 1e8, Kill: []stream.NodeID{2}},
-	}
-	cfg.QueryChurn = []QueryChurnEvent{
-		{Tick: 20, Submit: []QuerySubmit{
-			{CQL: sharingShapes[0], Fragments: 2, Dataset: 1},
-			{CQL: sharingShapes[1], Fragments: 1, Dataset: 1},
-		}},
-		{Tick: 32, Retract: []stream.QueryID{0, 5}},
-	}
 	e := NewEngine(cfg)
 	e.AddNodes(8, 1e8)
 	for i := 0; i < 12; i++ {
@@ -63,11 +53,30 @@ func sharingRun(t *testing.T, mode Sharing) *Results {
 			t.Fatal(err)
 		}
 	}
-	res := e.Run()
-	if n := e.SkippedSubmits(); n != 0 {
-		t.Fatalf("%d submissions skipped", n)
+	for tick := int64(0); tick < int64(cfg.Duration/cfg.Interval); tick++ {
+		switch tick {
+		case 20:
+			for _, sub := range []QuerySubmit{
+				{CQL: sharingShapes[0], Fragments: 2, Dataset: 1},
+				{CQL: sharingShapes[1], Fragments: 1, Dataset: 1},
+			} {
+				if _, err := e.Submit(sub); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case 24:
+			e.AddNode(1e8)
+			e.KillNode(2)
+		case 32:
+			for _, q := range []stream.QueryID{0, 5} {
+				if !e.RemoveQuery(q) {
+					t.Fatalf("retract of live query %d refused", q)
+				}
+			}
+		}
+		e.Step()
 	}
-	return res
+	return e.Results()
 }
 
 // queryFacts projects the parts of Results that sharing must preserve

@@ -90,14 +90,19 @@ func TestCheckpointedRecoveryEndToEnd(t *testing.T) {
 	cfg.BatchesPerSec = batches
 	cfg.Seed = 1
 	cfg.Checkpoint = 300 * stream.Millisecond
-	cfg.Churn = []federation.ChurnEvent{{Tick: 30, Kill: []stream.NodeID{stream.NodeID(rootHost)}}}
 	eng := federation.NewEngine(cfg)
 	eng.AddNodes(4, capacity)
 	vq, err := eng.Submit(federation.QuerySubmit{CQL: cqlText, Fragments: frags, Dataset: dataset, Rate: rate, Placement: []stream.NodeID{0, 1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vres := eng.Run()
+	for tick := int64(0); tick < int64(cfg.Duration/cfg.Interval); tick++ {
+		if tick == 30 {
+			eng.KillNode(stream.NodeID(rootHost))
+		}
+		eng.Step()
+	}
+	vres := eng.Results()
 	virtSIC := vres.Queries[int(vq)].MeanSIC
 	t.Logf("networked SIC %.4f, virtual-time SIC %.4f, gap %.4f (recovery: restored=%v, took %v)",
 		netSIC, virtSIC, math.Abs(netSIC-virtSIC), rec.Restored, rec.Took)

@@ -799,12 +799,16 @@ const stopTimeout = 5 * time.Second
 // readLoop ingests reports from one node until its connection closes.
 // Abnormal closes before the stop handshake are surfaced to Run as node
 // failures; every received frame — heartbeats included — refreshes the
-// node's liveness timestamp.
+// node's liveness timestamp. A frame applies only if the node serves what
+// it speaks for: a report only from the host of the query's root, a
+// checkpoint only from the fragment's current host, and one stats frame
+// per node.
 func (c *Controller) readLoop(idx int, n *conn) {
 	fr := newFrameReader(n.c)
 	c.mu.Lock()
 	ls := c.lastSeen[idx]
 	c.mu.Unlock()
+	statsIn := false
 	for {
 		e, _, err := fr.next()
 		if err != nil {
@@ -832,7 +836,9 @@ func (c *Controller) readLoop(idx int, n *conn) {
 			}
 			now := c.now()
 			c.mu.Lock()
-			c.ledger.Result(r.Query, now, r.Result)
+			if c.hosts(idx, r.Query, 0) { // fragment 0 is the root (query.Plan)
+				c.ledger.Result(r.Query, now, r.Result)
+			}
 			c.mu.Unlock()
 		case KindCheckpoint:
 			ck := e.Checkpoint
@@ -840,12 +846,17 @@ func (c *Controller) readLoop(idx int, n *conn) {
 				continue
 			}
 			c.mu.Lock()
-			c.plane.Checkpoint(ck.Query, int(ck.Frag), ck.State)
+			if c.hosts(idx, ck.Query, int(ck.Frag)) {
+				c.plane.Checkpoint(ck.Query, int(ck.Frag), ck.State)
+			}
 			c.mu.Unlock()
 		case KindStats:
-			if e.Stats == nil {
+			// A second frame would also count toward the stop wait, ending it
+			// before another node's stats arrive.
+			if e.Stats == nil || statsIn {
 				continue
 			}
+			statsIn = true
 			c.mu.Lock()
 			c.stats = append(c.stats, *e.Stats)
 			c.mu.Unlock()
@@ -855,6 +866,13 @@ func (c *Controller) readLoop(idx int, n *conn) {
 			}
 		}
 	}
+}
+
+// hosts reports whether node idx currently hosts fragment f of query q.
+// The caller holds c.mu.
+func (c *Controller) hosts(idx int, q stream.QueryID, f int) bool {
+	cq := c.plane.Query(q)
+	return cq != nil && f >= 0 && f < len(cq.Placement) && cq.Placement[f] == stream.NodeID(idx)
 }
 
 // NetResults summarises a networked run.

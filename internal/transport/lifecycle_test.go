@@ -125,22 +125,28 @@ func TestLiveQueryChurnEndToEnd(t *testing.T) {
 	cfg.SourceRate = rate
 	cfg.BatchesPerSec = batches
 	cfg.Seed = 1
-	cfg.QueryChurn = []federation.QueryChurnEvent{
-		{Tick: 0, Submit: []federation.QuerySubmit{
-			{CQL: cqlText, Fragments: frags, Dataset: dataset, Rate: rate, Placement: []stream.NodeID{0, 1}},
-			{CQL: cqlText, Fragments: frags, Dataset: dataset, Rate: rate, Placement: []stream.NodeID{2, 3}},
-		}},
-		{Tick: 40, Submit: []federation.QuerySubmit{
-			{CQL: cqlText, Fragments: frags, Dataset: dataset, Rate: rate, Placement: []stream.NodeID{0, 2}},
-		}},
-		{Tick: 60, Retract: []stream.QueryID{1}},
-	}
 	eng := federation.NewEngine(cfg)
 	eng.AddNodes(4, capacity)
-	vres := eng.Run()
-	if n := eng.SkippedSubmits(); n != 0 {
-		t.Fatalf("mirror skipped %d submissions", n)
+	submit := func(placement ...stream.NodeID) {
+		sub := federation.QuerySubmit{CQL: cqlText, Fragments: frags, Dataset: dataset, Rate: rate, Placement: placement}
+		if _, err := eng.Submit(sub); err != nil {
+			t.Fatalf("mirror submit: %v", err)
+		}
 	}
+	submit(0, 1)
+	submit(2, 3)
+	for tick := int64(0); tick < int64(cfg.Duration/cfg.Interval); tick++ {
+		switch tick {
+		case 40:
+			submit(0, 2)
+		case 60:
+			if !eng.RemoveQuery(1) {
+				t.Fatal("mirror refused to retract query 1")
+			}
+		}
+		eng.Step()
+	}
+	vres := eng.Results()
 	virt := make(map[stream.QueryID]float64, len(vres.Queries))
 	for _, q := range vres.Queries {
 		virt[q.ID] = q.MeanSIC

@@ -260,27 +260,14 @@ func TestControllerToleratesOldReportShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	host, ctl := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ctrl.readLoop(0, newConn(ctl))
-	}()
-	for _, frame := range []string{
+	feedReadLoop(t, ctrl, 0,
 		`{"kind":"report","report":{"query":0,"accepted":0.5,"result":0,"tuples":0,"is_result":false}}`,
 		`{"kind":"report","report":{"query":0,"accepted":-3,"result":0,"is_result":false}}`,
 		`{"kind":"report","report":{"query":99,"accepted":0.5,"result":0,"is_result":false}}`,
 		`{"kind":"report","report":{"query":99,"result":0.5,"tuples":4}}`,
 		`{"kind":"report"}`,
 		`{"kind":"report","report":{"query":0,"result":0.25,"tuples":4}}`,
-	} {
-		if _, err := host.Write(appendFrame(nil, frameJSON, []byte(frame))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctrl.stopping.Store(true) // the close below is teardown, not a node failure
-	host.Close()
-	<-done
+	)
 	ctrl.mu.Lock()
 	defer ctrl.mu.Unlock()
 	if got := ctrl.ledger.Measured(q, 0); got != 0.25 {
@@ -288,5 +275,76 @@ func TestControllerToleratesOldReportShape(t *testing.T) {
 	}
 	if n := ctrl.ledger.NumLive(); n != 1 || ctrl.ledger.Live(99) {
 		t.Errorf("%d live ledger entries, want only the submitted query", n)
+	}
+}
+
+// feedReadLoop writes JSON control frames to the controller's read loop
+// for node idx over an in-memory pipe and returns once the loop has
+// consumed them all.
+func feedReadLoop(t *testing.T, ctrl *Controller, idx int, frames ...string) {
+	t.Helper()
+	host, ctl := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ctrl.readLoop(idx, newConn(ctl))
+	}()
+	for _, frame := range frames {
+		if _, err := host.Write(appendFrame(nil, frameJSON, []byte(frame))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctrl.stopping.Store(true) // the close below is teardown, not a node failure
+	host.Close()
+	<-done
+}
+
+// TestControllerAppliesOnlyServedFrames: the controller applies a node's
+// frame only if the node serves what the frame speaks for. Query 0 runs
+// on node 0 of two; node 1 hosts nothing of it, so its report and its
+// checkpoint are dropped, while the same frames from node 0 apply. A
+// node's second stats frame is dropped too: counted toward the stop
+// wait, it would end the wait before the other node's stats arrive.
+func TestControllerAppliesOnlyServedFrames(t *testing.T) {
+	const (
+		report = `{"kind":"report","report":{"query":0,"result":0.25,"tuples":4}}`
+		ckpt   = `{"kind":"checkpoint","checkpoint":{"query":0,"frag":0,"tick":1,"state":"AQID"}}`
+		stats  = `{"kind":"stats","stats":{"node":"a","arrived_tuples":5}}`
+	)
+	measured := func(c *Controller, q stream.QueryID) float64 { return c.ledger.Measured(q, 0) }
+	banked := func(c *Controller, q stream.QueryID) float64 { return float64(len(c.plane.Checkpointed(q, 0))) }
+	for _, row := range []struct {
+		name   string
+		from   int
+		frames []string
+		got    func(c *Controller, q stream.QueryID) float64
+		want   float64
+	}{
+		{"report from a node not hosting the root", 1, []string{report}, measured, 0},
+		{"report from the root's host", 0, []string{report}, measured, 0.25},
+		{"checkpoint from a node not hosting the fragment", 1, []string{ckpt}, banked, 0},
+		{"checkpoint from the fragment's host", 0, []string{ckpt}, banked, 3},
+		{"second stats frame from one node", 0, []string{stats, stats}, func(c *Controller, _ stream.QueryID) float64 {
+			return float64(len(c.stats) + len(c.statsCh))
+		}, 2},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			addrs, _ := startNodes(t, 2, 1000)
+			ctrl, err := NewController(ControllerConfig{Seed: 1}, addrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ctrl.CloseAll()
+			q, err := ctrl.Submit("Select Avg(t.v) From Src[Range 1 sec]", 1, 1, 20, 4, []int{0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedReadLoop(t, ctrl, row.from, row.frames...)
+			ctrl.mu.Lock()
+			defer ctrl.mu.Unlock()
+			if got := row.got(ctrl, q); got != row.want {
+				t.Errorf("got %v, want %v", got, row.want)
+			}
+		})
 	}
 }

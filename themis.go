@@ -48,6 +48,7 @@ package themis
 import (
 	"math/rand"
 
+	"repro/internal/control"
 	"repro/internal/cql"
 	"repro/internal/federation"
 	"repro/internal/metrics"
@@ -96,13 +97,8 @@ type (
 	Policy = federation.Policy
 	// BurstConfig makes sources bursty (§7.4).
 	BurstConfig = sources.BurstConfig
-	// ChurnEvent schedules node kill/join events at engine ticks.
-	ChurnEvent = federation.ChurnEvent
-	// QueryChurnEvent schedules query submit/retract events at engine
-	// ticks — the virtual-time mirror of live Submit/Retract.
-	QueryChurnEvent = federation.QueryChurnEvent
-	// QuerySubmit describes one CQL submission, immediate (Engine.Submit)
-	// or scheduled (QueryChurnEvent).
+	// QuerySubmit describes one CQL submission (Engine.Submit, before
+	// the run or between two Steps of it).
 	QuerySubmit = federation.QuerySubmit
 	// Catalog names the input streams available to CQL queries.
 	Catalog = cql.Catalog
@@ -160,13 +156,13 @@ func DefaultCatalog(d Dataset) *Catalog { return cql.DefaultCatalog(d) }
 
 // UniformPlacement picks k distinct nodes uniformly at random.
 func UniformPlacement(rng *rand.Rand, numNodes, k int) []NodeID {
-	return federation.UniformPlacement(rng, numNodes, k)
+	return control.UniformPlacement(rng, numNodes, k)
 }
 
 // ZipfPlacement picks k distinct nodes with Zipf-skewed popularity,
 // modelling sites that favour local queries (C1).
 func ZipfPlacement(rng *rand.Rand, numNodes, k int, s float64) []NodeID {
-	return federation.ZipfPlacement(rng, numNodes, k, s)
+	return control.ZipfPlacement(rng, numNodes, k, s)
 }
 
 // JainIndex computes Jain's Fairness Index over the values (§7.2).

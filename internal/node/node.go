@@ -311,9 +311,6 @@ func (n *Node) NoteDropped(tuples int, sicMass float64) {
 	n.stats.DroppedSIC += sicMass
 }
 
-// Shedder returns the node's shedding policy.
-func (n *Node) Shedder() core.Shedder { return n.shedder }
-
 // hostFragment deploys a fragment instance on this node. numSources is
 // the total source count of the whole query (|S| in Eq. 1); downstream
 // identifies the consuming fragment (-1 for the root) and its entry port.

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"io"
 	"math"
 	"net"
 	"strings"
@@ -452,34 +453,12 @@ func TestHeartbeatDetection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock federation test in -short mode")
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() { // accept and read everything, answer nothing
-		for {
-			nc, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				buf := make([]byte, 4096)
-				for {
-					if _, err := nc.Read(buf); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-
 	ctrl, err := NewController(ControllerConfig{
 		STW:              2 * stream.Second,
 		Interval:         50 * stream.Millisecond,
 		HeartbeatTimeout: 400 * time.Millisecond,
 		Seed:             1,
-	}, []string{ln.Addr().String()})
+	}, []string{silentPeer(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,6 +476,61 @@ func TestHeartbeatDetection(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("detection took %v, want well under the run deadline", elapsed)
+	}
+}
+
+// silentPeer listens on loopback as a partitioned node would look: it
+// accepts connections and reads everything, but answers nothing.
+func silentPeer(tb testing.TB) string {
+	tb.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer nc.Close()
+				io.Copy(io.Discard, nc)
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestQueuedFramesAreNotSilence: silence is judged only after every
+// queued event has been applied, so a host whose frames wait behind a
+// slow step of Run is not declared partitioned. Both nodes were last
+// heard from before the heartbeat timeout; a heartbeat from node 0 is
+// queued but not yet applied when the tick runs. Node 0 stays alive and
+// node 1, which queued nothing, is failed.
+func TestQueuedFramesAreNotSilence(t *testing.T) {
+	ctrl, err := NewController(ControllerConfig{Seed: 1, HeartbeatTimeout: 50 * time.Millisecond},
+		[]string{silentPeer(t), silentPeer(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.CloseAll()
+	ctrl.mu.Lock()
+	stale := time.Now().Add(-time.Second)
+	ctrl.lastSeen[0], ctrl.lastSeen[1] = stale, stale
+	ctrl.mu.Unlock()
+	ctrl.events <- event{node: 0, env: &Envelope{Kind: KindHeartbeat}}
+	if err := ctrl.tick(0); err != nil {
+		t.Fatal(err)
+	}
+	ctrl.mu.Lock()
+	defer ctrl.mu.Unlock()
+	if !ctrl.plane.Alive(0) {
+		t.Error("node 0 failed for silence although its heartbeat was queued")
+	}
+	if ctrl.plane.Alive(1) {
+		t.Error("node 1 stayed alive although it was silent past the timeout")
 	}
 }
 
@@ -557,7 +591,7 @@ func TestReplacementMatchesEngine(t *testing.T) {
 				}
 				qs = append(qs, q)
 			}
-			if err := ctrl.handleFailure(nodeFailure{1, errMissedHeartbeat}); err != nil {
+			if err := ctrl.handleFailure(1, errMissedHeartbeat); err != nil {
 				t.Fatalf("%s: recovery failed: %v", strategy, err)
 			}
 			e.KillNode(1)

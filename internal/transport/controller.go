@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/control"
@@ -46,24 +45,25 @@ type Controller struct {
 	plane *control.Plane
 	// ledger is every query's result-SIC bookkeeping (guarded by mu) — the
 	// per-query coordinators, epochs and sample sums, shared with the
-	// engine (coordinator.Ledger) and clocked by c.now().
+	// engine (coordinator.Ledger) and clocked by the run clock (at).
 	ledger *coordinator.Ledger
 	// deps remembers each live query's travelling descriptor (per-fragment
 	// fields unset), from which recovery re-issues deploy frames.
-	deps  map[stream.QueryID]Deploy
+	deps map[stream.QueryID]Deploy
+	// epoch is the wall time Run started, zero before. Run sets it under
+	// mu together with running, and nothing writes it again.
 	epoch time.Time
+	// running is set once Run has started (guarded by mu): a node joined
+	// before that gets its Start from Run, one joined after from AddNode.
+	running bool
 	// hello announces the run — STW, interval, checkpoint cadence in
 	// ticks — on every connection this controller dials; immutable.
 	hello Hello
 
 	hbTimeout time.Duration
-	// lastSeen holds per-node atomic unix-nano receive timestamps;
-	// entries are pointers so membership growth never moves them.
-	lastSeen []*atomic.Int64
-	// running flips while Run is active so AddNode can start read loops
-	// for mid-run joiners.
-	running    atomic.Bool
-	wg         sync.WaitGroup
+	// lastSeen is, per node, when Run last applied a frame from it
+	// (guarded by mu).
+	lastSeen   []time.Time
 	recoveries []RecoveryEvent
 
 	sicFn func(q stream.QueryID, now stream.Time, v float64)
@@ -74,20 +74,37 @@ type Controller struct {
 	// nothing attaches to an instance already mid-stream.
 	shareEpoch int64
 
-	// stopping flips before the stop handshake; read-loop errors after
-	// that are expected connection teardown, errors before it are node
-	// failures surfaced from Run.
-	stopping atomic.Bool
-	fail     chan nodeFailure
-	statsCh  chan struct{}
-	stats    []StatsMsg
+	// stats holds each node's first stats frame by node index, nil until
+	// it arrives (guarded by mu).
+	stats []*StatsMsg
+
+	// events carries what the read loops decode — each control frame and
+	// the error that ends a connection — to Run, the one goroutine that
+	// applies them (handle).
+	events chan event
+	// closed is closed by CloseAll; read loops then stop offering events.
+	closed    chan struct{}
+	closeOnce sync.Once
+	wg        sync.WaitGroup
 }
 
-// nodeFailure is one detected node death, reported to Run.
-type nodeFailure struct {
-	idx int
-	err error
+// event is what one node's connection told the controller: a control
+// frame, or (env nil) the error that ended the connection.
+type event struct {
+	node int
+	env  *Envelope
+	err  error
 }
+
+// stopTimeout bounds the stop handshake's wait for node stats.
+const stopTimeout = 5 * time.Second
+
+// eventQueue bounds the decoded events waiting for Run. A full queue
+// blocks the read loops, and TCP then pushes back on the hosts. Hosts
+// send a heartbeat and a few reports per tick, so 1,024 holds several
+// ticks of a 24-host federation: a slow recovery re-deploy in Run does
+// not stall the read loops, and tick can tell queued frames from silence.
+const eventQueue = 1024
 
 // RecoveryEvent records one survived node failure.
 type RecoveryEvent struct {
@@ -173,19 +190,14 @@ func NewController(cfg ControllerConfig, nodeAddrs []string) (*Controller, error
 			From: "controller", STWMs: int64(cfg.STW), IntervalMs: int64(cfg.Interval), CheckpointTicks: ckptTicks,
 		},
 		hbTimeout: hb,
-		fail:      make(chan nodeFailure, 64),
-		statsCh:   make(chan struct{}, 256),
+		events:    make(chan event, eventQueue),
+		closed:    make(chan struct{}),
 	}
 	for _, addr := range nodeAddrs {
-		cn, err := dial(addr, c.hello, defaultWriteTimeout)
-		if err != nil {
+		if _, err := c.AddNode(addr); err != nil {
 			c.CloseAll()
 			return nil, err
 		}
-		c.nodes = append(c.nodes, cn)
-		c.addrs = append(c.addrs, addr)
-		c.plane.Join()
-		c.lastSeen = append(c.lastSeen, &atomic.Int64{})
 	}
 	return c, nil
 }
@@ -204,23 +216,16 @@ func (c *Controller) AddNode(addr string) (int, error) {
 	idx := int(c.plane.Join())
 	c.nodes = append(c.nodes, cn)
 	c.addrs = append(c.addrs, addr)
-	ls := &atomic.Int64{}
-	ls.Store(time.Now().UnixNano())
-	c.lastSeen = append(c.lastSeen, ls)
-	// Read running under the same lock Run holds while it snapshots the
-	// connection list and flips running: exactly one of Run and AddNode
-	// starts this connection's read loop, never both and never neither.
-	running := c.running.Load()
-	if running {
-		c.wg.Add(1)
-	}
+	c.lastSeen = append(c.lastSeen, time.Now())
+	c.stats = append(c.stats, nil)
+	// Run sends Start to the nodes joined when it sets running under
+	// c.mu; a node joined after that is started here, so exactly once.
+	running := c.running
 	c.mu.Unlock()
+	c.wg.Add(1)
+	go c.readLoop(idx, cn)
 	if running {
 		cn.send(c.start())
-		go func() {
-			defer c.wg.Done()
-			c.readLoop(idx, cn)
-		}()
 	}
 	return idx, nil
 }
@@ -254,35 +259,29 @@ func (c *Controller) liveConnsLocked() []*conn {
 	return conns
 }
 
-// CloseAll closes all node connections.
+// CloseAll closes all node connections, after which the read loops offer
+// Run nothing more. Safe to call twice.
 func (c *Controller) CloseAll() {
+	c.closeOnce.Do(func() { close(c.closed) })
 	for _, n := range c.conns() {
 		n.Close()
 	}
 }
 
-// abort ends a run after an unrecoverable failure: surviving nodes get a
-// best-effort stop (so their processes wind down instead of ticking
-// forever against dead peers), then every connection closes.
-func (c *Controller) abort() {
-	c.stopping.Store(true)
+// Shutdown stops the federation without running: a best-effort stop to
+// every node followed by connection teardown. Run ends an aborted run the
+// same way; CLI front-ends use it on error paths so background
+// themis-node processes exit rather than leaking.
+func (c *Controller) Shutdown() {
 	for _, n := range c.conns() {
 		n.send(&Envelope{Kind: KindStop})
 	}
 	c.CloseAll()
 }
 
-// Shutdown stops the federation without running: a best-effort stop to
-// every node followed by connection teardown. CLI front-ends use it on
-// error paths so background themis-node processes exit rather than
-// leaking.
-func (c *Controller) Shutdown() {
-	c.abort()
-}
-
 // OnSIC registers a callback invoked once per query per broadcast
 // interval with the coordinator's current result-SIC value. Register
-// before Run; the callback runs on the controller's ticker goroutine.
+// before Run; the callback runs on Run's goroutine.
 func (c *Controller) OnSIC(fn func(q stream.QueryID, now stream.Time, v float64)) {
 	c.sicFn = fn
 }
@@ -340,7 +339,7 @@ func (c *Controller) Submit(cqlText string, fragments, dataset int, rate, batche
 		return 0, err
 	}
 	pin := int64(0)
-	if c.running.Load() {
+	if c.running {
 		c.shareEpoch++
 		pin = c.shareEpoch
 	}
@@ -453,50 +452,51 @@ func sendEmitFlips(conns []*conn, flips []control.EmitFlip) {
 	}
 }
 
-// start is the Start frame for a host joining now: Run's hosts at the
-// run epoch, a mid-run joiner at its offset into the run.
+// start is the Start frame for a host joining now. It carries the run
+// offset a mid-run joiner aligns its logical clock by; Run's own hosts
+// start at the run epoch.
 func (c *Controller) start() *Envelope {
-	return &Envelope{Kind: KindStart, Start: &Start{RunOffsetMs: c.runOffsetMs()}}
+	return &Envelope{Kind: KindStart, Start: &Start{RunOffsetMs: int64(c.now())}}
 }
 
-// runOffsetMs is the run clock carried on Start messages so mid-run
-// joiners align their logical clocks with the founding members. Zero
-// before Run begins.
-func (c *Controller) runOffsetMs() int64 {
+// now is the current time on the run clock (at).
+func (c *Controller) now() stream.Time { return c.at(time.Now()) }
+
+// at is wall time t on the run clock: zero before Run begins, so a query
+// submitted before Run opens at time zero and warms up from the run epoch.
+func (c *Controller) at(t time.Time) stream.Time {
 	if c.epoch.IsZero() {
 		return 0
 	}
-	return time.Since(c.epoch).Milliseconds()
+	return stream.Time(t.Sub(c.epoch).Milliseconds())
 }
-
-// now is the run clock as the ledger's time: a query submitted before Run
-// opens at time zero and so warms up from the run epoch.
-func (c *Controller) now() stream.Time { return stream.Time(c.runOffsetMs()) }
 
 // Run starts all nodes, processes reports for the given wall-clock
 // duration (samples are recorded after warmup), stops the nodes and
 // returns the per-query mean SIC plus fairness metrics. A node failing
-// mid-run — connection error or missed heartbeat — triggers recovery:
-// its fragments are re-placed over the surviving membership, peers are
-// rewired, and the affected queries' SIC sampling restarts at the
-// recovery epoch, so their reported means describe the post-recovery
-// pipeline. Only an unrecoverable failure (not enough survivors to host
-// a query's fragments on distinct nodes) aborts the run.
+// mid-run — connection error, failed write or missed heartbeat —
+// triggers recovery: its fragments are re-placed over the surviving
+// membership, peers are rewired, and the affected queries' SIC sampling
+// restarts at the recovery epoch, so their reported means describe the
+// post-recovery pipeline. Only an unrecoverable failure (not enough
+// survivors to host a query's fragments on distinct nodes) aborts the
+// run.
+//
+// Run's goroutine is the only one that changes controller state in
+// response to hosts: it applies every event the read loops decode
+// (handle) and runs every interval step (tick), one at a time.
 func (c *Controller) Run(duration, warmup time.Duration) (*NetResults, error) {
-	c.epoch = time.Now()
-	startNanos := time.Now().UnixNano()
 	c.mu.Lock()
-	for _, ls := range c.lastSeen {
-		ls.Store(startNanos)
+	// Set the epoch where running is set: a concurrent Submit reads it
+	// under c.mu, and an AddNode that sees running starts its node at the
+	// run's offset.
+	c.epoch = time.Now()
+	for i := range c.lastSeen {
+		c.lastSeen[i] = c.epoch
 	}
+	c.running = true
 	conns := append([]*conn(nil), c.nodes...)
-	// Flip running inside the same critical section that snapshots the
-	// connections: a concurrent AddNode either lands in the snapshot
-	// (running still false — Run starts its read loop) or observes
-	// running true and starts it itself. Never both, never neither.
-	c.running.Store(true)
 	c.mu.Unlock()
-	defer c.running.Store(false)
 	for _, n := range conns {
 		if err := n.send(c.start()); err != nil {
 			c.CloseAll()
@@ -504,119 +504,45 @@ func (c *Controller) Run(duration, warmup time.Duration) (*NetResults, error) {
 		}
 	}
 
-	for i, n := range conns {
-		c.wg.Add(1)
-		go func(i int, n *conn) {
-			defer c.wg.Done()
-			c.readLoop(i, n)
-		}(i, n)
-	}
-
-	// Broadcast result-SIC updates every interval, sample after warmup.
 	ticker := time.NewTicker(time.Duration(c.hello.IntervalMs) * time.Millisecond)
-	deadline := time.After(duration)
 	defer ticker.Stop()
-loop:
-	for {
+	deadline := time.After(duration)
+	warm := stream.Duration(warmup.Milliseconds())
+	for over := false; !over; {
+		var err error
 		select {
 		case <-deadline:
-			break loop
-		case f := <-c.fail:
-			if err := c.handleFailure(f); err != nil {
-				c.abort()
-				c.wg.Wait()
-				return nil, fmt.Errorf("transport: run aborted: %w", err)
-			}
+			// Failures that raced the deadline are still handled: a
+			// recoverable one re-places fragments (the summary then reflects
+			// the recovery), an unrecoverable one aborts rather than folding
+			// a dead node's absence into a successful-looking summary.
+			err, over = c.drain(), true
+		case ev := <-c.events:
+			err = c.handle(ev)
 		case <-ticker.C:
-			c.checkHeartbeats()
-			now := c.now()
-			// The ledger walks the live queries in ascending id; every
-			// query's update to the same host is coalesced into one
-			// vectored write — at 48 queries over 24 nodes this interval
-			// costs one syscall per host, not one per (query, host) pair.
-			var sent []*SICMsg
-			c.mu.Lock()
-			conns := c.liveConnsLocked()
-			perNode := make([][]*Envelope, len(conns))
-			c.ledger.Tick(now, stream.Duration(warmup.Milliseconds()), func(q stream.QueryID, v float64) int {
-				m := &SICMsg{Query: q, Value: v}
-				sent = append(sent, m)
-				hosts := c.plane.Query(q).Placement
-				for _, ni := range hosts {
-					if conns[ni] != nil {
-						perNode[ni] = append(perNode[ni], &Envelope{Kind: KindSIC, SIC: m})
-					}
-				}
-				return len(hosts)
-			})
-			c.mu.Unlock()
-			// The user's callback and the network writes happen outside
-			// c.mu: a node with a full TCP send buffer must not stall
-			// readLoop's report ingestion.
-			if c.sicFn != nil {
-				for _, m := range sent {
-					c.sicFn(m.Query, now, m.Value)
-				}
-			}
-			for ni, es := range perNode {
-				if len(es) == 0 {
-					continue
-				}
-				if err := conns[ni].sendMany(es); err != nil {
-					// A write deadline expiry or a broken conn is a failure
-					// signal like any read error: surface it (non-blocking —
-					// heartbeat detection is the backstop) so the node is
-					// declared dead and its fragments re-placed instead of
-					// silently starving of SIC updates.
-					select {
-					case c.fail <- nodeFailure{ni, err}:
-					default:
-					}
-				}
-			}
+			err = c.tick(warm)
 		}
-	}
-
-	// Failures that raced the deadline are still handled — all of them,
-	// since several nodes can die within the final interval: recoverable
-	// ones re-place fragments (the summary then reflects the recovery),
-	// an unrecoverable one aborts rather than folding a dead node's
-	// absence into a successful-looking summary.
-drain:
-	for {
-		select {
-		case f := <-c.fail:
-			if err := c.handleFailure(f); err != nil {
-				c.abort()
-				c.wg.Wait()
-				return nil, fmt.Errorf("transport: run aborted: %w", err)
-			}
-		default:
-			break drain
+		if err != nil {
+			c.Shutdown()
+			c.wg.Wait()
+			return nil, fmt.Errorf("transport: run aborted: %w", err)
 		}
 	}
 
 	// Stop handshake: announce stop, then wait for every surviving
 	// node's final stats frame (or a timeout) before tearing connections
 	// down, so the summary deterministically includes all node counters.
-	c.stopping.Store(true)
-	c.mu.Lock()
-	alive := 0
-	for i := range c.nodes {
-		if c.plane.Alive(stream.NodeID(i)) {
-			alive++
-		}
-	}
-	conns = append(conns[:0], c.nodes...)
-	c.mu.Unlock()
-	for _, n := range conns {
+	for _, n := range c.conns() {
 		n.send(&Envelope{Kind: KindStop})
 	}
 	stopDeadline := time.After(stopTimeout)
 wait:
-	for got := 0; got < alive; got++ {
+	for c.awaitingStats() {
 		select {
-		case <-c.statsCh:
+		case ev := <-c.events:
+			if ev.err == nil { // a connection ending now is teardown
+				c.handle(ev)
+			}
 		case <-stopDeadline:
 			break wait
 		}
@@ -626,52 +552,155 @@ wait:
 	return c.results(), nil
 }
 
+// handle applies one event from a node's connection. The error that
+// ended the connection is a node failure. A frame refreshes the node's
+// liveness at the moment it is applied, and applies only if the node
+// serves what it speaks for: a report only from the host of the query's
+// root, stamped with the same moment on the ledger; a checkpoint only
+// from the fragment's current host; and a node's first stats frame only.
+func (c *Controller) handle(ev event) error {
+	if ev.err != nil {
+		err := ev.err
+		if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
+			err = fmt.Errorf("connection closed: %w", err)
+		}
+		return c.handleFailure(ev.node, err)
+	}
+	now := time.Now()
+	e := ev.env
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.lastSeen[ev.node] = now
+	switch e.Kind {
+	case KindReport:
+		if r := e.Report; r != nil && c.hosts(ev.node, r.Query, 0) { // fragment 0 is the root (query.Plan)
+			c.ledger.Result(r.Query, c.at(now), r.Result)
+		}
+	case KindCheckpoint:
+		if ck := e.Checkpoint; ck != nil && c.hosts(ev.node, ck.Query, int(ck.Frag)) {
+			c.plane.Checkpoint(ck.Query, int(ck.Frag), ck.State)
+		}
+	case KindStats:
+		// A second frame would also count toward the stop wait, ending it
+		// before another node's stats arrive.
+		if e.Stats != nil && c.stats[ev.node] == nil {
+			c.stats[ev.node] = e.Stats
+		}
+	}
+	return nil
+}
+
+// drain applies every event already queued. Only Run's goroutine
+// receives from c.events, so a non-empty queue never blocks the receive.
+func (c *Controller) drain() error {
+	for len(c.events) > 0 {
+		if err := c.handle(<-c.events); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// tick is Run's interval step. It applies every queued event first —
+// frames waiting behind a slow recovery are not silence — then fails the
+// nodes silent past the heartbeat timeout, and broadcasts every live
+// query's result SIC to its hosts, sampling it after warmup. A host
+// whose SIC write fails is failed too.
+func (c *Controller) tick(warmup stream.Duration) error {
+	if err := c.drain(); err != nil {
+		return err
+	}
+	for _, i := range c.silent(time.Now()) {
+		if err := c.handleFailure(i, errMissedHeartbeat); err != nil {
+			return err
+		}
+	}
+	now := c.now()
+	// The ledger walks the live queries in ascending id; every query's
+	// update to the same host is coalesced into one vectored write — at
+	// 48 queries over 24 nodes this interval costs one syscall per host,
+	// not one per (query, host) pair.
+	var sent []*SICMsg
+	c.mu.Lock()
+	conns := c.liveConnsLocked()
+	perNode := make([][]*Envelope, len(conns))
+	c.ledger.Tick(now, warmup, func(q stream.QueryID, v float64) int {
+		m := &SICMsg{Query: q, Value: v}
+		sent = append(sent, m)
+		hosts := c.plane.Query(q).Placement
+		for _, ni := range hosts {
+			if conns[ni] != nil {
+				perNode[ni] = append(perNode[ni], &Envelope{Kind: KindSIC, SIC: m})
+			}
+		}
+		return len(hosts)
+	})
+	c.mu.Unlock()
+	// The user's callback and the network writes happen outside c.mu.
+	if c.sicFn != nil {
+		for _, m := range sent {
+			c.sicFn(m.Query, now, m.Value)
+		}
+	}
+	for ni, es := range perNode {
+		if len(es) == 0 {
+			continue
+		}
+		// A write deadline expiry or a broken conn is a failure like a
+		// read error: the node's fragments are re-placed instead of
+		// silently starving of SIC updates.
+		if err := conns[ni].sendMany(es); err != nil {
+			if err := c.handleFailure(ni, err); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // errMissedHeartbeat marks a node declared dead for silence rather than
 // a connection error.
 var errMissedHeartbeat = errors.New("missed heartbeats")
 
-// checkHeartbeats declares nodes dead that have sent nothing for longer
-// than the heartbeat timeout. Started nodes beacon every tick, so a
+// silent lists the live nodes no frame has been applied from since the
+// heartbeat timeout before now. Started nodes beacon every tick, so a
 // healthy connection is never this quiet; a partitioned node's
 // connection can look healthy indefinitely without this check.
-func (c *Controller) checkHeartbeats() {
+func (c *Controller) silent(now time.Time) []int {
 	if c.hbTimeout <= 0 {
-		return
+		return nil
 	}
-	cutoff := time.Now().Add(-c.hbTimeout).UnixNano()
+	cutoff := now.Add(-c.hbTimeout)
 	c.mu.Lock()
-	var late []nodeFailure
-	for i := range c.nodes {
-		if c.plane.Alive(stream.NodeID(i)) && c.lastSeen[i].Load() < cutoff {
-			late = append(late, nodeFailure{i, errMissedHeartbeat})
+	defer c.mu.Unlock()
+	var late []int
+	for i, seen := range c.lastSeen {
+		if c.plane.Alive(stream.NodeID(i)) && seen.Before(cutoff) {
+			late = append(late, i)
 		}
 	}
-	c.mu.Unlock()
-	for _, f := range late {
-		select {
-		case c.fail <- f:
-		default:
-		}
-	}
+	return late
 }
 
-// handleFailure processes one detected node death. It returns nil when
-// the membership absorbed the failure (fragments re-placed, peers
-// rewired) and an error when the run cannot continue. Duplicate reports
-// for an already-dead node are ignored — conn-error and heartbeat
-// detection race benignly.
-func (c *Controller) handleFailure(f nodeFailure) error {
+// handleFailure processes one detected node death on Run's goroutine,
+// from any of its three sources: a read error (handle), a failed SIC
+// write or heartbeat silence (tick). It returns nil when the membership
+// absorbed the failure (fragments re-placed, peers rewired) and an error
+// when the run cannot continue. A failure of an already-dead node is
+// ignored — the sources overlap, and closing the dead node's connection
+// ends its read loop with one more error.
+func (c *Controller) handleFailure(idx int, cause error) error {
 	c.mu.Lock()
 	// The plane drops the node from the membership and clears its share
 	// groups; the queries it names get their displaced fragments re-keyed
 	// under a fresh recovery pin below.
-	affected, ok := c.plane.Fail(stream.NodeID(f.idx))
+	affected, ok := c.plane.Fail(stream.NodeID(idx))
 	if !ok {
 		c.mu.Unlock()
 		return nil
 	}
-	deadAddr := c.addrs[f.idx]
-	cn := c.nodes[f.idx]
+	deadAddr := c.addrs[idx]
+	cn := c.nodes[idx]
 	c.shareEpoch++
 	pin := c.shareEpoch
 	c.mu.Unlock()
@@ -681,7 +710,7 @@ func (c *Controller) handleFailure(f nodeFailure) error {
 	for _, q := range affected {
 		warm, err := c.replaceFragments(q, pin)
 		if err != nil {
-			return fmt.Errorf("node %s: %v: %w", deadAddr, f.err, err)
+			return fmt.Errorf("node %s: %v: %w", deadAddr, cause, err)
 		}
 		restored = restored && warm
 	}
@@ -793,79 +822,39 @@ func (c *Controller) replaceFragments(q stream.QueryID, pin int64) (restored boo
 	return warm, nil
 }
 
-// stopTimeout bounds the stop handshake's wait for node stats.
-const stopTimeout = 5 * time.Second
-
-// readLoop ingests reports from one node until its connection closes.
-// Abnormal closes before the stop handshake are surfaced to Run as node
-// failures; every received frame — heartbeats included — refreshes the
-// node's liveness timestamp. A frame applies only if the node serves what
-// it speaks for: a report only from the host of the query's root, a
-// checkpoint only from the fragment's current host, and one stats frame
-// per node.
+// readLoop decodes node idx's frames and offers each control frame to
+// Run, then the error that ends the connection. It touches no controller
+// state, and once CloseAll runs it offers nothing more. Batches are never
+// routed through the controller and are dropped here.
 func (c *Controller) readLoop(idx int, n *conn) {
+	defer c.wg.Done()
 	fr := newFrameReader(n.c)
-	c.mu.Lock()
-	ls := c.lastSeen[idx]
-	c.mu.Unlock()
-	statsIn := false
 	for {
 		e, _, err := fr.next()
-		if err != nil {
-			if c.stopping.Load() {
-				return // teardown at stop time is expected
-			}
-			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-				err = fmt.Errorf("connection closed: %w", err)
-			}
-			select {
-			case c.fail <- nodeFailure{idx, err}:
-			default:
-			}
+		if e == nil && err == nil {
+			continue
+		}
+		select {
+		case c.events <- event{idx, e, err}:
+		case <-c.closed:
 			return
 		}
-		ls.Store(time.Now().UnixNano())
-		if e == nil {
-			continue // batches are never routed through the controller
-		}
-		switch e.Kind {
-		case KindReport:
-			r := e.Report
-			if r == nil {
-				continue // malformed control frame; drop, don't crash
-			}
-			now := c.now()
-			c.mu.Lock()
-			if c.hosts(idx, r.Query, 0) { // fragment 0 is the root (query.Plan)
-				c.ledger.Result(r.Query, now, r.Result)
-			}
-			c.mu.Unlock()
-		case KindCheckpoint:
-			ck := e.Checkpoint
-			if ck == nil {
-				continue
-			}
-			c.mu.Lock()
-			if c.hosts(idx, ck.Query, int(ck.Frag)) {
-				c.plane.Checkpoint(ck.Query, int(ck.Frag), ck.State)
-			}
-			c.mu.Unlock()
-		case KindStats:
-			// A second frame would also count toward the stop wait, ending it
-			// before another node's stats arrive.
-			if e.Stats == nil || statsIn {
-				continue
-			}
-			statsIn = true
-			c.mu.Lock()
-			c.stats = append(c.stats, *e.Stats)
-			c.mu.Unlock()
-			select {
-			case c.statsCh <- struct{}{}:
-			default:
-			}
+		if err != nil {
+			return
 		}
 	}
+}
+
+// awaitingStats reports whether a live node's stats frame is still due.
+func (c *Controller) awaitingStats() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, st := range c.stats {
+		if st == nil && c.plane.Alive(stream.NodeID(i)) {
+			return true
+		}
+	}
+	return false
 }
 
 // hosts reports whether node idx currently hosts fragment f of query q.
@@ -885,7 +874,9 @@ type NetResults struct {
 	PerQuery map[stream.QueryID]float64
 	MeanSIC  float64
 	Jain     float64
-	Nodes    []StatsMsg
+	// Nodes holds the stats frame of every node that sent one, in node
+	// index order.
+	Nodes []StatsMsg
 	// Recoveries lists the node failures the run survived, in detection
 	// order. Empty for an undisturbed run.
 	Recoveries []RecoveryEvent
@@ -901,7 +892,11 @@ func (c *Controller) results() *NetResults {
 	for i, q := range sum.Queries {
 		res.PerQuery[q] = sum.Means[i]
 	}
-	res.Nodes = append(res.Nodes, c.stats...)
+	for _, st := range c.stats {
+		if st != nil {
+			res.Nodes = append(res.Nodes, *st)
+		}
+	}
 	res.Recoveries = append(res.Recoveries, c.recoveries...)
 	return res
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/control"
+	"repro/internal/coordinator"
 	"repro/internal/stream"
 )
 
@@ -330,6 +331,107 @@ func FuzzHostFrame(f *testing.F) {
 		}
 		if live := s.pool.Live(); live != 0 {
 			t.Fatalf("pool holds %d live batches after control frames only", live)
+		}
+	})
+}
+
+// servedPlacements are the queries of FuzzControllerFrame's controller,
+// by query id: query 0 runs on node 0, query 1 on node 1, and query 2
+// has its root on node 1 and its second fragment on node 0.
+var servedPlacements = [][]int{{0}, {1}, {1, 0}}
+
+// servedBlob is the checkpoint banked for fragment f of query q before
+// the fuzzed frame arrives.
+func servedBlob(q, f int) []byte { return []byte{byte(q), byte(f), 0xcc} }
+
+// servedStats is node 0's stats frame, applied before the fuzzed frame.
+var servedStats = StatsMsg{Node: "n0", ArrivedTuples: 7}
+
+// servedController builds FuzzControllerFrame's two-node controller on
+// peers: servedPlacements submitted, every fragment's servedBlob banked
+// from its host and node 0's servedStats in, all through handle.
+func servedController(t *testing.T, peers []string) *Controller {
+	ctrl, err := NewController(ControllerConfig{Seed: 1}, peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ctrl.CloseAll)
+	for q, at := range servedPlacements {
+		if _, err := ctrl.Submit(avgAllCQL, len(at), 1, 20, 4, at); err != nil {
+			t.Fatal(err)
+		}
+		for f, host := range at {
+			ck := &CheckpointMsg{Query: stream.QueryID(q), Frag: stream.FragID(f), Tick: 1, State: servedBlob(q, f)}
+			ctrl.handle(event{node: host, env: &Envelope{Kind: KindCheckpoint, Checkpoint: ck}})
+			if !bytes.Equal(ctrl.plane.Checkpointed(stream.QueryID(q), f), servedBlob(q, f)) {
+				t.Fatalf("query %d fragment %d: its host's checkpoint was not banked", q, f)
+			}
+		}
+	}
+	st := servedStats
+	ctrl.handle(event{node: 0, env: &Envelope{Kind: KindStats, Stats: &st}})
+	return ctrl
+}
+
+// FuzzControllerFrame applies arbitrary JSON control frames with
+// Controller.handle, as node 0 or node 1 of servedController, the way
+// Run applies what a read loop decodes. Nothing a host can put in a
+// frame may panic the controller, leave a query's measured result SIC
+// non-finite or outside [0, coordinator.MaxResultMass], or change a
+// measurement, banked checkpoint or stats record the sending node does
+// not serve: a report applies only from the host of the query's root, a
+// checkpoint only from the fragment's host, and a stats frame only as
+// the node's first.
+func FuzzControllerFrame(f *testing.F) {
+	for _, s := range []struct {
+		from  uint8
+		frame string
+	}{
+		{0, `{"kind":"report","report":{"query":0,"result":1e308,"tuples":4}}`},
+		{1, `{"kind":"report","report":{"query":0,"result":0.25,"tuples":4}}`},
+		{1, `{"kind":"report","report":{"query":2,"result":0.5,"tuples":4}}`},
+		{0, `{"kind":"checkpoint","checkpoint":{"query":1,"frag":0,"tick":2,"state":"AQID"}}`},
+		{1, `{"kind":"checkpoint","checkpoint":{"query":2,"frag":-1,"tick":2,"state":"AQID"}}`},
+		{0, `{"kind":"checkpoint","checkpoint":{"query":2,"frag":2147483647,"tick":2,"state":"AQID"}}`},
+		{0, `{"kind":"report"}`},
+		{0, `{"kind":"stats","stats":{"node":"a","arrived_tuples":5}}`},
+		{1, `{"kind":"heartbeat"}`},
+	} {
+		f.Add(s.from, []byte(s.frame))
+	}
+	peers := []string{silentPeer(f), silentPeer(f)}
+	f.Fuzz(func(t *testing.T, from uint8, p []byte) {
+		var e Envelope
+		if json.Unmarshal(p, &e) != nil {
+			return
+		}
+		ctrl := servedController(t, peers)
+		node := int(from % 2)
+		if err := ctrl.handle(event{node: node, env: &e}); err != nil {
+			t.Fatalf("a frame failed the controller: %v", err)
+		}
+		ctrl.mu.Lock()
+		defer ctrl.mu.Unlock()
+		for q, at := range servedPlacements {
+			id := stream.QueryID(q)
+			m := ctrl.ledger.Measured(id, 0)
+			if !(m >= 0 && m <= coordinator.MaxResultMass) {
+				t.Fatalf("query %d measures %v", q, m)
+			}
+			if at[0] != node && m != 0 {
+				t.Fatalf("node %d moved query %d's measurement to %v; its root runs on node %d", node, q, m, at[0])
+			}
+			for f, host := range at {
+				if host != node && !bytes.Equal(ctrl.plane.Checkpointed(id, f), servedBlob(q, f)) {
+					t.Fatalf("node %d replaced query %d fragment %d's checkpoint, hosted on node %d", node, q, f, host)
+				}
+			}
+		}
+		if ctrl.stats[0] == nil || *ctrl.stats[0] != servedStats {
+			t.Fatalf("node 0's stats record changed to %+v", ctrl.stats[0])
+		}
+		if node == 0 && ctrl.stats[1] != nil {
+			t.Fatal("a frame from node 0 recorded node 1's stats")
 		}
 	})
 }

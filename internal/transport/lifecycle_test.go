@@ -441,3 +441,27 @@ func TestRetractFreesControllerState(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestSubmitRacesRunStart: a Submit made while Run starts — as a
+// submit scheduled at offset 0 of a run makes it — reads the run epoch
+// under c.mu, so Run must set the epoch under c.mu too. The race
+// detector catches the unsynchronised write if it does not.
+func TestSubmitRacesRunStart(t *testing.T) {
+	addrs, _ := startNodes(t, 1, 1000)
+	ctrl, err := NewController(ControllerConfig{STW: 2 * stream.Second, Interval: 50 * stream.Millisecond, Seed: 1}, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.CloseAll()
+	done := make(chan error, 1)
+	go func() {
+		_, err := ctrl.Run(200*time.Millisecond, 0)
+		done <- err
+	}()
+	if _, err := ctrl.Submit(avgCQL, 1, 1, 20, 4, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}

@@ -18,10 +18,7 @@ import (
 // timeout and dial cooldown, routing query 1 / fragment 2 to addr.
 func queuedServer(t *testing.T, addr string, wt, cool time.Duration) *NodeServer {
 	t.Helper()
-	s, err := NewNodeServer(NodeServerConfig{
-		Name: "sender", Addr: "127.0.0.1:0", CapacityPerSec: 1000, Quiet: true,
-		WriteTimeout: wt, DialCooldown: cool,
-	})
+	s, err := newNodeServer(NodeServerConfig{Name: "sender", Addr: "127.0.0.1:0", CapacityPerSec: 1000, Quiet: true}, wt, cool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +146,7 @@ func TestCoalescedFlush(t *testing.T) {
 	peerB := newFakePeer(t, "127.0.0.1:0")
 	addrA := peerA.ln.Addr().String()
 	addrB := peerB.ln.Addr().String()
-	s := queuedServer(t, addrA, 0, 0)
+	s := queuedServer(t, addrA, defaultWriteTimeout, defaultDialCooldown)
 	s.mu.Lock()
 	s.peers[peerKey{2, 2}] = addrB
 	s.mu.Unlock()
@@ -188,7 +185,7 @@ func TestCoalescedFlush(t *testing.T) {
 // expires.
 func TestDialCooldown(t *testing.T) {
 	const cool = 400 * time.Millisecond
-	s := queuedServer(t, "", 0, cool)
+	s := queuedServer(t, "", defaultWriteTimeout, cool)
 	// The dead address is chosen only after the sender holds its own
 	// listening port, and nothing in this test listens again: a port
 	// freed before the sender started could be handed straight back to
@@ -264,7 +261,7 @@ func TestSteadyStateSendZeroAlloc(t *testing.T) {
 			}
 		}
 	}()
-	s := queuedServer(t, ln.Addr().String(), 0, 0)
+	s := queuedServer(t, ln.Addr().String(), defaultWriteTimeout, defaultDialCooldown)
 	b := queryBatch(1, 64)
 	for i := 0; i < 50; i++ { // warm: conn, free list, spare slices, iovec cache
 		s.RouteDownstream(b)

@@ -125,20 +125,19 @@ type NodeServerConfig struct {
 	Seed int64
 	// Quiet suppresses logging.
 	Quiet bool
-	// WriteTimeout bounds every outbound frame write (zero means the
-	// transport default). A peer that accepts but never reads surfaces
-	// as a conn error within this deadline instead of wedging the tick
-	// drain forever.
-	WriteTimeout time.Duration
-	// DialCooldown is the negative-cache window after a failed dial or
-	// a timed-out write (zero means the transport default): sends to
-	// the address fail fast until the window expires, instead of eating
-	// a dial timeout per tick while a peer is down.
-	DialCooldown time.Duration
 }
 
 // NewNodeServer starts listening (processing begins on Start).
 func NewNodeServer(cfg NodeServerConfig) (*NodeServer, error) {
+	return newNodeServer(cfg, defaultWriteTimeout, defaultDialCooldown)
+}
+
+// newNodeServer is NewNodeServer with the write timeout wt, which bounds
+// every outbound frame write (a peer that accepts but never reads
+// surfaces as a conn error within it instead of wedging the tick drain),
+// and the dial cooldown, the negative-cache window after a failed dial or
+// a timed-out write (sends to the address fail fast until it expires).
+func newNodeServer(cfg NodeServerConfig, wt, cool time.Duration) (*NodeServer, error) {
 	switch cfg.Policy {
 	case "", "balance-sic", "random":
 	default:
@@ -164,15 +163,9 @@ func NewNodeServer(cfg NodeServerConfig) (*NodeServer, error) {
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 		closed:   make(chan struct{}),
-		wtimeout: cfg.WriteTimeout,
-		dialCool: cfg.DialCooldown,
+		wtimeout: wt,
+		dialCool: cool,
 		logf:     log.Printf,
-	}
-	if s.wtimeout <= 0 {
-		s.wtimeout = defaultWriteTimeout
-	}
-	if s.dialCool <= 0 {
-		s.dialCool = defaultDialCooldown
 	}
 	if cfg.Quiet {
 		s.logf = func(string, ...any) {}

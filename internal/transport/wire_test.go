@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
-	"net"
 	"strings"
 	"testing"
 
@@ -260,7 +259,7 @@ func TestControllerToleratesOldReportShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feedReadLoop(t, ctrl, 0,
+	feedHandle(t, ctrl, 0,
 		`{"kind":"report","report":{"query":0,"accepted":0.5,"result":0,"tuples":0,"is_result":false}}`,
 		`{"kind":"report","report":{"query":0,"accepted":-3,"result":0,"is_result":false}}`,
 		`{"kind":"report","report":{"query":99,"accepted":0.5,"result":0,"is_result":false}}`,
@@ -278,25 +277,19 @@ func TestControllerToleratesOldReportShape(t *testing.T) {
 	}
 }
 
-// feedReadLoop writes JSON control frames to the controller's read loop
-// for node idx over an in-memory pipe and returns once the loop has
-// consumed them all.
-func feedReadLoop(t *testing.T, ctrl *Controller, idx int, frames ...string) {
+// feedHandle decodes JSON control frames and applies each, as Run
+// applies what node idx's read loop decodes.
+func feedHandle(t *testing.T, ctrl *Controller, idx int, frames ...string) {
 	t.Helper()
-	host, ctl := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ctrl.readLoop(idx, newConn(ctl))
-	}()
 	for _, frame := range frames {
-		if _, err := host.Write(appendFrame(nil, frameJSON, []byte(frame))); err != nil {
+		var e Envelope
+		if err := json.Unmarshal([]byte(frame), &e); err != nil {
+			t.Fatal(err)
+		}
+		if err := ctrl.handle(event{node: idx, env: &e}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ctrl.stopping.Store(true) // the close below is teardown, not a node failure
-	host.Close()
-	<-done
 }
 
 // TestControllerAppliesOnlyServedFrames: the controller applies a node's
@@ -325,8 +318,14 @@ func TestControllerAppliesOnlyServedFrames(t *testing.T) {
 		{"checkpoint from a node not hosting the fragment", 1, []string{ckpt}, banked, 0},
 		{"checkpoint from the fragment's host", 0, []string{ckpt}, banked, 3},
 		{"second stats frame from one node", 0, []string{stats, stats}, func(c *Controller, _ stream.QueryID) float64 {
-			return float64(len(c.stats) + len(c.statsCh))
-		}, 2},
+			n := 0
+			for _, st := range c.stats {
+				if st != nil {
+					n++
+				}
+			}
+			return float64(n)
+		}, 1},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			addrs, _ := startNodes(t, 2, 1000)
@@ -339,7 +338,7 @@ func TestControllerAppliesOnlyServedFrames(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			feedReadLoop(t, ctrl, row.from, row.frames...)
+			feedHandle(t, ctrl, row.from, row.frames...)
 			ctrl.mu.Lock()
 			defer ctrl.mu.Unlock()
 			if got := row.got(ctrl, q); got != row.want {

@@ -534,6 +534,155 @@ func TestQueuedFramesAreNotSilence(t *testing.T) {
 	}
 }
 
+// TestWedgedHostFailsAlone: a host that keeps its connection open and
+// beacons but stops reading wedges the controller's SIC write to it for
+// the whole write timeout, and Run applies nothing while that write
+// blocks. The live hosts tick on, checkpoints on, and their frames wait
+// in Run's queue meanwhile. The queue must not fill, so no read loop
+// blocks and no host's control flush backs up: every live host keeps
+// ticking and drops no control frame. Only the wedged host is failed —
+// by its write, not for silence — and its fragment moves to a live host.
+func TestWedgedHostFailsAlone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock federation test in -short mode")
+	}
+	const (
+		run     = 5 * time.Second
+		wedgeAt = 500 * time.Millisecond
+	)
+	addrs, srvs := startNodes(t, 3, 50_000)
+	wedged := wedgedPeer(t)
+	ctrl, err := NewController(ControllerConfig{
+		STW:        2 * stream.Second,
+		Interval:   50 * stream.Millisecond,
+		Seed:       1,
+		Checkpoint: 100 * time.Millisecond,
+	}, append(addrs, wedged))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.CloseAll()
+	// The wedged host runs q's leaf: no live host ships it batches, and
+	// the controller sends it q's result SIC every tick.
+	q, err := ctrl.Submit("Select Avg(t.v) From AllSrc[Range 1 sec]", 2, 1, 20, 4, []int{0, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range [][]int{{0, 1, 2}, {1}, {2}} {
+		if _, err := ctrl.Submit("Select Avg(t.v) From AllSrc[Range 1 sec]", len(at), 1, 20, 4, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Beside Run: wedge the host, and sample Run's queue depth and the
+	// live hosts' tick counters until the run deadline.
+	start := time.Now()
+	go func() {
+		time.Sleep(wedgeAt)
+		// The stand-in for a receive window that has closed: fill the
+		// controller's socket to the wedged host, which reads nothing,
+		// down to its last byte — the kernel still takes a small write
+		// into a buffer that refused a large one.
+		cn := ctrl.conns()[3]
+		cn.mu.Lock()
+		defer cn.mu.Unlock()
+		for size := 64 << 10; size > 0; size /= 4 {
+			cn.c.SetWriteDeadline(time.Now().Add(50 * time.Millisecond))
+			junk := make([]byte, size)
+			for {
+				if _, err := cn.c.Write(junk); err != nil {
+					break
+				}
+			}
+		}
+	}()
+	peak, longest := 0, time.Duration(0)
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		last := make([]int64, len(srvs))
+		moved := make([]time.Time, len(srvs))
+		for i := range moved {
+			moved[i] = start
+		}
+		for now := time.Now(); now.Before(start.Add(run - 100*time.Millisecond)); now = time.Now() {
+			peak = max(peak, len(ctrl.events))
+			for i, s := range srvs {
+				s.mu.Lock()
+				ticks := s.ticks
+				s.mu.Unlock()
+				if ticks != last[i] {
+					last[i], moved[i] = ticks, now
+				}
+				longest = max(longest, now.Sub(moved[i]))
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}()
+	res, err := ctrl.Run(run, 0)
+	<-sampled
+	if err != nil {
+		t.Fatalf("Run aborted: %v", err)
+	}
+	t.Logf("peak queue depth %d of %d; longest live-host tick gap %v", peak, cap(ctrl.events), longest)
+
+	if len(res.Recoveries) != 1 || res.Recoveries[0].Node != wedged {
+		t.Fatalf("recoveries %+v, want exactly the wedged host %s", res.Recoveries, wedged)
+	}
+	rec := res.Recoveries[0]
+	t.Logf("wedged host failed at %v; re-placement took %v", rec.At, rec.Took)
+	if rec.At < wedgeAt+defaultWriteTimeout-100*time.Millisecond {
+		t.Errorf("wedged host failed at %v, before its write could time out", rec.At)
+	}
+	if peak >= cap(ctrl.events) {
+		t.Errorf("Run's queue filled (%d events): the read loops blocked", peak)
+	}
+	if longest >= defaultWriteTimeout/2 {
+		t.Errorf("a live host went %v without a tick while Run was wedged", longest)
+	}
+	if len(res.Nodes) != len(srvs) {
+		t.Errorf("stats from %d nodes, want the %d live ones", len(res.Nodes), len(srvs))
+	}
+	for _, st := range res.Nodes {
+		if st.DroppedCtrl != 0 {
+			t.Errorf("node %s dropped %d control frames", st.Node, st.DroppedCtrl)
+		}
+	}
+	ctrl.mu.Lock()
+	leaf := ctrl.plane.Query(q).Placement[1]
+	ctrl.mu.Unlock()
+	if leaf == 3 {
+		t.Error("q's leaf still placed on the wedged host")
+	}
+}
+
+// wedgedPeer listens on loopback as a wedged node would look: it accepts
+// connections and beacons a heartbeat every 50 ms, but reads nothing.
+func wedgedPeer(tb testing.TB) string {
+	tb.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer nc.Close()
+				c := newConn(nc)
+				for c.send(&Envelope{Kind: KindHeartbeat}) == nil {
+					time.Sleep(50 * time.Millisecond)
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
 // TestReplacementMatchesEngine: both drivers hand the re-placement choice
 // to the control plane, so for the same membership, placements and kill
 // the engine and the controller must move the displaced fragments to the

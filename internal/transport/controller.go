@@ -99,12 +99,13 @@ type event struct {
 // stopTimeout bounds the stop handshake's wait for node stats.
 const stopTimeout = 5 * time.Second
 
-// eventQueue bounds the decoded events waiting for Run. A full queue
-// blocks the read loops, and TCP then pushes back on the hosts. Hosts
-// send a heartbeat and a few reports per tick, so 1,024 holds several
-// ticks of a 24-host federation: a slow recovery re-deploy in Run does
-// not stall the read loops, and tick can tell queued frames from silence.
-const eventQueue = 1024
+// eventQueue bounds the frames waiting for Run. Run stalls up to one
+// write timeout per host that stops reading; a 2 s stall injected into
+// Run peaked at 1,051 queued frames on the benchmark's
+// net_overload_24x48 with a checkpoint every tick and at 1,699 on
+// net_churn_8x96 (2 vCPUs; DESIGN.md §5). A full queue blocks only the
+// read loops, whose frames then wait in the socket buffers.
+const eventQueue = 4096
 
 // RecoveryEvent records one survived node failure.
 type RecoveryEvent struct {

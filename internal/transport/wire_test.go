@@ -303,6 +303,7 @@ func TestControllerAppliesOnlyServedFrames(t *testing.T) {
 		report = `{"kind":"report","report":{"query":0,"result":0.25,"tuples":4}}`
 		ckpt   = `{"kind":"checkpoint","checkpoint":{"query":0,"frag":0,"tick":1,"state":"AQID"}}`
 		stats  = `{"kind":"stats","stats":{"node":"a","arrived_tuples":5}}`
+		later  = `{"kind":"stats","stats":{"node":"a","arrived_tuples":7}}`
 	)
 	measured := func(c *Controller, q stream.QueryID) float64 { return c.ledger.Measured(q, 0) }
 	banked := func(c *Controller, q stream.QueryID) float64 { return float64(len(c.plane.Checkpointed(q, 0))) }
@@ -317,15 +318,12 @@ func TestControllerAppliesOnlyServedFrames(t *testing.T) {
 		{"report from the root's host", 0, []string{report}, measured, 0.25},
 		{"checkpoint from a node not hosting the fragment", 1, []string{ckpt}, banked, 0},
 		{"checkpoint from the fragment's host", 0, []string{ckpt}, banked, 3},
-		{"second stats frame from one node", 0, []string{stats, stats}, func(c *Controller, _ stream.QueryID) float64 {
-			n := 0
-			for _, st := range c.stats {
-				if st != nil {
-					n++
-				}
+		{"second stats frame from one node", 0, []string{stats, later}, func(c *Controller, _ stream.QueryID) float64 {
+			if c.stats[0] == nil || c.stats[1] != nil {
+				return -1
 			}
-			return float64(n)
-		}, 1},
+			return float64(c.stats[0].ArrivedTuples)
+		}, 5},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			addrs, _ := startNodes(t, 2, 1000)

@@ -15,14 +15,17 @@ var Seeds = []string{
 	// at 0 allocs in steady state (TestSteadyStateZeroAlloc).
 	"(*repro/internal/federation.Engine).Step",
 	// The wall-clock runtime's per-tick body on live nodes: same data
-	// path, driven from the transport tick loop.
+	// path, driven from the transport host loop.
 	"(*repro/internal/node.Node).TickSpan",
 	// The transport write pipeline (PR 9): encode into a pooled buffer
 	// and queue per peer, then flush each queue with one vectored write.
 	// Both must stay at 0 allocs in steady state
 	// (TestSteadyStateSendZeroAlloc).
-	"(*repro/internal/transport.NodeServer).RouteDownstream",
+	"(*repro/internal/transport.NodeServer).routeDownstream",
 	"(*repro/internal/transport.NodeServer).flushPeers",
+	// The host loop's batch-apply path: every inbound batch the read
+	// loops decode (from the batch pool) enters the node here.
+	"(*repro/internal/transport.NodeServer).enqueue",
 }
 
 // Stops are reachability barriers: functions reachable from the roots

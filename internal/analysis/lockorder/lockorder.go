@@ -2,9 +2,8 @@
 // acquisition order established in PRs 1 and 5 (DESIGN.md §11): locks
 // are ranked, and while holding a lock of rank r only strictly
 // greater-ranked locks may be acquired. In particular the node/server
-// mutex (rank 20) must never be acquired while the outbox send lock or
-// the pool free-list lock is held — batches are drained and recycled
-// outside the node mutex by design.
+// mutex (rank 20) must never be acquired while a connection's send lock
+// or the pool free-list lock is held.
 //
 // The check is intraprocedural with one level of in-package summaries:
 // each function's transitively-acquired rank set is computed by
@@ -48,20 +47,14 @@ calls.`,
 // discipline:
 //
 //	Controller.mu (10)  — controller state; never nests inside others
-//	NodeServer.mu (20)  — the node mutex; taken before any send/pool lock
-//	NodeServer.outMu (30), NodeServer.connMu (40) — connection caches
-//	peerQueue.mu (44)   — per-peer send queue; push/take under outMu snapshots
-//	bufPool.mu (46)     — write-buffer free list
+//	NodeServer.mu (20)  — held by the host loop for one step; taken
+//	                      before any send or pool lock
 //	conn.mu (50)        — per-connection send lock
 //	PlanCache.mu (60)   — plan memo
 //	Pool.mu (100)       — free lists; innermost leaf, may nest under all
 var Ranks = strings.Join([]string{
 	"repro/internal/transport.Controller.mu=10",
 	"repro/internal/transport.NodeServer.mu=20",
-	"repro/internal/transport.NodeServer.outMu=30",
-	"repro/internal/transport.NodeServer.connMu=40",
-	"repro/internal/transport.peerQueue.mu=44",
-	"repro/internal/transport.bufPool.mu=46",
 	"repro/internal/transport.conn.mu=50",
 	"repro/internal/cql.PlanCache.mu=60",
 	"repro/internal/stream.Pool.mu=100",

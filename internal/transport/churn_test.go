@@ -183,26 +183,6 @@ func (p *fakePeer) stop() {
 	p.mu.Unlock()
 }
 
-// routingServer builds a started NodeServer whose peer table routes
-// query 1 / fragment 2 to addr, without a controller in the loop.
-func routingServer(t *testing.T, addr string) *NodeServer {
-	t.Helper()
-	s, err := NewNodeServer(NodeServerConfig{
-		Name: "sender", Addr: "127.0.0.1:0", CapacityPerSec: 1000, Quiet: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	if err := s.handleHello(testRun); err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	s.peers[peerKey{1, 2}] = addr
-	s.mu.Unlock()
-	return s
-}
-
 func testBatch(n int) *stream.Batch {
 	b := stream.NewBatch(1, 2, -1, 100, n, 1)
 	for i := range b.Tuples {
@@ -220,9 +200,9 @@ func testBatch(n int) *stream.Batch {
 func TestPeerConnRedial(t *testing.T) {
 	peer := newFakePeer(t, "127.0.0.1:0")
 	addr := peer.ln.Addr().String()
-	s := routingServer(t, addr)
+	s := queuedServer(t, addr, defaultWriteTimeout, defaultDialCooldown)
 
-	s.RouteDownstream(testBatch(3))
+	s.routeDownstream(testBatch(3))
 	s.flushPeers()
 	select {
 	case <-peer.got:
@@ -240,7 +220,7 @@ func TestPeerConnRedial(t *testing.T) {
 	// to the restarted peer.
 	deadline := time.After(5 * time.Second)
 	for {
-		s.RouteDownstream(testBatch(3))
+		s.routeDownstream(testBatch(3))
 		s.flushPeers()
 		select {
 		case <-peer2.got:
@@ -264,19 +244,17 @@ func TestDroppedSICAccounting(t *testing.T) {
 	deadAddr := ln.Addr().String()
 	ln.Close()
 
-	s := routingServer(t, deadAddr)
+	s := queuedServer(t, deadAddr, defaultWriteTimeout, defaultDialCooldown)
 	b := testBatch(4)
 	wantSIC := b.SIC
-	s.RouteDownstream(b)
+	s.routeDownstream(b)
 	// A batch with no peer entry at all is dropped too.
-	s.RouteDownstream(&stream.Batch{Query: 9, Frag: 9, Tuples: testBatch(2).Tuples, SIC: 0.5})
+	s.routeDownstream(&stream.Batch{Query: 9, Frag: 9, Tuples: testBatch(2).Tuples, SIC: 0.5})
 	// The dial failure (and the drop accounting for the queued frame)
 	// happens at flush time.
 	s.flushPeers()
 
-	s.mu.Lock()
 	st := s.nd.Stats()
-	s.mu.Unlock()
 	if st.DroppedBatches != 2 || st.DroppedTuples != 6 {
 		t.Errorf("dropped %d batches / %d tuples, want 2 / 6", st.DroppedBatches, st.DroppedTuples)
 	}
@@ -342,7 +320,7 @@ func dialRaw(t *testing.T, addr string) (net.Conn, *conn) {
 
 // TestStopBeforeStart: a stop arriving before any deploy or start must
 // answer (zero) stats and shut the server down — not hang waiting for a
-// tick loop that never ran.
+// tick that never ran.
 func TestStopBeforeStart(t *testing.T) {
 	srv, err := NewNodeServer(NodeServerConfig{Name: "s", Addr: "127.0.0.1:0", Quiet: true})
 	if err != nil {
@@ -383,7 +361,7 @@ func startedServer(t *testing.T) *NodeServer {
 }
 
 // TestDoubleStop: two stops racing over different connections must both
-// terminate — neither may hang on the tick loop's exit nor double-close
+// terminate — neither may hang on the host loop's exit nor double-close
 // anything.
 func TestDoubleStop(t *testing.T) {
 	srv := startedServer(t)
@@ -579,22 +557,7 @@ func TestWedgedHostFailsAlone(t *testing.T) {
 	start := time.Now()
 	go func() {
 		time.Sleep(wedgeAt)
-		// The stand-in for a receive window that has closed: fill the
-		// controller's socket to the wedged host, which reads nothing,
-		// down to its last byte — the kernel still takes a small write
-		// into a buffer that refused a large one.
-		cn := ctrl.conns()[3]
-		cn.mu.Lock()
-		defer cn.mu.Unlock()
-		for size := 64 << 10; size > 0; size /= 4 {
-			cn.c.SetWriteDeadline(time.Now().Add(50 * time.Millisecond))
-			junk := make([]byte, size)
-			for {
-				if _, err := cn.c.Write(junk); err != nil {
-					break
-				}
-			}
-		}
+		fillSendBuffer(ctrl.conns()[3])
 	}()
 	peak, longest := 0, time.Duration(0)
 	sampled := make(chan struct{})
@@ -605,16 +568,18 @@ func TestWedgedHostFailsAlone(t *testing.T) {
 		for i := range moved {
 			moved[i] = start
 		}
-		for now := time.Now(); now.Before(start.Add(run - 100*time.Millisecond)); now = time.Now() {
+		for time.Since(start) < run-100*time.Millisecond {
 			peak = max(peak, len(ctrl.events))
 			for i, s := range srvs {
 				s.mu.Lock()
 				ticks := s.ticks
 				s.mu.Unlock()
+				// Read the clock after the lock: a stalled step holds it.
+				now := time.Now()
+				longest = max(longest, now.Sub(moved[i]))
 				if ticks != last[i] {
 					last[i], moved[i] = ticks, now
 				}
-				longest = max(longest, now.Sub(moved[i]))
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -653,6 +618,24 @@ func TestWedgedHostFailsAlone(t *testing.T) {
 	ctrl.mu.Unlock()
 	if leaf == 3 {
 		t.Error("q's leaf still placed on the wedged host")
+	}
+}
+
+// fillSendBuffer is the stand-in for a receive window that has closed:
+// it fills cn's socket to a peer that reads nothing down to its last
+// byte — the kernel still takes a small write into a buffer that refused
+// a large one — holding cn's send lock meanwhile.
+func fillSendBuffer(cn *conn) {
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	for size := 64 << 10; size > 0; size /= 4 {
+		cn.c.SetWriteDeadline(time.Now().Add(50 * time.Millisecond))
+		junk := make([]byte, size)
+		for {
+			if _, err := cn.c.Write(junk); err != nil {
+				break
+			}
+		}
 	}
 }
 

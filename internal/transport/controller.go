@@ -99,12 +99,17 @@ type event struct {
 // stopTimeout bounds the stop handshake's wait for node stats.
 const stopTimeout = 5 * time.Second
 
-// eventQueue bounds the frames waiting for Run. Run stalls up to one
-// write timeout per host that stops reading; a 2 s stall injected into
-// Run peaked at 1,051 queued frames on the benchmark's
+// eventQueue bounds the events waiting for the one goroutine that
+// applies them: the controller's Run, and each host's loop. Each stalls
+// up to one write timeout per peer that stops reading. A 2 s stall
+// injected into Run peaked at 1,051 queued frames on the benchmark's
 // net_overload_24x48 with a checkpoint every tick and at 1,699 on
-// net_churn_8x96 (2 vCPUs; DESIGN.md §5). A full queue blocks only the
-// read loops, whose frames then wait in the socket buffers.
+// net_churn_8x96. One injected into a host's loop peaked at 32–42 queued
+// events on net_overload_24x48 (unstalled hosts: at most 8) and filled
+// all 4,096 on net_wide_8x480 (5,734–6,000 with 16,384 slots; unstalled
+// hosts: 382–749), which dropped the same tuples with either size
+// (2 vCPUs; DESIGN.md §5). A full queue blocks only the read loops,
+// whose frames then wait in the socket buffers.
 const eventQueue = 4096
 
 // RecoveryEvent records one survived node failure.

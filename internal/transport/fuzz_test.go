@@ -250,11 +250,7 @@ func TestHostSurvivesHostileFrames(t *testing.T) {
 // (a query's accounting slot is inserted in place), so it takes about a
 // second; when every deploy rebuilt the accounting table it took minutes.
 func TestHostRefusesDeployAtFragmentCap(t *testing.T) {
-	s, err := NewNodeServer(NodeServerConfig{Name: "cap", Addr: "127.0.0.1:0", CapacityPerSec: 1000, Quiet: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := steppedHost(t, "cap", 1000, defaultWriteTimeout, defaultDialCooldown)
 	if err := s.handleHello(testRun); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +270,7 @@ func TestHostRefusesDeployAtFragmentCap(t *testing.T) {
 		t.Fatalf("state %+v, want %d hosted fragments, 17 of them executing", ss, maxHostedFragments)
 	}
 	over := stream.QueryID(maxHostedFragments)
-	err = s.handleDeploy(validDeploy(over))
+	err := s.handleDeploy(validDeploy(over))
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("cap of %d hosted fragments", maxHostedFragments)) {
 		t.Fatalf("deploy beyond the cap: %v, want the cap error", err)
 	}
@@ -287,13 +283,14 @@ func TestHostRefusesDeployAtFragmentCap(t *testing.T) {
 	}
 }
 
-// FuzzHostFrame drives arbitrary JSON control frames through the
-// dispatch serveConn runs — against a server no run has reached, where
-// nothing may start it, and again after testRun and a valid deploy so
-// rewire, retract, share-emit and restore frames meet real state.
-// Nothing a peer can put in a frame may panic the host or leak a pooled
-// batch. Stop is skipped, and so is a start after the run: they tear the
-// server down and spawn the tick loop, which the lifecycle tests cover.
+// FuzzHostFrame drives arbitrary JSON control frames through the host's
+// step, handle — against a server no run has reached, where nothing may
+// start it, and again after testRun and a valid deploy so rewire,
+// retract, share-emit and restore frames meet real state. Nothing a peer
+// can put in a frame may panic the host or leak a pooled batch. The
+// host's loop does not run: the fuzzer is the loop. Stop is skipped: it
+// replies on the connection its frame came on, and the lifecycle tests
+// cover it.
 func FuzzHostFrame(f *testing.F) {
 	for _, h := range hostileFrames {
 		f.Add([]byte(h.payload))
@@ -311,12 +308,13 @@ func FuzzHostFrame(f *testing.F) {
 		if json.Unmarshal(p, &e) != nil || e.Kind == KindStop {
 			return
 		}
-		s, err := NewNodeServer(NodeServerConfig{Name: "fuzz", Addr: "127.0.0.1:0", CapacityPerSec: 1000, Quiet: true})
+		s, err := newHost(NodeServerConfig{Name: "fuzz", Addr: "127.0.0.1:0", CapacityPerSec: 1000, Quiet: true}, defaultWriteTimeout, defaultDialCooldown)
 		if err != nil {
 			t.Skip(err)
 		}
-		defer s.Close()
-		s.handle(&e, nil)
+		defer s.shutdown()
+		var now time.Time
+		s.handle(now, hostEvent{env: &e})
 		if s.started {
 			t.Fatal("a frame before any run started the host")
 		}
@@ -326,9 +324,7 @@ func FuzzHostFrame(f *testing.F) {
 		if err := s.handleDeploy(validDeploy(7)); err != nil {
 			t.Fatalf("valid deploy rejected after the fuzzed frame: %v", err)
 		}
-		if e.Kind != KindStart {
-			s.handle(&e, nil)
-		}
+		s.handle(now, hostEvent{env: &e})
 		if live := s.pool.Live(); live != 0 {
 			t.Fatalf("pool holds %d live batches after control frames only", live)
 		}

@@ -197,7 +197,7 @@ func TestLiveQueryChurnEndToEnd(t *testing.T) {
 		}
 	}
 
-	// No goroutine leak: the run's read loops, tick loops and timers
+	// No goroutine leak: the run's read loops, host loops and timers
 	// must all have wound down.
 	ctrl.CloseAll()
 	for _, s := range srvs {

@@ -19,11 +19,7 @@ package transport
 // counters — pre-credited SIC mass must never vanish silently, and a
 // stalled peer must never grow unbounded memory on its senders.
 
-import (
-	"net"
-	"sync"
-	"sync/atomic"
-)
+import "net"
 
 const (
 	// maxWireScratch caps retained write- and read-side scratch buffers.
@@ -41,32 +37,35 @@ const (
 
 	// maxFreeBufs bounds the write-buffer free list so an overload burst
 	// does not become a permanent high-water mark. It must cover a full
-	// overloaded tick's frames in flight (the 24-peer/48-query benchmark
-	// shape queues ~400 frames per tick) or steady-state sends fall off
-	// the free list and allocate; worst case the list pins
-	// maxFreeBufs x maxWireScratch = 64 MB, typical frames are a few KB.
+	// overloaded tick's frames in flight or steady-state sends fall off
+	// the free list and allocate. Measured per host on the benchmark
+	// (2 vCPUs, go1.24.0, 10 s runs), the most frames one tick queued was
+	// 5 on net_overload_24x48 and 181 (120 batch + 61 control) on
+	// net_wide_8x480, and the list peaked at the same counts. Only the
+	// catch-up tick after a 2 s stall injected into a net_wide_8x480
+	// host's loop reached the bound: it queued 1,085 frames, and 61
+	// buffers went back to the allocator. Worst case the list pins
+	// maxFreeBufs x maxWireScratch = 64 MB; typical frames are a few KB.
 	maxFreeBufs = 1024
 )
 
 // bufPool is a free list of write-side frame buffers. Steady-state sends
 // draw encode scratch here and return it after the flush, so the encode →
 // queue → vectored-write pipeline touches the allocator only while
-// growing toward its working-set size.
+// growing toward its working-set size. Only the host loop uses it.
 type bufPool struct {
-	mu   sync.Mutex
 	free [][]byte
 }
 
 // get pops a buffer (nil when the list is empty — append grows it).
 func (p *bufPool) get() []byte {
-	p.mu.Lock()
-	var b []byte
-	if k := len(p.free); k > 0 {
-		b = p.free[k-1]
-		p.free[k-1] = nil
-		p.free = p.free[:k-1]
+	k := len(p.free)
+	if k == 0 {
+		return nil
 	}
-	p.mu.Unlock()
+	b := p.free[k-1]
+	p.free[k-1] = nil
+	p.free = p.free[:k-1]
 	return b
 }
 
@@ -74,14 +73,10 @@ func (p *bufPool) get() []byte {
 // exceptional batch) and overflow beyond maxFreeBufs are dropped so the
 // list's footprint stays bounded by maxFreeBufs×maxWireScratch.
 func (p *bufPool) put(b []byte) {
-	if cap(b) == 0 || cap(b) > maxWireScratch {
+	if cap(b) == 0 || cap(b) > maxWireScratch || len(p.free) >= maxFreeBufs {
 		return
 	}
-	p.mu.Lock()
-	if len(p.free) < maxFreeBufs {
-		p.free = append(p.free, b[:0])
-	}
-	p.mu.Unlock()
+	p.free = append(p.free, b[:0])
 }
 
 // qframe is one encoded, ready-to-write frame plus the drop-accounting
@@ -94,16 +89,14 @@ type qframe struct {
 }
 
 // peerQueue coalesces one tick's frames bound for a single destination.
-// RouteDownstream (and the control-frame enqueue) push encoded frames;
-// the tick-end flush takes the whole queue and writes it back-to-back
-// with one vectored write. The queue double-buffers its frame slice so
-// steady-state ticks alternate two backing arrays without reallocating.
+// The outbox drain (and the control-frame enqueue) push encoded frames;
+// the tick-end flush writes the whole queue back-to-back with one
+// vectored write and truncates it in place. The host loop is the only
+// goroutine that pushes or flushes, so a queue is empty between steps.
 type peerQueue struct {
-	mu     sync.Mutex
 	frames []qframe
 	bytes  int
-	spare  []qframe
-	// vec is the flush-time net.Buffers scratch, rebuilt from the taken
+	// vec is the flush-time net.Buffers scratch, rebuilt from the queued
 	// frames on every flush; view is the header copy handed to WriteTo,
 	// which consumes and truncates whatever it is given — vec keeps the
 	// backing array's capacity across flushes.
@@ -111,86 +104,40 @@ type peerQueue struct {
 	view net.Buffers
 	// flushes counts vectored writes issued for this queue — the
 	// coalescing tests read it.
-	flushes atomic.Int64
+	flushes int
 }
 
 // push appends an encoded frame, refusing (false) when the queue is at
 // its frame or byte bound. The caller keeps ownership of buf on refusal.
 func (q *peerQueue) push(buf []byte, tuples int, sic float64) bool {
-	q.mu.Lock()
 	if len(q.frames) >= maxQueueFrames || q.bytes+len(buf) > maxQueueBytes {
-		q.mu.Unlock()
 		return false
 	}
 	q.frames = append(q.frames, qframe{buf: buf, tuples: tuples, sic: sic})
 	q.bytes += len(buf)
-	q.mu.Unlock()
 	return true
 }
 
-// take hands every queued frame to the flusher and installs the spare
-// slice for the next tick's pushes. Returns nil when nothing is queued.
-// Callers that receive frames must recycle the buffers and hand the
-// slice back via giveBack.
-func (q *peerQueue) take() []qframe {
-	q.mu.Lock()
-	if len(q.frames) == 0 {
-		q.mu.Unlock()
-		return nil
-	}
-	frames := q.frames
-	q.frames = q.spare[:0:cap(q.spare)]
-	q.spare = nil
-	q.bytes = 0
-	q.mu.Unlock()
-	return frames
-}
-
-// giveBack returns a drained frames slice for reuse as the next spare.
-func (q *peerQueue) giveBack(frames []qframe) {
-	for i := range frames {
-		frames[i].buf = nil
-	}
-	q.mu.Lock()
-	if q.spare == nil {
-		q.spare = frames[:0:cap(frames)]
-	}
-	q.mu.Unlock()
-}
-
-// buffers rebuilds the reusable vectored-write view over taken frames.
-// The result aliases q.view, which WriteTo consumes and truncates, so a
-// retry must call buffers again; q.vec retains the backing array.
-func (q *peerQueue) buffers(frames []qframe) *net.Buffers {
+// buffers rebuilds the reusable vectored-write view over the queued
+// frames. The result aliases q.view, which WriteTo consumes and
+// truncates, so a retry must call buffers again; q.vec retains the
+// backing array.
+func (q *peerQueue) buffers() *net.Buffers {
 	q.vec = q.vec[:0]
-	for i := range frames {
-		q.vec = append(q.vec, frames[i].buf)
+	for i := range q.frames {
+		q.vec = append(q.vec, q.frames[i].buf)
 	}
 	q.view = q.vec
 	return &q.view
 }
 
-// pending reports the queued frame count (tests and back-pressure
-// diagnostics).
-func (q *peerQueue) pending() int {
-	q.mu.Lock()
-	n := len(q.frames)
-	q.mu.Unlock()
-	return n
-}
-
-// sortFlush orders the parallel addr/queue flush scratch by address.
-// Insertion sort: peer counts are small, flush order must be
-// deterministic, and the steady-state path must not box a
-// sort.Interface per tick.
-func sortFlush(addrs []string, qs []*peerQueue) {
-	for i := 1; i < len(addrs); i++ {
-		a, q := addrs[i], qs[i]
-		j := i - 1
-		for j >= 0 && addrs[j] > a {
-			addrs[j+1], qs[j+1] = addrs[j], qs[j]
-			j--
-		}
-		addrs[j+1], qs[j+1] = a, q
+// reset returns the queued frames' encode buffers to p and empties the
+// queue, keeping its backing array for the next tick.
+func (q *peerQueue) reset(p *bufPool) {
+	for i := range q.frames {
+		p.put(q.frames[i].buf)
+		q.frames[i].buf = nil
 	}
+	q.frames = q.frames[:0]
+	q.bytes = 0
 }

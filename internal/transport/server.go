@@ -7,8 +7,8 @@ import (
 	"io"
 	"log"
 	"net"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/control"
@@ -22,16 +22,26 @@ import (
 // NodeServer exposes one THEMIS node over TCP. It owns the node runtime,
 // ticks it with a wall-clock timer, routes derived batches to peer nodes,
 // and reports results to the controller.
+//
+// One goroutine, the host loop (loop), changes a NodeServer in response
+// to anything: it applies every frame, batch and connection end the read
+// loops decode (handle) and runs every interval step (tick), one at a
+// time. Every field below that is not a channel, the wait group or the
+// Once belongs to it.
 type NodeServer struct {
 	Name string
 
-	ln      net.Listener
-	mu      sync.Mutex // guards nd, peers, started, ctrl
+	ln net.Listener
+	// mu is held by the host loop while it applies one step, so tests can
+	// read the node and its counters between steps.
+	mu      sync.Mutex
 	nd      *node.Node
 	peers   map[peerKey]string
 	started bool
-	stop    chan struct{}
-	done    chan struct{}
+	// epoch maps wall time to the node's logical milliseconds (at); last
+	// is the logical time the next tick's span starts from.
+	epoch time.Time
+	last  stream.Time
 
 	// plans memoises the deploy path's re-planning of travelling CQL
 	// text. Under multi-query sharing the same shape arrives once per
@@ -39,9 +49,8 @@ type NodeServer struct {
 	// attach-style deploys need the plan only for downstream wiring.
 	plans *cql.PlanCache
 
-	// ticks/tickNanos count tick-loop iterations and the wall-clock time
-	// spent inside TickSpan, reported in the final stats frame. Guarded
-	// by mu (written where TickSpan runs, under the node mutex).
+	// ticks/tickNanos count ticks and the wall-clock time spent inside
+	// TickSpan, reported in the final stats frame.
 	ticks     int64
 	tickNanos int64
 
@@ -50,33 +59,29 @@ type NodeServer struct {
 	policy   string
 
 	// run is the run the controller's hello announced, From left empty
-	// (see handleHello); set with nd, guarded by mu. The tick loop
-	// checkpoints on its cadence: after every CheckpointTicks-th tick it
+	// (see handleHello); set with nd. Every CheckpointTicks-th tick
 	// snapshots each hosted fragment and sends the sealed blobs to the
 	// controller, which keeps the newest per fragment for the
 	// failure-recovery restore path — the ticks the engine snapshots on.
 	run Hello
 
 	// ckptTick counts the checkpoint rounds shipped; ckptEnc is their one
-	// reused encoder. Both are guarded by mu (collectCheckpoints holds it
-	// while the encoder is in use).
+	// reused encoder.
 	ckptTick int64
 	ckptEnc  stream.SnapEncoder
 
-	ctrl  *conn
-	outMu sync.Mutex
-	outs  map[string]*conn      // peer address → connection
-	wq    map[string]*peerQueue // peer address → this tick's pending frames
-	cool  map[string]time.Time  // peer address → dial-cooldown deadline
+	ctrl *conn                 // the connection the start arrived on
+	in   map[*conn]struct{}    // open inbound connections
+	outs map[string]*conn      // peer address → connection
+	wq   map[string]*peerQueue // peer address → this tick's pending frames
+	cool map[string]time.Time  // peer address → dial-cooldown deadline
 
-	// Flush scratch, owned by the single flusher (the tick loop): the
-	// parallel addr/queue snapshot flushPeers takes under outMu each
-	// tick, reused so steady-state flushes allocate nothing.
+	// flushAddrs is the flush's sorted address scratch, reused so
+	// steady-state flushes allocate nothing.
 	flushAddrs []string
-	flushQs    []*peerQueue
 
 	// wbufs recycles encoded-frame buffers between the enqueue side
-	// (RouteDownstream, queueCtrl) and the flush side; ctrlQ coalesces
+	// (routeDownstream, queueCtrl) and the flush side; ctrlQ coalesces
 	// the tick's control frames (reports, heartbeat, checkpoints) bound
 	// for the controller the same way the per-peer queues coalesce
 	// batches.
@@ -84,7 +89,7 @@ type NodeServer struct {
 	ctrlQ peerQueue
 	// ctrlDropped counts control frames refused by a full ctrlQ: reports
 	// the controller never saw, so the result SIC it shows reads low.
-	ctrlDropped atomic.Int64
+	ctrlDropped int64
 
 	wtimeout time.Duration // per-write deadline on every outbound conn
 	dialCool time.Duration // negative-cache window after a dial/write timeout
@@ -94,20 +99,35 @@ type NodeServer struct {
 	// consumes them, so a steady-state batch receive allocates nothing.
 	pool *stream.Pool
 
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{} // open inbound connections
-
-	stopOnce  sync.Once
+	// events carries what acceptLoop and the read loops hand the host
+	// loop, eventQueue deep. A full queue blocks only the read loops,
+	// whose frames then wait in the socket buffers.
+	events chan hostEvent
+	// quit is closed once, by Close or by the stop handshake: the read
+	// loops then offer nothing more, and the host loop tears down.
+	quit      chan struct{}
 	closeOnce sync.Once
-	closed    chan struct{}
+	// wg counts acceptLoop and the read loops; the host loop waits for
+	// them before it closes closed.
+	wg     sync.WaitGroup
+	closed chan struct{}
 
-	epoch time.Time
-	logf  func(format string, args ...any)
+	logf func(format string, args ...any)
 }
 
 type peerKey struct {
 	q stream.QueryID
 	f stream.FragID
+}
+
+// hostEvent is what one inbound connection told the host: a control
+// frame, a batch, or the error that ended it. With all three nil, c has
+// just been accepted.
+type hostEvent struct {
+	c   *conn
+	env *Envelope
+	b   *stream.Batch
+	err error
 }
 
 // NodeServerConfig parameterises a served node.
@@ -134,10 +154,24 @@ func NewNodeServer(cfg NodeServerConfig) (*NodeServer, error) {
 
 // newNodeServer is NewNodeServer with the write timeout wt, which bounds
 // every outbound frame write (a peer that accepts but never reads
-// surfaces as a conn error within it instead of wedging the tick drain),
+// surfaces as a conn error within it instead of wedging the host loop),
 // and the dial cooldown, the negative-cache window after a failed dial or
 // a timed-out write (sends to the address fail fast until it expires).
 func newNodeServer(cfg NodeServerConfig, wt, cool time.Duration) (*NodeServer, error) {
+	s, err := newHost(cfg, wt, cool)
+	if err != nil {
+		return nil, err
+	}
+	s.wg.Add(1)
+	go s.acceptLoop()
+	go s.loop()
+	return s, nil
+}
+
+// newHost builds a listening server whose host loop is not running: the
+// caller is the loop, and must call shutdown to tear it down. Tests drive
+// the step methods this way.
+func newHost(cfg NodeServerConfig, wt, cool time.Duration) (*NodeServer, error) {
 	switch cfg.Policy {
 	case "", "balance-sic", "random":
 	default:
@@ -156,12 +190,12 @@ func newNodeServer(cfg NodeServerConfig, wt, cool time.Duration) (*NodeServer, e
 		capacity: cfg.CapacityPerSec,
 		seed:     cfg.Seed,
 		policy:   cfg.Policy,
+		in:       make(map[*conn]struct{}),
 		outs:     make(map[string]*conn),
 		wq:       make(map[string]*peerQueue),
 		cool:     make(map[string]time.Time),
-		conns:    make(map[net.Conn]struct{}),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		events:   make(chan hostEvent, eventQueue),
+		quit:     make(chan struct{}),
 		closed:   make(chan struct{}),
 		wtimeout: wt,
 		dialCool: cool,
@@ -170,7 +204,6 @@ func newNodeServer(cfg NodeServerConfig, wt, cool time.Duration) (*NodeServer, e
 	if cfg.Quiet {
 		s.logf = func(string, ...any) {}
 	}
-	go s.acceptLoop()
 	return s, nil
 }
 
@@ -179,84 +212,150 @@ func (s *NodeServer) Addr() string { return s.ln.Addr().String() }
 
 // Stopped returns a channel closed once the server has fully shut down —
 // after a controller-initiated stop has delivered the final stats, or
-// after Close. It is safe for a host process to exit when it fires.
+// after Close — with every connection closed. It is safe for a host
+// process to exit when it fires.
 func (s *NodeServer) Stopped() <-chan struct{} { return s.closed }
 
-// signalStop closes the stop channel exactly once; Close and the stop
-// handshake may race from different goroutines (e.g. SIGINT against a
-// controller stop).
-func (s *NodeServer) signalStop() {
-	s.stopOnce.Do(func() { close(s.stop) })
-}
-
-// Close shuts the server down: the listener, outbound peer connections
-// and every open inbound connection, so peers and the controller observe
-// the shutdown exactly as they would a node crash.
+// Close shuts the server down from any goroutine and returns at once: the
+// listener closes now, and the host loop closes the outbound peer
+// connections and every open inbound connection once its current step
+// ends, so peers and the controller observe the shutdown exactly as they
+// would a node crash. A flush in progress gives up after its current
+// write, so Stopped fires within one write timeout. Safe to call twice.
 func (s *NodeServer) Close() error {
-	s.signalStop()
-	err := s.ln.Close()
-	s.outMu.Lock()
-	for _, c := range s.outs {
-		c.Close()
-	}
-	s.outMu.Unlock()
-	s.connMu.Lock()
-	for nc := range s.conns {
-		nc.Close()
-	}
-	s.connMu.Unlock()
-	s.closeOnce.Do(func() { close(s.closed) })
-	return err
+	s.closeOnce.Do(func() { close(s.quit) })
+	return s.ln.Close()
 }
 
+// quitting reports whether Close or the stop handshake has begun the
+// teardown.
+func (s *NodeServer) quitting() bool {
+	select {
+	case <-s.quit:
+		return true
+	default:
+		return false
+	}
+}
+
+// acceptLoop hands each accepted connection to the host loop, which
+// starts its read loop.
 func (s *NodeServer) acceptLoop() {
+	defer s.wg.Done()
 	for {
 		nc, err := s.ln.Accept()
 		if err != nil {
 			return
 		}
-		s.connMu.Lock()
-		s.conns[nc] = struct{}{}
-		s.connMu.Unlock()
-		go s.serveConn(nc)
+		select {
+		case s.events <- hostEvent{c: newConnTimeout(nc, s.wtimeout)}:
+		case <-s.quit:
+			nc.Close()
+			return
+		}
 	}
 }
 
-// serveConn handles one inbound connection (controller or peer node).
-func (s *NodeServer) serveConn(nc net.Conn) {
-	defer func() {
-		nc.Close()
-		s.connMu.Lock()
-		delete(s.conns, nc)
-		s.connMu.Unlock()
-	}()
-	fr := newPooledFrameReader(nc, s.pool)
-	out := newConnTimeout(nc, s.wtimeout)
+// readLoop decodes one inbound connection (controller or peer node) and
+// offers each control frame and batch to the host loop, then the error
+// that ends the connection. It touches no host state. Once the server
+// quits it offers nothing more and releases the batch it holds.
+func (s *NodeServer) readLoop(c *conn) {
+	defer s.wg.Done()
+	fr := newPooledFrameReader(c.c, s.pool)
 	for {
 		e, b, err := fr.next()
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.logf("themis-node %s: decode: %v", s.Name, err)
+		select {
+		case s.events <- hostEvent{c: c, env: e, b: b, err: err}:
+		case <-s.quit:
+			if b != nil {
+				b.Release()
 			}
 			return
 		}
-		if b != nil {
-			// Binary batch frame — the peer-to-peer hot path.
-			s.enqueue(b)
-			continue
-		}
-		if s.handle(e, out) {
+		if err != nil {
 			return
 		}
 	}
 }
 
-// handle dispatches one control envelope and reports whether it was the
-// stop that ends the connection. Every byte of e comes from a peer: a
-// missing payload or an unknown kind is a malformed frame to ignore, and
-// a rejected deploy is logged — neither may take the node down.
-func (s *NodeServer) handle(e *Envelope, out *conn) (stopped bool) {
-	switch e.Kind {
+// loop is the host loop. It reads the clock and hands the time to each
+// step it applies, holding mu for the step; it starts ticking once a
+// start is applied, and tears the server down once quit closes or a stop
+// frame is applied.
+func (s *NodeServer) loop() {
+	var ticks <-chan time.Time
+	for stopped := false; !stopped; {
+		select {
+		case <-s.quit:
+			stopped = true
+		case ev := <-s.events:
+			s.mu.Lock()
+			stopped = s.handle(time.Now(), ev)
+			s.mu.Unlock()
+		case <-ticks:
+			s.mu.Lock()
+			stopped = s.tick(time.Now())
+			s.mu.Unlock()
+		}
+		if ticks == nil && s.started {
+			ticker := time.NewTicker(time.Duration(s.run.IntervalMs) * time.Millisecond)
+			defer ticker.Stop()
+			ticks = ticker.C
+		}
+	}
+	s.shutdown()
+}
+
+// shutdown tears the server down: the listener and every connection
+// close, then — once acceptLoop and every read loop have returned — the
+// batches still queued go back to the pool and Stopped fires. It runs on
+// the host loop, after its last step.
+func (s *NodeServer) shutdown() {
+	s.closeOnce.Do(func() { close(s.quit) })
+	s.ln.Close()
+	for c := range s.in {
+		c.Close()
+	}
+	for _, c := range s.outs {
+		c.Close()
+	}
+	s.wg.Wait()
+	for len(s.events) > 0 {
+		ev := <-s.events
+		ev.c.Close()
+		if ev.b != nil {
+			ev.b.Release()
+		}
+	}
+	close(s.closed)
+}
+
+// handle applies one event from an inbound connection and reports
+// whether it was the stop that ends the server. Every byte of a frame
+// comes from a peer: a missing payload or an unknown kind is a malformed
+// frame to ignore, and a rejected deploy is logged — neither may take the
+// node down.
+func (s *NodeServer) handle(now time.Time, ev hostEvent) (stopped bool) {
+	switch {
+	case ev.b != nil:
+		// Binary batch frame — the peer-to-peer hot path.
+		s.enqueue(now, ev.b)
+		return false
+	case ev.err != nil:
+		if !errors.Is(ev.err, io.EOF) && !errors.Is(ev.err, net.ErrClosed) {
+			s.logf("themis-node %s: decode: %v", s.Name, ev.err)
+		}
+		delete(s.in, ev.c)
+		ev.c.Close()
+		return false
+	case ev.env == nil:
+		s.in[ev.c] = struct{}{}
+		s.wg.Add(1)
+		go s.readLoop(ev.c)
+		return false
+	}
+	switch e := ev.env; e.Kind {
 	case KindHello:
 		if err := s.handleHello(e.Hello); err != nil {
 			s.logf("themis-node %s: hello: %v", s.Name, err)
@@ -266,41 +365,42 @@ func (s *NodeServer) handle(e *Envelope, out *conn) (stopped bool) {
 			s.logf("themis-node %s: deploy: %v", s.Name, err)
 		}
 	case KindStart:
-		s.handleStart(e.Start, out)
+		s.handleStart(now, e.Start, ev.c)
 	case KindSIC:
-		if e.SIC == nil {
-			break
-		}
-		s.mu.Lock()
-		if s.nd != nil {
+		if e.SIC != nil && s.nd != nil {
 			s.nd.SetResultSIC(e.SIC.Query, e.SIC.Value)
 		}
-		s.mu.Unlock()
 	case KindRewire:
 		s.handleRewire(e.Rewire)
 	case KindRetract:
 		s.handleRetract(e.Retract)
 	case KindShareEmit:
-		s.handleShareEmit(e.ShareEmit)
+		if m := e.ShareEmit; m != nil && s.nd != nil {
+			// The controller derives the bit from its share-index mirror
+			// after a retract or recovery changed whether the subscriber's
+			// downstream fragment executes privately; SetSubEmit ignores
+			// unknown subscriptions, which absorbs the benign races
+			// (promotion to primary, concurrent retract).
+			s.nd.SetSubEmit(m.Query, m.Frag, m.Emit)
+		}
 	case KindRestoreState:
 		s.handleRestore(e.Restore)
 	case KindStop:
-		s.handleStop(out)
+		s.handleStop(ev.c)
 		return true
 	}
 	return false
 }
 
-func (s *NodeServer) enqueue(b *stream.Batch) {
-	s.mu.Lock()
-	if s.nd != nil {
-		s.nd.Enqueue(b, s.now())
-		s.mu.Unlock()
+// enqueue applies one inbound batch, stamped with the time it is applied.
+// With no runtime yet (a batch racing a deploy) it is recycled instead of
+// leaked.
+func (s *NodeServer) enqueue(now time.Time, b *stream.Batch) {
+	if s.nd == nil {
+		b.Release()
 		return
 	}
-	s.mu.Unlock()
-	// No runtime yet (batch racing a deploy): recycle instead of leak.
-	b.Release()
+	s.nd.Enqueue(b, s.at(now))
 }
 
 // Bounds on what a deploy frame may ask of a host; anything beyond them
@@ -341,8 +441,6 @@ func (s *NodeServer) handleDeploy(d *Deploy) error {
 	if d.Frag < 0 || int(d.Frag) >= plan.NumFragments() {
 		return fmt.Errorf("fragment %d out of range", d.Frag)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.nd == nil {
 		return errNoRun
 	}
@@ -374,21 +472,11 @@ func (s *NodeServer) handleRewire(r *Rewire) {
 	if r == nil {
 		return
 	}
-	s.mu.Lock()
-	for k := range s.peers {
-		if k.q == r.Query {
-			delete(s.peers, k)
-		}
-	}
+	s.dropRoutes(r.Query)
 	for f, addr := range r.Peers {
 		s.peers[peerKey{r.Query, f}] = addr
 	}
-	live := make(map[string]bool, len(s.peers))
-	for _, addr := range s.peers {
-		live[addr] = true
-	}
-	s.mu.Unlock()
-	s.evictStalePeers(live)
+	s.evictStalePeers()
 }
 
 // handleRetract tears a query down on this host: every fragment the
@@ -396,13 +484,11 @@ func (s *NodeServer) handleRewire(r *Rewire) {
 // buffered batches, the known result-SIC entry all go with it), the
 // query's peer-routing entries disappear, and outbound connections no
 // surviving query references are evicted. Other queries keep ticking
-// throughout — teardown holds the node mutex only as long as a deploy
-// does.
+// from the next step on.
 func (s *NodeServer) handleRetract(r *Retract) {
 	if r == nil {
 		return
 	}
-	s.mu.Lock()
 	if s.nd != nil {
 		s.nd.RemoveQuery(r.Query)
 		// Ownership hand-offs are mirrored by the controller (it derives
@@ -410,71 +496,43 @@ func (s *NodeServer) handleRetract(r *Retract) {
 		// just needs draining so it cannot grow across retracts.
 		s.nd.TakePromotions()
 	}
+	s.dropRoutes(r.Query)
+	s.evictStalePeers()
+}
+
+// dropRoutes forgets every peer-routing entry of query q.
+func (s *NodeServer) dropRoutes(q stream.QueryID) {
 	for k := range s.peers {
-		if k.q == r.Query {
+		if k.q == q {
 			delete(s.peers, k)
 		}
 	}
+}
+
+// evictStalePeers closes and forgets the outbound peer connections, send
+// queues and cooldown entries of addresses no query routes to any more,
+// so a torn-down route never keeps feeding a dead or departed peer.
+// Every send queue is empty here: rewires and retracts are applied
+// between ticks, and each tick flushes every queue.
+func (s *NodeServer) evictStalePeers() {
 	live := make(map[string]bool, len(s.peers))
 	for _, addr := range s.peers {
 		live[addr] = true
 	}
-	s.mu.Unlock()
-	s.evictStalePeers(live)
-}
-
-// handleShareEmit flips one subscription's fan-out emission. The
-// controller derives the bit from its share-index mirror after a retract
-// or recovery changed whether the subscriber's downstream fragment
-// executes privately; SetSubEmit ignores unknown subscriptions, which
-// absorbs the benign races (promotion to primary, concurrent retract).
-func (s *NodeServer) handleShareEmit(m *ShareEmitMsg) {
-	if m == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.nd != nil {
-		s.nd.SetSubEmit(m.Query, m.Frag, m.Emit)
-	}
-	s.mu.Unlock()
-}
-
-// evictStalePeers closes and forgets outbound peer connections whose
-// address no query references any more; live holds the addresses still
-// in use. Rewire and retract share this so a torn-down route never
-// keeps feeding a dead or departed peer. The address's send queue and
-// cooldown entry go with the connection — frames already queued for a
-// departed peer are dropped with their tuples and SIC mass accounted,
-// exactly as an undeliverable send would be.
-func (s *NodeServer) evictStalePeers(live map[string]bool) {
-	s.outMu.Lock()
-	var stale []*conn
-	var staleQ []*peerQueue
 	for addr, c := range s.outs {
 		if !live[addr] {
 			delete(s.outs, addr)
-			stale = append(stale, c)
+			c.Close()
 		}
 	}
-	for addr, q := range s.wq {
+	for addr := range s.wq {
 		if !live[addr] {
 			delete(s.wq, addr)
-			staleQ = append(staleQ, q)
 		}
 	}
 	for addr := range s.cool {
 		if !live[addr] {
 			delete(s.cool, addr)
-		}
-	}
-	s.outMu.Unlock()
-	for _, c := range stale {
-		c.Close()
-	}
-	for _, q := range staleQ {
-		if frames := q.take(); frames != nil {
-			s.noteDroppedFrames(frames)
-			s.recycleFrames(q, frames)
 		}
 	}
 }
@@ -499,8 +557,6 @@ func (s *NodeServer) handleHello(h *Hello) error {
 	if err := control.CheckRun(stream.Duration(run.STWMs), stream.Duration(run.IntervalMs), run.CheckpointTicks); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.nd != nil {
 		if run != s.run {
 			return fmt.Errorf("a second run %+v differs from the one this host runs, %+v: refused", run, s.run)
@@ -525,20 +581,20 @@ func (s *NodeServer) handleHello(h *Hello) error {
 	return nil
 }
 
-// now maps wall clock to the node's logical milliseconds.
-func (s *NodeServer) now() stream.Time {
+// at maps wall time t to the node's logical milliseconds: zero before the
+// start.
+func (s *NodeServer) at(t time.Time) stream.Time {
 	if s.epoch.IsZero() {
 		return 0
 	}
-	return stream.Time(time.Since(s.epoch).Milliseconds())
+	return stream.Time(t.Sub(s.epoch).Milliseconds())
 }
 
-// handleStart begins ticking at the run's interval. A spare — a member
-// with no fragment yet — starts like any other host, so it heartbeats
-// and can adopt re-placed fragments. A start before any run is refused.
-func (s *NodeServer) handleStart(st *Start, ctrl *conn) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// handleStart begins ticking at the run's interval: the host loop starts
+// its ticker once this step is applied. A spare — a member with no
+// fragment yet — starts like any other host, so it heartbeats and can
+// adopt re-placed fragments. A start before any run is refused.
+func (s *NodeServer) handleStart(now time.Time, st *Start, ctrl *conn) {
 	if s.started {
 		return
 	}
@@ -548,7 +604,7 @@ func (s *NodeServer) handleStart(st *Start, ctrl *conn) {
 	}
 	s.ctrl = ctrl
 	s.started = true
-	s.epoch = time.Now()
+	s.epoch = now
 	if st != nil && st.RunOffsetMs > 0 {
 		// A mid-run joiner backdates its epoch so its logical clock lines
 		// up with the founding members'. Restored snapshots then carry
@@ -556,105 +612,67 @@ func (s *NodeServer) handleStart(st *Start, ctrl *conn) {
 		// batches' timestamps fall inside the local windows immediately.
 		s.epoch = s.epoch.Add(-time.Duration(st.RunOffsetMs) * time.Millisecond)
 	}
-	go s.tickLoop(time.Duration(s.run.IntervalMs) * time.Millisecond)
-}
-
-func (s *NodeServer) tickLoop(interval time.Duration) {
-	defer close(s.done)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	// Start spans from the current logical clock: for founding members
-	// that is ~0, for mid-run joiners the backdated epoch already places
+	// Spans start from the current logical clock: for founding members
+	// that is 0, for mid-run joiners the backdated epoch already places
 	// it at the federation's run offset — the joiner must not replay the
 	// whole pre-join span as one giant source burst.
-	s.mu.Lock()
-	last := s.now()
-	s.mu.Unlock()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-			// Re-check stop: once it closes, both select cases are ready
-			// and a random pick could otherwise squeeze in extra ticks
-			// while the stop handshake is waiting on done.
-			select {
-			case <-s.stop:
-				return
-			default:
-			}
-			s.mu.Lock()
-			now := s.now()
-			// Tick covers [last, now): the node emits its sources over
-			// that span and sheds/processes.
-			t0 := time.Now()
-			s.nd.TickSpan(last, now)
-			s.tickNanos += time.Since(t0).Nanoseconds()
-			s.ticks++
-			ckpt := s.run.CheckpointTicks > 0 && s.ticks%s.run.CheckpointTicks == 0
-			out := s.nd.TakeOutbox()
-			last = now
-			s.mu.Unlock()
-			// Drain the outbox outside the node mutex: the drain *encodes
-			// and queues* rather than sends, so it never blocks on the
-			// network — and inbound Enqueue/SetResultSIC handlers are
-			// never behind a send. tickLoop is the only goroutine ticking
-			// the node, so the outbox stays valid until the next
-			// iteration.
-			s.drainOutbox(out)
-			// Liveness beacon: a node hosting no (or only displaced-away)
-			// fragments may otherwise stay silent for whole intervals,
-			// which the controller's missed-heartbeat detector would
-			// mistake for a partition.
-			s.mu.Lock()
-			ctrl := s.ctrl
-			s.mu.Unlock()
-			if ctrl != nil {
-				s.queueCtrl(&Envelope{Kind: KindHeartbeat})
-			}
-			// Ship operator-state checkpoints on the run's cadence, the
-			// engine's rule: after every CheckpointTicks-th tick.
-			// Snapshots are collected under the node mutex but queued and
-			// flushed outside it, like the outbox drain above.
-			if ctrl != nil && ckpt {
-				for _, env := range s.collectCheckpoints() {
-					s.queueCtrl(env)
-				}
-			}
-			// One vectored write per destination for everything this tick
-			// produced: batches to each peer, reports + heartbeat +
-			// checkpoints to the controller.
-			s.flushPeers()
-		}
-	}
+	s.last = s.at(now)
 }
 
-// collectCheckpoints snapshots every hosted fragment into ready-to-send
-// checkpoint envelopes. The node mutex is held for the duration so each
-// snapshot captures a consistent between-ticks state; the shared encoder
-// is reused across fragments and the sealed bytes are copied out, since
-// Seal's return aliases the encoder buffer.
-func (s *NodeServer) collectCheckpoints() []*Envelope {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.nd == nil {
-		return nil
+// tick is the interval step, and reports whether a queued stop ended the
+// server instead. It applies every queued event first — frames and
+// batches that arrived before the tick join it — then ticks the node
+// over [last, now) (sources emit over the span, the node sheds and
+// processes), drains its outbox into the send queues, queues the
+// heartbeat and, on the run's cadence, the checkpoints, and flushes:
+// one vectored write per destination for everything this tick produced.
+// It reads the clock only to time TickSpan for the stats frame.
+func (s *NodeServer) tick(now time.Time) (stopped bool) {
+	// Only the host loop receives from s.events, so a receive of what is
+	// already queued never blocks.
+	for n := len(s.events); n > 0; n-- {
+		if s.handle(now, <-s.events) {
+			return true
+		}
 	}
-	var msgs []*Envelope
+	t := s.at(now)
+	t0 := time.Now()
+	s.nd.TickSpan(s.last, t)
+	s.tickNanos += time.Since(t0).Nanoseconds()
+	s.ticks++
+	s.last = t
+	s.drainOutbox(s.nd.TakeOutbox())
+	if s.ctrl != nil {
+		// Liveness beacon: a node hosting no (or only displaced-away)
+		// fragments may otherwise stay silent for whole intervals, which
+		// the controller's missed-heartbeat detector would mistake for a
+		// partition.
+		s.queueCtrl(&Envelope{Kind: KindHeartbeat})
+		// Operator-state checkpoints on the run's cadence, the engine's
+		// rule: after every CheckpointTicks-th tick.
+		if s.run.CheckpointTicks > 0 && s.ticks%s.run.CheckpointTicks == 0 {
+			s.queueCheckpoints()
+		}
+	}
+	s.flushPeers()
+	return false
+}
+
+// queueCheckpoints snapshots every hosted fragment, between ticks, into
+// checkpoint frames for the controller. The shared encoder is reused
+// across fragments: each sealed blob is encoded into its frame before
+// the next snapshot overwrites it.
+func (s *NodeServer) queueCheckpoints() {
 	s.nd.ForEachFragment(func(q stream.QueryID, f stream.FragID) {
 		s.ckptEnc.Reset()
 		if err := s.nd.StateSnapshot(q, f, &s.ckptEnc); err != nil {
 			return
 		}
-		sealed := s.ckptEnc.Seal()
-		state := make([]byte, len(sealed))
-		copy(state, sealed)
-		msgs = append(msgs, &Envelope{Kind: KindCheckpoint, Checkpoint: &CheckpointMsg{
-			Query: q, Frag: f, Tick: s.ckptTick, State: state,
+		s.queueCtrl(&Envelope{Kind: KindCheckpoint, Checkpoint: &CheckpointMsg{
+			Query: q, Frag: f, Tick: s.ckptTick, State: s.ckptEnc.Seal(),
 		}})
 	})
 	s.ckptTick++
-	return msgs
 }
 
 // handleRestore applies a checkpointed snapshot to a re-deployed
@@ -662,12 +680,7 @@ func (s *NodeServer) collectCheckpoints() []*Envelope {
 // checksummed, so a stale or corrupt snapshot is rejected cleanly and
 // the fragment recovers the legacy way, by refilling its windows.
 func (s *NodeServer) handleRestore(r *RestoreStateMsg) {
-	if r == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.nd == nil {
+	if r == nil || s.nd == nil {
 		return
 	}
 	if err := s.nd.RestoreState(r.Query, r.Frag, r.State); err != nil {
@@ -675,29 +688,17 @@ func (s *NodeServer) handleRestore(r *RestoreStateMsg) {
 	}
 }
 
-// handleStop freezes the node and replies with its final stats. The
-// order matters for the stop handshake: the tick loop must have fully
-// exited before the counters are read, otherwise a tick racing the stop
-// can mutate them after the "final" stats left — or worse, ship batches
-// to peers that are already gone. Only after the stats frame is on the
-// wire does the server tear down its listener and peer connections.
+// handleStop replies to a stop with the node's final stats; the host loop
+// then tears the server down. Ticks run on the same goroutine, so no
+// tick can move the counters after they are read or ship batches to
+// peers that are already gone.
 func (s *NodeServer) handleStop(out *conn) {
-	s.mu.Lock()
-	started := s.started
-	s.mu.Unlock()
-	s.signalStop()
-	if started {
-		<-s.done
-	}
-	s.mu.Lock()
 	var stats node.Stats
 	var sz node.StateSize
 	if s.nd != nil {
 		stats = s.nd.Stats()
 		sz = s.nd.StateSize()
 	}
-	ticks, tickNanos := s.ticks, s.tickNanos
-	s.mu.Unlock()
 	out.send(&Envelope{Kind: KindStats, Stats: &StatsMsg{
 		Node:            s.Name,
 		ArrivedTuples:   stats.ArrivedTuples,
@@ -708,11 +709,10 @@ func (s *NodeServer) handleStop(out *conn) {
 		DroppedSIC:      stats.DroppedSIC,
 		SharedInstances: sz.SharedInstances,
 		Subscriptions:   sz.Subscriptions,
-		Ticks:           ticks,
-		TickNanos:       tickNanos,
-		DroppedCtrl:     s.ctrlDropped.Load(),
+		Ticks:           s.ticks,
+		TickNanos:       s.tickNanos,
+		DroppedCtrl:     s.ctrlDropped,
 	}})
-	s.Close()
 }
 
 // errPeerCooling reports a send refused because the peer's address is
@@ -724,21 +724,25 @@ var errPeerCooling = errors.New("transport: peer in dial cooldown")
 // write, via coolDown) opens a cooldown window during which sends to
 // the address are refused without touching the network, so an outage
 // costs one bounded dial per probe window rather than one per tick.
+// Once the server quits it refuses every address, so a flush under way
+// when Close runs neither dials nor writes to another peer. The cooldown
+// is wall-clock time, read when it is checked and when it opens: a write
+// that timed out has made the step's own time stale by a whole write
+// timeout.
 func (s *NodeServer) peerConn(addr string) (*conn, error) {
-	s.outMu.Lock()
-	defer s.outMu.Unlock()
+	if s.quitting() {
+		return nil, net.ErrClosed
+	}
 	if c, ok := s.outs[addr]; ok {
 		return c, nil
 	}
-	if until, ok := s.cool[addr]; ok {
-		if time.Now().Before(until) {
-			return nil, errPeerCooling
-		}
-		delete(s.cool, addr)
+	if time.Now().Before(s.cool[addr]) {
+		return nil, errPeerCooling
 	}
+	delete(s.cool, addr)
 	c, err := dial(addr, Hello{From: s.Name}, s.wtimeout)
 	if err != nil {
-		s.cool[addr] = time.Now().Add(s.dialCool)
+		s.coolDown(addr)
 		return nil, err
 	}
 	s.outs[addr] = c
@@ -748,119 +752,90 @@ func (s *NodeServer) peerConn(addr string) (*conn, error) {
 // coolDown opens the dial-cooldown window for addr: the next sends fail
 // fast until the window expires and the peer is probed again.
 func (s *NodeServer) coolDown(addr string) {
-	s.outMu.Lock()
 	s.cool[addr] = time.Now().Add(s.dialCool)
-	s.outMu.Unlock()
 }
 
 // dropPeerConn evicts a broken outbound connection so the next send to
-// the address re-dials instead of failing forever. The cache entry is
-// removed only if it still holds the same connection — a concurrent
-// sender may already have replaced it with a fresh dial.
+// the address re-dials instead of failing forever.
 func (s *NodeServer) dropPeerConn(addr string, c *conn) {
-	s.outMu.Lock()
-	if cur, ok := s.outs[addr]; ok && cur == c {
-		delete(s.outs, addr)
-	}
-	s.outMu.Unlock()
+	delete(s.outs, addr)
 	c.Close()
 }
 
-// noteDropped records a derived batch lost to a routing failure.
-func (s *NodeServer) noteDropped(b *stream.Batch) {
-	s.mu.Lock()
+// noteDropped records tuples and pre-credited SIC mass lost to a routing
+// failure in the node's dropped counters.
+func (s *NodeServer) noteDropped(tuples int, sicMass float64) {
 	if s.nd != nil {
-		s.nd.NoteDropped(b.Len(), b.SIC)
+		s.nd.NoteDropped(tuples, sicMass)
 	}
-	s.mu.Unlock()
 }
 
-// noteDroppedFrames records a queue's worth of encoded batch frames lost
-// to an undeliverable flush: each frame's tuple count and pre-credited
-// SIC mass land in the node's dropped counters under one mutex hold.
-func (s *NodeServer) noteDroppedFrames(frames []qframe) {
-	s.mu.Lock()
-	if s.nd != nil {
-		for i := range frames {
-			s.nd.NoteDropped(frames[i].tuples, frames[i].sic)
-		}
-	}
-	s.mu.Unlock()
-}
-
-// --- outbox drain (wall-clock federation) ---
+// --- outbox drain and send queues (wall-clock federation) ---
 //
-// These methods are not called mid-tick: tickLoop drains the node's
-// outbox after releasing the node mutex, so they run concurrently with
-// inbound Enqueue/SetResultSIC handlers and must take s.mu themselves
-// where they touch the node. They encode into per-destination queues
-// rather than send: the network is touched once per destination per
-// tick, by flushPeers.
+// The drain encodes into per-destination queues rather than sending: the
+// network is touched once per destination per tick, by flushPeers.
 
 // drainOutbox hands one tick's effects to the send queues — result
 // reports first, then derived batches, as federation.drainOutbox applies
-// them — releasing each batch after use.
+// them — releasing each batch after use. A report carries the result's
+// tuple count and its batch-header SIC mass, summed once where the batch
+// was made; the tick-end flush coalesces it with the heartbeat and any
+// checkpoints into one write.
 func (s *NodeServer) drainOutbox(out *node.Outbox) {
 	for _, re := range out.Results {
-		s.DeliverResult(re.Query, len(re.Batch.Tuples), re.Batch.SIC)
+		if s.ctrl != nil {
+			s.queueCtrl(&Envelope{Kind: KindReport, Report: &ReportMsg{Query: re.Query, Result: re.Batch.SIC, Tuples: len(re.Batch.Tuples)}})
+		}
 		re.Batch.Release()
 	}
 	for _, b := range out.Downstream {
-		s.RouteDownstream(b)
+		s.routeDownstream(b)
 		b.Release()
 	}
 	out.Reset()
 }
 
-// RouteDownstream encodes the batch as a wire frame (into a pooled
+// routeDownstream encodes the batch as a wire frame (into a pooled
 // buffer — the batch itself is borrowed and released by the drain) and
 // queues it for the peer hosting the destination fragment. A full queue
 // means the peer is not draining: the batch is dropped with its tuples
 // and pre-credited SIC mass accounted, never buffered unboundedly.
-func (s *NodeServer) RouteDownstream(b *stream.Batch) {
-	s.mu.Lock()
+func (s *NodeServer) routeDownstream(b *stream.Batch) {
 	addr, ok := s.peers[peerKey{b.Query, b.Frag}]
-	s.mu.Unlock()
 	if !ok {
-		s.noteDropped(b)
+		s.noteDropped(b.Len(), b.SIC)
 		return
 	}
 	buf := appendBatchFrame(s.wbufs.get(), b)
 	if !s.queueFor(addr).push(buf, b.Len(), b.SIC) {
 		s.wbufs.put(buf)
-		s.noteDropped(b)
+		s.noteDropped(b.Len(), b.SIC)
 	}
 }
 
 // queueFor returns (creating if needed) the send queue for a peer
 // address.
 func (s *NodeServer) queueFor(addr string) *peerQueue {
-	s.outMu.Lock()
 	q, ok := s.wq[addr]
 	if !ok {
 		q = &peerQueue{}
 		s.wq[addr] = q
 	}
-	s.outMu.Unlock()
 	return q
 }
 
 // flushPeers writes every non-empty send queue — one vectored write per
 // destination — in deterministic address order, then flushes the
-// controller queue. Called once per tick by the tick loop (and directly
-// by tests).
+// controller queue. Every queue is empty afterwards. Called once per
+// tick (and directly by tests).
 func (s *NodeServer) flushPeers() {
-	s.outMu.Lock()
 	s.flushAddrs = s.flushAddrs[:0]
-	s.flushQs = s.flushQs[:0]
-	for addr, q := range s.wq {
+	for addr := range s.wq {
 		s.flushAddrs = append(s.flushAddrs, addr)
-		s.flushQs = append(s.flushQs, q)
 	}
-	s.outMu.Unlock()
-	sortFlush(s.flushAddrs, s.flushQs)
-	for i, addr := range s.flushAddrs {
-		s.flushQueue(addr, s.flushQs[i])
+	slices.Sort(s.flushAddrs)
+	for _, addr := range s.flushAddrs {
+		s.flushQueue(addr, s.wq[addr])
 	}
 	s.flushCtrl()
 }
@@ -869,31 +844,32 @@ func (s *NodeServer) flushPeers() {
 // are dropped with accounting; the encode buffers are recycled either
 // way.
 func (s *NodeServer) flushQueue(addr string, q *peerQueue) {
-	frames := q.take()
-	if frames == nil {
+	if len(q.frames) == 0 {
 		return
 	}
-	if err := s.writeQueued(addr, q, frames); err != nil {
+	if err := s.writeQueued(addr, q); err != nil {
 		s.logf("themis-node %s: flush %s: %v", s.Name, addr, err)
-		s.noteDroppedFrames(frames)
+		for i := range q.frames {
+			s.noteDropped(q.frames[i].tuples, q.frames[i].sic)
+		}
 	}
-	s.recycleFrames(q, frames)
+	q.reset(&s.wbufs)
 }
 
-// writeQueued performs the vectored write for one taken queue, deciding
-// the failure policy by error kind. A deadline expiry means the peer
+// writeQueued performs the vectored write for one queue, deciding the
+// failure policy by error kind. A deadline expiry means the peer
 // accepted but stopped reading: retrying immediately would eat another
 // full deadline mid-tick, so the conn is evicted and the address put in
 // cooldown until its next probe window. Any other error gets the classic
 // evict + one re-dial retry — a peer that restarted is reached again
 // without poisoning every future tick.
-func (s *NodeServer) writeQueued(addr string, q *peerQueue, frames []qframe) error {
+func (s *NodeServer) writeQueued(addr string, q *peerQueue) error {
 	c, err := s.peerConn(addr)
 	if err != nil {
 		return err
 	}
-	q.flushes.Add(1)
-	err = c.writeFrames(q.buffers(frames))
+	q.flushes++
+	err = c.writeFrames(q.buffers())
 	if err == nil {
 		return nil
 	}
@@ -907,23 +883,14 @@ func (s *NodeServer) writeQueued(addr string, q *peerQueue, frames []qframe) err
 	if rerr != nil {
 		return fmt.Errorf("%w (re-dial: %w)", err, rerr)
 	}
-	q.flushes.Add(1)
+	q.flushes++
 	// WriteTo consumed the first attempt's buffer view; rebuild it from
-	// the retained frames.
-	if rerr := c.writeFrames(q.buffers(frames)); rerr != nil {
+	// the queued frames.
+	if rerr := c.writeFrames(q.buffers()); rerr != nil {
 		s.dropPeerConn(addr, c)
 		return fmt.Errorf("%w (retry: %w)", err, rerr)
 	}
 	return nil
-}
-
-// recycleFrames returns a drained queue's encode buffers to the free
-// list and the frame slice to the queue for the next tick.
-func (s *NodeServer) recycleFrames(q *peerQueue, frames []qframe) {
-	for i := range frames {
-		s.wbufs.put(frames[i].buf)
-	}
-	q.giveBack(frames)
 }
 
 // queueCtrl encodes one control envelope and appends it to the
@@ -940,7 +907,7 @@ func (s *NodeServer) queueCtrl(e *Envelope) {
 	buf := appendFrame(s.wbufs.get(), frameJSON, p)
 	if !s.ctrlQ.push(buf, 0, 0) {
 		s.wbufs.put(buf)
-		if s.ctrlDropped.Add(1) == 1 {
+		if s.ctrlDropped++; s.ctrlDropped == 1 {
 			s.logf("themis-node %s: control queue full (%d frames per tick): dropping reports, result SIC will read low", s.Name, maxQueueFrames)
 		}
 	}
@@ -949,35 +916,17 @@ func (s *NodeServer) queueCtrl(e *Envelope) {
 // flushCtrl writes the tick's queued control frames to the controller
 // with one vectored write. Errors are logged, not retried: the
 // controller declares this node failed through its own missed-heartbeat
-// and read-error detection, and re-places its fragments.
+// and read-error detection, and re-places its fragments. Once the server
+// quits the frames are dropped instead.
 func (s *NodeServer) flushCtrl() {
-	frames := s.ctrlQ.take()
-	if frames == nil {
+	if len(s.ctrlQ.frames) == 0 {
 		return
 	}
-	s.mu.Lock()
-	ctrl := s.ctrl
-	s.mu.Unlock()
-	if ctrl != nil {
-		s.ctrlQ.flushes.Add(1)
-		if err := ctrl.writeFrames(s.ctrlQ.buffers(frames)); err != nil {
+	if s.ctrl != nil && !s.quitting() {
+		s.ctrlQ.flushes++
+		if err := s.ctrl.writeFrames(s.ctrlQ.buffers()); err != nil {
 			s.logf("themis-node %s: ctrl flush: %v", s.Name, err)
 		}
 	}
-	s.recycleFrames(&s.ctrlQ, frames)
-}
-
-// DeliverResult queues one result delivery — its tuple count and SIC
-// mass — for the controller; the tick-end flush coalesces it with the
-// heartbeat and any checkpoints into one write. sicMass is the
-// batch-header SIC total, summed once where the batch was made, so the
-// tuples are not summed again here.
-func (s *NodeServer) DeliverResult(q stream.QueryID, tuples int, sicMass float64) {
-	s.mu.Lock()
-	ctrl := s.ctrl
-	s.mu.Unlock()
-	if ctrl == nil {
-		return
-	}
-	s.queueCtrl(&Envelope{Kind: KindReport, Report: &ReportMsg{Query: q, Result: sicMass, Tuples: tuples}})
+	s.ctrlQ.reset(&s.wbufs)
 }

@@ -277,9 +277,9 @@ func runNetworked(addrList, queryText string, dataset, fragments int, placement 
 		})
 	}
 
-	// Arm the churn schedule just before the run starts; each timer fires
-	// on the controller concurrently with the broadcast loop (Submit and
-	// Retract are mid-run-safe by design).
+	// Arm the churn schedule just before the run starts; each timer's
+	// Submit or Retract becomes one step of the controller loop, between
+	// the run's broadcast ticks.
 	var timers []*time.Timer
 	for _, s := range submits {
 		s := s

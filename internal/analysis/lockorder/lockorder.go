@@ -46,16 +46,15 @@ calls.`,
 // Lower rank = outermost. The default encodes the repository's
 // discipline:
 //
-//	Controller.mu (10)  — controller state; never nests inside others
+//	Controller.mu (10)  — held by the controller loop for one step;
+//	                      never nests inside others
 //	NodeServer.mu (20)  — held by the host loop for one step; taken
-//	                      before any send or pool lock
-//	conn.mu (50)        — per-connection send lock
+//	                      before any pool lock
 //	PlanCache.mu (60)   — plan memo
 //	Pool.mu (100)       — free lists; innermost leaf, may nest under all
 var Ranks = strings.Join([]string{
 	"repro/internal/transport.Controller.mu=10",
 	"repro/internal/transport.NodeServer.mu=20",
-	"repro/internal/transport.conn.mu=50",
 	"repro/internal/cql.PlanCache.mu=60",
 	"repro/internal/stream.Pool.mu=100",
 }, ",")

@@ -315,7 +315,7 @@ func dialRaw(t *testing.T, addr string) (net.Conn, *conn) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { nc.Close() })
-	return nc, newConn(nc)
+	return nc, &conn{c: nc, wt: defaultWriteTimeout}
 }
 
 // TestStopBeforeStart: a stop arriving before any deploy or start must
@@ -483,27 +483,20 @@ func silentPeer(tb testing.TB) string {
 
 // TestQueuedFramesAreNotSilence: silence is judged only after every
 // queued event has been applied, so a host whose frames wait behind a
-// slow step of Run is not declared partitioned. Both nodes were last
-// heard from before the heartbeat timeout; a heartbeat from node 0 is
-// queued but not yet applied when the tick runs. Node 0 stays alive and
-// node 1, which queued nothing, is failed.
+// slow step of the controller loop is not declared partitioned. Both
+// nodes were last heard from before the heartbeat timeout; a heartbeat
+// from node 0 is queued but not yet applied when the tick runs. Node 0
+// stays alive and node 1, which queued nothing, is failed. The test is
+// the controller loop.
 func TestQueuedFramesAreNotSilence(t *testing.T) {
-	ctrl, err := NewController(ControllerConfig{Seed: 1, HeartbeatTimeout: 50 * time.Millisecond},
+	ctrl := steppedController(t, ControllerConfig{Seed: 1, HeartbeatTimeout: 50 * time.Millisecond},
 		[]string{silentPeer(t), silentPeer(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.CloseAll()
-	ctrl.mu.Lock()
 	stale := time.Now().Add(-time.Second)
 	ctrl.lastSeen[0], ctrl.lastSeen[1] = stale, stale
-	ctrl.mu.Unlock()
 	ctrl.events <- event{node: 0, env: &Envelope{Kind: KindHeartbeat}}
-	if err := ctrl.tick(0); err != nil {
+	if err := ctrl.tick(time.Now(), 0); err != nil {
 		t.Fatal(err)
 	}
-	ctrl.mu.Lock()
-	defer ctrl.mu.Unlock()
 	if !ctrl.plane.Alive(0) {
 		t.Error("node 0 failed for silence although its heartbeat was queued")
 	}
@@ -514,12 +507,13 @@ func TestQueuedFramesAreNotSilence(t *testing.T) {
 
 // TestWedgedHostFailsAlone: a host that keeps its connection open and
 // beacons but stops reading wedges the controller's SIC write to it for
-// the whole write timeout, and Run applies nothing while that write
-// blocks. The live hosts tick on, checkpoints on, and their frames wait
-// in Run's queue meanwhile. The queue must not fill, so no read loop
-// blocks and no host's control flush backs up: every live host keeps
-// ticking and drops no control frame. Only the wedged host is failed —
-// by its write, not for silence — and its fragment moves to a live host.
+// the whole write timeout, and the controller loop applies nothing while
+// that write blocks. The live hosts tick on, checkpoints on, and their
+// frames wait in the loop's queue meanwhile. The queue must not fill, so
+// no read loop blocks and no host's control flush backs up: every live
+// host keeps ticking and drops no control frame. Only the wedged host is
+// failed — by its write, not for silence — and its fragment moves to a
+// live host.
 func TestWedgedHostFailsAlone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock federation test in -short mode")
@@ -552,12 +546,16 @@ func TestWedgedHostFailsAlone(t *testing.T) {
 		}
 	}
 
-	// Beside Run: wedge the host, and sample Run's queue depth and the
-	// live hosts' tick counters until the run deadline.
+	// Beside Run: wedge the host — on the controller loop, the one writer
+	// of its connection — and sample the loop's queue depth and the live
+	// hosts' tick counters until the run deadline.
 	start := time.Now()
 	go func() {
 		time.Sleep(wedgeAt)
-		fillSendBuffer(ctrl.conns()[3])
+		ctrl.do(func(time.Time) error {
+			fillSendBuffer(ctrl.nodes[3])
+			return nil
+		})
 	}()
 	peak, longest := 0, time.Duration(0)
 	sampled := make(chan struct{})
@@ -600,7 +598,7 @@ func TestWedgedHostFailsAlone(t *testing.T) {
 		t.Errorf("wedged host failed at %v, before its write could time out", rec.At)
 	}
 	if peak >= cap(ctrl.events) {
-		t.Errorf("Run's queue filled (%d events): the read loops blocked", peak)
+		t.Errorf("the controller loop's queue filled (%d events): the read loops blocked", peak)
 	}
 	if longest >= defaultWriteTimeout/2 {
 		t.Errorf("a live host went %v without a tick while Run was wedged", longest)
@@ -624,10 +622,10 @@ func TestWedgedHostFailsAlone(t *testing.T) {
 // fillSendBuffer is the stand-in for a receive window that has closed:
 // it fills cn's socket to a peer that reads nothing down to its last
 // byte — the kernel still takes a small write into a buffer that refused
-// a large one — holding cn's send lock meanwhile.
+// a large one. The caller is cn's one writer: the loop that owns cn, or
+// a test holding that loop between steps, which the fill stalls for
+// about half a second.
 func fillSendBuffer(cn *conn) {
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
 	for size := 64 << 10; size > 0; size /= 4 {
 		cn.c.SetWriteDeadline(time.Now().Add(50 * time.Millisecond))
 		junk := make([]byte, size)
@@ -656,7 +654,7 @@ func wedgedPeer(tb testing.TB) string {
 			}
 			go func() {
 				defer nc.Close()
-				c := newConn(nc)
+				c := &conn{c: nc, wt: defaultWriteTimeout}
 				for c.send(&Envelope{Kind: KindHeartbeat}) == nil {
 					time.Sleep(50 * time.Millisecond)
 				}
@@ -671,18 +669,16 @@ func wedgedPeer(tb testing.TB) string {
 // the engine and the controller must move the displaced fragments to the
 // same hosts under every strategy — however many deploys the controller
 // served before (its post-failure placer used to be seeded with a counter
-// bumped on every deploy). No Run, no clock: the failure is injected
-// straight into handleFailure and the deploy frames land on idle hosts.
+// bumped on every deploy). No Run: the test is the controller loop, the
+// failure is injected straight into handleFailure and the deploy frames
+// land on idle hosts.
 func TestReplacementMatchesEngine(t *testing.T) {
 	const cqlText = "Select Avg(t.v) From AllSrc[Range 1 sec]"
 	placements := [][]int{{1, 2, 3}, {4, 1}, {1}, {0, 5}}
 	for _, strategy := range []string{"round-robin", "uniform", "zipf"} {
 		for _, warmups := range []int{0, 3} {
 			addrs, _ := startNodes(t, 8, 50_000)
-			ctrl, err := NewController(ControllerConfig{Seed: 11, Placement: strategy}, addrs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ctrl := steppedController(t, ControllerConfig{Seed: 11, Placement: strategy}, addrs)
 			cfg := federation.Defaults()
 			cfg.Seed = 11
 			cfg.Placement = strategy
@@ -691,15 +687,15 @@ func TestReplacementMatchesEngine(t *testing.T) {
 			// Earlier traffic: same query ids on both sides, auto-placed on the
 			// controller so its placer state and deploy count advance.
 			for i := 0; i < warmups; i++ {
-				at, err := ctrl.AutoPlace(2)
+				ids, err := ctrl.plane.Place(2)
 				if err != nil {
 					t.Fatal(err)
 				}
-				q, err := ctrl.Submit(cqlText, 2, 1, 20, 4, at)
+				q, err := ctrl.submit(time.Now(), cqlText, 2, 1, 20, 4, []int{int(ids[0]), int(ids[1])})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := ctrl.Retract(q); err != nil {
+				if err := ctrl.retract(q); err != nil {
 					t.Fatal(err)
 				}
 				eq, err := e.SubmitCQL(cqlText, 2, 1, 20, nil)
@@ -710,7 +706,7 @@ func TestReplacementMatchesEngine(t *testing.T) {
 			}
 			var qs []stream.QueryID
 			for _, at := range placements {
-				q, err := ctrl.Submit(cqlText, len(at), 1, 20, 4, at)
+				q, err := ctrl.submit(time.Now(), cqlText, len(at), 1, 20, 4, at)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -723,14 +719,12 @@ func TestReplacementMatchesEngine(t *testing.T) {
 				}
 				qs = append(qs, q)
 			}
-			if err := ctrl.handleFailure(1, errMissedHeartbeat); err != nil {
+			if err := ctrl.handleFailure(time.Now(), 1, errMissedHeartbeat); err != nil {
 				t.Fatalf("%s: recovery failed: %v", strategy, err)
 			}
 			e.KillNode(1)
 			for i, q := range qs {
-				ctrl.mu.Lock()
-				got := append([]stream.NodeID(nil), ctrl.plane.Query(q).Placement...)
-				ctrl.mu.Unlock()
+				got := ctrl.plane.Query(q).Placement
 				want := e.Placement(q)
 				if len(got) != len(want) {
 					t.Fatalf("%s: query %d placement %v vs engine %v", strategy, q, got, want)
@@ -748,7 +742,6 @@ func TestReplacementMatchesEngine(t *testing.T) {
 					t.Errorf("%s: untouched query %d moved to %v", strategy, q, got)
 				}
 			}
-			ctrl.Shutdown()
 		}
 	}
 }

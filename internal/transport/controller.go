@@ -30,39 +30,41 @@ import (
 // affected queries' SIC accounting restarts at a recovery epoch. Only a
 // failure that cannot be re-placed — too few survivors for the query's
 // fragments — aborts the run.
+//
+// One goroutine, the controller loop (loop), changes a Controller: it
+// applies every verb's step, every frame and connection end the read
+// loops decode (handle) and every interval step (tick), one at a time.
+// Every field below that is not a channel, the wait group or the Once
+// belongs to it.
 type Controller struct {
+	// mu is held by the controller loop while it applies one step, so
+	// tests and NumNodes can read between steps.
 	mu    sync.Mutex
 	nodes []*conn
 	addrs []string
-	// plane is the control plane (guarded by mu): membership, the
-	// auto-placer, the plan cache, every query's placement and share
-	// facts, and the share index. Its index is an exact mirror of every
-	// host's: per-connection sends are ordered and a host's
-	// attach/host/promote decisions are deterministic functions of arrival
-	// order — the rules the plane itself applies — so the controller
-	// predicts every host-side outcome without a round trip. Host nodes
-	// re-plan the travelling CQL text themselves through their own caches.
+	// plane is the control plane: membership, the auto-placer, the plan
+	// cache, every query's placement and share facts, and the share
+	// index. Its index is an exact mirror of every host's: per-connection
+	// sends are ordered and a host's attach/host/promote decisions are
+	// the plane's own rules applied in arrival order, so the controller
+	// predicts every host-side outcome without a round trip.
 	plane *control.Plane
-	// ledger is every query's result-SIC bookkeeping (guarded by mu) — the
-	// per-query coordinators, epochs and sample sums, shared with the
-	// engine (coordinator.Ledger) and clocked by the run clock (at).
+	// ledger is every query's result-SIC bookkeeping — the per-query
+	// coordinators, epochs and sample sums, shared with the engine
+	// (coordinator.Ledger) and clocked by the run clock (at).
 	ledger *coordinator.Ledger
 	// deps remembers each live query's travelling descriptor (per-fragment
 	// fields unset), from which recovery re-issues deploy frames.
 	deps map[stream.QueryID]Deploy
-	// epoch is the wall time Run started, zero before. Run sets it under
-	// mu together with running, and nothing writes it again.
+	// epoch is the wall time the run began, zero before: the run's first
+	// step sets it (begin), and nothing writes it again.
 	epoch time.Time
-	// running is set once Run has started (guarded by mu): a node joined
-	// before that gets its Start from Run, one joined after from AddNode.
-	running bool
 	// hello announces the run — STW, interval, checkpoint cadence in
 	// ticks — on every connection this controller dials; immutable.
 	hello Hello
 
 	hbTimeout time.Duration
-	// lastSeen is, per node, when Run last applied a frame from it
-	// (guarded by mu).
+	// lastSeen is, per node, when the loop last applied a frame from it.
 	lastSeen   []time.Time
 	recoveries []RecoveryEvent
 
@@ -75,17 +77,31 @@ type Controller struct {
 	shareEpoch int64
 
 	// stats holds each node's first stats frame by node index, nil until
-	// it arrives (guarded by mu).
+	// it arrives.
 	stats []*StatsMsg
 
+	// runFor and warmup are the run's, set when it begins; runErr is why
+	// it aborted.
+	runFor time.Duration
+	warmup stream.Duration
+	runErr error
+	// abort is a failure the membership could not absorb, met by a verb's
+	// step: the run ends with it, at once if it has not begun.
+	abort error
+
+	// verbs carries each verb's step to the loop.
+	verbs chan func(now time.Time)
 	// events carries what the read loops decode — each control frame and
-	// the error that ends a connection — to Run, the one goroutine that
-	// applies them (handle).
+	// the error that ends a connection — to the loop, which applies them
+	// once the run has begun (handle).
 	events chan event
-	// closed is closed by CloseAll; read loops then stop offering events.
-	closed    chan struct{}
+	// quit is closed once, by CloseAll or by the loop's shutdown: the read
+	// loops then offer nothing more and verbs are refused. closed is closed
+	// once the loop has shut the controller down.
+	quit      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
+	closed    chan struct{}
 }
 
 // event is what one node's connection told the controller: a control
@@ -96,19 +112,23 @@ type event struct {
 	err  error
 }
 
+// errClosed refuses a verb once CloseAll has run or Run has returned.
+var errClosed = errors.New("transport: controller closed")
+
 // stopTimeout bounds the stop handshake's wait for node stats.
 const stopTimeout = 5 * time.Second
 
 // eventQueue bounds the events waiting for the one goroutine that
-// applies them: the controller's Run, and each host's loop. Each stalls
-// up to one write timeout per peer that stops reading. A 2 s stall
-// injected into Run peaked at 1,051 queued frames on the benchmark's
-// net_overload_24x48 with a checkpoint every tick and at 1,699 on
-// net_churn_8x96. One injected into a host's loop peaked at 32–42 queued
-// events on net_overload_24x48 (unstalled hosts: at most 8) and filled
-// all 4,096 on net_wide_8x480 (5,734–6,000 with 16,384 slots; unstalled
-// hosts: 382–749), which dropped the same tuples with either size
-// (2 vCPUs; DESIGN.md §5). A full queue blocks only the read loops,
+// applies them: the controller loop, and each host's loop. The first
+// stalls up to one write timeout per host that stops reading, a host's
+// loop up to one per flush however many peers stop. A 2 s stall
+// injected into the controller's run peaked at 1,051 queued frames on
+// the benchmark's net_overload_24x48 with a checkpoint every tick and at
+// 1,699 on net_churn_8x96. One injected into a host's loop peaked at
+// 32–42 queued events on net_overload_24x48 (unstalled hosts: at most 8)
+// and filled all 4,096 on net_wide_8x480 (5,734–6,000 with 16,384 slots;
+// unstalled hosts: 382–749), which dropped the same tuples with either
+// size (2 vCPUs; DESIGN.md §5). A full queue blocks only the read loops,
 // whose frames then wait in the socket buffers.
 const eventQueue = 4096
 
@@ -144,9 +164,9 @@ type ControllerConfig struct {
 	Placement string
 	// HeartbeatTimeout is how long a node may stay silent before it is
 	// declared failed even though its connection looks healthy (e.g. a
-	// partition with no FIN). Zero defaults to max(2 s, 8×Interval);
-	// negative disables missed-heartbeat detection — connection errors
-	// still detect failure.
+	// partition with no FIN). Zero defaults to max(2 × the write timeout,
+	// 8×Interval), past a healthy host's stall on a peer that stopped
+	// reading; negative disables it — connection errors still count.
 	HeartbeatTimeout time.Duration
 	// Sharing selects, as federation.Config.Sharing does in virtual time,
 	// whether same-shape, same-rate fragments placed on one host collapse
@@ -166,39 +186,14 @@ type ControllerConfig struct {
 	Checkpoint time.Duration
 }
 
-// NewController connects to the given node addresses.
+// NewController starts the controller loop and connects to the given
+// node addresses.
 func NewController(cfg ControllerConfig, nodeAddrs []string) (*Controller, error) {
-	if cfg.STW <= 0 {
-		cfg.STW = 10 * stream.Second
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 250 * stream.Millisecond
-	}
-	hb := cfg.HeartbeatTimeout
-	if hb == 0 {
-		hb = 8 * time.Duration(cfg.Interval) * time.Millisecond
-		if hb < 2*time.Second {
-			hb = 2 * time.Second
-		}
-	}
-	ckptTicks := control.CheckpointTicks(stream.Duration(cfg.Checkpoint.Milliseconds()), cfg.Interval)
-	if err := control.CheckRun(cfg.STW, cfg.Interval, ckptTicks); err != nil {
-		return nil, fmt.Errorf("transport: %w", err)
-	}
-	if _, err := control.NewPlacer(cfg.Placement, 1, cfg.Seed); err != nil {
+	c, err := newController(cfg)
+	if err != nil {
 		return nil, err
 	}
-	c := &Controller{
-		plane:  control.New(control.Config{Placement: cfg.Placement, Seed: cfg.Seed, Sharing: cfg.Sharing}),
-		ledger: coordinator.NewLedger(cfg.STW, cfg.Interval, false),
-		deps:   make(map[stream.QueryID]Deploy),
-		hello: Hello{
-			From: "controller", STWMs: int64(cfg.STW), IntervalMs: int64(cfg.Interval), CheckpointTicks: ckptTicks,
-		},
-		hbTimeout: hb,
-		events:    make(chan event, eventQueue),
-		closed:    make(chan struct{}),
-	}
+	go c.loop()
 	for _, addr := range nodeAddrs {
 		if _, err := c.AddNode(addr); err != nil {
 			c.CloseAll()
@@ -208,32 +203,154 @@ func NewController(cfg ControllerConfig, nodeAddrs []string) (*Controller, error
 	return c, nil
 }
 
+// newController builds a controller with no node and no loop running:
+// the caller — a test driving the step methods — is the loop, and must
+// call shutdown to tear it down.
+func newController(cfg ControllerConfig) (*Controller, error) {
+	if cfg.STW <= 0 {
+		cfg.STW = 10 * stream.Second
+	}
+	if cfg.Interval <= 0 {
+		cfg.Interval = 250 * stream.Millisecond
+	}
+	hb := cfg.HeartbeatTimeout
+	if hb == 0 {
+		hb = max(2*defaultWriteTimeout, 8*time.Duration(cfg.Interval)*time.Millisecond)
+	}
+	ckptTicks := control.CheckpointTicks(stream.Duration(cfg.Checkpoint.Milliseconds()), cfg.Interval)
+	if err := control.CheckRun(cfg.STW, cfg.Interval, ckptTicks); err != nil {
+		return nil, fmt.Errorf("transport: %w", err)
+	}
+	if _, err := control.NewPlacer(cfg.Placement, 1, cfg.Seed); err != nil {
+		return nil, err
+	}
+	return &Controller{
+		plane:  control.New(control.Config{Placement: cfg.Placement, Seed: cfg.Seed, Sharing: cfg.Sharing}),
+		ledger: coordinator.NewLedger(cfg.STW, cfg.Interval, false),
+		deps:   make(map[stream.QueryID]Deploy),
+		hello: Hello{
+			From: "controller", STWMs: int64(cfg.STW), IntervalMs: int64(cfg.Interval), CheckpointTicks: ckptTicks,
+		},
+		hbTimeout: hb,
+		verbs:     make(chan func(time.Time)),
+		events:    make(chan event, eventQueue),
+		quit:      make(chan struct{}),
+		closed:    make(chan struct{}),
+	}, nil
+}
+
+// loop is the controller loop. Before the run it applies verbs only, and
+// frames wait in the queue; once Run's step has begun the run, frames and
+// ticks too, until the deadline and the stop handshake or a failure the
+// membership cannot absorb. Then, or once quit closes, it shuts down.
+func (c *Controller) loop() {
+	defer c.shutdown()
+	var events <-chan event
+	var ticks, deadline <-chan time.Time
+	for {
+		var err error
+		select {
+		case <-c.quit:
+			c.runErr = fmt.Errorf("transport: run aborted: %w", errClosed)
+			return
+		case v := <-c.verbs:
+			c.step(v)
+			err = c.abort
+		case ev := <-events:
+			c.step(func(now time.Time) { err = c.handle(now, ev) })
+		case <-ticks:
+			c.step(func(now time.Time) { err = c.tick(now, c.warmup) })
+		case <-deadline:
+			// Failures that raced the deadline are still handled: a
+			// recoverable one re-places fragments (the summary then reflects
+			// the recovery), an unrecoverable one aborts rather than folding
+			// a dead node's absence into a successful-looking summary.
+			if c.step(func(now time.Time) { err = c.drain(now) }); err == nil {
+				c.stop()
+				return
+			}
+		}
+		switch {
+		case c.epoch.IsZero():
+		case err != nil:
+			c.sendStops()
+			c.runErr = fmt.Errorf("transport: run aborted: %w", err)
+			return
+		case events == nil:
+			ticker := time.NewTicker(time.Duration(c.hello.IntervalMs) * time.Millisecond)
+			defer ticker.Stop()
+			events, ticks, deadline = c.events, ticker.C, time.After(c.runFor)
+		}
+	}
+}
+
+// step applies one step under mu at the clock reading of that moment.
+func (c *Controller) step(apply func(now time.Time)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	apply(time.Now())
+}
+
+// do applies a verb's step on the controller loop and returns its error,
+// or errClosed at once if the controller has shut down.
+func (c *Controller) do(apply func(now time.Time) error) error {
+	reply := make(chan error, 1)
+	select {
+	case c.verbs <- func(now time.Time) { reply <- apply(now) }:
+		return <-reply
+	case <-c.quit:
+		return errClosed
+	}
+}
+
+// shutdown tears the controller down after the loop's last step: every
+// connection closes, and once every read loop has returned, closed does.
+func (c *Controller) shutdown() {
+	c.closeOnce.Do(func() { close(c.quit) })
+	for _, n := range c.nodes {
+		n.Close()
+	}
+	c.wg.Wait()
+	close(c.closed)
+}
+
 // AddNode dials a freshly started node server and joins it to the
 // membership, returning its node index. Joined nodes become re-placement
 // targets for failure recovery and enter the automatic placement pool
 // for subsequent deploys. Joining is legal mid-run: the node is started
 // and its reports are ingested immediately.
 func (c *Controller) AddNode(addr string) (int, error) {
+	select {
+	case <-c.quit:
+		return 0, errClosed
+	default:
+	}
 	cn, err := dial(addr, c.hello, defaultWriteTimeout)
 	if err != nil {
 		return 0, err
 	}
-	c.mu.Lock()
+	var idx int
+	if err := c.do(func(now time.Time) error { idx = c.join(now, addr, cn); return nil }); err != nil {
+		cn.Close()
+		return 0, err
+	}
+	return idx, nil
+}
+
+// join is AddNode's step: the dialled node joins the membership and its
+// read loop starts. A node joining a run that has begun is started now.
+func (c *Controller) join(now time.Time, addr string, cn *conn) int {
 	idx := int(c.plane.Join())
 	c.nodes = append(c.nodes, cn)
 	c.addrs = append(c.addrs, addr)
-	c.lastSeen = append(c.lastSeen, time.Now())
+	c.lastSeen = append(c.lastSeen, now)
 	c.stats = append(c.stats, nil)
-	// Run sends Start to the nodes joined when it sets running under
-	// c.mu; a node joined after that is started here, so exactly once.
-	running := c.running
-	c.mu.Unlock()
 	c.wg.Add(1)
 	go c.readLoop(idx, cn)
-	if running {
-		cn.send(c.start())
+	if !c.epoch.IsZero() {
+		cn.send(c.start(now))
 	}
-	return idx, nil
+	return idx
 }
 
 // NumNodes reports the number of connected node servers (dead ones
@@ -244,34 +361,12 @@ func (c *Controller) NumNodes() int {
 	return len(c.nodes)
 }
 
-// conns snapshots the current connection slice under the lock, so
-// broadcast paths never race a mid-run join.
-func (c *Controller) conns() []*conn {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]*conn(nil), c.nodes...)
-}
-
-// liveConnsLocked snapshots the connections for sends made outside c.mu,
-// with nil in every dead node's slot: a host that cannot be reached is
-// dead or dying, and failure detection owns that path.
-func (c *Controller) liveConnsLocked() []*conn {
-	conns := append([]*conn(nil), c.nodes...)
-	for i := range conns {
-		if !c.plane.Alive(stream.NodeID(i)) {
-			conns[i] = nil
-		}
-	}
-	return conns
-}
-
-// CloseAll closes all node connections, after which the read loops offer
-// Run nothing more. Safe to call twice.
+// CloseAll closes all node connections and waits until the controller
+// has shut down, aborting a run in progress; every verb is refused from
+// then on. Safe to call twice.
 func (c *Controller) CloseAll() {
-	c.closeOnce.Do(func() { close(c.closed) })
-	for _, n := range c.conns() {
-		n.Close()
-	}
+	c.closeOnce.Do(func() { close(c.quit) })
+	<-c.closed
 }
 
 // Shutdown stops the federation without running: a best-effort stop to
@@ -279,36 +374,38 @@ func (c *Controller) CloseAll() {
 // same way; CLI front-ends use it on error paths so background
 // themis-node processes exit rather than leaking.
 func (c *Controller) Shutdown() {
-	for _, n := range c.conns() {
-		n.send(&Envelope{Kind: KindStop})
-	}
+	c.do(func(time.Time) error { c.sendStops(); return nil })
 	c.CloseAll()
 }
 
+// sendStops sends every node a stop, best effort.
+func (c *Controller) sendStops() {
+	for _, n := range c.nodes {
+		n.send(&Envelope{Kind: KindStop})
+	}
+}
+
 // OnSIC registers a callback invoked once per query per broadcast
-// interval with the coordinator's current result-SIC value. Register
-// before Run; the callback runs on Run's goroutine.
+// interval with the coordinator's current result-SIC value. The callback
+// runs on the controller loop, inside a step: it must not call the
+// controller's methods, which would wait for the loop it holds.
 func (c *Controller) OnSIC(fn func(q stream.QueryID, now stream.Time, v float64)) {
-	c.sicFn = fn
+	c.do(func(time.Time) error { c.sicFn = fn; return nil })
 }
 
 // AutoPlace assigns the given number of fragments to distinct live node
 // indices using the configured placement strategy. The placer draws
 // over the alive membership only; dead nodes never receive fragments.
 func (c *Controller) AutoPlace(fragments int) ([]int, error) {
-	// Place under the lock: the strategy is stateful (round-robin cursor,
-	// rng), and concurrent mid-run Submits must not race on it.
-	c.mu.Lock()
-	ids, err := c.plane.Place(fragments)
-	c.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, len(ids))
-	for i, id := range ids {
-		out[i] = int(id)
-	}
-	return out, nil
+	var out []int
+	err := c.do(func(time.Time) error {
+		ids, err := c.plane.Place(fragments)
+		for _, id := range ids {
+			out = append(out, int(id))
+		}
+		return err
+	})
+	return out, err
 }
 
 // Submit makes a query a first-class runtime citizen: it plans the CQL
@@ -321,8 +418,19 @@ func (c *Controller) AutoPlace(fragments int) ([]int, error) {
 // registers for result-SIC dissemination immediately. With sharing
 // enabled attach-vs-host is settled here, by the plane, and travels to
 // the host as an opaque ShareKey. A rate or batches/s no host would run
-// is refused here, before it costs a query id.
-func (c *Controller) Submit(cqlText string, fragments, dataset int, rate, batchesPerSec float64, placement []int) (stream.QueryID, error) {
+// is refused here, before it costs a query id. A host whose deploy
+// cannot be written is failed, and its fragment re-placed, before Submit
+// returns.
+func (c *Controller) Submit(cqlText string, fragments, dataset int, rate, batchesPerSec float64, placement []int) (q stream.QueryID, err error) {
+	err = c.do(func(now time.Time) error {
+		q, err = c.submit(now, cqlText, fragments, dataset, rate, batchesPerSec, placement)
+		return err
+	})
+	return q, err
+}
+
+// submit is Submit's step.
+func (c *Controller) submit(now time.Time, cqlText string, fragments, dataset int, rate, batchesPerSec float64, placement []int) (stream.QueryID, error) {
 	if !(batchesPerSec > 0 && batchesPerSec <= control.MaxRate) {
 		return 0, fmt.Errorf("transport: %g batches/s outside (0, %g]", batchesPerSec, float64(control.MaxRate))
 	}
@@ -335,17 +443,15 @@ func (c *Controller) Submit(cqlText string, fragments, dataset int, rate, batche
 			}
 		}
 	}
-	c.mu.Lock()
 	// Plan locally first: reject malformed statements before any node
 	// sees them. The plan cache makes repeat submissions of the same (or
 	// same-shaped) text skip the parse and planning work entirely.
 	plan, shape, err := c.plane.Plan(cqlText, fragments, sources.Dataset(dataset))
 	if err != nil {
-		c.mu.Unlock()
 		return 0, err
 	}
 	pin := int64(0)
-	if c.running {
+	if !c.epoch.IsZero() {
 		c.shareEpoch++
 		pin = c.shareEpoch
 	}
@@ -353,26 +459,32 @@ func (c *Controller) Submit(cqlText string, fragments, dataset int, rate, batche
 	// logical stream, as their engine twins submitted on feed 0 do.
 	cq, cmds, err := c.plane.Submit(plan, shape, 0, rate, at, pin)
 	if err != nil {
-		c.mu.Unlock()
 		return 0, err
 	}
 	q := cq.ID
-	c.ledger.Open(q, c.now())
+	c.ledger.Open(q, c.at(now))
 	c.deps[q] = Deploy{
 		CQL: cqlText, Fragments: plan.NumFragments(), Dataset: dataset,
 		Rate: rate, Batches: batchesPerSec,
 	}
-	peers := c.peersLocked(cq.Placement)
-	outs := make([]Deploy, len(cmds))
+	peers := c.peers(cq.Placement)
+	errs := make([]error, len(cmds))
 	for i, cmd := range cmds {
-		outs[i] = c.frameLocked(cmd, peers)
+		d := c.frame(cmd, peers)
+		errs[i] = c.nodes[cmd.Node].send(&Envelope{Kind: KindDeploy, Deploy: &d})
 	}
-	conns := append([]*conn(nil), c.nodes...)
-	c.mu.Unlock()
-
+	// A deploy that cannot be written is a host failure, as a SIC write
+	// in tick is. Every deploy is on the wire first, so the re-placement's
+	// rewires reach the query's other hosts after their deploys. The first
+	// failure the membership cannot absorb stays the run's abort.
 	for i, cmd := range cmds {
-		if err := conns[cmd.Node].send(&Envelope{Kind: KindDeploy, Deploy: &outs[i]}); err != nil {
-			return 0, err
+		if errs[i] != nil {
+			if err := c.handleFailure(time.Now(), int(cmd.Node), errs[i]); err != nil {
+				if c.abort == nil {
+					c.abort = err
+				}
+				return 0, err
+			}
 		}
 	}
 	return q, nil
@@ -382,44 +494,41 @@ func (c *Controller) Submit(cqlText string, fragments, dataset int, rate, batche
 // fragments (and all per-query state) without pausing other queries,
 // its coordinator deregisters from the dissemination loop, and every
 // per-query controller record is freed. The query's mean SIC freezes at
-// its current post-epoch value and still appears in the final results.
-// Surviving queries' accounting is untouched — their SIC climbs as the
-// freed capacity reaches them, which is the fairness dynamic under
-// study, not pollution. Safe to call while failure recovery is in
-// flight: whichever side loses the race observes the other's outcome
-// and stands down.
+// its current post-epoch value and still appears in the final results;
+// surviving queries' accounting is untouched. A retract and a failure
+// recovery are two steps of the loop, in one order or the other.
 func (c *Controller) Retract(q stream.QueryID) error {
-	c.mu.Lock()
+	return c.do(func(time.Time) error { return c.retract(q) })
+}
+
+// retract is Retract's step.
+func (c *Controller) retract(q stream.QueryID) error {
 	// The plane replays the hosts' teardown before the retract frames go
 	// out: group membership shifts (including promotion of the next
 	// subscriber to executing) and the emit invariant is re-derived over
 	// what remains.
 	placement, _, flips, ok := c.plane.Retract(q)
 	if !ok {
-		c.mu.Unlock()
 		return fmt.Errorf("transport: retract: unknown query %d", q)
 	}
 	c.ledger.Close(q)
 	delete(c.deps, q)
-	conns := c.liveConnsLocked()
-	c.mu.Unlock()
-	// Network sends happen outside c.mu; errors are ignored, as for a dead
-	// host.
+	// Errors are ignored, as for a dead host.
 	for _, ni := range placement {
-		if cn := conns[ni]; cn != nil {
-			cn.send(&Envelope{Kind: KindRetract, Retract: &Retract{Query: q}})
+		if c.plane.Alive(ni) {
+			c.nodes[ni].send(&Envelope{Kind: KindRetract, Retract: &Retract{Query: q}})
 		}
 	}
 	// Emit flips ship after the retracts: per-connection ordering then
 	// guarantees a host sees the promotion (retract) before any flip that
 	// depends on it, and flips to other hosts converge within a tick.
-	sendEmitFlips(conns, flips)
+	c.sendEmitFlips(flips)
 	return nil
 }
 
-// peersLocked renders a placement as the fragment → address map hosts
-// route derived batches by.
-func (c *Controller) peersLocked(placement []stream.NodeID) map[stream.FragID]string {
+// peers renders a placement as the fragment → address map hosts route
+// derived batches by.
+func (c *Controller) peers(placement []stream.NodeID) map[stream.FragID]string {
 	peers := make(map[stream.FragID]string, len(placement))
 	for f, ni := range placement {
 		peers[stream.FragID(f)] = c.addrs[ni]
@@ -427,15 +536,12 @@ func (c *Controller) peersLocked(placement []stream.NodeID) map[stream.FragID]st
 	return peers
 }
 
-// frameLocked builds the Deploy frame for one of the plane's deploy
-// commands: the query's recorded descriptor specialised for the fragment,
-// with the plane's seed and share terms. The initial deploy and every
-// recovery re-deploy build their frames here and nowhere else, so a
-// re-placed fragment is described to its new host by the same rules that
-// described it to the old one. Source seeds and source ids are pure
-// functions of (query, fragment): a re-deploy reconstructs the displaced
-// fragment's sources exactly. Callers hold c.mu.
-func (c *Controller) frameLocked(cmd control.Deploy, peers map[stream.FragID]string) Deploy {
+// frame builds the Deploy frame for one of the plane's deploy commands:
+// the query's recorded descriptor specialised for the fragment, with the
+// plane's seed and share terms. Every deploy and re-deploy frame is built
+// here, and source seeds and ids are pure functions of (query,
+// fragment), so a re-deploy reconstructs the displaced fragment exactly.
+func (c *Controller) frame(cmd control.Deploy, peers map[stream.FragID]string) Deploy {
 	d := c.deps[cmd.Query]
 	d.Query = cmd.Query
 	d.Frag = stream.FragID(cmd.Frag)
@@ -448,25 +554,21 @@ func (c *Controller) frameLocked(cmd control.Deploy, peers map[stream.FragID]str
 
 // sendEmitFlips delivers the plane's emit flips as KindShareEmit frames;
 // dead hosts are skipped — recovery re-derives the bits.
-func sendEmitFlips(conns []*conn, flips []control.EmitFlip) {
+func (c *Controller) sendEmitFlips(flips []control.EmitFlip) {
 	for _, fl := range flips {
-		if cn := conns[fl.Node]; cn != nil {
-			cn.send(&Envelope{Kind: KindShareEmit, ShareEmit: &ShareEmitMsg{
+		if c.plane.Alive(fl.Node) {
+			c.nodes[fl.Node].send(&Envelope{Kind: KindShareEmit, ShareEmit: &ShareEmitMsg{
 				Query: fl.Query, Frag: stream.FragID(fl.Frag), Emit: fl.Emit,
 			}})
 		}
 	}
 }
 
-// start is the Start frame for a host joining now. It carries the run
-// offset a mid-run joiner aligns its logical clock by; Run's own hosts
-// start at the run epoch.
-func (c *Controller) start() *Envelope {
-	return &Envelope{Kind: KindStart, Start: &Start{RunOffsetMs: int64(c.now())}}
+// start is the Start frame for a host joining at now: it carries the run
+// offset a mid-run joiner aligns its logical clock by (zero at begin).
+func (c *Controller) start(now time.Time) *Envelope {
+	return &Envelope{Kind: KindStart, Start: &Start{RunOffsetMs: int64(c.at(now))}}
 }
-
-// now is the current time on the run clock (at).
-func (c *Controller) now() stream.Time { return c.at(time.Now()) }
 
 // at is wall time t on the run clock: zero before Run begins, so a query
 // submitted before Run opens at time zero and warms up from the run epoch.
@@ -480,102 +582,77 @@ func (c *Controller) at(t time.Time) stream.Time {
 // Run starts all nodes, processes reports for the given wall-clock
 // duration (samples are recorded after warmup), stops the nodes and
 // returns the per-query mean SIC plus fairness metrics. A node failing
-// mid-run — connection error, failed write or missed heartbeat —
-// triggers recovery: its fragments are re-placed over the surviving
-// membership, peers are rewired, and the affected queries' SIC sampling
-// restarts at the recovery epoch, so their reported means describe the
-// post-recovery pipeline. Only an unrecoverable failure (not enough
-// survivors to host a query's fragments on distinct nodes) aborts the
-// run.
-//
-// Run's goroutine is the only one that changes controller state in
-// response to hosts: it applies every event the read loops decode
-// (handle) and runs every interval step (tick), one at a time.
+// mid-run triggers recovery (handleFailure); only an unrecoverable
+// failure (not enough survivors to host a query's fragments on distinct
+// nodes) aborts the run. Run's step begins the run on the controller
+// loop, which runs it to its end and shuts down; Run waits for that. A
+// verb called during the stop handshake waits for it and is refused, as
+// is any once Run returns.
 func (c *Controller) Run(duration, warmup time.Duration) (*NetResults, error) {
-	c.mu.Lock()
-	// Set the epoch where running is set: a concurrent Submit reads it
-	// under c.mu, and an AddNode that sees running starts its node at the
-	// run's offset.
-	c.epoch = time.Now()
+	if err := c.do(func(now time.Time) error { return c.begin(now, duration, warmup) }); err != nil {
+		return nil, err
+	}
+	<-c.closed
+	if c.runErr != nil {
+		return nil, c.runErr
+	}
+	return c.results(), nil
+}
+
+// begin is Run's step: the run clock starts at now, every node counts as
+// heard from now, and every live node gets its Start. A Start that
+// cannot be written aborts the run, as does a failure a verb met before.
+func (c *Controller) begin(now time.Time, duration, warmup time.Duration) error {
+	if !c.epoch.IsZero() {
+		return errors.New("transport: the run has begun already")
+	}
+	c.epoch, c.runFor, c.warmup = now, duration, stream.Duration(warmup.Milliseconds())
 	for i := range c.lastSeen {
-		c.lastSeen[i] = c.epoch
+		c.lastSeen[i] = now
 	}
-	c.running = true
-	conns := append([]*conn(nil), c.nodes...)
-	c.mu.Unlock()
-	for _, n := range conns {
-		if err := n.send(c.start()); err != nil {
-			c.CloseAll()
-			return nil, err
+	for i, n := range c.nodes {
+		if c.abort == nil && c.plane.Alive(stream.NodeID(i)) {
+			c.abort = n.send(c.start(now))
 		}
 	}
+	return c.abort
+}
 
-	ticker := time.NewTicker(time.Duration(c.hello.IntervalMs) * time.Millisecond)
-	defer ticker.Stop()
-	deadline := time.After(duration)
-	warm := stream.Duration(warmup.Milliseconds())
-	for over := false; !over; {
-		var err error
-		select {
-		case <-deadline:
-			// Failures that raced the deadline are still handled: a
-			// recoverable one re-places fragments (the summary then reflects
-			// the recovery), an unrecoverable one aborts rather than folding
-			// a dead node's absence into a successful-looking summary.
-			err, over = c.drain(), true
-		case ev := <-c.events:
-			err = c.handle(ev)
-		case <-ticker.C:
-			err = c.tick(warm)
-		}
-		if err != nil {
-			c.Shutdown()
-			c.wg.Wait()
-			return nil, fmt.Errorf("transport: run aborted: %w", err)
-		}
-	}
-
-	// Stop handshake: announce stop, then wait for every surviving
-	// node's final stats frame (or a timeout) before tearing connections
-	// down, so the summary deterministically includes all node counters.
-	for _, n := range c.conns() {
-		n.send(&Envelope{Kind: KindStop})
-	}
-	stopDeadline := time.After(stopTimeout)
-wait:
+// stop is the stop handshake that ends a run: announce stop, then wait
+// for every surviving node's final stats frame (or a timeout), so the
+// summary includes all node counters.
+func (c *Controller) stop() {
+	c.sendStops()
+	deadline := time.After(stopTimeout)
 	for c.awaitingStats() {
 		select {
 		case ev := <-c.events:
 			if ev.err == nil { // a connection ending now is teardown
-				c.handle(ev)
+				c.step(func(now time.Time) { c.handle(now, ev) })
 			}
-		case <-stopDeadline:
-			break wait
+		case <-deadline:
+			return
+		case <-c.quit:
+			return
 		}
 	}
-	c.CloseAll()
-	c.wg.Wait()
-	return c.results(), nil
 }
 
-// handle applies one event from a node's connection. The error that
-// ended the connection is a node failure. A frame refreshes the node's
-// liveness at the moment it is applied, and applies only if the node
-// serves what it speaks for: a report only from the host of the query's
-// root, stamped with the same moment on the ledger; a checkpoint only
-// from the fragment's current host; and a node's first stats frame only.
-func (c *Controller) handle(ev event) error {
+// handle applies one event from a node's connection at now. The error
+// that ended the connection is a node failure. A frame refreshes the
+// node's liveness, and applies only if the node serves what it speaks
+// for: a report only from the host of the query's root, stamped with now
+// on the ledger; a checkpoint only from the fragment's current host; and
+// a node's first stats frame only.
+func (c *Controller) handle(now time.Time, ev event) error {
 	if ev.err != nil {
 		err := ev.err
 		if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 			err = fmt.Errorf("connection closed: %w", err)
 		}
-		return c.handleFailure(ev.node, err)
+		return c.handleFailure(now, ev.node, err)
 	}
-	now := time.Now()
 	e := ev.env
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.lastSeen[ev.node] = now
 	switch e.Kind {
 	case KindReport:
@@ -596,67 +673,61 @@ func (c *Controller) handle(ev event) error {
 	return nil
 }
 
-// drain applies every event already queued. Only Run's goroutine
+// drain applies every event already queued, at now. Only the loop
 // receives from c.events, so a non-empty queue never blocks the receive.
-func (c *Controller) drain() error {
+func (c *Controller) drain(now time.Time) error {
 	for len(c.events) > 0 {
-		if err := c.handle(<-c.events); err != nil {
+		if err := c.handle(now, <-c.events); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// tick is Run's interval step. It applies every queued event first —
+// tick is the run's interval step. It applies every queued event first —
 // frames waiting behind a slow recovery are not silence — then fails the
 // nodes silent past the heartbeat timeout, and broadcasts every live
 // query's result SIC to its hosts, sampling it after warmup. A host
 // whose SIC write fails is failed too.
-func (c *Controller) tick(warmup stream.Duration) error {
-	if err := c.drain(); err != nil {
+func (c *Controller) tick(now time.Time, warmup stream.Duration) error {
+	if err := c.drain(now); err != nil {
 		return err
 	}
-	for _, i := range c.silent(time.Now()) {
-		if err := c.handleFailure(i, errMissedHeartbeat); err != nil {
+	for _, i := range c.silent(now) {
+		if err := c.handleFailure(now, i, errMissedHeartbeat); err != nil {
 			return err
 		}
 	}
-	now := c.now()
+	t := c.at(now)
 	// The ledger walks the live queries in ascending id; every query's
 	// update to the same host is coalesced into one vectored write — at
 	// 48 queries over 24 nodes this interval costs one syscall per host,
 	// not one per (query, host) pair.
-	var sent []*SICMsg
-	c.mu.Lock()
-	conns := c.liveConnsLocked()
-	perNode := make([][]*Envelope, len(conns))
-	c.ledger.Tick(now, warmup, func(q stream.QueryID, v float64) int {
+	perNode := make([][]*Envelope, len(c.nodes))
+	c.ledger.Tick(t, warmup, func(q stream.QueryID, v float64) int {
+		if c.sicFn != nil {
+			c.sicFn(q, t, v)
+		}
 		m := &SICMsg{Query: q, Value: v}
-		sent = append(sent, m)
 		hosts := c.plane.Query(q).Placement
 		for _, ni := range hosts {
-			if conns[ni] != nil {
+			if c.plane.Alive(ni) {
 				perNode[ni] = append(perNode[ni], &Envelope{Kind: KindSIC, SIC: m})
 			}
 		}
 		return len(hosts)
 	})
-	c.mu.Unlock()
-	// The user's callback and the network writes happen outside c.mu.
-	if c.sicFn != nil {
-		for _, m := range sent {
-			c.sicFn(m.Query, now, m.Value)
-		}
-	}
 	for ni, es := range perNode {
 		if len(es) == 0 {
 			continue
 		}
 		// A write deadline expiry or a broken conn is a failure like a
 		// read error: the node's fragments are re-placed instead of
-		// silently starving of SIC updates.
-		if err := conns[ni].sendMany(es); err != nil {
-			if err := c.handleFailure(ni, err); err != nil {
+		// silently starving of SIC updates. The failure is stamped with
+		// the clock read now: the write may have blocked for a whole
+		// write timeout, which made the step's own time stale.
+		if err := c.nodes[ni].sendMany(es); err != nil {
+			if err := c.handleFailure(time.Now(), ni, err); err != nil {
 				return err
 			}
 		}
@@ -677,8 +748,6 @@ func (c *Controller) silent(now time.Time) []int {
 		return nil
 	}
 	cutoff := now.Add(-c.hbTimeout)
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var late []int
 	for i, seen := range c.lastSeen {
 		if c.plane.Alive(stream.NodeID(i)) && seen.Before(cutoff) {
@@ -688,150 +757,96 @@ func (c *Controller) silent(now time.Time) []int {
 	return late
 }
 
-// handleFailure processes one detected node death on Run's goroutine,
-// from any of its three sources: a read error (handle), a failed SIC
-// write or heartbeat silence (tick). It returns nil when the membership
-// absorbed the failure (fragments re-placed, peers rewired) and an error
-// when the run cannot continue. A failure of an already-dead node is
-// ignored — the sources overlap, and closing the dead node's connection
-// ends its read loop with one more error.
-func (c *Controller) handleFailure(idx int, cause error) error {
-	c.mu.Lock()
+// handleFailure processes one node death detected at now: a read error
+// (handle), a failed SIC write or silence (tick), or a failed deploy
+// write (submit). It returns an error only when the run cannot continue.
+// A failure of an already-dead node is ignored — the sources overlap, and
+// closing the dead node's connection ends its read loop with one more
+// error.
+func (c *Controller) handleFailure(now time.Time, idx int, cause error) error {
 	// The plane drops the node from the membership and clears its share
 	// groups; the queries it names get their displaced fragments re-keyed
 	// under a fresh recovery pin below.
 	affected, ok := c.plane.Fail(stream.NodeID(idx))
 	if !ok {
-		c.mu.Unlock()
 		return nil
 	}
-	deadAddr := c.addrs[idx]
-	cn := c.nodes[idx]
+	c.nodes[idx].Close() // sever, so a half-dead node stops feeding us reports
 	c.shareEpoch++
-	pin := c.shareEpoch
-	c.mu.Unlock()
-	cn.Close() // sever, so a half-dead node stops feeding us reports
 	start := time.Now()
 	restored := len(affected) > 0
 	for _, q := range affected {
-		warm, err := c.replaceFragments(q, pin)
+		warm, err := c.replaceFragments(q, c.shareEpoch)
 		if err != nil {
-			return fmt.Errorf("node %s: %v: %w", deadAddr, cause, err)
+			return fmt.Errorf("node %s: %v: %w", c.addrs[idx], cause, err)
 		}
 		restored = restored && warm
 	}
-	ev := RecoveryEvent{
-		Node: deadAddr, At: time.Since(c.epoch), Queries: affected,
+	c.recoveries = append(c.recoveries, RecoveryEvent{
+		Node: c.addrs[idx], At: time.Duration(c.at(now)) * time.Millisecond, Queries: affected,
 		Took: time.Since(start), Restored: restored,
-	}
-	c.mu.Lock()
-	c.recoveries = append(c.recoveries, ev)
+	})
 	// Re-placement may have turned riders into private executors (or new
 	// primaries into attach targets); restore the emit invariant over the
 	// surviving topology.
-	flips := c.plane.Sweep()
-	conns := c.liveConnsLocked()
-	c.mu.Unlock()
-	sendEmitFlips(conns, flips)
+	c.sendEmitFlips(c.plane.Sweep())
 	return nil
 }
 
 // replaceFragments re-places query q's fragments that were hosted on the
 // dead node: the plane picks replacement hosts (DESIGN.md §7) and settles
 // their share terms under the recovery pin, the displaced fragments are
-// re-deployed there — each host re-plans the travelling CQL text
-// deterministically, so the new host derives the exact fragment the dead
-// one ran — and every surviving host is rewired to the new peer map.
-// Unless the plane's verdict is warm, the query's SIC accounting resets
-// at this recovery epoch (Ledger.ResetEpoch), so the reported mean
-// describes the post-recovery pipeline instead of blending two
-// incomparable regimes.
+// re-deployed there — each host re-plans the travelling CQL text, so the
+// new host derives the exact fragment the dead one ran — and every
+// surviving host is rewired to the new peer map.
 func (c *Controller) replaceFragments(q stream.QueryID, pin int64) (restored bool, err error) {
-	c.mu.Lock()
-	cq := c.plane.Query(q)
-	if cq == nil {
-		// The query was retracted between failure detection and this
-		// re-placement — nothing left to recover. Not an error: retract
-		// racing recovery is a legal interleaving and whichever side
-		// runs second stands down.
-		c.mu.Unlock()
-		return true, nil
-	}
 	// With a blob banked for every displaced fragment the plane's verdict
-	// is warm and its commands carry the state to restore: the blobs ship
-	// to the new hosts after their deploys below, and the query's SIC
-	// accounting carries straight through the failure — no recovery epoch.
-	// A node-side restore failure (stale or corrupt blob) degrades that
-	// query's dip to roughly the cold one; the blob's checksum and plan
-	// tags make the failure clean either way.
+	// is warm and its commands carry the state to restore, which ships
+	// after each deploy; the query's SIC accounting then carries straight
+	// through the failure. A stale or corrupt blob fails cleanly on the
+	// node, which refills instead. Otherwise the accounting resets at this
+	// recovery epoch (Ledger.ResetEpoch), so the reported mean describes
+	// the post-recovery pipeline instead of blending two regimes.
 	cmds, warm, err := c.plane.Replace(q, pin)
 	if err != nil {
-		c.mu.Unlock()
 		return false, fmt.Errorf("transport: %w", err)
 	}
-	peers := c.peersLocked(cq.Placement)
-	frames := make([]Deploy, len(cmds))
-	restores := make([]*RestoreStateMsg, len(cmds))
-	for i, cmd := range cmds {
-		frames[i] = c.frameLocked(cmd, peers)
-		if cmd.Restore != nil {
-			// Copied under the lock: the bank reuses its buffers, and the
-			// send below happens outside it.
-			restores[i] = &RestoreStateMsg{Query: q, Frag: stream.FragID(cmd.Frag), State: append([]byte(nil), cmd.Restore...)}
-		}
-	}
 	if !warm {
-		// Recovery epoch: wipe pre-failure SIC state so post-recovery
-		// values are measured cleanly.
 		c.ledger.ResetEpoch(q)
 	}
-	conns := c.liveConnsLocked()
-	placement := append([]stream.NodeID(nil), cq.Placement...)
-	c.mu.Unlock()
-
+	placement := c.plane.Query(q).Placement
+	peers := c.peers(placement)
 	// Re-deploy the displaced fragments. Their hosts already tick: every
-	// member, spares included, got its Start from Run or AddNode.
-	for i, cmd := range cmds {
-		cn := conns[cmd.Node]
-		if err := cn.send(&Envelope{Kind: KindDeploy, Deploy: &frames[i]}); err != nil {
+	// member, spares included, got its Start from begin or join.
+	for _, cmd := range cmds {
+		cn := c.nodes[cmd.Node]
+		d := c.frame(cmd, peers)
+		if err := cn.send(&Envelope{Kind: KindDeploy, Deploy: &d}); err != nil {
 			return false, fmt.Errorf("transport: re-deploy fragment %d on %s: %w", cmd.Frag, peers[stream.FragID(cmd.Frag)], err)
 		}
-		if restores[i] != nil {
+		if cmd.Restore != nil {
 			// Per-connection sends are ordered, so the restore lands
 			// after the deploy that builds its target executor. Attaching
 			// fragments get no blob — the live instance is their state.
-			cn.send(&Envelope{Kind: KindRestoreState, Restore: restores[i]})
+			cn.send(&Envelope{Kind: KindRestoreState, Restore: &RestoreStateMsg{Query: q, Frag: stream.FragID(cmd.Frag), State: cmd.Restore}})
 		}
 	}
 	// Rewire every surviving host of the query. The new hosts' deploys
 	// already carried the updated peer map; the redundant rewire is
 	// harmless and keeps the fan-out simple.
 	for _, ni := range placement {
-		if cn := conns[ni]; cn != nil {
-			cn.send(&Envelope{Kind: KindRewire, Rewire: &Rewire{Query: q, Peers: peers}})
-		}
-	}
-	// A retract that slipped in while the re-deploys were on the wire
-	// would leave the fresh fragments as zombies on their new hosts:
-	// per-connection sends are ordered, so a retract issued now is
-	// guaranteed to land after the deploys above and undo them.
-	c.mu.Lock()
-	stillDeployed := c.plane.Query(q) != nil
-	c.mu.Unlock()
-	if !stillDeployed {
-		for _, ni := range placement {
-			if cn := conns[ni]; cn != nil {
-				cn.send(&Envelope{Kind: KindRetract, Retract: &Retract{Query: q}})
-			}
+		if c.plane.Alive(ni) {
+			c.nodes[ni].send(&Envelope{Kind: KindRewire, Rewire: &Rewire{Query: q, Peers: peers}})
 		}
 	}
 	return warm, nil
 }
 
 // readLoop decodes node idx's frames and offers each control frame to
-// Run, then the error that ends the connection. It touches no controller
-// state, and once CloseAll runs it offers nothing more. Batches are never
-// routed through the controller and are dropped here.
+// the controller loop, then the error that ends the connection. It
+// touches no controller state, and once quit closes it offers nothing
+// more. Batches are never routed through the controller and are dropped
+// here.
 func (c *Controller) readLoop(idx int, n *conn) {
 	defer c.wg.Done()
 	fr := newFrameReader(n.c)
@@ -842,7 +857,7 @@ func (c *Controller) readLoop(idx int, n *conn) {
 		}
 		select {
 		case c.events <- event{idx, e, err}:
-		case <-c.closed:
+		case <-c.quit:
 			return
 		}
 		if err != nil {
@@ -853,8 +868,6 @@ func (c *Controller) readLoop(idx int, n *conn) {
 
 // awaitingStats reports whether a live node's stats frame is still due.
 func (c *Controller) awaitingStats() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for i, st := range c.stats {
 		if st == nil && c.plane.Alive(stream.NodeID(i)) {
 			return true
@@ -864,7 +877,6 @@ func (c *Controller) awaitingStats() bool {
 }
 
 // hosts reports whether node idx currently hosts fragment f of query q.
-// The caller holds c.mu.
 func (c *Controller) hosts(idx int, q stream.QueryID, f int) bool {
 	cq := c.plane.Query(q)
 	return cq != nil && f >= 0 && f < len(cq.Placement) && cq.Placement[f] == stream.NodeID(idx)
@@ -889,8 +901,6 @@ type NetResults struct {
 }
 
 func (c *Controller) results() *NetResults {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	// Retracted queries report the mean frozen at retract time; fairness
 	// metrics cover the whole workload the run served, live or departed.
 	sum := c.ledger.Summary()

@@ -343,35 +343,32 @@ func servedBlob(q, f int) []byte { return []byte{byte(q), byte(f), 0xcc} }
 // servedStats is node 0's stats frame, applied before the fuzzed frame.
 var servedStats = StatsMsg{Node: "n0", ArrivedTuples: 7}
 
-// servedController builds FuzzControllerFrame's two-node controller on
-// peers: servedPlacements submitted, every fragment's servedBlob banked
-// from its host and node 0's servedStats in, all through handle.
+// servedController builds FuzzControllerFrame's two-node stepped
+// controller on peers: servedPlacements submitted, every fragment's
+// servedBlob banked from its host and node 0's servedStats in, all
+// through handle.
 func servedController(t *testing.T, peers []string) *Controller {
-	ctrl, err := NewController(ControllerConfig{Seed: 1}, peers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(ctrl.CloseAll)
+	ctrl := steppedController(t, ControllerConfig{Seed: 1}, peers)
 	for q, at := range servedPlacements {
-		if _, err := ctrl.Submit(avgAllCQL, len(at), 1, 20, 4, at); err != nil {
+		if _, err := ctrl.submit(time.Now(), avgAllCQL, len(at), 1, 20, 4, at); err != nil {
 			t.Fatal(err)
 		}
 		for f, host := range at {
 			ck := &CheckpointMsg{Query: stream.QueryID(q), Frag: stream.FragID(f), Tick: 1, State: servedBlob(q, f)}
-			ctrl.handle(event{node: host, env: &Envelope{Kind: KindCheckpoint, Checkpoint: ck}})
+			ctrl.handle(time.Now(), event{node: host, env: &Envelope{Kind: KindCheckpoint, Checkpoint: ck}})
 			if !bytes.Equal(ctrl.plane.Checkpointed(stream.QueryID(q), f), servedBlob(q, f)) {
 				t.Fatalf("query %d fragment %d: its host's checkpoint was not banked", q, f)
 			}
 		}
 	}
 	st := servedStats
-	ctrl.handle(event{node: 0, env: &Envelope{Kind: KindStats, Stats: &st}})
+	ctrl.handle(time.Now(), event{node: 0, env: &Envelope{Kind: KindStats, Stats: &st}})
 	return ctrl
 }
 
 // FuzzControllerFrame applies arbitrary JSON control frames with
 // Controller.handle, as node 0 or node 1 of servedController, the way
-// Run applies what a read loop decodes. Nothing a host can put in a
+// the controller loop applies what a read loop decodes. Nothing a host can put in a
 // frame may panic the controller, leave a query's measured result SIC
 // non-finite or outside [0, coordinator.MaxResultMass], or change a
 // measurement, banked checkpoint or stats record the sending node does
@@ -403,11 +400,9 @@ func FuzzControllerFrame(f *testing.F) {
 		}
 		ctrl := servedController(t, peers)
 		node := int(from % 2)
-		if err := ctrl.handle(event{node: node, env: &e}); err != nil {
+		if err := ctrl.handle(time.Now(), event{node: node, env: &e}); err != nil {
 			t.Fatalf("a frame failed the controller: %v", err)
 		}
-		ctrl.mu.Lock()
-		defer ctrl.mu.Unlock()
 		for q, at := range servedPlacements {
 			id := stream.QueryID(q)
 			m := ctrl.ledger.Measured(id, 0)

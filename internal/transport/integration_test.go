@@ -42,6 +42,26 @@ func startNodes(t *testing.T, n int, capacity float64) ([]string, []*NodeServer)
 	return addrs, srvs
 }
 
+// steppedController builds a controller over addrs whose loop does not
+// run: the test is the controller loop, calling the step methods itself,
+// and cleanup tears the controller down as the loop would.
+func steppedController(t testing.TB, cfg ControllerConfig, addrs []string) *Controller {
+	t.Helper()
+	c, err := newController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.shutdown)
+	for _, addr := range addrs {
+		cn, err := dial(addr, c.hello, defaultWriteTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.join(time.Now(), addr, cn)
+	}
+	return c
+}
+
 // TestDistributedCQLEndToEnd deploys a three-fragment CQL query across
 // three live TCP node servers and checks its per-query SIC against the
 // virtual-time engine running the identical plan. Both federations are

@@ -1,12 +1,16 @@
 package transport
 
 import (
+	"errors"
 	"math"
+	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/control"
 	"repro/internal/federation"
 	"repro/internal/stream"
 )
@@ -85,7 +89,7 @@ func TestLiveQueryChurnEndToEnd(t *testing.T) {
 	// that does not ascend starts a new tick, so an ordered run shows one
 	// ascending sequence per tick — at most 12 s / 100 ms of them — where a
 	// map-ordered walk over two or three queries would show half as many
-	// again. The callback runs on Run's goroutine; plain variables are safe.
+	// again. The callback runs on the controller loop; plain variables are safe.
 	lastQ, sicRuns, sicCalls := stream.QueryID(-1), 0, 0
 	ctrl.OnSIC(func(q stream.QueryID, _ stream.Time, _ float64) {
 		if q <= lastQ || sicCalls == 0 {
@@ -336,8 +340,7 @@ func TestRetractRacesRecovery(t *testing.T) {
 	}
 	ctrl.mu.Unlock()
 	// No surviving host may still run a fragment of the retracted query
-	// — including one handed a recovery re-deploy that lost the race
-	// (the controller follows up with an undo retract).
+	// — including one handed a recovery re-deploy before the retract.
 	deadline := time.Now().Add(3 * time.Second)
 	for {
 		var zombies int
@@ -444,8 +447,8 @@ func TestRetractFreesControllerState(t *testing.T) {
 
 // TestSubmitRacesRunStart: a Submit made while Run starts — as a
 // submit scheduled at offset 0 of a run makes it — reads the run epoch
-// under c.mu, so Run must set the epoch under c.mu too. The race
-// detector catches the unsynchronised write if it does not.
+// that Run's first step sets. Both are steps of the controller loop; the
+// race detector catches an access from any other goroutine.
 func TestSubmitRacesRunStart(t *testing.T) {
 	addrs, _ := startNodes(t, 1, 1000)
 	ctrl, err := NewController(ControllerConfig{STW: 2 * stream.Second, Interval: 50 * stream.Millisecond, Seed: 1}, addrs)
@@ -463,5 +466,235 @@ func TestSubmitRacesRunStart(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// recordingPeer listens on loopback as a host that records every control
+// frame it is sent and answers none. frames returns them once the
+// connection has closed.
+func recordingPeer(t *testing.T) (addr string, frames func() []*Envelope) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var got []*Envelope
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		fr := newFrameReader(nc)
+		for {
+			e, _, err := fr.next()
+			if err != nil {
+				return
+			}
+			if e != nil {
+				got = append(got, e)
+			}
+		}
+	}()
+	return ln.Addr().String(), func() []*Envelope { <-done; return got }
+}
+
+// TestRetractAndFailureAsSteps is the deterministic form of
+// TestRetractRacesRecovery: a retract and the failure of one of the
+// query's hosts are two steps of the controller loop, applied in either
+// order — the test is the loop. Either way both steps succeed, the
+// controller forgets the query, and every live host sees each deploy of
+// it followed by a retract: in the failure-first order that includes the
+// spare the recovery re-deployed the fragment to.
+func TestRetractAndFailureAsSteps(t *testing.T) {
+	for _, failFirst := range []bool{false, true} {
+		addrs := make([]string, 4)
+		frames := make([]func() []*Envelope, 4)
+		for i := range addrs {
+			addrs[i], frames[i] = recordingPeer(t)
+		}
+		ctrl := steppedController(t, ControllerConfig{Seed: 1}, addrs)
+		q, err := ctrl.submit(time.Now(), avgAllCQL, 2, 1, 20, 4, []int{0, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps := []func() error{
+			func() error { return ctrl.retract(q) },
+			func() error { return ctrl.handleFailure(time.Now(), 0, errMissedHeartbeat) },
+		}
+		order := "retract, then fail"
+		if failFirst {
+			steps[0], steps[1] = steps[1], steps[0]
+			order = "fail, then retract"
+		}
+		for _, step := range steps {
+			if err := step(); err != nil {
+				t.Fatalf("%s: %v", order, err)
+			}
+		}
+		if ctrl.plane.Query(q) != nil || ctrl.ledger.Live(q) {
+			t.Errorf("%s: the controller still runs query %d", order, q)
+		}
+		if _, ok := ctrl.deps[q]; ok {
+			t.Errorf("%s: query %d still has a deploy record", order, q)
+		}
+		var moved []stream.QueryID
+		if failFirst {
+			moved = []stream.QueryID{q}
+		}
+		if len(ctrl.recoveries) != 1 || !slices.Equal(ctrl.recoveries[0].Queries, moved) {
+			t.Fatalf("%s: recoveries %+v, want one re-placing %v", order, ctrl.recoveries, moved)
+		}
+		for _, n := range ctrl.nodes {
+			n.Close()
+		}
+		spareDeploys := 0
+		for i, f := range frames {
+			if !ctrl.plane.Alive(stream.NodeID(i)) {
+				continue
+			}
+			deployed := false
+			for _, e := range f() {
+				switch {
+				case e.Kind == KindDeploy && e.Deploy != nil && e.Deploy.Query == q:
+					deployed = true
+					if i > 1 {
+						spareDeploys++
+					}
+				case e.Kind == KindRetract && e.Retract != nil && e.Retract.Query == q:
+					deployed = false
+				}
+			}
+			if deployed {
+				t.Errorf("%s: node %d is left with a deploy of query %d that no retract follows", order, i, q)
+			}
+		}
+		if failFirst != (spareDeploys == 1) {
+			t.Errorf("%s: %d deploys to a spare", order, spareDeploys)
+		}
+	}
+}
+
+// TestSubmitToUnwritableHostReplacesIt: a host whose deploy write fails
+// is failed like one whose SIC write fails, and its fragment moves to the
+// spare before the submit returns. The submit succeeds, and the query's
+// placement names only live hosts — no query is left half-deployed,
+// counted in the results but placed on a host that never got its
+// fragment.
+func TestSubmitToUnwritableHostReplacesIt(t *testing.T) {
+	ctrl := steppedController(t, ControllerConfig{Seed: 1}, []string{silentPeer(t), silentPeer(t), silentPeer(t)})
+	ctrl.nodes[1].Close()
+	q, err := ctrl.submit(time.Now(), avgAllCQL, 2, 1, 20, 4, []int{0, 1})
+	if err != nil {
+		t.Fatalf("submit with a closed host connection and a spare: %v", err)
+	}
+	if ctrl.plane.Alive(1) {
+		t.Error("the host whose deploy write failed is still a member")
+	}
+	for f, ni := range ctrl.plane.Query(q).Placement {
+		if !ctrl.plane.Alive(ni) {
+			t.Errorf("fragment %d of query %d placed on dead host %d", f, q, ni)
+		}
+	}
+	if len(ctrl.recoveries) != 1 || !slices.Equal(ctrl.recoveries[0].Queries, []stream.QueryID{q}) {
+		t.Errorf("recoveries %+v, want one re-placing query %d", ctrl.recoveries, q)
+	}
+}
+
+// TestUnplaceableSubmitAbortsRun: a submit whose failed deploy write
+// cannot be re-placed leaves its query on the dead host, so the run must
+// not begin — even after a later submit's failure is absorbed.
+func TestUnplaceableSubmitAbortsRun(t *testing.T) {
+	ctrl := steppedController(t, ControllerConfig{Seed: 1}, []string{silentPeer(t), silentPeer(t), silentPeer(t)})
+	ctrl.nodes[0].Close()
+	if _, err := ctrl.submit(time.Now(), avgAllCQL, 3, 1, 20, 4, []int{0, 1, 2}); !errors.Is(err, control.ErrUnplaceable) {
+		t.Fatalf("submit across three hosts, one unwritable, no spare: %v, want %v", err, control.ErrUnplaceable)
+	}
+	addr := silentPeer(t)
+	cn, err := dial(addr, ctrl.hello, defaultWriteTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spare := ctrl.join(time.Now(), addr, cn)
+	cn.Close()
+	if _, err := ctrl.submit(time.Now(), avgAllCQL, 1, 1, 20, 4, []int{spare}); err != nil {
+		t.Fatalf("submit to an unwritable host with two live ones left: %v", err)
+	}
+	if err := ctrl.begin(time.Now(), time.Second, 0); !errors.Is(err, control.ErrUnplaceable) {
+		t.Errorf("begin after an unplaceable submit: %v, want %v", err, control.ErrUnplaceable)
+	}
+}
+
+// TestClosedControllerReturnsAtOnce: once CloseAll has returned on a
+// controller that never ran, every exported method returns at once —
+// each verb with an error — and the controller's goroutines (its loop
+// and read loops) are gone.
+func TestClosedControllerReturnsAtOnce(t *testing.T) {
+	addrs, _ := startNodes(t, 2, 1000)
+	base := runtime.NumGoroutine()
+	ctrl, err := NewController(ControllerConfig{Seed: 1}, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := ctrl.Submit(avgCQL, 1, 1, 20, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.CloseAll()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ctrl.CloseAll()
+		if _, err := ctrl.AddNode(addrs[0]); err == nil {
+			t.Error("AddNode accepted")
+		}
+		if _, err := ctrl.Submit(avgCQL, 1, 1, 20, 4, nil); err == nil {
+			t.Error("Submit accepted")
+		}
+		if err := ctrl.Retract(q); err == nil {
+			t.Error("Retract accepted")
+		}
+		if _, err := ctrl.AutoPlace(1); err == nil {
+			t.Error("AutoPlace accepted")
+		}
+		if _, err := ctrl.Run(time.Second, 0); err == nil {
+			t.Error("Run accepted")
+		}
+		ctrl.OnSIC(func(stream.QueryID, stream.Time, float64) {})
+		ctrl.Shutdown()
+		if n := ctrl.NumNodes(); n != len(addrs) {
+			t.Errorf("NumNodes %d, want %d", n, len(addrs))
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("a method of a closed controller blocked")
+	}
+	// The hosts' read loops of the controller's connections end on EOF.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after CloseAll, %d before the controller", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// TestDefaultHeartbeatOutlastsWriteStall: a healthy host's loop stalls
+// for up to one write timeout on a peer that stopped reading and
+// beacons again within an interval after, so the default heartbeat
+// timeout must exceed both together, or the controller fails a live
+// host for silence.
+func TestDefaultHeartbeatOutlastsWriteStall(t *testing.T) {
+	for _, iv := range []stream.Duration{1, 50, 250, 1000, control.MaxInterval} {
+		c, err := newController(ControllerConfig{STW: iv, Interval: iv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stall := defaultWriteTimeout + time.Duration(iv)*time.Millisecond; c.hbTimeout <= stall {
+			t.Errorf("interval %d ms: default heartbeat timeout %v does not outlast a write stall and an interval, %v", iv, c.hbTimeout, stall)
+		}
 	}
 }

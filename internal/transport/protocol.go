@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/stream"
@@ -265,7 +264,7 @@ type StatsMsg struct {
 // Write-path timing defaults. Every frame write — control and batch —
 // carries a write deadline: a peer that accepts the connection but
 // stops reading must surface as a conn error within writeTimeout, not
-// wedge the sender under c.mu forever. Dials are bounded too, and a
+// wedge the sending loop forever. Dials are bounded too, and a
 // failed dial opens a cooldown window (see NodeServer.peerConn) so a
 // down peer fails fast instead of costing a full dial timeout per tick.
 const (
@@ -274,28 +273,20 @@ const (
 	defaultDialCooldown = 1 * time.Second
 )
 
-// conn wraps a TCP connection with synchronised frame writing. Every
-// write — control envelopes and encoded batches alike — goes out through
-// writeFrames.
+// conn wraps a TCP connection for frame writing. Every write — control
+// envelopes and encoded batches alike — goes out through writeFrames.
+// A conn has one writer, so its writes take no lock: the loop that owns
+// it (the controller loop, or a host loop), or dial before it hands the
+// conn over.
 type conn struct {
-	mu sync.Mutex
-	c  net.Conn
+	c net.Conn
 	// wt bounds every frame write; a deadline expiry surfaces as a
 	// net.Error with Timeout() true and feeds the evict/redial/dropped
 	// accounting paths. Zero disables deadlines (tests only).
 	wt time.Duration
 }
 
-func newConn(c net.Conn) *conn {
-	return newConnTimeout(c, defaultWriteTimeout)
-}
-
-func newConnTimeout(c net.Conn, wt time.Duration) *conn {
-	return &conn{c: c, wt: wt}
-}
-
-// send writes one control envelope as a JSON frame; safe for concurrent
-// use.
+// send writes one control envelope as a JSON frame.
 func (c *conn) send(e *Envelope) error {
 	return c.sendMany([]*Envelope{e})
 }
@@ -316,18 +307,17 @@ func (c *conn) sendMany(es []*Envelope) error {
 		}
 		bufs = append(bufs, appendFrame(make([]byte, 0, frameHeaderLen+len(p)), frameJSON, p))
 	}
-	return c.writeFrames(&bufs)
+	return c.writeFrames(&bufs, time.Now().Add(c.wt))
 }
 
 // writeFrames writes pre-encoded frames back-to-back with one vectored
-// write (writev on TCP) under a single write deadline; safe for
-// concurrent use. The buffers are consumed in place — bufs is a pointer
-// so the steady-state flush does not box a fresh slice header per call.
-func (c *conn) writeFrames(bufs *net.Buffers) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// write (writev on TCP) under the write deadline by — a host's flush
+// shares one across its peers. The buffers are consumed in place — bufs
+// is a pointer so the steady-state flush does not box a fresh slice
+// header per call.
+func (c *conn) writeFrames(bufs *net.Buffers, by time.Time) error {
 	if c.wt > 0 {
-		c.c.SetWriteDeadline(time.Now().Add(c.wt))
+		c.c.SetWriteDeadline(by)
 	}
 	_, err := bufs.WriteTo(c.c)
 	return err
@@ -360,7 +350,7 @@ func dial(addr string, hello Hello, wt time.Duration) (*conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	c := newConnTimeout(nc, wt)
+	c := &conn{c: nc, wt: wt}
 	if err := c.send(&Envelope{Kind: KindHello, Hello: &hello}); err != nil {
 		nc.Close()
 		return nil, err

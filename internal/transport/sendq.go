@@ -1,23 +1,16 @@
 package transport
 
-// Per-peer send queues: the write half of the wire saturation work.
-//
-// Before this file existed, every derived batch crossing node boundaries
-// paid one frame write plus one bufio flush — one syscall per batch per
-// tick — and a peer that accepted the TCP connection but stopped reading
-// could wedge the sender forever (no deadline anywhere on the write
-// path). The outbox drain now *encodes* instead of *sending*: each frame
-// is serialised into a pooled buffer and appended to the destination
-// peer's bounded queue, and once the whole tick has drained, flushPeers
-// writes each queue with a single vectored write (net.Buffers → writev)
-// under one write deadline. An overloaded tick costs one syscall per
-// peer, not one per batch.
-//
-// Back-pressure is explicit and bounded: a queue holds at most
-// maxQueueFrames frames / maxQueueBytes bytes, and overflow drops the
-// batch with its tuples and SIC mass accounted in the node's dropped
-// counters — pre-credited SIC mass must never vanish silently, and a
-// stalled peer must never grow unbounded memory on its senders.
+// Per-peer send queues. The outbox drain encodes each frame into a
+// pooled buffer and appends it to its destination peer's bounded queue
+// instead of sending it; once the whole tick has drained, flushPeers
+// writes each queue with one vectored write (net.Buffers → writev) under
+// the flush's write deadline, so an overloaded tick costs one syscall
+// per peer, not one per batch, and a peer that stopped reading stalls
+// the host for at most one write timeout. A queue holds at most
+// maxQueueFrames frames / maxQueueBytes bytes; overflow drops the batch
+// with its tuples and pre-credited SIC mass counted in the node's
+// dropped counters, so a stalled peer neither grows its senders' memory
+// nor makes SIC mass vanish silently.
 
 import "net"
 

@@ -145,6 +145,54 @@ func TestStalledPeerBoundedDrain(t *testing.T) {
 	}
 }
 
+// TestWedgedPeersShareOneWriteTimeout: two peers that stopped reading
+// stall a host's flush for one write timeout together, not one each, so
+// its heartbeat leaves within the controller's default heartbeat floor
+// however many peers a partition wedges. The first wedged peer takes the
+// whole timeout and is evicted; the second's frames are dropped without
+// a write, its conn kept, and the next flush writes it and evicts it.
+func TestWedgedPeersShareOneWriteTimeout(t *testing.T) {
+	const wt = 300 * time.Millisecond
+	s := queuedServer(t, newBlackholePeer(t).ln.Addr().String(), wt, time.Minute)
+	s.peers[peerKey{2, 2}] = newBlackholePeer(t).ln.Addr().String()
+	nc, err := net.Dial("tcp", silentPeer(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ctrl = &conn{c: nc, wt: wt}
+	defer nc.Close()
+	addrs := []string{s.peers[peerKey{1, 2}], s.peers[peerKey{2, 2}]}
+	for _, addr := range addrs {
+		cn, err := s.peerConn(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillSendBuffer(cn)
+	}
+	slices.Sort(addrs)
+	for flush, evicted := range [][]string{{addrs[0]}, addrs} {
+		s.routeDownstream(queryBatch(1, 64))
+		s.routeDownstream(queryBatch(2, 64))
+		s.queueCtrl(&Envelope{Kind: KindHeartbeat})
+		start := time.Now()
+		s.flushPeers()
+		if d := time.Since(start); d >= wt+wt/2 {
+			t.Errorf("flush %d with two wedged peers took %v, want one write timeout (%v)", flush, d, wt)
+		}
+		if s.ctrlQ.flushes != flush+1 {
+			t.Errorf("flush %d: %d controller writes, want %d", flush, s.ctrlQ.flushes, flush+1)
+		}
+		for _, addr := range addrs {
+			if _, open := s.outs[addr]; open == slices.Contains(evicted, addr) {
+				t.Errorf("flush %d: conn to %s open %v, want evicted %v", flush, addr, open, evicted)
+			}
+		}
+		if got := s.nd.Stats().DroppedBatches; got != int64(2*(flush+1)) {
+			t.Errorf("flush %d: %d batches dropped, want %d", flush, got, 2*(flush+1))
+		}
+	}
+}
+
 // TestWedgedPeerStallsOnlyItsSender is the host twin of
 // TestWedgedHostFailsAlone. Host H ships one query's batches to a peer
 // that accepts and never reads; every connection H dials to it is filled
@@ -222,16 +270,18 @@ func TestWedgedPeerStallsOnlyItsSender(t *testing.T) {
 			now := time.Now()
 			peak = max(peak, len(h.events))
 			// A stalled step holds the lock; the queue depth and the
-			// growing tick gap are sampled all the same.
+			// growing tick gap are sampled all the same. A new connection
+			// to the peer is filled between H's steps, so H's loop, its
+			// one writer, writes nothing to it meanwhile.
 			if h.mu.TryLock() {
 				ticks, cn := h.ticks, h.outs[sinkAddr]
+				if cn != nil && !wedged[cn] {
+					wedged[cn] = true
+					fillSendBuffer(cn)
+				}
 				h.mu.Unlock()
 				if ticks != last {
 					last, moved = ticks, now
-				}
-				if cn != nil && !wedged[cn] {
-					wedged[cn] = true
-					go fillSendBuffer(cn)
 				}
 			}
 			longest = max(longest, now.Sub(moved))
@@ -328,7 +378,7 @@ func TestFullEventQueueWaitsInSocketBuffers(t *testing.T) {
 		frame := appendBatchFrame(nil, b)
 		b.Release()
 		for range batches {
-			if err := peer.writeFrames(&net.Buffers{frame}); err != nil {
+			if err := peer.writeFrames(&net.Buffers{frame}, time.Now().Add(peer.wt)); err != nil {
 				errs <- fmt.Errorf("peer write: %w", err)
 				return
 			}
@@ -668,7 +718,7 @@ func ctrlLink(t *testing.T) (*conn, *frameReader) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ctrlEnd.Close(); hostEnd.Close() })
-	return newConn(hostEnd), newFrameReader(ctrlEnd)
+	return &conn{c: hostEnd, wt: defaultWriteTimeout}, newFrameReader(ctrlEnd)
 }
 
 // TestHostReportsOnlyResults drives the host's own interval step, tick,

@@ -248,7 +248,7 @@ func (s *NodeServer) acceptLoop() {
 			return
 		}
 		select {
-		case s.events <- hostEvent{c: newConnTimeout(nc, s.wtimeout)}:
+		case s.events <- hostEvent{c: &conn{c: nc, wt: s.wtimeout}}:
 		case <-s.quit:
 			nc.Close()
 			return
@@ -827,27 +827,29 @@ func (s *NodeServer) queueFor(addr string) *peerQueue {
 // flushPeers writes every non-empty send queue — one vectored write per
 // destination — in deterministic address order, then flushes the
 // controller queue. Every queue is empty afterwards. Called once per
-// tick (and directly by tests).
+// tick (and directly by tests). The peer writes share one write timeout:
+// however many peers stopped reading, the heartbeat leaves after it.
 func (s *NodeServer) flushPeers() {
 	s.flushAddrs = s.flushAddrs[:0]
 	for addr := range s.wq {
 		s.flushAddrs = append(s.flushAddrs, addr)
 	}
 	slices.Sort(s.flushAddrs)
+	by := time.Now().Add(s.wtimeout)
 	for _, addr := range s.flushAddrs {
-		s.flushQueue(addr, s.wq[addr])
+		s.flushQueue(addr, s.wq[addr], by)
 	}
 	s.flushCtrl()
 }
 
-// flushQueue drains one peer's queue onto the wire. Undeliverable frames
-// are dropped with accounting; the encode buffers are recycled either
-// way.
-func (s *NodeServer) flushQueue(addr string, q *peerQueue) {
+// flushQueue drains one peer's queue onto the wire by the flush deadline
+// by. Undeliverable frames are dropped with accounting; the encode
+// buffers are recycled either way.
+func (s *NodeServer) flushQueue(addr string, q *peerQueue, by time.Time) {
 	if len(q.frames) == 0 {
 		return
 	}
-	if err := s.writeQueued(addr, q); err != nil {
+	if err := s.writeQueued(addr, q, by); err != nil {
 		s.logf("themis-node %s: flush %s: %v", s.Name, addr, err)
 		for i := range q.frames {
 			s.noteDropped(q.frames[i].tuples, q.frames[i].sic)
@@ -857,19 +859,23 @@ func (s *NodeServer) flushQueue(addr string, q *peerQueue) {
 }
 
 // writeQueued performs the vectored write for one queue, deciding the
-// failure policy by error kind. A deadline expiry means the peer
-// accepted but stopped reading: retrying immediately would eat another
-// full deadline mid-tick, so the conn is evicted and the address put in
-// cooldown until its next probe window. Any other error gets the classic
-// evict + one re-dial retry — a peer that restarted is reached again
-// without poisoning every future tick.
-func (s *NodeServer) writeQueued(addr string, q *peerQueue) error {
+// failure policy by error kind. A flush already past its deadline by
+// writes nothing and keeps the conn: the time went to other peers. A
+// deadline expiry means the peer accepted but stopped reading: retrying
+// immediately would eat another full deadline mid-tick, so the conn is
+// evicted and the address put in cooldown until its next probe window.
+// Any other error gets the classic evict + one re-dial retry — a peer
+// that restarted is reached again without poisoning every future tick.
+func (s *NodeServer) writeQueued(addr string, q *peerQueue, by time.Time) error {
+	if s.wtimeout > 0 && !time.Now().Before(by) {
+		return errors.New("transport: the flush spent its write timeout on other peers")
+	}
 	c, err := s.peerConn(addr)
 	if err != nil {
 		return err
 	}
 	q.flushes++
-	err = c.writeFrames(q.buffers())
+	err = c.writeFrames(q.buffers(), by)
 	if err == nil {
 		return nil
 	}
@@ -886,7 +892,7 @@ func (s *NodeServer) writeQueued(addr string, q *peerQueue) error {
 	q.flushes++
 	// WriteTo consumed the first attempt's buffer view; rebuild it from
 	// the queued frames.
-	if rerr := c.writeFrames(q.buffers()); rerr != nil {
+	if rerr := c.writeFrames(q.buffers(), by); rerr != nil {
 		s.dropPeerConn(addr, c)
 		return fmt.Errorf("%w (retry: %w)", err, rerr)
 	}
@@ -924,7 +930,7 @@ func (s *NodeServer) flushCtrl() {
 	}
 	if s.ctrl != nil && !s.quitting() {
 		s.ctrlQ.flushes++
-		if err := s.ctrl.writeFrames(s.ctrlQ.buffers()); err != nil {
+		if err := s.ctrl.writeFrames(s.ctrlQ.buffers(), time.Now().Add(s.wtimeout)); err != nil {
 			s.logf("themis-node %s: ctrl flush: %v", s.Name, err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/stream"
 )
@@ -250,12 +251,8 @@ func BenchmarkWireBatch(b *testing.B) {
 // still dropped rather than opening a ledger entry.
 func TestControllerToleratesOldReportShape(t *testing.T) {
 	addrs, _ := startNodes(t, 1, 1000)
-	ctrl, err := NewController(ControllerConfig{Seed: 1}, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.CloseAll()
-	q, err := ctrl.Submit("Select Avg(t.v) From Src[Range 1 sec]", 1, 1, 20, 4, nil)
+	ctrl := steppedController(t, ControllerConfig{Seed: 1}, addrs)
+	q, err := ctrl.submit(time.Now(), "Select Avg(t.v) From Src[Range 1 sec]", 1, 1, 20, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +264,6 @@ func TestControllerToleratesOldReportShape(t *testing.T) {
 		`{"kind":"report"}`,
 		`{"kind":"report","report":{"query":0,"result":0.25,"tuples":4}}`,
 	)
-	ctrl.mu.Lock()
-	defer ctrl.mu.Unlock()
 	if got := ctrl.ledger.Measured(q, 0); got != 0.25 {
 		t.Errorf("measured SIC %v after old-shape frames and one 0.25 result, want exactly 0.25", got)
 	}
@@ -277,8 +272,9 @@ func TestControllerToleratesOldReportShape(t *testing.T) {
 	}
 }
 
-// feedHandle decodes JSON control frames and applies each, as Run
-// applies what node idx's read loop decodes.
+// feedHandle decodes JSON control frames and applies each to a stepped
+// controller, as the controller loop applies what node idx's read loop
+// decodes.
 func feedHandle(t *testing.T, ctrl *Controller, idx int, frames ...string) {
 	t.Helper()
 	for _, frame := range frames {
@@ -286,7 +282,7 @@ func feedHandle(t *testing.T, ctrl *Controller, idx int, frames ...string) {
 		if err := json.Unmarshal([]byte(frame), &e); err != nil {
 			t.Fatal(err)
 		}
-		if err := ctrl.handle(event{node: idx, env: &e}); err != nil {
+		if err := ctrl.handle(time.Now(), event{node: idx, env: &e}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -327,18 +323,12 @@ func TestControllerAppliesOnlyServedFrames(t *testing.T) {
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			addrs, _ := startNodes(t, 2, 1000)
-			ctrl, err := NewController(ControllerConfig{Seed: 1}, addrs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ctrl.CloseAll()
-			q, err := ctrl.Submit("Select Avg(t.v) From Src[Range 1 sec]", 1, 1, 20, 4, []int{0})
+			ctrl := steppedController(t, ControllerConfig{Seed: 1}, addrs)
+			q, err := ctrl.submit(time.Now(), "Select Avg(t.v) From Src[Range 1 sec]", 1, 1, 20, 4, []int{0})
 			if err != nil {
 				t.Fatal(err)
 			}
 			feedHandle(t, ctrl, row.from, row.frames...)
-			ctrl.mu.Lock()
-			defer ctrl.mu.Unlock()
 			if got := row.got(ctrl, q); got != row.want {
 				t.Errorf("got %v, want %v", got, row.want)
 			}

@@ -29,7 +29,11 @@ func TestPaperFiguresPinned(t *testing.T) {
 		{"fig6", 0x4da47cd0d02ac88b, func() any { return Fig6(tiny, 1) }},
 		{"fig7", 0x62fd888145470cbc, func() any { return Fig7(tiny, 1) }},
 		{"fig8", 0xf91f7b315d5e2aff, func() any { return Fig8(tiny, 1) }},
+		{"fig9", 0x9fb0cf9771e83014, func() any { return Fig9(tiny, 1) }},
 		{"fig10", 0xc846c35e478df88e, func() any { return Fig10(tiny, 1) }},
+		{"fig11", 0x2c1e86a9345764a2, func() any { return Fig11(tiny, 1) }},
+		{"fig12", 0x0cca944dbf90ad62, func() any { return Fig12(tiny, 1) }},
+		{"fig13", 0x0702d1474f2c9b3c, func() any { return Fig13(tiny, 1) }},
 		{"fig14", 0xfd7e5a9e2b28dee5, func() any { return Fig14(tiny, 1) }},
 		{"sec75", 0xbb49a909a7c72328, func() any { return Sec75(tiny, 1) }},
 		{"stw", 0x7a839074f6177e23, func() any { return STW(tiny, 1) }},

@@ -178,7 +178,10 @@ func (l *Ledger) Samples(q stream.QueryID) []float64 {
 // Summary is what a run reports: the time-averaged measured result SIC
 // (Eq. 4) of every query the ledger ever opened — live or closed, a
 // closed one at the mean it froze with — in ascending id, and the
-// fairness aggregates over those means, as in Figs. 8-14.
+// fairness aggregates, as in Figs. 8-14. A query with no sample past its
+// warmup (say, one closed before its own epoch plus warmup) is listed
+// with mean 0, but the aggregates cover only the measured queries: it
+// was never measured, so it says nothing about how fairly SIC was shared.
 type Summary struct {
 	Queries         []stream.QueryID
 	Means           []float64
@@ -188,6 +191,7 @@ type Summary struct {
 // Summary assembles the current statistics.
 func (l *Ledger) Summary() Summary {
 	var s Summary
+	var measured []float64
 	for i := range l.entries {
 		e := &l.entries[i]
 		if !e.opened {
@@ -196,12 +200,13 @@ func (l *Ledger) Summary() Summary {
 		mean := 0.0
 		if e.n > 0 {
 			mean = e.sum / float64(e.n)
+			measured = append(measured, mean)
 		}
 		s.Queries = append(s.Queries, stream.QueryID(i))
 		s.Means = append(s.Means, mean)
 	}
-	s.Mean = metrics.Mean(s.Means)
-	s.Jain = metrics.Jain(s.Means)
-	s.Std = metrics.Std(s.Means)
+	s.Mean = metrics.Mean(measured)
+	s.Jain = metrics.Jain(measured)
+	s.Std = metrics.Std(measured)
 	return s
 }

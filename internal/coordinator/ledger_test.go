@@ -183,6 +183,35 @@ func TestLedgerCloseFreezes(t *testing.T) {
 	}
 }
 
+// TestUnmeasuredQueryLeavesFairnessAlone: a query closed before its
+// warmup ends has no sample. It is listed at mean 0, but the aggregates
+// cover the measured queries only, so one query measured at 0.8 beside
+// it reads Jain 1 and mean 0.8, not 0.5 and 0.4.
+func TestUnmeasuredQueryLeavesFairnessAlone(t *testing.T) {
+	const warmup = tSTW // the window is full at every sample
+	l := NewLedger(tSTW, tSlide, false)
+	l.Open(0, 0)
+	l.Open(1, 0)
+	for tick := 1; tick <= 20; tick++ {
+		now := stream.Time(tick) * stream.Time(tSlide)
+		if tick == 2 {
+			l.Close(1)
+		}
+		l.Result(0, now, 0.8*float64(tSlide)/float64(tSTW))
+		l.Tick(now, warmup, nil)
+	}
+	s := l.Summary()
+	if !reflect.DeepEqual(s.Queries, []stream.QueryID{0, 1}) || s.Means[1] != 0 {
+		t.Fatalf("summary lists %v at %v, want both queries, the unmeasured one at 0", s.Queries, s.Means)
+	}
+	if math.Abs(s.Means[0]-0.8) > 1e-9 {
+		t.Fatalf("measured query's mean %v, want 0.8", s.Means[0])
+	}
+	if s.Jain != 1 || s.Mean != s.Means[0] || s.Std != 0 {
+		t.Errorf("Jain %v, mean %v, std %v: want 1, %v, 0 — the unmeasured query counted", s.Jain, s.Mean, s.Std, s.Means[0])
+	}
+}
+
 // TestUpdateAccounting: the ledger totals dissemination traffic (§7.6)
 // from what each send reports, closed queries' share included.
 func TestUpdateAccounting(t *testing.T) {

@@ -1,9 +1,9 @@
 // Package lockorder defines an analyzer enforcing the global mutex
 // acquisition order established in PRs 1 and 5 (DESIGN.md §11): locks
 // are ranked, and while holding a lock of rank r only strictly
-// greater-ranked locks may be acquired. In particular the node/server
-// mutex (rank 20) must never be acquired while a connection's send lock
-// or the pool free-list lock is held.
+// greater-ranked locks may be acquired. In particular a loop's step
+// mutex (Controller.mu, rank 10; NodeServer.mu, rank 20) must never be
+// acquired while the plan cache's or a stream pool's lock is held.
 //
 // The check is intraprocedural with one level of in-package summaries:
 // each function's transitively-acquired rank set is computed by

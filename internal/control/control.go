@@ -14,7 +14,8 @@
 // engine's tick, the TCP controller's epoch counter — and plain command
 // values come out: per-fragment deploys, promotions, emit flips in
 // ascending (query, fragment) order. federation.Engine applies them to
-// *node.Node directly; transport.Controller turns them into frames under its lock.
+// *node.Node directly; transport.Controller's loop turns them into frames
+// and writes each host's frames once its step ends.
 // Because hosts decide attach-vs-host and promotion by the same
 // arrival-order rules, the plane's share index is an exact mirror of
 // every host's; the engine checks that equality on every command it

@@ -494,7 +494,7 @@ func TestQueuedFramesAreNotSilence(t *testing.T) {
 	stale := time.Now().Add(-time.Second)
 	ctrl.lastSeen[0], ctrl.lastSeen[1] = stale, stale
 	ctrl.events <- event{node: 0, env: &Envelope{Kind: KindHeartbeat}}
-	if err := ctrl.tick(time.Now(), 0); err != nil {
+	if err := ctrl.step(func(now time.Time) error { return ctrl.tick(now, 0) }); err != nil {
 		t.Fatal(err)
 	}
 	if !ctrl.plane.Alive(0) {
@@ -691,11 +691,11 @@ func TestReplacementMatchesEngine(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				q, err := ctrl.submit(time.Now(), cqlText, 2, 1, 20, 4, []int{int(ids[0]), int(ids[1])})
+				q, err := stepSubmit(ctrl, cqlText, 2, []int{int(ids[0]), int(ids[1])})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := ctrl.retract(q); err != nil {
+				if err := ctrl.step(func(time.Time) error { return ctrl.retract(q) }); err != nil {
 					t.Fatal(err)
 				}
 				eq, err := e.SubmitCQL(cqlText, 2, 1, 20, nil)
@@ -706,7 +706,7 @@ func TestReplacementMatchesEngine(t *testing.T) {
 			}
 			var qs []stream.QueryID
 			for _, at := range placements {
-				q, err := ctrl.submit(time.Now(), cqlText, len(at), 1, 20, 4, at)
+				q, err := stepSubmit(ctrl, cqlText, len(at), at)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -719,7 +719,7 @@ func TestReplacementMatchesEngine(t *testing.T) {
 				}
 				qs = append(qs, q)
 			}
-			if err := ctrl.handleFailure(time.Now(), 1, errMissedHeartbeat); err != nil {
+			if err := ctrl.step(func(now time.Time) error { return ctrl.handleFailure(now, 1, errMissedHeartbeat) }); err != nil {
 				t.Fatalf("%s: recovery failed: %v", strategy, err)
 			}
 			e.KillNode(1)

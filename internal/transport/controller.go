@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -34,8 +35,10 @@ import (
 // One goroutine, the controller loop (loop), changes a Controller: it
 // applies every verb's step, every frame and connection end the read
 // loops decode (handle) and every interval step (tick), one at a time.
-// Every field below that is not a channel, the wait group or the Once
-// belongs to it.
+// A step only queues the frames it sends (queue); the step ends by
+// writing each node's queue (flush), and a write that fails fails its
+// node, whatever the frames were. Every field below that is not a
+// channel, the wait group or the Once belongs to the loop.
 type Controller struct {
 	// mu is held by the controller loop while it applies one step, so
 	// tests and NumNodes can read between steps.
@@ -67,6 +70,11 @@ type Controller struct {
 	// lastSeen is, per node, when the loop last applied a frame from it.
 	lastSeen   []time.Time
 	recoveries []RecoveryEvent
+	// out holds, per node, the frames the current step sends it; detected
+	// holds when each of the last len(detected) recoveries was detected.
+	// The step's flush writes the first and stamps the second.
+	out      [][]*Envelope
+	detected []time.Time
 
 	sicFn func(q stream.QueryID, now stream.Time, v float64)
 
@@ -85,12 +93,15 @@ type Controller struct {
 	runFor time.Duration
 	warmup stream.Duration
 	runErr error
-	// abort is a failure the membership could not absorb, met by a verb's
-	// step: the run ends with it, at once if it has not begun.
+	// abort is the first failure the membership could not absorb: the
+	// run ends with it, at once if it has begun, else when Run begins it.
 	abort error
 
-	// verbs carries each verb's step to the loop.
-	verbs chan func(now time.Time)
+	// verbs carries each verb's step to the loop, and replies its error
+	// once the step's frames are written. The loop answers a verb before
+	// it takes the next, so the one caller waiting on replies is its own.
+	verbs   chan func(now time.Time) error
+	replies chan error
 	// events carries what the read loops decode — each control frame and
 	// the error that ends a connection — to the loop, which applies them
 	// once the run has begun (handle).
@@ -140,7 +151,8 @@ type RecoveryEvent struct {
 	At time.Duration
 	// Queries lists the queries whose fragments were re-placed.
 	Queries []stream.QueryID
-	// Took measures detection → last recovery deploy on the wire.
+	// Took measures detection until the recovery's frames are written:
+	// the end of the flush of the step that detected the failure.
 	Took time.Duration
 	// Restored reports whether every re-placed fragment was restored
 	// from a banked checkpoint (warm recovery, SIC accounting carried
@@ -232,7 +244,8 @@ func newController(cfg ControllerConfig) (*Controller, error) {
 			From: "controller", STWMs: int64(cfg.STW), IntervalMs: int64(cfg.Interval), CheckpointTicks: ckptTicks,
 		},
 		hbTimeout: hb,
-		verbs:     make(chan func(time.Time)),
+		verbs:     make(chan func(time.Time) error),
+		replies:   make(chan error),
 		events:    make(chan event, eventQueue),
 		quit:      make(chan struct{}),
 		closed:    make(chan struct{}),
@@ -248,33 +261,33 @@ func (c *Controller) loop() {
 	var events <-chan event
 	var ticks, deadline <-chan time.Time
 	for {
-		var err error
 		select {
 		case <-c.quit:
 			c.runErr = fmt.Errorf("transport: run aborted: %w", errClosed)
 			return
 		case v := <-c.verbs:
-			c.step(v)
-			err = c.abort
+			c.replies <- c.step(v)
 		case ev := <-events:
-			c.step(func(now time.Time) { err = c.handle(now, ev) })
+			c.step(func(now time.Time) error { return c.handle(now, ev) })
 		case <-ticks:
-			c.step(func(now time.Time) { err = c.tick(now, c.warmup) })
+			c.step(func(now time.Time) error { return c.tick(now, c.warmup) })
 		case <-deadline:
 			// Failures that raced the deadline are still handled: a
 			// recoverable one re-places fragments (the summary then reflects
 			// the recovery), an unrecoverable one aborts rather than folding
 			// a dead node's absence into a successful-looking summary.
-			if c.step(func(now time.Time) { err = c.drain(now) }); err == nil {
+			if c.step(c.drain); c.abort == nil {
 				c.stop()
 				return
 			}
 		}
+		// Whichever step met a failure the membership cannot absorb, its
+		// error is the abort (handleFailure).
 		switch {
 		case c.epoch.IsZero():
-		case err != nil:
+		case c.abort != nil:
 			c.sendStops()
-			c.runErr = fmt.Errorf("transport: run aborted: %w", err)
+			c.runErr = fmt.Errorf("transport: run aborted: %w", c.abort)
 			return
 		case events == nil:
 			ticker := time.NewTicker(time.Duration(c.hello.IntervalMs) * time.Millisecond)
@@ -284,20 +297,22 @@ func (c *Controller) loop() {
 	}
 }
 
-// step applies one step under mu at the clock reading of that moment.
-func (c *Controller) step(apply func(now time.Time)) {
+// step applies one step under mu at the clock reading of that moment and
+// flushes the frames it queued. It returns the step's error, else the
+// flush's.
+func (c *Controller) step(apply func(now time.Time) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	apply(time.Now())
+	return cmp.Or(apply(time.Now()), c.flush())
 }
 
-// do applies a verb's step on the controller loop and returns its error,
-// or errClosed at once if the controller has shut down.
+// do applies a verb's step on the controller loop and returns its error
+// once the step's frames are written, or errClosed at once if the
+// controller has shut down.
 func (c *Controller) do(apply func(now time.Time) error) error {
-	reply := make(chan error, 1)
 	select {
-	case c.verbs <- func(now time.Time) { reply <- apply(now) }:
-		return <-reply
+	case c.verbs <- apply:
+		return <-c.replies
 	case <-c.quit:
 		return errClosed
 	}
@@ -338,19 +353,21 @@ func (c *Controller) AddNode(addr string) (int, error) {
 }
 
 // join is AddNode's step: the dialled node joins the membership and its
-// read loop starts. A node joining a run that has begun is started now.
+// read loop starts. A node joining a run that has begun is started now,
+// at the run offset it aligns its logical clock by.
 func (c *Controller) join(now time.Time, addr string, cn *conn) int {
-	idx := int(c.plane.Join())
+	id := c.plane.Join()
 	c.nodes = append(c.nodes, cn)
 	c.addrs = append(c.addrs, addr)
 	c.lastSeen = append(c.lastSeen, now)
 	c.stats = append(c.stats, nil)
+	c.out = append(c.out, nil)
 	c.wg.Add(1)
-	go c.readLoop(idx, cn)
+	go c.readLoop(int(id), cn)
 	if !c.epoch.IsZero() {
-		cn.send(c.start(now))
+		c.queue(id, &Envelope{Kind: KindStart, Start: &Start{RunOffsetMs: int64(c.at(now))}})
 	}
-	return idx
+	return int(id)
 }
 
 // NumNodes reports the number of connected node servers (dead ones
@@ -378,10 +395,13 @@ func (c *Controller) Shutdown() {
 	c.CloseAll()
 }
 
-// sendStops sends every node a stop, best effort.
+// sendStops writes every node a stop, best effort: a node whose stop
+// cannot be written is only cut off.
 func (c *Controller) sendStops() {
 	for _, n := range c.nodes {
-		n.send(&Envelope{Kind: KindStop})
+		if n.send(&Envelope{Kind: KindStop}) != nil {
+			n.Close()
+		}
 	}
 }
 
@@ -468,24 +488,9 @@ func (c *Controller) submit(now time.Time, cqlText string, fragments, dataset in
 		Rate: rate, Batches: batchesPerSec,
 	}
 	peers := c.peers(cq.Placement)
-	errs := make([]error, len(cmds))
-	for i, cmd := range cmds {
+	for _, cmd := range cmds {
 		d := c.frame(cmd, peers)
-		errs[i] = c.nodes[cmd.Node].send(&Envelope{Kind: KindDeploy, Deploy: &d})
-	}
-	// A deploy that cannot be written is a host failure, as a SIC write
-	// in tick is. Every deploy is on the wire first, so the re-placement's
-	// rewires reach the query's other hosts after their deploys. The first
-	// failure the membership cannot absorb stays the run's abort.
-	for i, cmd := range cmds {
-		if errs[i] != nil {
-			if err := c.handleFailure(time.Now(), int(cmd.Node), errs[i]); err != nil {
-				if c.abort == nil {
-					c.abort = err
-				}
-				return 0, err
-			}
-		}
+		c.queue(cmd.Node, &Envelope{Kind: KindDeploy, Deploy: &d})
 	}
 	return q, nil
 }
@@ -513,16 +518,14 @@ func (c *Controller) retract(q stream.QueryID) error {
 	}
 	c.ledger.Close(q)
 	delete(c.deps, q)
-	// Errors are ignored, as for a dead host.
+	e := &Envelope{Kind: KindRetract, Retract: &Retract{Query: q}}
 	for _, ni := range placement {
-		if c.plane.Alive(ni) {
-			c.nodes[ni].send(&Envelope{Kind: KindRetract, Retract: &Retract{Query: q}})
-		}
+		c.queue(ni, e)
 	}
-	// Emit flips ship after the retracts: per-connection ordering then
+	// Emit flips queue after the retracts: per-connection ordering then
 	// guarantees a host sees the promotion (retract) before any flip that
-	// depends on it, and flips to other hosts converge within a tick.
-	c.sendEmitFlips(flips)
+	// depends on it.
+	c.queueEmitFlips(flips)
 	return nil
 }
 
@@ -552,22 +555,60 @@ func (c *Controller) frame(cmd control.Deploy, peers map[stream.FragID]string) D
 	return d
 }
 
-// sendEmitFlips delivers the plane's emit flips as KindShareEmit frames;
-// dead hosts are skipped — recovery re-derives the bits.
-func (c *Controller) sendEmitFlips(flips []control.EmitFlip) {
+// queueEmitFlips queues the plane's emit flips as KindShareEmit frames.
+func (c *Controller) queueEmitFlips(flips []control.EmitFlip) {
 	for _, fl := range flips {
-		if c.plane.Alive(fl.Node) {
-			c.nodes[fl.Node].send(&Envelope{Kind: KindShareEmit, ShareEmit: &ShareEmitMsg{
-				Query: fl.Query, Frag: stream.FragID(fl.Frag), Emit: fl.Emit,
-			}})
-		}
+		c.queue(fl.Node, &Envelope{Kind: KindShareEmit, ShareEmit: &ShareEmitMsg{
+			Query: fl.Query, Frag: stream.FragID(fl.Frag), Emit: fl.Emit,
+		}})
 	}
 }
 
-// start is the Start frame for a host joining at now: it carries the run
-// offset a mid-run joiner aligns its logical clock by (zero at begin).
-func (c *Controller) start(now time.Time) *Envelope {
-	return &Envelope{Kind: KindStart, Start: &Start{RunOffsetMs: int64(c.at(now))}}
+// queue adds e to the frames this step sends node ni. A dead node gets
+// none: recovery re-derives what it would have been told.
+func (c *Controller) queue(ni stream.NodeID, e *Envelope) {
+	if c.plane.Alive(ni) {
+		c.out[ni] = append(c.out[ni], e)
+	}
+}
+
+// flush ends every step: it writes each node's queued frames back to back
+// with one vectored write — one syscall per node however many queries
+// the step told it about — and the failure of any write fails its node,
+// like a read error or silence. A failure queues re-deploys, restores,
+// rewires and emit flips to other nodes, so the flush repeats until
+// nothing is pending; a pass that queues more has failed a node, so the
+// flush ends within the membership. A node that stopped reading stalls it
+// for one write timeout. It returns the first failure the membership
+// could not absorb, and stamps how long the step's recoveries took.
+func (c *Controller) flush() error {
+	var err error
+	for pending := true; pending; {
+		pending = false
+		for ni, es := range c.out {
+			if len(es) == 0 {
+				continue
+			}
+			pending = true
+			werr := c.nodes[ni].send(es...)
+			clear(es)
+			c.out[ni] = es[:0]
+			if werr != nil {
+				// The write may have blocked for a whole write timeout,
+				// which made the step's own time stale.
+				err = cmp.Or(err, c.handleFailure(time.Now(), ni, werr))
+			}
+		}
+	}
+	if len(c.detected) > 0 {
+		done := time.Now()
+		rs := c.recoveries[len(c.recoveries)-len(c.detected):]
+		for i, at := range c.detected {
+			rs[i].Took = done.Sub(at)
+		}
+		c.detected = c.detected[:0]
+	}
+	return err
 }
 
 // at is wall time t on the run clock: zero before Run begins, so a query
@@ -600,20 +641,17 @@ func (c *Controller) Run(duration, warmup time.Duration) (*NetResults, error) {
 }
 
 // begin is Run's step: the run clock starts at now, every node counts as
-// heard from now, and every live node gets its Start. A Start that
-// cannot be written aborts the run, as does a failure a verb met before.
+// heard from now, and every live node gets its Start. A failure a verb
+// met before that the membership could not absorb aborts the run.
 func (c *Controller) begin(now time.Time, duration, warmup time.Duration) error {
 	if !c.epoch.IsZero() {
 		return errors.New("transport: the run has begun already")
 	}
 	c.epoch, c.runFor, c.warmup = now, duration, stream.Duration(warmup.Milliseconds())
-	for i := range c.lastSeen {
+	start := &Envelope{Kind: KindStart, Start: &Start{}}
+	for i := range c.nodes {
 		c.lastSeen[i] = now
-	}
-	for i, n := range c.nodes {
-		if c.abort == nil && c.plane.Alive(stream.NodeID(i)) {
-			c.abort = n.send(c.start(now))
-		}
+		c.queue(stream.NodeID(i), start)
 	}
 	return c.abort
 }
@@ -628,7 +666,7 @@ func (c *Controller) stop() {
 		select {
 		case ev := <-c.events:
 			if ev.err == nil { // a connection ending now is teardown
-				c.step(func(now time.Time) { c.handle(now, ev) })
+				c.step(func(now time.Time) error { return c.handle(now, ev) })
 			}
 		case <-deadline:
 			return
@@ -686,52 +724,34 @@ func (c *Controller) drain(now time.Time) error {
 
 // tick is the run's interval step. It applies every queued event first —
 // frames waiting behind a slow recovery are not silence — then fails the
-// nodes silent past the heartbeat timeout, and broadcasts every live
-// query's result SIC to its hosts, sampling it after warmup. A host
-// whose SIC write fails is failed too.
+// nodes silent past the heartbeat timeout, and queues every live query's
+// result SIC for its hosts, sampling it after warmup.
 func (c *Controller) tick(now time.Time, warmup stream.Duration) error {
 	if err := c.drain(now); err != nil {
 		return err
 	}
-	for _, i := range c.silent(now) {
-		if err := c.handleFailure(now, i, errMissedHeartbeat); err != nil {
-			return err
-		}
-	}
-	t := c.at(now)
-	// The ledger walks the live queries in ascending id; every query's
-	// update to the same host is coalesced into one vectored write — at
-	// 48 queries over 24 nodes this interval costs one syscall per host,
-	// not one per (query, host) pair.
-	perNode := make([][]*Envelope, len(c.nodes))
-	c.ledger.Tick(t, warmup, func(q stream.QueryID, v float64) int {
-		if c.sicFn != nil {
-			c.sicFn(q, t, v)
-		}
-		m := &SICMsg{Query: q, Value: v}
-		hosts := c.plane.Query(q).Placement
-		for _, ni := range hosts {
-			if c.plane.Alive(ni) {
-				perNode[ni] = append(perNode[ni], &Envelope{Kind: KindSIC, SIC: m})
-			}
-		}
-		return len(hosts)
-	})
-	for ni, es := range perNode {
-		if len(es) == 0 {
-			continue
-		}
-		// A write deadline expiry or a broken conn is a failure like a
-		// read error: the node's fragments are re-placed instead of
-		// silently starving of SIC updates. The failure is stamped with
-		// the clock read now: the write may have blocked for a whole
-		// write timeout, which made the step's own time stale.
-		if err := c.nodes[ni].sendMany(es); err != nil {
-			if err := c.handleFailure(time.Now(), ni, err); err != nil {
+	// Started nodes beacon every tick, so a healthy connection is never
+	// this quiet; a partitioned node's can look healthy indefinitely.
+	for i, seen := range c.lastSeen {
+		if c.hbTimeout > 0 && c.plane.Alive(stream.NodeID(i)) && now.Sub(seen) > c.hbTimeout {
+			if err := c.handleFailure(now, i, errMissedHeartbeat); err != nil {
 				return err
 			}
 		}
 	}
+	t := c.at(now)
+	// The ledger walks the live queries in ascending id.
+	c.ledger.Tick(t, warmup, func(q stream.QueryID, v float64) int {
+		if c.sicFn != nil {
+			c.sicFn(q, t, v)
+		}
+		e := &Envelope{Kind: KindSIC, SIC: &SICMsg{Query: q, Value: v}}
+		hosts := c.plane.Query(q).Placement
+		for _, ni := range hosts {
+			c.queue(ni, e)
+		}
+		return len(hosts)
+	})
 	return nil
 }
 
@@ -739,30 +759,12 @@ func (c *Controller) tick(now time.Time, warmup stream.Duration) error {
 // a connection error.
 var errMissedHeartbeat = errors.New("missed heartbeats")
 
-// silent lists the live nodes no frame has been applied from since the
-// heartbeat timeout before now. Started nodes beacon every tick, so a
-// healthy connection is never this quiet; a partitioned node's
-// connection can look healthy indefinitely without this check.
-func (c *Controller) silent(now time.Time) []int {
-	if c.hbTimeout <= 0 {
-		return nil
-	}
-	cutoff := now.Add(-c.hbTimeout)
-	var late []int
-	for i, seen := range c.lastSeen {
-		if c.plane.Alive(stream.NodeID(i)) && seen.Before(cutoff) {
-			late = append(late, i)
-		}
-	}
-	return late
-}
-
 // handleFailure processes one node death detected at now: a read error
-// (handle), a failed SIC write or silence (tick), or a failed deploy
-// write (submit). It returns an error only when the run cannot continue.
-// A failure of an already-dead node is ignored — the sources overlap, and
-// closing the dead node's connection ends its read loop with one more
-// error.
+// (handle), silence (tick) or a failed write (flush). It returns an error,
+// which becomes the run's abort unless an earlier one is, only when the
+// run cannot continue. A failure of an already-dead node is ignored — the
+// sources overlap, and closing the dead node's connection ends its read
+// loop with one more error.
 func (c *Controller) handleFailure(now time.Time, idx int, cause error) error {
 	// The plane drops the node from the membership and clears its share
 	// groups; the queries it names get their displaced fragments re-keyed
@@ -772,33 +774,35 @@ func (c *Controller) handleFailure(now time.Time, idx int, cause error) error {
 		return nil
 	}
 	c.nodes[idx].Close() // sever, so a half-dead node stops feeding us reports
+	c.out[idx] = nil     // and drop what it was to be told
 	c.shareEpoch++
-	start := time.Now()
 	restored := len(affected) > 0
 	for _, q := range affected {
 		warm, err := c.replaceFragments(q, c.shareEpoch)
 		if err != nil {
-			return fmt.Errorf("node %s: %v: %w", c.addrs[idx], cause, err)
+			err = fmt.Errorf("node %s: %v: %w", c.addrs[idx], cause, err)
+			c.abort = cmp.Or(c.abort, err)
+			return err
 		}
 		restored = restored && warm
 	}
 	c.recoveries = append(c.recoveries, RecoveryEvent{
-		Node: c.addrs[idx], At: time.Duration(c.at(now)) * time.Millisecond, Queries: affected,
-		Took: time.Since(start), Restored: restored,
+		Node: c.addrs[idx], At: time.Duration(c.at(now)) * time.Millisecond, Queries: affected, Restored: restored,
 	})
+	c.detected = append(c.detected, now)
 	// Re-placement may have turned riders into private executors (or new
 	// primaries into attach targets); restore the emit invariant over the
 	// surviving topology.
-	c.sendEmitFlips(c.plane.Sweep())
+	c.queueEmitFlips(c.plane.Sweep())
 	return nil
 }
 
 // replaceFragments re-places query q's fragments that were hosted on the
 // dead node: the plane picks replacement hosts (DESIGN.md §7) and settles
-// their share terms under the recovery pin, the displaced fragments are
-// re-deployed there — each host re-plans the travelling CQL text, so the
-// new host derives the exact fragment the dead one ran — and every
-// surviving host is rewired to the new peer map.
+// their share terms under the recovery pin, the displaced fragments'
+// re-deploys are queued there — each host re-plans the travelling CQL
+// text, so the new host derives the exact fragment the dead one ran — and
+// every surviving host's rewire to the new peer map.
 func (c *Controller) replaceFragments(q stream.QueryID, pin int64) (restored bool, err error) {
 	// With a blob banked for every displaced fragment the plane's verdict
 	// is warm and its commands carry the state to restore, which ships
@@ -817,27 +821,23 @@ func (c *Controller) replaceFragments(q stream.QueryID, pin int64) (restored boo
 	placement := c.plane.Query(q).Placement
 	peers := c.peers(placement)
 	// Re-deploy the displaced fragments. Their hosts already tick: every
-	// member, spares included, got its Start from begin or join.
+	// member, spares included, has its Start queued ahead from begin or join.
 	for _, cmd := range cmds {
-		cn := c.nodes[cmd.Node]
 		d := c.frame(cmd, peers)
-		if err := cn.send(&Envelope{Kind: KindDeploy, Deploy: &d}); err != nil {
-			return false, fmt.Errorf("transport: re-deploy fragment %d on %s: %w", cmd.Frag, peers[stream.FragID(cmd.Frag)], err)
-		}
+		c.queue(cmd.Node, &Envelope{Kind: KindDeploy, Deploy: &d})
 		if cmd.Restore != nil {
 			// Per-connection sends are ordered, so the restore lands
 			// after the deploy that builds its target executor. Attaching
 			// fragments get no blob — the live instance is their state.
-			cn.send(&Envelope{Kind: KindRestoreState, Restore: &RestoreStateMsg{Query: q, Frag: stream.FragID(cmd.Frag), State: cmd.Restore}})
+			c.queue(cmd.Node, &Envelope{Kind: KindRestoreState, Restore: &RestoreStateMsg{Query: q, Frag: stream.FragID(cmd.Frag), State: cmd.Restore}})
 		}
 	}
 	// Rewire every surviving host of the query. The new hosts' deploys
 	// already carried the updated peer map; the redundant rewire is
 	// harmless and keeps the fan-out simple.
+	rewire := &Envelope{Kind: KindRewire, Rewire: &Rewire{Query: q, Peers: peers}}
 	for _, ni := range placement {
-		if c.plane.Alive(ni) {
-			c.nodes[ni].send(&Envelope{Kind: KindRewire, Rewire: &Rewire{Query: q, Peers: peers}})
-		}
+		c.queue(ni, rewire)
 	}
 	return warm, nil
 }
@@ -888,7 +888,9 @@ type NetResults struct {
 	// re-placed by failure recovery, the average covers only the
 	// post-recovery epoch; for a query retracted mid-run, the mean is
 	// frozen at retract time; a query submitted mid-run averages from
-	// its own epoch plus warmup.
+	// its own epoch plus warmup. A query with no sample past its warmup
+	// is listed at 0, and MeanSIC and Jain leave it out
+	// (coordinator.Ledger.Summary).
 	PerQuery map[stream.QueryID]float64
 	MeanSIC  float64
 	Jain     float64

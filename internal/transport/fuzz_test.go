@@ -350,7 +350,7 @@ var servedStats = StatsMsg{Node: "n0", ArrivedTuples: 7}
 func servedController(t *testing.T, peers []string) *Controller {
 	ctrl := steppedController(t, ControllerConfig{Seed: 1}, peers)
 	for q, at := range servedPlacements {
-		if _, err := ctrl.submit(time.Now(), avgAllCQL, len(at), 1, 20, 4, at); err != nil {
+		if _, err := stepSubmit(ctrl, avgAllCQL, len(at), at); err != nil {
 			t.Fatal(err)
 		}
 		for f, host := range at {

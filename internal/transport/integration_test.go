@@ -62,6 +62,17 @@ func steppedController(t testing.TB, cfg ControllerConfig, addrs []string) *Cont
 	return c
 }
 
+// stepSubmit applies Submit's step to a stepped controller as the
+// controller loop does: the submit, then the flush that writes its
+// frames and fails any host whose write fails.
+func stepSubmit(c *Controller, cqlText string, fragments int, placement []int) (q stream.QueryID, err error) {
+	err = c.step(func(now time.Time) error {
+		q, err = c.submit(now, cqlText, fragments, 1, 20, 4, placement)
+		return err
+	})
+	return q, err
+}
+
 // TestDistributedCQLEndToEnd deploys a three-fragment CQL query across
 // three live TCP node servers and checks its per-query SIC against the
 // virtual-time engine running the identical plan. Both federations are

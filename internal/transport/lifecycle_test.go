@@ -517,13 +517,15 @@ func TestRetractAndFailureAsSteps(t *testing.T) {
 			addrs[i], frames[i] = recordingPeer(t)
 		}
 		ctrl := steppedController(t, ControllerConfig{Seed: 1}, addrs)
-		q, err := ctrl.submit(time.Now(), avgAllCQL, 2, 1, 20, 4, []int{0, 1})
+		q, err := stepSubmit(ctrl, avgAllCQL, 2, []int{0, 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		steps := []func() error{
-			func() error { return ctrl.retract(q) },
-			func() error { return ctrl.handleFailure(time.Now(), 0, errMissedHeartbeat) },
+			func() error { return ctrl.step(func(time.Time) error { return ctrl.retract(q) }) },
+			func() error {
+				return ctrl.step(func(now time.Time) error { return ctrl.handleFailure(now, 0, errMissedHeartbeat) })
+			},
 		}
 		order := "retract, then fail"
 		if failFirst {
@@ -587,7 +589,7 @@ func TestRetractAndFailureAsSteps(t *testing.T) {
 func TestSubmitToUnwritableHostReplacesIt(t *testing.T) {
 	ctrl := steppedController(t, ControllerConfig{Seed: 1}, []string{silentPeer(t), silentPeer(t), silentPeer(t)})
 	ctrl.nodes[1].Close()
-	q, err := ctrl.submit(time.Now(), avgAllCQL, 2, 1, 20, 4, []int{0, 1})
+	q, err := stepSubmit(ctrl, avgAllCQL, 2, []int{0, 1})
 	if err != nil {
 		t.Fatalf("submit with a closed host connection and a spare: %v", err)
 	}
@@ -604,13 +606,81 @@ func TestSubmitToUnwritableHostReplacesIt(t *testing.T) {
 	}
 }
 
+// TestFailedRedeployWriteFailsItsHost: a recovery whose re-deploy write
+// fails fails that host too, rather than aborting the run, and the
+// fragment lands on the next free spare. Query 0 runs on hosts 0 and 1;
+// host 2, the plane's first choice for fragment 0, cannot be written,
+// and host 3 is free.
+func TestFailedRedeployWriteFailsItsHost(t *testing.T) {
+	ctrl := steppedController(t, ControllerConfig{Seed: 1}, []string{silentPeer(t), silentPeer(t), silentPeer(t), silentPeer(t)})
+	q, err := stepSubmit(ctrl, avgAllCQL, 2, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.nodes[2].Close()
+	if err := ctrl.step(func(now time.Time) error { return ctrl.handleFailure(now, 0, errMissedHeartbeat) }); err != nil {
+		t.Fatalf("recovery with an unwritable spare and a free one: %v", err)
+	}
+	if ctrl.plane.Alive(2) {
+		t.Error("the host whose re-deploy write failed is still a member")
+	}
+	if got := ctrl.plane.Query(q).Placement; !slices.Equal(got, []stream.NodeID{3, 1}) {
+		t.Errorf("query %d placed on %v, want [3 1]", q, got)
+	}
+	if len(ctrl.recoveries) != 2 || ctrl.recoveries[0].Node != ctrl.addrs[0] || ctrl.recoveries[1].Node != ctrl.addrs[2] {
+		t.Errorf("recoveries %+v, want host 0's, then host 2's", ctrl.recoveries)
+	}
+}
+
+// TestBeginReplacesUnwritableHost: a host whose Start cannot be written
+// is failed like any other write failure, and its fragment moves to the
+// spare; the run begins.
+func TestBeginReplacesUnwritableHost(t *testing.T) {
+	ctrl := steppedController(t, ControllerConfig{Seed: 1}, []string{silentPeer(t), silentPeer(t), silentPeer(t)})
+	q, err := stepSubmit(ctrl, avgAllCQL, 2, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.nodes[1].Close()
+	if err := ctrl.step(func(now time.Time) error { return ctrl.begin(now, time.Second, 0) }); err != nil {
+		t.Fatalf("begin with an unwritable host and a spare: %v", err)
+	}
+	if ctrl.plane.Alive(1) {
+		t.Error("the host whose Start write failed is still a member")
+	}
+	if got := ctrl.plane.Query(q).Placement; !slices.Equal(got, []stream.NodeID{0, 2}) {
+		t.Errorf("query %d placed on %v, want [0 2]", q, got)
+	}
+}
+
+// TestFailedRetractWriteFailsItsHost: a host whose retract cannot be
+// written leaves the membership, as one whose deploy or SIC write fails
+// does.
+func TestFailedRetractWriteFailsItsHost(t *testing.T) {
+	ctrl := steppedController(t, ControllerConfig{Seed: 1}, []string{silentPeer(t), silentPeer(t), silentPeer(t)})
+	q, err := stepSubmit(ctrl, avgAllCQL, 2, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.nodes[1].Close()
+	if err := ctrl.step(func(time.Time) error { return ctrl.retract(q) }); err != nil {
+		t.Fatalf("retract with an unwritable host: %v", err)
+	}
+	if ctrl.plane.Alive(1) {
+		t.Error("the host whose retract write failed is still a member")
+	}
+	if !ctrl.plane.Alive(0) || !ctrl.plane.Alive(2) {
+		t.Error("a host whose writes succeeded was failed")
+	}
+}
+
 // TestUnplaceableSubmitAbortsRun: a submit whose failed deploy write
 // cannot be re-placed leaves its query on the dead host, so the run must
 // not begin — even after a later submit's failure is absorbed.
 func TestUnplaceableSubmitAbortsRun(t *testing.T) {
 	ctrl := steppedController(t, ControllerConfig{Seed: 1}, []string{silentPeer(t), silentPeer(t), silentPeer(t)})
 	ctrl.nodes[0].Close()
-	if _, err := ctrl.submit(time.Now(), avgAllCQL, 3, 1, 20, 4, []int{0, 1, 2}); !errors.Is(err, control.ErrUnplaceable) {
+	if _, err := stepSubmit(ctrl, avgAllCQL, 3, []int{0, 1, 2}); !errors.Is(err, control.ErrUnplaceable) {
 		t.Fatalf("submit across three hosts, one unwritable, no spare: %v, want %v", err, control.ErrUnplaceable)
 	}
 	addr := silentPeer(t)
@@ -620,10 +690,10 @@ func TestUnplaceableSubmitAbortsRun(t *testing.T) {
 	}
 	spare := ctrl.join(time.Now(), addr, cn)
 	cn.Close()
-	if _, err := ctrl.submit(time.Now(), avgAllCQL, 1, 1, 20, 4, []int{spare}); err != nil {
+	if _, err := stepSubmit(ctrl, avgAllCQL, 1, []int{spare}); err != nil {
 		t.Fatalf("submit to an unwritable host with two live ones left: %v", err)
 	}
-	if err := ctrl.begin(time.Now(), time.Second, 0); !errors.Is(err, control.ErrUnplaceable) {
+	if err := ctrl.step(func(now time.Time) error { return ctrl.begin(now, time.Second, 0) }); !errors.Is(err, control.ErrUnplaceable) {
 		t.Errorf("begin after an unplaceable submit: %v, want %v", err, control.ErrUnplaceable)
 	}
 }

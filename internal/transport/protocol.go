@@ -286,19 +286,10 @@ type conn struct {
 	wt time.Duration
 }
 
-// send writes one control envelope as a JSON frame.
-func (c *conn) send(e *Envelope) error {
-	return c.sendMany([]*Envelope{e})
-}
-
-// sendMany writes several control envelopes as back-to-back JSON frames
-// flushed with a single vectored write — the controller's per-interval
-// SIC fan-out coalesces every query's update to one node into one
-// syscall instead of one flush per query.
-func (c *conn) sendMany(es []*Envelope) error {
-	if len(es) == 0 {
-		return nil
-	}
+// send writes control envelopes as back-to-back JSON frames with one
+// vectored write: the controller's flush writes everything a step tells
+// one node in one syscall, not one per frame.
+func (c *conn) send(es ...*Envelope) error {
 	bufs := make(net.Buffers, 0, len(es))
 	for _, e := range es {
 		p, err := json.Marshal(e)

@@ -252,7 +252,7 @@ func BenchmarkWireBatch(b *testing.B) {
 func TestControllerToleratesOldReportShape(t *testing.T) {
 	addrs, _ := startNodes(t, 1, 1000)
 	ctrl := steppedController(t, ControllerConfig{Seed: 1}, addrs)
-	q, err := ctrl.submit(time.Now(), "Select Avg(t.v) From Src[Range 1 sec]", 1, 1, 20, 4, nil)
+	q, err := stepSubmit(ctrl, "Select Avg(t.v) From Src[Range 1 sec]", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestControllerAppliesOnlyServedFrames(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			addrs, _ := startNodes(t, 2, 1000)
 			ctrl := steppedController(t, ControllerConfig{Seed: 1}, addrs)
-			q, err := ctrl.submit(time.Now(), "Select Avg(t.v) From Src[Range 1 sec]", 1, 1, 20, 4, []int{0})
+			q, err := stepSubmit(ctrl, "Select Avg(t.v) From Src[Range 1 sec]", 1, []int{0})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -414,11 +414,23 @@ func TestFullEventQueueWaitsInSocketBuffers(t *testing.T) {
 		t.Fatalf("H's queue reached only %d of %d: the stall did not fill it", depth, cap(h.events))
 	}
 
+	// The stop travels on the controller's connection, so it can overtake
+	// batches still waiting in the peer's socket buffer: stop H only once
+	// it has applied them all, or a write timeout after the stall ended.
+	want := int64(batches * perBatch)
+	for deadline := time.Now().Add(defaultWriteTimeout); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		h.mu.Lock()
+		arrived := h.nd.Stats().ArrivedTuples
+		h.mu.Unlock()
+		if arrived >= want {
+			break
+		}
+	}
 	st := stopOver(t, nc, ctrl)
 	if st == nil {
 		t.Fatal("no stats after the stall")
 	}
-	if want := int64(batches * perBatch); st.ArrivedTuples != want {
+	if st.ArrivedTuples != want {
 		t.Errorf("H applied %d tuples after the stall, want all %d", st.ArrivedTuples, want)
 	}
 	if st.DroppedCtrl != 0 {

@@ -71,8 +71,8 @@ type Controller struct {
 	lastSeen   []time.Time
 	recoveries []RecoveryEvent
 	// out holds, per node, the frames the current step sends it; detected
-	// holds when each of the last len(detected) recoveries was detected.
-	// The step's flush writes the first and stamps the second.
+	// holds when each of the last len(detected) recoveries began. The
+	// step's flush writes the first and stamps the second.
 	out      [][]*Envelope
 	detected []time.Time
 
@@ -151,8 +151,8 @@ type RecoveryEvent struct {
 	At time.Duration
 	// Queries lists the queries whose fragments were re-placed.
 	Queries []stream.QueryID
-	// Took measures detection until the recovery's frames are written:
-	// the end of the flush of the step that detected the failure.
+	// Took measures the recovery from its start until its frames are
+	// written: the end of the first flush pass that begins after it.
 	Took time.Duration
 	// Restored reports whether every re-placed fragment was restored
 	// from a banked checkpoint (warm recovery, SIC accounting carried
@@ -580,11 +580,13 @@ func (c *Controller) queue(ni stream.NodeID, e *Envelope) {
 // nothing is pending; a pass that queues more has failed a node, so the
 // flush ends within the membership. A node that stopped reading stalls it
 // for one write timeout. It returns the first failure the membership
-// could not absorb, and stamps how long the step's recoveries took.
+// could not absorb. A recovery begun before a pass has all its frames
+// written when the pass ends, which stamps how long it took.
 func (c *Controller) flush() error {
 	var err error
 	for pending := true; pending; {
 		pending = false
+		begun := len(c.detected)
 		for ni, es := range c.out {
 			if len(es) == 0 {
 				continue
@@ -599,14 +601,14 @@ func (c *Controller) flush() error {
 				err = cmp.Or(err, c.handleFailure(time.Now(), ni, werr))
 			}
 		}
-	}
-	if len(c.detected) > 0 {
-		done := time.Now()
-		rs := c.recoveries[len(c.recoveries)-len(c.detected):]
-		for i, at := range c.detected {
-			rs[i].Took = done.Sub(at)
+		if begun > 0 {
+			done := time.Now()
+			rs := c.recoveries[len(c.recoveries)-len(c.detected):]
+			for i, at := range c.detected[:begun] {
+				rs[i].Took = done.Sub(at)
+			}
+			c.detected = append(c.detected[:0], c.detected[begun:]...)
 		}
-		c.detected = c.detected[:0]
 	}
 	return err
 }
@@ -642,18 +644,22 @@ func (c *Controller) Run(duration, warmup time.Duration) (*NetResults, error) {
 
 // begin is Run's step: the run clock starts at now, every node counts as
 // heard from now, and every live node gets its Start. A failure a verb
-// met before that the membership could not absorb aborts the run.
+// met before that the membership could not absorb aborts the run, and
+// no node is started.
 func (c *Controller) begin(now time.Time, duration, warmup time.Duration) error {
 	if !c.epoch.IsZero() {
 		return errors.New("transport: the run has begun already")
 	}
 	c.epoch, c.runFor, c.warmup = now, duration, stream.Duration(warmup.Milliseconds())
+	if c.abort != nil {
+		return c.abort
+	}
 	start := &Envelope{Kind: KindStart, Start: &Start{}}
 	for i := range c.nodes {
 		c.lastSeen[i] = now
 		c.queue(stream.NodeID(i), start)
 	}
-	return c.abort
+	return nil
 }
 
 // stop is the stop handshake that ends a run: announce stop, then wait
@@ -776,6 +782,7 @@ func (c *Controller) handleFailure(now time.Time, idx int, cause error) error {
 	c.nodes[idx].Close() // sever, so a half-dead node stops feeding us reports
 	c.out[idx] = nil     // and drop what it was to be told
 	c.shareEpoch++
+	start := time.Now()
 	restored := len(affected) > 0
 	for _, q := range affected {
 		warm, err := c.replaceFragments(q, c.shareEpoch)
@@ -789,7 +796,7 @@ func (c *Controller) handleFailure(now time.Time, idx int, cause error) error {
 	c.recoveries = append(c.recoveries, RecoveryEvent{
 		Node: c.addrs[idx], At: time.Duration(c.at(now)) * time.Millisecond, Queries: affected, Restored: restored,
 	})
-	c.detected = append(c.detected, now)
+	c.detected = append(c.detected, start)
 	// Re-placement may have turned riders into private executors (or new
 	// primaries into attach targets); restore the emit invariant over the
 	// surviving topology.

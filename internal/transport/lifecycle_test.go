@@ -630,6 +630,11 @@ func TestFailedRedeployWriteFailsItsHost(t *testing.T) {
 	if len(ctrl.recoveries) != 2 || ctrl.recoveries[0].Node != ctrl.addrs[0] || ctrl.recoveries[1].Node != ctrl.addrs[2] {
 		t.Errorf("recoveries %+v, want host 0's, then host 2's", ctrl.recoveries)
 	}
+	for _, r := range ctrl.recoveries {
+		if r.Took <= 0 {
+			t.Errorf("recovery of %s has no Took once its frames are written", r.Node)
+		}
+	}
 }
 
 // TestBeginReplacesUnwritableHost: a host whose Start cannot be written
@@ -693,8 +698,21 @@ func TestUnplaceableSubmitAbortsRun(t *testing.T) {
 	if _, err := stepSubmit(ctrl, avgAllCQL, 1, []int{spare}); err != nil {
 		t.Fatalf("submit to an unwritable host with two live ones left: %v", err)
 	}
-	if err := ctrl.step(func(now time.Time) error { return ctrl.begin(now, time.Second, 0) }); !errors.Is(err, control.ErrUnplaceable) {
+	var started []int // the hosts begin queued a Start for
+	err = ctrl.step(func(now time.Time) error {
+		err := ctrl.begin(now, time.Second, 0)
+		for ni, es := range ctrl.out {
+			if len(es) > 0 {
+				started = append(started, ni)
+			}
+		}
+		return err
+	})
+	if !errors.Is(err, control.ErrUnplaceable) {
 		t.Errorf("begin after an unplaceable submit: %v, want %v", err, control.ErrUnplaceable)
+	}
+	if len(started) > 0 {
+		t.Errorf("begin of an aborted run started hosts %v", started)
 	}
 }
 

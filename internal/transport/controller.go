@@ -365,7 +365,7 @@ func (c *Controller) join(now time.Time, addr string, cn *conn) int {
 	c.wg.Add(1)
 	go c.readLoop(int(id), cn)
 	if !c.epoch.IsZero() {
-		c.queue(id, &Envelope{Kind: KindStart, Start: &Start{RunOffsetMs: int64(c.at(now))}})
+		c.queue(&Envelope{Kind: KindStart, Start: &Start{RunOffsetMs: int64(c.at(now))}}, id)
 	}
 	return int(id)
 }
@@ -490,7 +490,7 @@ func (c *Controller) submit(now time.Time, cqlText string, fragments, dataset in
 	peers := c.peers(cq.Placement)
 	for _, cmd := range cmds {
 		d := c.frame(cmd, peers)
-		c.queue(cmd.Node, &Envelope{Kind: KindDeploy, Deploy: &d})
+		c.queue(&Envelope{Kind: KindDeploy, Deploy: &d}, cmd.Node)
 	}
 	return q, nil
 }
@@ -518,10 +518,7 @@ func (c *Controller) retract(q stream.QueryID) error {
 	}
 	c.ledger.Close(q)
 	delete(c.deps, q)
-	e := &Envelope{Kind: KindRetract, Retract: &Retract{Query: q}}
-	for _, ni := range placement {
-		c.queue(ni, e)
-	}
+	c.queue(&Envelope{Kind: KindRetract, Retract: &Retract{Query: q}}, placement...)
 	// Emit flips queue after the retracts: per-connection ordering then
 	// guarantees a host sees the promotion (retract) before any flip that
 	// depends on it.
@@ -558,17 +555,19 @@ func (c *Controller) frame(cmd control.Deploy, peers map[stream.FragID]string) D
 // queueEmitFlips queues the plane's emit flips as KindShareEmit frames.
 func (c *Controller) queueEmitFlips(flips []control.EmitFlip) {
 	for _, fl := range flips {
-		c.queue(fl.Node, &Envelope{Kind: KindShareEmit, ShareEmit: &ShareEmitMsg{
+		c.queue(&Envelope{Kind: KindShareEmit, ShareEmit: &ShareEmitMsg{
 			Query: fl.Query, Frag: stream.FragID(fl.Frag), Emit: fl.Emit,
-		}})
+		}}, fl.Node)
 	}
 }
 
-// queue adds e to the frames this step sends node ni. A dead node gets
-// none: recovery re-derives what it would have been told.
-func (c *Controller) queue(ni stream.NodeID, e *Envelope) {
-	if c.plane.Alive(ni) {
-		c.out[ni] = append(c.out[ni], e)
+// queue adds e to the frames this step sends each of nodes. A dead node
+// gets none: recovery re-derives what it would have been told.
+func (c *Controller) queue(e *Envelope, nodes ...stream.NodeID) {
+	for _, ni := range nodes {
+		if c.plane.Alive(ni) {
+			c.out[ni] = append(c.out[ni], e)
+		}
 	}
 }
 
@@ -657,7 +656,7 @@ func (c *Controller) begin(now time.Time, duration, warmup time.Duration) error 
 	start := &Envelope{Kind: KindStart, Start: &Start{}}
 	for i := range c.nodes {
 		c.lastSeen[i] = now
-		c.queue(stream.NodeID(i), start)
+		c.queue(start, stream.NodeID(i))
 	}
 	return nil
 }
@@ -751,11 +750,8 @@ func (c *Controller) tick(now time.Time, warmup stream.Duration) error {
 		if c.sicFn != nil {
 			c.sicFn(q, t, v)
 		}
-		e := &Envelope{Kind: KindSIC, SIC: &SICMsg{Query: q, Value: v}}
 		hosts := c.plane.Query(q).Placement
-		for _, ni := range hosts {
-			c.queue(ni, e)
-		}
+		c.queue(&Envelope{Kind: KindSIC, SIC: &SICMsg{Query: q, Value: v}}, hosts...)
 		return len(hosts)
 	})
 	return nil
@@ -831,21 +827,18 @@ func (c *Controller) replaceFragments(q stream.QueryID, pin int64) (restored boo
 	// member, spares included, has its Start queued ahead from begin or join.
 	for _, cmd := range cmds {
 		d := c.frame(cmd, peers)
-		c.queue(cmd.Node, &Envelope{Kind: KindDeploy, Deploy: &d})
+		c.queue(&Envelope{Kind: KindDeploy, Deploy: &d}, cmd.Node)
 		if cmd.Restore != nil {
 			// Per-connection sends are ordered, so the restore lands
 			// after the deploy that builds its target executor. Attaching
 			// fragments get no blob — the live instance is their state.
-			c.queue(cmd.Node, &Envelope{Kind: KindRestoreState, Restore: &RestoreStateMsg{Query: q, Frag: stream.FragID(cmd.Frag), State: cmd.Restore}})
+			c.queue(&Envelope{Kind: KindRestoreState, Restore: &RestoreStateMsg{Query: q, Frag: stream.FragID(cmd.Frag), State: cmd.Restore}}, cmd.Node)
 		}
 	}
 	// Rewire every surviving host of the query. The new hosts' deploys
 	// already carried the updated peer map; the redundant rewire is
 	// harmless and keeps the fan-out simple.
-	rewire := &Envelope{Kind: KindRewire, Rewire: &Rewire{Query: q, Peers: peers}}
-	for _, ni := range placement {
-		c.queue(ni, rewire)
-	}
+	c.queue(&Envelope{Kind: KindRewire, Rewire: &Rewire{Query: q, Peers: peers}}, placement...)
 	return warm, nil
 }
 

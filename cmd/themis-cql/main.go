@@ -201,11 +201,11 @@ func main() {
 	ns := res.Nodes[0]
 	fmt.Printf("\n%s (%s)\n", res.Queries[qid].Type, *queryText)
 	if len(res.Queries) == 1 {
-		fmt.Printf("mean SIC over run: %.3f   (1.0 = perfect processing)\n", res.Queries[0].MeanSIC)
+		fmt.Printf("mean SIC over run: %s\n", meanSIC(res.Queries[0].MeanSIC, res.Queries[0].Measured))
 	} else {
 		// A churn schedule ran: report the whole dynamic workload.
 		for _, q := range res.Queries {
-			fmt.Printf("query %d (%s) mean SIC: %.3f   (1.0 = perfect processing)\n", q.ID, q.Type, q.MeanSIC)
+			fmt.Printf("query %d (%s) mean SIC: %s\n", q.ID, q.Type, meanSIC(q.MeanSIC, q.Measured))
 		}
 		fmt.Printf("fairness (Jain): %.3f\n", res.Jain)
 	}
@@ -213,6 +213,15 @@ func main() {
 		ns.ArrivedTuples, ns.ShedTuples,
 		100*float64(ns.ShedTuples)/float64(max64(ns.ArrivedTuples, 1)),
 		ns.ShedInvocations)
+}
+
+// meanSIC renders a query's mean SIC for a summary line, or says that it
+// was never measured: a mean of 0 then means no sample, not starvation.
+func meanSIC(mean float64, measured bool) string {
+	if !measured {
+		return "not measured (no sample past its warmup)"
+	}
+	return fmt.Sprintf("%.3f   (1.0 = perfect processing)", mean)
 }
 
 // runNetworked deploys the statement across live themis-node servers and
@@ -278,8 +287,8 @@ func runNetworked(addrList, queryText string, dataset, fragments int, placement 
 	}
 
 	// Arm the churn schedule just before the run starts; each timer's
-	// Submit or Retract becomes one step of the controller loop, between
-	// the run's broadcast ticks.
+	// Submit or Retract is one step, applied on the timer's goroutine
+	// under the controller mutex, between the run's broadcast ticks.
 	var timers []*time.Timer
 	for _, s := range submits {
 		s := s
@@ -338,7 +347,7 @@ func runNetworked(addrList, queryText string, dataset, fragments int, placement 
 				}
 			}
 		}
-		fmt.Printf("query %d mean SIC: %.3f   (1.0 = perfect processing)%s\n", id, res.PerQuery[id], suffix)
+		fmt.Printf("query %d mean SIC: %s%s\n", id, meanSIC(res.PerQuery[id], res.Measured[id]), suffix)
 	}
 	fmt.Printf("fairness (Jain): %.3f\n", res.Jain)
 	for _, ns := range res.Nodes {

@@ -46,8 +46,8 @@ calls.`,
 // Lower rank = outermost. The default encodes the repository's
 // discipline:
 //
-//	Controller.mu (10)  — held by the controller loop for one step;
-//	                      never nests inside others
+//	Controller.mu (10)  — held by whoever applies a controller step,
+//	                      for that step; never nests inside others
 //	NodeServer.mu (20)  — held by the host loop for one step; taken
 //	                      before any pool lock
 //	PlanCache.mu (60)   — plan memo

@@ -180,11 +180,13 @@ func (l *Ledger) Samples(q stream.QueryID) []float64 {
 // closed one at the mean it froze with — in ascending id, and the
 // fairness aggregates, as in Figs. 8-14. A query with no sample past its
 // warmup (say, one closed before its own epoch plus warmup) is listed
-// with mean 0, but the aggregates cover only the measured queries: it
-// was never measured, so it says nothing about how fairly SIC was shared.
+// with mean 0 and Measured false, and the aggregates cover only the
+// measured queries: it was never measured, so it says nothing about how
+// fairly SIC was shared.
 type Summary struct {
 	Queries         []stream.QueryID
 	Means           []float64
+	Measured        []bool
 	Mean, Jain, Std float64
 }
 
@@ -204,6 +206,7 @@ func (l *Ledger) Summary() Summary {
 		}
 		s.Queries = append(s.Queries, stream.QueryID(i))
 		s.Means = append(s.Means, mean)
+		s.Measured = append(s.Measured, e.n > 0)
 	}
 	s.Mean = metrics.Mean(measured)
 	s.Jain = metrics.Jain(measured)

@@ -212,6 +212,30 @@ func TestUnmeasuredQueryLeavesFairnessAlone(t *testing.T) {
 	}
 }
 
+// TestSummaryTellsUnmeasuredFromStarved: a query measured at 0 and one
+// closed before its warmup both read mean 0, and only Measured tells the
+// starved query from the one that was never sampled.
+func TestSummaryTellsUnmeasuredFromStarved(t *testing.T) {
+	const warmup = tSTW
+	l := NewLedger(tSTW, tSlide, false)
+	l.Open(0, 0) // starved: no result mass ever arrives
+	l.Open(1, 0) // closed before its warmup ends
+	for tick := 1; tick <= 20; tick++ {
+		now := stream.Time(tick) * stream.Time(tSlide)
+		if tick == 2 {
+			l.Close(1)
+		}
+		l.Tick(now, warmup, nil)
+	}
+	s := l.Summary()
+	if !reflect.DeepEqual(s.Queries, []stream.QueryID{0, 1}) || !reflect.DeepEqual(s.Means, []float64{0, 0}) {
+		t.Fatalf("summary lists %v at %v, want both queries at 0", s.Queries, s.Means)
+	}
+	if !reflect.DeepEqual(s.Measured, []bool{true, false}) {
+		t.Errorf("measured %v, want the starved query measured and the closed one not", s.Measured)
+	}
+}
+
 // TestUpdateAccounting: the ledger totals dissemination traffic (§7.6)
 // from what each send reports, closed queries' share included.
 func TestUpdateAccounting(t *testing.T) {

@@ -55,6 +55,38 @@ func TestQueryDepartureFreesCapacity(t *testing.T) {
 	}
 }
 
+// TestQueryRetractedBeforeWarmupIsUnmeasured: a query removed before its
+// warmup ends has no sample, so its result reads mean 0 with Measured
+// false, while the query that ran on is measured.
+func TestQueryRetractedBeforeWarmupIsUnmeasured(t *testing.T) {
+	cfg := Defaults()
+	cfg.Duration = 10 * stream.Second
+	cfg.Warmup = 5 * stream.Second
+	e := NewEngine(cfg)
+	nd := e.AddNode(800)
+	ids := make([]stream.QueryID, 2)
+	for i := range ids {
+		id, err := e.Submit(QuerySubmit{CQL: cql.AvgAll, Dataset: int(sources.Uniform), Placement: []stream.NodeID{nd}, Feed: i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	for i := int64(0); i < int64(cfg.Duration/cfg.Interval); i++ {
+		if i == 4 {
+			e.RemoveQuery(ids[1])
+		}
+		e.Step()
+	}
+	res := e.Results()
+	if q := res.Queries[0]; !q.Measured || q.MeanSIC <= 0 {
+		t.Errorf("query %d ran the whole run: measured %v, mean %v", q.ID, q.Measured, q.MeanSIC)
+	}
+	if q := res.Queries[1]; q.Measured || q.MeanSIC != 0 {
+		t.Errorf("query %d removed before its warmup: measured %v, mean %v; want false, 0", q.ID, q.Measured, q.MeanSIC)
+	}
+}
+
 func TestQueryDepartureFinalSIC(t *testing.T) {
 	cfg := Defaults()
 	cfg.Duration = 80 * stream.Second

@@ -710,8 +710,10 @@ type QueryResult struct {
 	Type      string
 	Fragments int
 	// MeanSIC is the time-averaged measured result SIC over the STW
-	// (Eq. 4), the quantity the paper's figures plot.
-	MeanSIC float64
+	// (Eq. 4), the quantity the paper's figures plot. It is 0, and
+	// Measured false, for a query with no sample past its warmup.
+	MeanSIC  float64
+	Measured bool
 	// Samples holds the per-tick SIC series when Config.KeepSamples is
 	// set.
 	Samples []float64
@@ -751,6 +753,7 @@ func (e *Engine) Results() *Results {
 			Type:      cq.Plan.Type,
 			Fragments: cq.Plan.NumFragments(),
 			MeanSIC:   sum.Means[i],
+			Measured:  sum.Measured[i],
 			Samples:   e.ledger.Samples(qid),
 		})
 	}

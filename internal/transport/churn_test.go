@@ -367,13 +367,18 @@ func TestDoubleStop(t *testing.T) {
 	srv := startedServer(t)
 	time.Sleep(150 * time.Millisecond) // let a few ticks run
 
+	// Dial both connections before either stop goes out: the first stop
+	// to land closes the listener, and a dial after it is refused or reset.
+	ncs, cs := make([]net.Conn, 2), make([]*conn, 2)
+	for i := range ncs {
+		ncs[i], cs[i] = dialRaw(t, srv.Addr())
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		nc, c := dialRaw(t, srv.Addr())
+	for i := range ncs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			stopOver(t, nc, c)
+			stopOver(t, ncs[i], cs[i])
 		}()
 	}
 	done := make(chan struct{})
@@ -483,13 +488,12 @@ func silentPeer(tb testing.TB) string {
 
 // TestQueuedFramesAreNotSilence: silence is judged only after every
 // queued event has been applied, so a host whose frames wait behind a
-// slow step of the controller loop is not declared partitioned. Both
-// nodes were last heard from before the heartbeat timeout; a heartbeat
-// from node 0 is queued but not yet applied when the tick runs. Node 0
-// stays alive and node 1, which queued nothing, is failed. The test is
-// the controller loop.
+// slow step is not declared partitioned. Both nodes were last heard
+// from before the heartbeat timeout; a heartbeat from node 0 is queued
+// but not yet applied when the tick runs. Node 0 stays alive and node 1,
+// which queued nothing, is failed. No Run: the test applies the tick.
 func TestQueuedFramesAreNotSilence(t *testing.T) {
-	ctrl := steppedController(t, ControllerConfig{Seed: 1, HeartbeatTimeout: 50 * time.Millisecond},
+	ctrl := testController(t, ControllerConfig{Seed: 1, HeartbeatTimeout: 50 * time.Millisecond},
 		[]string{silentPeer(t), silentPeer(t)})
 	stale := time.Now().Add(-time.Second)
 	ctrl.lastSeen[0], ctrl.lastSeen[1] = stale, stale
@@ -507,9 +511,9 @@ func TestQueuedFramesAreNotSilence(t *testing.T) {
 
 // TestWedgedHostFailsAlone: a host that keeps its connection open and
 // beacons but stops reading wedges the controller's SIC write to it for
-// the whole write timeout, and the controller loop applies nothing while
-// that write blocks. The live hosts tick on, checkpoints on, and their
-// frames wait in the loop's queue meanwhile. The queue must not fill, so
+// the whole write timeout, and the run loop applies nothing while that
+// write blocks. The live hosts tick on, checkpoints on, and their frames
+// wait in the run loop's queue meanwhile. The queue must not fill, so
 // no read loop blocks and no host's control flush backs up: every live
 // host keeps ticking and drops no control frame. Only the wedged host is
 // failed — by its write, not for silence — and its fragment moves to a
@@ -546,13 +550,14 @@ func TestWedgedHostFailsAlone(t *testing.T) {
 		}
 	}
 
-	// Beside Run: wedge the host — on the controller loop, the one writer
-	// of its connection — and sample the loop's queue depth and the live
-	// hosts' tick counters until the run deadline.
+	// Beside Run: wedge the host — in a step, whose holder of the
+	// controller mutex is the one writer of its connection — and sample
+	// the run loop's queue depth and the live hosts' tick counters until
+	// the run deadline.
 	start := time.Now()
 	go func() {
 		time.Sleep(wedgeAt)
-		ctrl.do(func(time.Time) error {
+		ctrl.step(func(time.Time) error {
 			fillSendBuffer(ctrl.nodes[3])
 			return nil
 		})
@@ -598,7 +603,7 @@ func TestWedgedHostFailsAlone(t *testing.T) {
 		t.Errorf("wedged host failed at %v, before its write could time out", rec.At)
 	}
 	if peak >= cap(ctrl.events) {
-		t.Errorf("the controller loop's queue filled (%d events): the read loops blocked", peak)
+		t.Errorf("the run loop's queue filled (%d events): the read loops blocked", peak)
 	}
 	if longest >= defaultWriteTimeout/2 {
 		t.Errorf("a live host went %v without a tick while Run was wedged", longest)
@@ -669,7 +674,7 @@ func wedgedPeer(tb testing.TB) string {
 // the engine and the controller must move the displaced fragments to the
 // same hosts under every strategy — however many deploys the controller
 // served before (its post-failure placer used to be seeded with a counter
-// bumped on every deploy). No Run: the test is the controller loop, the
+// bumped on every deploy). No Run: the test applies the steps, the
 // failure is injected straight into handleFailure and the deploy frames
 // land on idle hosts.
 func TestReplacementMatchesEngine(t *testing.T) {
@@ -678,7 +683,7 @@ func TestReplacementMatchesEngine(t *testing.T) {
 	for _, strategy := range []string{"round-robin", "uniform", "zipf"} {
 		for _, warmups := range []int{0, 3} {
 			addrs, _ := startNodes(t, 8, 50_000)
-			ctrl := steppedController(t, ControllerConfig{Seed: 11, Placement: strategy}, addrs)
+			ctrl := testController(t, ControllerConfig{Seed: 11, Placement: strategy}, addrs)
 			cfg := federation.Defaults()
 			cfg.Seed = 11
 			cfg.Placement = strategy
@@ -691,7 +696,7 @@ func TestReplacementMatchesEngine(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				q, err := stepSubmit(ctrl, cqlText, 2, []int{int(ids[0]), int(ids[1])})
+				q, err := ctrl.Submit(cqlText, 2, 1, 20, 4, []int{int(ids[0]), int(ids[1])})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -706,7 +711,7 @@ func TestReplacementMatchesEngine(t *testing.T) {
 			}
 			var qs []stream.QueryID
 			for _, at := range placements {
-				q, err := stepSubmit(ctrl, cqlText, len(at), at)
+				q, err := ctrl.Submit(cqlText, len(at), 1, 20, 4, at)
 				if err != nil {
 					t.Fatal(err)
 				}

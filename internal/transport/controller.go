@@ -32,16 +32,16 @@ import (
 // failure that cannot be re-placed — too few survivors for the query's
 // fragments — aborts the run.
 //
-// One goroutine, the controller loop (loop), changes a Controller: it
-// applies every verb's step, every frame and connection end the read
-// loops decode (handle) and every interval step (tick), one at a time.
-// A step only queues the frames it sends (queue); the step ends by
-// writing each node's queue (flush), and a write that fails fails its
-// node, whatever the frames were. Every field below that is not a
-// channel, the wait group or the Once belongs to the loop.
+// A Controller applies one step at a time, under mu (step): each verb's
+// step on its caller's goroutine, and on Run's goroutine, the run loop,
+// every frame and connection end the read loops decode (handle) and
+// every interval step (tick). A step only queues the frames it sends
+// (queue); the step ends by writing each node's queue (flush), and a
+// write that fails fails its node, whatever the frames were. Every field
+// below that is not a channel, the wait group or the Once is guarded by
+// mu.
 type Controller struct {
-	// mu is held by the controller loop while it applies one step, so
-	// tests and NumNodes can read between steps.
+	// mu is held by whoever applies a step, for the whole step.
 	mu    sync.Mutex
 	nodes []*conn
 	addrs []string
@@ -67,7 +67,7 @@ type Controller struct {
 	hello Hello
 
 	hbTimeout time.Duration
-	// lastSeen is, per node, when the loop last applied a frame from it.
+	// lastSeen is, per node, when a step last applied a frame from it.
 	lastSeen   []time.Time
 	recoveries []RecoveryEvent
 	// out holds, per node, the frames the current step sends it; detected
@@ -88,27 +88,21 @@ type Controller struct {
 	// it arrives.
 	stats []*StatsMsg
 
-	// runFor and warmup are the run's, set when it begins; runErr is why
-	// it aborted.
-	runFor time.Duration
-	warmup stream.Duration
-	runErr error
 	// abort is the first failure the membership could not absorb: the
 	// run ends with it, at once if it has begun, else when Run begins it.
 	abort error
+	// ended is set once CloseAll has run or the run has begun its stop
+	// handshake. From then on, as once an abort ends a run that has begun,
+	// every step is refused (step).
+	ended bool
 
-	// verbs carries each verb's step to the loop, and replies its error
-	// once the step's frames are written. The loop answers a verb before
-	// it takes the next, so the one caller waiting on replies is its own.
-	verbs   chan func(now time.Time) error
-	replies chan error
 	// events carries what the read loops decode — each control frame and
-	// the error that ends a connection — to the loop, which applies them
-	// once the run has begun (handle).
+	// the error that ends a connection — to the run loop, which applies
+	// them once the run has begun (handle).
 	events chan event
-	// quit is closed once, by CloseAll or by the loop's shutdown: the read
-	// loops then offer nothing more and verbs are refused. closed is closed
-	// once the loop has shut the controller down.
+	// quit is closed once, by CloseAll or by shutdown: the read loops then
+	// offer nothing more, and the run loop aborts the run. closed is closed
+	// once the controller has shut down.
 	quit      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
@@ -123,14 +117,15 @@ type event struct {
 	err  error
 }
 
-// errClosed refuses a verb once CloseAll has run or Run has returned.
+// errClosed refuses a step once CloseAll has run, or once the run has
+// ended or begun its stop handshake.
 var errClosed = errors.New("transport: controller closed")
 
 // stopTimeout bounds the stop handshake's wait for node stats.
 const stopTimeout = 5 * time.Second
 
 // eventQueue bounds the events waiting for the one goroutine that
-// applies them: the controller loop, and each host's loop. The first
+// applies them: the controller's run loop, and each host's loop. The first
 // stalls up to one write timeout per host that stops reading, a host's
 // loop up to one per flush however many peers stop. A 2 s stall
 // injected into the controller's run peaked at 1,051 queued frames on
@@ -198,27 +193,10 @@ type ControllerConfig struct {
 	Checkpoint time.Duration
 }
 
-// NewController starts the controller loop and connects to the given
-// node addresses.
+// NewController connects to the given node addresses. It starts no
+// goroutine but each connection's read loop: a verb applies its step on
+// its caller's goroutine, and Run's goroutine is the run loop.
 func NewController(cfg ControllerConfig, nodeAddrs []string) (*Controller, error) {
-	c, err := newController(cfg)
-	if err != nil {
-		return nil, err
-	}
-	go c.loop()
-	for _, addr := range nodeAddrs {
-		if _, err := c.AddNode(addr); err != nil {
-			c.CloseAll()
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-// newController builds a controller with no node and no loop running:
-// the caller — a test driving the step methods — is the loop, and must
-// call shutdown to tear it down.
-func newController(cfg ControllerConfig) (*Controller, error) {
 	if cfg.STW <= 0 {
 		cfg.STW = 10 * stream.Second
 	}
@@ -236,7 +214,7 @@ func newController(cfg ControllerConfig) (*Controller, error) {
 	if _, err := control.NewPlacer(cfg.Placement, 1, cfg.Seed); err != nil {
 		return nil, err
 	}
-	return &Controller{
+	c := &Controller{
 		plane:  control.New(control.Config{Placement: cfg.Placement, Seed: cfg.Seed, Sharing: cfg.Sharing}),
 		ledger: coordinator.NewLedger(cfg.STW, cfg.Interval, false),
 		deps:   make(map[stream.QueryID]Deploy),
@@ -244,82 +222,35 @@ func newController(cfg ControllerConfig) (*Controller, error) {
 			From: "controller", STWMs: int64(cfg.STW), IntervalMs: int64(cfg.Interval), CheckpointTicks: ckptTicks,
 		},
 		hbTimeout: hb,
-		verbs:     make(chan func(time.Time) error),
-		replies:   make(chan error),
 		events:    make(chan event, eventQueue),
 		quit:      make(chan struct{}),
 		closed:    make(chan struct{}),
-	}, nil
-}
-
-// loop is the controller loop. Before the run it applies verbs only, and
-// frames wait in the queue; once Run's step has begun the run, frames and
-// ticks too, until the deadline and the stop handshake or a failure the
-// membership cannot absorb. Then, or once quit closes, it shuts down.
-func (c *Controller) loop() {
-	defer c.shutdown()
-	var events <-chan event
-	var ticks, deadline <-chan time.Time
-	for {
-		select {
-		case <-c.quit:
-			c.runErr = fmt.Errorf("transport: run aborted: %w", errClosed)
-			return
-		case v := <-c.verbs:
-			c.replies <- c.step(v)
-		case ev := <-events:
-			c.step(func(now time.Time) error { return c.handle(now, ev) })
-		case <-ticks:
-			c.step(func(now time.Time) error { return c.tick(now, c.warmup) })
-		case <-deadline:
-			// Failures that raced the deadline are still handled: a
-			// recoverable one re-places fragments (the summary then reflects
-			// the recovery), an unrecoverable one aborts rather than folding
-			// a dead node's absence into a successful-looking summary.
-			if c.step(c.drain); c.abort == nil {
-				c.stop()
-				return
-			}
-		}
-		// Whichever step met a failure the membership cannot absorb, its
-		// error is the abort (handleFailure).
-		switch {
-		case c.epoch.IsZero():
-		case c.abort != nil:
-			c.sendStops()
-			c.runErr = fmt.Errorf("transport: run aborted: %w", c.abort)
-			return
-		case events == nil:
-			ticker := time.NewTicker(time.Duration(c.hello.IntervalMs) * time.Millisecond)
-			defer ticker.Stop()
-			events, ticks, deadline = c.events, ticker.C, time.After(c.runFor)
+	}
+	for _, addr := range nodeAddrs {
+		if _, err := c.AddNode(addr); err != nil {
+			c.CloseAll()
+			return nil, err
 		}
 	}
+	return c, nil
 }
 
 // step applies one step under mu at the clock reading of that moment and
 // flushes the frames it queued. It returns the step's error, else the
-// flush's.
+// flush's. Once CloseAll has run, or the run has ended — an abort ends
+// it — or begun its stop handshake, it refuses every step with errClosed.
 func (c *Controller) step(apply func(now time.Time) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.ended || (c.abort != nil && !c.epoch.IsZero()) {
+		return errClosed
+	}
 	return cmp.Or(apply(time.Now()), c.flush())
 }
 
-// do applies a verb's step on the controller loop and returns its error
-// once the step's frames are written, or errClosed at once if the
-// controller has shut down.
-func (c *Controller) do(apply func(now time.Time) error) error {
-	select {
-	case c.verbs <- apply:
-		return <-c.replies
-	case <-c.quit:
-		return errClosed
-	}
-}
-
-// shutdown tears the controller down after the loop's last step: every
+// shutdown tears the controller down after its last step: every
 // connection closes, and once every read loop has returned, closed does.
+// Run calls it once the run has begun; before that, the first CloseAll.
 func (c *Controller) shutdown() {
 	c.closeOnce.Do(func() { close(c.quit) })
 	for _, n := range c.nodes {
@@ -335,17 +266,17 @@ func (c *Controller) shutdown() {
 // for subsequent deploys. Joining is legal mid-run: the node is started
 // and its reports are ingested immediately.
 func (c *Controller) AddNode(addr string) (int, error) {
-	select {
-	case <-c.quit:
-		return 0, errClosed
-	default:
+	// Once steps are refused, dial nothing: a fresh host builds its node
+	// from the first hello that announces a run.
+	if err := c.step(func(time.Time) error { return nil }); err != nil {
+		return 0, err
 	}
 	cn, err := dial(addr, c.hello, defaultWriteTimeout)
 	if err != nil {
 		return 0, err
 	}
 	var idx int
-	if err := c.do(func(now time.Time) error { idx = c.join(now, addr, cn); return nil }); err != nil {
+	if err := c.step(func(now time.Time) error { idx = c.join(now, addr, cn); return nil }); err != nil {
 		cn.Close()
 		return 0, err
 	}
@@ -382,7 +313,14 @@ func (c *Controller) NumNodes() int {
 // has shut down, aborting a run in progress; every verb is refused from
 // then on. Safe to call twice.
 func (c *Controller) CloseAll() {
-	c.closeOnce.Do(func() { close(c.quit) })
+	c.mu.Lock()
+	c.ended = true
+	shut := false
+	c.closeOnce.Do(func() { close(c.quit); shut = c.epoch.IsZero() })
+	c.mu.Unlock()
+	if shut { // no run loop to shut the controller down
+		c.shutdown()
+	}
 	<-c.closed
 }
 
@@ -391,7 +329,7 @@ func (c *Controller) CloseAll() {
 // same way; CLI front-ends use it on error paths so background
 // themis-node processes exit rather than leaking.
 func (c *Controller) Shutdown() {
-	c.do(func(time.Time) error { c.sendStops(); return nil })
+	c.step(func(time.Time) error { c.sendStops(); return nil })
 	c.CloseAll()
 }
 
@@ -407,10 +345,10 @@ func (c *Controller) sendStops() {
 
 // OnSIC registers a callback invoked once per query per broadcast
 // interval with the coordinator's current result-SIC value. The callback
-// runs on the controller loop, inside a step: it must not call the
-// controller's methods, which would wait for the loop it holds.
+// runs on the run loop, inside a step: it must not call the controller's
+// methods, which would wait for the mutex the step holds.
 func (c *Controller) OnSIC(fn func(q stream.QueryID, now stream.Time, v float64)) {
-	c.do(func(time.Time) error { c.sicFn = fn; return nil })
+	c.step(func(time.Time) error { c.sicFn = fn; return nil })
 }
 
 // AutoPlace assigns the given number of fragments to distinct live node
@@ -418,7 +356,7 @@ func (c *Controller) OnSIC(fn func(q stream.QueryID, now stream.Time, v float64)
 // over the alive membership only; dead nodes never receive fragments.
 func (c *Controller) AutoPlace(fragments int) ([]int, error) {
 	var out []int
-	err := c.do(func(time.Time) error {
+	err := c.step(func(time.Time) error {
 		ids, err := c.plane.Place(fragments)
 		for _, id := range ids {
 			out = append(out, int(id))
@@ -442,7 +380,7 @@ func (c *Controller) AutoPlace(fragments int) ([]int, error) {
 // cannot be written is failed, and its fragment re-placed, before Submit
 // returns.
 func (c *Controller) Submit(cqlText string, fragments, dataset int, rate, batchesPerSec float64, placement []int) (q stream.QueryID, err error) {
-	err = c.do(func(now time.Time) error {
+	err = c.step(func(now time.Time) error {
 		q, err = c.submit(now, cqlText, fragments, dataset, rate, batchesPerSec, placement)
 		return err
 	})
@@ -501,9 +439,9 @@ func (c *Controller) submit(now time.Time, cqlText string, fragments, dataset in
 // per-query controller record is freed. The query's mean SIC freezes at
 // its current post-epoch value and still appears in the final results;
 // surviving queries' accounting is untouched. A retract and a failure
-// recovery are two steps of the loop, in one order or the other.
+// recovery are two steps, in one order or the other.
 func (c *Controller) Retract(q stream.QueryID) error {
-	return c.do(func(time.Time) error { return c.retract(q) })
+	return c.step(func(time.Time) error { return c.retract(q) })
 }
 
 // retract is Retract's step.
@@ -626,30 +564,67 @@ func (c *Controller) at(t time.Time) stream.Time {
 // returns the per-query mean SIC plus fairness metrics. A node failing
 // mid-run triggers recovery (handleFailure); only an unrecoverable
 // failure (not enough survivors to host a query's fragments on distinct
-// nodes) aborts the run. Run's step begins the run on the controller
-// loop, which runs it to its end and shuts down; Run waits for that. A
-// verb called during the stop handshake waits for it and is refused, as
-// is any once Run returns.
+// nodes) aborts the run. Run's first step begins the run; its goroutine
+// is then the run loop, which applies frames and ticks as steps until
+// the deadline and the stop handshake, or an abort, and shuts the
+// controller down. A verb called from the stop handshake on is refused
+// at once.
 func (c *Controller) Run(duration, warmup time.Duration) (*NetResults, error) {
-	if err := c.do(func(now time.Time) error { return c.begin(now, duration, warmup) }); err != nil {
+	began := false
+	err := c.step(func(now time.Time) error {
+		began = c.epoch.IsZero()
+		return c.begin(now)
+	})
+	if !began {
 		return nil, err
 	}
-	<-c.closed
-	if c.runErr != nil {
-		return nil, c.runErr
+	defer c.shutdown()
+	ticker := time.NewTicker(time.Duration(c.hello.IntervalMs) * time.Millisecond)
+	defer ticker.Stop()
+	timer := time.NewTimer(duration) // the run's deadline, then the stop handshake's
+	defer timer.Stop()
+	wu := stream.Duration(warmup.Milliseconds())
+	for err == nil {
+		select {
+		case <-c.quit:
+			err = errClosed
+		case ev := <-c.events:
+			err = c.step(func(now time.Time) error { return c.handle(now, ev) })
+		case <-ticker.C:
+			err = c.step(func(now time.Time) error { return c.tick(now, wu) })
+		case <-timer.C:
+			// Failures that raced the deadline are still handled: a
+			// recoverable one re-places fragments (the summary then reflects
+			// the recovery), an unrecoverable one aborts rather than folding
+			// a dead node's absence into a successful-looking summary.
+			if err = c.step(c.drain); err == nil {
+				timer.Reset(stopTimeout)
+				c.stop(timer.C)
+				return c.results(), nil
+			}
+		}
 	}
-	return c.results(), nil
+	// The first failure the membership cannot absorb — this loop's, or a
+	// verb's, which refuses the loop's next step — is the abort
+	// (handleFailure); without one, CloseAll ended the run.
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.abort != nil {
+		c.sendStops()
+		err = c.abort
+	}
+	return nil, fmt.Errorf("transport: run aborted: %w", err)
 }
 
 // begin is Run's step: the run clock starts at now, every node counts as
 // heard from now, and every live node gets its Start. A failure a verb
 // met before that the membership could not absorb aborts the run, and
 // no node is started.
-func (c *Controller) begin(now time.Time, duration, warmup time.Duration) error {
+func (c *Controller) begin(now time.Time) error {
 	if !c.epoch.IsZero() {
 		return errors.New("transport: the run has begun already")
 	}
-	c.epoch, c.runFor, c.warmup = now, duration, stream.Duration(warmup.Milliseconds())
+	c.epoch = now
 	if c.abort != nil {
 		return c.abort
 	}
@@ -661,17 +636,24 @@ func (c *Controller) begin(now time.Time, duration, warmup time.Duration) error 
 	return nil
 }
 
-// stop is the stop handshake that ends a run: announce stop, then wait
-// for every surviving node's final stats frame (or a timeout), so the
-// summary includes all node counters.
-func (c *Controller) stop() {
+// stop is the stop handshake that ends a run: every step is refused from
+// now on, every node is sent a stop, and the run loop waits for every
+// surviving node's final stats frame (or the deadline), so the summary
+// includes all node counters. The frames that arrive meanwhile apply
+// under mu but not as steps: they queue nothing, so there is nothing to
+// flush, and a connection ending now is teardown.
+func (c *Controller) stop(deadline <-chan time.Time) {
+	c.mu.Lock()
+	c.ended = true
 	c.sendStops()
-	deadline := time.After(stopTimeout)
+	c.mu.Unlock()
 	for c.awaitingStats() {
 		select {
 		case ev := <-c.events:
-			if ev.err == nil { // a connection ending now is teardown
-				c.step(func(now time.Time) error { return c.handle(now, ev) })
+			if ev.err == nil {
+				c.mu.Lock()
+				c.handle(time.Now(), ev)
+				c.mu.Unlock()
 			}
 		case <-deadline:
 			return
@@ -716,7 +698,7 @@ func (c *Controller) handle(now time.Time, ev event) error {
 	return nil
 }
 
-// drain applies every event already queued, at now. Only the loop
+// drain applies every event already queued, at now. Only the run loop
 // receives from c.events, so a non-empty queue never blocks the receive.
 func (c *Controller) drain(now time.Time) error {
 	for len(c.events) > 0 {
@@ -843,7 +825,7 @@ func (c *Controller) replaceFragments(q stream.QueryID, pin int64) (restored boo
 }
 
 // readLoop decodes node idx's frames and offers each control frame to
-// the controller loop, then the error that ends the connection. It
+// the run loop, then the error that ends the connection. It
 // touches no controller state, and once quit closes it offers nothing
 // more. Batches are never routed through the controller and are dropped
 // here.
@@ -868,6 +850,8 @@ func (c *Controller) readLoop(idx int, n *conn) {
 
 // awaitingStats reports whether a live node's stats frame is still due.
 func (c *Controller) awaitingStats() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for i, st := range c.stats {
 		if st == nil && c.plane.Alive(stream.NodeID(i)) {
 			return true
@@ -889,9 +873,10 @@ type NetResults struct {
 	// post-recovery epoch; for a query retracted mid-run, the mean is
 	// frozen at retract time; a query submitted mid-run averages from
 	// its own epoch plus warmup. A query with no sample past its warmup
-	// is listed at 0, and MeanSIC and Jain leave it out
-	// (coordinator.Ledger.Summary).
+	// is listed at 0, Measured says which are, and MeanSIC and Jain leave
+	// it out (coordinator.Ledger.Summary).
 	PerQuery map[stream.QueryID]float64
+	Measured map[stream.QueryID]bool
 	MeanSIC  float64
 	Jain     float64
 	// Nodes holds the stats frame of every node that sent one, in node
@@ -903,12 +888,18 @@ type NetResults struct {
 }
 
 func (c *Controller) results() *NetResults {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	// Retracted queries report the mean frozen at retract time; fairness
 	// metrics cover the whole workload the run served, live or departed.
 	sum := c.ledger.Summary()
-	res := &NetResults{PerQuery: make(map[stream.QueryID]float64, len(sum.Queries)), MeanSIC: sum.Mean, Jain: sum.Jain}
+	res := &NetResults{
+		PerQuery: make(map[stream.QueryID]float64, len(sum.Queries)),
+		Measured: make(map[stream.QueryID]bool, len(sum.Queries)),
+		MeanSIC:  sum.Mean, Jain: sum.Jain,
+	}
 	for i, q := range sum.Queries {
-		res.PerQuery[q] = sum.Means[i]
+		res.PerQuery[q], res.Measured[q] = sum.Means[i], sum.Measured[i]
 	}
 	for _, st := range c.stats {
 		if st != nil {

@@ -343,14 +343,14 @@ func servedBlob(q, f int) []byte { return []byte{byte(q), byte(f), 0xcc} }
 // servedStats is node 0's stats frame, applied before the fuzzed frame.
 var servedStats = StatsMsg{Node: "n0", ArrivedTuples: 7}
 
-// servedController builds FuzzControllerFrame's two-node stepped
-// controller on peers: servedPlacements submitted, every fragment's
+// servedController builds FuzzControllerFrame's two-node controller
+// on peers, before any Run: servedPlacements submitted, every fragment's
 // servedBlob banked from its host and node 0's servedStats in, all
 // through handle.
 func servedController(t *testing.T, peers []string) *Controller {
-	ctrl := steppedController(t, ControllerConfig{Seed: 1}, peers)
+	ctrl := testController(t, ControllerConfig{Seed: 1}, peers)
 	for q, at := range servedPlacements {
-		if _, err := stepSubmit(ctrl, avgAllCQL, len(at), at); err != nil {
+		if _, err := ctrl.Submit(avgAllCQL, len(at), 1, 20, 4, at); err != nil {
 			t.Fatal(err)
 		}
 		for f, host := range at {
@@ -368,7 +368,7 @@ func servedController(t *testing.T, peers []string) *Controller {
 
 // FuzzControllerFrame applies arbitrary JSON control frames with
 // Controller.handle, as node 0 or node 1 of servedController, the way
-// the controller loop applies what a read loop decodes. Nothing a host can put in a
+// the run loop applies what a read loop decodes. Nothing a host can put in a
 // frame may panic the controller, leave a query's measured result SIC
 // non-finite or outside [0, coordinator.MaxResultMass], or change a
 // measurement, banked checkpoint or stats record the sending node does

@@ -42,35 +42,17 @@ func startNodes(t *testing.T, n int, capacity float64) ([]string, []*NodeServer)
 	return addrs, srvs
 }
 
-// steppedController builds a controller over addrs whose loop does not
-// run: the test is the controller loop, calling the step methods itself,
-// and cleanup tears the controller down as the loop would.
-func steppedController(t testing.TB, cfg ControllerConfig, addrs []string) *Controller {
+// testController connects a controller to addrs, closed when the test
+// ends. Before Run no loop runs, so the test may apply the step methods
+// itself, each wrapped in ctrl.step.
+func testController(t testing.TB, cfg ControllerConfig, addrs []string) *Controller {
 	t.Helper()
-	c, err := newController(cfg)
+	c, err := NewController(cfg, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.shutdown)
-	for _, addr := range addrs {
-		cn, err := dial(addr, c.hello, defaultWriteTimeout)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.join(time.Now(), addr, cn)
-	}
+	t.Cleanup(c.CloseAll)
 	return c
-}
-
-// stepSubmit applies Submit's step to a stepped controller as the
-// controller loop does: the submit, then the flush that writes its
-// frames and fails any host whose write fails.
-func stepSubmit(c *Controller, cqlText string, fragments int, placement []int) (q stream.QueryID, err error) {
-	err = c.step(func(now time.Time) error {
-		q, err = c.submit(now, cqlText, fragments, 1, 20, 4, placement)
-		return err
-	})
-	return q, err
 }
 
 // TestDistributedCQLEndToEnd deploys a three-fragment CQL query across

@@ -89,7 +89,8 @@ func TestLiveQueryChurnEndToEnd(t *testing.T) {
 	// that does not ascend starts a new tick, so an ordered run shows one
 	// ascending sequence per tick — at most 12 s / 100 ms of them — where a
 	// map-ordered walk over two or three queries would show half as many
-	// again. The callback runs on the controller loop; plain variables are safe.
+	// again. The callback runs inside a tick step, under the controller
+	// mutex; plain variables are safe.
 	lastQ, sicRuns, sicCalls := stream.QueryID(-1), 0, 0
 	ctrl.OnSIC(func(q stream.QueryID, _ stream.Time, _ float64) {
 		if q <= lastQ || sicCalls == 0 {
@@ -447,8 +448,8 @@ func TestRetractFreesControllerState(t *testing.T) {
 
 // TestSubmitRacesRunStart: a Submit made while Run starts — as a
 // submit scheduled at offset 0 of a run makes it — reads the run epoch
-// that Run's first step sets. Both are steps of the controller loop; the
-// race detector catches an access from any other goroutine.
+// that Run's first step sets. Both are steps under the controller mutex;
+// the race detector catches an access outside one.
 func TestSubmitRacesRunStart(t *testing.T) {
 	addrs, _ := startNodes(t, 1, 1000)
 	ctrl, err := NewController(ControllerConfig{STW: 2 * stream.Second, Interval: 50 * stream.Millisecond, Seed: 1}, addrs)
@@ -466,6 +467,141 @@ func TestSubmitRacesRunStart(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVerbDuringStopHandshakeIsRefused: once the run has begun its stop
+// handshake, a verb is refused at once rather than waiting for the
+// handshake to end. The hosts never send their stats, so the handshake
+// would wait the whole stopTimeout; CloseAll then ends it, and Run
+// still returns the run's results.
+func TestVerbDuringStopHandshakeIsRefused(t *testing.T) {
+	ctrl := testController(t, ControllerConfig{Seed: 1}, []string{silentPeer(t), silentPeer(t)})
+	type outcome struct {
+		res *NetResults
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := ctrl.Run(50*time.Millisecond, 0)
+		done <- outcome{res, err}
+	}()
+	// Submit until one is refused: the first after the handshake begins.
+	var took time.Duration
+	for giveUp := time.Now().Add(stopTimeout); ; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(giveUp) {
+			t.Fatal("every Submit was accepted for a whole stopTimeout")
+		}
+		start := time.Now()
+		_, err := ctrl.Submit(avgCQL, 1, 1, 20, 4, nil)
+		took = time.Since(start)
+		if err != nil {
+			if !errors.Is(err, errClosed) {
+				t.Fatalf("Submit during the stop handshake: %v, want %v", err, errClosed)
+			}
+			break
+		}
+	}
+	if took > stopTimeout/10 {
+		t.Errorf("Submit during the stop handshake took %v to be refused", took)
+	}
+	select {
+	case o := <-done:
+		t.Fatalf("Run returned (%v) before the handshake's stats or timeout", o.err)
+	default:
+	}
+	ctrl.CloseAll()
+	if o := <-done; o.err != nil || o.res == nil {
+		t.Fatalf("Run after CloseAll ended its stop handshake: %v, %v", o.res, o.err)
+	}
+}
+
+// TestVerbsRaceTheRunLoop: verbs called from several goroutines while
+// Run's goroutine applies frames and ticks are steps under one mutex, in
+// some order. The race detector catches any controller state touched
+// outside a step. Every query a Submit accepted is in the results, and
+// every verb after Run returns is refused.
+func TestVerbsRaceTheRunLoop(t *testing.T) {
+	addrs, _ := startNodes(t, 4, 50_000)
+	ctrl := testController(t, ControllerConfig{STW: stream.Second, Interval: 50 * stream.Millisecond, Seed: 1}, addrs[:3])
+	var res *NetResults
+	var runErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		res, runErr = ctrl.Run(time.Second, 0)
+	}()
+	var mu sync.Mutex
+	var submitted []stream.QueryID
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prev := stream.QueryID(-1)
+			for {
+				q, err := ctrl.Submit(avgCQL, 1, 1, 20, 4, nil)
+				if errors.Is(err, errClosed) {
+					return
+				}
+				if err != nil {
+					t.Errorf("Submit during the run: %v", err)
+					return
+				}
+				mu.Lock()
+				submitted = append(submitted, q)
+				mu.Unlock()
+				if prev >= 0 {
+					if err := ctrl.Retract(prev); err != nil && !errors.Is(err, errClosed) {
+						t.Errorf("Retract of query %d: %v", prev, err)
+					}
+				}
+				if _, err := ctrl.AutoPlace(2); err != nil && !errors.Is(err, errClosed) {
+					t.Errorf("AutoPlace: %v", err)
+				}
+				if n := ctrl.NumNodes(); n < 3 || n > 4 {
+					t.Errorf("NumNodes %d", n)
+				}
+				prev = q
+				time.Sleep(20 * time.Millisecond)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		time.Sleep(300 * time.Millisecond)
+		if _, err := ctrl.AddNode(addrs[3]); err != nil {
+			t.Errorf("AddNode of the spare during the run: %v", err)
+		}
+	}()
+	wg.Wait()
+	<-done
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	if len(submitted) == 0 {
+		t.Fatal("no Submit was accepted during the run")
+	}
+	for _, q := range submitted {
+		if _, ok := res.PerQuery[q]; !ok {
+			t.Errorf("query %d, accepted by Submit, is missing from the results", q)
+		}
+	}
+	if _, err := ctrl.Submit(avgCQL, 1, 1, 20, 4, nil); !errors.Is(err, errClosed) {
+		t.Errorf("Submit after Run: %v", err)
+	}
+	if err := ctrl.Retract(submitted[0]); !errors.Is(err, errClosed) {
+		t.Errorf("Retract after Run: %v", err)
+	}
+	if _, err := ctrl.AutoPlace(1); !errors.Is(err, errClosed) {
+		t.Errorf("AutoPlace after Run: %v", err)
+	}
+	if _, err := ctrl.AddNode(silentPeer(t)); !errors.Is(err, errClosed) {
+		t.Errorf("AddNode after Run: %v", err)
+	}
+	if _, err := ctrl.Run(time.Second, 0); !errors.Is(err, errClosed) {
+		t.Errorf("a second Run: %v", err)
 	}
 }
 
@@ -504,8 +640,8 @@ func recordingPeer(t *testing.T) (addr string, frames func() []*Envelope) {
 
 // TestRetractAndFailureAsSteps is the deterministic form of
 // TestRetractRacesRecovery: a retract and the failure of one of the
-// query's hosts are two steps of the controller loop, applied in either
-// order — the test is the loop. Either way both steps succeed, the
+// query's hosts are two steps, applied in either order — the test
+// applies them before any Run. Either way both steps succeed, the
 // controller forgets the query, and every live host sees each deploy of
 // it followed by a retract: in the failure-first order that includes the
 // spare the recovery re-deployed the fragment to.
@@ -516,8 +652,8 @@ func TestRetractAndFailureAsSteps(t *testing.T) {
 		for i := range addrs {
 			addrs[i], frames[i] = recordingPeer(t)
 		}
-		ctrl := steppedController(t, ControllerConfig{Seed: 1}, addrs)
-		q, err := stepSubmit(ctrl, avgAllCQL, 2, []int{0, 1})
+		ctrl := testController(t, ControllerConfig{Seed: 1}, addrs)
+		q, err := ctrl.Submit(avgAllCQL, 2, 1, 20, 4, []int{0, 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -587,9 +723,9 @@ func TestRetractAndFailureAsSteps(t *testing.T) {
 // counted in the results but placed on a host that never got its
 // fragment.
 func TestSubmitToUnwritableHostReplacesIt(t *testing.T) {
-	ctrl := steppedController(t, ControllerConfig{Seed: 1}, []string{silentPeer(t), silentPeer(t), silentPeer(t)})
+	ctrl := testController(t, ControllerConfig{Seed: 1}, []string{silentPeer(t), silentPeer(t), silentPeer(t)})
 	ctrl.nodes[1].Close()
-	q, err := stepSubmit(ctrl, avgAllCQL, 2, []int{0, 1})
+	q, err := ctrl.Submit(avgAllCQL, 2, 1, 20, 4, []int{0, 1})
 	if err != nil {
 		t.Fatalf("submit with a closed host connection and a spare: %v", err)
 	}
@@ -612,8 +748,8 @@ func TestSubmitToUnwritableHostReplacesIt(t *testing.T) {
 // host 2, the plane's first choice for fragment 0, cannot be written,
 // and host 3 is free.
 func TestFailedRedeployWriteFailsItsHost(t *testing.T) {
-	ctrl := steppedController(t, ControllerConfig{Seed: 1}, []string{silentPeer(t), silentPeer(t), silentPeer(t), silentPeer(t)})
-	q, err := stepSubmit(ctrl, avgAllCQL, 2, []int{0, 1})
+	ctrl := testController(t, ControllerConfig{Seed: 1}, []string{silentPeer(t), silentPeer(t), silentPeer(t), silentPeer(t)})
+	q, err := ctrl.Submit(avgAllCQL, 2, 1, 20, 4, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,13 +777,15 @@ func TestFailedRedeployWriteFailsItsHost(t *testing.T) {
 // is failed like any other write failure, and its fragment moves to the
 // spare; the run begins.
 func TestBeginReplacesUnwritableHost(t *testing.T) {
-	ctrl := steppedController(t, ControllerConfig{Seed: 1}, []string{silentPeer(t), silentPeer(t), silentPeer(t)})
-	q, err := stepSubmit(ctrl, avgAllCQL, 2, []int{0, 1})
+	ctrl := testController(t, ControllerConfig{Seed: 1}, []string{silentPeer(t), silentPeer(t), silentPeer(t)})
+	q, err := ctrl.Submit(avgAllCQL, 2, 1, 20, 4, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctrl.nodes[1].Close()
-	if err := ctrl.step(func(now time.Time) error { return ctrl.begin(now, time.Second, 0) }); err != nil {
+	// The test is Run's first step here, so it shuts the controller down.
+	defer ctrl.shutdown()
+	if err := ctrl.step(ctrl.begin); err != nil {
 		t.Fatalf("begin with an unwritable host and a spare: %v", err)
 	}
 	if ctrl.plane.Alive(1) {
@@ -662,8 +800,8 @@ func TestBeginReplacesUnwritableHost(t *testing.T) {
 // written leaves the membership, as one whose deploy or SIC write fails
 // does.
 func TestFailedRetractWriteFailsItsHost(t *testing.T) {
-	ctrl := steppedController(t, ControllerConfig{Seed: 1}, []string{silentPeer(t), silentPeer(t), silentPeer(t)})
-	q, err := stepSubmit(ctrl, avgAllCQL, 2, []int{0, 1})
+	ctrl := testController(t, ControllerConfig{Seed: 1}, []string{silentPeer(t), silentPeer(t), silentPeer(t)})
+	q, err := ctrl.Submit(avgAllCQL, 2, 1, 20, 4, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -683,24 +821,24 @@ func TestFailedRetractWriteFailsItsHost(t *testing.T) {
 // cannot be re-placed leaves its query on the dead host, so the run must
 // not begin — even after a later submit's failure is absorbed.
 func TestUnplaceableSubmitAbortsRun(t *testing.T) {
-	ctrl := steppedController(t, ControllerConfig{Seed: 1}, []string{silentPeer(t), silentPeer(t), silentPeer(t)})
+	ctrl := testController(t, ControllerConfig{Seed: 1}, []string{silentPeer(t), silentPeer(t), silentPeer(t)})
 	ctrl.nodes[0].Close()
-	if _, err := stepSubmit(ctrl, avgAllCQL, 3, []int{0, 1, 2}); !errors.Is(err, control.ErrUnplaceable) {
+	if _, err := ctrl.Submit(avgAllCQL, 3, 1, 20, 4, []int{0, 1, 2}); !errors.Is(err, control.ErrUnplaceable) {
 		t.Fatalf("submit across three hosts, one unwritable, no spare: %v, want %v", err, control.ErrUnplaceable)
 	}
-	addr := silentPeer(t)
-	cn, err := dial(addr, ctrl.hello, defaultWriteTimeout)
+	spare, err := ctrl.AddNode(silentPeer(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	spare := ctrl.join(time.Now(), addr, cn)
-	cn.Close()
-	if _, err := stepSubmit(ctrl, avgAllCQL, 1, []int{spare}); err != nil {
+	ctrl.nodes[spare].Close()
+	if _, err := ctrl.Submit(avgAllCQL, 1, 1, 20, 4, []int{spare}); err != nil {
 		t.Fatalf("submit to an unwritable host with two live ones left: %v", err)
 	}
 	var started []int // the hosts begin queued a Start for
+	// The test is Run's first step here, so it shuts the controller down.
+	defer ctrl.shutdown()
 	err = ctrl.step(func(now time.Time) error {
-		err := ctrl.begin(now, time.Second, 0)
+		err := ctrl.begin(now)
 		for ni, es := range ctrl.out {
 			if len(es) > 0 {
 				started = append(started, ni)
@@ -716,10 +854,45 @@ func TestUnplaceableSubmitAbortsRun(t *testing.T) {
 	}
 }
 
+// TestResultsTellUnmeasuredFromStarved: the run's results say which
+// queries were measured. A query retracted before its first sample past
+// warmup and a query measured at 0 both read mean 0; only the second is
+// measured.
+func TestResultsTellUnmeasuredFromStarved(t *testing.T) {
+	ctrl := testController(t, ControllerConfig{Seed: 1}, []string{silentPeer(t), silentPeer(t)})
+	starved, err := ctrl.Submit(avgCQL, 1, 1, 20, 4, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone, err := ctrl.Submit(avgCQL, 1, 1, 20, 4, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The test is Run's first step here, so it shuts the controller down.
+	defer ctrl.shutdown()
+	for _, step := range []func(time.Time) error{
+		ctrl.begin,
+		func(time.Time) error { return ctrl.retract(gone) },
+		// A second into the run, past the warmup, with no report in.
+		func(now time.Time) error { return ctrl.tick(now.Add(time.Second), 0) },
+	} {
+		if err := ctrl.step(step); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := ctrl.results()
+	if res.PerQuery[starved] != 0 || !res.Measured[starved] {
+		t.Errorf("starved query: mean %v, measured %v; want 0, true", res.PerQuery[starved], res.Measured[starved])
+	}
+	if _, listed := res.PerQuery[gone]; !listed || res.Measured[gone] {
+		t.Errorf("query retracted before its warmup: listed %v, measured %v; want true, false", listed, res.Measured[gone])
+	}
+}
+
 // TestClosedControllerReturnsAtOnce: once CloseAll has returned on a
 // controller that never ran, every exported method returns at once —
-// each verb with an error — and the controller's goroutines (its loop
-// and read loops) are gone.
+// each verb with an error — and the controller's goroutines, its read
+// loops, are gone.
 func TestClosedControllerReturnsAtOnce(t *testing.T) {
 	addrs, _ := startNodes(t, 2, 1000)
 	base := runtime.NumGoroutine()
@@ -777,10 +950,7 @@ func TestClosedControllerReturnsAtOnce(t *testing.T) {
 // host for silence.
 func TestDefaultHeartbeatOutlastsWriteStall(t *testing.T) {
 	for _, iv := range []stream.Duration{1, 50, 250, 1000, control.MaxInterval} {
-		c, err := newController(ControllerConfig{STW: iv, Interval: iv})
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := testController(t, ControllerConfig{STW: iv, Interval: iv}, nil)
 		if stall := defaultWriteTimeout + time.Duration(iv)*time.Millisecond; c.hbTimeout <= stall {
 			t.Errorf("interval %d ms: default heartbeat timeout %v does not outlast a write stall and an interval, %v", iv, c.hbTimeout, stall)
 		}

@@ -275,9 +275,9 @@ const (
 
 // conn wraps a TCP connection for frame writing. Every write — control
 // envelopes and encoded batches alike — goes out through writeFrames.
-// A conn has one writer, so its writes take no lock: the loop that owns
-// it (the controller loop, or a host loop), or dial before it hands the
-// conn over.
+// A conn has one writer at a time, so its writes take no lock of their
+// own: on the controller, whoever holds Controller.mu; on a host, its
+// loop; or dial before it hands the conn over.
 type conn struct {
 	c net.Conn
 	// wt bounds every frame write; a deadline expiry surfaces as a

@@ -251,8 +251,8 @@ func BenchmarkWireBatch(b *testing.B) {
 // still dropped rather than opening a ledger entry.
 func TestControllerToleratesOldReportShape(t *testing.T) {
 	addrs, _ := startNodes(t, 1, 1000)
-	ctrl := steppedController(t, ControllerConfig{Seed: 1}, addrs)
-	q, err := stepSubmit(ctrl, "Select Avg(t.v) From Src[Range 1 sec]", 1, nil)
+	ctrl := testController(t, ControllerConfig{Seed: 1}, addrs)
+	q, err := ctrl.Submit("Select Avg(t.v) From Src[Range 1 sec]", 1, 1, 20, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,9 +272,9 @@ func TestControllerToleratesOldReportShape(t *testing.T) {
 	}
 }
 
-// feedHandle decodes JSON control frames and applies each to a stepped
-// controller, as the controller loop applies what node idx's read loop
-// decodes.
+// feedHandle decodes JSON control frames and applies each to a
+// controller before Run, as the run loop applies what node idx's read
+// loop decodes.
 func feedHandle(t *testing.T, ctrl *Controller, idx int, frames ...string) {
 	t.Helper()
 	for _, frame := range frames {
@@ -323,8 +323,8 @@ func TestControllerAppliesOnlyServedFrames(t *testing.T) {
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			addrs, _ := startNodes(t, 2, 1000)
-			ctrl := steppedController(t, ControllerConfig{Seed: 1}, addrs)
-			q, err := stepSubmit(ctrl, "Select Avg(t.v) From Src[Range 1 sec]", 1, []int{0})
+			ctrl := testController(t, ControllerConfig{Seed: 1}, addrs)
+			q, err := ctrl.Submit("Select Avg(t.v) From Src[Range 1 sec]", 1, 1, 20, 4, []int{0})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -75,7 +75,7 @@ func (c *Coordinator) Query() stream.QueryID { return c.query }
 // Mode returns the estimation mode.
 func (c *Coordinator) Mode() UpdateMode { return c.mode }
 
-// ReportAcceptedBatch records one exchange round's accepted-SIC deltas
+// ReportAcceptedBatch records one exchange round's deltas of accepted SIC
 // (gathered across nodes in a fixed order) with a single accumulator
 // update, touching the sliding accumulator once per tick instead of once
 // per node. When the batch is the target bucket's first contribution —

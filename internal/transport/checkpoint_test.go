@@ -22,6 +22,7 @@ import (
 // within a slide — the restored window needs no refill — so this also
 // pins the "no STW-length dependence" property at the wire level.
 func TestCheckpointedRecoveryEndToEnd(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("wall-clock federation test in -short mode")
 	}

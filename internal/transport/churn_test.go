@@ -27,6 +27,7 @@ import (
 // jitter and the warm-start of the re-placed sources' rate estimators
 // (same tolerance as TestDistributedCQLEndToEnd).
 func TestChurnRecoveryEndToEnd(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("wall-clock federation test in -short mode")
 	}

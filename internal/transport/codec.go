@@ -15,12 +15,12 @@ import (
 //
 //	[1 byte frame type][4 bytes big-endian payload length][payload]
 //
-// Control messages — deploy, start, SIC updates, reports, stats — are
-// rare and travel as JSON envelopes (frameJSON) for debuggability. Tuple
-// batches are the hot path: every derived batch crossing fragment hosts
-// goes through here several times per second per query, so they use a
-// fixed-layout binary encoding (frameBatch) that round-trips float64
-// payloads bit-exactly and costs no reflection or number formatting.
+// Control messages travel as JSON envelopes (frameJSON), and not rarely:
+// every tick each host sends a report per result and a heartbeat, and the
+// controller a SIC update per query per host. Tuple batches, which cross
+// fragment hosts several times per second per query, use a fixed-layout
+// binary encoding (frameBatch) that round-trips float64 payloads
+// bit-exactly and costs no reflection or number formatting.
 const (
 	frameJSON  byte = 0x00
 	frameBatch byte = 0x01

@@ -374,7 +374,8 @@ func servedController(t *testing.T, peers []string) *Controller {
 // measurement, banked checkpoint or stats record the sending node does
 // not serve: a report applies only from the host of the query's root, a
 // checkpoint only from the fragment's host, and a stats frame only as
-// the node's first.
+// the node's first. No frame opens a ledger entry: a report or
+// checkpoint for a query the controller never submitted is dropped.
 func FuzzControllerFrame(f *testing.F) {
 	for _, s := range []struct {
 		from  uint8
@@ -387,6 +388,10 @@ func FuzzControllerFrame(f *testing.F) {
 		{1, `{"kind":"checkpoint","checkpoint":{"query":2,"frag":-1,"tick":2,"state":"AQID"}}`},
 		{0, `{"kind":"checkpoint","checkpoint":{"query":2,"frag":2147483647,"tick":2,"state":"AQID"}}`},
 		{0, `{"kind":"report"}`},
+		{0, `{"kind":"report","report":{"query":0,"result":-3,"tuples":4}}`},
+		{0, `{"kind":"report","report":{"query":0,"accepted":0.5,"result":0,"tuples":0,"is_result":false}}`},
+		{1, `{"kind":"report","report":{"query":99,"result":0.5,"tuples":4}}`},
+		{0, `{"kind":"checkpoint","checkpoint":{"query":99,"frag":0,"tick":2,"state":"AQID"}}`},
 		{0, `{"kind":"stats","stats":{"node":"a","arrived_tuples":5}}`},
 		{1, `{"kind":"heartbeat"}`},
 	} {
@@ -416,6 +421,21 @@ func FuzzControllerFrame(f *testing.F) {
 				if host != node && !bytes.Equal(ctrl.plane.Checkpointed(id, f), servedBlob(q, f)) {
 					t.Fatalf("node %d replaced query %d fragment %d's checkpoint, hosted on node %d", node, q, f, host)
 				}
+			}
+		}
+		if n := ctrl.ledger.NumLive(); n != len(servedPlacements) {
+			t.Fatalf("%d live ledger entries, want the %d submitted queries", n, len(servedPlacements))
+		}
+		ids := []stream.QueryID{99}
+		if e.Report != nil {
+			ids = append(ids, e.Report.Query)
+		}
+		if e.Checkpoint != nil {
+			ids = append(ids, e.Checkpoint.Query)
+		}
+		for _, id := range ids {
+			if (id < 0 || int(id) >= len(servedPlacements)) && ctrl.ledger.Live(id) {
+				t.Fatalf("a frame opened a ledger entry for unknown query %d", id)
 			}
 		}
 		if ctrl.stats[0] == nil || *ctrl.stats[0] != servedStats {

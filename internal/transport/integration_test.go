@@ -62,6 +62,7 @@ func testController(t testing.TB, cfg ControllerConfig, addrs []string) *Control
 // the networked SIC can only reach that level if node→node batch routing
 // delivers every non-root fragment's partials to the root.
 func TestDistributedCQLEndToEnd(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("wall-clock federation test in -short mode")
 	}
@@ -148,6 +149,7 @@ func TestDistributedCQLEndToEnd(t *testing.T) {
 // every run must deterministically deliver the final stats of every
 // node, and the handshake must complete well inside the stop timeout.
 func TestStopWaitsForStats(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("wall-clock federation test in -short mode")
 	}

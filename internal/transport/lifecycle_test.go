@@ -221,6 +221,7 @@ func TestLiveQueryChurnEndToEnd(t *testing.T) {
 // died must place over the surviving membership and run — churn of the
 // node population and of the query population compose.
 func TestSubmitAfterNodeFailure(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("wall-clock federation test in -short mode")
 	}
@@ -298,6 +299,7 @@ func TestSubmitAfterNodeFailure(t *testing.T) {
 // which side wins — no abort, no hang, and no zombie fragments on any
 // surviving host.
 func TestRetractRacesRecovery(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("wall-clock federation test in -short mode")
 	}
@@ -522,6 +524,7 @@ func TestVerbDuringStopHandshakeIsRefused(t *testing.T) {
 // outside a step. Every query a Submit accepted is in the results, and
 // every verb after Run returns is refused.
 func TestVerbsRaceTheRunLoop(t *testing.T) {
+	t.Parallel()
 	addrs, _ := startNodes(t, 4, 50_000)
 	ctrl := testController(t, ControllerConfig{STW: stream.Second, Interval: 50 * stream.Millisecond, Seed: 1}, addrs[:3])
 	var res *NetResults

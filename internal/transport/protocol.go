@@ -1,9 +1,10 @@
 // Package transport runs THEMIS nodes as network services: a framed TCP
 // protocol carries query deployment, tuple batches between fragments on
 // different machines, coordinator result-SIC updates, and result streams
-// back to the issuing user. Control messages travel as JSON for
-// debuggability; tuple batches — the hot path — use a length-prefixed
-// binary codec (see codec.go).
+// back to the issuing user. Control messages travel as JSON envelopes,
+// the per-tick ones included: each host's result reports and heartbeat,
+// and the controller's SIC updates (the paper's are binary; DESIGN.md
+// §6). Tuple batches use a length-prefixed binary codec (see codec.go).
 //
 // The same node runtime (internal/node) that the virtual-time simulator
 // drives is driven here by wall-clock tickers, so everything the
@@ -217,11 +218,7 @@ type SICMsg struct {
 // ReportMsg flows node → controller: one result-stream delivery. The
 // numeric fields deliberately avoid omitempty: a zero-valued result is
 // meaningful SIC accounting data and must survive the round trip
-// unchanged. Hosts used to send a second shape through this frame — an
-// accepted-SIC delta, {"accepted":d,"result":0,"is_result":false} — which
-// no coordinator read (the controller disseminates root-measured SIC); a
-// frame in that shape from a host not yet upgraded decodes as a result
-// of zero mass.
+// unchanged.
 type ReportMsg struct {
 	Query  stream.QueryID `json:"query"`
 	Result float64        `json:"result"`

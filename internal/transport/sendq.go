@@ -7,10 +7,10 @@ package transport
 // the flush's write deadline, so an overloaded tick costs one syscall
 // per peer, not one per batch, and a peer that stopped reading stalls
 // the host for at most one write timeout. A queue holds at most
-// maxQueueFrames frames / maxQueueBytes bytes; overflow drops the batch
-// with its tuples and pre-credited SIC mass counted in the node's
-// dropped counters, so a stalled peer neither grows its senders' memory
-// nor makes SIC mass vanish silently.
+// maxQueueBytes bytes; overflow drops the batch with its tuples and
+// pre-credited SIC mass counted in the node's dropped counters, so a
+// stalled peer neither grows its senders' memory nor makes SIC mass
+// vanish silently.
 
 import "net"
 
@@ -21,12 +21,11 @@ const (
 	// once and dropped back to the allocator.
 	maxWireScratch = 64 << 10
 
-	// maxQueueFrames / maxQueueBytes bound one peer's pending frames.
-	// Hit either and the newest frame is dropped (with drop accounting)
-	// rather than queued: a wedged peer sheds load at its senders
-	// instead of accumulating it.
-	maxQueueFrames = 512
-	maxQueueBytes  = 8 << 20
+	// maxQueueBytes bounds one peer's pending frames. Every queue is
+	// flushed or dropped in the tick that filled it, so the bound caps
+	// what one tick may send one peer: past it the newest frame is
+	// dropped (with drop accounting) rather than queued.
+	maxQueueBytes = 8 << 20
 
 	// maxFreeBufs bounds the write-buffer free list so an overload burst
 	// does not become a permanent high-water mark. It must cover a full
@@ -100,10 +99,11 @@ type peerQueue struct {
 	flushes int
 }
 
-// push appends an encoded frame, refusing (false) when the queue is at
-// its frame or byte bound. The caller keeps ownership of buf on refusal.
+// push appends an encoded frame, refusing (false) when it would take
+// the queue past its byte bound. The caller keeps ownership of buf on
+// refusal.
 func (q *peerQueue) push(buf []byte, tuples int, sic float64) bool {
-	if len(q.frames) >= maxQueueFrames || q.bytes+len(buf) > maxQueueBytes {
+	if q.bytes+len(buf) > maxQueueBytes {
 		return false
 	}
 	q.frames = append(q.frames, qframe{buf: buf, tuples: tuples, sic: sic})

@@ -655,38 +655,37 @@ func TestSteadyStateSendZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestPeerQueueBackpressure: a queue refuses pushes past its frame
-// bound, and the refused frame's ownership stays with the caller.
+// TestPeerQueueBackpressure: a queue refuses a push that would take it
+// past its byte bound, and the refused frame's ownership stays with the
+// caller.
 func TestPeerQueueBackpressure(t *testing.T) {
 	var q peerQueue
-	for i := 0; i < maxQueueFrames; i++ {
-		if !q.push([]byte{1}, 1, 0.5) {
-			t.Fatalf("push %d refused below the frame bound", i)
-		}
-	}
-	if q.push([]byte{1}, 1, 0.5) {
-		t.Fatal("push beyond maxQueueFrames accepted: queue is unbounded")
-	}
-	var big peerQueue
-	if !big.push(make([]byte, maxQueueBytes-1), 1, 0) {
+	if !q.push(make([]byte, maxQueueBytes-1), 1, 0) {
 		t.Fatal("first large push refused")
 	}
-	if big.push(make([]byte, 2), 1, 0) {
+	if q.push(make([]byte, 2), 1, 0) {
 		t.Fatal("push beyond maxQueueBytes accepted: queue is unbounded")
 	}
 }
 
 // TestCtrlQueueOverflowCounted: control frames refused by a full
-// controller queue are counted, the first refusal of a run is logged
-// exactly once, and the count travels in the stats frame only when
-// nonzero (frames of healthy runs stay byte-identical).
+// controller queue — here checkpoints of a megabyte, so the byte bound is
+// what fills — are counted, the first refusal of a run is logged exactly
+// once, and the count travels in the stats frame only when nonzero
+// (frames of healthy runs stay byte-identical).
 func TestCtrlQueueOverflowCounted(t *testing.T) {
 	s := steppedHost(t, "n", 1000, defaultWriteTimeout, defaultDialCooldown)
 	var logged []string
 	s.logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	ckpt := &Envelope{Kind: KindCheckpoint, Checkpoint: &CheckpointMsg{State: make([]byte, 1<<20)}}
+	p, err := json.Marshal(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fit := maxQueueBytes / (frameHeaderLen + len(p))
 	const extra = 3
-	for i := 0; i < maxQueueFrames+extra; i++ {
-		s.queueCtrl(&Envelope{Kind: KindReport, Report: &ReportMsg{Query: stream.QueryID(i), Result: 0.5, Tuples: 1}})
+	for i := 0; i < fit+extra; i++ {
+		s.queueCtrl(ckpt)
 	}
 	if got := s.ctrlDropped; got != extra {
 		t.Fatalf("dropped %d control frames, want %d", got, extra)
@@ -709,6 +708,70 @@ func TestCtrlQueueOverflowCounted(t *testing.T) {
 	var back StatsMsg
 	if err := json.Unmarshal(lossy, &back); err != nil || back.DroppedCtrl != extra {
 		t.Fatalf("stats frame round trip: %v, %+v", err, back)
+	}
+}
+
+// TestCatchUpTickSendsEveryFrame: a send queue's one bound is bytes, so
+// one tick that queues many small frames — the catch-up tick of a host
+// whose loop stalled — writes every one. Here 1,024 three-tuple batches
+// for one peer and 600 reports for the controller, far below the byte
+// bound, all arrive and none is counted as dropped.
+func TestCatchUpTickSendsEveryFrame(t *testing.T) {
+	const batches, reports = 1024, 600
+	peer := newFakePeer(t, "127.0.0.1:0")
+	s := queuedServer(t, peer.ln.Addr().String(), defaultWriteTimeout, defaultDialCooldown)
+	ctrl, fr := ctrlLink(t)
+	s.ctrl = ctrl
+	gotBatches := make(chan struct{}, batches)
+	stop := make(chan struct{})
+	t.Cleanup(func() { close(stop) })
+	go func() {
+		for i := 0; i < batches; i++ {
+			select {
+			case <-peer.got:
+				gotBatches <- struct{}{}
+			case <-stop:
+				return
+			}
+		}
+	}()
+	gotReports := make(chan struct{}, reports)
+	go func() {
+		for {
+			e, _, err := fr.next()
+			if err != nil {
+				return
+			}
+			if e != nil && e.Kind == KindReport {
+				gotReports <- struct{}{}
+			}
+		}
+	}()
+	for i := 0; i < batches; i++ {
+		s.routeDownstream(queryBatch(1, 3))
+	}
+	for i := 0; i < reports; i++ {
+		s.queueCtrl(&Envelope{Kind: KindReport, Report: &ReportMsg{Query: stream.QueryID(i), Result: 0.001, Tuples: 1}})
+	}
+	s.flushPeers()
+	if st := s.nd.Stats(); st.DroppedBatches != 0 {
+		t.Errorf("dropped %d batches (%d tuples) of one tick, want none", st.DroppedBatches, st.DroppedTuples)
+	}
+	if s.ctrlDropped != 0 {
+		t.Errorf("dropped %d control frames of one tick, want none", s.ctrlDropped)
+	}
+	for _, want := range []struct {
+		what string
+		got  chan struct{}
+		n    int
+	}{{"peer batches", gotBatches, batches}, {"controller reports", gotReports, reports}} {
+		for i := 0; i < want.n; i++ {
+			select {
+			case <-want.got:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%d %s arrived, want %d", i, want.what, want.n)
+			}
+		}
 	}
 }
 

@@ -903,8 +903,8 @@ func (s *NodeServer) writeQueued(addr string, q *peerQueue, by time.Time) error 
 // controller send queue; overflow drops the frame (the controller's
 // report stream is advisory — heartbeats resume next tick). Drops are
 // counted into the node's final stats and the first one of a run is
-// logged: a node hosting more queries than the queue holds reports per
-// tick would otherwise show result SIC near zero with no trace.
+// logged: a tick whose reports pass the queue's byte bound would
+// otherwise show result SIC near zero with no trace.
 func (s *NodeServer) queueCtrl(e *Envelope) {
 	p, err := json.Marshal(e)
 	if err != nil {
@@ -914,7 +914,7 @@ func (s *NodeServer) queueCtrl(e *Envelope) {
 	if !s.ctrlQ.push(buf, 0, 0) {
 		s.wbufs.put(buf)
 		if s.ctrlDropped++; s.ctrlDropped == 1 {
-			s.logf("themis-node %s: control queue full (%d frames per tick): dropping reports, result SIC will read low", s.Name, maxQueueFrames)
+			s.logf("themis-node %s: control queue full: dropping reports, result SIC will read low", s.Name)
 		}
 	}
 }

@@ -169,6 +169,7 @@ func TestNetworkedSharingDifferential(t *testing.T) {
 // pre-deploy footprint — share index empty, no leaked pooled batches —
 // while the federation keeps ticking.
 func TestNetworkedSharingRetractDrainsState(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("wall-clock federation test in -short mode")
 	}

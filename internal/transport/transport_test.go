@@ -12,6 +12,7 @@ import (
 // sockets and timers, and checks that shedding happened, results flowed
 // and fairness was computed.
 func TestNetworkedFederationEndToEnd(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("wall-clock federation test in -short mode")
 	}

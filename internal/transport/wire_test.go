@@ -243,35 +243,6 @@ func BenchmarkWireBatch(b *testing.B) {
 	})
 }
 
-// TestControllerToleratesOldReportShape: a host not yet upgraded still
-// sends one accepted-SIC delta per hosted query per tick through the
-// report frame ({"accepted":d,"result":0,"is_result":false}). Such a frame
-// must be harmless to a controller that no longer reads those fields: it
-// adds zero mass, it does not panic, and a report for an unknown query is
-// still dropped rather than opening a ledger entry.
-func TestControllerToleratesOldReportShape(t *testing.T) {
-	addrs, _ := startNodes(t, 1, 1000)
-	ctrl := testController(t, ControllerConfig{Seed: 1}, addrs)
-	q, err := ctrl.Submit("Select Avg(t.v) From Src[Range 1 sec]", 1, 1, 20, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedHandle(t, ctrl, 0,
-		`{"kind":"report","report":{"query":0,"accepted":0.5,"result":0,"tuples":0,"is_result":false}}`,
-		`{"kind":"report","report":{"query":0,"accepted":-3,"result":0,"is_result":false}}`,
-		`{"kind":"report","report":{"query":99,"accepted":0.5,"result":0,"is_result":false}}`,
-		`{"kind":"report","report":{"query":99,"result":0.5,"tuples":4}}`,
-		`{"kind":"report"}`,
-		`{"kind":"report","report":{"query":0,"result":0.25,"tuples":4}}`,
-	)
-	if got := ctrl.ledger.Measured(q, 0); got != 0.25 {
-		t.Errorf("measured SIC %v after old-shape frames and one 0.25 result, want exactly 0.25", got)
-	}
-	if n := ctrl.ledger.NumLive(); n != 1 || ctrl.ledger.Live(99) {
-		t.Errorf("%d live ledger entries, want only the submitted query", n)
-	}
-}
-
 // feedHandle decodes JSON control frames and applies each to a
 // controller before Run, as the run loop applies what node idx's read
 // loop decodes.
@@ -312,6 +283,11 @@ func TestControllerAppliesOnlyServedFrames(t *testing.T) {
 	}{
 		{"report from a node not hosting the root", 1, []string{report}, measured, 0},
 		{"report from the root's host", 0, []string{report}, measured, 0.25},
+		{"negative and payload-less reports add no mass", 0, []string{
+			`{"kind":"report","report":{"query":0,"result":-3,"tuples":4}}`,
+			`{"kind":"report"}`,
+			report,
+		}, measured, 0.25},
 		{"checkpoint from a node not hosting the fragment", 1, []string{ckpt}, banked, 0},
 		{"checkpoint from the fragment's host", 0, []string{ckpt}, banked, 3},
 		{"second stats frame from one node", 0, []string{stats, later}, func(c *Controller, _ stream.QueryID) float64 {

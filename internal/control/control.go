@@ -68,15 +68,15 @@ const (
 // cadence in ticks (0 = off) — is one a host may build its node from.
 // The controller checks its own configuration with it, and a host checks
 // the run a hello announces.
-func CheckRun(stw, interval stream.Duration, ckptTicks int64) error {
+func CheckRun(stw, interval stream.Duration, checkpointTicks int64) error {
 	if interval < 1 || interval > MaxInterval {
 		return fmt.Errorf("control: shedding interval %d ms outside [1, %d]", interval, MaxInterval)
 	}
 	if stw < 1 || stw > interval*MaxSTWSlots {
 		return fmt.Errorf("control: STW %d ms outside [1, %d] (at most %d intervals)", stw, interval*MaxSTWSlots, MaxSTWSlots)
 	}
-	if ckptTicks < 0 {
-		return fmt.Errorf("control: checkpoint cadence %d ticks is negative", ckptTicks)
+	if checkpointTicks < 0 {
+		return fmt.Errorf("control: checkpoint cadence %d ticks is negative", checkpointTicks)
 	}
 	return nil
 }

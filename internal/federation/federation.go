@@ -227,8 +227,6 @@ type Engine struct {
 	// themselves are banked in the plane.
 	ckptEvery int64
 	ckptEnc   stream.SnapEncoder
-
-	nextSource stream.SourceID
 }
 
 // NewEngine builds an engine from the config.
@@ -352,7 +350,7 @@ func (e *Engine) submit(plan *query.Plan, shape string, sub QuerySubmit) (stream
 		return 0, err
 	}
 	for _, d := range cmds {
-		e.placeFragment(cq, d)
+		_ = e.placeFragment(cq, d) // a submit's commands carry no blob to refuse
 	}
 	// Plane ids are dense and assigned in submission order: the new query's
 	// id is its index here and in the ledger.
@@ -511,11 +509,13 @@ func (e *Engine) KillNode(id stream.NodeID) {
 		// to restore (control.Plane.Replace; never without checkpointing —
 		// the bank is then empty). A restore the node refuses (stale or
 		// downgraded blob) turns the whole query cold, as a missing record
-		// would have.
+		// would have, and the fragments after it restore nothing.
 		for _, d := range cmds {
 			e.nodes[id].RemoveFragment(qid, stream.FragID(d.Frag))
-			e.placeFragment(e.queries[qid].ctl, d)
-			if warm && d.Restore != nil && e.nodes[d.Node].RestoreState(qid, stream.FragID(d.Frag), d.Restore) != nil {
+			if !warm {
+				d.Restore = nil
+			}
+			if e.placeFragment(e.queries[qid].ctl, d) != nil {
 				warm = false
 			}
 		}
@@ -553,28 +553,26 @@ func (e *Engine) relabelTransit(p node.Promotion) {
 }
 
 // placeFragment applies one of the plane's deploy commands: the fragment
-// attaches to, or is hosted on, the commanded node (node.Deploy). Both
-// the initial deploy and failure recovery go through here. Sources are
+// attaches to, or is hosted on, the commanded node (node.Deploy), and a
+// hosted one restores the command's blob, if any; the error is the
+// refused restore's. Both the initial deploy and failure recovery go
+// through here. Sources are
 // seeded from the query's structural identity (shape, rate, feed), never
 // from e.rng: queries of one shape on one feed observe identical source
 // data (the production semantics — many dashboards over one metric feed),
 // a deduplicated deployment (SharingFull) and a private one (SharingOff)
 // keep the engine's random state — and so everything downstream of it —
 // bit-identical, and both draw what the networked controller's hosts draw.
-func (e *Engine) placeFragment(cq *control.Query, d control.Deploy) {
-	spec := node.FragmentSpec{
+func (e *Engine) placeFragment(cq *control.Query, d control.Deploy) error {
+	attached, err := e.nodes[d.Node].Deploy(node.FragmentSpec{
 		Query: cq.ID, Frag: stream.FragID(d.Frag), Plan: cq.Plan,
-		Rate: cq.Rate, Batches: e.cfg.BatchesPerSec, Burst: e.cfg.Burst,
-		FirstSource: e.nextSource, Seed: d.Seed,
-		ShareKey: d.ShareKey, Emit: d.Emit,
-	}
-	attached := e.nodes[d.Node].Deploy(spec)
+		Rate: cq.Rate, Batches: e.cfg.BatchesPerSec, Burst: e.cfg.Burst, Seed: d.Seed,
+		ShareKey: d.ShareKey, Emit: d.Emit, Restore: d.Restore,
+	})
 	if attached != d.Attach {
 		mirrorFault("query %d fragment %d on node %d: attached=%v, plane predicted %v", cq.ID, d.Frag, d.Node, attached, d.Attach)
 	}
-	if !attached {
-		e.nextSource += stream.SourceID(len(cq.Plan.Fragments[d.Frag].Sources))
-	}
+	return err
 }
 
 // SubmitCQL is Submit with the submission spelled out, on feed 0. It is
@@ -610,18 +608,19 @@ func (e *Engine) now() stream.Time { return stream.Time(e.tick * int64(e.cfg.Int
 
 // --- run loop ---
 
-// drainOutbox applies the effects a node's tick left in its outbox: root
-// results reach the ledger and callbacks, and derived batches enter the
-// in-transit schedule.
-func (e *Engine) drainOutbox(n *node.Node) {
+// drainOutbox applies the effects a node's tick, ending at now, left in
+// its outbox: root results reach the ledger and callbacks, and derived
+// batches enter the in-transit schedule.
+func (e *Engine) drainOutbox(n *node.Node, now stream.Time) {
 	out := n.TakeOutbox()
-	for _, r := range out.Results {
-		e.deliverResult(r.Query, r.Now, r.Batch.Tuples, r.Batch.SIC)
-		r.Batch.Release()
+	for _, b := range out.Results {
+		e.deliverResult(b.Query, now, b.Tuples, b.SIC)
+		b.Release()
 	}
 	for _, b := range out.Downstream {
 		e.routeDownstream(n.ID(), b)
 	}
+	out.Reset()
 }
 
 // Step advances the federation by one shedding interval: due traffic is
@@ -661,13 +660,13 @@ func (e *Engine) Step() {
 	}
 	e.updateRing[slot] = e.updateRing[slot][:0]
 
+	now := t.Add(e.cfg.Interval)
 	for i, n := range e.nodes {
 		if e.plane.Alive(stream.NodeID(i)) {
 			n.Tick(t)
-			e.drainOutbox(n)
+			e.drainOutbox(n, now)
 		}
 	}
-	now := t.Add(e.cfg.Interval)
 
 	// The ledger closes the tick: coordinators broadcast updated result SIC
 	// values to all fragment hosts, arriving after the link latency (§6:

@@ -118,9 +118,9 @@ func (e eagerSink) Accept(src *sources.Source, b *stream.Batch) {
 // round-trips a float64) and releases its batches.
 func describe(o *Outbox) string {
 	var sb strings.Builder
-	for _, r := range o.Results {
-		fmt.Fprintf(&sb, "result q%d now %d sic %v: %v\n", r.Query, r.Now, r.Batch.SIC, r.Batch.Tuples)
-		r.Batch.Release()
+	for _, b := range o.Results {
+		fmt.Fprintf(&sb, "result q%d now %d sic %v: %v\n", b.Query, b.TS, b.SIC, b.Tuples)
+		b.Release()
 	}
 	for _, b := range o.Downstream {
 		fmt.Fprintf(&sb, "downstream %v\n", b.Tuples)
@@ -417,8 +417,8 @@ func BenchmarkNodeTickOverloaded(b *testing.B) {
 		for q := stream.QueryID(0); q < 4; q++ {
 			n.SetResultSIC(q, float64(tick%10)/10)
 		}
-		for _, r := range o.Results {
-			r.Batch.Release()
+		for _, b := range o.Results {
+			b.Release()
 		}
 		o.Reset()
 	}

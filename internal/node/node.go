@@ -189,9 +189,12 @@ type Node struct {
 	// reproducible under a fixed seed (map iteration is randomised).
 	fragOrder []fragKey
 	// srcs holds the attached sources in attach order; srcByID finds a
-	// header's source when the header is settled.
+	// header's source when the header is settled. nextSrc numbers the
+	// sources the node attaches: a source id is a key of srcByID, local to
+	// the node.
 	srcs    []*attached
 	srcByID map[stream.SourceID]*attached
+	nextSrc stream.SourceID
 
 	// shared indexes executing instances by share key; subOf maps a
 	// subscriber's fragment key to the primary instance it rides on.
@@ -216,11 +219,8 @@ type Node struct {
 	knownSIC  map[stream.QueryID]float64
 	resultSIC core.ResultSICFunc
 
-	// out and spare double-buffer the tick effects: Tick fills out,
-	// TakeOutbox hands it to the driver and recycles the previously
-	// drained buffer's storage.
-	out   *Outbox
-	spare *Outbox
+	// out collects the tick effects until the driver drains it.
+	out Outbox
 
 	// keepMark, keptBuf, splitScratch and splitParents are scratch reused
 	// across shedding rounds (the per-tick hot path). splitParents holds
@@ -270,26 +270,16 @@ func New(id stream.NodeID, cfg Config, shedder core.Shedder) *Node {
 		subOf:    make(map[fragKey]fragKey),
 		hostedQ:  make(map[stream.QueryID]int),
 		knownSIC: make(map[stream.QueryID]float64),
-		out:      &Outbox{},
-		spare:    &Outbox{},
 	}
 	n.resultSIC = n.ResultSIC
 	return n
 }
 
-// TakeOutbox returns the effects accumulated by ticks since the last
-// TakeOutbox and installs a fresh outbox, recycling the storage of the
-// buffer drained before that. The returned outbox is valid only until
-// the next TakeOutbox call, which resets it for reuse. Ownership of the
-// outbox's batches passes to the caller, which must release each one
-// after its last use.
-func (n *Node) TakeOutbox() *Outbox {
-	o := n.out
-	n.out = n.spare
-	n.out.Reset()
-	n.spare = o
-	return o
-}
+// TakeOutbox returns the node's one outbox, holding the effects of its
+// ticks since the outbox was last reset. Ownership of the outbox's
+// batches passes to the caller, which drains it — releasing each batch
+// after its last use — and resets it before the node ticks again.
+func (n *Node) TakeOutbox() *Outbox { return &n.out }
 
 // ID returns the node id.
 func (n *Node) ID() stream.NodeID { return n.id }
@@ -350,17 +340,15 @@ func (n *Node) hostFragment(q stream.QueryID, f stream.FragID, exec *query.Fragm
 }
 
 // FragmentSpec describes one fragment deployment: which fragment of which
-// plan, how its sources run, and its sharing terms.
+// plan, how its sources run, its sharing terms and the state it restores.
 type FragmentSpec struct {
 	Query stream.QueryID
 	Frag  stream.FragID
 	Plan  *query.Plan
 	// Rate and Batches shape every source of the fragment (tuples/s in
-	// batches/s); Burst optionally modulates the rate. FirstSource is the
-	// id of the fragment's first source, the rest follow consecutively.
+	// batches/s); Burst optionally modulates the rate.
 	Rate, Batches float64
 	Burst         *sources.BurstConfig
-	FirstSource   stream.SourceID
 	// Seed seeds a generator that yields, per source in plan order, the
 	// generator seed and then the emission seed. It is built only if the
 	// fragment hosts — an attach draws nothing.
@@ -370,6 +358,10 @@ type FragmentSpec struct {
 	// (attachShared), or else host as the key's dedup target.
 	ShareKey string
 	Emit     bool
+	// Restore, when set, is a sealed snapshot the hosted fragment restores
+	// right after it is built (RestoreState). An attach ignores it: the
+	// live instance is its state.
+	Restore []byte
 }
 
 // Deploy instantiates a fragment on this node — the one routine behind
@@ -377,29 +369,36 @@ type FragmentSpec struct {
 // and on a TCP host alike. It reports whether the fragment attached to a
 // shared instance; otherwise the node now hosts a fresh executor and
 // fresh sources (their rate estimators warm-start, as on a newly
-// deployed node). Generator indices are the query-global running source
-// count, so a re-placed fragment reconstructs the identities of the one
-// it replaces even for plans with uneven per-fragment source counts.
-func (n *Node) Deploy(s FragmentSpec) (attached bool) {
+// deployed node), numbered by the node. Generator indices are the
+// query-global running source count, so a re-placed fragment
+// reconstructs the identities of the one it replaces even for plans with
+// uneven per-fragment source counts. A hosted fragment then restores
+// s.Restore, if set; the error is RestoreState's, and the fragment stays
+// hosted either way — a refused blob leaves it cold.
+func (n *Node) Deploy(s FragmentSpec) (attached bool, err error) {
 	fp := s.Plan.Fragments[s.Frag]
 	downstream, downstreamPort := stream.FragID(-1), -1
 	if d := s.Plan.Downstream[s.Frag]; d >= 0 {
 		downstream, downstreamPort = stream.FragID(d), s.Plan.Fragments[d].UpstreamPort
 	}
 	if n.attachShared(s.ShareKey, s.Query, s.Frag, downstream, downstreamPort, s.Emit) {
-		return true
+		return true, nil
 	}
 	n.hostFragment(s.Query, s.Frag, query.NewFragmentExec(fp), s.Plan.NumSources(), downstream, downstreamPort, s.ShareKey)
 	seeds := rand.New(rand.NewSource(s.Seed))
 	genIdx := s.Plan.SourceIndexOffset(int(s.Frag))
 	for i, ss := range fp.Sources {
 		gen := ss.NewGen(rand.New(rand.NewSource(seeds.Int63())), genIdx+i)
-		src := sources.New(s.FirstSource+stream.SourceID(i), s.Query, s.Frag, ss.Port,
+		src := sources.New(n.nextSrc, s.Query, s.Frag, ss.Port,
 			s.Rate, s.Batches, ss.Arity, gen, seeds.Int63())
+		n.nextSrc++
 		src.Burst = s.Burst
 		n.attachSource(src)
 	}
-	return false
+	if s.Restore != nil {
+		return false, n.RestoreState(s.Query, s.Frag, s.Restore)
+	}
+	return false, nil
 }
 
 // attachShared subscribes fragment (q, f) to an existing shared instance
@@ -896,7 +895,7 @@ func (n *Node) emitFragment(inst *fragInstance, tuples []stream.Tuple) {
 		v := n.pool.ViewRetained(b, s.q, inst.f, -1, b.TS, b.Tuples)
 		v.SIC = b.SIC
 		if s.downstream < 0 {
-			n.out.Results = append(n.out.Results, ResultEmit{Query: s.q, Now: n.now, Batch: v})
+			n.out.Results = append(n.out.Results, v)
 		} else {
 			v.Frag = s.downstream
 			v.Port = s.downstreamPort
@@ -904,7 +903,7 @@ func (n *Node) emitFragment(inst *fragInstance, tuples []stream.Tuple) {
 		}
 	}
 	if inst.downstream < 0 {
-		n.out.Results = append(n.out.Results, ResultEmit{Query: inst.q, Now: n.now, Batch: b})
+		n.out.Results = append(n.out.Results, b)
 	} else {
 		b.Frag = inst.downstream
 		b.Port = inst.downstreamPort

@@ -78,9 +78,9 @@ type router interface {
 // then downstream batches — releasing each batch after its call, and
 // resets the outbox.
 func drain(o *Outbox, r router) {
-	for _, re := range o.Results {
-		r.DeliverResult(re.Query, re.Batch.Tuples, re.Batch.SIC)
-		re.Batch.Release()
+	for _, b := range o.Results {
+		r.DeliverResult(b.Query, b.Tuples, b.SIC)
+		b.Release()
 	}
 	for _, b := range o.Downstream {
 		r.RouteDownstream(b)
@@ -290,23 +290,6 @@ func TestNodeCostModelTracksCapacity(t *testing.T) {
 	perTick := float64(st.KeptTuples) / 60
 	if math.Abs(perTick-50) > 12 {
 		t.Errorf("kept %.1f tuples/tick, want ~50", perTick)
-	}
-}
-
-func TestTakeOutboxDoubleBuffers(t *testing.T) {
-	n, _ := aggNode(t, 1e6, 400)
-	for i := 0; i < 8; i++ { // one full window so results exist
-		n.Tick(stream.Time(i * 250))
-	}
-	first := n.TakeOutbox()
-	if empty(first) {
-		t.Fatal("outbox empty after eight ticks of an active source")
-	}
-	if second := n.TakeOutbox(); !empty(second) {
-		t.Error("second TakeOutbox without a tick should be empty")
-	}
-	if second := n.TakeOutbox(); second != first {
-		t.Error("TakeOutbox should recycle the previously drained buffer")
 	}
 }
 

@@ -2,15 +2,13 @@ package node
 
 import "repro/internal/stream"
 
-// Outbox collects the externally-visible effects of one node tick. The
+// Outbox collects the externally-visible effects of a node's ticks. The
 // node fills it during Tick/TickSpan instead of calling into its driver,
-// and the driver drains it once the tick is over. The federation engine
-// does so right after each node's tick: a derived batch is held here
-// until it enters the in-transit schedule at tick + delay, so no node
-// sees it in the tick that produced it. The TCP transport drains after
-// dropping the node mutex (TakeOutbox's double buffer keeps the drained
-// outbox valid meanwhile), so inbound handlers never wait behind an
-// encode.
+// and both drivers drain it right after each tick, on the goroutine that
+// ticked: the federation engine holds a derived batch in its in-transit
+// schedule until tick + delay, so no node sees it in the tick that
+// produced it; a TCP host encodes it into a send queue, flushed at the
+// end of the same step.
 //
 // The batches in an outbox are pooled: draining transfers their
 // ownership to the driver, which must release each one after its last
@@ -19,28 +17,17 @@ type Outbox struct {
 	// Downstream holds derived batches bound for the node hosting the
 	// consuming fragment, in fragment emission order.
 	Downstream []*stream.Batch
-	// Results holds root-fragment result emissions.
-	Results []ResultEmit
-}
-
-// ResultEmit is one root-fragment result emission. The batch carries the
-// result tuples; whoever drains the outbox releases it after delivery.
-type ResultEmit struct {
-	Query stream.QueryID
-	Now   stream.Time
-	Batch *stream.Batch
+	// Results holds root-fragment result batches, each labelled with its
+	// query and stamped with the end of the tick that emitted it.
+	Results []*stream.Batch
 }
 
 // Reset truncates both queues, keeping their storage for reuse.
-// Batches still referenced are NOT released — callers drain (and
-// release) before Reset runs via TakeOutbox.
+// Batches still referenced are NOT released — the driver drains (and
+// releases) them before it resets the outbox.
 func (o *Outbox) Reset() {
-	for i := range o.Downstream {
-		o.Downstream[i] = nil
-	}
+	clear(o.Downstream)
 	o.Downstream = o.Downstream[:0]
-	for i := range o.Results {
-		o.Results[i].Batch = nil
-	}
+	clear(o.Results)
 	o.Results = o.Results[:0]
 }

@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -133,7 +136,7 @@ func TestHostCheckpointsOnTickCadence(t *testing.T) {
 	defer srv.Close()
 	nc, c := dialRaw(t, srv.Addr())
 	for _, e := range []*Envelope{
-		{Kind: KindHello, Hello: &Hello{From: "controller", STWMs: 2000, IntervalMs: 20, CheckpointTicks: k}},
+		{Kind: KindHello, Hello: &Hello{STWMs: 2000, IntervalMs: 20, CheckpointTicks: k}},
 		{Kind: KindDeploy, Deploy: validDeploy(0)},
 		{Kind: KindStart, Start: &Start{}},
 	} {
@@ -162,15 +165,63 @@ func TestHostCheckpointsOnTickCadence(t *testing.T) {
 			stats = e.Stats
 		}
 	}
-	srv.mu.Lock()
-	rounds := srv.ckptTick
-	srv.mu.Unlock()
 	n := stats.Ticks
-	t.Logf("%d ticks, %d checkpoint rounds, %d checkpoint frames", n, rounds, frames)
+	t.Logf("%d ticks, %d checkpoint frames", n, frames)
 	if n < k {
 		t.Fatalf("only %d ticks ran: the cadence went unexercised", n)
 	}
-	if rounds != n/k || int64(frames) != n/k {
-		t.Errorf("%d ticks at a cadence of %d: %d rounds and %d frames, want %d", n, k, rounds, frames, n/k)
+	if int64(frames) != n/k {
+		t.Errorf("%d ticks at a cadence of %d: %d checkpoint frames of the one fragment, want %d rounds", n, k, frames, n/k)
+	}
+}
+
+// TestRefusedStateDeploysCold: a deploy carrying state its host cannot
+// restore (hostileStates) still hosts the fragment, cold — its snapshot
+// is a stateless deploy's — and the host logs the refused blob. The same
+// deploy carrying a checkpoint the host took itself restores it, warm
+// and silently.
+func TestRefusedStateDeploysCold(t *testing.T) {
+	deployed := func(state []byte) (*NodeServer, *[]string) {
+		s := steppedHost(t, "n", 50_000, defaultWriteTimeout, defaultDialCooldown)
+		logs := new([]string)
+		s.logf = func(format string, args ...any) { *logs = append(*logs, fmt.Sprintf(format, args...)) }
+		if err := s.handleHello(testRun); err != nil {
+			t.Fatal(err)
+		}
+		d := validDeploy(7)
+		d.State = state
+		if err := s.handleDeploy(d); err != nil {
+			t.Fatal(err)
+		}
+		return s, logs
+	}
+	snapshot := func(s *NodeServer) []byte {
+		var enc stream.SnapEncoder
+		enc.Reset()
+		if err := s.nd.StateSnapshot(7, 0, &enc); err != nil {
+			t.Fatal(err)
+		}
+		return append([]byte(nil), enc.Seal()...)
+	}
+	cold, _ := deployed(nil)
+	want := snapshot(cold)
+	for i := 1; i <= 40; i++ {
+		cold.nd.TickSpan(stream.Time(50*(i-1)), stream.Time(50*i))
+		cold.drainOutbox(cold.nd.TakeOutbox())
+	}
+	ckpt := snapshot(cold)
+
+	warm, logs := deployed(ckpt)
+	if bytes.Equal(snapshot(warm), want) || len(*logs) != 0 {
+		t.Fatalf("a checkpoint the host took left the fragment cold (logged %q)", *logs)
+	}
+	for _, h := range hostileStates {
+		s, logs := deployed(h.state)
+		if !bytes.Equal(snapshot(s), want) {
+			t.Errorf("%s state: the fragment is not a cold deploy's", h.name)
+		}
+		if len(*logs) != 1 || !strings.Contains((*logs)[0], "restore q7/f0") {
+			t.Errorf("%s state: logged %q, want the refused restore", h.name, *logs)
+		}
 	}
 }

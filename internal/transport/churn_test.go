@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/control"
 	"repro/internal/federation"
 	"repro/internal/node"
 	"repro/internal/stream"
@@ -749,5 +751,58 @@ func TestReplacementMatchesEngine(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestHostNumbersItsOwnSources deploys on one stepped host, as the
+// controller frames them, two fragments whose sources a numbering by
+// (query, fragment) gives the same ids: fragment 10 of an 11-fragment
+// query 0 and fragment 0 of query 1. Both tick, and each survives the
+// retract of the other: every attached source keeps a key of its own, so
+// the host never settles a header whose source it cannot find.
+func TestHostNumbersItsOwnSources(t *testing.T) {
+	frames := &Controller{deps: make(map[stream.QueryID]Deploy)}
+	var deploys []Deploy
+	for _, cmd := range []control.Deploy{{Query: 0, Frag: 10, Seed: 1}, {Query: 1, Frag: 0, Seed: 2}} {
+		frames.deps[cmd.Query] = Deploy{CQL: avgAllCQL, Fragments: 11, Dataset: 1, Rate: 200, Batches: 10}
+		deploys = append(deploys, frames.frame(cmd, nil))
+	}
+	for _, gone := range []stream.QueryID{1, 0} {
+		t.Run(fmt.Sprintf("retract query %d", gone), func(t *testing.T) {
+			s := steppedHost(t, "n", 50_000, defaultWriteTimeout, defaultDialCooldown)
+			if err := s.handleHello(testRun); err != nil {
+				t.Fatal(err)
+			}
+			for i := range deploys {
+				if err := s.handleDeploy(&deploys[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ctrl, _ := ctrlLink(t)
+			t0 := time.Unix(1_000_000, 0)
+			s.handle(t0, hostEvent{c: ctrl, env: &Envelope{Kind: KindStart, Start: &Start{}}})
+			tick := 0
+			run := func(ticks int, when string) {
+				for ; ticks > 0; ticks-- {
+					tick++
+					s.tick(t0.Add(time.Duration(tick) * 50 * time.Millisecond))
+				}
+				if ss := s.nd.StateSize(); ss.Sources == 0 || ss.Sources != ss.SourceQueries {
+					t.Errorf("%s: %d sources attached under %d ids", when, ss.Sources, ss.SourceQueries)
+				}
+			}
+			run(0, "both deployed")
+			both := s.nd.StateSize().Sources
+			run(10, "both ticked")
+			s.handleRetract(&Retract{Query: gone})
+			arrived := s.nd.Stats().ArrivedTuples
+			run(10, fmt.Sprintf("query %d retracted", gone))
+			if got := s.nd.StateSize().Sources; got != both/2 {
+				t.Errorf("%d sources left of %d, want the survivor's %d", got, both, both/2)
+			}
+			if s.nd.Stats().ArrivedTuples == arrived {
+				t.Error("the surviving query's sources stopped emitting")
+			}
+		})
 	}
 }

@@ -207,20 +207,18 @@ func NewController(cfg ControllerConfig, nodeAddrs []string) (*Controller, error
 	if hb == 0 {
 		hb = max(2*defaultWriteTimeout, 8*time.Duration(cfg.Interval)*time.Millisecond)
 	}
-	ckptTicks := control.CheckpointTicks(stream.Duration(cfg.Checkpoint.Milliseconds()), cfg.Interval)
-	if err := control.CheckRun(cfg.STW, cfg.Interval, ckptTicks); err != nil {
+	cadence := control.CheckpointTicks(stream.Duration(cfg.Checkpoint.Milliseconds()), cfg.Interval)
+	if err := control.CheckRun(cfg.STW, cfg.Interval, cadence); err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
 	if _, err := control.NewPlacer(cfg.Placement, 1, cfg.Seed); err != nil {
 		return nil, err
 	}
 	c := &Controller{
-		plane:  control.New(control.Config{Placement: cfg.Placement, Seed: cfg.Seed, Sharing: cfg.Sharing}),
-		ledger: coordinator.NewLedger(cfg.STW, cfg.Interval, false),
-		deps:   make(map[stream.QueryID]Deploy),
-		hello: Hello{
-			From: "controller", STWMs: int64(cfg.STW), IntervalMs: int64(cfg.Interval), CheckpointTicks: ckptTicks,
-		},
+		plane:     control.New(control.Config{Placement: cfg.Placement, Seed: cfg.Seed, Sharing: cfg.Sharing}),
+		ledger:    coordinator.NewLedger(cfg.STW, cfg.Interval, false),
+		deps:      make(map[stream.QueryID]Deploy),
+		hello:     Hello{STWMs: int64(cfg.STW), IntervalMs: int64(cfg.Interval), CheckpointTicks: cadence},
 		hbTimeout: hb,
 		events:    make(chan event, eventQueue),
 		quit:      make(chan struct{}),
@@ -271,8 +269,12 @@ func (c *Controller) AddNode(addr string) (int, error) {
 	if err := c.step(func(time.Time) error { return nil }); err != nil {
 		return 0, err
 	}
-	cn, err := dial(addr, c.hello, defaultWriteTimeout)
+	cn, err := dial(addr, defaultWriteTimeout)
 	if err != nil {
+		return 0, err
+	}
+	if err := cn.send(&Envelope{Kind: KindHello, Hello: &c.hello}); err != nil {
+		cn.Close()
 		return 0, err
 	}
 	var idx int
@@ -476,17 +478,18 @@ func (c *Controller) peers(placement []stream.NodeID) map[stream.FragID]string {
 
 // frame builds the Deploy frame for one of the plane's deploy commands:
 // the query's recorded descriptor specialised for the fragment, with the
-// plane's seed and share terms. Every deploy and re-deploy frame is built
-// here, and source seeds and ids are pure functions of (query,
-// fragment), so a re-deploy reconstructs the displaced fragment exactly.
+// plane's seed, share terms and state to restore. Every deploy and
+// re-deploy frame is built here, and source seeds are pure functions of
+// (query, fragment), so a re-deploy reconstructs the displaced fragment
+// exactly.
 func (c *Controller) frame(cmd control.Deploy, peers map[stream.FragID]string) Deploy {
 	d := c.deps[cmd.Query]
 	d.Query = cmd.Query
 	d.Frag = stream.FragID(cmd.Frag)
 	d.Peers = peers
 	d.SourceSeed = cmd.Seed
-	d.FirstSourceID = stream.SourceID(int(cmd.Query)*1000 + 100*cmd.Frag)
 	d.ShareKey, d.ShareEmit = cmd.ShareKey, cmd.Emit
+	d.State = cmd.Restore
 	return d
 }
 
@@ -512,8 +515,8 @@ func (c *Controller) queue(e *Envelope, nodes ...stream.NodeID) {
 // flush ends every step: it writes each node's queued frames back to back
 // with one vectored write — one syscall per node however many queries
 // the step told it about — and the failure of any write fails its node,
-// like a read error or silence. A failure queues re-deploys, restores,
-// rewires and emit flips to other nodes, so the flush repeats until
+// like a read error or silence. A failure queues re-deploys, rewires and
+// emit flips to other nodes, so the flush repeats until
 // nothing is pending; a pass that queues more has failed a node, so the
 // flush ends within the membership. A node that stopped reading stalls it
 // for one write timeout. It returns the first failure the membership
@@ -790,8 +793,8 @@ func (c *Controller) handleFailure(now time.Time, idx int, cause error) error {
 // every surviving host's rewire to the new peer map.
 func (c *Controller) replaceFragments(q stream.QueryID, pin int64) (restored bool, err error) {
 	// With a blob banked for every displaced fragment the plane's verdict
-	// is warm and its commands carry the state to restore, which ships
-	// after each deploy; the query's SIC accounting then carries straight
+	// is warm and its commands carry the state to restore, which ships in
+	// each deploy; the query's SIC accounting then carries straight
 	// through the failure. A stale or corrupt blob fails cleanly on the
 	// node, which refills instead. Otherwise the accounting resets at this
 	// recovery epoch (Ledger.ResetEpoch), so the reported mean describes
@@ -810,12 +813,6 @@ func (c *Controller) replaceFragments(q stream.QueryID, pin int64) (restored boo
 	for _, cmd := range cmds {
 		d := c.frame(cmd, peers)
 		c.queue(&Envelope{Kind: KindDeploy, Deploy: &d}, cmd.Node)
-		if cmd.Restore != nil {
-			// Per-connection sends are ordered, so the restore lands
-			// after the deploy that builds its target executor. Attaching
-			// fragments get no blob — the live instance is their state.
-			c.queue(&Envelope{Kind: KindRestoreState, Restore: &RestoreStateMsg{Query: q, Frag: stream.FragID(cmd.Frag), State: cmd.Restore}}, cmd.Node)
-		}
 	}
 	// Rewire every surviving host of the query. The new hosts' deploys
 	// already carried the updated peer map; the redundant rewire is

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"strings"
 	"testing"
@@ -116,23 +117,61 @@ func deployFrameAt(q, frag, fragments int, cqlText string, rate, batches float64
 // runFrame renders a controller hello announcing a run as raw JSON, so
 // hostile values reach the host exactly as written.
 func runFrame(stwMs, intervalMs int64) string {
-	return fmt.Sprintf(`{"kind":"hello","hello":{"from":"controller","stw_ms":%d,"interval_ms":%d}}`, stwMs, intervalMs)
+	return fmt.Sprintf(`{"kind":"hello","hello":{"stw_ms":%d,"interval_ms":%d}}`, stwMs, intervalMs)
 }
 
 // testRun is the run the tests' hosts are told: the hello of a
 // controller with STW 2 s, interval 50 ms and checkpoints off.
-var testRun = &Hello{From: "controller", STWMs: 2000, IntervalMs: 50}
+var testRun = &Hello{STWMs: 2000, IntervalMs: 50}
 
-// hostileQuery is the first query id the hostile deploy rows use; valid
-// deploys in these tests stay below it.
+// hostileQuery is the first query id the hostile deploy rows that must
+// be refused use; deploys a host accepts in these tests stay below it.
 const hostileQuery = 900
+
+// sealedAs returns a well-framed snapshot of one u32 whose version byte
+// reads v, checksummed as the codec seals it.
+func sealedAs(v byte) []byte {
+	var enc stream.SnapEncoder
+	enc.Reset()
+	enc.U32(1)
+	blob := append([]byte(nil), enc.Seal()...)
+	blob[0] = v
+	h := fnv.New64a()
+	h.Write(blob[:len(blob)-8])
+	binary.LittleEndian.PutUint64(blob[len(blob)-8:], h.Sum64())
+	return blob
+}
+
+// hostileStates are checkpoint blobs a deploy may carry that no host can
+// restore: each fails the snapshot codec's framing, so the deployed
+// fragment must run cold.
+var hostileStates = []struct {
+	name  string
+	state []byte
+}{
+	{"truncated", sealedAs(stream.SnapVersion)[:6]},
+	{"wrong version", sealedAs(stream.SnapVersion + 1)},
+	{"random bytes", []byte{0x5e, 0x0d, 0x93, 0xa1, 0x44, 0xc7, 0x19, 0xfe, 0x02, 0x6b, 0xd8, 0x31, 0x7a, 0xe5, 0x90, 0x2c}},
+}
+
+// stateDeployFrame renders validDeploy(q) carrying state as raw JSON.
+func stateDeployFrame(q stream.QueryID, state []byte) string {
+	d := validDeploy(q)
+	d.State = state
+	p, err := json.Marshal(&Envelope{Kind: KindDeploy, Deploy: d})
+	if err != nil {
+		panic(err)
+	}
+	return string(p)
+}
 
 // hostileFrames are control-frame payloads no correct controller or peer
 // sends. A host must ignore or reject each and keep serving. Rows with
 // beforeRun reach a host no hello has told a run yet; the others follow
 // testRun. The "nil start" row is the one frame that legitimately
 // changes the server's state: after a run, a payload-less start begins
-// ticking at the run's interval.
+// ticking at the run's interval. The hostile-state deploys are valid
+// deploys whose restore the host refuses: their fragments run cold.
 var hostileFrames = []struct {
 	name, payload string
 	beforeRun     bool
@@ -159,9 +198,11 @@ var hostileFrames = []struct {
 	{"nil heartbeat", `{"kind":"heartbeat"}`, false},
 	{"nil retract", `{"kind":"retract"}`, false},
 	{"nil checkpoint", `{"kind":"checkpoint"}`, false},
-	{"nil restore", `{"kind":"restore_state"}`, false},
 	{"nil share emit", `{"kind":"share_emit"}`, false},
 	{"nil start", `{"kind":"start"}`, false},
+	{"deploy with a truncated state", stateDeployFrame(10, hostileStates[0].state), false},
+	{"deploy with a wrong-version state", stateDeployFrame(11, hostileStates[1].state), false},
+	{"deploy with a random-bytes state", stateDeployFrame(12, hostileStates[2].state), false},
 	{"run stw 2^50 at interval 1", runFrame(1<<50, 1), true},
 	{"run interval 2^62", runFrame(2000, 1<<62), true},
 	{"run interval 0", runFrame(2000, 0), true},
@@ -286,7 +327,7 @@ func TestHostRefusesDeployAtFragmentCap(t *testing.T) {
 // FuzzHostFrame drives arbitrary JSON control frames through the host's
 // step, handle — against a server no run has reached, where nothing may
 // start it, and again after testRun and a valid deploy so rewire,
-// retract, share-emit and restore frames meet real state. Nothing a peer
+// retract, share-emit and deploy frames meet real state. Nothing a peer
 // can put in a frame may panic the host or leak a pooled batch. The
 // host's loop does not run: the fuzzer is the loop. Stop is skipped: it
 // replies on the connection its frame came on, and the lifecycle tests
@@ -298,7 +339,6 @@ func FuzzHostFrame(f *testing.F) {
 	f.Add([]byte(deployFrame(1, 1, 3, avgAllCQL)))
 	f.Add([]byte(`{"kind":"deploy","deploy":{"query":2,"cql":"Select Avg(t.v) From Src[Range 1 sec]","fragments":1,` +
 		`"dataset":4,"rate":1e308,"batches_per_sec":-1,"share_key":"k","share_scale":-2,"peers":{"0":"x"}}}`))
-	f.Add([]byte(`{"kind":"restore_state","restore":{"query":7,"frag":0,"state":"AAEC"}}`))
 	f.Add([]byte(`{"kind":"rewire","rewire":{"query":7,"peers":{"-3":"127.0.0.1:1"}}}`))
 	f.Add([]byte(`{"kind":"share_emit","share_emit":{"query":7,"frag":0,"emit":true}}`))
 	f.Add([]byte(`{"kind":"sic","sic":{"query":7,"value":-1e300}}`))
@@ -354,7 +394,7 @@ func servedController(t *testing.T, peers []string) *Controller {
 			t.Fatal(err)
 		}
 		for f, host := range at {
-			ck := &CheckpointMsg{Query: stream.QueryID(q), Frag: stream.FragID(f), Tick: 1, State: servedBlob(q, f)}
+			ck := &CheckpointMsg{Query: stream.QueryID(q), Frag: stream.FragID(f), State: servedBlob(q, f)}
 			ctrl.handle(time.Now(), event{node: host, env: &Envelope{Kind: KindCheckpoint, Checkpoint: ck}})
 			if !bytes.Equal(ctrl.plane.Checkpointed(stream.QueryID(q), f), servedBlob(q, f)) {
 				t.Fatalf("query %d fragment %d: its host's checkpoint was not banked", q, f)
@@ -381,17 +421,17 @@ func FuzzControllerFrame(f *testing.F) {
 		from  uint8
 		frame string
 	}{
-		{0, `{"kind":"report","report":{"query":0,"result":1e308,"tuples":4}}`},
-		{1, `{"kind":"report","report":{"query":0,"result":0.25,"tuples":4}}`},
-		{1, `{"kind":"report","report":{"query":2,"result":0.5,"tuples":4}}`},
-		{0, `{"kind":"checkpoint","checkpoint":{"query":1,"frag":0,"tick":2,"state":"AQID"}}`},
-		{1, `{"kind":"checkpoint","checkpoint":{"query":2,"frag":-1,"tick":2,"state":"AQID"}}`},
-		{0, `{"kind":"checkpoint","checkpoint":{"query":2,"frag":2147483647,"tick":2,"state":"AQID"}}`},
+		{0, `{"kind":"report","report":{"query":0,"result":1e308}}`},
+		{1, `{"kind":"report","report":{"query":0,"result":0.25}}`},
+		{1, `{"kind":"report","report":{"query":2,"result":0.5}}`},
+		{0, `{"kind":"checkpoint","checkpoint":{"query":1,"frag":0,"state":"AQID"}}`},
+		{1, `{"kind":"checkpoint","checkpoint":{"query":2,"frag":-1,"state":"AQID"}}`},
+		{0, `{"kind":"checkpoint","checkpoint":{"query":2,"frag":2147483647,"state":"AQID"}}`},
 		{0, `{"kind":"report"}`},
-		{0, `{"kind":"report","report":{"query":0,"result":-3,"tuples":4}}`},
+		{0, `{"kind":"report","report":{"query":0,"result":-3}}`},
 		{0, `{"kind":"report","report":{"query":0,"accepted":0.5,"result":0,"tuples":0,"is_result":false}}`},
-		{1, `{"kind":"report","report":{"query":99,"result":0.5,"tuples":4}}`},
-		{0, `{"kind":"checkpoint","checkpoint":{"query":99,"frag":0,"tick":2,"state":"AQID"}}`},
+		{1, `{"kind":"report","report":{"query":99,"result":0.5}}`},
+		{0, `{"kind":"checkpoint","checkpoint":{"query":99,"frag":0,"state":"AQID"}}`},
 		{0, `{"kind":"stats","stats":{"node":"a","arrived_tuples":5}}`},
 		{1, `{"kind":"heartbeat"}`},
 	} {

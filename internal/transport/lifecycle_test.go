@@ -1,11 +1,17 @@
 package transport
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"runtime"
+	"runtime/pprof"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -20,6 +26,44 @@ import (
 // Retract tears down mid-run — and the TCP runtime must agree with the
 // virtual-time engine replaying the identical schedule.
 
+// ownGoroutines labels the calling test's goroutine with the test's
+// name, a pprof label every goroutine it starts inherits, and so every
+// goroutine those start. The returned check fails the test if, 5 s
+// after it is called, a goroutine so labelled other than the caller is
+// still alive. Unlike a runtime.NumGoroutine baseline, it does not count
+// the goroutines of tests running in parallel.
+func ownGoroutines(t *testing.T) (check func()) {
+	label := fmt.Sprintf(`# labels: {"test":%q}`, t.Name())
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("test", t.Name())))
+	return func() {
+		t.Helper()
+		n := labelledGoroutines(label)
+		for deadline := time.Now().Add(5 * time.Second); n > 1 && time.Now().Before(deadline); n = labelledGoroutines(label) {
+			time.Sleep(50 * time.Millisecond)
+		}
+		if n > 1 {
+			t.Errorf("%d goroutines this test started are still alive after its teardown", n-1)
+		}
+	}
+}
+
+// labelledGoroutines counts the live goroutines whose record in the
+// debug=1 goroutine profile carries the labels line label: each record
+// is a "<count> @ <pcs>" line followed by its "# labels: " line.
+func labelledGoroutines(label string) int {
+	var buf bytes.Buffer
+	pprof.Lookup("goroutine").WriteTo(&buf, 1)
+	total, count := 0, 0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if n, _, ok := strings.Cut(line, " @ "); ok {
+			count, _ = strconv.Atoi(n)
+		} else if line == label {
+			total += count
+		}
+	}
+	return total
+}
+
 // TestLiveQueryChurnEndToEnd is the acceptance test for live query
 // churn: a 4-node loopback federation runs two 2-fragment CQL queries;
 // mid-run a third query is submitted and one of the founders is
@@ -33,6 +77,8 @@ func TestLiveQueryChurnEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock federation test in -short mode")
 	}
+	t.Parallel()
+	leaked := ownGoroutines(t)
 	const (
 		cqlText  = "Select Avg(t.v) From AllSrc[Range 1 sec]"
 		frags    = 2
@@ -41,7 +87,6 @@ func TestLiveQueryChurnEndToEnd(t *testing.T) {
 		batches  = 4.0
 		capacity = 50_000.0
 	)
-	goroutines := runtime.NumGoroutine()
 
 	addrs, srvs := startNodes(t, 4, capacity)
 	ctrl, err := NewController(ControllerConfig{
@@ -208,13 +253,7 @@ func TestLiveQueryChurnEndToEnd(t *testing.T) {
 	for _, s := range srvs {
 		s.Close()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > goroutines+2 && time.Now().Before(deadline) {
-		time.Sleep(50 * time.Millisecond)
-	}
-	if g := runtime.NumGoroutine(); g > goroutines+2 {
-		t.Errorf("goroutines grew from %d to %d after full teardown", goroutines, g)
-	}
+	leaked()
 }
 
 // TestSubmitAfterNodeFailure: a mid-run submission issued after a node

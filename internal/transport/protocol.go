@@ -39,8 +39,7 @@ type Envelope struct {
 
 	ShareEmit *ShareEmitMsg `json:"share_emit,omitempty"`
 
-	Checkpoint *CheckpointMsg   `json:"checkpoint,omitempty"`
-	Restore    *RestoreStateMsg `json:"restore,omitempty"`
+	Checkpoint *CheckpointMsg `json:"checkpoint,omitempty"`
 }
 
 // Message kinds.
@@ -66,10 +65,6 @@ const (
 	// operator-state snapshot, shipped on the node's checkpoint cadence.
 	// The controller keeps only the newest blob per fragment.
 	KindCheckpoint = "checkpoint"
-	// KindRestoreState flows controller → host on the failure-recovery
-	// path: the newest checkpoint of a re-placed fragment, applied after
-	// the fragment's re-deploy so recovery skips the window refill.
-	KindRestoreState = "restore_state"
 	// KindShareEmit flips the fan-out emission of one shared-instance
 	// subscription after retract or recovery changed whether the
 	// subscriber's downstream fragment executes privately (the emit
@@ -77,18 +72,17 @@ const (
 	KindShareEmit = "share_emit"
 )
 
-// Hello introduces a connection. The controller's hello also announces
-// the run: the federation-wide STW and shedding interval — Eq. (1)
-// normalises every source tuple's SIC over the STW, so every node must
-// run the same one — and the checkpoint cadence in ticks (zero = off). A
-// host builds its node from the first hello that announces a run within
-// control.CheckRun's bounds, and refuses deploys and starts before it. A
-// peer's hello announces none.
+// Hello is the controller's first frame on a connection it dials, and
+// announces the run: the federation-wide STW and shedding interval —
+// Eq. (1) normalises every source tuple's SIC over the STW, so every
+// node must run the same one — and the checkpoint cadence in ticks
+// (zero = off). A host builds its node from the first hello that
+// announces a run within control.CheckRun's bounds, and refuses deploys
+// and starts before it. A peer's connection carries batches only.
 type Hello struct {
-	From            string `json:"from"`
-	STWMs           int64  `json:"stw_ms,omitempty"`
-	IntervalMs      int64  `json:"interval_ms,omitempty"`
-	CheckpointTicks int64  `json:"checkpoint_ticks,omitempty"`
+	STWMs           int64 `json:"stw_ms,omitempty"`
+	IntervalMs      int64 `json:"interval_ms,omitempty"`
+	CheckpointTicks int64 `json:"checkpoint_ticks,omitempty"`
 }
 
 // Deploy instructs a node to host one fragment of a query. Plans cannot
@@ -111,8 +105,6 @@ type Deploy struct {
 	// seeds: same-shape, same-rate fragments draw one stream, here and in
 	// the engine.
 	SourceSeed int64 `json:"source_seed"`
-	// FirstSourceID numbers this fragment's sources globally.
-	FirstSourceID stream.SourceID `json:"first_source_id"`
 	// ShareKey is the controller-computed structural identity of this
 	// fragment under multi-query sharing: the plan-subtree key plus
 	// fragment index, rate pin and epoch pin. Empty when sharing is off.
@@ -129,6 +121,13 @@ type Deploy struct {
 	// — a rider whose downstream also rides the same primary chain gets
 	// its results through that chain and must not double-feed it.
 	ShareEmit bool `json:"share_emit,omitempty"`
+	// State is the checkpoint a re-placed fragment restores on its new
+	// host right after the deploy builds it, so recovery skips the window
+	// refill. The blob is versioned and checksummed: one that fails to
+	// decode or no longer matches the plan is logged and dropped, and the
+	// fragment runs cold, refilling its windows. Attaching fragments get
+	// none — the live instance is their state.
+	State []byte `json:"state,omitempty"`
 }
 
 // Start begins real-time processing on a node, ticking at the interval
@@ -174,22 +173,9 @@ type Retract struct {
 // snapshot codec — versioned and checksummed, so the restoring node
 // detects truncation or corruption itself. JSON base64-encodes the
 // bytes; snapshots are off the hot path, so debuggability wins over
-// compactness here as for the other control messages.
+// compactness here as for the other control messages. The controller
+// keeps the last blob received per fragment.
 type CheckpointMsg struct {
-	Query stream.QueryID `json:"query"`
-	Frag  stream.FragID  `json:"frag"`
-	// Tick numbers the host's checkpoint rounds, for ordering
-	// diagnostics only — the controller keeps the last blob received.
-	Tick  int64  `json:"tick"`
-	State []byte `json:"state"`
-}
-
-// RestoreStateMsg delivers a checkpointed snapshot to the node now
-// hosting the fragment. The node applies it to the freshly deployed
-// executor and reopens the windows at its current time; a blob that
-// fails to decode or no longer matches the plan is logged and dropped —
-// the fragment then recovers the legacy way, by refilling.
-type RestoreStateMsg struct {
 	Query stream.QueryID `json:"query"`
 	Frag  stream.FragID  `json:"frag"`
 	State []byte         `json:"state"`
@@ -222,7 +208,6 @@ type SICMsg struct {
 type ReportMsg struct {
 	Query  stream.QueryID `json:"query"`
 	Result float64        `json:"result"`
-	Tuples int            `json:"tuples"`
 }
 
 // StatsMsg returns a node's final counters. Like ReportMsg, the numeric
@@ -330,18 +315,12 @@ func appendBatchFrame(dst []byte, b *stream.Batch) []byte {
 	return dst
 }
 
-// dial connects (bounded by the dial timeout) and sends the hello. wt is
-// the write deadline applied to every frame written on the resulting
-// conn.
-func dial(addr string, hello Hello, wt time.Duration) (*conn, error) {
+// dial connects, bounded by the dial timeout. wt is the write deadline
+// applied to every frame written on the resulting conn.
+func dial(addr string, wt time.Duration) (*conn, error) {
 	nc, err := net.DialTimeout("tcp", addr, defaultDialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	c := &conn{c: nc, wt: wt}
-	if err := c.send(&Envelope{Kind: KindHello, Hello: &hello}); err != nil {
-		nc.Close()
-		return nil, err
-	}
-	return c, nil
+	return &conn{c: nc, wt: wt}, nil
 }

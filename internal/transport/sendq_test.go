@@ -751,7 +751,7 @@ func TestCatchUpTickSendsEveryFrame(t *testing.T) {
 		s.routeDownstream(queryBatch(1, 3))
 	}
 	for i := 0; i < reports; i++ {
-		s.queueCtrl(&Envelope{Kind: KindReport, Report: &ReportMsg{Query: stream.QueryID(i), Result: 0.001, Tuples: 1}})
+		s.queueCtrl(&Envelope{Kind: KindReport, Report: &ReportMsg{Query: stream.QueryID(i), Result: 0.001}})
 	}
 	s.flushPeers()
 	if st := s.nd.Stats(); st.DroppedBatches != 0 {
@@ -807,7 +807,7 @@ func TestHostReportsOnlyResults(t *testing.T) {
 	const hosted = 6
 	t0 := time.Unix(1_000_000, 0)
 	at := func(tick int) time.Time { return t0.Add(time.Duration(tick) * 100 * time.Millisecond) }
-	run := &Hello{From: "controller", STWMs: 2000, IntervalMs: 100}
+	run := &Hello{STWMs: 2000, IntervalMs: 100}
 
 	t.Run("queued batch joins the tick", func(t *testing.T) {
 		s := steppedHost(t, "n", 50_000, defaultWriteTimeout, defaultDialCooldown)
@@ -849,14 +849,14 @@ func TestHostReportsOnlyResults(t *testing.T) {
 		for q := 0; q < hosted; q++ {
 			if err := s.handleDeploy(&Deploy{
 				Query: stream.QueryID(q), CQL: "Select Avg(t.v) From Src[Range 1 sec]", Fragments: 1, Dataset: 1,
-				Rate: 200, Batches: 10, FirstSourceID: stream.SourceID(1000 * q), SourceSeed: int64(q + 1),
+				Rate: 200, Batches: 10, SourceSeed: int64(q + 1),
 			}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if err := s.handleDeploy(&Deploy{
 			Query: hosted, Frag: 1, CQL: avgAllCQL, Fragments: 2, Dataset: 1,
-			Rate: 200, Batches: 10, FirstSourceID: 1000 * hosted, SourceSeed: hosted + 1,
+			Rate: 200, Batches: 10, SourceSeed: hosted + 1,
 			Peers: map[stream.FragID]string{0: deadAddr, 1: s.Addr()},
 		}); err != nil {
 			t.Fatal(err)
@@ -870,8 +870,8 @@ func TestHostReportsOnlyResults(t *testing.T) {
 	deploy(mirror)
 
 	type report struct {
-		q      stream.QueryID
-		tuples int
+		q   stream.QueryID
+		sic float64
 	}
 	var results int
 	for tick := 1; tick <= 40; tick++ {
@@ -879,9 +879,9 @@ func TestHostReportsOnlyResults(t *testing.T) {
 		var want []report
 		mirror.nd.TickSpan(stream.Time(100*(tick-1)), stream.Time(100*tick))
 		out := mirror.nd.TakeOutbox()
-		for _, re := range out.Results {
-			want = append(want, report{re.Query, len(re.Batch.Tuples)})
-			re.Batch.Release()
+		for _, b := range out.Results {
+			want = append(want, report{b.Query, b.SIC})
+			b.Release()
 		}
 		for _, b := range out.Downstream {
 			b.Release()
@@ -899,7 +899,7 @@ func TestHostReportsOnlyResults(t *testing.T) {
 			if e.Kind != KindReport {
 				t.Fatalf("tick %d: wrote %+v before the heartbeat, want only result reports", tick, e)
 			}
-			got = append(got, report{e.Report.Query, e.Report.Tuples})
+			got = append(got, report{e.Report.Query, e.Report.Result})
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("tick %d: reported %v, want one report per result %v", tick, got, want)

@@ -58,17 +58,13 @@ type NodeServer struct {
 	seed     int64
 	policy   string
 
-	// run is the run the controller's hello announced, From left empty
-	// (see handleHello); set with nd. Every CheckpointTicks-th tick
-	// snapshots each hosted fragment and sends the sealed blobs to the
-	// controller, which keeps the newest per fragment for the
-	// failure-recovery restore path — the ticks the engine snapshots on.
-	run Hello
-
-	// ckptTick counts the checkpoint rounds shipped; ckptEnc is their one
-	// reused encoder.
-	ckptTick int64
-	ckptEnc  stream.SnapEncoder
+	// run is the run the controller's hello announced; set with nd. Every
+	// CheckpointTicks-th tick snapshots each hosted fragment and sends the
+	// sealed blobs to the controller, which keeps the newest per fragment
+	// for the failure-recovery restore path — the ticks the engine
+	// snapshots on. ckptEnc is the snapshots' one reused encoder.
+	run     Hello
+	ckptEnc stream.SnapEncoder
 
 	ctrl *conn                 // the connection the start arrived on
 	in   map[*conn]struct{}    // open inbound connections
@@ -383,8 +379,6 @@ func (s *NodeServer) handle(now time.Time, ev hostEvent) (stopped bool) {
 			// (promotion to primary, concurrent retract).
 			s.nd.SetSubEmit(m.Query, m.Frag, m.Emit)
 		}
-	case KindRestoreState:
-		s.handleRestore(e.Restore)
 	case KindStop:
 		s.handleStop(ev.c)
 		return true
@@ -419,7 +413,9 @@ const (
 // re-parsed and re-planned (deterministically, so every host node derives
 // the same fragment layout) through the server's plan cache: under
 // multi-query sharing the same statement shape arrives once per
-// subscriber, and only the first pays the parse.
+// subscriber, and only the first pays the parse. A hosted fragment
+// restores the deploy's state, if any; a refused blob is logged and the
+// fragment runs cold.
 func (s *NodeServer) handleDeploy(d *Deploy) error {
 	if d == nil {
 		return errors.New("empty deploy")
@@ -452,11 +448,13 @@ func (s *NodeServer) handleDeploy(d *Deploy) error {
 	// dedup target for later same-key deploys. Either way the peer routes
 	// go in, so the instance's fan-out views find this query's downstream
 	// host.
-	s.nd.Deploy(node.FragmentSpec{
+	if _, err := s.nd.Deploy(node.FragmentSpec{
 		Query: d.Query, Frag: d.Frag, Plan: plan,
-		Rate: d.Rate, Batches: d.Batches, FirstSource: d.FirstSourceID, Seed: d.SourceSeed,
-		ShareKey: d.ShareKey, Emit: d.ShareEmit,
-	})
+		Rate: d.Rate, Batches: d.Batches, Seed: d.SourceSeed,
+		ShareKey: d.ShareKey, Emit: d.ShareEmit, Restore: d.State,
+	}); err != nil {
+		s.logf("themis-node %s: restore q%d/f%d: %v", s.Name, d.Query, d.Frag, err)
+	}
 	for f, addr := range d.Peers {
 		s.peers[peerKey{d.Query, f}] = addr
 	}
@@ -543,17 +541,14 @@ var errNoRun = errors.New("no run announced yet: refused")
 
 // handleHello builds the node runtime from the first hello that
 // announces a run, once control.CheckRun admits it. A hello without a
-// run (a peer's) is a no-op; a run outside the bounds is refused and the
-// host keeps waiting for a valid one; a later run is ignored, and
-// refused if it differs from the one the node runs.
+// run is a no-op; a run outside the bounds is refused and the host keeps
+// waiting for a valid one; a later run is ignored, and refused if it
+// differs from the one the node runs.
 func (s *NodeServer) handleHello(h *Hello) error {
-	if h == nil {
+	if h == nil || *h == (Hello{}) {
 		return nil
 	}
-	run := Hello{STWMs: h.STWMs, IntervalMs: h.IntervalMs, CheckpointTicks: h.CheckpointTicks}
-	if run == (Hello{}) {
-		return nil
-	}
+	run := *h
 	if err := control.CheckRun(stream.Duration(run.STWMs), stream.Duration(run.IntervalMs), run.CheckpointTicks); err != nil {
 		return err
 	}
@@ -669,23 +664,9 @@ func (s *NodeServer) queueCheckpoints() {
 			return
 		}
 		s.queueCtrl(&Envelope{Kind: KindCheckpoint, Checkpoint: &CheckpointMsg{
-			Query: q, Frag: f, Tick: s.ckptTick, State: s.ckptEnc.Seal(),
+			Query: q, Frag: f, State: s.ckptEnc.Seal(),
 		}})
 	})
-	s.ckptTick++
-}
-
-// handleRestore applies a checkpointed snapshot to a re-deployed
-// fragment. Failures are logged and dropped — the blob is versioned and
-// checksummed, so a stale or corrupt snapshot is rejected cleanly and
-// the fragment recovers the legacy way, by refilling its windows.
-func (s *NodeServer) handleRestore(r *RestoreStateMsg) {
-	if r == nil || s.nd == nil {
-		return
-	}
-	if err := s.nd.RestoreState(r.Query, r.Frag, r.State); err != nil {
-		s.logf("themis-node %s: restore q%d/f%d: %v", s.Name, r.Query, r.Frag, err)
-	}
 }
 
 // handleStop replies to a stop with the node's final stats; the host loop
@@ -740,7 +721,7 @@ func (s *NodeServer) peerConn(addr string) (*conn, error) {
 		return nil, errPeerCooling
 	}
 	delete(s.cool, addr)
-	c, err := dial(addr, Hello{From: s.Name}, s.wtimeout)
+	c, err := dial(addr, s.wtimeout)
 	if err != nil {
 		s.coolDown(addr)
 		return nil, err
@@ -778,15 +759,15 @@ func (s *NodeServer) noteDropped(tuples int, sicMass float64) {
 // drainOutbox hands one tick's effects to the send queues — result
 // reports first, then derived batches, as federation.drainOutbox applies
 // them — releasing each batch after use. A report carries the result's
-// tuple count and its batch-header SIC mass, summed once where the batch
-// was made; the tick-end flush coalesces it with the heartbeat and any
-// checkpoints into one write.
+// batch-header SIC mass, summed once where the batch was made; the
+// tick-end flush coalesces it with the heartbeat and any checkpoints into
+// one write.
 func (s *NodeServer) drainOutbox(out *node.Outbox) {
-	for _, re := range out.Results {
+	for _, b := range out.Results {
 		if s.ctrl != nil {
-			s.queueCtrl(&Envelope{Kind: KindReport, Report: &ReportMsg{Query: re.Query, Result: re.Batch.SIC, Tuples: len(re.Batch.Tuples)}})
+			s.queueCtrl(&Envelope{Kind: KindReport, Report: &ReportMsg{Query: b.Query, Result: b.SIC}})
 		}
-		re.Batch.Release()
+		b.Release()
 	}
 	for _, b := range out.Downstream {
 		s.routeDownstream(b)

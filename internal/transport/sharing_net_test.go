@@ -2,7 +2,6 @@ package transport
 
 import (
 	"math"
-	"runtime"
 	"testing"
 	"time"
 
@@ -124,7 +123,8 @@ func TestNetworkedSharingDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock federation test in -short mode")
 	}
-	goroutines := runtime.NumGoroutine()
+	t.Parallel()
+	leaked := ownGoroutines(t)
 
 	resOff, qsOff, _ := netSharingRun(t, federation.SharingOff)
 	resFull, qsFull, srvs := netSharingRun(t, federation.SharingFull)
@@ -155,13 +155,7 @@ func TestNetworkedSharingDifferential(t *testing.T) {
 	for _, s := range srvs {
 		s.Close()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > goroutines+2 && time.Now().Before(deadline) {
-		time.Sleep(50 * time.Millisecond)
-	}
-	if g := runtime.NumGoroutine(); g > goroutines+2 {
-		t.Errorf("goroutines grew from %d to %d after both runs tore down", goroutines, g)
-	}
+	leaked()
 }
 
 // TestNetworkedSharingRetractDrainsState: retracting every member of a

@@ -98,11 +98,11 @@ func TestWireRoundTripProperty(t *testing.T) {
 // TestReportMsgKeepsZeroFields guards against omitempty creeping back
 // onto the numeric report fields: a zero-mass result is data.
 func TestReportMsgKeepsZeroFields(t *testing.T) {
-	j, err := json.Marshal(&ReportMsg{Query: 3})
+	j, err := json.Marshal(&ReportMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"result", "tuples"} {
+	for _, field := range []string{"query", "result"} {
 		if !strings.Contains(string(j), `"`+field+`"`) {
 			t.Errorf("zero-valued %q dropped from wire: %s", field, j)
 		}
@@ -147,7 +147,7 @@ func TestFrameReaderMixedStream(t *testing.T) {
 		buf.Write(hdr[:])
 		buf.Write(p)
 	}
-	writeJSON(&Envelope{Kind: KindHello, Hello: &Hello{From: "test"}})
+	writeJSON(&Envelope{Kind: KindHello, Hello: testRun})
 	writeBatch(b1)
 	writeJSON(&Envelope{Kind: KindSIC, SIC: &SICMsg{Query: 9, Value: 0.5}})
 	writeBatch(b2)
@@ -267,8 +267,8 @@ func feedHandle(t *testing.T, ctrl *Controller, idx int, frames ...string) {
 // wait, it would end the wait before the other node's stats arrive.
 func TestControllerAppliesOnlyServedFrames(t *testing.T) {
 	const (
-		report = `{"kind":"report","report":{"query":0,"result":0.25,"tuples":4}}`
-		ckpt   = `{"kind":"checkpoint","checkpoint":{"query":0,"frag":0,"tick":1,"state":"AQID"}}`
+		report = `{"kind":"report","report":{"query":0,"result":0.25}}`
+		ckpt   = `{"kind":"checkpoint","checkpoint":{"query":0,"frag":0,"state":"AQID"}}`
 		stats  = `{"kind":"stats","stats":{"node":"a","arrived_tuples":5}}`
 		later  = `{"kind":"stats","stats":{"node":"a","arrived_tuples":7}}`
 	)
@@ -284,7 +284,7 @@ func TestControllerAppliesOnlyServedFrames(t *testing.T) {
 		{"report from a node not hosting the root", 1, []string{report}, measured, 0},
 		{"report from the root's host", 0, []string{report}, measured, 0.25},
 		{"negative and payload-less reports add no mass", 0, []string{
-			`{"kind":"report","report":{"query":0,"result":-3,"tuples":4}}`,
+			`{"kind":"report","report":{"query":0,"result":-3}}`,
 			`{"kind":"report"}`,
 			report,
 		}, measured, 0.25},

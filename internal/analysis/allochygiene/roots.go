@@ -23,6 +23,13 @@ var Seeds = []string{
 	// (TestSteadyStateSendZeroAlloc).
 	"(*repro/internal/transport.NodeServer).routeDownstream",
 	"(*repro/internal/transport.NodeServer).flushPeers",
+	// The control path every tick: a host drains its results into the
+	// tick frame and encodes it from the same free list, and the
+	// controller encodes each host's SIC frame into a reused buffer
+	// (TestSteadyStateTickFrameZeroAlloc).
+	"(*repro/internal/transport.NodeServer).drainOutbox",
+	"(*repro/internal/transport.NodeServer).queueResults",
+	"(*repro/internal/transport.nodeOut).sicFrame",
 	// The host loop's batch-apply path: every inbound batch the read
 	// loops decode (from the batch pool) enters the node here.
 	"(*repro/internal/transport.NodeServer).enqueue",

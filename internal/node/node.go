@@ -24,6 +24,8 @@
 package node
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"time"
@@ -314,10 +316,8 @@ func (n *Node) NoteDropped(tuples int, sicMass float64) {
 func (n *Node) hostFragment(q stream.QueryID, f stream.FragID, exec *query.FragmentExec,
 	numSources int, downstream stream.FragID, downstreamPort int, shareKey string) {
 	key := fragKey{q, f}
-	if _, dup := n.frags[key]; !dup {
-		n.fragOrder = append(n.fragOrder, key)
-		n.hostedQ[q]++
-	}
+	n.fragOrder = append(n.fragOrder, key)
+	n.hostedQ[q]++
 	inst := &fragInstance{
 		exec:           exec,
 		q:              q,
@@ -374,8 +374,15 @@ type FragmentSpec struct {
 // reconstructs the identities of the one it replaces even for plans with
 // uneven per-fragment source counts. A hosted fragment then restores
 // s.Restore, if set; the error is RestoreState's, and the fragment stays
-// hosted either way — a refused blob leaves it cold.
+// hosted either way — a refused blob leaves it cold. A (query, fragment)
+// the node already hosts or rides is refused with ErrDeployed, and
+// nothing changes.
 func (n *Node) Deploy(s FragmentSpec) (attached bool, err error) {
+	key := fragKey{s.Query, s.Frag}
+	_, hosted := n.frags[key]
+	if _, rides := n.subOf[key]; hosted || rides {
+		return false, fmt.Errorf("%w: q%d/f%d", ErrDeployed, s.Query, s.Frag)
+	}
 	fp := s.Plan.Fragments[s.Frag]
 	downstream, downstreamPort := stream.FragID(-1), -1
 	if d := s.Plan.Downstream[s.Frag]; d >= 0 {
@@ -400,6 +407,11 @@ func (n *Node) Deploy(s FragmentSpec) (attached bool, err error) {
 	}
 	return false, nil
 }
+
+// ErrDeployed refuses a deploy of a fragment the node already hosts or
+// rides: a second deploy would attach a second set of sources or a second
+// fan-out view.
+var ErrDeployed = errors.New("node: fragment already deployed here")
 
 // attachShared subscribes fragment (q, f) to an existing shared instance
 // with the given share key, if the node hosts one. The subscriber gets no

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -42,6 +43,32 @@ func sharedAggNode(t *testing.T, nSubs int) (*Node, *fakeRouter) {
 	src := sources.New(3, 7, 0, 0, 100, 5, 1, gen, 4)
 	n.attachSource(src)
 	return n, router
+}
+
+// TestDeployRefusesDuplicate: Deploy refuses, with ErrDeployed and no
+// state change, a (query, fragment) the node already hosts or rides — a
+// second host would attach a second set of sources, a second ride a
+// second fan-out view of the shared instance.
+func TestDeployRefusesDuplicate(t *testing.T) {
+	n := New(1, Config{Interval: 250 * stream.Millisecond, STW: 10 * stream.Second, CapacityPerSec: 1e6, Seed: 1}, core.NewBalanceSIC(1))
+	plan := cql.MustPlan(cql.Avg, cql.DefaultCatalog(sources.Uniform), 1)
+	spec := func(q stream.QueryID) FragmentSpec {
+		return FragmentSpec{Query: q, Plan: plan, Rate: 100, Batches: 5, Seed: 1, ShareKey: "k", Emit: true}
+	}
+	for _, q := range []stream.QueryID{7, 8} {
+		if _, err := n.Deploy(spec(q)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, subs := n.StateSize(), len(n.frags[fragKey{7, 0}].subs)
+	for _, q := range []stream.QueryID{7, 8} {
+		if attached, err := n.Deploy(spec(q)); !errors.Is(err, ErrDeployed) || attached {
+			t.Errorf("second deploy of query %d: attached %v, err %v; want ErrDeployed", q, attached, err)
+		}
+	}
+	if got := n.StateSize(); got != want || len(n.frags[fragKey{7, 0}].subs) != subs {
+		t.Errorf("second deploys changed the node: %+v with %d views, want %+v with %d", got, len(n.frags[fragKey{7, 0}].subs), want, subs)
+	}
 }
 
 func TestAttachSharedUnknownKeyRefuses(t *testing.T) {

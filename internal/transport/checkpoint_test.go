@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/federation"
+	"repro/internal/node"
 	"repro/internal/stream"
 )
 
@@ -153,7 +155,7 @@ func TestHostCheckpointsOnTickCadence(t *testing.T) {
 	frames := 0
 	var stats *StatsMsg
 	for stats == nil {
-		e, _, err := fr.next()
+		e, _, _, err := fr.next()
 		if err != nil {
 			t.Fatalf("no stats reply: %v", err)
 		}
@@ -177,9 +179,9 @@ func TestHostCheckpointsOnTickCadence(t *testing.T) {
 
 // TestRefusedStateDeploysCold: a deploy carrying state its host cannot
 // restore (hostileStates) still hosts the fragment, cold — its snapshot
-// is a stateless deploy's — and the host logs the refused blob. The same
-// deploy carrying a checkpoint the host took itself restores it, warm
-// and silently.
+// is a stateless deploy's — and the host logs the refused blob and
+// counts it for its stats frame. The same deploy carrying a checkpoint
+// the host took itself restores it, warm, silently and uncounted.
 func TestRefusedStateDeploysCold(t *testing.T) {
 	deployed := func(state []byte) (*NodeServer, *[]string) {
 		s := steppedHost(t, "n", 50_000, defaultWriteTimeout, defaultDialCooldown)
@@ -212,8 +214,8 @@ func TestRefusedStateDeploysCold(t *testing.T) {
 	ckpt := snapshot(cold)
 
 	warm, logs := deployed(ckpt)
-	if bytes.Equal(snapshot(warm), want) || len(*logs) != 0 {
-		t.Fatalf("a checkpoint the host took left the fragment cold (logged %q)", *logs)
+	if bytes.Equal(snapshot(warm), want) || len(*logs) != 0 || warm.refusedRestores != 0 {
+		t.Fatalf("a checkpoint the host took left the fragment cold (logged %q, %d refused)", *logs, warm.refusedRestores)
 	}
 	for _, h := range hostileStates {
 		s, logs := deployed(h.state)
@@ -223,5 +225,64 @@ func TestRefusedStateDeploysCold(t *testing.T) {
 		if len(*logs) != 1 || !strings.Contains((*logs)[0], "restore q7/f0") {
 			t.Errorf("%s state: logged %q, want the refused restore", h.name, *logs)
 		}
+		if s.refusedRestores != 1 {
+			t.Errorf("%s state: %d refused restores counted, want 1", h.name, s.refusedRestores)
+		}
+	}
+}
+
+// TestSecondDeployIsRefused: deploys are idempotent per (query,
+// fragment). A second deploy of a fragment the host already runs — or
+// rides on a shared instance — is refused with node.ErrDeployed, logged
+// as a refused deploy and not as a refused restore, and changes nothing:
+// no second set of sources, no second fan-out view, no peer route.
+func TestSecondDeployIsRefused(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		key  string
+		want node.StateSize
+	}{
+		{"hosted", "", node.StateSize{Fragments: 1, Sources: 1}},
+		{"riding", "shared", node.StateSize{Fragments: 1, Sources: 1, SharedInstances: 1, Subscriptions: 1}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s := steppedHost(t, "n", 50_000, defaultWriteTimeout, defaultDialCooldown)
+			var logs []string
+			s.logf = func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
+			if err := s.handleHello(testRun); err != nil {
+				t.Fatal(err)
+			}
+			deploy := func(q stream.QueryID) *Deploy {
+				d := validDeploy(q)
+				d.ShareKey, d.ShareEmit = row.key, true
+				return d
+			}
+			// With a share key, query 8 rides query 7's instance.
+			first := []*Deploy{deploy(7)}
+			if row.key != "" {
+				first = append(first, deploy(8))
+			}
+			for _, d := range first {
+				if err := s.handleDeploy(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			again := first[len(first)-1]
+			again.Peers = map[stream.FragID]string{0: "127.0.0.1:1"}
+			if err := s.handleDeploy(again); !errors.Is(err, node.ErrDeployed) {
+				t.Errorf("second deploy: %v, want node.ErrDeployed", err)
+			}
+			s.handle(time.Time{}, hostEvent{env: &Envelope{Kind: KindDeploy, Deploy: again}})
+			if len(logs) != 1 || !strings.Contains(logs[0], "deploy: "+node.ErrDeployed.Error()) {
+				t.Errorf("a third deploy logged %q, want one refused deploy", logs)
+			}
+			if got := s.nd.StateSize(); got.Fragments != row.want.Fragments || got.Sources != row.want.Sources ||
+				got.SharedInstances != row.want.SharedInstances || got.Subscriptions != row.want.Subscriptions {
+				t.Errorf("state after a second deploy: %+v, want %+v", got, row.want)
+			}
+			if len(s.peers) != 0 || s.refusedRestores != 0 {
+				t.Errorf("the refused deploys left peers %v and %d refused restores", s.peers, s.refusedRestores)
+			}
+		})
 	}
 }

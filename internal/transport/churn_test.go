@@ -162,7 +162,7 @@ func (p *fakePeer) accept(ln net.Listener) {
 		go func() {
 			fr := newFrameReader(nc)
 			for {
-				_, b, err := fr.next()
+				_, b, _, err := fr.next()
 				if err != nil {
 					return
 				}
@@ -291,7 +291,7 @@ func stopOver(t *testing.T, nc net.Conn, c *conn) *StatsMsg {
 	ch := make(chan reply, 1)
 	go func() {
 		for {
-			e, _, err := fr.next()
+			e, _, _, err := fr.next()
 			if err != nil {
 				ch <- reply{nil}
 				return
@@ -492,15 +492,15 @@ func silentPeer(tb testing.TB) string {
 // TestQueuedFramesAreNotSilence: silence is judged only after every
 // queued event has been applied, so a host whose frames wait behind a
 // slow step is not declared partitioned. Both nodes were last heard
-// from before the heartbeat timeout; a heartbeat from node 0 is queued
-// but not yet applied when the tick runs. Node 0 stays alive and node 1,
+// from before the heartbeat timeout; a tick frame from node 0, with no
+// results, is queued but not yet applied when the tick runs. Node 0 stays alive and node 1,
 // which queued nothing, is failed. No Run: the test applies the tick.
 func TestQueuedFramesAreNotSilence(t *testing.T) {
 	ctrl := testController(t, ControllerConfig{Seed: 1, HeartbeatTimeout: 50 * time.Millisecond},
 		[]string{silentPeer(t), silentPeer(t)})
 	stale := time.Now().Add(-time.Second)
 	ctrl.lastSeen[0], ctrl.lastSeen[1] = stale, stale
-	ctrl.events <- event{node: 0, env: &Envelope{Kind: KindHeartbeat}}
+	ctrl.events <- event{node: 0, sic: []SICMsg{}}
 	if err := ctrl.step(func(now time.Time) error { return ctrl.tick(now, 0) }); err != nil {
 		t.Fatal(err)
 	}
@@ -646,7 +646,7 @@ func fillSendBuffer(cn *conn) {
 }
 
 // wedgedPeer listens on loopback as a wedged node would look: it accepts
-// connections and beacons a heartbeat every 50 ms, but reads nothing.
+// connections and beacons a tick frame every 50 ms, but reads nothing.
 func wedgedPeer(tb testing.TB) string {
 	tb.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -663,7 +663,7 @@ func wedgedPeer(tb testing.TB) string {
 			go func() {
 				defer nc.Close()
 				c := &conn{c: nc, wt: defaultWriteTimeout}
-				for c.send(&Envelope{Kind: KindHeartbeat}) == nil {
+				for sendSIC(c) == nil {
 					time.Sleep(50 * time.Millisecond)
 				}
 			}()

@@ -15,15 +15,16 @@ import (
 //
 //	[1 byte frame type][4 bytes big-endian payload length][payload]
 //
-// Control messages travel as JSON envelopes (frameJSON), and not rarely:
-// every tick each host sends a report per result and a heartbeat, and the
-// controller a SIC update per query per host. Tuple batches, which cross
-// fragment hosts several times per second per query, use a fixed-layout
-// binary encoding (frameBatch) that round-trips float64 payloads
-// bit-exactly and costs no reflection or number formatting.
+// What crosses the wire every tick is binary, and round-trips float64
+// values bit-exactly with no reflection or number formatting: tuple
+// batches between fragment hosts (frameBatch), and one frame of
+// (query, result SIC) pairs per node per tick (frameSIC) — a host's
+// results, which is also its heartbeat, and the controller's updates to
+// that host. Every other control message is a JSON envelope (frameJSON).
 const (
 	frameJSON  byte = 0x00
 	frameBatch byte = 0x01
+	frameSIC   byte = 0x02
 
 	frameHeaderLen = 5
 	// maxFramePayload bounds a single frame so a corrupted or hostile
@@ -122,6 +123,35 @@ func decodeWireBatch(p []byte, pool *stream.Pool) (*stream.Batch, error) {
 	return b, nil
 }
 
+// appendSICFrame appends a complete frameSIC frame for pairs to dst; its
+// payload is the pair count, then each query (u32) and value (f64 bits).
+func appendSICFrame(dst []byte, pairs []SICMsg) []byte {
+	dst = binary.BigEndian.AppendUint32(append(dst, frameSIC), uint32(4+12*len(pairs)))
+	le := binary.LittleEndian
+	dst = le.AppendUint32(dst, uint32(len(pairs)))
+	for _, m := range pairs {
+		dst = le.AppendUint64(le.AppendUint32(dst, uint32(m.Query)), math.Float64bits(m.Value))
+	}
+	return dst
+}
+
+// decodeSICFrame decodes a frameSIC payload into a fresh slice — one
+// allocation, none for no pairs — once the payload is exactly as long as
+// its count says. The slice is never nil: an event carrying it tells a
+// frame with no pairs from no frame.
+func decodeSICFrame(p []byte) ([]SICMsg, error) {
+	le := binary.LittleEndian
+	if len(p) < 4 || uint64(len(p)) != 4+12*uint64(le.Uint32(p)) {
+		return nil, fmt.Errorf("transport: SIC frame of %d bytes does not match its count", len(p))
+	}
+	pairs := make([]SICMsg, le.Uint32(p))
+	for i := range pairs {
+		q := p[4+12*i:]
+		pairs[i] = SICMsg{Query: stream.QueryID(int32(le.Uint32(q))), Value: math.Float64frombits(le.Uint64(q[4:]))}
+	}
+	return pairs, nil
+}
+
 // frameReader reads frames off a connection, reusing one payload buffer
 // and decoding batch frames into pooled batches when given a pool. The
 // header scratch lives on the reader, not the stack: a stack array's
@@ -145,16 +175,15 @@ func newPooledFrameReader(c io.Reader, pool *stream.Pool) *frameReader {
 	return &frameReader{r: bufio.NewReader(c), pool: pool}
 }
 
-// next reads one frame. Control frames return a non-nil envelope; batch
-// frames return a non-nil batch. The batch owns its storage; the envelope
-// is freshly unmarshalled — neither aliases the reader's buffer.
-func (fr *frameReader) next() (*Envelope, *stream.Batch, error) {
+// next reads one frame: a non-nil envelope, batch or pairs, by type. The
+// batch owns its storage and the rest is fresh: none aliases fr.buf.
+func (fr *frameReader) next() (*Envelope, *stream.Batch, []SICMsg, error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	size := binary.BigEndian.Uint32(fr.hdr[1:])
 	if size > maxFramePayload {
-		return nil, nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", size)
+		return nil, nil, nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", size)
 	}
 	if cap(fr.buf) > maxWireScratch && int(size) <= maxWireScratch {
 		// One pathological frame must not pin its high-water mark on
@@ -166,19 +195,22 @@ func (fr *frameReader) next() (*Envelope, *stream.Batch, error) {
 	}
 	p := fr.buf[:size]
 	if _, err := io.ReadFull(fr.r, p); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	switch fr.hdr[0] {
 	case frameJSON:
 		var e Envelope
 		if err := json.Unmarshal(p, &e); err != nil {
-			return nil, nil, fmt.Errorf("transport: control frame: %w", err)
+			return nil, nil, nil, fmt.Errorf("transport: control frame: %w", err)
 		}
-		return &e, nil, nil
+		return &e, nil, nil, nil
 	case frameBatch:
 		b, err := decodeWireBatch(p, fr.pool)
-		return nil, b, err
+		return nil, b, nil, err
+	case frameSIC:
+		pairs, err := decodeSICFrame(p)
+		return nil, nil, pairs, err
 	default:
-		return nil, nil, fmt.Errorf("transport: unknown frame type 0x%02x", fr.hdr[0])
+		return nil, nil, nil, fmt.Errorf("transport: unknown frame type 0x%02x", fr.hdr[0])
 	}
 }

@@ -73,7 +73,7 @@ type Controller struct {
 	// out holds, per node, the frames the current step sends it; detected
 	// holds when each of the last len(detected) recoveries began. The
 	// step's flush writes the first and stamps the second.
-	out      [][]*Envelope
+	out      []nodeOut
 	detected []time.Time
 
 	sicFn func(q stream.QueryID, now stream.Time, v float64)
@@ -110,11 +110,28 @@ type Controller struct {
 }
 
 // event is what one node's connection told the controller: a control
-// frame, or (env nil) the error that ended the connection.
+// frame, a tick frame's pairs, or the error that ended the connection.
 type event struct {
 	node int
 	env  *Envelope
+	sic  []SICMsg
 	err  error
+}
+
+// nodeOut is what the current step sends one node: JSON frames in queue
+// order, then one SIC frame of the pairs, encoded into buf (nil if none).
+type nodeOut struct {
+	envs []*Envelope
+	sic  []SICMsg
+	buf  []byte
+}
+
+func (o *nodeOut) sicFrame() []byte {
+	if len(o.sic) == 0 {
+		return nil
+	}
+	o.buf = appendSICFrame(o.buf[:0], o.sic)
+	return o.buf
 }
 
 // errClosed refuses a step once CloseAll has run, or once the run has
@@ -134,8 +151,9 @@ const stopTimeout = 5 * time.Second
 // 32–42 queued events on net_overload_24x48 (unstalled hosts: at most 8)
 // and filled all 4,096 on net_wide_8x480 (5,734–6,000 with 16,384 slots;
 // unstalled hosts: 382–749), which dropped the same tuples with either
-// size (2 vCPUs; DESIGN.md §5). A full queue blocks only the read loops,
-// whose frames then wait in the socket buffers.
+// size (2 vCPUs; DESIGN.md §5), counting each result and SIC update as a
+// frame before tick frames carried them. A full queue blocks only the
+// read loops, whose frames then wait in the socket buffers.
 const eventQueue = 4096
 
 // RecoveryEvent records one survived node failure.
@@ -294,7 +312,7 @@ func (c *Controller) join(now time.Time, addr string, cn *conn) int {
 	c.addrs = append(c.addrs, addr)
 	c.lastSeen = append(c.lastSeen, now)
 	c.stats = append(c.stats, nil)
-	c.out = append(c.out, nil)
+	c.out = append(c.out, nodeOut{})
 	c.wg.Add(1)
 	go c.readLoop(int(id), cn)
 	if !c.epoch.IsZero() {
@@ -507,14 +525,15 @@ func (c *Controller) queueEmitFlips(flips []control.EmitFlip) {
 func (c *Controller) queue(e *Envelope, nodes ...stream.NodeID) {
 	for _, ni := range nodes {
 		if c.plane.Alive(ni) {
-			c.out[ni] = append(c.out[ni], e)
+			c.out[ni].envs = append(c.out[ni].envs, e)
 		}
 	}
 }
 
-// flush ends every step: it writes each node's queued frames back to back
-// with one vectored write — one syscall per node however many queries
-// the step told it about — and the failure of any write fails its node,
+// flush ends every step: it writes each node's queued frames, then its SIC
+// frame, back to back with one vectored write — one syscall per node
+// however many queries the step told it about — and the failure of any
+// write fails its node,
 // like a read error or silence. A failure queues re-deploys, rewires and
 // emit flips to other nodes, so the flush repeats until
 // nothing is pending; a pass that queues more has failed a node, so the
@@ -527,14 +546,15 @@ func (c *Controller) flush() error {
 	for pending := true; pending; {
 		pending = false
 		begun := len(c.detected)
-		for ni, es := range c.out {
-			if len(es) == 0 {
+		for ni := range c.out {
+			o := &c.out[ni]
+			if len(o.envs) == 0 && len(o.sic) == 0 {
 				continue
 			}
 			pending = true
-			werr := c.nodes[ni].send(es...)
-			clear(es)
-			c.out[ni] = es[:0]
+			werr := c.nodes[ni].sendWith(o.envs, o.sicFrame())
+			clear(o.envs)
+			o.envs, o.sic = o.envs[:0], o.sic[:0]
 			if werr != nil {
 				// The write may have blocked for a whole write timeout,
 				// which made the step's own time stale.
@@ -669,9 +689,9 @@ func (c *Controller) stop(deadline <-chan time.Time) {
 // handle applies one event from a node's connection at now. The error
 // that ended the connection is a node failure. A frame refreshes the
 // node's liveness, and applies only if the node serves what it speaks
-// for: a report only from the host of the query's root, stamped with now
-// on the ledger; a checkpoint only from the fragment's current host; and
-// a node's first stats frame only.
+// for: each result pair of a tick frame only from the host of the
+// query's root, stamped with now on the ledger; a checkpoint only from
+// the fragment's current host; and a node's first stats frame only.
 func (c *Controller) handle(now time.Time, ev event) error {
 	if ev.err != nil {
 		err := ev.err
@@ -680,13 +700,16 @@ func (c *Controller) handle(now time.Time, ev event) error {
 		}
 		return c.handleFailure(now, ev.node, err)
 	}
-	e := ev.env
 	c.lastSeen[ev.node] = now
-	switch e.Kind {
-	case KindReport:
-		if r := e.Report; r != nil && c.hosts(ev.node, r.Query, 0) { // fragment 0 is the root (query.Plan)
-			c.ledger.Result(r.Query, c.at(now), r.Result)
+	for _, m := range ev.sic {
+		if c.hosts(ev.node, m.Query, 0) { // fragment 0 is the root (query.Plan)
+			c.ledger.Result(m.Query, c.at(now), m.Value)
 		}
+	}
+	if ev.env == nil {
+		return nil
+	}
+	switch e := ev.env; e.Kind {
 	case KindCheckpoint:
 		if ck := e.Checkpoint; ck != nil && c.hosts(ev.node, ck.Query, int(ck.Frag)) {
 			c.plane.Checkpoint(ck.Query, int(ck.Frag), ck.State)
@@ -736,7 +759,11 @@ func (c *Controller) tick(now time.Time, warmup stream.Duration) error {
 			c.sicFn(q, t, v)
 		}
 		hosts := c.plane.Query(q).Placement
-		c.queue(&Envelope{Kind: KindSIC, SIC: &SICMsg{Query: q, Value: v}}, hosts...)
+		for _, ni := range hosts {
+			if c.plane.Alive(ni) { // as queue: a dead node is told nothing
+				c.out[ni].sic = append(c.out[ni].sic, SICMsg{Query: q, Value: v})
+			}
+		}
 		return len(hosts)
 	})
 	return nil
@@ -760,8 +787,8 @@ func (c *Controller) handleFailure(now time.Time, idx int, cause error) error {
 	if !ok {
 		return nil
 	}
-	c.nodes[idx].Close() // sever, so a half-dead node stops feeding us reports
-	c.out[idx] = nil     // and drop what it was to be told
+	c.nodes[idx].Close()   // sever, so a half-dead node stops feeding us results
+	c.out[idx] = nodeOut{} // and drop what it was to be told
 	c.shareEpoch++
 	start := time.Now()
 	restored := len(affected) > 0
@@ -821,21 +848,21 @@ func (c *Controller) replaceFragments(q stream.QueryID, pin int64) (restored boo
 	return warm, nil
 }
 
-// readLoop decodes node idx's frames and offers each control frame to
-// the run loop, then the error that ends the connection. It
-// touches no controller state, and once quit closes it offers nothing
+// readLoop decodes node idx's frames and offers each control frame and
+// tick frame to the run loop, then the error that ends the connection.
+// It touches no controller state, and once quit closes it offers nothing
 // more. Batches are never routed through the controller and are dropped
 // here.
 func (c *Controller) readLoop(idx int, n *conn) {
 	defer c.wg.Done()
 	fr := newFrameReader(n.c)
 	for {
-		e, _, err := fr.next()
-		if e == nil && err == nil {
+		e, b, sic, err := fr.next()
+		if b != nil {
 			continue
 		}
 		select {
-		case c.events <- event{idx, e, err}:
+		case c.events <- event{idx, e, sic, err}:
 		case <-c.quit:
 			return
 		}

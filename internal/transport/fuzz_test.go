@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -16,17 +17,16 @@ import (
 	"repro/internal/stream"
 )
 
-// FuzzWireCodec drives arbitrary bytes through the binary batch codec
-// and the mixed frame reader. The invariants under fuzz:
+// FuzzWireCodec drives arbitrary bytes through the binary batch and SIC
+// codecs and the mixed frame reader. The invariants under fuzz:
 //
 //   - malformed input returns an error — never a panic and never an
 //     allocation sized by unvalidated attacker-controlled dimensions
-//     (decodeWireBatch validates the exact payload length before
-//     allocating tuple storage; the frame reader caps payloads at
-//     maxFramePayload);
+//     (both decoders validate the exact payload length before
+//     allocating; the frame reader caps payloads at maxFramePayload);
 //   - a payload that does decode is exactly self-describing: it
 //     re-encodes to the identical bytes, so no trailing garbage is
-//     silently accepted.
+//     silently accepted and every float comes back bit-exactly.
 //
 // The seed corpus holds valid encodings from the wire_test generator —
 // including the adversarial float values — plus truncations and
@@ -49,9 +49,23 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add(hugeN)
 	f.Add([]byte{})
 	f.Add([]byte(`{"kind":"sic","sic":{"query":1,"value":0.5}}`))
+	for i, v := range sicFloats {
+		f.Add(rawSIC(SICMsg{Query: stream.QueryID(i - 2), Value: v}, SICMsg{Query: 3, Value: 0.5})[1:])
+	}
+	for _, c := range corruptSICPayloads() {
+		f.Add(c.p)
+	}
 
 	pool := stream.NewPool()
 	f.Fuzz(func(t *testing.T, p []byte) {
+		if pairs, err := decodeSICFrame(p); err == nil {
+			if pairs == nil {
+				t.Fatal("nil pairs with nil error")
+			}
+			if got := rawSIC(pairs...)[1:]; !bytes.Equal(got, p) {
+				t.Fatalf("SIC decode/encode not a fixed point: %x in, %x out", p, got)
+			}
+		}
 		b, err := decodeWireBatch(p, nil)
 		if err == nil {
 			if b == nil {
@@ -85,16 +99,16 @@ func FuzzWireCodec(f *testing.F) {
 		}
 
 		// The same bytes as one framed connection stream: JSON frames,
-		// batch frames, unknown frame types, hostile length prefixes. The
-		// reader must surface errors and stop, never panic.
+		// batch and SIC frames, unknown frame types, hostile length
+		// prefixes. The reader must surface errors and stop, never panic.
 		fr := newFrameReader(bytes.NewReader(p))
 		for i := 0; i < 64; i++ {
-			e, fb, err := fr.next()
+			e, fb, pairs, err := fr.next()
 			if err != nil {
 				break
 			}
-			if e == nil && fb == nil {
-				t.Fatal("frame reader returned neither envelope nor batch without error")
+			if e == nil && fb == nil && pairs == nil {
+				t.Fatal("frame reader returned no envelope, batch or pairs without error")
 			}
 		}
 	})
@@ -191,11 +205,11 @@ var hostileFrames = []struct {
 	{"null", `null`, false},
 	{"nil hello", `{"kind":"hello"}`, false},
 	{"nil deploy", `{"kind":"deploy"}`, false},
-	{"nil sic", `{"kind":"sic"}`, false},
-	{"nil report", `{"kind":"report"}`, false},
+	{"retired json sic", `{"kind":"sic","sic":{"query":0,"value":0.5}}`, false},
+	{"retired json report", `{"kind":"report","report":{"query":0,"result":0.5}}`, false},
 	{"nil stats", `{"kind":"stats"}`, false},
 	{"nil rewire", `{"kind":"rewire"}`, false},
-	{"nil heartbeat", `{"kind":"heartbeat"}`, false},
+	{"retired json heartbeat", `{"kind":"heartbeat"}`, false},
 	{"nil retract", `{"kind":"retract"}`, false},
 	{"nil checkpoint", `{"kind":"checkpoint"}`, false},
 	{"nil share emit", `{"kind":"share_emit"}`, false},
@@ -324,28 +338,39 @@ func TestHostRefusesDeployAtFragmentCap(t *testing.T) {
 	}
 }
 
-// FuzzHostFrame drives arbitrary JSON control frames through the host's
-// step, handle — against a server no run has reached, where nothing may
-// start it, and again after testRun and a valid deploy so rewire,
-// retract, share-emit and deploy frames meet real state. Nothing a peer
-// can put in a frame may panic the host or leak a pooled batch. The
-// host's loop does not run: the fuzzer is the loop. Stop is skipped: it
-// replies on the connection its frame came on, and the lifecycle tests
-// cover it.
+// FuzzHostFrame drives arbitrary raw frames — a type byte, then the
+// payload — through the host's step, handle: against a server no run has
+// reached, where nothing may start it, and again after testRun and a
+// valid deploy of query 7 so rewire, retract, share-emit, deploy and SIC
+// frames meet real state. Nothing a peer can put in a frame may panic the
+// host or leak a pooled batch, and a SIC frame sets the result SIC of
+// the queries the host runs only: query 7 ends at its last pair's value,
+// bit for bit, and every other query stays unknown. The host's loop does
+// not run: the fuzzer is the loop. Batch frames are FuzzWireCodec's. Stop
+// is skipped: it replies on the connection its frame came on, and the
+// lifecycle tests cover it.
 func FuzzHostFrame(f *testing.F) {
 	for _, h := range hostileFrames {
-		f.Add([]byte(h.payload))
+		f.Add(rawJSON(h.payload))
 	}
-	f.Add([]byte(deployFrame(1, 1, 3, avgAllCQL)))
-	f.Add([]byte(`{"kind":"deploy","deploy":{"query":2,"cql":"Select Avg(t.v) From Src[Range 1 sec]","fragments":1,` +
+	f.Add(rawJSON(deployFrame(1, 1, 3, avgAllCQL)))
+	f.Add(rawJSON(`{"kind":"deploy","deploy":{"query":2,"cql":"Select Avg(t.v) From Src[Range 1 sec]","fragments":1,` +
 		`"dataset":4,"rate":1e308,"batches_per_sec":-1,"share_key":"k","share_scale":-2,"peers":{"0":"x"}}}`))
-	f.Add([]byte(`{"kind":"rewire","rewire":{"query":7,"peers":{"-3":"127.0.0.1:1"}}}`))
-	f.Add([]byte(`{"kind":"share_emit","share_emit":{"query":7,"frag":0,"emit":true}}`))
-	f.Add([]byte(`{"kind":"sic","sic":{"query":7,"value":-1e300}}`))
+	f.Add(rawJSON(`{"kind":"rewire","rewire":{"query":7,"peers":{"-3":"127.0.0.1:1"}}}`))
+	f.Add(rawJSON(`{"kind":"share_emit","share_emit":{"query":7,"frag":0,"emit":true}}`))
+	f.Add(rawSIC(SICMsg{Query: 7, Value: -1e300}))
+	f.Add(rawSIC(SICMsg{Query: 7, Value: 0.5}, SICMsg{Query: 8, Value: 0.25}, SICMsg{Query: 7, Value: math.NaN()}))
+	f.Add(rawSIC())
+	for _, c := range corruptSICPayloads() {
+		f.Add(append([]byte{frameSIC}, c.p...))
+	}
 
 	f.Fuzz(func(t *testing.T, p []byte) {
-		var e Envelope
-		if json.Unmarshal(p, &e) != nil || e.Kind == KindStop {
+		if len(p) == 0 {
+			return
+		}
+		e, b, pairs, err := readRaw(p)
+		if err != nil || b != nil || (e != nil && e.Kind == KindStop) {
 			return
 		}
 		s, err := newHost(NodeServerConfig{Name: "fuzz", Addr: "127.0.0.1:0", CapacityPerSec: 1000, Quiet: true}, defaultWriteTimeout, defaultDialCooldown)
@@ -354,7 +379,8 @@ func FuzzHostFrame(f *testing.F) {
 		}
 		defer s.shutdown()
 		var now time.Time
-		s.handle(now, hostEvent{env: &e})
+		ev := hostEvent{env: e, sic: pairs}
+		s.handle(now, ev)
 		if s.started {
 			t.Fatal("a frame before any run started the host")
 		}
@@ -364,9 +390,20 @@ func FuzzHostFrame(f *testing.F) {
 		if err := s.handleDeploy(validDeploy(7)); err != nil {
 			t.Fatalf("valid deploy rejected after the fuzzed frame: %v", err)
 		}
-		s.handle(now, hostEvent{env: &e})
+		s.handle(now, ev)
 		if live := s.pool.Live(); live != 0 {
 			t.Fatalf("pool holds %d live batches after control frames only", live)
+		}
+		want := uint64(0)
+		for _, m := range pairs {
+			if m.Query == 7 {
+				want = math.Float64bits(m.Value)
+			} else if v := s.nd.ResultSIC(m.Query); v != 0 {
+				t.Fatalf("query %d, which the host does not run, has result SIC %v", m.Query, v)
+			}
+		}
+		if got := math.Float64bits(s.nd.ResultSIC(7)); pairs != nil && got != want {
+			t.Fatalf("query 7's result SIC has bits %x, want its last pair's %x", got, want)
 		}
 	})
 }
@@ -406,46 +443,51 @@ func servedController(t *testing.T, peers []string) *Controller {
 	return ctrl
 }
 
-// FuzzControllerFrame applies arbitrary JSON control frames with
-// Controller.handle, as node 0 or node 1 of servedController, the way
-// the run loop applies what a read loop decodes. Nothing a host can put in a
-// frame may panic the controller, leave a query's measured result SIC
-// non-finite or outside [0, coordinator.MaxResultMass], or change a
-// measurement, banked checkpoint or stats record the sending node does
-// not serve: a report applies only from the host of the query's root, a
-// checkpoint only from the fragment's host, and a stats frame only as
-// the node's first. No frame opens a ledger entry: a report or
-// checkpoint for a query the controller never submitted is dropped.
+// FuzzControllerFrame applies arbitrary raw frames — a type byte, then
+// the payload — with Controller.handle, as node 0 or node 1 of
+// servedController, the way the run loop applies what a read loop
+// decodes. Nothing a host can put in a frame may panic the controller,
+// leave a query's measured result SIC non-finite or outside [0,
+// coordinator.MaxResultMass], or change a measurement, banked checkpoint
+// or stats record the sending node does not serve: each pair of a tick
+// frame applies only from the host of the query's root, a checkpoint
+// only from the fragment's host, and a stats frame only as the node's
+// first. No frame opens a ledger entry: a result or checkpoint for a
+// query the controller never submitted is dropped.
 func FuzzControllerFrame(f *testing.F) {
 	for _, s := range []struct {
 		from  uint8
-		frame string
+		frame []byte
 	}{
-		{0, `{"kind":"report","report":{"query":0,"result":1e308}}`},
-		{1, `{"kind":"report","report":{"query":0,"result":0.25}}`},
-		{1, `{"kind":"report","report":{"query":2,"result":0.5}}`},
-		{0, `{"kind":"checkpoint","checkpoint":{"query":1,"frag":0,"state":"AQID"}}`},
-		{1, `{"kind":"checkpoint","checkpoint":{"query":2,"frag":-1,"state":"AQID"}}`},
-		{0, `{"kind":"checkpoint","checkpoint":{"query":2,"frag":2147483647,"state":"AQID"}}`},
-		{0, `{"kind":"report"}`},
-		{0, `{"kind":"report","report":{"query":0,"result":-3}}`},
-		{0, `{"kind":"report","report":{"query":0,"accepted":0.5,"result":0,"tuples":0,"is_result":false}}`},
-		{1, `{"kind":"report","report":{"query":99,"result":0.5}}`},
-		{0, `{"kind":"checkpoint","checkpoint":{"query":99,"frag":0,"state":"AQID"}}`},
-		{0, `{"kind":"stats","stats":{"node":"a","arrived_tuples":5}}`},
-		{1, `{"kind":"heartbeat"}`},
+		{0, rawSIC(SICMsg{Query: 0, Value: 1e308})},
+		{1, rawSIC(SICMsg{Query: 0, Value: 0.25})},
+		{1, rawSIC(SICMsg{Query: 2, Value: 0.5})},
+		{0, rawJSON(`{"kind":"checkpoint","checkpoint":{"query":1,"frag":0,"state":"AQID"}}`)},
+		{1, rawJSON(`{"kind":"checkpoint","checkpoint":{"query":2,"frag":-1,"state":"AQID"}}`)},
+		{0, rawJSON(`{"kind":"checkpoint","checkpoint":{"query":2,"frag":2147483647,"state":"AQID"}}`)},
+		{0, rawSIC()},
+		{0, rawSIC(SICMsg{Query: 0, Value: -3}, SICMsg{Query: 0, Value: math.NaN()}, SICMsg{Query: 0, Value: math.Inf(1)})},
+		{0, rawSIC(SICMsg{Query: 0, Value: 0}, SICMsg{Query: 0, Value: math.Copysign(0, -1)}, SICMsg{Query: 2, Value: 0.5})},
+		{1, rawSIC(SICMsg{Query: 99, Value: 0.5}, SICMsg{Query: -1, Value: 0.5}, SICMsg{Query: 1, Value: 0.5})},
+		{0, rawJSON(`{"kind":"checkpoint","checkpoint":{"query":99,"frag":0,"state":"AQID"}}`)},
+		{0, rawJSON(`{"kind":"stats","stats":{"node":"a","arrived_tuples":5}}`)},
+		{1, rawJSON(`{"kind":"report","report":{"query":1,"result":0.5}}`)},
+		{1, append([]byte{frameSIC}, corruptSICPayloads()[5].p...)},
 	} {
-		f.Add(s.from, []byte(s.frame))
+		f.Add(s.from, s.frame)
 	}
 	peers := []string{silentPeer(f), silentPeer(f)}
 	f.Fuzz(func(t *testing.T, from uint8, p []byte) {
-		var e Envelope
-		if json.Unmarshal(p, &e) != nil {
+		if len(p) == 0 {
+			return
+		}
+		e, b, pairs, err := readRaw(p)
+		if err != nil || b != nil {
 			return
 		}
 		ctrl := servedController(t, peers)
 		node := int(from % 2)
-		if err := ctrl.handle(time.Now(), event{node: node, env: &e}); err != nil {
+		if err := ctrl.handle(time.Now(), event{node: node, env: e, sic: pairs}); err != nil {
 			t.Fatalf("a frame failed the controller: %v", err)
 		}
 		for q, at := range servedPlacements {
@@ -467,10 +509,10 @@ func FuzzControllerFrame(f *testing.F) {
 			t.Fatalf("%d live ledger entries, want the %d submitted queries", n, len(servedPlacements))
 		}
 		ids := []stream.QueryID{99}
-		if e.Report != nil {
-			ids = append(ids, e.Report.Query)
+		for _, m := range pairs {
+			ids = append(ids, m.Query)
 		}
-		if e.Checkpoint != nil {
+		if e != nil && e.Checkpoint != nil {
 			ids = append(ids, e.Checkpoint.Query)
 		}
 		for _, id := range ids {

@@ -668,7 +668,7 @@ func recordingPeer(t *testing.T) (addr string, frames func() []*Envelope) {
 		defer nc.Close()
 		fr := newFrameReader(nc)
 		for {
-			e, _, err := fr.next()
+			e, _, _, err := fr.next()
 			if err != nil {
 				return
 			}
@@ -881,8 +881,8 @@ func TestUnplaceableSubmitAbortsRun(t *testing.T) {
 	defer ctrl.shutdown()
 	err = ctrl.step(func(now time.Time) error {
 		err := ctrl.begin(now)
-		for ni, es := range ctrl.out {
-			if len(es) > 0 {
+		for ni, o := range ctrl.out {
+			if len(o.envs) > 0 {
 				started = append(started, ni)
 			}
 		}

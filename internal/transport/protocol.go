@@ -1,10 +1,10 @@
 // Package transport runs THEMIS nodes as network services: a framed TCP
 // protocol carries query deployment, tuple batches between fragments on
 // different machines, coordinator result-SIC updates, and result streams
-// back to the issuing user. Control messages travel as JSON envelopes,
-// the per-tick ones included: each host's result reports and heartbeat,
-// and the controller's SIC updates (the paper's are binary; DESIGN.md
-// §6). Tuple batches use a length-prefixed binary codec (see codec.go).
+// back to the issuing user. What is sent every tick is binary (codec.go):
+// tuple batches, and one frame of result-SIC pairs per node per tick each
+// way, a host's results (its heartbeat too) and the controller's updates.
+// Every other control message is a JSON envelope.
 //
 // The same node runtime (internal/node) that the virtual-time simulator
 // drives is driven here by wall-clock tickers, so everything the
@@ -27,15 +27,13 @@ import (
 // Envelope is the single wire message; Kind selects which payload field
 // is set.
 type Envelope struct {
-	Kind    string     `json:"kind"`
-	Hello   *Hello     `json:"hello,omitempty"`
-	Deploy  *Deploy    `json:"deploy,omitempty"`
-	Start   *Start     `json:"start,omitempty"`
-	SIC     *SICMsg    `json:"sic,omitempty"`
-	Report  *ReportMsg `json:"report,omitempty"`
-	Stats   *StatsMsg  `json:"stats,omitempty"`
-	Rewire  *Rewire    `json:"rewire,omitempty"`
-	Retract *Retract   `json:"retract,omitempty"`
+	Kind    string    `json:"kind"`
+	Hello   *Hello    `json:"hello,omitempty"`
+	Deploy  *Deploy   `json:"deploy,omitempty"`
+	Start   *Start    `json:"start,omitempty"`
+	Stats   *StatsMsg `json:"stats,omitempty"`
+	Rewire  *Rewire   `json:"rewire,omitempty"`
+	Retract *Retract  `json:"retract,omitempty"`
 
 	ShareEmit *ShareEmitMsg `json:"share_emit,omitempty"`
 
@@ -47,16 +45,11 @@ const (
 	KindHello  = "hello"
 	KindDeploy = "deploy"
 	KindStart  = "start"
-	KindSIC    = "sic"
-	KindReport = "report"
 	KindStats  = "stats"
 	KindStop   = "stop"
 	// KindRewire updates a host's peer routing after failure recovery
 	// moved a fragment of one of its queries to a different node.
 	KindRewire = "rewire"
-	// KindHeartbeat is a node→controller liveness beacon, sent once per
-	// tick. It carries no payload; receipt of any frame counts.
-	KindHeartbeat = "heartbeat"
 	// KindRetract tears a query down on a host: its fragments, sources
 	// and per-query state leave the node without pausing other queries'
 	// ticks.
@@ -194,24 +187,16 @@ type ShareEmitMsg struct {
 	Emit  bool           `json:"emit"`
 }
 
-// SICMsg is a coordinator result-SIC update (30 bytes in the paper's
-// binary protocol; JSON here for debuggability).
+// SICMsg is one pair of a frameSIC frame, 12 bytes on the wire (30 in
+// the paper's binary protocol): from a host, one result of the query and
+// its SIC mass, zero included; from the controller, its result SIC.
 type SICMsg struct {
-	Query stream.QueryID `json:"query"`
-	Value float64        `json:"value"`
+	Query stream.QueryID
+	Value float64
 }
 
-// ReportMsg flows node → controller: one result-stream delivery. The
-// numeric fields deliberately avoid omitempty: a zero-valued result is
-// meaningful SIC accounting data and must survive the round trip
-// unchanged.
-type ReportMsg struct {
-	Query  stream.QueryID `json:"query"`
-	Result float64        `json:"result"`
-}
-
-// StatsMsg returns a node's final counters. Like ReportMsg, the numeric
-// fields avoid omitempty: zero counts are data.
+// StatsMsg returns a node's final counters. The numeric fields avoid
+// omitempty: zero counts are data.
 type StatsMsg struct {
 	Node            string `json:"node"`
 	ArrivedTuples   int64  `json:"arrived_tuples"`
@@ -236,11 +221,14 @@ type StatsMsg struct {
 	// measurement) without instrumenting hosts externally.
 	Ticks     int64 `json:"ticks"`
 	TickNanos int64 `json:"tick_nanos"`
-	// DroppedCtrl counts control frames (result reports, heartbeats,
-	// checkpoints) the node dropped because its controller
-	// send queue was full: the queries' result SIC reads low by that
-	// much. Omitted when zero, so frames of healthy runs are unchanged.
+	// DroppedCtrl counts control frames (tick frames, checkpoints) the node
+	// dropped because its controller send queue was full; a refused tick
+	// frame drops all of its tick's results, and result SIC reads low by
+	// them. Omitted when zero, so frames of healthy runs are unchanged.
 	DroppedCtrl int64 `json:"dropped_ctrl_frames,omitempty"`
+	// RefusedRestores counts deploys whose state the node could not
+	// restore, which ran cold; omitted when zero, like DroppedCtrl.
+	RefusedRestores int64 `json:"refused_restores,omitempty"`
 }
 
 // Write-path timing defaults. Every frame write — control and batch —
@@ -268,17 +256,22 @@ type conn struct {
 	wt time.Duration
 }
 
-// send writes control envelopes as back-to-back JSON frames with one
-// vectored write: the controller's flush writes everything a step tells
-// one node in one syscall, not one per frame.
-func (c *conn) send(es ...*Envelope) error {
-	bufs := make(net.Buffers, 0, len(es))
+func (c *conn) send(es ...*Envelope) error { return c.sendWith(es, nil) }
+
+// sendWith writes es as back-to-back JSON frames, then the encoded frame
+// tail, with one vectored write: the controller's flush writes everything
+// a step tells one node in one syscall, not one per frame.
+func (c *conn) sendWith(es []*Envelope, tail []byte) error {
+	bufs := make(net.Buffers, 0, len(es)+1)
 	for _, e := range es {
 		p, err := json.Marshal(e)
 		if err != nil {
 			return err
 		}
 		bufs = append(bufs, appendFrame(make([]byte, 0, frameHeaderLen+len(p)), frameJSON, p))
+	}
+	if len(tail) > 0 {
+		bufs = append(bufs, tail)
 	}
 	return c.writeFrames(&bufs, time.Now().Add(c.wt))
 }

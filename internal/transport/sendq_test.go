@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/node"
 	"repro/internal/stream"
 )
 
@@ -173,7 +174,7 @@ func TestWedgedPeersShareOneWriteTimeout(t *testing.T) {
 	for flush, evicted := range [][]string{{addrs[0]}, addrs} {
 		s.routeDownstream(queryBatch(1, 64))
 		s.routeDownstream(queryBatch(2, 64))
-		s.queueCtrl(&Envelope{Kind: KindHeartbeat})
+		s.queueResults()
 		start := time.Now()
 		s.flushPeers()
 		if d := time.Since(start); d >= wt+wt/2 {
@@ -333,8 +334,10 @@ func TestWedgedPeerStallsOnlyItsSender(t *testing.T) {
 
 // TestFullEventQueueWaitsInSocketBuffers: while H's loop is stalled, an
 // upstream peer and the controller send H what a net_wide_8x480 host
-// hears in one write timeout (2 s) — about 1,100 batch frames and 1,900
-// control frames a second, so some 6,000 events for 4,096 slots.
+// heard in one write timeout (2 s) when every SIC update was a frame of
+// its own — about 1,100 batch frames and 1,900 control frames a second,
+// so some 6,000 events for 4,096 slots; here the control frames are SIC
+// frames of one pair each.
 // H's queue fills and its read loops block, including the controller's.
 // The rest waits in the socket buffers: no write of either sender times
 // out, and once the stall ends H applies every batch and still answers
@@ -387,7 +390,7 @@ func TestFullEventQueueWaitsInSocketBuffers(t *testing.T) {
 	}()
 	go func() {
 		for i := range ctrlFrames {
-			if err := ctrl.send(&Envelope{Kind: KindSIC, SIC: &SICMsg{Query: 1, Value: float64(i) / ctrlFrames}}); err != nil {
+			if err := sendSIC(ctrl, SICMsg{Query: 1, Value: float64(i) / ctrlFrames}); err != nil {
 				errs <- fmt.Errorf("controller write: %w", err)
 				return
 			}
@@ -611,20 +614,16 @@ func TestDialCooldown(t *testing.T) {
 	}
 }
 
-// TestSteadyStateSendZeroAlloc gates the pooled write path: once the
-// buffer free list, queue slices and vectored-write scratch are warm,
-// routing a batch and flushing it to a live peer performs zero heap
-// allocations. testing.AllocsPerRun counts mallocs process-wide, so the
-// receiving end must not allocate either: it reads the socket into one
-// fixed buffer instead of decoding frames, and the measurement starts
-// only after it has accepted the connection.
-func TestSteadyStateSendZeroAlloc(t *testing.T) {
+// discardPeer listens on loopback and reads whatever one connection
+// sends into one fixed buffer, allocating nothing per read; accepted
+// closes once it holds the connection.
+func discardPeer(t *testing.T) (addr string, accepted <-chan struct{}) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	accepted := make(chan struct{})
+	acc := make(chan struct{})
 	go func() {
 		buf := make([]byte, 64<<10)
 		nc, err := ln.Accept()
@@ -632,14 +631,26 @@ func TestSteadyStateSendZeroAlloc(t *testing.T) {
 			return
 		}
 		defer nc.Close()
-		close(accepted)
+		close(acc)
 		for {
 			if _, err := nc.Read(buf); err != nil {
 				return // the sender's Close ends the test
 			}
 		}
 	}()
-	s := queuedServer(t, ln.Addr().String(), defaultWriteTimeout, defaultDialCooldown)
+	return ln.Addr().String(), acc
+}
+
+// TestSteadyStateSendZeroAlloc gates the pooled write path: once the
+// buffer free list, queue slices and vectored-write scratch are warm,
+// routing a batch and flushing it to a live peer performs zero heap
+// allocations. testing.AllocsPerRun counts mallocs process-wide, so the
+// receiving end must not allocate either: it reads the socket into one
+// fixed buffer instead of decoding frames (discardPeer), and the
+// measurement starts only after it has accepted the connection.
+func TestSteadyStateSendZeroAlloc(t *testing.T) {
+	addr, accepted := discardPeer(t)
+	s := queuedServer(t, addr, defaultWriteTimeout, defaultDialCooldown)
 	b := queryBatch(1, 64)
 	for i := 0; i < 50; i++ { // warm: conn, free list, spare slices, iovec cache
 		s.routeDownstream(b)
@@ -652,6 +663,49 @@ func TestSteadyStateSendZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state route+flush allocates %.2f objects/op, want 0", avg)
+	}
+}
+
+// TestSteadyStateTickFrameZeroAlloc is TestSteadyStateSendZeroAlloc for
+// the control path, serial for the same reason. Once warm, a host tick's
+// control work — draining 36 results into the tick's pairs, encoding
+// them as the tick frame and flushing it to the controller — allocates
+// nothing, and neither does the controller's encoding of its per-host
+// SIC frame.
+func TestSteadyStateTickFrameZeroAlloc(t *testing.T) {
+	addr, accepted := discardPeer(t)
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := steppedHost(t, "n", 1000, defaultWriteTimeout, defaultDialCooldown)
+	s.ctrl = &conn{c: nc, wt: defaultWriteTimeout}
+	var out node.Outbox
+	tick := func() {
+		for q := range 36 {
+			b := s.pool.Get(stream.QueryID(q), 0, -1, 0, 0, 0)
+			b.SIC = 0.01
+			out.Results = append(out.Results, b)
+		}
+		s.drainOutbox(&out)
+		s.queueResults()
+		s.flushCtrl()
+	}
+	for range 50 {
+		tick()
+	}
+	<-accepted
+	if avg := testing.AllocsPerRun(200, tick); avg != 0 {
+		t.Fatalf("steady-state tick frame drain+encode+flush allocates %.2f objects/op, want 0", avg)
+	}
+	if s.ctrlQ.flushes < 250 || s.ctrlDropped != 0 {
+		t.Fatalf("%d controller writes, %d frames dropped: want one a tick and none", s.ctrlQ.flushes, s.ctrlDropped)
+	}
+
+	o := nodeOut{sic: make([]SICMsg, 36)}
+	o.sicFrame()
+	if avg := testing.AllocsPerRun(200, func() { o.sicFrame() }); avg != 0 {
+		t.Fatalf("the controller's per-host SIC frame encode allocates %.2f objects/op, want 0", avg)
 	}
 }
 
@@ -670,9 +724,9 @@ func TestPeerQueueBackpressure(t *testing.T) {
 
 // TestCtrlQueueOverflowCounted: control frames refused by a full
 // controller queue — here checkpoints of a megabyte, so the byte bound is
-// what fills — are counted, the first refusal of a run is logged exactly
-// once, and the count travels in the stats frame only when nonzero
-// (frames of healthy runs stay byte-identical).
+// what fills, and then the tick frame — are counted, the first refusal
+// of a run is logged exactly once, and the count travels in the stats
+// frame only when nonzero (frames of healthy runs stay byte-identical).
 func TestCtrlQueueOverflowCounted(t *testing.T) {
 	s := steppedHost(t, "n", 1000, defaultWriteTimeout, defaultDialCooldown)
 	var logged []string
@@ -685,10 +739,20 @@ func TestCtrlQueueOverflowCounted(t *testing.T) {
 	fit := maxQueueBytes / (frameHeaderLen + len(p))
 	const extra = 3
 	for i := 0; i < fit+extra; i++ {
-		s.queueCtrl(ckpt)
+		s.queueCtrl(appendFrame(s.wbufs.get(), frameJSON, p))
 	}
 	if got := s.ctrlDropped; got != extra {
 		t.Fatalf("dropped %d control frames, want %d", got, extra)
+	}
+	// Filled to the last byte, the queue refuses the tick frame too, and
+	// all of the tick's results with it.
+	if !s.ctrlQ.push(make([]byte, maxQueueBytes-s.ctrlQ.bytes), 0, 0) {
+		t.Fatal("the queue refused a push up to its bound")
+	}
+	s.results = append(s.results, SICMsg{Query: 1, Value: 0.5}, SICMsg{Query: 2, Value: 0.5})
+	s.queueResults()
+	if got := s.ctrlDropped; got != extra+1 || len(s.results) != 0 {
+		t.Fatalf("dropped %d control frames, %d results left, want %d and none", got, len(s.results), extra+1)
 	}
 	if len(logged) != 1 || !strings.Contains(logged[0], "control queue full") {
 		t.Fatalf("overflow logged %d times, want once: %q", len(logged), logged)
@@ -696,17 +760,17 @@ func TestCtrlQueueOverflowCounted(t *testing.T) {
 	// The flush empties the queue; later frames fit again and the count
 	// keeps its total.
 	s.flushCtrl()
-	s.queueCtrl(&Envelope{Kind: KindHeartbeat})
-	if got := s.ctrlDropped; got != extra {
+	s.queueResults()
+	if got := s.ctrlDropped; got != extra+1 {
 		t.Fatalf("dropped count moved to %d after the queue drained", got)
 	}
 	healthy, _ := json.Marshal(&StatsMsg{Node: "n"})
-	if strings.Contains(string(healthy), "dropped_ctrl_frames") {
-		t.Fatalf("zero count changes the stats frame: %s", healthy)
+	if strings.Contains(string(healthy), "dropped_ctrl_frames") || strings.Contains(string(healthy), "refused_restores") {
+		t.Fatalf("zero counts change the stats frame: %s", healthy)
 	}
-	lossy, _ := json.Marshal(&StatsMsg{Node: "n", DroppedCtrl: s.ctrlDropped})
+	lossy, _ := json.Marshal(&StatsMsg{Node: "n", DroppedCtrl: s.ctrlDropped, RefusedRestores: 2})
 	var back StatsMsg
-	if err := json.Unmarshal(lossy, &back); err != nil || back.DroppedCtrl != extra {
+	if err := json.Unmarshal(lossy, &back); err != nil || back.DroppedCtrl != extra+1 || back.RefusedRestores != 2 {
 		t.Fatalf("stats frame round trip: %v, %+v", err, back)
 	}
 }
@@ -714,8 +778,9 @@ func TestCtrlQueueOverflowCounted(t *testing.T) {
 // TestCatchUpTickSendsEveryFrame: a send queue's one bound is bytes, so
 // one tick that queues many small frames — the catch-up tick of a host
 // whose loop stalled — writes every one. Here 1,024 three-tuple batches
-// for one peer and 600 reports for the controller, far below the byte
-// bound, all arrive and none is counted as dropped.
+// for one peer and 600 results for the controller, far below the byte
+// bound, all arrive — the results as the 600 pairs of one tick frame —
+// and none is counted as dropped.
 func TestCatchUpTickSendsEveryFrame(t *testing.T) {
 	const batches, reports = 1024, 600
 	peer := newFakePeer(t, "127.0.0.1:0")
@@ -738,11 +803,14 @@ func TestCatchUpTickSendsEveryFrame(t *testing.T) {
 	gotReports := make(chan struct{}, reports)
 	go func() {
 		for {
-			e, _, err := fr.next()
+			_, _, pairs, err := fr.next()
 			if err != nil {
 				return
 			}
-			if e != nil && e.Kind == KindReport {
+			for i, m := range pairs {
+				if m != (SICMsg{Query: stream.QueryID(i), Value: 0.001}) {
+					return
+				}
 				gotReports <- struct{}{}
 			}
 		}
@@ -751,8 +819,9 @@ func TestCatchUpTickSendsEveryFrame(t *testing.T) {
 		s.routeDownstream(queryBatch(1, 3))
 	}
 	for i := 0; i < reports; i++ {
-		s.queueCtrl(&Envelope{Kind: KindReport, Report: &ReportMsg{Query: stream.QueryID(i), Result: 0.001}})
+		s.results = append(s.results, SICMsg{Query: stream.QueryID(i), Value: 0.001})
 	}
+	s.queueResults()
 	s.flushPeers()
 	if st := s.nd.Stats(); st.DroppedBatches != 0 {
 		t.Errorf("dropped %d batches (%d tuples) of one tick, want none", st.DroppedBatches, st.DroppedTuples)
@@ -797,10 +866,10 @@ func ctrlLink(t *testing.T) (*conn, *frameReader) {
 }
 
 // TestHostReportsOnlyResults drives the host's own interval step, tick,
-// on virtual time. What a tick writes to the controller is one report
-// per result the tick produced, then one heartbeat, and nothing else: a
-// mirror node deployed and ticked over the same spans says which results
-// those are. A batch queued before a tick is applied in it. A tick whose
+// on virtual time. What a tick writes to the controller is exactly one
+// frame, a SIC frame whose pairs are the tick's results in order, and
+// nothing else: a mirror node deployed and ticked over the same spans
+// says which results those are. A batch queued before a tick is applied in it. A tick whose
 // flush fails leaves every send queue empty, with the frames it could
 // not deliver counted as dropped.
 func TestHostReportsOnlyResults(t *testing.T) {
@@ -887,19 +956,15 @@ func TestHostReportsOnlyResults(t *testing.T) {
 			b.Release()
 		}
 		out.Reset()
+		// Each tick's one frame is read before the next tick writes: a
+		// second frame of a tick would be read as the next tick's.
+		e, b, pairs, err := fr.next()
+		if err != nil || e != nil || b != nil || pairs == nil {
+			t.Fatalf("tick %d: wrote envelope %+v, batch %v, err %v; want one SIC frame", tick, e, b, err)
+		}
 		var got []report
-		for {
-			e, _, err := fr.next()
-			if err != nil {
-				t.Fatalf("tick %d: reading the controller's end: %v", tick, err)
-			}
-			if e.Kind == KindHeartbeat {
-				break
-			}
-			if e.Kind != KindReport {
-				t.Fatalf("tick %d: wrote %+v before the heartbeat, want only result reports", tick, e)
-			}
-			got = append(got, report{e.Report.Query, e.Report.Result})
+		for _, m := range pairs {
+			got = append(got, report{m.Query, m.Value})
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("tick %d: reported %v, want one report per result %v", tick, got, want)

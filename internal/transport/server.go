@@ -78,14 +78,15 @@ type NodeServer struct {
 
 	// wbufs recycles encoded-frame buffers between the enqueue side
 	// (routeDownstream, queueCtrl) and the flush side; ctrlQ coalesces
-	// the tick's control frames (reports, heartbeat, checkpoints) bound
-	// for the controller the same way the per-peer queues coalesce
-	// batches.
-	wbufs bufPool
-	ctrlQ peerQueue
-	// ctrlDropped counts control frames refused by a full ctrlQ: reports
-	// the controller never saw, so the result SIC it shows reads low.
-	ctrlDropped int64
+	// the tick's control frames (the tick frame, checkpoints) bound for
+	// the controller the same way the per-peer queues coalesce batches.
+	wbufs   bufPool
+	ctrlQ   peerQueue
+	results []SICMsg // the tick frame's pairs (queueResults)
+	// ctrlDropped counts control frames refused by a full ctrlQ: results
+	// the controller never saw, so the result SIC it shows reads low;
+	// refusedRestores, deploys whose state the node refused.
+	ctrlDropped, refusedRestores int64
 
 	wtimeout time.Duration // per-write deadline on every outbound conn
 	dialCool time.Duration // negative-cache window after a dial/write timeout
@@ -117,12 +118,13 @@ type peerKey struct {
 }
 
 // hostEvent is what one inbound connection told the host: a control
-// frame, a batch, or the error that ended it. With all three nil, c has
-// just been accepted.
+// frame, a batch, the pairs of a SIC frame, or the error that ended it.
+// With all four nil, c has just been accepted.
 type hostEvent struct {
 	c   *conn
 	env *Envelope
 	b   *stream.Batch
+	sic []SICMsg
 	err error
 }
 
@@ -260,9 +262,9 @@ func (s *NodeServer) readLoop(c *conn) {
 	defer s.wg.Done()
 	fr := newPooledFrameReader(c.c, s.pool)
 	for {
-		e, b, err := fr.next()
+		e, b, sic, err := fr.next()
 		select {
-		case s.events <- hostEvent{c: c, env: e, b: b, err: err}:
+		case s.events <- hostEvent{c: c, env: e, b: b, sic: sic, err: err}:
 		case <-s.quit:
 			if b != nil {
 				b.Release()
@@ -345,6 +347,13 @@ func (s *NodeServer) handle(now time.Time, ev hostEvent) (stopped bool) {
 		delete(s.in, ev.c)
 		ev.c.Close()
 		return false
+	case ev.sic != nil:
+		if s.nd != nil { // SetResultSIC ignores queries the node does not host
+			for _, m := range ev.sic {
+				s.nd.SetResultSIC(m.Query, m.Value)
+			}
+		}
+		return false
 	case ev.env == nil:
 		s.in[ev.c] = struct{}{}
 		s.wg.Add(1)
@@ -362,10 +371,6 @@ func (s *NodeServer) handle(now time.Time, ev hostEvent) (stopped bool) {
 		}
 	case KindStart:
 		s.handleStart(now, e.Start, ev.c)
-	case KindSIC:
-		if e.SIC != nil && s.nd != nil {
-			s.nd.SetResultSIC(e.SIC.Query, e.SIC.Value)
-		}
 	case KindRewire:
 		s.handleRewire(e.Rewire)
 	case KindRetract:
@@ -414,8 +419,8 @@ const (
 // the same fragment layout) through the server's plan cache: under
 // multi-query sharing the same statement shape arrives once per
 // subscriber, and only the first pays the parse. A hosted fragment
-// restores the deploy's state, if any; a refused blob is logged and the
-// fragment runs cold.
+// restores the deploy's state, if any; a refused blob is logged and
+// counted, and the fragment runs cold. A second deploy is refused.
 func (s *NodeServer) handleDeploy(d *Deploy) error {
 	if d == nil {
 		return errors.New("empty deploy")
@@ -452,7 +457,10 @@ func (s *NodeServer) handleDeploy(d *Deploy) error {
 		Query: d.Query, Frag: d.Frag, Plan: plan,
 		Rate: d.Rate, Batches: d.Batches, Seed: d.SourceSeed,
 		ShareKey: d.ShareKey, Emit: d.ShareEmit, Restore: d.State,
-	}); err != nil {
+	}); errors.Is(err, node.ErrDeployed) {
+		return err
+	} else if err != nil {
+		s.refusedRestores++
 		s.logf("themis-node %s: restore q%d/f%d: %v", s.Name, d.Query, d.Frag, err)
 	}
 	for f, addr := range d.Peers {
@@ -618,8 +626,8 @@ func (s *NodeServer) handleStart(now time.Time, st *Start, ctrl *conn) {
 // server instead. It applies every queued event first — frames and
 // batches that arrived before the tick join it — then ticks the node
 // over [last, now) (sources emit over the span, the node sheds and
-// processes), drains its outbox into the send queues, queues the
-// heartbeat and, on the run's cadence, the checkpoints, and flushes:
+// processes), drains its outbox into the send queues, queues the tick
+// frame and, on the run's cadence, the checkpoints, and flushes:
 // one vectored write per destination for everything this tick produced.
 // It reads the clock only to time TickSpan for the stats frame.
 func (s *NodeServer) tick(now time.Time) (stopped bool) {
@@ -638,11 +646,7 @@ func (s *NodeServer) tick(now time.Time) (stopped bool) {
 	s.last = t
 	s.drainOutbox(s.nd.TakeOutbox())
 	if s.ctrl != nil {
-		// Liveness beacon: a node hosting no (or only displaced-away)
-		// fragments may otherwise stay silent for whole intervals, which
-		// the controller's missed-heartbeat detector would mistake for a
-		// partition.
-		s.queueCtrl(&Envelope{Kind: KindHeartbeat})
+		s.queueResults()
 		// Operator-state checkpoints on the run's cadence, the engine's
 		// rule: after every CheckpointTicks-th tick.
 		if s.run.CheckpointTicks > 0 && s.ticks%s.run.CheckpointTicks == 0 {
@@ -663,9 +667,12 @@ func (s *NodeServer) queueCheckpoints() {
 		if err := s.nd.StateSnapshot(q, f, &s.ckptEnc); err != nil {
 			return
 		}
-		s.queueCtrl(&Envelope{Kind: KindCheckpoint, Checkpoint: &CheckpointMsg{
+		p, err := json.Marshal(&Envelope{Kind: KindCheckpoint, Checkpoint: &CheckpointMsg{
 			Query: q, Frag: f, State: s.ckptEnc.Seal(),
 		}})
+		if err == nil {
+			s.queueCtrl(appendFrame(s.wbufs.get(), frameJSON, p))
+		}
 	})
 }
 
@@ -693,6 +700,7 @@ func (s *NodeServer) handleStop(out *conn) {
 		Ticks:           s.ticks,
 		TickNanos:       s.tickNanos,
 		DroppedCtrl:     s.ctrlDropped,
+		RefusedRestores: s.refusedRestores,
 	}})
 }
 
@@ -756,16 +764,14 @@ func (s *NodeServer) noteDropped(tuples int, sicMass float64) {
 // The drain encodes into per-destination queues rather than sending: the
 // network is touched once per destination per tick, by flushPeers.
 
-// drainOutbox hands one tick's effects to the send queues — result
-// reports first, then derived batches, as federation.drainOutbox applies
-// them — releasing each batch after use. A report carries the result's
-// batch-header SIC mass, summed once where the batch was made; the
-// tick-end flush coalesces it with the heartbeat and any checkpoints into
-// one write.
+// drainOutbox hands one tick's effects on — results first, then derived
+// batches, as federation.drainOutbox applies them — releasing each batch
+// after use. A result becomes one pair of the tick frame: its query and
+// its batch-header SIC mass, summed once where the batch was made.
 func (s *NodeServer) drainOutbox(out *node.Outbox) {
 	for _, b := range out.Results {
 		if s.ctrl != nil {
-			s.queueCtrl(&Envelope{Kind: KindReport, Report: &ReportMsg{Query: b.Query, Result: b.SIC}})
+			s.results = append(s.results, SICMsg{Query: b.Query, Value: b.SIC})
 		}
 		b.Release()
 	}
@@ -880,18 +886,20 @@ func (s *NodeServer) writeQueued(addr string, q *peerQueue, by time.Time) error 
 	return nil
 }
 
-// queueCtrl encodes one control envelope and appends it to the
-// controller send queue; overflow drops the frame (the controller's
-// report stream is advisory — heartbeats resume next tick). Drops are
-// counted into the node's final stats and the first one of a run is
-// logged: a tick whose reports pass the queue's byte bound would
-// otherwise show result SIC near zero with no trace.
-func (s *NodeServer) queueCtrl(e *Envelope) {
-	p, err := json.Marshal(e)
-	if err != nil {
-		return
-	}
-	buf := appendFrame(s.wbufs.get(), frameJSON, p)
+// queueResults queues the tick frame, the tick's results in order. With
+// none it still goes out, as the heartbeat: an idle host would look cut off.
+func (s *NodeServer) queueResults() {
+	s.queueCtrl(appendSICFrame(s.wbufs.get(), s.results))
+	s.results = s.results[:0]
+}
+
+// queueCtrl appends one encoded frame to the controller send queue;
+// overflow drops the frame (the controller's result stream is advisory —
+// the next tick frame beacons again). Drops are counted into the node's
+// final stats and the first one of a run is logged: a tick whose frames
+// pass the queue's byte bound would otherwise show result SIC near zero
+// with no trace.
+func (s *NodeServer) queueCtrl(buf []byte) {
 	if !s.ctrlQ.push(buf, 0, 0) {
 		s.wbufs.put(buf)
 		if s.ctrlDropped++; s.ctrlDropped == 1 {

@@ -2,13 +2,16 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"math/rand"
-	"strings"
+	"net"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/coordinator"
 	"repro/internal/stream"
 )
 
@@ -95,16 +98,81 @@ func TestWireRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestReportMsgKeepsZeroFields guards against omitempty creeping back
-// onto the numeric report fields: a zero-mass result is data.
-func TestReportMsgKeepsZeroFields(t *testing.T) {
-	j, err := json.Marshal(&ReportMsg{})
-	if err != nil {
-		t.Fatal(err)
+// sendSIC writes one frameSIC frame of pairs on c, as a host's tick or
+// the controller's flush would.
+func sendSIC(c *conn, pairs ...SICMsg) error {
+	return c.writeFrames(&net.Buffers{appendSICFrame(nil, pairs)}, time.Now().Add(c.wt))
+}
+
+// sicBits renders pairs with their values as raw bits, so NaN payloads
+// and the sign of zero compare exactly.
+func sicBits(pairs []SICMsg) [][2]uint64 {
+	out := make([][2]uint64, len(pairs))
+	for i, m := range pairs {
+		out[i] = [2]uint64{uint64(uint32(m.Query)), math.Float64bits(m.Value)}
 	}
-	for _, field := range []string{"query", "result"} {
-		if !strings.Contains(string(j), `"`+field+`"`) {
-			t.Errorf("zero-valued %q dropped from wire: %s", field, j)
+	return out
+}
+
+// readSIC reads one frame of wire and requires it to be a SIC frame.
+func readSIC(t *testing.T, fr *frameReader) []SICMsg {
+	t.Helper()
+	e, b, pairs, err := fr.next()
+	if err != nil || e != nil || b != nil || pairs == nil {
+		t.Fatalf("want a SIC frame, got envelope %v batch %v pairs %v err %v", e, b, pairs, err)
+	}
+	return pairs
+}
+
+// sicFloats are the values a SIC frame must carry bit-exactly beyond
+// adversarialFloats: quiet and signalling NaNs with payloads, ±Inf.
+var sicFloats = append([]float64{
+	math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff0000000000123),
+	math.NaN(), math.Inf(1), math.Inf(-1),
+}, adversarialFloats...)
+
+// TestReportMsgKeepsZeroFields: a zero-valued result is data. A tick
+// frame carries query 0 with value 0 and −0 through the frame reader
+// unchanged, and a tick frame with no pairs still reads as a frame — it
+// is the host's heartbeat.
+func TestReportMsgKeepsZeroFields(t *testing.T) {
+	for _, pairs := range [][]SICMsg{{{}, {Value: math.Copysign(0, -1)}}, nil} {
+		got := readSIC(t, newFrameReader(bytes.NewReader(appendSICFrame(nil, pairs))))
+		if !slices.Equal(sicBits(got), sicBits(pairs)) {
+			t.Fatalf("pairs %v came back as %v", pairs, got)
+		}
+	}
+}
+
+// TestSICFrameRoundTripProperty sends random pairs — any query id, values
+// drawn from sicFloats or at random — through the frame reader: every
+// pair comes back bit-exactly, in order, and the decoded slice does not
+// alias the reader's buffer.
+func TestSICFrameRoundTripProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var wire []byte
+	var sent [][]SICMsg
+	for trial := 0; trial < 200; trial++ {
+		pairs := make([]SICMsg, rng.Intn(40))
+		for i := range pairs {
+			pairs[i].Query = stream.QueryID(rng.Uint32())
+			if rng.Intn(2) == 0 {
+				pairs[i].Value = sicFloats[rng.Intn(len(sicFloats))]
+			} else {
+				pairs[i].Value = math.Float64frombits(rng.Uint64())
+			}
+		}
+		wire = appendSICFrame(wire, pairs)
+		sent = append(sent, pairs)
+	}
+	fr := newFrameReader(bytes.NewReader(wire))
+	var got [][]SICMsg
+	for range sent {
+		got = append(got, readSIC(t, fr))
+	}
+	for i := range sent {
+		if !slices.Equal(sicBits(got[i]), sicBits(sent[i])) {
+			t.Fatalf("frame %d: sent %v, read %v", i, sent[i], got[i])
 		}
 	}
 }
@@ -117,6 +185,38 @@ func TestDecodeWireBatchRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := decodeWireBatch(p[:len(p)-3], nil); err == nil {
 		t.Error("truncated payload accepted")
+	}
+	for _, c := range corruptSICPayloads() {
+		if pairs, err := decodeSICFrame(c.p); err == nil {
+			t.Errorf("SIC frame with %s accepted: %v", c.name, pairs)
+		}
+	}
+}
+
+// corruptSICPayloads are frameSIC payloads the decoder must refuse.
+func corruptSICPayloads() []struct {
+	name string
+	p    []byte
+} {
+	whole := appendSICFrame(nil, []SICMsg{{1, 0.5}, {2, 0.25}})[frameHeaderLen:]
+	withCount := func(n uint32, size int) []byte {
+		p := make([]byte, size)
+		binary.LittleEndian.PutUint32(p, n)
+		return p
+	}
+	return []struct {
+		name string
+		p    []byte
+	}{
+		{"no count", whole[:3]},
+		{"truncated payload", whole[:len(whole)-1]},
+		{"trailing byte", append(append([]byte(nil), whole...), 0)},
+		{"count above its pairs", withCount(3, len(whole))},
+		{"count below its pairs", withCount(1, len(whole))},
+		// 4 + 12·0x40000001 wraps to 16 in u32 arithmetic: only a check
+		// that cannot overflow refuses it.
+		{"count whose length overflows u32", withCount(0x40000001, 16)},
+		{"count of 2^32-1", withCount(math.MaxUint32, 16)},
 	}
 }
 
@@ -149,24 +249,23 @@ func TestFrameReaderMixedStream(t *testing.T) {
 	}
 	writeJSON(&Envelope{Kind: KindHello, Hello: testRun})
 	writeBatch(b1)
-	writeJSON(&Envelope{Kind: KindSIC, SIC: &SICMsg{Query: 9, Value: 0.5}})
+	buf.Write(appendSICFrame(nil, []SICMsg{{Query: 9, Value: 0.5}}))
 	writeBatch(b2)
 
 	fr := newFrameReader(&buf)
-	e, b, err := fr.next()
-	if err != nil || e == nil || e.Kind != KindHello || b != nil {
-		t.Fatalf("frame 1: %v %v %v", e, b, err)
+	e, b, pairs, err := fr.next()
+	if err != nil || e == nil || e.Kind != KindHello || b != nil || pairs != nil {
+		t.Fatalf("frame 1: %v %v %v %v", e, b, pairs, err)
 	}
-	e, b, err = fr.next()
-	if err != nil || b == nil || e != nil {
-		t.Fatalf("frame 2: %v %v %v", e, b, err)
+	e, b, pairs, err = fr.next()
+	if err != nil || b == nil || e != nil || pairs != nil {
+		t.Fatalf("frame 2: %v %v %v %v", e, b, pairs, err)
 	}
 	batchesEqualBits(t, "frame2", b1, b)
-	e, _, err = fr.next()
-	if err != nil || e == nil || e.Kind != KindSIC || e.SIC.Value != 0.5 {
-		t.Fatalf("frame 3: %+v %v", e, err)
+	if pairs := readSIC(t, fr); !slices.Equal(pairs, []SICMsg{{Query: 9, Value: 0.5}}) {
+		t.Fatalf("frame 3: %+v", pairs)
 	}
-	_, b, err = fr.next()
+	_, b, _, err = fr.next()
 	if err != nil || b == nil || b.Len() != 0 {
 		t.Fatalf("frame 4: %v %v", b, err)
 	}
@@ -180,13 +279,13 @@ func TestFrameReaderScratchShrinks(t *testing.T) {
 	small := randomBatch(rand.New(rand.NewSource(6)), 4, 1)
 	wire := appendBatchFrame(appendBatchFrame(nil, huge), small)
 	fr := newFrameReader(bytes.NewReader(wire))
-	if _, b, err := fr.next(); err != nil || b.Len() != huge.Len() {
+	if _, b, _, err := fr.next(); err != nil || b.Len() != huge.Len() {
 		t.Fatalf("oversized frame: %v %v", b, err)
 	}
 	if cap(fr.buf) <= maxWireScratch {
 		t.Fatalf("oversized frame fit the scratch cap (%d bytes): test shape is wrong", cap(fr.buf))
 	}
-	_, b, err := fr.next()
+	_, b, _, err := fr.next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,54 +342,69 @@ func BenchmarkWireBatch(b *testing.B) {
 	})
 }
 
-// feedHandle decodes JSON control frames and applies each to a
-// controller before Run, as the run loop applies what node idx's read
-// loop decodes.
-func feedHandle(t *testing.T, ctrl *Controller, idx int, frames ...string) {
+// feedHandle decodes raw frames — a type byte, then the payload — and
+// applies each to a controller before Run, as the run loop applies what
+// node idx's read loop decodes.
+func feedHandle(t *testing.T, ctrl *Controller, idx int, frames ...[]byte) {
 	t.Helper()
 	for _, frame := range frames {
-		var e Envelope
-		if err := json.Unmarshal([]byte(frame), &e); err != nil {
+		e, _, pairs, err := readRaw(frame)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ctrl.handle(time.Now(), event{node: idx, env: &e}); err != nil {
+		if err := ctrl.handle(time.Now(), event{node: idx, env: e, sic: pairs}); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
+// readRaw reads a raw frame — a type byte, then the payload, the form
+// feedHandle and the frame fuzzers take — through a frame reader.
+func readRaw(raw []byte) (*Envelope, *stream.Batch, []SICMsg, error) {
+	return newFrameReader(bytes.NewReader(appendFrame(nil, raw[0], raw[1:]))).next()
+}
+
+// rawJSON and rawSIC render a JSON frame and a SIC frame raw.
+func rawJSON(payload string) []byte { return append([]byte{frameJSON}, payload...) }
+func rawSIC(pairs ...SICMsg) []byte {
+	f := appendSICFrame(nil, pairs)
+	return append([]byte{frameSIC}, f[frameHeaderLen:]...)
+}
+
 // TestControllerAppliesOnlyServedFrames: the controller applies a node's
 // frame only if the node serves what the frame speaks for. Query 0 runs
-// on node 0 of two; node 1 hosts nothing of it, so its report and its
-// checkpoint are dropped, while the same frames from node 0 apply. A
-// node's second stats frame is dropped too: counted toward the stop
-// wait, it would end the wait before the other node's stats arrive.
+// on node 0 of two; node 1 hosts nothing of it, so its result and its
+// checkpoint are dropped, while the same frames from node 0 apply. Mass
+// no result can carry is dropped pair by pair, the rest of its frame
+// applies. A node's second stats frame is dropped too: counted toward
+// the stop wait, it would end the wait before the other node's stats
+// arrive.
 func TestControllerAppliesOnlyServedFrames(t *testing.T) {
-	const (
-		report = `{"kind":"report","report":{"query":0,"result":0.25}}`
-		ckpt   = `{"kind":"checkpoint","checkpoint":{"query":0,"frag":0,"state":"AQID"}}`
-		stats  = `{"kind":"stats","stats":{"node":"a","arrived_tuples":5}}`
-		later  = `{"kind":"stats","stats":{"node":"a","arrived_tuples":7}}`
+	var (
+		report = rawSIC(SICMsg{Query: 0, Value: 0.25})
+		ckpt   = rawJSON(`{"kind":"checkpoint","checkpoint":{"query":0,"frag":0,"state":"AQID"}}`)
+		stats  = rawJSON(`{"kind":"stats","stats":{"node":"a","arrived_tuples":5}}`)
+		later  = rawJSON(`{"kind":"stats","stats":{"node":"a","arrived_tuples":7}}`)
 	)
 	measured := func(c *Controller, q stream.QueryID) float64 { return c.ledger.Measured(q, 0) }
 	banked := func(c *Controller, q stream.QueryID) float64 { return float64(len(c.plane.Checkpointed(q, 0))) }
 	for _, row := range []struct {
 		name   string
 		from   int
-		frames []string
+		frames [][]byte
 		got    func(c *Controller, q stream.QueryID) float64
 		want   float64
 	}{
-		{"report from a node not hosting the root", 1, []string{report}, measured, 0},
-		{"report from the root's host", 0, []string{report}, measured, 0.25},
-		{"negative and payload-less reports add no mass", 0, []string{
-			`{"kind":"report","report":{"query":0,"result":-3}}`,
-			`{"kind":"report"}`,
-			report,
+		{"report from a node not hosting the root", 1, [][]byte{report}, measured, 0},
+		{"report from the root's host", 0, [][]byte{report}, measured, 0.25},
+		{"negative and payload-less reports add no mass", 0, [][]byte{
+			rawSIC(SICMsg{Query: 0, Value: -3}, SICMsg{Query: 0, Value: math.NaN()}, SICMsg{Query: 0, Value: math.Inf(1)}),
+			rawSIC(),
+			rawSIC(SICMsg{Query: 0, Value: 2 * coordinator.MaxResultMass}, SICMsg{Query: 0, Value: 0.25}),
 		}, measured, 0.25},
-		{"checkpoint from a node not hosting the fragment", 1, []string{ckpt}, banked, 0},
-		{"checkpoint from the fragment's host", 0, []string{ckpt}, banked, 3},
-		{"second stats frame from one node", 0, []string{stats, later}, func(c *Controller, _ stream.QueryID) float64 {
+		{"checkpoint from a node not hosting the fragment", 1, [][]byte{ckpt}, banked, 0},
+		{"checkpoint from the fragment's host", 0, [][]byte{ckpt}, banked, 3},
+		{"second stats frame from one node", 0, [][]byte{stats, later}, func(c *Controller, _ stream.QueryID) float64 {
 			if c.stats[0] == nil || c.stats[1] != nil {
 				return -1
 			}
@@ -310,4 +424,28 @@ func TestControllerAppliesOnlyServedFrames(t *testing.T) {
 			}
 		})
 	}
+}
+
+// BenchmarkTickFrame measures encode+decode of one tick frame of 36
+// pairs — about what one net_overload_24x48 host or the controller sends
+// a host per tick — through the frame reader. The encode reuses its
+// buffer; the decode allocates the one slice the event carries.
+func BenchmarkTickFrame(b *testing.B) {
+	pairs := make([]SICMsg, 36)
+	for i := range pairs {
+		pairs[i] = SICMsg{Query: stream.QueryID(i), Value: 1 / float64(i+1)}
+	}
+	b.ReportAllocs()
+	var buf []byte
+	var rd bytes.Reader
+	fr := newFrameReader(&rd)
+	for i := 0; i < b.N; i++ {
+		buf = appendSICFrame(buf[:0], pairs)
+		rd.Reset(buf)
+		fr.r.Reset(&rd)
+		if _, _, got, err := fr.next(); err != nil || len(got) != len(pairs) {
+			b.Fatalf("decoded %d pairs: %v", len(got), err)
+		}
+	}
+	b.ReportMetric(float64(len(buf)), "wire-bytes/op")
 }

@@ -32,6 +32,11 @@ type Shedder interface {
 	// ignore SIC may disregard it. The returned slice may alias
 	// shedder-owned scratch: it is valid only until the next Select
 	// call, so callers that keep it must copy.
+	//
+	// The returned order is the order in which the kept batches reach
+	// their fragments, and so the order operators fold them in. BalanceSIC
+	// and KeepAll return ascending indices, which is input-buffer order;
+	// Random returns its permutation order, and its figures depend on it.
 	Select(ib []*stream.Batch, capacity int, resultSIC ResultSICFunc) []int
 }
 

@@ -261,7 +261,7 @@ func TestShedHeaderCostsNoStorage(t *testing.T) {
 			kept += n.ib[i].Len()
 		}
 	}
-	n.settleHeaders(mark)
+	n.settle(0, len(n.ib), mark)
 	if live := n.pool.Live(); live != int64(len(n.ib)) {
 		t.Fatalf("%d draws live after settling %d headers: a kept header is one batch, a shed one stays a header", live, len(n.ib))
 	}
@@ -334,7 +334,7 @@ func TestMemoisedHeaderSICMatchesMaterialisedBatch(t *testing.T) {
 				misses++
 			}
 		}
-		n.settleHeaders(nil)
+		n.settle(0, len(n.ib), nil)
 		for i, b := range n.ib {
 			want := b.SIC
 			if b.RecomputeSIC(); b.SIC != want || want <= 0 {
@@ -366,7 +366,7 @@ func TestHeadersInFlightDrainOnTeardown(t *testing.T) {
 			t.Fatal("removed fragment's header still buffered")
 		}
 	}
-	n.settleHeaders(nil) // the survivors still find their sources
+	n.settle(0, len(n.ib), nil) // the survivors still find their sources
 	n.RemoveQuery(1)
 	n.RemoveQuery(3)
 	if live := n.pool.Live(); live != 0 || len(n.ib) != 0 {
@@ -390,11 +390,21 @@ func TestHeadersInFlightDrainOnTeardown(t *testing.T) {
 // (AVG-all, TOP-5, COV, AVG-all; PlanetLab; 1,200 t/s per source in 12
 // batches/s) at a capacity of 4,000 tuples per 250 ms tick, which sheds
 // about 72% of what the sources offer.
-func BenchmarkNodeTickOverloaded(b *testing.B) {
+func BenchmarkNodeTickOverloaded(b *testing.B) { benchNodeTick(b, 16000) }
+
+// BenchmarkNodeTickKeepAll is the same node at a capacity it never
+// reaches, the underload_24x48 workload's keep-all path: every batch is
+// settled, pushed and, where its fragment consumes it on push, recycled
+// before the next one is drawn.
+func BenchmarkNodeTickKeepAll(b *testing.B) { benchNodeTick(b, 1e9) }
+
+// benchNodeTick measures steady-state ticks of the four-fragment MIX node
+// at the given capacity.
+func benchNodeTick(b *testing.B, capacityPerSec float64) {
 	n := New(0, Config{
 		Interval:       250 * stream.Millisecond,
 		STW:            10 * stream.Second,
-		CapacityPerSec: 16000,
+		CapacityPerSec: capacityPerSec,
 		CostNoise:      0.05,
 		Seed:           1,
 	}, core.NewBalanceSIC(1))

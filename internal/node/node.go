@@ -14,11 +14,13 @@
 //
 // Memory model (DESIGN.md §9): the node owns every batch in its input
 // buffer. A local source batch enters the buffer as a header-only pool
-// draw and becomes a real pooled batch only if the shedder keeps it;
-// remote batches arrive via Enqueue already pool-backed; and at the end
-// of each tick — after the hosted fragments have consumed the kept
-// batches and copied what they retain — the node releases every input
-// batch, shed or kept, back to the pool. Fragment emissions are copied
+// draw and becomes a real pooled batch only if the shedder keeps it, just
+// before it is pushed; remote batches arrive via Enqueue already
+// pool-backed. A kept batch whose fragment consumes it on push is
+// released right after the push, so the next batch drawn reuses its
+// storage while it is still in cache; every other input batch, shed or
+// kept, is released at the end of the tick, after the hosted fragments
+// have ticked and copied what they retain. Fragment emissions are copied
 // into fresh pooled batches whose ownership passes to the driver with
 // the outbox.
 package node
@@ -224,11 +226,10 @@ type Node struct {
 	// out collects the tick effects until the driver drains it.
 	out Outbox
 
-	// keepMark, keptBuf, splitScratch and splitParents are scratch reused
-	// across shedding rounds (the per-tick hot path). splitParents holds
-	// batches replaced by sub-batch views until the views are done.
+	// keepMark, splitScratch and splitParents are scratch reused across
+	// shedding rounds (the per-tick hot path). splitParents holds batches
+	// replaced by sub-batch views until the views are done.
 	keepMark     []bool
-	keptBuf      []*stream.Batch
 	splitScratch []*stream.Batch
 	splitParents []*stream.Batch
 
@@ -748,11 +749,11 @@ func (n *Node) SetResultSIC(q stream.QueryID, v float64) {
 func (n *Node) ResultSIC(q stream.QueryID) float64 { return n.knownSIC[q] }
 
 // Enqueue places an arriving batch into the input buffer, taking
-// ownership: the node releases it at the end of the tick that consumes
-// it. Derived batches from remote fragments are re-stamped to local
-// arrival time so that window assignment downstream reflects when the
-// data became available here (network latency included, exactly the
-// effect §7.4 studies).
+// ownership: the node releases it during the tick that consumes it.
+// Derived batches from remote fragments are re-stamped to local arrival
+// time so that window assignment downstream reflects when the data
+// became available here (network latency included, exactly the effect
+// §7.4 studies).
 func (n *Node) Enqueue(b *stream.Batch, now stream.Time) {
 	if b.Source < 0 {
 		if b.TS < now {
@@ -779,18 +780,20 @@ func (n *Node) splitOversized(maxLen int) {
 	if maxLen < 1 {
 		maxLen = 1
 	}
-	needSplit := false
-	for _, b := range n.ib {
+	last := -1
+	for i, b := range n.ib {
 		if b.Len() > maxLen {
-			needSplit = true
-			break
+			last = i
 		}
 	}
-	if !needSplit {
+	if last < 0 {
 		return
 	}
-	// Sub-batches are views of real tuples.
-	n.settleHeaders(nil)
+	// Sub-batches are views of real tuples. Which batches survive is not
+	// known yet, so every entry up to the last oversized one is filled: a
+	// generator sees its plans in order either way, and a later shed one
+	// is released like any other.
+	n.settle(0, last+1, nil)
 	out := n.splitScratch[:0]
 	for _, b := range n.ib {
 		if b.Len() <= maxLen {
@@ -832,15 +835,17 @@ func (n *Node) emitSources(from, to stream.Time) {
 	}
 }
 
-// settleHeaders resolves every header-only batch in the input buffer, in
-// arrival order so each generator sees its batches in plan order. A kept
-// header — mark[i] set, or every header when mark is nil — is replaced
-// by the materialised batch it stood for (one pool draw, one pass writing
+// settle resolves the header-only batches among input-buffer entries
+// [from, to). Callers settle the buffer in arrival order, each entry once,
+// so each generator sees its batches in plan order. A kept header —
+// mark[i] set, or every header when mark is nil — is replaced by the
+// materialised batch it stood for (one pool draw, one pass writing
 // timestamps, SIC and payloads); a shed one costs its generator one Skip
 // and stays in the buffer, to be released with the rest at the end of the
 // tick.
-func (n *Node) settleHeaders(mark []bool) {
-	for i, h := range n.ib {
+func (n *Node) settle(from, to int, mark []bool) {
+	for i := from; i < to; i++ {
+		h := n.ib[i]
 		cnt, end, per := h.Pending()
 		if cnt == 0 {
 			continue
@@ -923,6 +928,32 @@ func (n *Node) emitFragment(inst *fragInstance, tuples []stream.Tuple) {
 	}
 }
 
+// consume pushes input-buffer entry i, a kept one, to its fragment.
+// Entries [done, i] are settled first, so a keep order that runs ahead of
+// the buffer still settles it in arrival order; consume returns the new
+// settle cursor. When the fragment consumes the push (FragmentExec.Push
+// reports true) the batch is released at once and its slot cleared, so
+// the next Pool.Get hands its storage — still in cache — to the next
+// batch.
+func (n *Node) consume(i, done int, mark []bool) int {
+	if i >= done {
+		n.settle(done, i+1, mark)
+		done = i + 1
+	}
+	b := n.ib[i]
+	n.stats.KeptBatches++
+	n.stats.KeptTuples += int64(b.Len())
+	inst, ok := n.frags[fragKey{b.Query, b.Frag}]
+	if !ok {
+		return done // fragment departed; drop silently
+	}
+	if inst.exec.Push(b.Port, b.Tuples) {
+		b.Release()
+		n.ib[i] = nil
+	}
+	return done
+}
+
 // Tick advances the node by one shedding interval starting at t:
 // sources emit, the overload detector checks the input buffer against the
 // cost model's capacity estimate, the shedder discards excess batches,
@@ -949,9 +980,10 @@ func (n *Node) TickSpan(from, to stream.Time) {
 	now := to
 
 	// Overload detection (§6): shed only when the input buffer exceeds
-	// the estimated capacity for this span.
+	// the estimated capacity for this span. Then every kept batch is
+	// settled and pushed in one walk, in the order the shedder keeps them.
 	capacity := n.cost.Capacity(to.Sub(from))
-	kept := n.ib
+	keptBefore := n.stats.KeptTuples
 	if n.ibTuples > capacity {
 		// Split batches larger than the capacity so the shedder can
 		// accept a partial batch (Algorithm 1 line 17: "only accepts as
@@ -973,11 +1005,11 @@ func (n *Node) TickSpan(from, to stream.Time) {
 		for _, i := range keepIdx {
 			mark[i] = true
 		}
-		n.settleHeaders(mark)
-		kept = n.keptBuf[:0]
+		done := 0
 		for _, i := range keepIdx {
-			kept = append(kept, n.ib[i])
+			done = n.consume(i, done, mark)
 		}
+		n.settle(done, len(n.ib), mark)
 		for i, b := range n.ib {
 			if !mark[i] {
 				n.stats.ShedBatches++
@@ -987,23 +1019,12 @@ func (n *Node) TickSpan(from, to stream.Time) {
 		for _, i := range keepIdx {
 			mark[i] = false
 		}
-		n.keptBuf = kept
 	} else {
-		n.settleHeaders(nil)
-	}
-
-	// Execute fragments over the kept batches.
-	var processed int
-	for _, b := range kept {
-		processed += b.Len()
-		n.stats.KeptBatches++
-		n.stats.KeptTuples += int64(b.Len())
-		inst, ok := n.frags[fragKey{b.Query, b.Frag}]
-		if !ok {
-			continue // fragment departed; drop silently
+		for i := range n.ib {
+			n.consume(i, i, nil)
 		}
-		inst.exec.Push(b.Port, b.Tuples)
 	}
+	processed := int(n.stats.KeptTuples - keptBefore)
 
 	// Tick every hosted fragment — windowed operators emit on time even
 	// with no fresh input. Output emissions are copied into pooled
@@ -1013,12 +1034,16 @@ func (n *Node) TickSpan(from, to stream.Time) {
 		inst.exec.Tick(now, inst.sink)
 	}
 
-	// Every input batch — kept or shed — has now been fully consumed:
-	// operators copied whatever they retain. Recycle the lot, then the
-	// split parents whose storage the sub-batch views aliased.
+	// The fragments have ticked and copied whatever they retain, so the
+	// input batches still buffered — shed, or kept and held by a
+	// pass-through until its Tick — are done with. Recycle them, skipping
+	// the slots consume released early, then the split parents whose
+	// storage the sub-batch views aliased.
 	for i, b := range n.ib {
-		b.Release()
-		n.ib[i] = nil
+		if b != nil {
+			b.Release()
+			n.ib[i] = nil
+		}
 	}
 	n.ib = n.ib[:0]
 	n.ibTuples = 0

@@ -32,6 +32,10 @@ func (w *windowed) InPorts() int { return 1 }
 
 func (w *windowed) Push(port int, in []stream.Tuple) { w.win.Push(in) }
 
+// ConsumesOnPush implements Consumer: the buffer copies what it keeps. It
+// serves folding too, whose folded path keeps only running values.
+func (w *windowed) ConsumesOnPush() {}
+
 // AdvanceTo implements TimeAdvancer: a freshly instantiated windowed
 // operator skips straight to the deployment instant instead of replaying
 // empty window edges since time zero.

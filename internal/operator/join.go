@@ -60,6 +60,9 @@ func (p *paired) Push(port int, in []stream.Tuple) {
 	}
 }
 
+// ConsumesOnPush implements Consumer: both window buffers copy.
+func (p *paired) ConsumesOnPush() {}
+
 // AdvanceTo implements TimeAdvancer for both input windows, or neither:
 // FastForward is a no-op on a side that has seen a tuple, and cursors
 // that part ways would pair window e with window e' from then on.

@@ -30,14 +30,17 @@ import (
 //
 // Ownership contract (DESIGN.md §9): a pushed slice, and the V payloads
 // its tuples alias, stay valid until the receiving operator's next Tick
-// returns — pushes borrow pooled batch storage the node recycles when the
-// tick ends, or an upstream operator's emission. An operator may hold the
-// slice until then without copying (the pass-through operators do) but
-// must copy anything it retains beyond its Tick. Symmetrically an
-// emission must stay valid, unmodified, until the fragment tick ends: it
-// aliases an operator-owned arena that is overwritten on the operator's
-// next Tick, or forwards a borrowed push. A consumer outside the fragment
-// (the sink) must copy what it keeps before the emit call returns.
+// returns — pushes borrow pooled batch storage, or an upstream operator's
+// emission. An operator may hold the slice until then without copying
+// (the pass-through operators do) but must copy anything it retains
+// beyond its Tick. An operator that implements Consumer promises more: it
+// is done with the slice when Push returns, so the node recycles a batch
+// pushed to it right after the push instead of when the tick ends.
+// Symmetrically an emission must stay valid, unmodified, until the
+// fragment tick ends: it aliases an operator-owned arena that is
+// overwritten on the operator's next Tick, or forwards a borrowed push. A
+// consumer outside the fragment (the sink) must copy what it keeps before
+// the emit call returns.
 type Operator interface {
 	// Name identifies the operator kind for diagnostics and plans.
 	Name() string
@@ -49,6 +52,17 @@ type Operator interface {
 	// Tick advances to logical time now, emitting zero or more derived
 	// batches. Emitted slices stay valid until the fragment tick ends.
 	Tick(now stream.Time, emit func(out []stream.Tuple))
+}
+
+// Consumer is implemented by the operators that consume on push: they
+// fold a pushed slice into running state or copy what they keep of it (a
+// stream.WindowBuffer copies every tuple and payload), so nothing of it is
+// read after Push returns. These are the folding aggregates, the
+// WindowBuffer-based operators, the two-input paired operators and
+// PartialCov. A pass-through, which holds its input until its Tick, is
+// not one.
+type Consumer interface {
+	ConsumesOnPush()
 }
 
 // TimeAdvancer is implemented by windowed operators that can skip their

@@ -179,6 +179,10 @@ func (p *PartialCov) Push(port int, in []stream.Tuple) {
 	}
 }
 
+// ConsumesOnPush implements Consumer: the folded path keeps one column
+// per port, the buffered one copies into its window buffers.
+func (p *PartialCov) ConsumesOnPush() {}
+
 // column appends one field of every tuple of in to col.
 func column(col []float64, in []stream.Tuple, field int) []float64 {
 	for i := range in {

@@ -27,6 +27,17 @@ type FragmentExec struct {
 	// slices alias operator scratch or borrowed input and are valid only
 	// during the call.
 	sink func([]stream.Tuple)
+	// entries[port] is where Push delivers a port's input, resolved once
+	// through the forwarders in front of it (resolveEntry).
+	entries []entry
+}
+
+// entry is one entry port, resolved: the operator and operator port a
+// push lands on, and whether that operator consumes on push.
+type entry struct {
+	op       operator.Operator
+	port     int
+	consumes bool
 }
 
 // NewFragmentExec instantiates the plan's operators.
@@ -57,22 +68,81 @@ func NewFragmentExec(p *FragmentPlan) *FragmentExec {
 			}
 		}
 	}
+	size := 0
+	for port := range p.Entries {
+		size = max(size, port+1)
+	}
+	e.entries = make([]entry, size)
+	fwd, fedByOther := forwarders(p, e.ops)
+	for port, ent := range p.Entries {
+		if port >= 0 { // no batch is addressed to a negative port
+			e.entries[port] = e.resolveEntry(ent, fwd, fedByOther)
+		}
+	}
 	return e
+}
+
+// forwarders marks the operators a push may skip: a Receive or a Union
+// with one out-edge, to a later operator, which is not the output
+// operator and is fed only by other such forwarders. What such a chain
+// delivers to the operator behind it at Tick is what the entries pushed
+// into it, grouped by the chain's first forwarder in operator order, so
+// pushing straight to that operator changes nothing it sees when the
+// pushes come in that order (DESIGN.md §9) — provided everything that
+// operator hears comes through such chains, which fedByOther[i] denies
+// (op i has an in-edge from an operator that is not a forwarder).
+func forwarders(p *FragmentPlan, ops []operator.Operator) (fwd, fedByOther []bool) {
+	fwd, fedByOther = make([]bool, len(ops)), make([]bool, len(ops))
+	for i, op := range ops {
+		switch op.(type) {
+		case *operator.Receive, *operator.Union:
+			outs := p.Ops[i].Outs
+			fwd[i] = !fedByOther[i] && i != p.OutOp && len(outs) == 1 && outs[0].To > i
+		}
+		if !fwd[i] {
+			for _, edge := range p.Ops[i].Outs {
+				fedByOther[edge.To] = true
+			}
+		}
+	}
+	return fwd, fedByOther
+}
+
+// resolveEntry follows an entry through forwarders to the operator that
+// consumes its pushes. An entry whose chain ends anywhere else — at a
+// pass-through, which holds its input until Tick, or at an operator also
+// fed by others — stays where the plan put it.
+func (e *FragmentExec) resolveEntry(ent Entry, fwd, fedByOther []bool) entry {
+	op, port := ent.Op, ent.Port
+	for fwd[op] {
+		edge := e.plan.Ops[op].Outs[0]
+		op, port = edge.To, edge.Port
+	}
+	if _, ok := e.ops[op].(operator.Consumer); ok && (op == ent.Op || !fedByOther[op]) {
+		return entry{op: e.ops[op], port: port, consumes: true}
+	}
+	_, consumes := e.ops[ent.Op].(operator.Consumer)
+	return entry{op: e.ops[ent.Op], port: ent.Port, consumes: consumes}
 }
 
 // Plan returns the template this executor runs.
 func (e *FragmentExec) Plan() *FragmentPlan { return e.plan }
 
-// Push delivers input tuples to a fragment entry port. Unknown ports are
-// dropped — a shed upstream fragment may leave stale routes. The slice is
+// Push delivers input tuples to a fragment entry port and reports
+// whether the caller may recycle them now. Unknown ports are dropped — a
+// shed upstream fragment may leave stale routes — and report true. A port
+// whose input reaches, straight or through forwarders, an operator that
+// consumes on push (operator.Consumer) reports true too: that operator is
+// done with the slice. Any other port reports false, and the slice is
 // borrowed until the next Tick returns: the caller must leave it alone
 // until then, and operators copy what they retain past the tick.
-func (e *FragmentExec) Push(port int, in []stream.Tuple) {
-	ent, ok := e.plan.Entries[port]
-	if !ok {
-		return
+func (e *FragmentExec) Push(port int, in []stream.Tuple) bool {
+	if port < 0 || port >= len(e.entries) || e.entries[port].op == nil {
+		return true
 	}
-	e.ops[ent.Op].Push(ent.Port, in)
+	ent := &e.entries[port]
+	ent.op.Push(ent.port, in)
+	return ent.consumes
 }
 
 // AdvanceTo fast-forwards every windowed operator to now, so an executor

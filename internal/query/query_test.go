@@ -116,7 +116,7 @@ func TestPlanValidationCatchesErrors(t *testing.T) {
 func runFragment(exec *query.FragmentExec, push func(tick int, push func(port int, in []stream.Tuple)), ticks int) [][]stream.Tuple {
 	var out [][]stream.Tuple
 	for i := 0; i < ticks; i++ {
-		push(i, exec.Push)
+		push(i, func(port int, in []stream.Tuple) { exec.Push(port, in) })
 		out = append(out, nil)
 		exec.Tick(stream.Time((i+1)*250), func(batch []stream.Tuple) {
 			for _, tp := range batch {

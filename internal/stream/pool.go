@@ -24,8 +24,9 @@ import (
 //     attached, to the pool.
 //   - Exactly one owner releases a batch, after the last use. Aliasing a
 //     batch's tuples or payloads is legal only until the owning driver
-//     releases it (in practice: until the end of the node tick that
-//     consumed it); anything retained longer must be copied first.
+//     releases it (in practice: until the push that consumed it returns,
+//     or until the end of the node tick when the operator it was pushed
+//     to holds it); anything retained longer must be copied first.
 //   - View batches (GetView) alias another batch's tuples; releasing a
 //     view returns only the header. The viewed parent must be released
 //     after all its views.

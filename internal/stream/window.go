@@ -90,7 +90,7 @@ func (w WindowSpec) String() string {
 //
 // The buffer owns its tuples' payloads: Push copies every V into a
 // window-owned arena. Input tuples may therefore alias pooled batch
-// storage that is recycled at the end of the tick — window contents
+// storage that is recycled as soon as Push returns — window contents
 // survive the batch that delivered them (DESIGN.md §9). Partial retires
 // compact surviving payloads into the spare arena and swap, so
 // steady-state windows never allocate.

@@ -397,13 +397,13 @@ func (p *Plane) Submit(plan *query.Plan, shape string, feed int, rate float64, p
 	p.queries = append(p.queries, q)
 	cmds := make([]Deploy, len(placement))
 	for f, n := range placement {
-		cmds[f] = p.deploy(q, f, n, pin)
+		cmds[f] = p.deploy(q, f, n, submitPin, pin)
 	}
 	return q, cmds, nil
 }
 
-// deploy settles attach-vs-host for fragment f of q on node n against
-// the share index and records the outcome. Every sharing-eligible deploy
+// deploy settles attach-vs-host for fragment f of q on node n, at time
+// pin under tag, against the share index and records the outcome. Every sharing-eligible deploy
 // carries its key: the first under a key on a node hosts and becomes the
 // dedup target, later ones ride it. A rider emits fan-out views only
 // where its private pipeline resumes — the root rider always needs its
@@ -411,13 +411,13 @@ func (p *Plane) Submit(plan *query.Plan, shape string, feed int, rate float64, p
 // also rides must not double-feed it. Fragments are settled in ascending
 // order and plans wire downstream to a lower index, so the downstream
 // decision this reads is already made.
-func (p *Plane) deploy(q *Query, f int, n stream.NodeID, pin int64) Deploy {
+func (p *Plane) deploy(q *Query, f int, n stream.NodeID, tag string, pin int64) Deploy {
 	d := Deploy{Query: q.ID, Frag: f, Node: n}
 	if q.share == nil {
 		d.Seed = q.structuralSeed(p.cfg.Seed, f)
 		return d
 	}
-	key := q.shareKey(f, pin)
+	key := q.shareKey(f, tag, pin)
 	d.ShareKey = key
 	idx := p.groups[n]
 	if idx == nil {
@@ -557,7 +557,7 @@ func (p *Plane) Replace(id stream.QueryID, pin int64) (cmds []Deploy, warm bool,
 	warm = true
 	for i, f := range displaced {
 		q.Placement[f] = picks[i]
-		d := p.deploy(q, f, picks[i], pin)
+		d := p.deploy(q, f, picks[i], recoverPin, pin)
 		if d.Attach {
 			if q.ckpt != nil {
 				q.ckpt[f] = q.ckpt[f][:0]

@@ -313,3 +313,62 @@ func TestSharingPromotionKeepsResults(t *testing.T) {
 		t.Error("second subscriber lost results after promotion")
 	}
 }
+
+// TestRecoveryAndSubmitInOneTickShareNothing: the engine pins a warm
+// recovery and a submission made in the same tick to the same tick, and
+// neither may ride the other's instance. A query submitted right after
+// the kill must not ride the restored instance (it would start with
+// windows its private pipeline never filled), and a fragment re-placed
+// right after a same-tick submission must not ride that cold instance
+// (it would turn a warm recovery cold). Either way SharingFull must stay
+// bit-identical to SharingOff.
+func TestRecoveryAndSubmitInOneTickShareNothing(t *testing.T) {
+	const avg4 = "Select Avg(t.v) From Src[Range 4 sec]"
+	run := func(mode Sharing, submitFirst bool) *Results {
+		cfg := Defaults()
+		cfg.Duration = 15 * stream.Second
+		cfg.Warmup = 2 * stream.Second
+		cfg.SourceRate = 20
+		cfg.Checkpoint = stream.Second
+		cfg.KeepSamples = true
+		cfg.Seed = 7
+		cfg.Sharing = mode
+		e := NewEngine(cfg)
+		e.AddNodes(3, 1e8)
+		if _, err := e.Submit(QuerySubmit{CQL: avg4, Fragments: 1, Dataset: 1, Placement: []stream.NodeID{0}}); err != nil {
+			t.Fatal(err)
+		}
+		// The recovery re-places query 0 on node 1; the submission lands
+		// there too, before or after it.
+		late := QuerySubmit{CQL: avg4, Fragments: 1, Dataset: 1, Placement: []stream.NodeID{1}}
+		for tick := int64(0); tick < int64(cfg.Duration/cfg.Interval); tick++ {
+			if tick == 20 {
+				if submitFirst {
+					if _, err := e.Submit(late); err != nil {
+						t.Fatal(err)
+					}
+				}
+				e.KillNode(0)
+				if !submitFirst {
+					if _, err := e.Submit(late); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if at := e.Placement(0); at[0] != 1 {
+					t.Fatalf("query 0 re-placed on node %d, want node 1", at[0])
+				}
+			}
+			e.Step()
+		}
+		return e.Results()
+	}
+	for _, submitFirst := range []bool{false, true} {
+		off := queryFacts(run(SharingOff, submitFirst))
+		full := queryFacts(run(SharingFull, submitFirst))
+		if !reflect.DeepEqual(off, full) {
+			t.Errorf("submit first %v: SharingFull diverges from SharingOff: mean SIC %v vs %v",
+				submitFirst, []float64{full.Queries[0].MeanSIC, full.Queries[1].MeanSIC},
+				[]float64{off.Queries[0].MeanSIC, off.Queries[1].MeanSIC})
+		}
+	}
+}

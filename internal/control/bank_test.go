@@ -135,6 +135,24 @@ func TestBankScripts(t *testing.T) {
 			},
 		},
 		{
+			// q1 rides q0's instance, so only q0 checkpoints it. When q0
+			// leaves, q1 executes that instance, and its newest record is
+			// q0's: without it a failure right after would find no blob
+			// (q0's went with the retract) and turn q1 cold, where its
+			// private pipeline would have restored.
+			name: "the heir of a departed primary inherits its record", sharing: SharingFull, members: 3,
+			steps: []step{
+				{submit(1, 20, nodes{0}, 0), []dep{{Q: 0, N: 0}}},
+				{submit(1, 20, nodes{0}, 0), []dep{{Q: 1, N: 0, Attach: true, Emit: true}}},
+				{checkpoint(0, 0, "a"), nil},
+				{banked(1, 0), ""},
+				{retract(0), retraction{At: nodes{0}, Promos: []Promotion{{Node: 0, OldQ: 0, NewQ: 1}}}},
+				{banked(1, 0), "a"},
+				{fail(0), ids{1}},
+				{restore(1, 1), restored{Warm: true, Attach: []bool{false}, Blobs: []string{"a"}}},
+			},
+		},
+		{
 			name: "one hosting fragment without a record makes the query cold", sharing: SharingOff, members: 5,
 			steps: []step{
 				{submit(2, 20, nodes{0, 1}, 0), []dep{{Q: 0, F: 0, N: 0}, {Q: 0, F: 1, N: 1}}},

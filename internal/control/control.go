@@ -469,6 +469,7 @@ func (p *Plane) Retract(id stream.QueryID) (placement []stream.NodeID, promos []
 		if i == 0 {
 			heir := p.Query(g.members[0])
 			heir.share[f].attached, heir.share[f].emit = false, true
+			heir.inherit(q, f)
 			promos = append(promos, Promotion{Node: n, OldQ: id, NewQ: heir.ID, Frag: f})
 		}
 	}
@@ -616,6 +617,20 @@ func (q *Query) banked(f int) []byte {
 		return nil
 	}
 	return q.ckpt[f]
+}
+
+// inherit hands fragment f's banked record from o, the departing executor
+// of a shared instance, to q, its heir: the instance's newest checkpoint
+// is the state q now executes, and a rider holds no record of its own.
+// The buffers swap, so the bank allocates nothing new.
+func (q *Query) inherit(o *Query, f int) {
+	if o.banked(f) == nil {
+		return
+	}
+	if q.ckpt == nil {
+		q.ckpt = make([][]byte, len(q.Placement))
+	}
+	q.ckpt[f], o.ckpt[f] = o.ckpt[f], q.ckpt[f][:0]
 }
 
 // record is the one rule for the blob that warms fragment f of q: its own

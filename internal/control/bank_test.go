@@ -122,7 +122,7 @@ func TestBankScripts(t *testing.T) {
 			name: "a rider is as warm as the instance it attaches to", sharing: SharingFull, members: 3,
 			steps: []step{
 				{submit(1, 20, nodes{0}, 0), []dep{{Q: 0, N: 0}}},
-				{submit(1, 20, nodes{0}, 0), []dep{{Q: 1, N: 0, Attach: true, Emit: true}}},
+				{submit(1, 20, nodes{0}, 0), []dep{{Q: 1, N: 0, Attach: true, P: 0, Emit: true}}},
 				// No checkpoint yet: the primary comes back cold, and so does
 				// the rider although it needs no blob.
 				{fail(0), ids{0, 1}},
@@ -143,7 +143,7 @@ func TestBankScripts(t *testing.T) {
 			name: "the heir of a departed primary inherits its record", sharing: SharingFull, members: 3,
 			steps: []step{
 				{submit(1, 20, nodes{0}, 0), []dep{{Q: 0, N: 0}}},
-				{submit(1, 20, nodes{0}, 0), []dep{{Q: 1, N: 0, Attach: true, Emit: true}}},
+				{submit(1, 20, nodes{0}, 0), []dep{{Q: 1, N: 0, Attach: true, P: 0, Emit: true}}},
 				{checkpoint(0, 0, "a"), nil},
 				{banked(1, 0), ""},
 				{retract(0), retraction{At: nodes{0}, Promos: []Promotion{{Node: 0, OldQ: 0, NewQ: 1}}}},

@@ -14,12 +14,12 @@
 // engine's tick, the TCP controller's epoch counter — and plain command
 // values come out: per-fragment deploys, promotions, emit flips in
 // ascending (query, fragment) order. federation.Engine applies them to
-// *node.Node directly; transport.Controller's loop turns them into frames
-// and writes each host's frames once its step ends.
-// Because hosts decide attach-vs-host and promotion by the same
-// arrival-order rules, the plane's share index is an exact mirror of
-// every host's; the engine checks that equality on every command it
-// applies. A Plane is not safe for concurrent use.
+// *node.Node directly; transport.Controller turns them into frames and
+// writes each host's frames once its step ends.
+// The plane decides every sharing outcome and its commands say it: a
+// rider's deploy names its primary, a retract names each heir. Hosts
+// keep no share index; they obey, or refuse what names state they lack.
+// A Plane is not safe for concurrent use.
 package control
 
 import (
@@ -139,11 +139,11 @@ type Deploy struct {
 	Frag  int
 	Node  stream.NodeID
 	// ShareKey is the fragment's dedup identity ("" = private). Attach
-	// predicts the host's decision: the node already executes an instance
-	// under the key and the fragment rides it — no executor, no sources —
-	// with the given Emit bit.
+	// makes the fragment ride the instance Primary executes on the node
+	// under the key — no executor, no sources — with the given Emit bit.
 	ShareKey string
 	Attach   bool
+	Primary  stream.QueryID
 	Emit     bool
 	// Seed is a hosting fragment's structural source seed (an attach has
 	// no sources).
@@ -154,7 +154,7 @@ type Deploy struct {
 	Restore []byte
 }
 
-// Promotion predicts one shared-instance hand-off on Node: the instance
+// Promotion commands one shared-instance hand-off on Node: the instance
 // OldQ executed at Frag now belongs to NewQ, the next in attach order.
 type Promotion struct {
 	Node       stream.NodeID
@@ -208,10 +208,10 @@ type Plane struct {
 	groups []map[string]*group
 }
 
-// group is one host's shared instance as the plane sees it: the queries
-// under one share key, in attach order. members[0] executes, the rest
-// ride; the host promotes the next in attach order when the executing
-// query departs. warm marks an instance Replace hosted with restored
+// group is one host's shared instance: the queries under one share key,
+// in attach order. members[0] executes, the rest ride; the next in attach
+// order inherits the instance when the executing query departs. warm
+// marks an instance Replace hosted with restored
 // state: a fragment attaching to it in the same recovery is as warm as it.
 type group struct {
 	members []stream.QueryID
@@ -345,7 +345,7 @@ func (p *Plane) find(id stream.QueryID) int {
 }
 
 // Groups copies out node n's share index — share key → members in
-// attach order — for tests that hold the mirror against the hosts.
+// attach order — for tests that hold the plane against the hosts.
 func (p *Plane) Groups(n stream.NodeID) map[string][]stream.QueryID {
 	out := make(map[string][]stream.QueryID, len(p.groups[n]))
 	for key, g := range p.groups[n] {
@@ -397,14 +397,14 @@ func (p *Plane) Submit(plan *query.Plan, shape string, feed int, rate float64, p
 	p.queries = append(p.queries, q)
 	cmds := make([]Deploy, len(placement))
 	for f, n := range placement {
-		cmds[f] = p.deploy(q, f, n, submitPin, pin)
+		cmds[f] = p.deploy(q, f, n, "|p", pin)
 	}
 	return q, cmds, nil
 }
 
 // deploy settles attach-vs-host for fragment f of q on node n, at time
-// pin under tag, against the share index and records the outcome. Every sharing-eligible deploy
-// carries its key: the first under a key on a node hosts and becomes the
+// pin under tag, against the share index and records the outcome. Every
+// sharing-eligible deploy carries its key: the first under a key on a node hosts and becomes the
 // dedup target, later ones ride it. A rider emits fan-out views only
 // where its private pipeline resumes — the root rider always needs its
 // own result stream, while an interior rider whose downstream fragment
@@ -433,18 +433,19 @@ func (p *Plane) deploy(q *Query, f int, n stream.NodeID, tag string, pin int64) 
 	}
 	g.members = append(g.members, q.ID)
 	down := q.Plan.Downstream[f]
-	d.Attach, d.Emit = true, down < 0 || !q.share[down].attached
+	d.Attach, d.Primary, d.Emit = true, g.members[0], down < 0 || !q.share[down].attached
 	q.share[f] = fragShare{key: key, attached: true, emit: d.Emit}
 	return d
 }
 
-// Retract removes a live query, mirroring the hosts' teardown: leaving a
-// group as a rider just detaches, leaving it as the executing member
-// promotes the next in attach order (whose fragment flips from riding to
-// executing), and an emptied group disappears with its instance. It
-// returns the placement the retract must reach, the promotions in
-// ascending fragment order, and the emit flips that restore the fan-out
-// invariant over what remains; ok is false for an unknown query.
+// Retract removes a live query: leaving a group as a rider just
+// detaches, leaving it as the executing member promotes the next in
+// attach order (whose fragment flips from riding to executing, and which
+// inherits the departing member's checkpoint record), and an emptied
+// group disappears with its instance. It returns the placement the
+// retract must reach, the promotions the hosts must apply, in ascending
+// fragment order, and the emit flips that restore the fan-out invariant
+// over what remains; ok is false for an unknown query.
 func (p *Plane) Retract(id stream.QueryID) (placement []stream.NodeID, promos []Promotion, flips []EmitFlip, ok bool) {
 	q := p.Query(id)
 	if q == nil {
@@ -558,7 +559,7 @@ func (p *Plane) Replace(id stream.QueryID, pin int64) (cmds []Deploy, warm bool,
 	warm = true
 	for i, f := range displaced {
 		q.Placement[f] = picks[i]
-		d := p.deploy(q, f, picks[i], recoverPin, pin)
+		d := p.deploy(q, f, picks[i], "|k", pin)
 		if d.Attach {
 			if q.ckpt != nil {
 				q.ckpt[f] = q.ckpt[f][:0]
@@ -620,9 +621,8 @@ func (q *Query) banked(f int) []byte {
 }
 
 // inherit hands fragment f's banked record from o, the departing executor
-// of a shared instance, to q, its heir: the instance's newest checkpoint
-// is the state q now executes, and a rider holds no record of its own.
-// The buffers swap, so the bank allocates nothing new.
+// of a shared instance, to q, its heir, which held none: the instance's
+// newest checkpoint is the state q now executes. The buffers swap.
 func (q *Query) inherit(o *Query, f int) {
 	if o.banked(f) == nil {
 		return

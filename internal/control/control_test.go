@@ -23,12 +23,13 @@ type (
 )
 
 // dep is the comparable part of a Deploy command (keys and seeds are
-// checked by relation, not by value).
+// checked by relation, not by value). P is a rider's primary.
 type dep struct {
 	Q      stream.QueryID
 	F      int
 	N      stream.NodeID
 	Attach bool
+	P      stream.QueryID
 	Emit   bool
 }
 
@@ -53,7 +54,7 @@ func submit(frags int, rate float64, at nodes, pin int64) event {
 func project(cmds []Deploy) []dep {
 	out := make([]dep, len(cmds))
 	for i, c := range cmds {
-		out[i] = dep{c.Query, c.Frag, c.Node, c.Attach, c.Emit}
+		out[i] = dep{c.Query, c.Frag, c.Node, c.Attach, c.Primary, c.Emit}
 	}
 	return out
 }
@@ -135,8 +136,8 @@ func TestPlaneScripts(t *testing.T) {
 			name: "attach order is promotion order", sharing: SharingFull, members: 2,
 			steps: []step{
 				{submit(1, 20, nodes{0}, 0), []dep{{Q: 0, N: 0}}},
-				{submit(1, 20, nodes{0}, 0), []dep{{Q: 1, N: 0, Attach: true, Emit: true}}},
-				{submit(1, 20, nodes{0}, 0), []dep{{Q: 2, N: 0, Attach: true, Emit: true}}},
+				{submit(1, 20, nodes{0}, 0), []dep{{Q: 1, N: 0, Attach: true, P: 0, Emit: true}}},
+				{submit(1, 20, nodes{0}, 0), []dep{{Q: 2, N: 0, Attach: true, P: 0, Emit: true}}},
 				{groupsOn(0), []ids{{0, 1, 2}}},
 				{retract(0), retraction{At: nodes{0}, Promos: []Promotion{{Node: 0, OldQ: 0, NewQ: 1}}}},
 				{retract(1), retraction{At: nodes{0}, Promos: []Promotion{{Node: 0, OldQ: 1, NewQ: 2}}}},
@@ -162,8 +163,8 @@ func TestPlaneScripts(t *testing.T) {
 			name: "primary retract with a riding downstream flips the emit bit", sharing: SharingFull, members: 3,
 			steps: []step{
 				{submit(2, 20, nodes{2, 1}, 0), []dep{{Q: 0, F: 0, N: 2}, {Q: 0, F: 1, N: 1}}},
-				{submit(2, 20, nodes{0, 1}, 0), []dep{{Q: 1, F: 0, N: 0}, {Q: 1, F: 1, N: 1, Attach: true, Emit: true}}},
-				{submit(2, 20, nodes{0, 1}, 0), []dep{{Q: 2, F: 0, N: 0, Attach: true, Emit: true}, {Q: 2, F: 1, N: 1, Attach: true}}},
+				{submit(2, 20, nodes{0, 1}, 0), []dep{{Q: 1, F: 0, N: 0}, {Q: 1, F: 1, N: 1, Attach: true, P: 0, Emit: true}}},
+				{submit(2, 20, nodes{0, 1}, 0), []dep{{Q: 2, F: 0, N: 0, Attach: true, P: 1, Emit: true}, {Q: 2, F: 1, N: 1, Attach: true, P: 0}}},
 				{retract(1), retraction{
 					At:     nodes{0, 1},
 					Promos: []Promotion{{Node: 0, OldQ: 1, NewQ: 2, Frag: 0}},
@@ -182,14 +183,14 @@ func TestPlaneScripts(t *testing.T) {
 			steps: []step{
 				{submit(1, 20, nodes{0}, 0), []dep{{Q: 0, N: 0}}},
 				{submit(1, 20, nodes{1}, 0), []dep{{Q: 1, N: 1}}},
-				{submit(1, 20, nodes{1}, 0), []dep{{Q: 2, N: 1, Attach: true, Emit: true}}},
-				{submit(1, 20, nodes{1}, 0), []dep{{Q: 3, N: 1, Attach: true, Emit: true}}},
+				{submit(1, 20, nodes{1}, 0), []dep{{Q: 2, N: 1, Attach: true, P: 1, Emit: true}}},
+				{submit(1, 20, nodes{1}, 0), []dep{{Q: 3, N: 1, Attach: true, P: 1, Emit: true}}},
 				{fail(1), ids{1, 2, 3}},
 				{fail(1), false},
 				{groupsOn(1), []ids(nil)},
 				{replace(1, 7), []dep{{Q: 1, N: 0}}},
-				{replace(2, 7), []dep{{Q: 2, N: 0, Attach: true, Emit: true}}},
-				{replace(3, 7), []dep{{Q: 3, N: 0, Attach: true, Emit: true}}},
+				{replace(2, 7), []dep{{Q: 2, N: 0, Attach: true, P: 1, Emit: true}}},
+				{replace(3, 7), []dep{{Q: 3, N: 0, Attach: true, P: 1, Emit: true}}},
 				{sweep(), []EmitFlip(nil)},
 				{groupsOn(0), []ids{{0}, {1, 2, 3}}},
 			},
@@ -198,14 +199,14 @@ func TestPlaneScripts(t *testing.T) {
 			name: "retract between fail and the last re-deploy stands down", sharing: SharingFull, members: 3,
 			steps: []step{
 				{submit(1, 20, nodes{1}, 0), []dep{{Q: 0, N: 1}}},
-				{submit(1, 20, nodes{1}, 0), []dep{{Q: 1, N: 1, Attach: true, Emit: true}}},
-				{submit(1, 20, nodes{1}, 0), []dep{{Q: 2, N: 1, Attach: true, Emit: true}}},
+				{submit(1, 20, nodes{1}, 0), []dep{{Q: 1, N: 1, Attach: true, P: 0, Emit: true}}},
+				{submit(1, 20, nodes{1}, 0), []dep{{Q: 2, N: 1, Attach: true, P: 0, Emit: true}}},
 				{fail(1), ids{0, 1, 2}},
 				{replace(0, 3), []dep{{Q: 0, N: 0}}},
 				// The displaced rider's group died with the node: no promotion.
 				{retract(1), retraction{At: nodes{1}}},
 				{replace(1, 3), []dep{}},
-				{replace(2, 3), []dep{{Q: 2, N: 0, Attach: true, Emit: true}}},
+				{replace(2, 3), []dep{{Q: 2, N: 0, Attach: true, P: 0, Emit: true}}},
 				{groupsOn(0), []ids{{0, 2}}},
 			},
 		},
@@ -494,14 +495,14 @@ func TestMembershipEpochs(t *testing.T) {
 		t.Fatalf("join: got id %d, alive(2)=%v alive(3)=%v", n, p.Alive(2), p.Alive(3))
 	}
 	// Round-robin restarted at node 0 although the cursor stood at 1.
-	if got := submit(1, 20, nil, 0)(t, p); !reflect.DeepEqual(got, []dep{{Q: 3, N: 0, Attach: true, Emit: true}}) {
+	if got := submit(1, 20, nil, 0)(t, p); !reflect.DeepEqual(got, []dep{{Q: 3, N: 0, Attach: true, P: 0, Emit: true}}) {
 		t.Fatalf("first placement after a join: %+v", got)
 	}
 	if got := p.PlanCacheStats(); got.Misses != 2 {
 		t.Fatalf("join did not invalidate the plan cache: %+v", got)
 	}
 	p.Fail(0)
-	if got := submit(1, 20, nil, 0)(t, p); !reflect.DeepEqual(got, []dep{{Q: 4, N: 1, Attach: true, Emit: true}}) {
+	if got := submit(1, 20, nil, 0)(t, p); !reflect.DeepEqual(got, []dep{{Q: 4, N: 1, Attach: true, P: 1, Emit: true}}) {
 		t.Fatalf("first placement after a failure: %+v", got)
 	}
 }

@@ -57,23 +57,16 @@ func (p *Plane) ratePin(rate float64, feed int) string {
 // query scan distinct sources and must never collapse onto each other.
 func fragPin(f int) string { return "|f" + strconv.Itoa(f) }
 
-// Time-pin tags: a submission's keys carry its pin under submitPin, a
-// recovery's under recoverPin. A driver may pass one pin to both (the
-// engine pins both to its tick), and the tags keep their keys apart: a
-// query submitted in a recovery's tick never rides a restored instance,
-// and a re-placed fragment never rides a cold one.
-const (
-	submitPin  = "|p"
-	recoverPin = "|k"
-)
-
 // shareKey mints a fragment's dedup identity: the canonical subtree key
 // (equal keys ⇒, given structural seeds and equal rate, the same input
 // forever, at every level of the plan; Submit memoises it with the
 // fragment pin already appended), the rate pin, and the driver's time
-// pin under its tag — a late arrival never attaches to an instance with
-// warm window state its private pipeline would not have had, and
-// fragments co-displaced by one failure re-share only with each other.
+// pin — a late arrival never attaches to an instance with warm window
+// state its private pipeline would not have had, and fragments
+// co-displaced by one failure re-share only with each other. The pin's
+// tag is "|p" for a submission, "|k" for a recovery: the engine pins both
+// to its tick, and a query submitted in a recovery's tick must neither
+// ride the restored instance nor be ridden by a re-placed fragment.
 func (q *Query) shareKey(f int, tag string, pin int64) string {
 	return q.subKeys[f] + q.ratePin + tag + strconv.FormatInt(pin, 10)
 }

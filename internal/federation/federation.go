@@ -16,6 +16,7 @@
 package federation
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -196,8 +197,8 @@ type Engine struct {
 	rng *rand.Rand
 	// plane decides placement, re-placement and sharing (membership, the
 	// auto-placer, the plan cache, the share index); the engine applies
-	// its commands to nodes and holds it against what the nodes then
-	// report (placeFragment, RemoveQuery).
+	// its commands to nodes and panics on any a live node refuses
+	// (refused).
 	plane *control.Plane
 	nodes []*node.Node
 	// ledger owns every query's result-SIC bookkeeping (coordinator,
@@ -375,49 +376,43 @@ func (e *Engine) RemoveQuery(q stream.QueryID) bool {
 	}
 	e.queries[q].resultFn = nil
 	placement, promos, flips, _ := e.plane.Retract(q)
+	// The departed query may have owned shared instances: each goes to the
+	// heir the plane names, and the instance's output already in transit
+	// belongs to the heir's pipeline. Re-address it, or the heir would lose
+	// exactly the in-flight batches — a divergence from its private
+	// (SharingOff) execution, which keeps its own in-flight batches across
+	// another query's retract.
+	for _, p := range promos {
+		if !e.nodes[p.Node].Promote(p.OldQ, stream.FragID(p.Frag), p.NewQ) {
+			refused("node %d: hand query %d's fragment %d to query %d", p.Node, p.OldQ, p.Frag, p.NewQ)
+		}
+		e.relabelTransit(p)
+	}
+	// A node that died under the query (one KillNode retires) is never
+	// asked again, whatever it holds.
 	for fi, nd := range placement {
-		e.nodes[nd].RemoveFragment(q, stream.FragID(fi))
-	}
-	// The departed query may have owned shared instances: each host
-	// promoted them to their first subscriber, and the instances' output
-	// already in transit belongs to the survivor's pipeline. Re-address it,
-	// or the promoted query would lose exactly the in-flight batches — a
-	// divergence from its private (SharingOff) execution, which keeps
-	// its own in-flight batches across another query's retract. The hosts
-	// must report exactly the hand-offs the plane predicted; on a dead node
-	// (a query retired by KillNode) they are moot.
-	for _, nd := range placement {
-		if !e.plane.Alive(nd) {
-			continue
-		}
-		for _, p := range e.nodes[nd].TakePromotions() {
-			if len(promos) == 0 || promos[0] != (control.Promotion{Node: nd, OldQ: p.OldQ, NewQ: p.NewQ, Frag: int(p.Frag)}) {
-				mirrorFault("node %d handed query %d's fragment %d to query %d, plane predicted %v", nd, p.OldQ, p.Frag, p.NewQ, promos)
-			}
-			promos = promos[1:]
-			e.relabelTransit(p)
+		if !e.nodes[nd].RemoveFragment(q, stream.FragID(fi)) && e.plane.Alive(nd) {
+			refused("node %d: remove query %d's fragment %d", nd, q, fi)
 		}
 	}
-	if len(promos) != 0 {
-		mirrorFault("no node performed the predicted hand-offs %v", promos)
-	}
-	// The departing query may have owned shared instances whose
-	// subscribers were just promoted; their fan-out boundaries moved.
+	// The heirs' fan-out boundaries moved.
 	e.applyFlips(flips)
 	return true
 }
 
-// mirrorFault reports a host outcome the control plane did not predict.
-// Hosts and plane decide by the same arrival-order rules, so only a bug
-// in one of them gets here; every sharing test thereby checks the mirror.
-func mirrorFault(format string, args ...any) {
-	panic(fmt.Sprintf("federation: share index diverged from host: "+format, args...))
+// refused reports a command of the plane that a live node refused. The
+// plane decides every sharing outcome and the engine applies its commands
+// in order, so only a bug gets here.
+func refused(format string, args ...any) {
+	panic(fmt.Sprintf("federation: a node refused the plane's command: "+format, args...))
 }
 
 // applyFlips delivers the plane's emit flips to the hosting nodes.
 func (e *Engine) applyFlips(flips []control.EmitFlip) {
 	for _, f := range flips {
-		e.nodes[f.Node].SetSubEmit(f.Query, stream.FragID(f.Frag), f.Emit)
+		if !e.nodes[f.Node].SetSubEmit(f.Query, stream.FragID(f.Frag), f.Emit) {
+			refused("node %d: set query %d's fragment %d emitting %v", f.Node, f.Query, f.Frag, f.Emit)
+		}
 	}
 }
 
@@ -511,7 +506,6 @@ func (e *Engine) KillNode(id stream.NodeID) {
 		// downgraded blob) turns the whole query cold, as a missing record
 		// would have, and the fragments after it restore nothing.
 		for _, d := range cmds {
-			e.nodes[id].RemoveFragment(qid, stream.FragID(d.Frag))
 			if !warm {
 				d.Restore = nil
 			}
@@ -529,23 +523,22 @@ func (e *Engine) KillNode(id stream.NodeID) {
 	// rider that found no same-tick sharer now runs its own executor and
 	// needs the views its upstream subscriptions previously suppressed).
 	e.applyFlips(e.plane.Sweep())
-	// Hand-offs on the dead node are moot — its instances are being
-	// re-placed, and batches in transit to it drop on delivery either way.
-	e.nodes[id].TakePromotions()
 }
 
 // relabelTransit re-addresses in-flight batches after a shared-instance
 // promotion: output the instance emitted under its old owner's identity
-// — batches bound for (OldQ, Downstream) — now belongs to the promoted
-// query, whose downstream fragment rides (or owns) the same consumer on
-// the same node, so only the label changes.
-func (e *Engine) relabelTransit(p node.Promotion) {
-	if p.Downstream < 0 {
+// — batches bound for the departed query's downstream fragment, read
+// from its plan — now belongs to the heir, whose downstream fragment
+// rides (or owns) the same consumer on the same node, so only the label
+// changes.
+func (e *Engine) relabelTransit(p control.Promotion) {
+	down := e.queries[p.OldQ].ctl.Plan.Downstream[p.Frag]
+	if down < 0 {
 		return
 	}
 	for _, slot := range e.transitRing {
 		for _, d := range slot {
-			if d.b.Query == p.OldQ && d.b.Frag == p.Downstream {
+			if d.b.Query == p.OldQ && d.b.Frag == stream.FragID(down) {
 				d.b.Query = p.NewQ
 			}
 		}
@@ -553,9 +546,9 @@ func (e *Engine) relabelTransit(p node.Promotion) {
 }
 
 // placeFragment applies one of the plane's deploy commands: the fragment
-// attaches to, or is hosted on, the commanded node (node.Deploy), and a
-// hosted one restores the command's blob, if any; the error is the
-// refused restore's. Both the initial deploy and failure recovery go
+// rides the instance the command names, or is hosted on the commanded
+// node (node.Deploy), and a hosted one restores the command's blob, if
+// any; the error is the refused restore's. Both the initial deploy and failure recovery go
 // through here. Sources are
 // seeded from the query's structural identity (shape, rate, feed), never
 // from e.rng: queries of one shape on one feed observe identical source
@@ -564,13 +557,13 @@ func (e *Engine) relabelTransit(p node.Promotion) {
 // keep the engine's random state — and so everything downstream of it —
 // bit-identical, and both draw what the networked controller's hosts draw.
 func (e *Engine) placeFragment(cq *control.Query, d control.Deploy) error {
-	attached, err := e.nodes[d.Node].Deploy(node.FragmentSpec{
+	err := e.nodes[d.Node].Deploy(node.FragmentSpec{
 		Query: cq.ID, Frag: stream.FragID(d.Frag), Plan: cq.Plan,
 		Rate: cq.Rate, Batches: e.cfg.BatchesPerSec, Burst: e.cfg.Burst, Seed: d.Seed,
-		ShareKey: d.ShareKey, Emit: d.Emit, Restore: d.Restore,
+		ShareKey: d.ShareKey, Attach: d.Attach, Primary: d.Primary, Emit: d.Emit, Restore: d.Restore,
 	})
-	if attached != d.Attach {
-		mirrorFault("query %d fragment %d on node %d: attached=%v, plane predicted %v", cq.ID, d.Frag, d.Node, attached, d.Attach)
+	if errors.Is(err, node.ErrNoPrimary) || errors.Is(err, node.ErrDeployed) {
+		refused("node %d: deploy query %d's fragment %d: %v", d.Node, cq.ID, d.Frag, err)
 	}
 	return err
 }

@@ -9,17 +9,17 @@ import (
 	"repro/internal/stream"
 )
 
-// Mirror-equals-hosts property: the control plane's share index is
+// Plane-equals-hosts property: the control plane's share index is
 // maintained through an event sequence without ever asking a node, and
-// after every event it must equal what the nodes — which decide
-// attach-vs-host and promotion on their own, by arrival order — actually
-// hold. The engine already stops on a wrong attach prediction or a wrong
-// promotion prediction (mirrorFault in placeFragment and RemoveQuery, a
-// panic this test turns into a failure); checkMirror adds the state
-// comparison: every group's primary executes, every other member rides
-// and declares the primary's rate (the rate pin: the schedule submits the
-// same shapes at 20 and 40 tuples/s), and the hosts hold no instance or
-// subscription the plane does not know.
+// after every event it must equal what the nodes — which obey the
+// plane's commands, or refuse them — actually hold. The engine already
+// stops on a refused command (refused in placeFragment, RemoveQuery and
+// applyFlips, a panic this test turns into a failure); checkMirror adds
+// the state comparison: every group's primary executes, every other
+// member rides the primary's instance and declares the primary's rate
+// (the rate pin: the schedule submits the same shapes at 20 and 40
+// tuples/s), and the hosts hold no instance or subscription the plane
+// does not know.
 
 // checkMirror compares the plane's share index with the live nodes.
 func checkMirror(e *Engine) error {
@@ -36,9 +36,6 @@ func checkMirror(e *Engine) error {
 		for key, members := range e.plane.Groups(n) {
 			groups++
 			riders += len(members) - 1
-			if q, ok := nd.SharedPrimary(key); !ok || q != members[0] {
-				return fmt.Errorf("node %d key %q: host primary %d (present=%v), plane says %d", n, key, q, ok, members[0])
-			}
 			for i, m := range members {
 				f := -1
 				cq := e.plane.Query(m)
@@ -50,8 +47,12 @@ func checkMirror(e *Engine) error {
 				if f < 0 {
 					return fmt.Errorf("node %d key %q: member %d has no fragment indexed there", n, key, m)
 				}
-				if rides := nd.IsShareSub(m, stream.FragID(f)); rides != (i > 0) {
-					return fmt.Errorf("node %d key %q: member #%d (query %d fragment %d) rides=%v", n, key, i, m, f, rides)
+				p, rides := nd.RidesOn(m, stream.FragID(f))
+				if i == 0 && (rides || !nd.HostsFragment(m, stream.FragID(f))) {
+					return fmt.Errorf("node %d key %q: primary %d does not execute fragment %d (rides %d: %v)", n, key, m, f, p, rides)
+				}
+				if i > 0 && (!rides || p != members[0]) {
+					return fmt.Errorf("node %d key %q: member #%d (query %d fragment %d) rides %d (%v), plane says %d", n, key, i, m, f, p, rides, members[0])
 				}
 				if prim := e.plane.Query(members[0]); cq.Rate != prim.Rate {
 					return fmt.Errorf("node %d key %q: query %d at rate %g shares query %d's instance at %g", n, key, m, cq.Rate, members[0], prim.Rate)

@@ -367,8 +367,8 @@ func TestHeadersInFlightDrainOnTeardown(t *testing.T) {
 		}
 	}
 	n.settle(0, len(n.ib), nil) // the survivors still find their sources
-	n.RemoveQuery(1)
-	n.RemoveQuery(3)
+	n.RemoveQuery(1, nil)
+	n.RemoveQuery(3, nil)
 	if live := n.pool.Live(); live != 0 || len(n.ib) != 0 {
 		t.Fatalf("%d live, %d buffered after removing every query", live, len(n.ib))
 	}

@@ -74,14 +74,14 @@ type fragKey struct {
 }
 
 // fanSub is one subscriber of a shared fragment instance: a query whose
-// identical fragment was deduplicated onto the instance. The shared
+// identical fragment — the same fragment index, which every share key
+// pins — was deduplicated onto the instance. The shared
 // instance executes once; its output fans out as one retained view per
 // subscriber, addressed to the subscriber's own downstream fragment, so
 // each subscriber's result stream carries exactly the SIC its private
 // pipeline would have produced.
 type fanSub struct {
 	q              stream.QueryID
-	f              stream.FragID
 	downstream     stream.FragID
 	downstreamPort int
 	// emit controls whether the instance's output fans out to this
@@ -108,12 +108,11 @@ type fragInstance struct {
 	// batches. Built once at hostFragment so ticking allocates nothing.
 	sink func([]stream.Tuple)
 	// shareKey is the structural identity under which this instance was
-	// hosted ("" when sharing is off). Instances with a share key accept
-	// subscribers via attachShared.
+	// hosted ("" when sharing is off). A ride names the instance and must
+	// carry the same key.
 	shareKey string
-	// subs lists the queries deduplicated onto this instance, in
-	// subscription order (deterministic: the engine submits in query-id
-	// order).
+	// subs lists the queries riding this instance, in the order they
+	// attached.
 	subs []fanSub
 }
 
@@ -200,19 +199,16 @@ type Node struct {
 	srcByID map[stream.SourceID]*attached
 	nextSrc stream.SourceID
 
-	// shared indexes executing instances by share key; subOf maps a
-	// subscriber's fragment key to the primary instance it rides on.
-	// Both empty unless the driver deduplicates fragments (multi-query
-	// sharing), so the unshared hot path never consults them.
-	shared map[string]fragKey
-	subOf  map[fragKey]fragKey
+	// subOf maps a subscriber's fragment key to the primary instance it
+	// rides on; keyed counts the executing instances hosted under a share
+	// key. Both empty unless the driver deduplicates fragments
+	// (multi-query sharing), so the unshared hot path never consults them.
+	subOf map[fragKey]fragKey
+	keyed int
 	// hostedQ refcounts fragments plus subscriptions per query, making
 	// hostsQuery O(1) — with thousands of deduplicated queries per node
 	// the former fragment scan dominated coordinator-update handling.
 	hostedQ map[stream.QueryID]int
-	// promos logs shared-instance ownership hand-offs until the driver
-	// drains them (TakePromotions); nil except across a removal.
-	promos []Promotion
 
 	ib       []*stream.Batch
 	ibTuples int
@@ -269,7 +265,6 @@ func New(id stream.NodeID, cfg Config, shedder core.Shedder) *Node {
 		pool:     pool,
 		frags:    make(map[fragKey]*fragInstance),
 		srcByID:  make(map[stream.SourceID]*attached),
-		shared:   make(map[string]fragKey),
 		subOf:    make(map[fragKey]fragKey),
 		hostedQ:  make(map[stream.QueryID]int),
 		knownSIC: make(map[stream.QueryID]float64),
@@ -310,10 +305,7 @@ func (n *Node) NoteDropped(tuples int, sicMass float64) {
 // An executor hosted after the node has started ticking is fast-forwarded
 // to the node's current time, so its windows open at the deployment
 // instant instead of replaying every empty edge since time zero. A
-// non-empty share key registers the instance in the node's share index,
-// making it a dedup target: later queries with an identical fragment
-// attach to it via attachShared instead of deploying their own executor
-// and sources.
+// non-empty share key makes the instance one that rides may name.
 func (n *Node) hostFragment(q stream.QueryID, f stream.FragID, exec *query.FragmentExec,
 	numSources int, downstream stream.FragID, downstreamPort int, shareKey string) {
 	key := fragKey{q, f}
@@ -334,9 +326,7 @@ func (n *Node) hostFragment(q stream.QueryID, f stream.FragID, exec *query.Fragm
 	}
 	n.frags[key] = inst
 	if shareKey != "" {
-		if _, taken := n.shared[shareKey]; !taken {
-			n.shared[shareKey] = key
-		}
+		n.keyed++
 	}
 }
 
@@ -354,43 +344,59 @@ type FragmentSpec struct {
 	// generator seed and then the emission seed. It is built only if the
 	// fragment hosts — an attach draws nothing.
 	Seed int64
-	// ShareKey, when set, makes the fragment ride the instance this node
-	// already executes under the key, with the given fan-out terms
-	// (attachShared), or else host as the key's dedup target.
+	// ShareKey is the fragment's dedup identity ("" = private). A hosted
+	// fragment keeps it; a ride must carry the key of the instance it
+	// names.
 	ShareKey string
-	Emit     bool
+	// Attach makes the fragment ride the instance (Primary, Frag) this
+	// node executes instead of hosting its own: no executor, no sources,
+	// and a fan-out view of the instance's output when Emit is set.
+	Attach  bool
+	Primary stream.QueryID
+	Emit    bool
 	// Restore, when set, is a sealed snapshot the hosted fragment restores
-	// right after it is built (RestoreState). An attach ignores it: the
-	// live instance is its state.
+	// right after it is built (RestoreState). A ride ignores it: the live
+	// instance is its state.
 	Restore []byte
 }
 
 // Deploy instantiates a fragment on this node — the one routine behind
 // an initial deploy and a failure re-deploy, in the virtual-time engine
-// and on a TCP host alike. It reports whether the fragment attached to a
-// shared instance; otherwise the node now hosts a fresh executor and
-// fresh sources (their rate estimators warm-start, as on a newly
-// deployed node), numbered by the node. Generator indices are the
+// and on a TCP host alike. A ride (s.Attach) subscribes the fragment to
+// the instance its driver named; otherwise the node hosts a fresh
+// executor and fresh sources (their rate estimators warm-start, as on a
+// newly deployed node), numbered by the node. Generator indices are the
 // query-global running source count, so a re-placed fragment
 // reconstructs the identities of the one it replaces even for plans with
 // uneven per-fragment source counts. A hosted fragment then restores
 // s.Restore, if set; the error is RestoreState's, and the fragment stays
 // hosted either way — a refused blob leaves it cold. A (query, fragment)
-// the node already hosts or rides is refused with ErrDeployed, and
-// nothing changes.
-func (n *Node) Deploy(s FragmentSpec) (attached bool, err error) {
+// the node already hosts or rides is refused with ErrDeployed, and a
+// ride naming an instance the node does not execute under s.ShareKey
+// with ErrNoPrimary; either way nothing changes.
+func (n *Node) Deploy(s FragmentSpec) error {
 	key := fragKey{s.Query, s.Frag}
 	_, hosted := n.frags[key]
 	if _, rides := n.subOf[key]; hosted || rides {
-		return false, fmt.Errorf("%w: q%d/f%d", ErrDeployed, s.Query, s.Frag)
+		return fmt.Errorf("%w: q%d/f%d", ErrDeployed, s.Query, s.Frag)
 	}
 	fp := s.Plan.Fragments[s.Frag]
 	downstream, downstreamPort := stream.FragID(-1), -1
 	if d := s.Plan.Downstream[s.Frag]; d >= 0 {
 		downstream, downstreamPort = stream.FragID(d), s.Plan.Fragments[d].UpstreamPort
 	}
-	if n.attachShared(s.ShareKey, s.Query, s.Frag, downstream, downstreamPort, s.Emit) {
-		return true, nil
+	if s.Attach {
+		pk := fragKey{s.Primary, s.Frag}
+		inst, ok := n.frags[pk]
+		if !ok || s.ShareKey == "" || inst.shareKey != s.ShareKey {
+			return fmt.Errorf("%w: q%d/f%d names q%d", ErrNoPrimary, s.Query, s.Frag, s.Primary)
+		}
+		inst.subs = append(inst.subs, fanSub{
+			q: s.Query, downstream: downstream, downstreamPort: downstreamPort, emit: s.Emit,
+		})
+		n.subOf[key] = pk
+		n.hostedQ[s.Query]++
+		return nil
 	}
 	n.hostFragment(s.Query, s.Frag, query.NewFragmentExec(fp), s.Plan.NumSources(), downstream, downstreamPort, s.ShareKey)
 	seeds := rand.New(rand.NewSource(s.Seed))
@@ -404,73 +410,46 @@ func (n *Node) Deploy(s FragmentSpec) (attached bool, err error) {
 		n.attachSource(src)
 	}
 	if s.Restore != nil {
-		return false, n.RestoreState(s.Query, s.Frag, s.Restore)
+		return n.RestoreState(s.Query, s.Frag, s.Restore)
 	}
-	return false, nil
+	return nil
 }
 
-// ErrDeployed refuses a deploy of a fragment the node already hosts or
-// rides: a second deploy would attach a second set of sources or a second
-// fan-out view.
-var ErrDeployed = errors.New("node: fragment already deployed here")
-
-// attachShared subscribes fragment (q, f) to an existing shared instance
-// with the given share key, if the node hosts one. The subscriber gets no
-// executor and no sources — when emit is set the shared instance's output
-// is viewed once per subscriber, addressed to (q, downstream,
-// downstreamPort), and either way its kept SIC is credited to q. Callers
-// pass emit=false when the subscriber's downstream fragment itself rides
-// a shared instance fed by the primary chain. Reports whether the attach
-// happened; a false return means the caller deploys the fragment
-// normally (becoming the share target for later queries when hosted with
-// the same key).
-func (n *Node) attachShared(shareKey string, q stream.QueryID, f stream.FragID,
-	downstream stream.FragID, downstreamPort int, emit bool) bool {
-	if shareKey == "" {
-		return false
-	}
-	pk, ok := n.shared[shareKey]
-	if !ok {
-		return false
-	}
-	inst := n.frags[pk]
-	inst.subs = append(inst.subs, fanSub{
-		q: q, f: f, downstream: downstream, downstreamPort: downstreamPort, emit: emit,
-	})
-	n.subOf[fragKey{q, f}] = pk
-	n.hostedQ[q]++
-	return true
-}
-
-// SharedPrimary reports the query currently executing the shared
-// instance registered under the key — what a driver's share index must
-// name as the group's first member.
-func (n *Node) SharedPrimary(shareKey string) (stream.QueryID, bool) {
-	pk, ok := n.shared[shareKey]
-	if !ok {
-		return 0, false
-	}
-	return pk.q, true
-}
+// Deploy's refusals.
+var (
+	// ErrDeployed refuses a deploy of a fragment the node already hosts
+	// or rides: a second deploy would attach a second set of sources or a
+	// second fan-out view.
+	ErrDeployed = errors.New("node: fragment already deployed here")
+	// ErrNoPrimary refuses a ride naming an instance the node does not
+	// execute under the ride's share key.
+	ErrNoPrimary = errors.New("node: no such shared instance here")
+)
 
 // SetSubEmit flips the fan-out emission of an existing subscription.
 // Drivers call it when a subscriber's downstream fragment stops (or
 // starts) riding a shared instance — e.g. failure recovery re-placed the
 // rider's merge fragment as a private executor, which now needs the
-// views the boundary previously suppressed. No-op for unknown
-// subscriptions.
-func (n *Node) SetSubEmit(q stream.QueryID, f stream.FragID, emit bool) {
+// views the boundary previously suppressed. It reports whether it
+// applied: false, changing nothing, when (q, f) rides nothing here.
+func (n *Node) SetSubEmit(q stream.QueryID, f stream.FragID, emit bool) bool {
 	pk, ok := n.subOf[fragKey{q, f}]
 	if !ok {
-		return
+		return false
 	}
 	inst := n.frags[pk]
+	inst.subs[inst.sub(q)].emit = emit
+	return true
+}
+
+// sub returns the index of q's subscription on the instance, or -1.
+func (inst *fragInstance) sub(q stream.QueryID) int {
 	for i := range inst.subs {
-		if inst.subs[i].q == q && inst.subs[i].f == f {
-			inst.subs[i].emit = emit
-			return
+		if inst.subs[i].q == q {
+			return i
 		}
 	}
+	return -1
 }
 
 // RemoveFragment undeploys a fragment: its executor, sources and pending
@@ -478,38 +457,31 @@ func (n *Node) SetSubEmit(q stream.QueryID, f stream.FragID, emit bool) {
 // event in an FSPS (§5: converged SIC values depend on "queries' arrivals
 // and departures"); the shedder simply stops seeing the query's batches.
 //
-// Sharing makes removal three-way. A subscriber detaches from its shared
-// instance, which keeps executing for the remaining readers. A shared
-// primary with subscribers is not torn down at all: the first subscriber
-// is promoted to the instance's identity — executor, window state,
-// sources and buffered batches relabel in place, so the surviving
-// queries' windows never lose accumulated tuples. Only the last reader's
-// departure releases the instance and its refcounted state.
-func (n *Node) RemoveFragment(q stream.QueryID, f stream.FragID) {
+// Under sharing, a subscriber detaches from its shared instance, which
+// keeps executing for the remaining readers. An instance that still has
+// riders is not torn down: its driver first hands it to an heir
+// (Promote). RemoveFragment reports false, changing nothing, for such an
+// instance; removing a fragment the node does not hold is a no-op.
+func (n *Node) RemoveFragment(q stream.QueryID, f stream.FragID) bool {
 	key := fragKey{q, f}
 	if pk, ok := n.subOf[key]; ok {
 		delete(n.subOf, key)
 		inst := n.frags[pk]
-		for i := range inst.subs {
-			if inst.subs[i].q == q && inst.subs[i].f == f {
-				inst.subs = append(inst.subs[:i], inst.subs[i+1:]...)
-				break
-			}
-		}
+		i := inst.sub(q)
+		inst.subs = append(inst.subs[:i], inst.subs[i+1:]...)
 		n.dropQueryRef(q)
-		return
+		return true
 	}
 	inst, ok := n.frags[key]
 	if !ok {
-		return
+		return true
 	}
 	if len(inst.subs) > 0 {
-		n.promote(key, inst)
-		return
+		return false
 	}
 	delete(n.frags, key)
-	if inst.shareKey != "" && n.shared[inst.shareKey] == key {
-		delete(n.shared, inst.shareKey)
+	if inst.shareKey != "" {
+		n.keyed--
 	}
 	for i, k := range n.fragOrder {
 		if k == key {
@@ -539,6 +511,7 @@ func (n *Node) RemoveFragment(q stream.QueryID, f stream.FragID) {
 	n.ib = ib
 	n.ibTuples = tuples
 	n.dropQueryRef(q)
+	return true
 }
 
 // dropQueryRef releases one fragment-or-subscription reference on q,
@@ -552,57 +525,41 @@ func (n *Node) dropQueryRef(q stream.QueryID) {
 	delete(n.knownSIC, q)
 }
 
-// Promotion records one shared-instance ownership hand-off: the instance
-// formerly labelled (OldQ, Frag) now belongs to NewQ. Downstream is the
-// instance's downstream fragment at hand-off time (-1 for a root). The
-// driver uses the record to re-address the instance's in-flight output —
-// batches already in transit under (OldQ, Downstream) belong to the
-// survivor's pipeline, not the departed query's.
-type Promotion struct {
-	OldQ, NewQ stream.QueryID
-	Frag       stream.FragID
-	Downstream stream.FragID
-}
-
-// TakePromotions returns the promotions recorded since the last call and
-// clears the log. Drivers drain it right after a removal so in-flight
-// batches can follow the hand-off.
-func (n *Node) TakePromotions() []Promotion {
-	p := n.promos
-	n.promos = nil
-	return p
-}
-
-// promote hands a shared instance to its first subscriber after the
-// owning query departs: the executor and its accumulated window state,
+// Promote hands the shared instance (q, f) executes to heir, one of its
+// riders, as q departs: the executor and its accumulated window state,
 // the attached sources and any buffered input batches are relabelled to
-// the subscriber's identity in place. The promoted query's view of its
-// stream is therefore seamless — exactly what its private pipeline would
-// have held — and the remaining subscribers keep fanning out as before.
-func (n *Node) promote(key fragKey, inst *fragInstance) {
-	sub := inst.subs[0]
-	n.promos = append(n.promos, Promotion{
-		OldQ: key.q, NewQ: sub.q, Frag: key.f, Downstream: inst.downstream,
-	})
-	inst.subs = inst.subs[1:]
-	newKey := fragKey{sub.q, sub.f}
+// the heir's identity in place, and q no longer holds the fragment. The
+// heir's view of its stream is therefore seamless — exactly what its
+// private pipeline would have held — and the remaining riders keep
+// fanning out as before. It reports false, changing nothing, unless
+// (q, f) executes here and heir rides it.
+func (n *Node) Promote(q stream.QueryID, f stream.FragID, heir stream.QueryID) bool {
+	key := fragKey{q, f}
+	inst, ok := n.frags[key]
+	if !ok {
+		return false
+	}
+	i := inst.sub(heir)
+	if i < 0 {
+		return false
+	}
+	sub := inst.subs[i]
+	inst.subs = append(inst.subs[:i], inst.subs[i+1:]...)
+	newKey := fragKey{sub.q, f}
 	delete(n.subOf, newKey)
-	inst.q, inst.f = sub.q, sub.f
+	inst.q = sub.q
 	inst.downstream, inst.downstreamPort = sub.downstream, sub.downstreamPort
 	delete(n.frags, key)
 	n.frags[newKey] = inst
 	// The remaining subscribers ride the instance under its new identity.
 	for _, s := range inst.subs {
-		n.subOf[fragKey{s.q, s.f}] = newKey
+		n.subOf[fragKey{s.q, f}] = newKey
 	}
 	for i, k := range n.fragOrder {
 		if k == key {
 			n.fragOrder[i] = newKey
 			break
 		}
-	}
-	if inst.shareKey != "" && n.shared[inst.shareKey] == key {
-		n.shared[inst.shareKey] = newKey
 	}
 	for _, a := range n.srcs {
 		if a.src.Query == key.q && a.src.Frag == key.f {
@@ -615,15 +572,18 @@ func (n *Node) promote(key fragKey, inst *fragInstance) {
 		}
 	}
 	n.dropQueryRef(key.q)
+	return true
 }
 
 // RemoveQuery undeploys every fragment of a query hosted on this node —
-// the host side of a retract. It returns the number of fragments
-// removed, so drivers can tell a no-op (query never placed here) from a
-// teardown. All per-query state goes with the fragments: executors,
-// sources, rate estimators, buffered batches and the coordinator's
-// latest result-SIC value.
-func (n *Node) RemoveQuery(q stream.QueryID) int {
+// the host side of a retract. A fragment heirs names executes a shared
+// instance, which is handed to that heir (Promote); every other fragment
+// is removed (RemoveFragment). All per-query state goes with the
+// fragments: executors, sources, rate estimators, buffered batches and
+// the coordinator's latest result-SIC value. It returns how many
+// fragments it refused — a heir that does not ride, or an instance left
+// with riders and no heir — each of which stays as it was.
+func (n *Node) RemoveQuery(q stream.QueryID, heirs map[stream.FragID]stream.QueryID) (refused int) {
 	var keys []fragKey
 	for k := range n.frags {
 		if k.q == q {
@@ -639,9 +599,12 @@ func (n *Node) RemoveQuery(q stream.QueryID) int {
 	// subscriber: sort so retracts are bit-identical across runs.
 	sort.Slice(keys, func(i, j int) bool { return keys[i].f < keys[j].f })
 	for _, k := range keys {
-		n.RemoveFragment(k.q, k.f)
+		heir, named := heirs[k.f]
+		if named && !n.Promote(k.q, k.f, heir) || !named && !n.RemoveFragment(k.q, k.f) {
+			refused++
+		}
 	}
-	return len(keys)
+	return refused
 }
 
 // ReleaseBuffers releases every batch still sitting in the input buffer
@@ -665,9 +628,10 @@ type StateSize struct {
 	SourceQueries   int
 	KnownSIC        int
 	BufferedBatches int
-	// SharedInstances counts share-index entries; Subscriptions counts
-	// queries riding on shared instances. Both zero when sharing is off,
-	// so pre-sharing baselines compare unchanged.
+	// SharedInstances counts executing instances hosted under a share
+	// key; Subscriptions counts queries riding on shared instances. Both
+	// zero when sharing is off, so pre-sharing baselines compare
+	// unchanged.
 	SharedInstances int
 	Subscriptions   int
 }
@@ -681,7 +645,7 @@ func (n *Node) StateSize() StateSize {
 		SourceQueries:   len(n.srcByID),
 		KnownSIC:        len(n.knownSIC),
 		BufferedBatches: len(n.ib),
-		SharedInstances: len(n.shared),
+		SharedInstances: n.keyed,
 		Subscriptions:   len(n.subOf),
 	}
 }
@@ -690,12 +654,11 @@ func (n *Node) hostsQuery(q stream.QueryID) bool {
 	return n.hostedQ[q] > 0
 }
 
-// IsShareSub reports whether (q, f) currently rides a shared instance as
-// a subscriber rather than executing privately. Drivers consult it when
-// re-establishing fan-out boundaries after promotions and re-placements.
-func (n *Node) IsShareSub(q stream.QueryID, f stream.FragID) bool {
-	_, ok := n.subOf[fragKey{q, f}]
-	return ok
+// RidesOn reports the query whose instance (q, f) rides, if it rides
+// one rather than executing privately or not being here at all.
+func (n *Node) RidesOn(q stream.QueryID, f stream.FragID) (primary stream.QueryID, ok bool) {
+	pk, ok := n.subOf[fragKey{q, f}]
+	return pk.q, ok
 }
 
 // HostsFragment reports whether the node hosts the given fragment,

@@ -246,10 +246,10 @@ func TestRemoveQueryReturnsStateToBaseline(t *testing.T) {
 	b := stream.NewBatch(9, 0, -1, 2000, 3, 1)
 	n.Enqueue(b, 2000)
 
-	if removed := n.RemoveQuery(9); removed != 1 {
-		t.Fatalf("RemoveQuery removed %d fragments, want 1", removed)
+	if refused := n.RemoveQuery(9, nil); refused != 0 || n.HostsFragment(9, 0) {
+		t.Fatalf("RemoveQuery refused %d fragments, left query 9 hosted: %v", refused, n.HostsFragment(9, 0))
 	}
-	if n.RemoveQuery(9) != 0 {
+	if n.RemoveQuery(9, nil) != 0 {
 		t.Error("second RemoveQuery not a no-op")
 	}
 	got := n.StateSize()

@@ -23,13 +23,9 @@ import (
 //	  [estimator state if present]
 
 // ErrNotHosted reports a state operation against a fragment the node does
-// not host.
+// not execute: one it does not hold, or one riding another query's
+// instance, which has no private state of its own.
 var ErrNotHosted = errors.New("node: fragment not hosted")
-
-// ErrSharedSubscriber reports a snapshot request against a shared
-// subscriber fragment: it executes on another query's primary instance
-// and has no private state of its own.
-var ErrSharedSubscriber = errors.New("node: fragment is a shared subscriber; state lives on its primary")
 
 // ForEachFragment calls fn for every hosted executing fragment in the
 // node's deterministic hosting order. Shared subscribers are skipped —
@@ -43,13 +39,10 @@ func (n *Node) ForEachFragment(fn func(q stream.QueryID, f stream.FragID)) {
 // StateSnapshot writes the fragment's full recoverable state into enc.
 // The caller owns the encoder lifecycle (Reset before, Seal after), so
 // the engine's checkpoint tick reuses one encoder across every fragment
-// without allocating. Returns ErrSharedSubscriber for subscriber
-// fragments and ErrNotHosted for unknown ones.
+// without allocating. Returns ErrNotHosted for a fragment the node does
+// not execute.
 func (n *Node) StateSnapshot(q stream.QueryID, f stream.FragID, enc *stream.SnapEncoder) error {
 	key := fragKey{q: q, f: f}
-	if _, ok := n.subOf[key]; ok {
-		return ErrSharedSubscriber
-	}
 	inst, ok := n.frags[key]
 	if !ok {
 		return ErrNotHosted
@@ -78,16 +71,11 @@ func (n *Node) StateSnapshot(q stream.QueryID, f stream.FragID, enc *stream.Snap
 // current time, so edges between the checkpoint and the restore are
 // skipped rather than re-emitted.
 //
-// Restoring a shared subscriber fragment is a success no-op: its state
-// lives on the primary instance, which the primary's own query restores.
 // A decode or compatibility error may leave a prefix of the operators
 // restored; the executor remains safe to run, and callers respond by
 // taking the legacy reset path instead.
 func (n *Node) RestoreState(q stream.QueryID, f stream.FragID, data []byte) error {
 	key := fragKey{q: q, f: f}
-	if _, ok := n.subOf[key]; ok {
-		return nil
-	}
 	inst, ok := n.frags[key]
 	if !ok {
 		return ErrNotHosted

@@ -255,6 +255,9 @@ func TestSecondDeployIsRefused(t *testing.T) {
 			deploy := func(q stream.QueryID) *Deploy {
 				d := validDeploy(q)
 				d.ShareKey, d.ShareEmit = row.key, true
+				if q != 7 {
+					d.Primary = &[]stream.QueryID{7}[0]
+				}
 				return d
 			}
 			// With a share key, query 8 rides query 7's instance.

@@ -47,10 +47,9 @@ type Controller struct {
 	addrs []string
 	// plane is the control plane: membership, the auto-placer, the plan
 	// cache, every query's placement and share facts, and the share
-	// index. Its index is an exact mirror of every host's: per-connection
-	// sends are ordered and a host's attach/host/promote decisions are
-	// the plane's own rules applied in arrival order, so the controller
-	// predicts every host-side outcome without a round trip.
+	// index. It decides every sharing outcome, and the frames say it: a
+	// rider's deploy names its primary, a retract names each heir. A host
+	// that cannot obey refuses and counts it (StatsMsg.RefusedShares).
 	plane *control.Plane
 	// ledger is every query's result-SIC bookkeeping — the per-query
 	// coordinators, epochs and sample sums, shared with the engine
@@ -395,7 +394,7 @@ func (c *Controller) AutoPlace(fragments int) ([]int, error) {
 // toward its mean only after its own warmup, and its coordinator
 // registers for result-SIC dissemination immediately. With sharing
 // enabled attach-vs-host is settled here, by the plane, and travels to
-// the host as an opaque ShareKey. A rate or batches/s no host would run
+// the host as a ride's primary. A rate or batches/s no host would run
 // is refused here, before it costs a query id. A host whose deploy
 // cannot be written is failed, and its fragment re-placed, before Submit
 // returns.
@@ -466,17 +465,21 @@ func (c *Controller) Retract(q stream.QueryID) error {
 
 // retract is Retract's step.
 func (c *Controller) retract(q stream.QueryID) error {
-	// The plane replays the hosts' teardown before the retract frames go
-	// out: group membership shifts (including promotion of the next
-	// subscriber to executing) and the emit invariant is re-derived over
-	// what remains.
-	placement, _, flips, ok := c.plane.Retract(q)
+	// The plane settles the teardown before the retract frames go out:
+	// group membership shifts (including promotion of the next subscriber
+	// to executing, which the frame names as the instance's heir) and the
+	// emit invariant is re-derived over what remains.
+	placement, promos, flips, ok := c.plane.Retract(q)
 	if !ok {
 		return fmt.Errorf("transport: retract: unknown query %d", q)
 	}
 	c.ledger.Close(q)
 	delete(c.deps, q)
-	c.queue(&Envelope{Kind: KindRetract, Retract: &Retract{Query: q}}, placement...)
+	heirs := make(map[stream.FragID]stream.QueryID, len(promos))
+	for _, p := range promos {
+		heirs[stream.FragID(p.Frag)] = p.NewQ
+	}
+	c.queue(&Envelope{Kind: KindRetract, Retract: &Retract{Query: q, Heirs: heirs}}, placement...)
 	// Emit flips queue after the retracts: per-connection ordering then
 	// guarantees a host sees the promotion (retract) before any flip that
 	// depends on it.
@@ -507,6 +510,9 @@ func (c *Controller) frame(cmd control.Deploy, peers map[stream.FragID]string) D
 	d.Peers = peers
 	d.SourceSeed = cmd.Seed
 	d.ShareKey, d.ShareEmit = cmd.ShareKey, cmd.Emit
+	if cmd.Attach {
+		d.Primary = &cmd.Primary
+	}
 	d.State = cmd.Restore
 	return d
 }

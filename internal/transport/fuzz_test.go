@@ -217,6 +217,10 @@ var hostileFrames = []struct {
 	{"deploy with a truncated state", stateDeployFrame(10, hostileStates[0].state), false},
 	{"deploy with a wrong-version state", stateDeployFrame(11, hostileStates[1].state), false},
 	{"deploy with a random-bytes state", stateDeployFrame(12, hostileStates[2].state), false},
+	{"ride naming no instance", `{"kind":"deploy","deploy":{"query":910,"frag":0,"cql":"` + avgCQL + `","fragments":1,` +
+		`"dataset":1,"rate":50,"batches_per_sec":4,"share_key":"k","primary":911}}`, false},
+	{"retract with a heir for fragment -1", `{"kind":"retract","retract":{"query":0,"heirs":{"-1":1}}}`, false},
+	{"retract with a heir beyond any plan", `{"kind":"retract","retract":{"query":0,"heirs":{"1024":1}}}`, false},
 	{"run stw 2^50 at interval 1", runFrame(1<<50, 1), true},
 	{"run interval 2^62", runFrame(2000, 1<<62), true},
 	{"run interval 0", runFrame(2000, 0), true},
@@ -298,8 +302,9 @@ func TestHostSurvivesHostileFrames(t *testing.T) {
 }
 
 // TestHostRefusesDeployAtFragmentCap fills one host to maxHostedFragments
-// — a few private instances, the rest riders on one shared instance, every
-// one through handleDeploy as a frame would arrive — and checks that the
+// — a few private instances, the rest riders on query 0's shared
+// instance, every one through handleDeploy as a frame would arrive — and
+// checks that the
 // next deploy is refused with the cap error and hosts nothing, and that a
 // retract makes room again. The fill is linear in the number of deploys
 // (a query's accounting slot is inserted in place), so it takes about a
@@ -310,10 +315,14 @@ func TestHostRefusesDeployAtFragmentCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
+	primary := stream.QueryID(0)
 	for q := stream.QueryID(0); q < maxHostedFragments; q++ {
 		d := validDeploy(q)
 		if q%4096 != 1 {
 			d.ShareKey, d.ShareEmit = "shared", true
+			if q != primary {
+				d.Primary = &primary
+			}
 		}
 		if err := s.handleDeploy(d); err != nil {
 			t.Fatalf("deploy %d of %d refused: %v", q, maxHostedFragments, err)
@@ -338,6 +347,61 @@ func TestHostRefusesDeployAtFragmentCap(t *testing.T) {
 	}
 }
 
+// TestHostCountsRefusedShares: a host obeys the controller's sharing
+// commands or refuses them. Each refusal — a ride naming a primary the
+// host does not execute, or naming it under another key; a retract whose
+// heir does not ride, or that leaves riders with no heir; an emit flip
+// for a subscription the host does not hold — changes nothing on the
+// node and shows in the host's stats frame as refused_shares. A retract
+// naming a heir that rides is obeyed.
+func TestHostCountsRefusedShares(t *testing.T) {
+	s := steppedHost(t, "n", 50_000, defaultWriteTimeout, defaultDialCooldown)
+	s.logf = func(string, ...any) {}
+	if err := s.handleHello(testRun); err != nil {
+		t.Fatal(err)
+	}
+	ride := func(q stream.QueryID, key string, primary stream.QueryID) *Deploy {
+		d := validDeploy(q)
+		d.ShareKey, d.ShareEmit, d.Primary = key, true, &primary
+		return d
+	}
+	host := validDeploy(7)
+	host.ShareKey = "shared"
+	for _, d := range []*Deploy{host, ride(8, "shared", 7)} {
+		if err := s.handleDeploy(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := s.nd.StateSize()
+	heirs := func(q stream.QueryID) map[stream.FragID]stream.QueryID { return map[stream.FragID]stream.QueryID{0: q} }
+	for i, e := range []*Envelope{
+		{Kind: KindDeploy, Deploy: ride(9, "shared", 6)},
+		{Kind: KindDeploy, Deploy: ride(9, "other", 7)},
+		{Kind: KindRetract, Retract: &Retract{Query: 7, Heirs: heirs(9)}},
+		{Kind: KindRetract, Retract: &Retract{Query: 7}},
+		{Kind: KindShareEmit, ShareEmit: &ShareEmitMsg{Query: 9, Frag: 0, Emit: true}},
+	} {
+		s.handle(time.Time{}, hostEvent{env: e})
+		if s.refusedShares != int64(i+1) {
+			t.Errorf("frame %d (%s): %d refusals counted, want %d", i, e.Kind, s.refusedShares, i+1)
+		}
+		if got := s.nd.StateSize(); got != want {
+			t.Errorf("frame %d (%s) changed the node: %+v, want %+v", i, e.Kind, got, want)
+		}
+	}
+	s.handle(time.Time{}, hostEvent{env: &Envelope{Kind: KindRetract, Retract: &Retract{Query: 7, Heirs: heirs(8)}}})
+	if _, rides := s.nd.RidesOn(8, 0); rides || !s.nd.HostsFragment(8, 0) || s.nd.HostsFragment(7, 0) || s.refusedShares != 5 {
+		t.Errorf("an obeyable retract: query 8 rides %v, hosted %v, query 7 hosted %v, %d refusals",
+			rides, s.nd.HostsFragment(8, 0), s.nd.HostsFragment(7, 0), s.refusedShares)
+	}
+	out, fr := ctrlLink(t)
+	s.handleStop(out)
+	e, _, _, err := fr.next()
+	if err != nil || e.Stats == nil || e.Stats.RefusedShares != 5 {
+		t.Fatalf("stats frame %+v (%v), want refused_shares 5", e, err)
+	}
+}
+
 // FuzzHostFrame drives arbitrary raw frames — a type byte, then the
 // payload — through the host's step, handle: against a server no run has
 // reached, where nothing may start it, and again after testRun and a
@@ -358,6 +422,14 @@ func FuzzHostFrame(f *testing.F) {
 		`"dataset":4,"rate":1e308,"batches_per_sec":-1,"share_key":"k","share_scale":-2,"peers":{"0":"x"}}}`))
 	f.Add(rawJSON(`{"kind":"rewire","rewire":{"query":7,"peers":{"-3":"127.0.0.1:1"}}}`))
 	f.Add(rawJSON(`{"kind":"share_emit","share_emit":{"query":7,"frag":0,"emit":true}}`))
+	f.Add(rawJSON(`{"kind":"share_emit","share_emit":{"query":8,"frag":0,"emit":false}}`))
+	for _, ride := range []string{`"share_key":"k","primary":7`, `"primary":7`, `"share_key":"k","primary":-1`, `"share_key":"k","primary":8`} {
+		f.Add(rawJSON(`{"kind":"deploy","deploy":{"query":8,"cql":"` + avgCQL + `","fragments":1,"dataset":1,` +
+			`"rate":50,"batches_per_sec":4,"share_emit":true,` + ride + `}}`))
+	}
+	for _, heirs := range []string{`{"0":8}`, `{"0":7}`, `{"1":8}`, `{"-1":8}`, `{"1024":8}`, `{"0":8,"2147483647":9}`} {
+		f.Add(rawJSON(`{"kind":"retract","retract":{"query":7,"heirs":` + heirs + `}}`))
+	}
 	f.Add(rawSIC(SICMsg{Query: 7, Value: -1e300}))
 	f.Add(rawSIC(SICMsg{Query: 7, Value: 0.5}, SICMsg{Query: 8, Value: 0.25}, SICMsg{Query: 7, Value: math.NaN()}))
 	f.Add(rawSIC())

@@ -101,14 +101,13 @@ type Deploy struct {
 	// ShareKey is the controller-computed structural identity of this
 	// fragment under multi-query sharing: the plan-subtree key plus
 	// fragment index, rate pin and epoch pin. Empty when sharing is off.
-	// A host receiving a non-empty key attaches the fragment to an
-	// already-hosted instance under the same key when one exists (no
-	// executor, no sources — refcounted fan-out views instead), and
-	// otherwise hosts it as the registered dedup target for later
-	// same-key deploys. Per-connection sends are ordered, so the
-	// controller's share-index mirror predicts the outcome exactly.
-	ShareKey string `json:"share_key,omitempty"`
-	// ShareEmit applies when this deploy attaches: whether the shared
+	// Primary, when set, makes the fragment ride the instance that query
+	// executes at the same fragment — no executor, no sources, refcounted
+	// fan-out views instead. A host executing no such instance under
+	// ShareKey refuses the ride and counts it (StatsMsg.RefusedShares).
+	ShareKey string          `json:"share_key,omitempty"`
+	Primary  *stream.QueryID `json:"primary,omitempty"`
+	// ShareEmit applies when this deploy rides: whether the shared
 	// instance emits a per-subscriber view batch downstream for this
 	// query. True iff the query's downstream fragment executes privately
 	// — a rider whose downstream also rides the same primary chain gets
@@ -156,9 +155,12 @@ type Rewire struct {
 // not yet seen the retract is accepted into the input buffer (it still
 // counts as arrived, and occupies capacity for that one shedding
 // round) and is discarded at the execution stage, since its fragment
-// is gone; nothing of it survives past that tick.
+// is gone; nothing of it survives past that tick. Heirs maps each
+// fragment executing a shared instance to the rider that inherits it
+// (one map serves every host: a query's fragments sit on distinct nodes).
 type Retract struct {
-	Query stream.QueryID `json:"query"`
+	Query stream.QueryID                   `json:"query"`
+	Heirs map[stream.FragID]stream.QueryID `json:"heirs,omitempty"`
 }
 
 // CheckpointMsg carries one fragment's sealed state snapshot from its
@@ -176,11 +178,9 @@ type CheckpointMsg struct {
 
 // ShareEmitMsg flows controller → host: flip the fan-out emission of the
 // subscription (Query, Frag) on whatever shared instance it rides. The
-// controller derives the new bit from its share-index mirror after a
-// retract or recovery changed whether the subscriber's downstream
-// fragment executes privately. Unknown subscriptions are a no-op — the
-// subscription may have been promoted to primary (emission then is the
-// instance's own) or torn down by a racing retract.
+// control plane derives the new bit after a retract or recovery changed
+// whether the subscriber's downstream fragment executes privately. A
+// host refuses, and counts, a flip for a subscription it does not hold.
 type ShareEmitMsg struct {
 	Query stream.QueryID `json:"query"`
 	Frag  stream.FragID  `json:"frag"`
@@ -210,9 +210,9 @@ type StatsMsg struct {
 	// result SIC.
 	DroppedTuples int64   `json:"dropped_tuples"`
 	DroppedSIC    float64 `json:"dropped_sic"`
-	// SharedInstances and Subscriptions report the node's share index at
-	// stop time: executing dedup targets and the queries riding them.
-	// Both stay zero with sharing off.
+	// SharedInstances and Subscriptions report the node's sharing at stop
+	// time: executing instances hosted under a share key and the queries
+	// riding them. Both stay zero with sharing off.
 	SharedInstances int `json:"shared_instances"`
 	Subscriptions   int `json:"subscriptions"`
 	// Ticks and TickNanos accumulate the node's tick count and the
@@ -229,6 +229,10 @@ type StatsMsg struct {
 	// RefusedRestores counts deploys whose state the node could not
 	// restore, which ran cold; omitted when zero, like DroppedCtrl.
 	RefusedRestores int64 `json:"refused_restores,omitempty"`
+	// RefusedShares counts sharing commands the node could not obey and
+	// left undone (node.Deploy, Node.RemoveQuery, Node.SetSubEmit);
+	// omitted when zero.
+	RefusedShares int64 `json:"refused_shares,omitempty"`
 }
 
 // Write-path timing defaults. Every frame write — control and batch —

@@ -85,8 +85,9 @@ type NodeServer struct {
 	results []SICMsg // the tick frame's pairs (queueResults)
 	// ctrlDropped counts control frames refused by a full ctrlQ: results
 	// the controller never saw, so the result SIC it shows reads low;
-	// refusedRestores, deploys whose state the node refused.
-	ctrlDropped, refusedRestores int64
+	// refusedRestores, deploys whose state the node refused; and
+	// refusedShares, sharing commands the node could not obey.
+	ctrlDropped, refusedRestores, refusedShares int64
 
 	wtimeout time.Duration // per-write deadline on every outbound conn
 	dialCool time.Duration // negative-cache window after a dial/write timeout
@@ -374,15 +375,13 @@ func (s *NodeServer) handle(now time.Time, ev hostEvent) (stopped bool) {
 	case KindRewire:
 		s.handleRewire(e.Rewire)
 	case KindRetract:
-		s.handleRetract(e.Retract)
+		if err := s.handleRetract(e.Retract); err != nil {
+			s.logf("themis-node %s: retract: %v", s.Name, err)
+		}
 	case KindShareEmit:
-		if m := e.ShareEmit; m != nil && s.nd != nil {
-			// The controller derives the bit from its share-index mirror
-			// after a retract or recovery changed whether the subscriber's
-			// downstream fragment executes privately; SetSubEmit ignores
-			// unknown subscriptions, which absorbs the benign races
-			// (promotion to primary, concurrent retract).
-			s.nd.SetSubEmit(m.Query, m.Frag, m.Emit)
+		if m := e.ShareEmit; m != nil && s.nd != nil && !s.nd.SetSubEmit(m.Query, m.Frag, m.Emit) {
+			s.refusedShares++
+			s.logf("themis-node %s: share emit: q%d/f%d rides nothing here", s.Name, m.Query, m.Frag)
 		}
 	case KindStop:
 		s.handleStop(ev.c)
@@ -448,16 +447,21 @@ func (s *NodeServer) handleDeploy(d *Deploy) error {
 	if ss := s.nd.StateSize(); ss.Fragments+ss.Subscriptions >= maxHostedFragments {
 		return fmt.Errorf("host is at its cap of %d hosted fragments", maxHostedFragments)
 	}
-	// An attaching fragment rides an instance this node already executes
-	// — no executor, no sources; a hosting one becomes the registered
-	// dedup target for later same-key deploys. Either way the peer routes
-	// go in, so the instance's fan-out views find this query's downstream
-	// host.
-	if _, err := s.nd.Deploy(node.FragmentSpec{
+	// A ride the node cannot obey is refused and counted. Otherwise the
+	// peer routes go in, so a shared instance's fan-out views find this
+	// query's downstream host.
+	spec := node.FragmentSpec{
 		Query: d.Query, Frag: d.Frag, Plan: plan,
 		Rate: d.Rate, Batches: d.Batches, Seed: d.SourceSeed,
 		ShareKey: d.ShareKey, Emit: d.ShareEmit, Restore: d.State,
-	}); errors.Is(err, node.ErrDeployed) {
+	}
+	if d.Primary != nil {
+		spec.Attach, spec.Primary = true, *d.Primary
+	}
+	if err := s.nd.Deploy(spec); errors.Is(err, node.ErrNoPrimary) {
+		s.refusedShares++
+		return err
+	} else if errors.Is(err, node.ErrDeployed) {
 		return err
 	} else if err != nil {
 		s.refusedRestores++
@@ -485,25 +489,29 @@ func (s *NodeServer) handleRewire(r *Rewire) {
 	s.evictStalePeers()
 }
 
-// handleRetract tears a query down on this host: every fragment the
+// handleRetract tears a query down on this host: a shared instance it
+// executes goes to the heir the frame names, every other fragment the
 // node runs for it is removed (executors, sources, rate estimators,
-// buffered batches, the known result-SIC entry all go with it), the
-// query's peer-routing entries disappear, and outbound connections no
-// surviving query references are evicted. Other queries keep ticking
-// from the next step on.
-func (s *NodeServer) handleRetract(r *Retract) {
+// buffered batches, the known result-SIC entry all go with it; a
+// refusal is counted), the query's peer-routing entries disappear, and
+// outbound connections no surviving query references are evicted. Other
+// queries keep ticking from the next step on. A heir for a fragment
+// outside any plan refuses the whole frame.
+func (s *NodeServer) handleRetract(r *Retract) error {
 	if r == nil {
-		return
+		return nil
+	}
+	for f := range r.Heirs {
+		if f < 0 || f >= maxDeployFragments {
+			return fmt.Errorf("heir for fragment %d outside [0, %d)", f, maxDeployFragments)
+		}
 	}
 	if s.nd != nil {
-		s.nd.RemoveQuery(r.Query)
-		// Ownership hand-offs are mirrored by the controller (it derives
-		// the same promotion from its share index); the node-local log
-		// just needs draining so it cannot grow across retracts.
-		s.nd.TakePromotions()
+		s.refusedShares += int64(s.nd.RemoveQuery(r.Query, r.Heirs))
 	}
 	s.dropRoutes(r.Query)
 	s.evictStalePeers()
+	return nil
 }
 
 // dropRoutes forgets every peer-routing entry of query q.
@@ -701,6 +709,7 @@ func (s *NodeServer) handleStop(out *conn) {
 		TickNanos:       s.tickNanos,
 		DroppedCtrl:     s.ctrlDropped,
 		RefusedRestores: s.refusedRestores,
+		RefusedShares:   s.refusedShares,
 	}})
 }
 

@@ -9,13 +9,13 @@ import (
 	"repro/internal/stream"
 )
 
-// Networked sharing differential tests: the distributed share index must
-// be pure optimisation. A federation running SharingFull over real
+// Networked sharing differential tests: sharing over the wire must be
+// pure optimisation. A federation running SharingFull over real
 // sockets — through submit/retract churn with primary promotion and a
 // node kill that re-places shared fragments — must report per-query SIC
 // within the wall-clock tolerance of the identical schedule under
 // SharingOff, while actually collapsing same-shape fragments onto shared
-// instances (asserted against the hosts' share indexes mid-run).
+// instances (the plane's groups asserted against the hosts mid-run).
 
 // mirrorCounts sums the controller's share index — the control plane's
 // Groups accessor, the one the engine's mirror property test reads — into

@@ -377,16 +377,14 @@ func (e *Engine) RemoveQuery(q stream.QueryID) bool {
 	e.queries[q].resultFn = nil
 	placement, promos, flips, _ := e.plane.Retract(q)
 	// The departed query may have owned shared instances: each goes to the
-	// heir the plane names, and the instance's output already in transit
-	// belongs to the heir's pipeline. Re-address it, or the heir would lose
-	// exactly the in-flight batches — a divergence from its private
-	// (SharingOff) execution, which keeps its own in-flight batches across
-	// another query's retract.
+	// heir the plane names, with the input already in transit to it that
+	// is the heir's (relabelTransit, which reads who rode what before any
+	// hand-off).
+	e.relabelTransit(q, placement, promos)
 	for _, p := range promos {
 		if !e.nodes[p.Node].Promote(p.OldQ, stream.FragID(p.Frag), p.NewQ) {
 			refused("node %d: hand query %d's fragment %d to query %d", p.Node, p.OldQ, p.Frag, p.NewQ)
 		}
-		e.relabelTransit(p)
 	}
 	// A node that died under the query (one KillNode retires) is never
 	// asked again, whatever it holds.
@@ -525,21 +523,33 @@ func (e *Engine) KillNode(id stream.NodeID) {
 	e.applyFlips(e.plane.Sweep())
 }
 
-// relabelTransit re-addresses in-flight batches after a shared-instance
-// promotion: output the instance emitted under its old owner's identity
-// — batches bound for the departed query's downstream fragment, read
-// from its plan — now belongs to the heir, whose downstream fragment
-// rides (or owns) the same consumer on the same node, so only the label
-// changes.
-func (e *Engine) relabelTransit(p control.Promotion) {
-	down := e.queries[p.OldQ].ctl.Plan.Downstream[p.Frag]
-	if down < 0 {
-		return
-	}
-	for _, slot := range e.transitRing {
-		for _, d := range slot {
-			if d.b.Query == p.OldQ && d.b.Frag == stream.FragID(down) {
-				d.b.Query = p.NewQ
+// relabelTransit re-addresses the in-flight input of the shared instances
+// departing query q hands to heirs. A batch bound for such an instance
+// from q's upstream fragment f is the heir's only copy — so the heir's
+// private (SharingOff) pipeline would have it — when the heir's fragment
+// f shares q's instance there, its own view suppressed. Every other batch
+// stays q's and drops on delivery: the heir's own copy is in transit
+// under its own id. q's plan, kept after the retract, names f.
+func (e *Engine) relabelTransit(q stream.QueryID, placement []stream.NodeID, promos []control.Promotion) {
+	plan := e.queries[q].ctl.Plan
+	for _, p := range promos {
+		for f, down := range plan.Downstream {
+			if down != p.Frag {
+				continue
+			}
+			from, inst := placement[f], q // the instance q's fragment f executes or rides
+			if on, rides := e.nodes[from].RidesOn(q, stream.FragID(f)); rides {
+				inst = on
+			}
+			if on, rides := e.nodes[from].RidesOn(p.NewQ, stream.FragID(f)); !rides || on != inst {
+				continue
+			}
+			for _, slot := range e.transitRing {
+				for _, d := range slot {
+					if d.from == from && d.b.Query == q && d.b.Frag == stream.FragID(p.Frag) {
+						d.b.Query = p.NewQ
+					}
+				}
 			}
 		}
 	}

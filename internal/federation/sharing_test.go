@@ -372,3 +372,41 @@ func TestRecoveryAndSubmitInOneTickShareNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestRetractHandsInFlightInputToItsHeir: three same-shape 3-fragment
+// queries share the root instance on node 0, query 2 rides query 0's
+// first leaf, and query 1 rides its second; each runs its other leaf
+// privately. When query 0 leaves, query 1 inherits the root and the
+// second leaf and query 2 the first leaf. The leaf output in transit to
+// the root is query 1's only where query 1 rode the leaf: its own first
+// leaf's output is in transit too, and a second copy would double-feed
+// the root, while dropping the second leaf's would starve it. Either way
+// SharingFull must stay bit-identical to SharingOff.
+func TestRetractHandsInFlightInputToItsHeir(t *testing.T) {
+	run := func(mode Sharing) *Results {
+		cfg := Defaults()
+		cfg.Duration = 10 * stream.Second
+		cfg.Warmup = 0
+		cfg.SourceRate = 20
+		cfg.KeepSamples = true
+		cfg.Sharing = mode
+		e := NewEngine(cfg)
+		e.AddNodes(4, 1e8)
+		for _, at := range [][]stream.NodeID{{0, 1, 2}, {0, 3, 2}, {0, 1, 3}} {
+			if _, err := e.Submit(QuerySubmit{CQL: "Select Avg(t.v) From AllSrc[Range 1 sec]", Fragments: 3, Dataset: 1, Placement: at}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for tick := 0; tick < 40; tick++ {
+			if tick == 12 && !e.RemoveQuery(0) {
+				t.Fatal("retract of query 0 refused")
+			}
+			e.Step()
+		}
+		return e.Results()
+	}
+	if off, full := queryFacts(run(SharingOff)), queryFacts(run(SharingFull)); !reflect.DeepEqual(off, full) {
+		t.Errorf("SharingFull diverges from SharingOff: mean SIC %v vs %v",
+			[]float64{full.Queries[1].MeanSIC, full.Queries[2].MeanSIC}, []float64{off.Queries[1].MeanSIC, off.Queries[2].MeanSIC})
+	}
+}

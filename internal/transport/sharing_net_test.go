@@ -18,8 +18,8 @@ import (
 // instances (the plane's groups asserted against the hosts mid-run).
 
 // mirrorCounts sums the controller's share index — the control plane's
-// Groups accessor, the one the engine's mirror property test reads — into
-// executing instances and riding subscriptions across all nodes.
+// Groups accessor, the one the engine's plane-equals-hosts test reads —
+// into executing instances and riding subscriptions across all nodes.
 func mirrorCounts(ctrl *Controller) (groups, riders int) {
 	ctrl.mu.Lock()
 	defer ctrl.mu.Unlock()
@@ -83,16 +83,15 @@ func netSharingRun(t *testing.T, sharing federation.Sharing) (*NetResults, []str
 				}
 				srv.mu.Unlock()
 			}
-			// Every fragment deploy registers its share key (4 queries ×
+			// Every hosted fragment keeps its share key (4 queries ×
 			// 2 fragments − 4 attached = 4 instances); the two stacked
 			// riders attach at both fragments.
 			if instances != 4 || subs != 4 {
-				t.Errorf("mid-run share index: %d instances, %d subscriptions; want 4 and 4", instances, subs)
+				t.Errorf("mid-run sharing: %d instances, %d subscriptions; want 4 and 4", instances, subs)
 			}
-			// The controller's mirror is the plane's index: it must count
-			// what the hosts hold.
+			// The plane's index must count what the hosts hold.
 			if groups, riders := mirrorCounts(ctrl); groups != instances || riders != subs {
-				t.Errorf("mid-run mirror: %d groups, %d riders; hosts hold %d instances, %d subscriptions", groups, riders, instances, subs)
+				t.Errorf("mid-run plane: %d groups, %d riders; hosts hold %d instances, %d subscriptions", groups, riders, instances, subs)
 			}
 		})
 	}
@@ -151,6 +150,7 @@ func TestNetworkedSharingDifferential(t *testing.T) {
 	if len(resFull.Recoveries) != 1 {
 		t.Fatalf("recoveries %+v, want exactly one", resFull.Recoveries)
 	}
+	requireObeyed(t, srvs)
 
 	for _, s := range srvs {
 		s.Close()
@@ -158,9 +158,24 @@ func TestNetworkedSharingDifferential(t *testing.T) {
 	leaked()
 }
 
+// requireObeyed fails the test for every host that refused a sharing
+// command: the controller's plane decided each one, so a refusal means
+// the plane and a host disagree.
+func requireObeyed(t *testing.T, srvs []*NodeServer) {
+	t.Helper()
+	for _, s := range srvs {
+		s.mu.Lock()
+		n := s.refusedShares
+		s.mu.Unlock()
+		if n != 0 {
+			t.Errorf("host %s refused %d sharing commands", s.Name, n)
+		}
+	}
+}
+
 // TestNetworkedSharingRetractDrainsState: retracting every member of a
 // shared group on a live federation must drain the hosts back to their
-// pre-deploy footprint — share index empty, no leaked pooled batches —
+// pre-deploy footprint — no shared state, no leaked pooled batches —
 // while the federation keeps ticking.
 func TestNetworkedSharingRetractDrainsState(t *testing.T) {
 	t.Parallel()
@@ -226,10 +241,11 @@ func TestNetworkedSharingRetractDrainsState(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	// Controller mirror drained too.
+	// The plane's groups drained too, and every host obeyed.
 	if groups, riders := mirrorCounts(ctrl); groups != 0 || riders != 0 {
-		t.Errorf("controller mirror holds %d groups, %d riders after full retract", groups, riders)
+		t.Errorf("control plane holds %d groups, %d riders after full retract", groups, riders)
 	}
+	requireObeyed(t, srvs)
 	for _, q := range qs {
 		ctrl.mu.Lock()
 		left := ctrl.plane.Query(q) != nil
